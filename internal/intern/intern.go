@@ -1,16 +1,20 @@
 // Package intern implements the interned-value execution core: a
 // dictionary mapping domain strings to dense uint32 IDs, plus hash
-// containers (Set, Index) keyed by packed []uint32 rows through a cheap
-// FNV-style 64-bit key with collision verification.
+// containers (Set, Index, FlatIndex) keyed by packed []uint32 rows through
+// a cheap FNV-style 64-bit key with collision verification.
 //
 // The evaluation engines (internal/eval, internal/plan, internal/cq)
 // operate on ID-encoded rows end-to-end and decode back to strings only at
 // the API boundary, so hash joins, deduplication and homomorphism checks
 // compare machine words instead of joining strings. The dictionary is safe
-// for concurrent use; Set and Index are not (each worker builds its own).
+// for concurrent use; Set and Index are not (each worker builds its own),
+// and a built FlatIndex is read-only, so any number of readers may share it.
 package intern
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // Dict is a bidirectional string <-> uint32 dictionary. IDs are dense,
 // starting at 0, assigned in first-intern order. The zero value is not
@@ -440,6 +444,77 @@ func (ix *Index) GetAt(row []uint32, pos []int) [][]uint32 {
 		}
 	}
 	return nil
+}
+
+// FlatIndex is a read-only multimap from the projection of rows at fixed
+// key positions to those rows, laid out flat: a power-of-two bucket table
+// of offsets into one uint32 permutation of the row positions, bucketed by
+// the Fibonacci-mixed HashAt of the key. Building it is two passes and
+// three allocations whatever the row count — cheap enough to replace a
+// per-run hash join build outright — and an immutable FlatIndex may be
+// probed by any number of goroutines at once. The rows are retained by
+// reference and must not be mutated afterwards.
+type FlatIndex struct {
+	rows  [][]uint32
+	pos   []int
+	shift uint
+	off   []uint32 // bucket b holds perm[off[b]:off[b+1]]
+	perm  []uint32 // row positions grouped by bucket, in row order
+}
+
+// NewFlatIndex indexes rows by their projection at positions pos. Every
+// row must be wider than the largest position.
+func NewFlatIndex(rows [][]uint32, pos []int) *FlatIndex {
+	nbits := uint(bits.Len(uint(len(rows)))) // 2^nbits > len(rows)
+	ix := &FlatIndex{
+		rows:  rows,
+		pos:   pos,
+		shift: 64 - nbits,
+		off:   make([]uint32, 1<<nbits+1),
+		perm:  make([]uint32, len(rows)),
+	}
+	for _, r := range rows {
+		ix.off[ix.bucket(r, pos)+1]++
+	}
+	for b := 1; b < len(ix.off); b++ {
+		ix.off[b] += ix.off[b-1]
+	}
+	// Counting-sort placement advances off[b] from bucket b's start to its
+	// end (the start of b+1); shifting the table by one restores it.
+	for i, r := range rows {
+		b := ix.bucket(r, pos)
+		ix.perm[ix.off[b]] = uint32(i)
+		ix.off[b]++
+	}
+	copy(ix.off[1:], ix.off[:len(ix.off)-1])
+	ix.off[0] = 0
+	return ix
+}
+
+// bucket maps the key of row at pos to a bucket: the top bits of the
+// HashAt key times 2^64/φ, which spreads the low-entropy FNV output of
+// small dense IDs over the table.
+// (An empty index has shift 64, which Go defines to yield bucket 0.)
+func (ix *FlatIndex) bucket(row []uint32, pos []int) uint64 {
+	return (HashAt(row, pos) * 0x9E3779B97F4A7C15) >> ix.shift
+}
+
+// Lookup appends to out the indexed rows whose key equals the projection
+// of probe at positions probePos (one entry per position of the index
+// key), in row order, and returns the extended slice.
+func (ix *FlatIndex) Lookup(probe []uint32, probePos []int, out [][]uint32) [][]uint32 {
+	b := ix.bucket(probe, probePos)
+next:
+	for _, i := range ix.perm[ix.off[b]:ix.off[b+1]] {
+		r := ix.rows[i]
+		for j, p := range ix.pos {
+			if r[p] != probe[probePos[j]] {
+				continue next
+			}
+		}
+		out = append(out, r)
+	}
+	return out
 }
 
 // Grouper groups ID rows by their projection at fixed positions, with

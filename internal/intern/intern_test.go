@@ -2,6 +2,7 @@ package intern
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -176,5 +177,43 @@ func TestDictStringsRangeFromStrings(t *testing.T) {
 	}
 	if _, ok := FromStrings([]string{"x", "y", "x"}); ok {
 		t.Fatal("FromStrings must reject duplicates")
+	}
+}
+
+// TestFlatIndexMatchesScan checks FlatIndex lookups against a linear scan
+// over random rows: every key (present or absent, single- or
+// multi-column, probed from a differently laid-out row) returns exactly
+// the rows whose projection equals it, in row order.
+func TestFlatIndexMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, 2, 7, 64, 1000} {
+		rows := make([][]uint32, n)
+		for i := range rows {
+			rows[i] = []uint32{uint32(rng.Intn(12)), uint32(rng.Intn(5)), uint32(i)}
+		}
+		for _, c := range []struct{ pos, probePos []int }{
+			{[]int{0}, []int{1}},
+			{[]int{1, 0}, []int{0, 1}},
+			{[]int{2}, []int{2}},
+		} {
+			pos := c.pos
+			ix := NewFlatIndex(rows, pos)
+			for a := uint32(0); a < 14; a++ {
+				for b := uint32(0); b < 6; b++ {
+					probe := []uint32{b, a, a}
+					key := Project(probe, c.probePos)
+					var want [][]uint32
+					for _, r := range rows {
+						if RowsEq(Project(r, pos), key) {
+							want = append(want, r)
+						}
+					}
+					got := ix.Lookup(probe, c.probePos, nil)
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("n=%d pos=%v key=%v: got %v want %v", n, pos, key, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -2,6 +2,8 @@ package plan
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"sync"
 
 	"repro/internal/access"
@@ -36,10 +38,22 @@ type Materialized map[string][][]string
 // ID-encoded against the database dictionary and decoded only here at the
 // boundary. Independent subtrees (products, unions, differences, the two
 // sides of a hash join) run concurrently on the bounded worker pool;
-// Indexed's atomic counters keep the |Dξ| accounting exact.
+// Indexed's atomic counters keep the |Dξ| accounting exact. Each view the
+// plan reads is interned once, on first read, for this run only.
 func Run(n Node, ix *instance.Indexed, views Materialized) ([][]string, error) {
 	d := ix.DB.Dict
-	return exec(n, &execCtx{src: ix, d: d, views: views, cache: intern.NewRowCache(d)})
+	return RunOn(n, ix, NewLazyPreparedViews(d, func(name string) ([][]uint32, bool) {
+		rows, ok := views[name]
+		return encode(d, rows), ok
+	}))
+}
+
+func encode(d *intern.Dict, rows [][]string) [][]uint32 {
+	enc := make([][]uint32, len(rows))
+	for i, r := range rows {
+		enc[i] = d.Encode(r)
+	}
+	return enc
 }
 
 // PreparedViews is the ID-encoded form of a Materialized view set, bound
@@ -49,36 +63,122 @@ func Run(n Node, ix *instance.Indexed, views Materialized) ([][]string, error) {
 // reuse a cache.
 //
 // A PreparedViews may be LAZY (NewLazyPreparedViews): a view's rows are
-// resolved by a fill function per read, so serving layers can publish an
-// epoch without eagerly materializing extents no plan may ever read.
-// There is deliberately no lock here — fill must be thread-safe and
-// memoize its own expensive work (the sharded epoch's per-view
-// sync.Once), so concurrent readers of one epoch never contend.
+// resolved by a fill function on first read, so serving layers can
+// publish an epoch without eagerly materializing extents no plan may ever
+// read.
+//
+// A PreparedViews also memoizes what plans derive from its extents: each
+// view's width check and the flat hash indices joins look the view up
+// through, keyed by (view, key positions). Each is built once, on first
+// demand, and then shared read-only by every concurrent reader — serving
+// engines publish one PreparedViews per epoch, so a bounded plan joining a
+// large cached view pays O(|V|) once per epoch instead of once per
+// execution.
 type PreparedViews struct {
-	d    *intern.Dict
-	rows map[string][][]uint32
-	fill func(name string) ([][]uint32, bool)
+	d     *intern.Dict
+	rows  map[string][][]uint32
+	fill  func(name string) ([][]uint32, bool)
+	views sync.Map // view name -> *viewMemo
 }
 
-// get resolves one view's rows, through fill when set. Safe for
-// concurrent use (the rows map is immutable after construction).
-func (pv *PreparedViews) get(name string) ([][]uint32, bool) {
-	if pv.fill == nil {
-		rows, ok := pv.rows[name]
-		return rows, ok
+// viewMemo is one view's derived state within one PreparedViews: its
+// extent, resolved and width-scanned once, and the indices built over it.
+type viewMemo struct {
+	once    sync.Once
+	rows    [][]uint32
+	found   bool
+	width   int      // width of rows[0] (0 for an empty extent)
+	odd     int      // width of the first row whose width differs from rows[0], -1 if none
+	indices sync.Map // posKey(key positions) -> *viewIndex
+}
+
+// viewIndex is one memoized index of a view, keyed by column positions.
+type viewIndex struct {
+	once sync.Once
+	ix   *intern.FlatIndex
+}
+
+// view returns v's memo within pv: the extent, resolved and width-scanned
+// on the first call for v's view, checked against v's width. The outcome
+// of the one-time resolve, an error included, is returned to every call.
+func (pv *PreparedViews) view(v *View) (*viewMemo, error) {
+	e, ok := pv.views.Load(v.Name)
+	if !ok {
+		e, _ = pv.views.LoadOrStore(v.Name, &viewMemo{})
 	}
-	return pv.fill(name)
+	vm := e.(*viewMemo)
+	vm.once.Do(func() { vm.resolve(pv, v.Name) })
+	if !vm.found {
+		return nil, fmt.Errorf("plan: view %s not materialized", v.Name)
+	}
+	if w := vm.badWidth(len(v.Cols)); w >= 0 {
+		return nil, fmt.Errorf("plan: view %s rows have %d columns, node expects %d", v.Name, w, len(v.Cols))
+	}
+	return vm, nil
+}
+
+func (vm *viewMemo) resolve(pv *PreparedViews, name string) {
+	if pv.fill != nil {
+		vm.rows, vm.found = pv.fill(name)
+	} else {
+		vm.rows, vm.found = pv.rows[name]
+	}
+	vm.odd = -1
+	if len(vm.rows) == 0 {
+		return
+	}
+	vm.width = len(vm.rows[0])
+	for _, r := range vm.rows {
+		if len(r) != vm.width {
+			vm.odd = len(r)
+			return
+		}
+	}
+}
+
+// badWidth returns the width of the first row that is not cols wide, or
+// -1 when every row is.
+func (vm *viewMemo) badWidth(cols int) int {
+	switch {
+	case len(vm.rows) == 0:
+		return -1
+	case vm.width != cols:
+		return vm.width
+	default:
+		return vm.odd
+	}
+}
+
+// index returns the view's flat index keyed by the columns at pos, building
+// it on first demand.
+func (vm *viewMemo) index(pos []int) *intern.FlatIndex {
+	key := posKey(pos)
+	e, ok := vm.indices.Load(key)
+	if !ok {
+		e, _ = vm.indices.LoadOrStore(key, &viewIndex{})
+	}
+	vi := e.(*viewIndex)
+	vi.once.Do(func() { vi.ix = intern.NewFlatIndex(vm.rows, slices.Clone(pos)) })
+	return vi.ix
+}
+
+// posKey renders column positions as a map key.
+func posKey(pos []int) string {
+	b := make([]byte, 0, 4*len(pos))
+	for _, p := range pos {
+		b = strconv.AppendInt(b, int64(p), 10)
+		b = append(b, ',')
+	}
+	return string(b)
 }
 
 // PrepareViews interns the view extents against ix's database dictionary.
 func PrepareViews(ix *instance.Indexed, views Materialized) *PreparedViews {
-	d := ix.DB.Dict
-	cache := intern.NewRowCache(d)
 	rows := make(map[string][][]uint32, len(views))
 	for name, ext := range views {
-		rows[name] = cache.Encode(name, ext)
+		rows[name] = encode(ix.DB.Dict, ext)
 	}
-	return &PreparedViews{d: d, rows: rows}
+	return &PreparedViews{d: ix.DB.Dict, rows: rows}
 }
 
 // PrepareIDViews wraps already-interned view extents (e.g. the live
@@ -103,11 +203,11 @@ func NewPreparedViews(d *intern.Dict, rows map[string][][]uint32) *PreparedViews
 }
 
 // NewLazyPreparedViews builds a PreparedViews whose extents are resolved
-// by fill on every read. fill must be thread-safe, pure with respect to
-// the published state it captures, and memoize its own expensive work —
-// epoch publishers pin immutable per-shard extent headers and gather
-// them once on first demand, so a writer-side batch never pays for views
-// nobody reads and concurrent readers never serialize.
+// by fill, at most once per view, on the view's first read. fill must be
+// thread-safe and pure with respect to the published state it captures;
+// epoch publishers pin immutable per-shard extent headers and gather them
+// only when fill asks, so a writer-side batch never pays for views nobody
+// reads.
 func NewLazyPreparedViews(d *intern.Dict, fill func(name string) ([][]uint32, bool)) *PreparedViews {
 	return &PreparedViews{d: d, fill: fill}
 }
@@ -117,9 +217,6 @@ func NewLazyPreparedViews(d *intern.Dict, fill func(name string) ([][]uint32, bo
 func RunPrepared(n Node, ix *instance.Indexed, pv *PreparedViews) ([][]string, error) {
 	return RunOn(n, ix, pv)
 }
-
-// emptyPrepared serves RunOn calls with a nil view set (View nodes error).
-var emptyPrepared = &PreparedViews{rows: map[string][][]uint32{}}
 
 // RunOn executes the plan against an arbitrary Source with views prepared
 // over the same dictionary. A nil pv serves no views (View nodes error).
@@ -139,26 +236,18 @@ func RunObserved(n Node, src Source, pv *PreparedViews) ([][]string, *Observatio
 }
 
 func runOn(n Node, src Source, pv *PreparedViews, observe bool) ([][]string, *Observation, error) {
-	if pv != nil && pv.d != src.Dict() {
+	if pv == nil {
+		pv = &PreparedViews{} // no views: View nodes error
+	} else if pv.d != src.Dict() {
 		return nil, nil, fmt.Errorf("plan: prepared views belong to a different database")
 	}
-	ctx := &execCtx{src: src, d: src.Dict()}
-	if pv != nil {
-		ctx.prepared = pv
-	} else {
-		ctx.prepared = emptyPrepared
-	}
+	ctx := &execCtx{src: src, d: src.Dict(), views: pv}
 	if observe {
 		ctx.obs = &Observation{}
 	}
-	rows, err := exec(n, ctx)
-	return rows, ctx.obs, err
-}
-
-func exec(n Node, ctx *execCtx) ([][]string, error) {
 	rows, err := ctx.run(n)
 	if err != nil {
-		return nil, err
+		return nil, ctx.obs, err
 	}
 	seen := intern.NewSet(len(rows))
 	out := rows[:0:0]
@@ -170,18 +259,15 @@ func exec(n Node, ctx *execCtx) ([][]string, error) {
 	if ctx.obs != nil {
 		ctx.obs.Rows = len(out)
 	}
-	return ctx.d.DecodeAll(out), nil
+	return ctx.d.DecodeAll(out), ctx.obs, nil
 }
 
-// execCtx carries one execution's interning state. View extents are
-// interned lazily, once per view, under a lock so parallel subtrees can
-// share the cache.
+// execCtx carries one execution's state: the fetch source, the view set
+// (whose memo outlives the run) and the optional profile.
 type execCtx struct {
-	src      Source
-	d        *intern.Dict
-	views    Materialized
-	cache    *intern.RowCache // lazy interning of views (Run path)
-	prepared *PreparedViews   // non-nil when running over PreparedViews
+	src   Source
+	d     *intern.Dict
+	views *PreparedViews
 
 	obs   *Observation // nil unless RunObserved; guarded by obsMu
 	obsMu sync.Mutex   // parallel subtrees record concurrently
@@ -209,19 +295,17 @@ func (ctx *execCtx) observeJoin(in, out int) {
 	ctx.obsMu.Unlock()
 }
 
-func (ctx *execCtx) viewRows(name string) ([][]uint32, bool) {
-	if ctx.prepared != nil {
-		return ctx.prepared.get(name)
-	}
-	rows, ok := ctx.views[name]
-	if !ok {
-		return nil, false
-	}
-	return ctx.cache.Encode(name, rows), true
-}
-
-// both evaluates two subtrees, concurrently when workers are free.
+// both evaluates two subtrees, concurrently when workers are free and
+// neither is a leaf: a leaf (a constant or a view scan) costs less to run
+// inline than to hand to another goroutine.
 func (ctx *execCtx) both(ln, rn Node) (l, r [][]uint32, err error) {
+	if isLeaf(ln) || isLeaf(rn) {
+		if l, err = ctx.run(ln); err != nil {
+			return nil, nil, err
+		}
+		r, err = ctx.run(rn)
+		return l, r, err
+	}
 	var lerr, rerr error
 	perr := par.Do(
 		func() error { l, lerr = ctx.run(ln); return lerr },
@@ -230,22 +314,40 @@ func (ctx *execCtx) both(ln, rn Node) (l, r [][]uint32, err error) {
 	return l, r, perr
 }
 
+func isLeaf(n Node) bool {
+	if _, ok := n.(*Const); ok {
+		return true
+	}
+	return viewLeaf(n) != nil
+}
+
+// viewLeaf returns the View under n's renamings, or nil when n is not a
+// (renamed) view scan. Renaming keeps column positions, so positions in
+// n's output are positions in the view's rows.
+func viewLeaf(n Node) *View {
+	for {
+		switch x := n.(type) {
+		case *View:
+			return x
+		case *Rename:
+			n = x.Child
+		default:
+			return nil
+		}
+	}
+}
+
 func (ctx *execCtx) run(n Node) ([][]uint32, error) {
 	switch x := n.(type) {
 	case *Const:
 		return [][]uint32{{ctx.d.ID(x.Val)}}, nil
 
 	case *View:
-		rows, ok := ctx.viewRows(x.Name)
-		if !ok {
-			return nil, fmt.Errorf("plan: view %s not materialized", x.Name)
+		vm, err := ctx.views.view(x)
+		if err != nil {
+			return nil, err
 		}
-		for _, r := range rows {
-			if len(r) != len(x.Cols) {
-				return nil, fmt.Errorf("plan: view %s rows have %d columns, node expects %d", x.Name, len(r), len(x.Cols))
-			}
-		}
-		return rows, nil
+		return vm.rows, nil
 
 	case *Fetch:
 		var inputs [][]uint32
@@ -258,14 +360,9 @@ func (ctx *execCtx) run(n Node) ([][]uint32, error) {
 			}
 			// Project child rows onto the constraint's X order via the
 			// positional binding.
-			childAttrs := x.Child.Attrs()
-			bind := x.InBind()
-			pos := make([]int, len(bind))
-			for i, a := range bind {
-				pos[i] = indexOf(childAttrs, a)
-				if pos[i] < 0 {
-					return nil, fmt.Errorf("plan: fetch child lacks attribute %s", a)
-				}
+			pos, err := positions(x.Child.Attrs(), x.InBind(), "fetch child")
+			if err != nil {
+				return nil, err
 			}
 			seen := intern.NewSet(len(childRows))
 			for _, r := range childRows {
@@ -282,18 +379,20 @@ func (ctx *execCtx) run(n Node) ([][]uint32, error) {
 			}
 			out = append(out, rows...)
 		}
+		if x.As != nil && len(out) > 0 && len(out[0]) != len(x.As) {
+			return nil, fmt.Errorf("plan: fetch names %d outputs for %d-column tuples", len(x.As), len(out[0]))
+		}
 		ctx.observeFetch(x.C, len(inputs), len(out))
 		return out, nil
 
 	case *Project:
-		childRows, err := ctx.run(x.Child)
+		pos, err := positions(x.Child.Attrs(), x.Cols, "projection input")
 		if err != nil {
 			return nil, err
 		}
-		childAttrs := x.Child.Attrs()
-		pos := make([]int, len(x.Cols))
-		for i, a := range x.Cols {
-			pos[i] = indexOf(childAttrs, a)
+		childRows, err := ctx.run(x.Child)
+		if err != nil {
+			return nil, err
 		}
 		out := make([][]uint32, 0, len(childRows))
 		for _, r := range childRows {
@@ -310,25 +409,19 @@ func (ctx *execCtx) run(n Node) ([][]uint32, error) {
 				return out, err
 			}
 		}
+		conds, err := ctx.resolveConds(x.Cond, x.Child.Attrs())
+		if err != nil {
+			return nil, err
+		}
 		childRows, err := ctx.run(x.Child)
 		if err != nil {
 			return nil, err
 		}
-		attrs := x.Child.Attrs()
-		conds := ctx.resolveConds(x.Cond, attrs)
 		var out [][]uint32
-	rows:
 		for _, r := range childRows {
-			for _, c := range conds {
-				rv := c.rconst
-				if c.rpos >= 0 {
-					rv = r[c.rpos]
-				}
-				if (r[c.lpos] == rv) == c.neq {
-					continue rows
-				}
+			if holds(conds, r) {
+				out = append(out, r)
 			}
-			out = append(out, r)
 		}
 		return out, nil
 
@@ -340,15 +433,15 @@ func (ctx *execCtx) run(n Node) ([][]uint32, error) {
 		out := make([][]uint32, 0, len(l)*len(r))
 		for _, a := range l {
 			for _, b := range r {
-				row := make([]uint32, 0, len(a)+len(b))
-				row = append(row, a...)
-				row = append(row, b...)
-				out = append(out, row)
+				out = append(out, concat(a, b))
 			}
 		}
 		return out, nil
 
 	case *Union:
+		if err := sameArity(x.L, x.R, "union"); err != nil {
+			return nil, err
+		}
 		l, r, err := ctx.both(x.L, x.R)
 		if err != nil {
 			return nil, err
@@ -356,6 +449,9 @@ func (ctx *execCtx) run(n Node) ([][]uint32, error) {
 		return append(l, r...), nil
 
 	case *Diff:
+		if err := sameArity(x.L, x.R, "difference"); err != nil {
+			return nil, err
+		}
 		l, r, err := ctx.both(x.L, x.R)
 		if err != nil {
 			return nil, err
@@ -389,23 +485,47 @@ type cond struct {
 	neq    bool
 }
 
-func (ctx *execCtx) resolveConds(items []CondItem, attrs []string) []cond {
+func (ctx *execCtx) resolveConds(items []CondItem, attrs []string) ([]cond, error) {
 	out := make([]cond, len(items))
 	for i, c := range items {
 		rc := cond{lpos: indexOf(attrs, c.L), rpos: -1, neq: c.Neq}
+		if rc.lpos < 0 {
+			return nil, fmt.Errorf("plan: selection input lacks attribute %s", c.L)
+		}
 		if c.RConst {
 			rc.rconst = ctx.d.ID(c.R)
-		} else {
-			rc.rpos = indexOf(attrs, c.R)
+		} else if rc.rpos = indexOf(attrs, c.R); rc.rpos < 0 {
+			return nil, fmt.Errorf("plan: selection input lacks attribute %s", c.R)
 		}
 		out[i] = rc
 	}
-	return out
+	return out, nil
+}
+
+// holds reports whether row r satisfies every condition.
+func holds(conds []cond, r []uint32) bool {
+	for _, c := range conds {
+		rv := c.rconst
+		if c.rpos >= 0 {
+			rv = r[c.rpos]
+		}
+		if (r[c.lpos] == rv) == c.neq {
+			return false
+		}
+	}
+	return true
 }
 
 // hashJoin evaluates σ_Cond(L × R) as a hash join when every cross-side
 // condition is an equality. Side-local conditions are applied as filters.
 // done is false when the condition shape does not permit the rewrite.
+//
+// A side that is a view leaf (under renamings) is never scanned: the
+// other side runs and each of its rows looks its matches up in the view's
+// per-epoch memoized index, so the join costs O(|other|) per execution
+// instead of O(|V|). Without a view side, a per-run index is built over
+// the smaller side. The Observation is the same either way: JoinIn counts
+// both inputs in full, the view's extent included.
 func (ctx *execCtx) hashJoin(sel *Select, prod *Product) ([][]uint32, bool, error) {
 	la, ra := prod.L.Attrs(), prod.R.Attrs()
 	var joinL, joinR []int    // cross-side equality positions
@@ -432,52 +552,95 @@ func (ctx *execCtx) hashJoin(sel *Select, prod *Product) ([][]uint32, bool, erro
 	if len(joinL) == 0 {
 		return nil, false, nil
 	}
-	lRows, rRows, err := ctx.both(prod.L, prod.R)
+	conds, err := ctx.resolveConds(localConds, append(append([]string{}, la...), ra...))
 	if err != nil {
 		return nil, true, err
 	}
-	// Build on the smaller side; a bounded plan's fetch side is often tiny
-	// while the view side grows with |D|, and probing is cheaper than
-	// building.
-	build, probe := rRows, lRows
-	buildPos, probePos := joinR, joinL
-	swapped := false
-	if len(lRows) < len(rRows) {
-		build, probe = lRows, rRows
-		buildPos, probePos = joinL, joinR
-		swapped = true
+	var lm, rm *viewMemo
+	var lRows, rRows [][]uint32
+	lv, rv := viewLeaf(prod.L), viewLeaf(prod.R)
+	if lv == nil && rv == nil {
+		lRows, rRows, err = ctx.both(prod.L, prod.R)
+	} else if lm, lRows, err = ctx.joinInput(prod.L, lv); err == nil {
+		rm, rRows, err = ctx.joinInput(prod.R, rv)
 	}
-	index := intern.NewIndex(len(build))
-	for _, r := range build {
-		index.AddAt(r, buildPos)
+	if err != nil {
+		return nil, true, err
 	}
-	attrs := append(append([]string{}, la...), ra...)
-	conds := ctx.resolveConds(localConds, attrs)
-	var out [][]uint32
+	// Look up into a view side's memoized index (the larger view's when
+	// both sides are views), else into a per-run index over the smaller
+	// side: a bounded plan's fetch side is often tiny while the view side
+	// grows with |D|.
+	indexLeft := len(lRows) < len(rRows)
+	if lm != nil || rm != nil {
+		indexLeft = rm == nil || (lm != nil && len(lRows) > len(rRows))
+	}
+	build, probe, buildPos, probePos, bm := rRows, lRows, joinR, joinL, rm
+	if indexLeft {
+		build, probe, buildPos, probePos, bm = lRows, rRows, joinL, joinR, lm
+	}
+	var index *intern.FlatIndex
+	if bm != nil {
+		index = bm.index(buildPos)
+	} else {
+		index = intern.NewFlatIndex(build, buildPos)
+	}
+	var out, matches [][]uint32
 	for _, p := range probe {
-	match:
-		for _, m := range index.GetAt(p, probePos) {
-			lrow, rrow := p, m
-			if swapped {
-				lrow, rrow = m, p
+		matches = index.Lookup(p, probePos, matches[:0])
+		for _, m := range matches {
+			var row []uint32
+			if indexLeft {
+				row = concat(m, p)
+			} else {
+				row = concat(p, m)
 			}
-			row := make([]uint32, 0, len(lrow)+len(rrow))
-			row = append(row, lrow...)
-			row = append(row, rrow...)
-			for _, c := range conds {
-				rv := c.rconst
-				if c.rpos >= 0 {
-					rv = row[c.rpos]
-				}
-				if row[c.lpos] != rv {
-					continue match
-				}
+			if holds(conds, row) {
+				out = append(out, row)
 			}
-			out = append(out, row)
 		}
 	}
 	ctx.observeJoin(len(lRows)+len(rRows), len(out))
 	return out, true, nil
+}
+
+// joinInput evaluates one join input: a view leaf v resolves to its
+// memoized extent (and the memo its indices live in) without running; any
+// other node runs.
+func (ctx *execCtx) joinInput(n Node, v *View) (*viewMemo, [][]uint32, error) {
+	if v == nil {
+		rows, err := ctx.run(n)
+		return nil, rows, err
+	}
+	vm, err := ctx.views.view(v)
+	if err != nil {
+		return nil, nil, err
+	}
+	return vm, vm.rows, nil
+}
+
+func concat(a, b []uint32) []uint32 {
+	row := make([]uint32, 0, len(a)+len(b))
+	return append(append(row, a...), b...)
+}
+
+// positions resolves each name in names to its position in attrs, failing
+// on a name what (the input being read) lacks.
+func positions(attrs, names []string, what string) ([]int, error) {
+	pos := make([]int, len(names))
+	for i, a := range names {
+		if pos[i] = indexOf(attrs, a); pos[i] < 0 {
+			return nil, fmt.Errorf("plan: %s lacks attribute %s", what, a)
+		}
+	}
+	return pos, nil
+}
+
+func sameArity(l, r Node, op string) error {
+	if nl, nr := len(l.Attrs()), len(r.Attrs()); nl != nr {
+		return fmt.Errorf("plan: %s children have arities %d and %d", op, nl, nr)
+	}
+	return nil
 }
 
 func indexOf(xs []string, a string) int {
