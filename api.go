@@ -263,16 +263,6 @@ func (sys *System) Materialize(db *Database) (map[string][][]string, error) {
 	return eval.Materialize(sys.Views, db)
 }
 
-// Maintainer is an incrementally maintained view cache (insertions apply
-// delta rules; deletions refresh the affected views).
-type Maintainer = eval.Maintainer
-
-// NewMaintainer materializes the system's views over db and keeps them
-// consistent as tuples are inserted through it.
-func (sys *System) NewMaintainer(db *Database) (*Maintainer, error) {
-	return eval.NewMaintainer(db, sys.Views)
-}
-
 // PreparedViewSet is the interned (ID-encoded) form of a set of
 // materialized view extents, bound to one indexed instance — the explicit
 // replacement for the old map-identity Execute cache. Prepare once, run

@@ -827,7 +827,7 @@ func expShard() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sl := h.(*repro.LiveSharded)
+		sl := h.(*repro.Live)
 		ch := w.NewChurn(mirror, 11)
 
 		// Correctness preflight: served answers equal recomputation and
@@ -1166,13 +1166,6 @@ func expRecover() {
 		log.Fatal(err)
 	}
 
-	recoverInfo := func(h repro.Handle) repro.RecoveryInfo {
-		if l, ok := h.(*repro.Live); ok {
-			return l.Recovery()
-		}
-		log.Fatalf("unexpected handle type %T", h)
-		return repro.RecoveryInfo{}
-	}
 	probe := func(h repro.Handle) {
 		rows, err := h.Snapshot().Fetch(w.Acct, repro.Tuple{w.UID(3)})
 		if err != nil || len(rows) == 0 {
@@ -1197,7 +1190,7 @@ func expRecover() {
 	}
 	probe(hR)
 	replayNS := time.Since(t0)
-	ri := recoverInfo(hR)
+	ri := hR.(*repro.Live).Recovery()
 	if ri.ReplayedEpochs != batches {
 		log.Fatalf("log-replay recovery replayed %d epochs, want %d", ri.ReplayedEpochs, batches)
 	}
@@ -1210,7 +1203,7 @@ func expRecover() {
 	}
 	probe(hC)
 	ckptNS := time.Since(t0)
-	ci := recoverInfo(hC)
+	ci := hC.(*repro.Live).Recovery()
 	if ci.ReplayedEpochs != 0 {
 		log.Fatalf("checkpointed recovery replayed %d epochs, want 0 after a clean close", ci.ReplayedEpochs)
 	}
@@ -1307,8 +1300,8 @@ func expChurnMem() {
 		shards  int
 		batches int
 	}{
-		{"unsharded", 0, batches},
-		{"sharded-4", 4, batches / 4},
+		{"P=1", 1, batches},
+		{"P=4", 4, batches / 4},
 	}
 	fmt.Println("| engine | batches | batch ops | heap floor | heap steady | ratio | reclaimed epochs | compaction passes |")
 	fmt.Println("|---|---|---|---|---|---|---|---|")
@@ -1319,15 +1312,11 @@ func expChurnMem() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		// The generator clones its pools BEFORE Open: the sharded engine
-		// consumes the database's row storage.
+		// The generator clones its pools BEFORE Open: the handle consumes
+		// the database (P > 1 moves its rows, P = 1 mutates it in place).
 		ch := workload.NewSwapChurn(m, db, workload.SwapChurnParams{Seed: 1})
 		batch := db.Size() / 100
-		opts := []repro.OpenOption{repro.WithRetainEpochs(retain)}
-		if cfg.shards > 0 {
-			opts = append(opts, repro.WithShards(cfg.shards))
-		}
-		h, err := sys.Open(db, opts...)
+		h, err := sys.Open(db, repro.WithRetainEpochs(retain), repro.WithShards(cfg.shards))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -1419,7 +1408,7 @@ func expChurnMem() {
 // execution, overlays the realized group widths on the estimates, and
 // re-ranks — the run GATES that the chosen plan's realized fetches land
 // within 1.2x of the frontier's best after k executions and stay there
-// (no flapping) over 1000 more, unsharded and at P = 8.
+// (no flapping) over 1000 more, at P = 1 and P = 8.
 func expFeedback() {
 	header("EXP-FEEDBACK — observed-cost feedback: closed-loop vs open-loop selection")
 	const (
@@ -1428,7 +1417,7 @@ func expFeedback() {
 	)
 	fmt.Println("| engine | candidates | open-loop fetch/exec | closed-loop fetch/exec | improvement | converged at | switches | explorations |")
 	fmt.Println("|---|---|---|---|---|---|---|---|")
-	for _, shards := range []int{0, 8} {
+	for _, shards := range []int{1, 8} {
 		fx := workload.NewPlanFeedback()
 		sys, err := repro.NewSystem(fx.Schema, fx.Access, fx.Views(), fx.M)
 		if err != nil {
@@ -1439,14 +1428,8 @@ func expFeedback() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		engine := "single"
-		var h repro.Handle
-		if shards > 0 {
-			engine = fmt.Sprintf("sharded P=%d", shards)
-			h, err = sys.Open(db, repro.WithShards(shards))
-		} else {
-			h, err = sys.Open(db)
-		}
+		engine := fmt.Sprintf("P=%d", shards)
+		h, err := sys.Open(db, repro.WithShards(shards))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -199,5 +199,5 @@ func runCrashRound(t *testing.T, rng *rand.Rand, p int, seed int64) {
 		}
 	}
 	assertHandlesEqual(t, w, h, oracle, crashUsers)
-	t.Logf("P=%d seed=%d: killed at acked=%d, recovered epoch=%d (replayed %d)", p, seed, acked, epoch, recoveryOf(t, h).ReplayedEpochs)
+	t.Logf("P=%d seed=%d: killed at acked=%d, recovered epoch=%d (replayed %d)", p, seed, acked, epoch, h.(*Live).Recovery().ReplayedEpochs)
 }

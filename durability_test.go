@@ -9,7 +9,8 @@ import (
 	"repro/internal/workload"
 )
 
-// durableEngines enumerates the two engines behind the unified Handle.
+// durableEngines enumerates the shard counts the durable tests cover:
+// "unsharded" is the default handle (no WithShards option, P = 1).
 var durableEngines = []struct {
 	name string
 	opts []OpenOption
@@ -74,7 +75,7 @@ func assertHandlesEqual(t *testing.T, w *workload.Sharded, got, want Handle, use
 	}
 }
 
-// TestDurableRoundTrip pins the clean path on both engines: open a fresh
+// TestDurableRoundTrip pins the clean path at P = 1 and P = 8: open a fresh
 // durable dir, churn with periodic checkpoints, Close (final checkpoint),
 // reopen with an empty database, and differentially compare against an
 // in-memory oracle fed the identical batches — then keep writing through
@@ -110,7 +111,7 @@ func TestDurableRoundTrip(t *testing.T) {
 			}
 			defer h2.Close()
 			assertHandlesEqual(t, w, h2, oracle, users)
-			rec := recoveryOf(t, h2)
+			rec := h2.(*Live).Recovery()
 			if rec.ReplayedEpochs != 0 || rec.CheckpointSeq != 11 {
 				t.Fatalf("clean close must recover from the final checkpoint alone, got %+v", rec)
 			}
@@ -123,19 +124,6 @@ func TestDurableRoundTrip(t *testing.T) {
 			assertHandlesEqual(t, w, h2, oracle, users)
 		})
 	}
-}
-
-// recoveryOf fetches the RecoveryInfo from either concrete handle type.
-func recoveryOf(t *testing.T, h Handle) RecoveryInfo {
-	t.Helper()
-	switch v := h.(type) {
-	case *Live:
-		return v.Recovery()
-	case *LiveSharded:
-		return v.Recovery()
-	}
-	t.Fatalf("unknown handle type %T", h)
-	return RecoveryInfo{}
 }
 
 // TestDurableReplay pins the unclean path: the handle is abandoned without
@@ -172,7 +160,7 @@ func TestDurableReplay(t *testing.T) {
 			}
 			defer h2.Close()
 			assertHandlesEqual(t, w, h2, oracle, users)
-			rec := recoveryOf(t, h2)
+			rec := h2.(*Live).Recovery()
 			if rec.CheckpointSeq != 0 || rec.ReplayedEpochs != 9 {
 				t.Fatalf("expected full replay of 9 epochs from the opening checkpoint, got %+v", rec)
 			}
@@ -231,7 +219,7 @@ func TestDurableTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h2.Close()
-	rec := recoveryOf(t, h2)
+	rec := h2.(*Live).Recovery()
 	if !rec.TornTail {
 		t.Fatalf("truncated segment must report a torn tail, got %+v", rec)
 	}
@@ -243,9 +231,10 @@ func TestDurableTornTail(t *testing.T) {
 	}
 }
 
-// TestDurableCrossEngine pins that the two engines share one durable
-// format: state written sharded recovers through the unsharded engine and
-// vice versa, identical to the oracle either way.
+// TestDurableCrossEngine pins that every shard count shares one durable
+// format: state written at P = 8 (no view extents in its checkpoints)
+// recovers at the default P = 1, and state written at P = 1 (extents
+// included) recovers at P = 4, identical to the oracle either way.
 func TestDurableCrossEngine(t *testing.T) {
 	cases := []struct {
 		name          string

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/eval"
 	"repro/internal/instance"
 	"repro/internal/intern"
-	"repro/internal/shard"
 	"repro/internal/wal"
 )
 
@@ -41,27 +39,6 @@ func (sys *System) walOptions(cfg openConfig) wal.Options {
 		ViewsFP:     wal.Fingerprint(parts...),
 		GroupCommit: cfg.groupCommit,
 	}
-}
-
-// restoreCheckpointDB rebuilds the dictionary and table shadows serialized
-// in a checkpoint. The dictionary prefix restores the exact interned IDs
-// (dense, first-intern order), which is what makes log replay reassign
-// identical IDs afterwards.
-func (sys *System) restoreCheckpointDB(ck *wal.Checkpoint) (*Database, *intern.Dict, error) {
-	dict, ok := intern.FromStrings(ck.Dict)
-	if !ok {
-		return nil, nil, fmt.Errorf("repro: recover: checkpoint dictionary has duplicate strings")
-	}
-	db := instance.NewDatabaseWith(sys.Schema, dict)
-	for _, t := range ck.Tables {
-		if err := db.RestoreRows(t.Rel, t.Rows); err != nil {
-			return nil, nil, fmt.Errorf("repro: recover: %w", err)
-		}
-	}
-	if ck.Stats == nil {
-		return nil, nil, fmt.Errorf("repro: recover: checkpoint carries no statistics")
-	}
-	return db, dict, nil
 }
 
 // decodeReplayOps turns one journal record back into a facade batch. The
@@ -122,173 +99,81 @@ func replayInto(rec *wal.Recovered, dict *intern.Dict, apply func(inserts, delet
 	return info, nil
 }
 
-// openLiveDurable opens (or recovers) the single-instance engine over a
-// durable directory.
-func (sys *System) openLiveDurable(db *Database, cfg openConfig) (*Live, error) {
+// openDurable opens (or recovers) a handle over a durable directory. One
+// log serves all shards: the journal hook receives each batch's combined
+// physical ops (deletes then inserts, in shard order) before the epoch
+// publishes, and replay routes them through the normal per-shard paths,
+// so recovery reproduces the same epochs at any shard count.
+func (sys *System) openDurable(db *Database, cfg openConfig) (*Live, error) {
 	log, rec, err := wal.Open(cfg.durDir, sys.walOptions(cfg))
 	if err != nil {
 		return nil, err
 	}
+	var l *Live
+	switch {
+	case rec == nil:
+		// Fresh directory: serve the given database; the opening epoch is
+		// checkpointed below so the log has a recovery base.
+		l, err = sys.newLive(db, cfg, nil)
+	case db.Size() != 0 || db.Dict.Len() != 0:
+		err = fmt.Errorf("repro: %s holds durable state; recovery requires an empty database", cfg.durDir)
+	default:
+		l, err = sys.restore(rec, cfg)
+	}
+	if err != nil {
+		log.Close()
+		return nil, err
+	}
+	log.SetMetrics(walMetrics(l.met))
+	l.wal, l.ckptEvery = log, cfg.ckptEvery
 	if rec == nil {
-		// Fresh directory: serve the given database and checkpoint the
-		// opening epoch so the log has a recovery base.
-		l, err := sys.openLive(db, cfg)
-		if err != nil {
-			log.Close()
-			return nil, err
-		}
-		log.SetMetrics(walMetrics(l.met))
-		l.wal, l.ckptEvery = log, cfg.ckptEvery
 		if err := l.checkpointLocked(); err != nil {
 			l.wal = nil
 			log.Close()
 			return nil, fmt.Errorf("repro: initial checkpoint: %w", err)
 		}
-		return l, nil
-	}
-	if db.Size() != 0 || db.Dict.Len() != 0 {
-		log.Close()
-		return nil, fmt.Errorf("repro: %s holds durable state; recovery requires an empty database", cfg.durDir)
-	}
-	l, err := sys.restoreLive(rec, cfg)
-	if err != nil {
-		log.Close()
-		return nil, err
-	}
-	// Journaling attaches only after replay: the replayed batches are
-	// already in the log, and the counter makes them count toward the next
-	// periodic checkpoint so a crash-loop cannot replay unboundedly.
-	log.SetMetrics(walMetrics(l.met))
-	l.wal, l.ckptEvery, l.sinceCkpt = log, cfg.ckptEvery, len(rec.Records)
-	return l, nil
-}
-
-// restoreLive rebuilds a Live handle from a checkpoint plus log suffix.
-func (sys *System) restoreLive(rec *wal.Recovered, cfg openConfig) (*Live, error) {
-	ck := rec.Checkpoint
-	db, dict, err := sys.restoreCheckpointDB(ck)
-	if err != nil {
-		return nil, err
-	}
-	var eng *eval.DeltaEngine
-	if len(ck.Views) == 0 && len(sys.Views) > 0 {
-		// Logical checkpoint (written by the sharded engine): no extent
-		// section, so materialize the views by full enumeration.
-		eng, err = eval.NewDeltaEngine(db, sys.Views)
 	} else {
-		extents := make(map[string]eval.Extent, len(ck.Views))
-		for _, v := range ck.Views {
-			extents[v.Name] = eval.Extent{Rows: v.Rows, Counts: v.Counts}
-		}
-		eng, err = eval.NewDeltaEngineWithExtents(db, sys.Views, extents)
+		// Journaling attaches only after replay: the replayed batches are
+		// already in the log, and counting them toward the next periodic
+		// checkpoint keeps a crash-loop from replaying unboundedly.
+		l.sinceCkpt = len(rec.Records)
 	}
-	if err != nil {
-		return nil, fmt.Errorf("repro: recover: %w", err)
-	}
-	vix, err := instance.BuildVIndex(db, sys.Access)
-	if err != nil {
-		return nil, err
-	}
-	met := newCoreFor(cfg, 0)
-	l := &Live{
-		sys: sys, id: liveIDs.Add(1), cfg: cfg, db: db, eng: eng, vix: vix,
-		seq: ck.Seq, statsVer: ck.StatsVer, statsChurn: ck.StatsChurn,
-		lc: newLifecycle(cfg.retainEpochs, met), met: met,
-	}
-	l.registerGauges()
-	views := make(map[string][][]uint32, len(sys.Views))
-	for name := range sys.Views {
-		views[name] = eng.PublishExtentIDs(name)
-	}
-	l.publishLocked(views, ck.Stats)
-	info, err := replayInto(rec, dict, l.ApplyDelta)
-	if err != nil {
-		return nil, err
-	}
-	l.recovery = info
-	return l, nil
-}
-
-// openShardedDurable opens (or recovers) the sharded engine over a durable
-// directory. One log serves all shards: the journal hook receives each
-// batch's combined physical ops (deletes then inserts, in shard order)
-// before the cross-shard epoch publishes, and replay routes them through
-// the normal per-shard paths so recovery reproduces the same epochs.
-func (sys *System) openShardedDurable(db *Database, cfg openConfig) (*LiveSharded, error) {
-	log, rec, err := wal.Open(cfg.durDir, sys.walOptions(cfg))
-	if err != nil {
-		return nil, err
-	}
-	if rec == nil {
-		l, err := sys.openSharded(db, cfg)
-		if err != nil {
-			log.Close()
-			return nil, err
-		}
-		log.SetMetrics(walMetrics(l.met))
-		l.wal, l.ckptEvery = log, cfg.ckptEvery
-		if err := l.checkpointLocked(); err != nil {
-			l.wal = nil
-			log.Close()
-			return nil, fmt.Errorf("repro: initial checkpoint: %w", err)
-		}
-		l.attachJournal(log)
-		return l, nil
-	}
-	if db.Size() != 0 || db.Dict.Len() != 0 {
-		log.Close()
-		return nil, fmt.Errorf("repro: %s holds durable state; recovery requires an empty database", cfg.durDir)
-	}
-	l, err := sys.restoreSharded(rec, cfg)
-	if err != nil {
-		log.Close()
-		return nil, err
-	}
-	log.SetMetrics(walMetrics(l.met))
-	l.wal, l.ckptEvery, l.sinceCkpt = log, cfg.ckptEvery, len(rec.Records)
-	l.attachJournal(log)
-	return l, nil
-}
-
-// attachJournal hooks the shard engine's pre-publish journal point to the
-// log. The dictionary is the shared one all shards intern into, so each
-// record's growth section captures the realized (post-routing) intern
-// order — exactly what replay needs to reassign identical IDs.
-func (l *LiveSharded) attachJournal(log *wal.Log) {
+	// The dictionary is the one all shards intern into, so each record's
+	// growth section captures the realized intern order — exactly what
+	// replay needs to reassign identical IDs.
 	dict := l.sh.Dict()
 	l.sh.SetJournal(func(seq uint64, a *instance.Applied) error {
 		return log.Append(dict, seq, a)
 	})
+	return l, nil
 }
 
-// restoreSharded rebuilds a LiveSharded handle from a logical checkpoint
-// plus log suffix. The checkpoint's tables are the per-shard shadows
-// concatenated in shard order; re-routing them by the same hash reproduces
-// each shard's contents and row order, and the restored statistics plus
-// churn counter make every replayed drift decision identical too.
-func (sys *System) restoreSharded(rec *wal.Recovered, cfg openConfig) (*LiveSharded, error) {
+// restore rebuilds a handle from a checkpoint plus log suffix. The
+// dictionary prefix restores the exact interned IDs (dense, first-intern
+// order), which is what makes replay reassign identical IDs afterwards.
+// The checkpoint's tables are the writer's per-shard shadows concatenated
+// in shard order; re-routing them by the same hash reproduces each shard's
+// contents and row order, and the restored statistics plus churn counter
+// make every replayed drift decision identical too.
+func (sys *System) restore(rec *wal.Recovered, cfg openConfig) (*Live, error) {
 	ck := rec.Checkpoint
-	db, dict, err := sys.restoreCheckpointDB(ck)
-	if err != nil {
-		return nil, err
+	dict, ok := intern.FromStrings(ck.Dict)
+	if !ok {
+		return nil, fmt.Errorf("repro: recover: checkpoint dictionary has duplicate strings")
 	}
-	met := newCoreFor(cfg, cfg.shards)
-	sh, err := shard.Open(db, sys.Schema, sys.Access, sys.Views, shard.Config{
-		Shards:         cfg.shards,
-		StatsDriftFrac: cfg.statsDrift,
-		StatsMinChurn:  cfg.statsMinChurn,
-		InitialSeq:     ck.Seq,
-		Restored:       &shard.RestoredStats{Stats: ck.Stats, StatsVer: ck.StatsVer, StatsChurn: ck.StatsChurn},
-		Probes:         shardProbes(met),
-	})
+	if ck.Stats == nil {
+		return nil, fmt.Errorf("repro: recover: checkpoint carries no statistics")
+	}
+	db := instance.NewDatabaseWith(sys.Schema, dict)
+	for _, t := range ck.Tables {
+		if err := db.RestoreRows(t.Rel, t.Rows); err != nil {
+			return nil, fmt.Errorf("repro: recover: %w", err)
+		}
+	}
+	l, err := sys.newLive(db, cfg, ck)
 	if err != nil {
 		return nil, fmt.Errorf("repro: recover: %w", err)
 	}
-	l := &LiveSharded{sys: sys, id: liveIDs.Add(1), sh: sh, lc: newLifecycle(cfg.retainEpochs, met), met: met}
-	l.registerGauges()
-	// The checkpoint's epoch enters the ring before replay, so the replayed
-	// batches retire it through the normal eviction path.
-	l.publishEpoch()
 	info, err := replayInto(rec, dict, l.ApplyDelta)
 	if err != nil {
 		return nil, err

@@ -41,8 +41,9 @@ func realizedFetches(t *testing.T, pq *PreparedQuery, h Handle) ([]int, int) {
 // Convergence differential: on the adversarial skew fixture the collected
 // statistics misestimate the static pick's fetch volume by >10x; the
 // closed loop must switch to the realized-cheapest candidate within k
-// executions and hold it — no plan flapping — over 1000 more. Run
-// unsharded and at P = 8 (same contract through the sharded gather).
+// executions and hold it — no plan flapping — over 1000 more. Run on the
+// default handle ("unsharded": no WithShards option, P = 1) and at P = 8
+// (same contract through the sharded gather).
 func TestFeedbackConvergence(t *testing.T) {
 	for _, shards := range []int{0, 8} {
 		name := "unsharded"

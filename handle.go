@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -8,17 +9,16 @@ import (
 	"time"
 
 	"repro/internal/eval"
-	"repro/internal/instance"
 	"repro/internal/intern"
 	"repro/internal/obs"
 	"repro/internal/plan"
+	"repro/internal/shard"
 	"repro/internal/wal"
 )
 
-// Handle is the unified serving interface over one live database, whether
-// it is held in a single instance (the default) or hash-partitioned
-// across shards (Open with WithShards). Both engines serve the same
-// contract:
+// Handle is the serving interface over one live database, hash-partitioned
+// into P shards (Open with WithShards; one partition by default). Every P
+// serves the same contract:
 //
 //   - Execute answers a plan against the CURRENT epoch: the latest
 //     published immutable version of the prepared views, fetch indices
@@ -26,8 +26,8 @@ import (
 //     only synchronization they share with a writer is the value
 //     dictionary's per-operation mutex (O(1) hold per interned value) —
 //     so an overlapping ApplyDelta is invisible until its epoch is
-//     published atomically and reads are never torn (on the sharded
-//     engine the epoch is cross-shard consistent).
+//     published atomically and reads are never torn (the epoch is
+//     consistent across shards).
 //   - Snapshot pins the current epoch: every read through the snapshot
 //     sees exactly that version, no matter how many deltas land after.
 //   - ApplyDelta installs the next epoch. Writers serialize among
@@ -51,8 +51,8 @@ import (
 // it. Handle.Close fences writers and releases the maintenance
 // machinery; snapshots already taken keep working.
 //
-// Handle is implemented by *Live and *LiveSharded only (the interface is
-// sealed by an unexported method).
+// Handle is implemented by *Live only (the interface is sealed by an
+// unexported method).
 type Handle interface {
 	// Execute runs a plan against the current epoch, returning the answer
 	// rows and the number of tuples this call fetched from the underlying
@@ -110,8 +110,7 @@ type Handle interface {
 	// executeObserved is Execute plus the run's execution profile — the
 	// observation the closed-loop plan selection feeds on (see
 	// PreparedQuery.Execute). tc carries the prepared-query identity for
-	// slow-query tracing (nil for ad-hoc runs). Sealing method:
-	// implemented by *Live and *LiveSharded.
+	// slow-query tracing (nil for ad-hoc runs). Sealing method.
 	executeObserved(p Plan, tc *traceCtx) ([][]string, int, *plan.Observation, error)
 }
 
@@ -146,11 +145,11 @@ type openConfig struct {
 // OpenOption configures Open.
 type OpenOption func(*openConfig)
 
-// WithShards hash-partitions the database into p shards (p >= 1): batched
-// deltas are routed per shard and maintained concurrently, and fetches
-// whose constraint binds the partition key become single-shard point
-// reads. WithShards(1) is the degenerate partition, useful as a scaling
-// baseline. Without this option the single-instance engine serves.
+// WithShards hash-partitions the database into p shards: batched deltas
+// are routed per shard and maintained concurrently, and fetches whose
+// constraint binds the partition key become single-shard point reads.
+// The default is p = 1, where routing is compiled away and the given
+// database is served in place. Open rejects p < 1.
 func WithShards(p int) OpenOption { return func(c *openConfig) { c.shards = p } }
 
 // WithStatsDrift sets the churn fraction of |D| past which the cost-model
@@ -187,8 +186,9 @@ func WithRetainEpochs(n int) OpenOption {
 // given database becomes the durable state. Opening a dir that already
 // holds durable state RECOVERS it — the database argument must then be a
 // fresh empty one (the recovered rows replace it); a schema or view-set
-// mismatch with the writer of the directory is an error. See the Recovery
-// method on Live and LiveSharded for what a recovery replayed.
+// mismatch with the writer of the directory is an error. The shard count
+// may differ from the writer's. Live.Recovery reports what a recovery
+// replayed.
 //
 // If a journal or checkpoint write ever fails the handle is fenced exactly
 // like Close: later ApplyDelta calls fail, reads keep serving the last
@@ -237,25 +237,16 @@ func WithoutMetrics() OpenOption {
 	return func(c *openConfig) { c.noMetrics = true }
 }
 
-// newCoreFor builds the handle's metrics core per the open options
-// (nil when disabled — every recording site is nil-safe).
-func newCoreFor(cfg openConfig, shards int) *obs.Core {
-	if cfg.noMetrics {
-		return nil
-	}
-	met := obs.NewCore(shards)
-	met.SetSlowThreshold(cfg.slowQuery)
-	return met
-}
-
 // Open builds a serving handle over db: fetch indices for the system's
 // access schema, incremental maintenance for its views, cost-model
 // statistics, and the epoch machinery for lock-free snapshot reads. The
-// database must not be used directly afterwards — route all reads and
-// writes through the handle (with WithShards the database is consumed:
-// its rows move into the partitions).
+// database is consumed and must not be used directly afterwards — route
+// all reads and writes through the handle (at P = 1 the handle serves
+// and mutates db in place; at P > 1 its rows move into the partitions).
+// The returned Handle is a *Live.
 func (sys *System) Open(db *Database, opts ...OpenOption) (Handle, error) {
 	cfg := openConfig{
+		shards:        1,
 		statsDrift:    defaultStatsDrift,
 		statsMinChurn: defaultStatsMinChurn,
 		ckptEvery:     defaultCheckpointEvery,
@@ -264,15 +255,9 @@ func (sys *System) Open(db *Database, opts ...OpenOption) (Handle, error) {
 		o(&cfg)
 	}
 	if cfg.durDir != "" {
-		if cfg.shards > 0 {
-			return sys.openShardedDurable(db, cfg)
-		}
-		return sys.openLiveDurable(db, cfg)
+		return sys.openDurable(db, cfg)
 	}
-	if cfg.shards > 0 {
-		return sys.openSharded(db, cfg)
-	}
-	return sys.openLive(db, cfg)
+	return sys.newLive(db, cfg, nil)
 }
 
 // liveIDs hands every handle a process-unique identity, so prepared
@@ -280,20 +265,13 @@ func (sys *System) Open(db *Database, opts ...OpenOption) (Handle, error) {
 // retaining the handle (and its database) itself.
 var liveIDs atomic.Uint64
 
-// epochState is one published epoch: every structure a reader touches,
-// immutable once stored in the handle's atomic pointer. The lifecycle
-// fields at the bottom are the only mutable ones — advisory refcounting
+// epochState is one published engine epoch — every structure a reader
+// touches, immutable, and an accounting-free plan.Source — plus the
+// handle's lifecycle fields, the only mutable ones: advisory refcounting
 // that informs compaction and never gates reads (immutability plus the
 // garbage collector keep pinned structures valid without it).
 type epochState struct {
-	seq      uint64
-	src      plan.Source // accounting-free fetch source pinned to this epoch
-	pv       *plan.PreparedViews
-	dict     *intern.Dict
-	viewIDs  func() map[string][][]uint32 // interned extents (lazy on sharded epochs)
-	stats    *plan.Stats
-	statsVer uint64
-	size     int
+	*shard.Epoch
 
 	refs    atomic.Int64 // pins: retention ring + open snapshots
 	retired atomic.Bool  // evicted from the ring (no longer current)
@@ -389,13 +367,13 @@ type Snapshot struct {
 
 // Epoch returns the pinned epoch's sequence number (0 for the state the
 // handle was opened with, +1 per applied batch).
-func (s *Snapshot) Epoch() uint64 { return s.e.seq }
+func (s *Snapshot) Epoch() uint64 { return s.e.Seq() }
 
 // Size returns |D| as of the pinned epoch.
-func (s *Snapshot) Size() int { return s.e.size }
+func (s *Snapshot) Size() int { return s.e.Size() }
 
 // Stats returns the pinned epoch's cost-model statistics and version.
-func (s *Snapshot) Stats() (*plan.Stats, uint64) { return s.e.stats, s.e.statsVer }
+func (s *Snapshot) Stats() (*plan.Stats, uint64) { return s.e.Stats() }
 
 // FetchedTuples returns the tuples fetched through THIS snapshot so far —
 // the read-only fetch-accounting accessor that replaces reaching into the
@@ -417,54 +395,66 @@ func (s *Snapshot) met() *obs.Core {
 // and the tuples fetched from the database by this call (exact per-call
 // attribution, also under concurrent use).
 func (s *Snapshot) Execute(p Plan) ([][]string, int, error) {
-	m := s.met()
-	if m.SlowEnabled() {
+	return execute(s.e, s.met(), &s.fetched, s.hfetched, p)
+}
+
+// executeObserved is Execute plus the run's execution profile, for the
+// closed-loop selection in PreparedQuery.ExecuteOn.
+func (s *Snapshot) executeObserved(p Plan, tc *traceCtx) ([][]string, int, *plan.Observation, error) {
+	return executeObserved(s.e, s.met(), &s.fetched, s.hfetched, p, tc)
+}
+
+// execute runs a plan against epoch e for a handle or snapshot: the
+// tuples fetched are counted for the call and added to the caller's
+// attribution counters (owner; up, when the owner rolls up into a handle —
+// nil otherwise), and the run is recorded in met (nil-safe).
+func execute(e *epochState, met *obs.Core, owner, up *atomic.Int64, p Plan) ([][]string, int, error) {
+	if met.SlowEnabled() {
 		// Slow logging needs the execution profile for the trace's
 		// per-constraint breakdown: upgrade to the observed path (its
 		// extra allocation is the documented cost of arming the log).
-		rows, n, _, err := s.executeObserved(p, nil)
+		rows, n, _, err := executeObserved(e, met, owner, up, p, nil)
 		return rows, n, err
 	}
 	var t0 time.Time
-	if m != nil {
+	if met != nil {
 		t0 = time.Now()
 	}
 	var call atomic.Int64
-	src := &countedSource{src: s.e.src, counters: [3]*atomic.Int64{&call, &s.fetched, s.hfetched}}
-	rows, err := plan.RunOn(p, src, s.e.pv)
+	src := &countedSource{src: e.Epoch, counters: [3]*atomic.Int64{&call, owner, up}}
+	rows, err := plan.RunOn(p, src, e.Prepared())
 	if err != nil {
 		return nil, 0, err
 	}
-	if m != nil {
-		m.RecordQuery(time.Since(t0))
+	if met != nil {
+		met.RecordQuery(time.Since(t0))
 	}
 	return rows, int(call.Load()), nil
 }
 
-// executeObserved is Execute plus the run's execution profile, for the
-// closed-loop selection in PreparedQuery.ExecuteOn. Observation wraps the
-// same epoch source the counters do, so on sharded snapshots the profile
-// reflects the cross-shard-deduplicated fetches exactly like the fetch
-// accounting.
-func (s *Snapshot) executeObserved(p Plan, tc *traceCtx) ([][]string, int, *plan.Observation, error) {
+// executeObserved is execute plus the run's execution profile. The
+// observing source wraps the same epoch source the counters do, so the
+// profile reflects the cross-shard-deduplicated fetches exactly like the
+// fetch accounting.
+func executeObserved(e *epochState, met *obs.Core, owner, up *atomic.Int64, p Plan, tc *traceCtx) ([][]string, int, *plan.Observation, error) {
 	t0 := time.Now()
 	var call atomic.Int64
-	src := &countedSource{src: s.e.src, counters: [3]*atomic.Int64{&call, &s.fetched, s.hfetched}}
-	rows, ob, err := plan.RunObserved(p, src, s.e.pv)
+	src := &countedSource{src: e.Epoch, counters: [3]*atomic.Int64{&call, owner, up}}
+	rows, ob, err := plan.RunObserved(p, src, e.Prepared())
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	recordExec(s.met(), s.e.seq, p, tc, t0, int(call.Load()), len(rows), ob)
+	recordExec(met, e.Seq(), p, tc, t0, int(call.Load()), len(rows), ob)
 	return rows, int(call.Load()), ob, nil
 }
 
 // Views returns a decoded copy of the pinned epoch's view extents. The
 // returned map and rows are owned by the caller.
 func (s *Snapshot) Views() map[string][][]string {
-	ids := s.e.viewIDs()
+	ids := s.e.AllViewIDs()
 	out := make(map[string][][]string, len(ids))
 	for name, rows := range ids {
-		out[name] = s.e.dict.DecodeAll(rows)
+		out[name] = s.e.Dict().DecodeAll(rows)
 		if out[name] == nil {
 			out[name] = [][]string{}
 		}
@@ -481,20 +471,20 @@ func (s *Snapshot) Fetch(c *Constraint, xval Tuple) ([]Tuple, error) {
 	}
 	key := make([]uint32, len(xval))
 	for i, v := range xval {
-		id, ok := s.e.dict.Lookup(v)
+		id, ok := s.e.Dict().Lookup(v)
 		if !ok {
 			return nil, nil // value never interned: no row can match
 		}
 		key[i] = id
 	}
-	src := &countedSource{src: s.e.src, counters: [3]*atomic.Int64{&s.fetched, s.hfetched, nil}}
+	src := &countedSource{src: s.e.Epoch, counters: [3]*atomic.Int64{&s.fetched, s.hfetched, nil}}
 	idRows, err := src.FetchIDs(c, key)
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]Tuple, len(idRows))
 	for i, r := range idRows {
-		rows[i] = Tuple(s.e.dict.Decode(r))
+		rows[i] = Tuple(s.e.Dict().Decode(r))
 	}
 	return rows, nil
 }
@@ -508,70 +498,100 @@ type DeltaStats struct {
 	StatsRefreshed bool // churn drift passed the threshold: statistics rebuilt
 
 	// MaxExclusive is the longest contiguous single-structure maintenance
-	// window of the batch: the whole maintenance for the single-instance
-	// engine, the slowest shard's slice for the sharded one. Under epoch
-	// reads it no longer blocks anyone — readers stay on the previous
-	// epoch — but it still bounds the batch's publication lag, which is
-	// what the sharded scaling experiment tracks.
+	// window of the batch: the slowest shard's slice (its rows, fetch
+	// index and shard-local views) or the global engine's view delta,
+	// whichever took longer. At P = 1 that is the one shard's hold; it
+	// excludes validation, journaling, statistics and publication. Under
+	// epoch reads it blocks no reader — readers stay on the previous epoch
+	// — but it bounds the batch's publication lag, which is what the
+	// sharded scaling experiment tracks.
 	MaxExclusive time.Duration
 }
 
-// Live is the single-instance serving handle: the fetch indices, the
-// counting-based view maintenance engine and the interned plan inputs are
-// kept incrementally consistent as batched deltas arrive, and every batch
-// publishes a new immutable epoch. Readers (Execute/Views/Size/Snapshot)
-// load the current epoch from an atomic pointer and never take a lock;
-// writers (ApplyDelta) serialize among themselves only.
+// Live is the serving handle. The database is hash-partitioned into P
+// shards (WithShards; P = 1 by default, where routing compiles away and
+// the one partition is the caller's database), each owning its fetch-index
+// versions, view-maintenance engine and statistics; views whose joins are
+// not co-partitioned are maintained by one global engine. Fetches whose
+// constraint binds the partition key are single-shard point reads,
+// everything else gathers across shards. ApplyDelta routes ops per shard,
+// maintains the shards concurrently and publishes the combined result as
+// ONE cross-shard-consistent epoch, so a read (or Snapshot) sees a batch
+// either fully applied or not at all, and readers never block.
 type Live struct {
 	sys *System
-	id  uint64
-	cfg openConfig
+	id  uint64 // process-unique handle identity (see PreparedQuery selection)
+	sh  *shard.Sharded
 
-	mu         sync.Mutex // serializes writers; readers never take it
-	closed     bool       // writers fenced (Close, or a torn/journal failure)
-	sealed     bool       // Close ran; teardown done, later Closes are no-ops
-	db         *Database
-	eng        *eval.DeltaEngine
-	vix        *instance.VIndex
-	statsChurn int // physical ops applied since stats was built
-	statsVer   uint64
-	seq        uint64
+	mu      sync.Mutex   // serializes Close against ApplyDelta
+	closed  bool         // writers fenced (Close, or a torn/journal failure)
+	sealed  bool         // Close ran; teardown done, later Closes are no-ops
+	fetched atomic.Int64 // handle-lifetime fetched tuples
 
-	lc    *lifecycle
-	repub []string // views repacked by compaction, to re-publish next epoch
+	lc *lifecycle
+	// cur caches ONE epochState wrapper per published shard epoch, so
+	// every Snapshot of an epoch pins the same refcounted state (the
+	// lifecycle needs identity, which wrapping per call would break).
+	cur atomic.Pointer[epochState]
 
-	// Durability (nil wal on non-durable handles). Each accepted batch is
-	// journaled BEFORE its epoch is published; sinceCkpt batches after the
-	// last checkpoint trigger the next one (when ckptEvery > 0).
+	// Durability (nil wal on non-durable handles). The engine's journal
+	// hook appends each batch's physical ops BEFORE its epoch is published;
+	// sinceCkpt batches after the last checkpoint trigger the next one
+	// (when ckptEvery > 0).
 	wal       *wal.Log
 	ckptEvery int
 	sinceCkpt int
 	recovery  RecoveryInfo
 
-	cur     atomic.Pointer[epochState]
-	fetched atomic.Int64 // handle-lifetime fetched tuples
-	met     *obs.Core    // nil when opened WithoutMetrics
+	met *obs.Core // nil when opened WithoutMetrics
 }
 
-func (sys *System) openLive(db *Database, cfg openConfig) (*Live, error) {
-	eng, err := eval.NewDeltaEngine(db, sys.Views)
+// newLive builds a handle over db. ck, when non-nil, is the checkpoint db
+// was restored from: its epoch number, statistics trajectory and (at
+// P = 1) counted view extents seed the engine instead of being recomputed.
+func (sys *System) newLive(db *Database, cfg openConfig, ck *wal.Checkpoint) (*Live, error) {
+	scfg := shard.Config{
+		Shards:         cfg.shards,
+		StatsDriftFrac: cfg.statsDrift,
+		StatsMinChurn:  cfg.statsMinChurn,
+	}
+	// The metrics core stays nil when disabled: every recording site is
+	// nil-safe.
+	var met *obs.Core
+	if !cfg.noMetrics {
+		met = obs.NewCore(cfg.shards)
+		met.SetSlowThreshold(cfg.slowQuery)
+		scfg.Probes = met.ShardProbes
+	}
+	if ck != nil {
+		scfg.InitialSeq = ck.Seq
+		scfg.Restored = &shard.RestoredStats{Stats: ck.Stats, StatsVer: ck.StatsVer, StatsChurn: ck.StatsChurn}
+		if len(ck.Views) > 0 {
+			scfg.Extents = make(map[string]eval.Extent, len(ck.Views))
+			for _, v := range ck.Views {
+				scfg.Extents[v.Name] = eval.Extent{Rows: v.Rows, Counts: v.Counts}
+			}
+		}
+	}
+	sh, err := shard.Open(db, sys.Schema, sys.Access, sys.Views, scfg)
 	if err != nil {
 		return nil, err
 	}
-	vix, err := instance.BuildVIndex(db, sys.Access)
-	if err != nil {
-		return nil, err
-	}
-	met := newCoreFor(cfg, 0)
-	l := &Live{sys: sys, id: liveIDs.Add(1), cfg: cfg, db: db, eng: eng, vix: vix,
-		lc: newLifecycle(cfg.retainEpochs, met), met: met}
+	l := &Live{sys: sys, id: liveIDs.Add(1), sh: sh, lc: newLifecycle(cfg.retainEpochs, met), met: met}
 	l.registerGauges()
-	views := make(map[string][][]uint32, len(sys.Views))
-	for name := range sys.Views {
-		views[name] = eng.PublishExtentIDs(name)
-	}
-	l.publishLocked(views, l.collectStatsLocked())
+	// A restored checkpoint's epoch enters the ring before replay, so the
+	// replayed batches retire it through the normal eviction path.
+	l.publishEpoch()
 	return l, nil
+}
+
+// walMetrics extracts the WAL instrument bundle from a core (nil when
+// metrics are disabled — the log then records nothing).
+func walMetrics(met *obs.Core) *obs.WALMetrics {
+	if met == nil {
+		return nil
+	}
+	return &met.WAL
 }
 
 // registerGauges installs the handle-state function gauges: they read
@@ -585,75 +605,20 @@ func (l *Live) registerGauges() {
 		"handle-lifetime tuples fetched from the database (== FetchedTuples)",
 		func() int64 { return l.fetched.Load() })
 	l.met.Reg.GaugeFunc("repro_epoch_seq", "current epoch sequence number",
-		func() int64 { return int64(l.cur.Load().seq) })
-	l.met.Reg.GaugeFunc("repro_db_size", "|D| as of the current epoch",
-		func() int64 { return int64(l.cur.Load().size) })
+		func() int64 { return int64(l.cur.Load().Seq()) })
+	l.met.Reg.GaugeFunc("repro_db_size", "|D| across all shards as of the current epoch",
+		func() int64 { return int64(l.cur.Load().Size()) })
 }
 
-// walMetrics extracts the WAL instrument bundle from a core (nil when
-// metrics are disabled — the log then records nothing).
-func walMetrics(met *obs.Core) *obs.WALMetrics {
-	if met == nil {
-		return nil
-	}
-	return &met.WAL
-}
-
-// collectStatsLocked builds fresh cost-model statistics from the interned
-// table shadows and the live view extents. Callers hold the write lock
-// (or have exclusive access, as in openLive).
-func (l *Live) collectStatsLocked() *plan.Stats {
-	rs := instance.CollectStats(l.db)
-	st := &plan.Stats{
-		RelRows:      rs.Rows,
-		RelDistinct:  make(map[string]map[string]int, len(rs.Rows)),
-		ViewRows:     make(map[string]int),
-		ViewDistinct: make(map[string][]int),
-	}
-	for name, counts := range rs.Distinct {
-		rel := l.sys.Schema.Relation(name)
-		if rel == nil {
-			continue
-		}
-		byAttr := make(map[string]int, len(counts))
-		for i, a := range rel.Attrs {
-			if i < len(counts) {
-				byAttr[a] = counts[i]
-			}
-		}
-		st.RelDistinct[name] = byAttr
-	}
-	for name, rows := range l.eng.ExtentsIDs() {
-		st.ViewRows[name] = len(rows)
-		st.ViewDistinct[name] = intern.DistinctCols(rows)
-	}
-	l.statsVer++
-	l.statsChurn = 0
-	return st
-}
-
-// publishLocked installs the next epoch. stats == nil carries the
-// previous epoch's statistics forward.
-func (l *Live) publishLocked(views map[string][][]uint32, stats *plan.Stats) {
-	prev := l.cur.Load()
-	if stats == nil {
-		stats = prev.stats
-	}
-	e := &epochState{
-		seq:      l.seq,
-		src:      l.vix,
-		pv:       plan.NewPreparedViews(l.db.Dict, views),
-		dict:     l.db.Dict,
-		viewIDs:  func() map[string][][]uint32 { return views },
-		stats:    stats,
-		statsVer: l.statsVer,
-		size:     l.db.Size(),
-	}
-	l.seq++
-	// Ring first, pointer second: an epoch is addressable through At by
-	// the time Snapshot can observe it as current.
-	l.lc.push(e)
-	l.cur.Store(e)
+// publishEpoch wraps the engine's freshly published epoch as the handle's
+// refcounted epoch state and installs it: ring first, pointer second, so
+// an epoch is addressable through At by the time Snapshot can observe it
+// as current. Called with the writer lock held (or exclusive access, as
+// in newLive).
+func (l *Live) publishEpoch() {
+	es := &epochState{Epoch: l.sh.Current()}
+	l.lc.push(es)
+	l.cur.Store(es)
 	if l.met != nil {
 		l.met.EpochPublishes.Add(1)
 	}
@@ -661,156 +626,8 @@ func (l *Live) publishLocked(views map[string][][]uint32, stats *plan.Stats) {
 
 func (l *Live) handleID() uint64 { return l.id }
 
-// ApplyDelta applies a batch of mutations (deletes first, then inserts)
-// and publishes a new epoch with the incrementally maintained row
-// shadows, fetch indices, counted view extents and prepared plan inputs.
-// Per-batch cost depends on the data the delta's residual joins touch,
-// not on |D|. Readers are never blocked: they stay on the previous epoch
-// until the new one is published atomically.
-func (l *Live) ApplyDelta(inserts, deletes []Op) (DeltaStats, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return DeltaStats{}, ErrClosed
-	}
-	t0 := time.Now()
-	a, err := l.db.ApplyDelta(inserts, deletes)
-	if err != nil {
-		// The database validates the WHOLE batch before mutating anything,
-		// so this failure leaves the handle consistent and open.
-		return DeltaStats{}, err
-	}
-	vix, err := l.vix.Apply(a)
-	if err != nil {
-		// The database already mutated: db, fetch indices and maintenance
-		// engine no longer describe one state. Fence exactly like the
-		// journal-failure path — reads keep serving the last published
-		// epoch, later writes fail.
-		l.closed = true
-		return DeltaStats{}, fmt.Errorf("repro: partial apply, handle fenced: %w", err)
-	}
-	l.vix = vix
-	changed, err := l.eng.Apply(a)
-	if err != nil {
-		l.closed = true
-		return DeltaStats{}, fmt.Errorf("repro: partial apply, handle fenced: %w", err)
-	}
-	prev := l.cur.Load().viewIDs()
-	views := make(map[string][][]uint32, len(prev))
-	for name, rows := range prev {
-		views[name] = rows
-	}
-	for _, name := range changed {
-		views[name] = l.eng.PublishExtentIDs(name)
-	}
-	// Views the last compaction repacked re-publish here even when their
-	// contents did not change: an epoch header pins its WHOLE backing
-	// array, so only a fresh header moves later epochs onto the compact
-	// one.
-	for _, name := range l.repub {
-		views[name] = l.eng.PublishExtentIDs(name)
-	}
-	l.repub = nil
-	st := DeltaStats{Inserted: len(a.Inserted), Deleted: len(a.Deleted), ViewsChanged: len(changed)}
-	// The drift decision is COMPUTED before the journal append but ACTED ON
-	// only after it succeeds: a journal failure must fence the handle with
-	// the stats trajectory (version, churn counter) untouched, or a later
-	// checkpoint could disagree with the last durable epoch. The decision
-	// itself is a pure read, so recovery — which replays with the wal
-	// detached — reproduces it identically.
-	batch := st.Inserted + st.Deleted
-	needStats := float64(l.statsChurn+batch) >= l.cfg.statsDrift*float64(l.db.Size()) &&
-		l.statsChurn+batch >= l.cfg.statsMinChurn
-	// Journal before publication: an epoch is never visible to readers
-	// unless its batch reached the log. EVERY accepted batch journals, even
-	// an all-no-op one — the epoch number advances unconditionally and
-	// replay must reproduce the exact numbering. A journal failure fences
-	// the handle (reads keep serving the last published epoch).
-	if l.wal != nil {
-		if err := l.wal.Append(l.db.Dict, l.seq, a); err != nil {
-			l.closed = true
-			return DeltaStats{}, fmt.Errorf("repro: journal: %w", err)
-		}
-	}
-	l.statsChurn += batch
-	var stats *plan.Stats
-	if needStats {
-		stats = l.collectStatsLocked()
-		st.StatsRefreshed = true
-	}
-	l.publishLocked(views, stats)
-	l.maybeCompactLocked()
-	if l.wal != nil {
-		l.sinceCkpt++
-		if l.ckptEvery > 0 && l.sinceCkpt >= l.ckptEvery {
-			if err := l.checkpointLocked(); err != nil {
-				// The batch itself is durable and published; only the fold
-				// failed. Fence so no later batch outruns a broken log.
-				l.closed = true
-				return DeltaStats{}, fmt.Errorf("repro: checkpoint: %w", err)
-			}
-		}
-	}
-	st.MaxExclusive = time.Since(t0)
-	l.met.RecordApply(st.MaxExclusive, batch)
-	return st, nil
-}
-
-// maybeCompactLocked runs one compaction scan when at least one retired
-// epoch died (last pin dropped) since the previous scan. Extent repacking
-// copies only arrays whose live fraction fell below extentCompactFrac;
-// the repacked views are queued on l.repub so the NEXT publish pins fresh
-// headers (a published header keeps its whole old backing array alive).
-// The fetch-index repack is coarser (it walks the whole trie), so it runs
-// every vindexCompactEvery scans. Callers hold l.mu.
-func (l *Live) maybeCompactLocked() {
-	if l.lc.dead.Swap(0) == 0 {
-		return
-	}
-	l.lc.passes.Add(1)
-	if names := l.eng.CompactExtents(extentCompactMinCap, extentCompactFrac); len(names) > 0 {
-		l.repub = append(l.repub, names...)
-		l.lc.extents.Add(int64(len(names)))
-	}
-	l.lc.scans++
-	if l.lc.scans >= vindexCompactEvery {
-		l.lc.scans = 0
-		vix, n := l.vix.Compact()
-		l.vix = vix
-		if n > 0 {
-			l.lc.groups.Add(int64(n))
-		}
-	}
-}
-
-// checkpointLocked serializes the CURRENT epoch into the log: the tables'
-// ID shadows (in schema order), the engine's counted view extents, and the
-// cost-model statistics with their drift state. Callers hold l.mu.
-func (l *Live) checkpointLocked() error {
-	ck := &wal.Checkpoint{
-		Seq:        l.seq - 1,
-		StatsVer:   l.statsVer,
-		StatsChurn: l.statsChurn,
-		Stats:      l.cur.Load().stats,
-	}
-	for _, rel := range l.sys.Schema.Relations {
-		ck.Tables = append(ck.Tables, wal.TableRows{Rel: rel.Name, Rows: l.db.Table(rel.Name).IDRows()})
-	}
-	for name, ext := range l.eng.CheckpointExtents() {
-		ck.Views = append(ck.Views, wal.ViewExtent{Name: name, Rows: ext.Rows, Counts: ext.Counts})
-	}
-	if err := l.wal.WriteCheckpoint(l.db.Dict, ck); err != nil {
-		return err
-	}
-	l.sinceCkpt = 0
-	return nil
-}
-
-// Recovery reports what opening this handle's durable directory replayed.
-// The zero value means the handle was opened fresh (or is not durable).
-func (l *Live) Recovery() RecoveryInfo { return l.recovery }
-
-// Snapshot pins the current epoch. See the type's documentation.
+// Snapshot pins the current cross-shard-consistent epoch. See the type's
+// documentation.
 func (l *Live) Snapshot() *Snapshot {
 	return l.lc.snapshotCur(l.id, l.cur.Load(), &l.fetched)
 }
@@ -824,47 +641,17 @@ func (l *Live) At(seq uint64) (*Snapshot, error) {
 // Lifecycle reports the handle's epoch-retention and compaction counters.
 func (l *Live) Lifecycle() LifecycleStats { return l.lc.stats() }
 
-// Execute runs a plan against the current epoch's views and indices,
-// returning the answer rows and the tuples fetched from D by this call
-// (exact attribution, also under concurrent readers and writers).
+// Execute runs a plan against the current epoch, returning the answer
+// rows and the tuples fetched from D by this call (exact attribution,
+// also under concurrent readers and writers).
 func (l *Live) Execute(p Plan) ([][]string, int, error) {
-	if l.met.SlowEnabled() {
-		// Slow logging needs the execution profile for the trace's
-		// per-constraint breakdown: upgrade to the observed path (its
-		// extra allocation is the documented cost of arming the log).
-		rows, n, _, err := l.executeObserved(p, nil)
-		return rows, n, err
-	}
-	var t0 time.Time
-	if l.met != nil {
-		t0 = time.Now()
-	}
-	e := l.cur.Load()
-	var call atomic.Int64
-	src := &countedSource{src: e.src, counters: [3]*atomic.Int64{&call, &l.fetched, nil}}
-	rows, err := plan.RunOn(p, src, e.pv)
-	if err != nil {
-		return nil, 0, err
-	}
-	if l.met != nil {
-		l.met.RecordQuery(time.Since(t0))
-	}
-	return rows, int(call.Load()), nil
+	return execute(l.cur.Load(), l.met, &l.fetched, nil, p)
 }
 
 // executeObserved is Execute plus the run's execution profile, for the
 // closed-loop selection in PreparedQuery.Execute.
 func (l *Live) executeObserved(p Plan, tc *traceCtx) ([][]string, int, *plan.Observation, error) {
-	t0 := time.Now()
-	e := l.cur.Load()
-	var call atomic.Int64
-	src := &countedSource{src: e.src, counters: [3]*atomic.Int64{&call, &l.fetched, nil}}
-	rows, ob, err := plan.RunObserved(p, src, e.pv)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	recordExec(l.met, e.seq, p, tc, t0, int(call.Load()), len(rows), ob)
-	return rows, int(call.Load()), ob, nil
+	return executeObserved(l.cur.Load(), l.met, &l.fetched, nil, p, tc)
 }
 
 // Metrics returns a point-in-time snapshot of the handle's metrics.
@@ -881,30 +668,148 @@ func (l *Live) SlowQueries() []QueryTrace {
 
 func (l *Live) metricsCore() *obs.Core { return l.met }
 
+// ApplyDelta applies a batch of mutations (deletes first, then inserts),
+// routed per shard and maintained concurrently, and publishes the next
+// epoch. Per-batch cost depends on the data the delta's residual joins
+// touch, not on |D|. Readers are never blocked: they stay on the previous
+// epoch until the new one is published atomically.
+func (l *Live) ApplyDelta(inserts, deletes []Op) (DeltaStats, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return DeltaStats{}, ErrClosed
+	}
+	t0 := time.Now()
+	st, err := l.sh.ApplyDelta(inserts, deletes)
+	if err != nil {
+		// ErrTorn covers every post-mutation failure (a shard's index or
+		// maintenance engine, the global engine, the journal): the
+		// writer-side state no longer matches the published epoch, so
+		// fence like Close — reads keep serving the last published epoch.
+		// Pure validation errors leave every shard intact and the handle
+		// open.
+		if errors.Is(err, shard.ErrTorn) || (l.wal != nil && l.wal.Err() != nil) {
+			l.closed = true
+		}
+		return DeltaStats{}, err
+	}
+	l.publishEpoch()
+	l.maybeCompactLocked()
+	if l.wal != nil {
+		l.sinceCkpt++
+		if l.ckptEvery > 0 && l.sinceCkpt >= l.ckptEvery {
+			if cerr := l.checkpointLocked(); cerr != nil {
+				// The batch itself is durable and published; only the fold
+				// failed. Fence so no later batch outruns a broken log.
+				l.closed = true
+				return DeltaStats{}, fmt.Errorf("repro: checkpoint: %w", cerr)
+			}
+		}
+	}
+	l.met.RecordApply(time.Since(t0), st.Inserted+st.Deleted)
+	return DeltaStats{
+		Inserted:       st.Inserted,
+		Deleted:        st.Deleted,
+		ViewsChanged:   st.ViewsChanged,
+		StatsRefreshed: st.StatsRefreshed,
+		MaxExclusive:   st.MaxShardHold,
+	}, nil
+}
+
+// checkpointLocked serializes the current epoch into the log: the
+// relations' ID shadows (schema order; per-shard shadows concatenated in
+// shard order) and the statistics with their drift state, plus at P = 1
+// the counted view extents, which spare a restart the view enumeration.
+// Callers hold l.mu.
+func (l *Live) checkpointLocked() error {
+	stats, ver, churn := l.sh.StatsState()
+	ck := &wal.Checkpoint{
+		Seq:        l.sh.Seq(),
+		StatsVer:   ver,
+		StatsChurn: churn,
+		Stats:      stats,
+	}
+	tables := l.sh.CheckpointTables()
+	for _, rel := range l.sys.Schema.Relations {
+		ck.Tables = append(ck.Tables, wal.TableRows{Rel: rel.Name, Rows: tables[rel.Name]})
+	}
+	for name, ext := range l.sh.CheckpointExtents() {
+		ck.Views = append(ck.Views, wal.ViewExtent{Name: name, Rows: ext.Rows, Counts: ext.Counts})
+	}
+	if err := l.wal.WriteCheckpoint(l.sh.Dict(), ck); err != nil {
+		return err
+	}
+	l.sinceCkpt = 0
+	return nil
+}
+
+// maybeCompactLocked runs one compaction scan when at least one retired
+// epoch died (last pin dropped) since the previous scan. Extent repacking
+// copies only arrays whose live fraction fell below extentCompactFrac, and
+// the engine re-pins the repacked views on the next publish (a published
+// header keeps its whole old backing array alive). The fetch-index repack
+// is coarser (it walks the whole trie), so it runs every
+// vindexCompactEvery scans. Callers hold l.mu.
+func (l *Live) maybeCompactLocked() {
+	if l.lc.dead.Swap(0) == 0 {
+		return
+	}
+	l.lc.passes.Add(1)
+	repackIx := false
+	l.lc.scans++
+	if l.lc.scans >= vindexCompactEvery {
+		l.lc.scans = 0
+		repackIx = true
+	}
+	ext, grp := l.sh.Compact(extentCompactMinCap, extentCompactFrac, repackIx)
+	if ext > 0 {
+		l.lc.extents.Add(int64(ext))
+	}
+	if grp > 0 {
+		l.lc.groups.Add(int64(grp))
+	}
+}
+
+// Recovery reports what opening this handle's durable directory replayed.
+// The zero value means the handle was opened fresh (or is not durable).
+func (l *Live) Recovery() RecoveryInfo { return l.recovery }
+
 // Views returns a decoded copy of the current epoch's view extents. The
 // returned map and rows are fresh copies owned by the caller.
 func (l *Live) Views() map[string][][]string {
 	return (&Snapshot{e: l.cur.Load()}).Views()
 }
 
-// Stats returns the current cost-model statistics and their version. The
-// returned Stats is immutable once published; treat it as read-only.
+// Size returns |D| across all shards as of the current epoch.
+func (l *Live) Size() int { return l.cur.Load().Size() }
+
+// ShardCount returns the number of partitions.
+func (l *Live) ShardCount() int { return l.sh.ShardCount() }
+
+// ShardSizes returns |D_p| for every partition.
+func (l *Live) ShardSizes() []int { return l.sh.ShardSizes() }
+
+// LocalViews reports which views are maintained shard-locally (their
+// joins are co-partitioned; at P = 1 every view) and which by the
+// cross-shard global engine.
+func (l *Live) LocalViews() (local, global []string) { return l.sh.LocalViews() }
+
+// Stats returns the current cost-model statistics (merged across shards)
+// and their version. The returned Stats is immutable once published;
+// treat it as read-only.
 func (l *Live) Stats() (*plan.Stats, uint64) {
-	e := l.cur.Load()
-	return e.stats, e.statsVer
+	return l.cur.Load().Stats()
 }
 
-// Size returns |D| as of the current epoch.
-func (l *Live) Size() int { return l.cur.Load().size }
-
-// FetchedTuples returns the handle-lifetime count of fetched tuples.
+// FetchedTuples returns the handle-lifetime count of tuples fetched from
+// the database (the |Dξ| accounting; deduplicated across shards).
 func (l *Live) FetchedTuples() int { return int(l.fetched.Load()) }
 
-// Close fences writers and releases the maintenance machinery. Reads keep
-// serving the final epoch; snapshots already taken are unaffected. On a
-// durable handle Close first writes a clean final checkpoint (unless the
-// handle was already fenced by a journal failure) and closes the log, so
-// the next open recovers without replay.
+// Close fences writers and releases the maintenance machinery: later
+// ApplyDelta calls fail, reads keep serving the final epoch, and
+// snapshots already taken are unaffected. On a durable handle Close first
+// writes a clean final checkpoint (unless already fenced by a journal
+// failure) and closes the log, so the next open recovers without replay.
 func (l *Live) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -917,8 +822,8 @@ func (l *Live) Close() error {
 	var err error
 	if l.wal != nil {
 		// A fenced handle (torn apply, journal or checkpoint failure)
-		// skips the final checkpoint: its in-memory state may be ahead of
-		// — or inconsistent with — the last durable epoch, and a stale
+		// skips the final checkpoint: its writer-side state may be ahead
+		// of — or inconsistent with — the last durable epoch, and a stale
 		// "clean" checkpoint would mask the journal's truth on recovery.
 		if !l.closed && l.sinceCkpt > 0 {
 			err = l.checkpointLocked()
@@ -929,20 +834,7 @@ func (l *Live) Close() error {
 		l.wal = nil
 	}
 	l.closed = true
-	l.db, l.eng = nil, nil
+	l.sh.Close()
 	l.sys.releaseHandle(l.id)
 	return err
-}
-
-// OpenLive builds the single-instance live state over db.
-//
-// Deprecated: use Open, which returns the unified Handle (the same engine
-// when no WithShards option is given). OpenLive remains for source
-// compatibility and forwards to Open's implementation.
-func (sys *System) OpenLive(db *Database) (*Live, error) {
-	h, err := sys.Open(db)
-	if err != nil {
-		return nil, err
-	}
-	return h.(*Live), nil
 }

@@ -26,8 +26,8 @@ import (
 // semantics: a per-row support count turns physical multiset churn into
 // 0↔1 support transitions, and only transitions trigger view work.
 //
-// The engine is not safe for concurrent use; the facade's Live handle
-// serializes Apply against readers. Extents are exposed interned
+// The engine is not safe for concurrent use; its owner (the shard
+// engine's batch lock) serializes Apply. Extents are exposed interned
 // (ExtentIDs) for zero-copy patching of plan.PreparedViews, and decoded
 // (Views) for the Materialized interface.
 type DeltaEngine struct {
@@ -618,7 +618,7 @@ func (e *DeltaEngine) Apply(a *instance.Applied) ([]string, error) {
 
 // ExtentIDs returns a view's current interned extent. The slice is owned
 // by the engine: it is patched in place by Apply and must only be read
-// while no Apply is running (the Live handle's read lock).
+// while no Apply is running (its owner's batch lock).
 func (e *DeltaEngine) ExtentIDs(name string) [][]uint32 {
 	v, ok := e.views[name]
 	if !ok {
@@ -667,15 +667,6 @@ func (e *DeltaEngine) CompactExtents(minCap int, frac float64) []string {
 		repacked = append(repacked, name)
 	}
 	return repacked
-}
-
-// ExtentsIDs returns all interned extents, keyed by view name.
-func (e *DeltaEngine) ExtentsIDs() map[string][][]uint32 {
-	out := make(map[string][][]uint32, len(e.views))
-	for name, v := range e.views {
-		out[name] = v.rows
-	}
-	return out
 }
 
 // Views decodes the current extents, usable directly as plan.Materialized.

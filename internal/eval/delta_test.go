@@ -254,3 +254,82 @@ func TestDeltaEngineConstantAndEmptyDisjuncts(t *testing.T) {
 		t.Fatal("last E copy gone: W1 must be empty")
 	}
 }
+
+// engineFixture: V1(x,z) are the 2-paths of E, V2(x) the labeled nodes
+// with an out-edge.
+func engineFixture(t *testing.T) (*instance.Database, *DeltaEngine, map[string]*cq.UCQ) {
+	t.Helper()
+	s := schema.New(schema.NewRelation("E", "A", "B"), schema.NewRelation("L", "X"))
+	v1 := cq.NewCQ([]cq.Term{cq.Var("x"), cq.Var("z")}, []cq.Atom{
+		cq.NewAtom("E", cq.Var("x"), cq.Var("y")),
+		cq.NewAtom("E", cq.Var("y"), cq.Var("z")),
+	})
+	v2 := cq.NewCQ([]cq.Term{cq.Var("x")}, []cq.Atom{
+		cq.NewAtom("L", cq.Var("x")),
+		cq.NewAtom("E", cq.Var("x"), cq.Var("y")),
+	})
+	views := map[string]*cq.UCQ{"V1": cq.NewUCQ(v1), "V2": cq.NewUCQ(v2)}
+	db := instance.NewDatabase(s)
+	e, err := NewDeltaEngine(db, views)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db, e, views
+}
+
+// applyFresh applies one batch to db and the engine and checks every view
+// against recomputation.
+func applyFresh(t *testing.T, db *instance.Database, e *DeltaEngine, views map[string]*cq.UCQ, ins, del []instance.Op) {
+	t.Helper()
+	a, err := db.ApplyDelta(ins, del)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Apply(a); err != nil {
+		t.Fatal(err)
+	}
+	assertEngineFresh(t, e, db, views, false)
+}
+
+// TestDeltaEngineDeleteRetracts: deleting the middle edge of the only
+// 2-path retracts it from V1; absent deletes are no-ops, and a batch the
+// database rejects (wrong arity) changes nothing.
+func TestDeltaEngineDeleteRetracts(t *testing.T) {
+	db, e, views := engineFixture(t)
+	var ins []instance.Op
+	for _, ab := range [][2]string{{"a", "b"}, {"b", "c"}, {"c", "d"}} {
+		ins = append(ins, instance.Op{Rel: "E", Row: instance.Tuple{ab[0], ab[1]}})
+	}
+	ins = append(ins, instance.Op{Rel: "L", Row: instance.Tuple{"a"}})
+	applyFresh(t, db, e, views, ins, nil)
+	applyFresh(t, db, e, views, nil, []instance.Op{{Rel: "E", Row: instance.Tuple{"b", "c"}}})
+	if got := e.Views()["V1"]; len(got) != 0 {
+		t.Fatalf("after deleting b→c no 2-path remains, got %v", got)
+	}
+	applyFresh(t, db, e, views, nil, []instance.Op{{Rel: "E", Row: instance.Tuple{"zz", "zz"}}})
+	if _, err := db.ApplyDelta(nil, []instance.Op{{Rel: "E", Row: instance.Tuple{"a"}}}); err == nil {
+		t.Fatal("a delete with the wrong arity must be rejected")
+	}
+	assertEngineFresh(t, e, db, views, false)
+}
+
+// TestDeltaEngineConstantAtomBinding: a view with a constant in an atom
+// reacts only to inserts that match the constant.
+func TestDeltaEngineConstantAtomBinding(t *testing.T) {
+	s := schema.New(schema.NewRelation("E", "A", "B"))
+	v := cq.NewCQ([]cq.Term{cq.Var("x")}, []cq.Atom{cq.NewAtom("E", cq.Cst("hub"), cq.Var("x"))})
+	views := map[string]*cq.UCQ{"V": cq.NewUCQ(v)}
+	db := instance.NewDatabase(s)
+	e, err := NewDeltaEngine(db, views)
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyFresh(t, db, e, views, []instance.Op{{Rel: "E", Row: instance.Tuple{"other", "1"}}}, nil)
+	if len(e.Views()["V"]) != 0 {
+		t.Fatal("non-matching insert must not affect the view")
+	}
+	applyFresh(t, db, e, views, []instance.Op{{Rel: "E", Row: instance.Tuple{"hub", "1"}}}, nil)
+	if !cq.RowsEqual(e.Views()["V"], [][]string{{"1"}}) {
+		t.Fatalf("got %v", e.Views()["V"])
+	}
+}

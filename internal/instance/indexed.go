@@ -23,8 +23,7 @@ import (
 // rebuilds them as D churns. Each distinct XY-projection carries a
 // reference count of the base rows deriving it, which makes deletions
 // exact when X ∪ Y does not cover the relation. Apply must be serialized
-// against Fetch/FetchIDs by the caller (the facade's Live handle holds a
-// write lock around it).
+// against Fetch/FetchIDs by the caller.
 type Indexed struct {
 	DB     *Database
 	Access *access.Schema

@@ -324,8 +324,8 @@ type Applied struct {
 //
 // The returned Applied lists what actually changed, for feeding the
 // incremental index and view maintenance (Indexed.Apply, eval.DeltaEngine).
-// Not safe for concurrent use with readers; callers serialize (see the
-// facade's Live handle).
+// Not safe for concurrent use with readers; callers serialize (see
+// internal/shard's batch lock).
 func (db *Database) ApplyDelta(inserts, deletes []Op) (*Applied, error) {
 	validate := func(ops []Op, kind string) error {
 		for _, op := range ops {

@@ -16,7 +16,7 @@ type RelStats struct {
 
 // CollectStats scans every table's ID-encoded shadow once and returns the
 // statistics. Cost is O(|D|); callers refresh on a churn threshold, not per
-// delta (see the facade's Live handle).
+// delta (see internal/shard's statistics drift).
 func CollectStats(db *Database) *RelStats {
 	st := &RelStats{
 		Rows:     make(map[string]int, len(db.Tables)),

@@ -161,7 +161,7 @@ type Core struct {
 	// Durability.
 	WAL WALMetrics
 
-	// Per-shard probe counters (len = shard count; nil when unsharded).
+	// Per-shard probe counters (len = shard count; nil when shards <= 0).
 	ShardProbes []*Counter
 
 	// Slow-query log; nil until a threshold is set.

@@ -1,13 +1,15 @@
-// Package shard implements horizontal partitioning of a live instance: a
-// Database is hash-partitioned into P shards, each owning its own fetch
-// indices (instance.Indexed), incremental view-maintenance engine with its
-// join indexes (eval.DeltaEngine over intern.DynIndex), materialized-view
-// partitions and cost-model statistics. Plan execution is scatter-gather —
-// a fetch whose access constraint binds the partition key routes to the
-// single owning shard, everything else gathers across shards and dedups —
-// and batched deltas are routed per shard and maintained concurrently on
-// the internal/par pool, replacing the single global writer stall of the
-// facade's Live handle with per-shard locking.
+// Package shard is the serving engine behind the facade's Live handle: a
+// Database is hash-partitioned into P shards, each owning its own
+// versioned fetch indices (instance.VIndex), incremental view-maintenance
+// engine with its join indexes (eval.DeltaEngine over intern.DynIndex),
+// materialized-view partitions and cost-model statistics. Plan execution
+// is scatter-gather — a fetch whose access constraint binds the partition
+// key routes to the single owning shard, everything else gathers across
+// shards and dedups — and batched deltas are routed per shard and
+// maintained concurrently on the internal/par pool. Every batch publishes
+// one immutable, cross-shard-consistent Epoch that readers use without
+// locks. P = 1 is the default: the single shard adopts the database and
+// routing is skipped.
 //
 // The paper's scale-independence story composes with partitioning: a
 // bounded plan touches cached views plus a constant-size slice of D, and

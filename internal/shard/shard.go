@@ -57,6 +57,12 @@ type Config struct {
 	// identically to the original run).
 	InitialSeq uint64
 	Restored   *RestoredStats
+	// Extents, when set, seed the single shard's view engine at P = 1
+	// from checkpointed counted extents instead of enumerating the views
+	// (the checkpoint of a P = 1 instance carries them; see
+	// CheckpointExtents). At P > 1 they are ignored: the per-shard and
+	// global extents are rebuilt from the restored rows.
+	Extents map[string]eval.Extent
 }
 
 // RestoredStats is a checkpointed statistics trajectory. Copying the
@@ -174,14 +180,17 @@ func (e *Epoch) Stats() (*plan.Stats, uint64) { return e.stats, e.statsVer }
 // Size returns |D| across all shards as of this epoch.
 func (e *Epoch) Size() int { return e.size }
 
-// ShardSizes returns |D_p| per shard as of this epoch.
-func (e *Epoch) ShardSizes() []int { return e.shardSizes }
-
 // FetchIDs answers a fetch against this epoch: a point read on the owning
 // shard when the constraint binds the partition key, a scatter over every
 // shard's pinned index version (deduplicated) otherwise. No accounting
 // happens here; serving layers wrap the epoch in a counting source.
 func (e *Epoch) FetchIDs(c *access.Constraint, xval []uint32) ([][]uint32, error) {
+	if len(e.vixes) == 1 {
+		// One partition: nothing to route (the index itself validates the
+		// constraint and the arity).
+		e.probe(0)
+		return e.vixes[0].FetchIDs(c, xval)
+	}
 	r := e.part.Route(c)
 	if r == nil {
 		return nil, fmt.Errorf("shard: no index for constraint %s", c)
@@ -200,7 +209,7 @@ func (e *Epoch) FetchIDs(c *access.Constraint, xval []uint32) ([][]uint32, error
 	}
 	// Broadcast: gather the distinct XY-projections across all shards.
 	// Deduplication keeps the result — and the fetch accounting layered
-	// above — identical to the unsharded index's.
+	// above — identical to a single index over all of D.
 	p := len(e.vixes)
 	parts := make([][][]uint32, p)
 	if err := par.ForEach(p, func(i int) error {
@@ -276,10 +285,11 @@ type Sharded struct {
 }
 
 // Open partitions db into cfg.Shards shards and builds the per-shard
-// state plus the initial epoch. The database is consumed: its rows are
-// moved into the shard partitions and its tables are emptied; route all
-// further reads and writes through the returned handle. The views must
-// already be validated against the schema.
+// state plus the initial epoch. The database is consumed: at P > 1 its
+// rows are moved into the shard partitions and its tables are emptied,
+// and at P = 1 it becomes the single shard's partition as it is. Route
+// all further reads and writes through the returned handle. The views
+// must already be validated against the schema.
 func Open(db *instance.Database, s *schema.Schema, a *access.Schema, views map[string]*cq.UCQ, cfg Config) (*Sharded, error) {
 	p := cfg.Shards
 	if p < 1 {
@@ -290,7 +300,8 @@ func Open(db *instance.Database, s *schema.Schema, a *access.Schema, views map[s
 	globalViews := make(map[string]*cq.UCQ)
 	local := make(map[string]bool, len(views))
 	for name, def := range views {
-		if pt.LocalView(def) {
+		// With one partition every join is co-partitioned.
+		if p == 1 || pt.LocalView(def) {
 			localViews[name] = def
 			local[name] = true
 		} else {
@@ -318,18 +329,23 @@ func Open(db *instance.Database, s *schema.Schema, a *access.Schema, views map[s
 	}
 
 	// Route every row to its shard. Row slices are moved, not copied: the
-	// source database hands its storage over to the partitions.
+	// source database hands its storage over to the partitions. A single
+	// partition adopts the database itself.
 	sh.shards = make([]*state, p)
-	for i := range sh.shards {
-		sh.shards[i] = &state{db: instance.NewDatabaseWith(s, db.Dict)}
-	}
-	for name, t := range db.Tables {
-		for _, tu := range t.Tuples {
-			sdb := sh.shards[pt.ShardOfRow(name, tu)].db
-			st := sdb.Tables[name]
-			st.Tuples = append(st.Tuples, tu)
+	if p == 1 {
+		sh.shards[0] = &state{db: db}
+	} else {
+		for i := range sh.shards {
+			sh.shards[i] = &state{db: instance.NewDatabaseWith(s, db.Dict)}
 		}
-		t.Tuples = nil // consumed; lazy shadows re-encode to empty
+		for name, t := range db.Tables {
+			for _, tu := range t.Tuples {
+				sdb := sh.shards[pt.ShardOfRow(name, tu)].db
+				st := sdb.Tables[name]
+				st.Tuples = append(st.Tuples, tu)
+			}
+			t.Tuples = nil // consumed; lazy shadows re-encode to empty
+		}
 	}
 
 	// Per-shard indices and maintenance engines, built concurrently.
@@ -339,7 +355,12 @@ func Open(db *instance.Database, s *schema.Schema, a *access.Schema, views map[s
 		if err != nil {
 			return err
 		}
-		eng, err := eval.NewDeltaEngine(st.db, localViews)
+		var eng *eval.DeltaEngine
+		if p == 1 && cfg.Extents != nil {
+			eng, err = eval.NewDeltaEngineWithExtents(st.db, localViews, cfg.Extents)
+		} else {
+			eng, err = eval.NewDeltaEngine(st.db, localViews)
+		}
 		if err != nil {
 			return err
 		}
@@ -402,11 +423,20 @@ func (s *Sharded) CheckpointTables() map[string][][]uint32 {
 	return out
 }
 
-// ShardCount returns P.
-func (s *Sharded) ShardCount() int { return len(s.shards) }
+// CheckpointExtents returns the counted view extents a checkpoint stores
+// alongside the tables at P = 1, where the single shard's engine holds
+// every view and a restart can seed from them (Config.Extents). It
+// returns nil at P > 1, where recovery rebuilds the extents from the
+// restored rows. Callers must exclude writers.
+func (s *Sharded) CheckpointExtents() map[string]eval.Extent {
+	if len(s.shards) != 1 {
+		return nil
+	}
+	return s.shards[0].eng.CheckpointExtents()
+}
 
-// Partition exposes the routing metadata (read-only).
-func (s *Sharded) Partition() *Partition { return s.part }
+// ShardCount returns P.
+func (s *Sharded) ShardCount() int { return s.part.P }
 
 // Dict returns the shared dictionary.
 func (s *Sharded) Dict() *intern.Dict { return s.dict }
@@ -477,7 +507,7 @@ func (s *Sharded) publish(prev *Epoch, dirty map[string]bool, stats *plan.Stats)
 // deduplicating merge (shard extents of a co-partitioned view can
 // overlap when the view's head does not bind the partition key — the
 // same row derived on two shards — so the merge dedups; the merged
-// extent is exactly the set the unsharded engine would serve).
+// extent is exactly the set one engine over all of D would serve).
 func (s *Sharded) pinView(name string) *gatheredView {
 	if !s.local[name] {
 		return &gatheredView{rows: s.g.PublishExtentIDs(name)}
@@ -513,19 +543,12 @@ func (s *Sharded) Size() int { return s.cur.Load().size }
 // ShardSizes returns |D_p| per shard as of the current epoch.
 func (s *Sharded) ShardSizes() []int { return s.cur.Load().shardSizes }
 
-// Stats returns the current epoch's merged statistics and their version.
-// The returned Stats is immutable once published; treat it as read-only.
-func (s *Sharded) Stats() (*plan.Stats, uint64) {
-	e := s.cur.Load()
-	return e.stats, e.statsVer
-}
-
 // ApplyDelta validates and routes a batch per shard, maintains every
 // touched shard concurrently (database, fetch-index versions, local
 // views), feeds the applied ops to the global engine, and publishes the
 // combined state as the next epoch. Readers are never blocked and never
 // see a torn batch: they stay on the previous epoch until the single
-// atomic publication. Semantics match the unsharded path: deletes first
+// atomic publication. Semantics match a single instance's: deletes first
 // (each removing one occurrence, absent deletes are no-ops), then
 // inserts; all copies of a row live on one shard, so per-shard
 // application preserves the batch's outcome exactly.
@@ -554,13 +577,17 @@ func (s *Sharded) ApplyDelta(inserts, deletes []instance.Op) (DeltaStats, error)
 	p := len(s.shards)
 	delBy := make([][]instance.Op, p)
 	insBy := make([][]instance.Op, p)
-	for _, op := range deletes {
-		i := s.part.ShardOfRow(op.Rel, op.Row)
-		delBy[i] = append(delBy[i], op)
-	}
-	for _, op := range inserts {
-		i := s.part.ShardOfRow(op.Rel, op.Row)
-		insBy[i] = append(insBy[i], op)
+	if p == 1 {
+		delBy[0], insBy[0] = deletes, inserts
+	} else {
+		for _, op := range deletes {
+			i := s.part.ShardOfRow(op.Rel, op.Row)
+			delBy[i] = append(delBy[i], op)
+		}
+		for _, op := range inserts {
+			i := s.part.ShardOfRow(op.Rel, op.Row)
+			insBy[i] = append(insBy[i], op)
+		}
 	}
 
 	applied := make([]*instance.Applied, p)
@@ -808,19 +835,4 @@ func (s *Sharded) Close() {
 	s.batchMu.Lock()
 	s.shards, s.g = nil, nil
 	s.batchMu.Unlock()
-}
-
-// Views returns a decoded snapshot of every view's gathered extent as of
-// the current epoch. The returned map and rows are fresh copies owned by
-// the caller.
-func (s *Sharded) Views() map[string][][]string {
-	e := s.cur.Load()
-	out := make(map[string][][]string, len(e.views))
-	for name, gv := range e.views {
-		out[name] = s.dict.DecodeAll(gv.get())
-		if out[name] == nil {
-			out[name] = [][]string{}
-		}
-	}
-	return out
 }

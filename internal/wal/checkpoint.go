@@ -22,9 +22,9 @@ import (
 // hwm (reader-side interning not yet journaled) are deliberately excluded:
 // the record that journals them re-assigns the same IDs on replay.
 //
-// Views is the unsharded engine's counted extents; the sharded engine
-// writes a logical checkpoint (no Views) and rebuilds its per-shard
-// extents from the restored tables on open.
+// Views holds the counted view extents of a P = 1 engine, whose restore
+// seeds from them; at P > 1 the checkpoint is logical (no Views) and the
+// per-shard extents are rebuilt from the restored tables on open.
 type Checkpoint struct {
 	Seq        uint64
 	StatsVer   uint64

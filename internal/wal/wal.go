@@ -7,7 +7,10 @@
 // On-disk layout (one directory per durable handle):
 //
 //	wal-<firstSeq>.log    segments of CRC-framed records (see Record)
-//	ckpt-<seq>.ckpt       checkpoints, written atomically (tmp + rename)
+//	ckpt-<seq>.ckpt       checkpoints
+//
+// Both appear atomically (written to a .tmp file, renamed into place, then
+// the directory fsynced); Open prunes .tmp files a crash left behind.
 //
 // Both file kinds carry a header with the schema and view-set fingerprints
 // of the system that wrote them; opening with a different system is an
@@ -154,6 +157,14 @@ func Open(dir string, o Options) (*Log, *Recovered, error) {
 	}
 	var ckptSeqs, segSeqs []uint64
 	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".tmp") {
+			// A checkpoint or segment a crash cut short before its rename:
+			// never installed, so never part of the recovery state.
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+				return nil, nil, err
+			}
+			continue
+		}
 		if seq, ok := parseSeq(e.Name(), "ckpt-", ".ckpt"); ok {
 			ckptSeqs = append(ckptSeqs, seq)
 		}
@@ -200,6 +211,7 @@ func Open(dir string, o Options) (*Log, *Recovered, error) {
 	rec := &Recovered{Checkpoint: ck}
 	var lastPath string
 	var lastGood int
+	var lastFirst uint64
 	for i, first := range segSeqs {
 		path := filepath.Join(dir, segName(first))
 		b, err := os.ReadFile(path)
@@ -225,7 +237,7 @@ func Open(dir string, o Options) (*Log, *Recovered, error) {
 			}
 			rec.Records = append(rec.Records, r)
 		}
-		lastPath, lastGood = path, fileHeader+good
+		lastPath, lastGood, lastFirst = path, fileHeader+good, first
 	}
 	if rec.TornTail {
 		if err := os.Truncate(lastPath, int64(lastGood)); err != nil {
@@ -239,12 +251,16 @@ func Open(dir string, o Options) (*Log, *Recovered, error) {
 	for _, r := range rec.Records {
 		l.hwm += len(r.Dict)
 	}
-	if lastPath != "" {
-		f, err := os.OpenFile(lastPath, os.O_WRONLY|os.O_APPEND, 0o666)
-		if err != nil {
-			return nil, nil, err
-		}
-		l.f = f
+	if len(rec.Records) == 0 && (lastPath == "" || lastFirst != ck.Seq+1) {
+		// A crash after the checkpoint's install but before its segment's
+		// rename: roll the segment now, so appends after the checkpoint
+		// start one, as they would have.
+		err = l.rollSegmentLocked(ck.Seq + 1)
+	} else {
+		l.f, err = os.OpenFile(lastPath, os.O_WRONLY|os.O_APPEND, 0o666)
+	}
+	if err != nil {
+		return nil, nil, err
 	}
 	l.startSyncer()
 	return l, rec, nil
@@ -420,23 +436,9 @@ func (l *Log) writeCheckpointLocked(ck *Checkpoint) error {
 	}
 
 	// 3. Roll a fresh segment for the records after the checkpoint.
-	seg := filepath.Join(l.dir, segName(ck.Seq+1))
-	f, err := os.OpenFile(seg, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o666)
-	if err != nil {
+	if err := l.rollSegmentLocked(ck.Seq + 1); err != nil {
 		return err
 	}
-	if _, err := f.Write(fileHeaderBytes(walMagic, l.opts.SchemaFP, l.opts.ViewsFP, ck.Seq+1)); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if l.f != nil {
-		l.f.Close()
-	}
-	l.f = f
 
 	// 4. Prune with one generation of slack: the PREVIOUS base checkpoint
 	// and the segments covering its suffix stay until the next checkpoint,
@@ -457,6 +459,34 @@ func (l *Log) writeCheckpointLocked(ck *Checkpoint) error {
 		}
 	}
 	return syncDir(l.dir)
+}
+
+// rollSegmentLocked installs an empty segment for the records from seq
+// first on and makes it the active one. Like a checkpoint, the segment
+// appears atomically: its header is written to a temporary file that is
+// renamed into place before the directory is fsynced, so a crash never
+// leaves a segment shorter than its header (Open prunes the leftover
+// temporary). Callers hold l.mu or have exclusive use, as in Open.
+func (l *Log) rollSegmentLocked(first uint64) error {
+	seg := filepath.Join(l.dir, segName(first))
+	if err := writeFileSync(seg+".tmp", fileHeaderBytes(walMagic, l.opts.SchemaFP, l.opts.ViewsFP, first)); err != nil {
+		return err
+	}
+	if err := os.Rename(seg+".tmp", seg); err != nil {
+		return err
+	}
+	if err := syncDir(l.dir); err != nil {
+		return err
+	}
+	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o666)
+	if err != nil {
+		return err
+	}
+	if l.f != nil {
+		l.f.Close()
+	}
+	l.f = f
+	return nil
 }
 
 func writeFileSync(path string, b []byte) error {

@@ -212,10 +212,11 @@ func TestGroupCommitWindow(t *testing.T) {
 	}
 }
 
-// TestTornTailEveryOffset is the satellite-mandated exhaustive torn-tail
-// check: the final segment truncated at EVERY possible byte offset must
-// recover to exactly the last record fully contained in the prefix —
-// never an error, never a partial batch.
+// TestTornTailEveryOffset is the exhaustive torn-tail check: the final
+// segment truncated at EVERY possible byte offset must recover to exactly
+// the last record fully contained in the prefix — never an error, never a
+// partial batch. A segment roll cut at every byte of its header must
+// recover too.
 func TestTornTailEveryOffset(t *testing.T) {
 	base := t.TempDir()
 	writeFixture(t, base, 4, testOpts)
@@ -310,6 +311,108 @@ func TestTornTailEveryOffset(t *testing.T) {
 		if len(rec2.Records) != want+1 || rec2.TornTail {
 			t.Fatalf("cut %d: after resume, %d records (torn=%v), want %d", cut, len(rec2.Records), rec2.TornTail, want+1)
 		}
+	}
+
+	// A crash mid-roll leaves a checkpoint installed and the segment rolled
+	// after it cut at some byte of its header, under its temporary name.
+	// Every cut must recover the checkpoint, prune the leftover and resume
+	// appending right after it: after the initial checkpoint (no segment
+	// at all) and after checkpoint 4 (an older segment remains).
+	l, rec, err := Open(base, testOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dict, _ := intern.FromStrings(rec.Checkpoint.Dict)
+	for _, r := range rec.Records {
+		for _, s := range r.Dict {
+			dict.ID(s)
+		}
+	}
+	if err := l.WriteCheckpoint(dict, &Checkpoint{Seq: 4, Stats: &plan.Stats{}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err = os.ReadDir(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, roll := range []struct {
+		ckpt uint64
+		keep func(name string) bool
+	}{
+		{0, func(name string) bool { return name == ckptName(0) }},
+		{4, func(name string) bool { return name != segName(5) }},
+	} {
+		seg := segName(roll.ckpt + 1)
+		header, err := os.ReadFile(filepath.Join(base, seg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		header = header[:fileHeader]
+		for cut := 0; cut <= fileHeader; cut++ {
+			dir := t.TempDir()
+			for _, e := range entries {
+				if !roll.keep(e.Name()) {
+					continue
+				}
+				b, err := os.ReadFile(filepath.Join(base, e.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o666); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := os.WriteFile(filepath.Join(dir, seg+".tmp"), header[:cut], 0o666); err != nil {
+				t.Fatal(err)
+			}
+			l, rec, err := Open(dir, testOpts)
+			if err != nil {
+				t.Fatalf("roll after %d, cut %d: %v", roll.ckpt, cut, err)
+			}
+			if rec.Checkpoint.Seq != roll.ckpt || len(rec.Records) != 0 || rec.TornTail {
+				t.Fatalf("roll after %d, cut %d: recovered checkpoint %d + %d records (torn=%v)",
+					roll.ckpt, cut, rec.Checkpoint.Seq, len(rec.Records), rec.TornTail)
+			}
+			if _, err := os.Stat(filepath.Join(dir, seg+".tmp")); !os.IsNotExist(err) {
+				t.Fatalf("roll after %d, cut %d: leftover segment not pruned (%v)", roll.ckpt, cut, err)
+			}
+			d, _ := intern.FromStrings(rec.Checkpoint.Dict)
+			if err := l.Append(d, roll.ckpt+1, mkApplied(nil, nil)); err != nil {
+				t.Fatalf("roll after %d, cut %d: resume append: %v", roll.ckpt, cut, err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			_, rec2, err := Open(dir, testOpts)
+			if err != nil {
+				t.Fatalf("roll after %d, cut %d: reopen: %v", roll.ckpt, cut, err)
+			}
+			if len(rec2.Records) != 1 || rec2.Records[0].Seq != roll.ckpt+1 {
+				t.Fatalf("roll after %d, cut %d: after resume, %d records, want seq %d only",
+					roll.ckpt, cut, len(rec2.Records), roll.ckpt+1)
+			}
+		}
+	}
+
+	// A checkpoint cut before its rename was never installed: Open
+	// recovers from the previous one and deletes the leftover.
+	stale := filepath.Join(base, ckptName(9)+".tmp")
+	if err := os.WriteFile(stale, []byte("partial"), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	l, rec, err = Open(base, testOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if rec.Checkpoint.Seq != 4 {
+		t.Fatalf("recovered checkpoint %d, want 4", rec.Checkpoint.Seq)
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Fatalf("stale checkpoint leftover not pruned (%v)", err)
 	}
 }
 

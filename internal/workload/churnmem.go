@@ -45,7 +45,8 @@ type SwapChurn struct {
 
 // NewSwapChurn seeds the universe from db's current person and like rows
 // plus freshly minted spares. Call it BEFORE handing db to System.Open —
-// the sharded engine consumes the database's row storage.
+// at P > 1 the handle consumes the database's row storage, and at P = 1 it
+// mutates the database in place.
 func NewSwapChurn(m *Movies, db *instance.Database, p SwapChurnParams) *SwapChurn {
 	c := &SwapChurn{rng: rand.New(rand.NewSource(p.Seed)), p: p}
 	persons := &swapPool{rel: "person"}

@@ -59,7 +59,7 @@ type LifecycleStats struct {
 	// repacked below the live-fraction threshold.
 	RepackedExtents int64
 	// RepackedIndexGroups counts fetch-index groups repacked to exact
-	// capacity (summed across shards on the sharded engine).
+	// capacity (summed across shards).
 	RepackedIndexGroups int64
 }
 
@@ -171,7 +171,7 @@ func (lc *lifecycle) snapshotCur(hid uint64, e *epochState, hfetched *atomic.Int
 func (lc *lifecycle) snapshotAt(hid uint64, seq uint64, hfetched *atomic.Int64) (*Snapshot, error) {
 	lc.mu.Lock()
 	for _, e := range lc.ring {
-		if e.seq == seq {
+		if e.Seq() == seq {
 			e.acquire()
 			lc.mu.Unlock()
 			return lc.newSnapshot(hid, e, hfetched), nil
@@ -179,7 +179,7 @@ func (lc *lifecycle) snapshotAt(hid uint64, seq uint64, hfetched *atomic.Int64) 
 	}
 	var lo, hi uint64
 	if len(lc.ring) > 0 {
-		lo, hi = lc.ring[0].seq, lc.ring[len(lc.ring)-1].seq
+		lo, hi = lc.ring[0].Seq(), lc.ring[len(lc.ring)-1].Seq()
 	}
 	lc.mu.Unlock()
 	return nil, fmt.Errorf("repro: epoch %d not retained (window [%d, %d]; see WithRetainEpochs): %w", seq, lo, hi, ErrEpochRetired)

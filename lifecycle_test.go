@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,14 +14,15 @@ import (
 	"repro/internal/workload"
 )
 
-// desyncLive makes the handle's internal components disagree by slipping a
-// row into the database behind the maintenance machinery's back: the next
-// facade delete of that row is accepted by the database but detected as
-// an out-of-sync retraction by the component named in which ("eng" —
-// person rows are view inputs but not constraint keys, so the maintenance
-// engine trips; "vix" — movie rows are ϕ1 keys and the versioned index
-// trips first).
-func desyncLive(t *testing.T, l *Live, which string) Op {
+// desyncLive makes a P = 1 handle's internal components disagree by
+// slipping a row into its database behind the maintenance machinery's
+// back (at P = 1 the shard serves the database it was opened with in
+// place): the next delete of that row is accepted by the database but
+// detected as an out-of-sync retraction by the component named in which
+// ("eng" — person rows are view inputs but not constraint keys, so the
+// maintenance engine trips; "vix" — movie rows are ϕ1 keys and the
+// versioned index trips first).
+func desyncLive(t *testing.T, db *Database, which string) Op {
 	t.Helper()
 	var op Op
 	switch which {
@@ -33,17 +33,17 @@ func desyncLive(t *testing.T, l *Live, which string) Op {
 	default:
 		t.Fatalf("unknown desync target %q", which)
 	}
-	if _, err := l.db.ApplyDelta([]Op{op}, nil); err != nil {
+	if _, err := db.ApplyDelta([]Op{op}, nil); err != nil {
 		t.Fatal(err)
 	}
 	return op
 }
 
-// TestPartialApplyFencesLive proves the single-instance fence: when a
-// batch fails AFTER the database mutated (maintenance engine or fetch
-// index rejects the delta), the handle must fence — later writes fail
-// with ErrClosed while reads keep serving the last published epoch —
-// because the writer-side components no longer describe one state.
+// TestPartialApplyFencesLive proves the P = 1 fence: when a batch fails
+// AFTER the database mutated (maintenance engine or fetch index rejects
+// the delta), the handle must fence — later writes fail with ErrClosed
+// while reads keep serving the last published epoch — because the
+// writer-side components no longer describe one state.
 func TestPartialApplyFencesLive(t *testing.T) {
 	for _, which := range []string{"eng", "vix"} {
 		t.Run(which, func(t *testing.T) {
@@ -62,13 +62,13 @@ func TestPartialApplyFencesLive(t *testing.T) {
 			wantViews := viewFingerprint(l.Views())
 			wantSize := l.Size()
 
-			op := desyncLive(t, l, which)
+			op := desyncLive(t, db, which)
 			_, err = l.ApplyDelta(nil, []Op{op})
 			if err == nil {
 				t.Fatal("deleting the desynced row must fail")
 			}
-			if !strings.Contains(err.Error(), "partial apply, handle fenced") {
-				t.Fatalf("partial-apply error not marked as fencing: %v", err)
+			if !errors.Is(err, shard.ErrTorn) {
+				t.Fatalf("partial-apply error not marked as torn: %v", err)
 			}
 
 			// Fenced: writes fail, including pure no-op batches.
@@ -150,7 +150,7 @@ func TestPartialApplyFencesSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := h.(*LiveSharded)
+	l := h.(*Live)
 	p := m.Fig1Plan()
 	wantRows, _, err := l.Execute(p)
 	if err != nil {
@@ -194,8 +194,8 @@ func TestPartialApplyFencesSharded(t *testing.T) {
 	}
 }
 
-// TestCloseIdempotent pins Handle.Close's contract on both engines,
-// durable or not: the first call tears down, every later call is a no-op
+// TestCloseIdempotent pins Handle.Close's contract on the default handle
+// ("live", P = 1) and at P = 2, durable or not: the first call tears down, every later call is a no-op
 // returning nil, and writes after Close fail with ErrClosed.
 func TestCloseIdempotent(t *testing.T) {
 	cases := []struct {
@@ -268,7 +268,7 @@ func TestCloseAfterFenceSkipsFinalCheckpoint(t *testing.T) {
 		want := viewFingerprint(l.Views())
 		size := l.Size()
 
-		op := desyncLive(t, l, "eng")
+		op := desyncLive(t, db, "eng")
 		if _, err := l.ApplyDelta(nil, []Op{op}); err == nil {
 			t.Fatal("desynced delete must fence")
 		}
@@ -327,8 +327,9 @@ func TestCloseAfterFenceSkipsFinalCheckpoint(t *testing.T) {
 }
 
 // TestAtDifferential drives bounded churn while recording every published
-// epoch's fingerprint, then checks the retention ring's contract on both
-// engines: At(seq) inside the window answers EXACTLY as epoch seq did
+// epoch's fingerprint, then checks the retention ring's contract on the
+// default handle (shards=0: no WithShards option, P = 1), WithShards(1)
+// and P = 8: At(seq) inside the window answers EXACTLY as epoch seq did
 // when it was current; outside the window it fails wrapping
 // ErrEpochRetired; and concurrent At readers racing the writer see either
 // a historical match or that error, never a torn state.

@@ -129,7 +129,7 @@ func TestMetricsStressNoBlocking(t *testing.T) {
 			}
 			// The fetch gauge reads the same atomic FetchedTuples reads:
 			// after quiescing they must agree exactly.
-			if got, want := ms.Gauges["repro_fetched_tuples_total"], int64(fetchedOf(h)); got != want {
+			if got, want := ms.Gauges["repro_fetched_tuples_total"], int64(h.FetchedTuples()); got != want {
 				t.Fatalf("fetched gauge = %d, FetchedTuples = %d", got, want)
 			}
 			s := h.Snapshot()
@@ -148,16 +148,6 @@ func TestMetricsStressNoBlocking(t *testing.T) {
 			}
 		})
 	}
-}
-
-func fetchedOf(h Handle) int {
-	switch x := h.(type) {
-	case *Live:
-		return x.FetchedTuples()
-	case *LiveSharded:
-		return x.FetchedTuples()
-	}
-	return -1
 }
 
 // TestSlowTraceReconciliation pins an epoch, serves a prepared query on

@@ -421,10 +421,10 @@ func diverged(now, ranked float64) bool {
 	return hi/lo >= feedbackDivergence
 }
 
-// Execute serves the query against any handle — single-instance or
-// sharded: the candidate selected by the closed-loop cost model runs over
-// the current epoch's views and indices, the run is profiled, and the
-// realized costs feed the next selection. Returns the answer rows and the
+// Execute serves the query against a handle at any shard count: the
+// candidate selected by the closed-loop cost model runs over the current
+// epoch's views and indices, the run is profiled, and the realized costs
+// feed the next selection. Returns the answer rows and the
 // tuples this call fetched from the underlying database.
 func (pq *PreparedQuery) Execute(h Handle) ([][]string, int, error) {
 	st, ver := h.Stats()
@@ -453,13 +453,6 @@ func (pq *PreparedQuery) ExecuteOn(s *Snapshot) ([][]string, int, error) {
 	}
 	pq.feedback(s.hid, st, idx, ob, met)
 	return rows, fetched, nil
-}
-
-// ExecuteSharded serves the query against a sharded handle.
-//
-// Deprecated: Execute accepts any Handle, including *LiveSharded.
-func (pq *PreparedQuery) ExecuteSharded(l *LiveSharded) ([][]string, int, error) {
-	return pq.Execute(l)
 }
 
 // planOn returns the plan the closed-loop selection would serve the

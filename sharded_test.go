@@ -3,6 +3,7 @@ package repro
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -176,18 +177,28 @@ func diffPlans(t *testing.T, rng *rand.Rand, sys *System) []Plan {
 	return plans
 }
 
-// assertHandlesAgree runs every plan on the unsharded handle and each
-// sharded one, requiring identical answer rows AND identical fetch
-// totals, then compares full view snapshots.
-func assertHandlesAgree(t *testing.T, plans []Plan, l Handle, sharded map[int]*LiveSharded) {
+// assertMatchesOracle runs every plan on each handle and on the static
+// oracle — plan.Run over fetch indices built from the mirror database —
+// requiring identical answer rows AND fetch totals, then compares every
+// handle's views with the views materialized from the mirror.
+func assertMatchesOracle(t *testing.T, sys *System, plans []Plan, mirror *Database, handles map[int]Handle) {
 	t.Helper()
+	ix, err := BuildIndexes(mirror, sys.Access)
+	if err != nil {
+		t.Fatal(err)
+	}
+	views, err := sys.Materialize(mirror)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for pi, p := range plans {
-		wantRows, wantFetched, wantErr := l.Execute(p)
+		before := ix.FetchedTuples()
+		wantRows, wantErr := plan.Run(p, ix, views)
+		wantFetched := ix.FetchedTuples() - before
 		for _, pcount := range shardCounts {
-			sl := sharded[pcount]
-			gotRows, gotFetched, gotErr := sl.Execute(p)
+			gotRows, gotFetched, gotErr := handles[pcount].Execute(p)
 			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("plan %d, P=%d: error mismatch: unsharded %v, sharded %v", pi, pcount, wantErr, gotErr)
+				t.Fatalf("plan %d, P=%d: error mismatch: oracle %v, handle %v", pi, pcount, wantErr, gotErr)
 			}
 			if wantErr != nil {
 				continue
@@ -195,19 +206,18 @@ func assertHandlesAgree(t *testing.T, plans []Plan, l Handle, sharded map[int]*L
 			if !cq.RowsEqual(gotRows, wantRows) {
 				eval.SortRows(gotRows)
 				eval.SortRows(wantRows)
-				t.Fatalf("plan %d, P=%d: results diverge\nplan:\n%ssharded %d rows: %v\nunsharded %d rows: %v",
+				t.Fatalf("plan %d, P=%d: results diverge\nplan:\n%shandle %d rows: %v\noracle %d rows: %v",
 					pi, pcount, plan.Render(p), len(gotRows), gotRows, len(wantRows), wantRows)
 			}
 			if gotFetched != wantFetched {
-				t.Fatalf("plan %d, P=%d: fetch totals diverge: sharded %d, unsharded %d\nplan:\n%s",
+				t.Fatalf("plan %d, P=%d: fetch totals diverge: handle %d, oracle %d\nplan:\n%s",
 					pi, pcount, gotFetched, wantFetched, plan.Render(p))
 			}
 		}
 	}
-	want := l.Views()
 	for _, pcount := range shardCounts {
-		got := sharded[pcount].Views()
-		for name, w := range want {
+		got := handles[pcount].Views()
+		for name, w := range views {
 			if !cq.RowsEqual(got[name], w) {
 				t.Fatalf("P=%d: view %s diverges: %d rows vs %d", pcount, name, len(got[name]), len(w))
 			}
@@ -217,9 +227,10 @@ func assertHandlesAgree(t *testing.T, plans []Plan, l Handle, sharded map[int]*L
 
 // TestShardedDifferentialRandom is the sharded differential harness:
 // random schemas, access constraints, views, plans and delta streams, run
-// on the unsharded Live handle and on sharded handles with P ∈ {1,2,3,8}.
-// Answer rows, fetch totals, per-batch delta stats and view snapshots
-// must all agree at every checkpoint. CI runs this under -race.
+// on handles with P ∈ {1,2,3,8} and checked against the static oracle
+// over a mirror database updated batch by batch. Answer rows, fetch
+// totals, per-batch delta stats and view snapshots must all agree at
+// every checkpoint. CI runs this under -race.
 func TestShardedDifferentialRandom(t *testing.T) {
 	const (
 		trials     = 3
@@ -250,20 +261,17 @@ func TestShardedDifferentialRandom(t *testing.T) {
 			seed.MustInsert(rel.Name, row...)
 		}
 
-		l, err := sys.Open(seed.Clone())
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		sharded := map[int]*LiveSharded{}
+		mirror := seed.Clone()
+		handles := map[int]Handle{}
 		for _, p := range shardCounts {
-			sl, err := sys.OpenLiveSharded(seed.Clone(), p)
+			h, err := sys.Open(seed.Clone(), WithShards(p))
 			if err != nil {
 				t.Fatalf("trial %d, P=%d: %v", trial, p, err)
 			}
-			sharded[p] = sl
+			handles[p] = h
 		}
 		plans := diffPlans(t, rng, sys)
-		assertHandlesAgree(t, plans, l, sharded)
+		assertMatchesOracle(t, sys, plans, mirror, handles)
 
 		// live multiset per relation so deletes usually hit.
 		live := map[string][]instance.Tuple{}
@@ -299,30 +307,61 @@ func TestShardedDifferentialRandom(t *testing.T) {
 					ins = append(ins, Op{Rel: rel.Name, Row: row.Clone()})
 				}
 			}
-			want, err := l.ApplyDelta(ins, del)
+			want, err := mirror.ApplyDelta(ins, del)
 			if err != nil {
 				t.Fatalf("trial %d batch %d: %v", trial, b, err)
 			}
 			for _, p := range shardCounts {
-				got, err := sharded[p].ApplyDelta(ins, del)
+				got, err := handles[p].ApplyDelta(ins, del)
 				if err != nil {
 					t.Fatalf("trial %d batch %d P=%d: %v", trial, b, p, err)
 				}
-				if got.Inserted != want.Inserted || got.Deleted != want.Deleted {
-					t.Fatalf("trial %d batch %d P=%d: delta stats diverge: sharded %+v, unsharded %+v",
-						trial, b, p, got, want)
+				if got.Inserted != len(want.Inserted) || got.Deleted != len(want.Deleted) {
+					t.Fatalf("trial %d batch %d P=%d: delta stats diverge: handle %+v, mirror applied %d+%d",
+						trial, b, p, got, len(want.Inserted), len(want.Deleted))
 				}
 			}
 			if b%checkEvery == 0 || b == batches {
-				assertHandlesAgree(t, plans, l, sharded)
+				assertMatchesOracle(t, sys, plans, mirror, handles)
 			}
 		}
 	}
 }
 
+// TestWithShardsRejectsNonPositive: Open refuses a shard count below 1,
+// in memory and durable, instead of picking one silently; the durable
+// directory stays fresh for a valid open afterwards.
+func TestWithShardsRejectsNonPositive(t *testing.T) {
+	sys, m := movieSystem(t)
+	gen := func() *Database {
+		return m.Generate(workload.MoviesParams{Persons: 40, Movies: 40, LikesPerPerson: 2, NASAShare: 8, Seed: 3})
+	}
+	dir := t.TempDir()
+	for _, p := range []int{0, -3} {
+		for _, extra := range [][]OpenOption{nil, {WithDurability(dir)}} {
+			h, err := sys.Open(gen(), append([]OpenOption{WithShards(p)}, extra...)...)
+			if err == nil {
+				h.Close()
+				t.Fatalf("WithShards(%d) must be rejected", p)
+			}
+			if !strings.Contains(err.Error(), "need at least 1 shard") {
+				t.Fatalf("WithShards(%d): unexpected error %v", p, err)
+			}
+		}
+	}
+	h, err := sys.Open(gen(), WithDurability(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	if rec := h.(*Live).Recovery(); rec != (RecoveryInfo{}) {
+		t.Fatalf("a rejected open left durable state behind: %+v", rec)
+	}
+}
+
 // ---- fixture-level end-to-end, concurrency and aliasing tests ----
 
-func shardedFixture(t *testing.T, users, txns, shards int) (*System, *workload.Sharded, *LiveSharded, *Database) {
+func shardedFixture(t *testing.T, users, txns, shards int) (*System, *workload.Sharded, *Live, *Database) {
 	t.Helper()
 	w := workload.NewSharded(8)
 	sys, err := NewSystem(w.Schema, w.Access, w.Views(), w.M)
@@ -335,7 +374,7 @@ func shardedFixture(t *testing.T, users, txns, shards int) (*System, *workload.S
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sys, w, h.(*LiveSharded), snapshot
+	return sys, w, h.(*Live), snapshot
 }
 
 // TestShardedFixtureServesPointReadsAndViews checks the fixture

@@ -7,15 +7,14 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/cq"
 	"repro/internal/eval"
 	"repro/internal/instance"
 	"repro/internal/plan"
 	"repro/internal/workload"
 )
 
-// snapShardCounts covered by the snapshot differential harness (the
-// ISSUE-mandated P ∈ {1, 2, 8} plus the unsharded engine).
+// snapShardCounts covered by the snapshot differential harness, besides
+// the default handle.
 var snapShardCounts = []int{1, 2, 8}
 
 // planAnswer canonicalizes one plan execution on a snapshot: rows plus
@@ -100,10 +99,10 @@ func (f *frozenState) recheck(t *testing.T, label string, plans []Plan) {
 
 // TestSnapshotDifferentialRandom is the snapshot-consistency harness: on
 // random systems, a reader pinned BEFORE ApplyDelta must keep seeing the
-// exact pre-batch rows, views, sizes and fetch totals on both engines —
-// the single-instance handle and sharded ones at P ∈ {1, 2, 8} — while
-// batches keep landing, and the current epoch must keep matching the
-// unsharded reference. CI runs this under -race.
+// exact pre-batch rows, views, sizes and fetch totals — on the default
+// handle and at P ∈ {1, 2, 8} — while batches keep landing, and every
+// current epoch must keep matching the default handle's. CI runs this
+// under -race.
 func TestSnapshotDifferentialRandom(t *testing.T) {
 	const (
 		trials    = 2
@@ -191,8 +190,8 @@ func TestSnapshotDifferentialRandom(t *testing.T) {
 					states[i].recheck(t, fmt.Sprintf("trial %d batch %d %s pin %d", trial, b, name, i), plans)
 				}
 			}
-			// Fresh snapshots agree across engines (the unsharded handle is
-			// the reference).
+			// Fresh snapshots agree across shard counts (the default handle
+			// is the reference).
 			ref := freezeSnapshot(t, handles["live"].Snapshot(), plans)
 			for name, h := range handles {
 				if name == "live" {
@@ -200,11 +199,11 @@ func TestSnapshotDifferentialRandom(t *testing.T) {
 				}
 				got := freezeSnapshot(t, h.Snapshot(), plans)
 				if got.views != ref.views {
-					t.Fatalf("trial %d batch %d: %s current views diverge from unsharded", trial, b, name)
+					t.Fatalf("trial %d batch %d: %s current views diverge from the default handle", trial, b, name)
 				}
 				for i := range plans {
 					if got.answers[i] != ref.answers[i] || got.fetched[i] != ref.fetched[i] {
-						t.Fatalf("trial %d batch %d: %s plan %d diverges from unsharded (rows or fetch totals)",
+						t.Fatalf("trial %d batch %d: %s plan %d diverges from the default handle (rows or fetch totals)",
 							trial, b, name, i)
 					}
 				}
@@ -418,34 +417,5 @@ func TestHandleClose(t *testing.T) {
 		if got := viewFingerprint(snap.Views()); got != before {
 			t.Fatal("pinned snapshot changed after Close")
 		}
-	}
-}
-
-// TestDeprecatedEntryPointsStillServe keeps the deprecated constructors
-// and executors compiling and behaving until external callers migrate.
-func TestDeprecatedEntryPointsStillServe(t *testing.T) {
-	w, sys, db := shardedWorkload(t, 120, 3)
-	l, err := sys.OpenLive(db.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sl, err := sys.OpenLiveSharded(db, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pq, err := sys.Prepare(NewUCQ(w.Query(w.UID(4))), LangCQ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := pq.Execute(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := pq.ExecuteSharded(sl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cq.RowsEqual(got, want) {
-		t.Fatalf("deprecated path diverges: %v vs %v", got, want)
 	}
 }
