@@ -676,3 +676,72 @@ func BenchmarkSystemExecuteRepeated(b *testing.B) {
 		}
 	}
 }
+
+// churnCycle draws half ShardedChurn batches of ops operations against db
+// and appends their inverses in reverse order, so applying the whole cycle
+// returns the database to its generated state: a stationary write load
+// whatever the number of batches applied. Call it before a handle adopts
+// db.
+func churnCycle(w *workload.Sharded, db *instance.Database, half, ops int, seed int64) (ins, dels [][]instance.Op) {
+	ch := w.NewChurn(db, seed)
+	for n := 0; n < half; n++ {
+		i, d := ch.Batch(ops)
+		ins, dels = append(ins, i), append(dels, d)
+	}
+	for n := half - 1; n >= 0; n-- {
+		// Deletes apply first, so the inverse removes the batch's inserts
+		// before it restores the rows the batch deleted.
+		ins, dels = append(ins, dels[n]), append(dels, ins[n])
+	}
+	return ins, dels
+}
+
+// openChurnHandle generates the Sharded fixture (NTxn = 8, 4 txns per
+// user) at the given size, draws a churn cycle of half batches of 256
+// ops, and opens an in-memory P = 1 handle over the database.
+func openChurnHandle(tb testing.TB, users, half int) (Handle, [][]instance.Op, [][]instance.Op) {
+	tb.Helper()
+	w := workload.NewSharded(8)
+	db := w.Generate(users, 4, 1)
+	ins, dels := churnCycle(w, db, half, 256, 2)
+	sys, err := NewSystem(w.Schema, w.Access, w.Views(), w.M)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	h, err := sys.Open(db)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return h, ins, dels
+}
+
+// BenchmarkLive_ApplyDeltaSweep is the write path's scale-freedom sweep:
+// the same 256-op churn batches (64 of them, then their inverses, cycled)
+// through an in-memory P = 1 handle at three database sizes (31k, 125k
+// and 500k rows). Per-batch
+// time and B/op should stay near flat across the 16x size range: batch
+// maintenance costs O(|Δ|) plus a log-depth term, not O(|V|) or O(|D|).
+func BenchmarkLive_ApplyDeltaSweep(b *testing.B) {
+	for _, users := range []int{6250, 25000, 100000} {
+		b.Run(fmt.Sprintf("users=%d", users), func(b *testing.B) {
+			h, ins, dels := openChurnHandle(b, users, 64)
+			defer h.Close()
+			// One untimed cycle first: the first deletes build the tables'
+			// lazy row-position indexes, an O(|D|) step paid once per
+			// handle, not per batch.
+			for p := range ins {
+				if _, err := h.ApplyDelta(ins[p], dels[p]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := i % len(ins)
+				if _, err := h.ApplyDelta(ins[p], dels[p]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -743,29 +743,21 @@ func (l *Live) checkpointLocked() error {
 	return nil
 }
 
-// maybeCompactLocked runs one compaction scan when at least one retired
-// epoch died (last pin dropped) since the previous scan. Extent repacking
-// copies only arrays whose live fraction fell below extentCompactFrac, and
-// the engine re-pins the repacked views on the next publish (a published
-// header keeps its whole old backing array alive). The fetch-index repack
-// is coarser (it walks the whole trie), so it runs every
-// vindexCompactEvery scans. Callers hold l.mu.
+// maybeCompactLocked counts one compaction pass when at least one retired
+// epoch died (last pin dropped) since the previous pass, and every
+// vindexCompactEvery passes repacks the fetch indices (the repack walks
+// the whole trie). Callers hold l.mu.
 func (l *Live) maybeCompactLocked() {
 	if l.lc.dead.Swap(0) == 0 {
 		return
 	}
 	l.lc.passes.Add(1)
-	repackIx := false
 	l.lc.scans++
-	if l.lc.scans >= vindexCompactEvery {
-		l.lc.scans = 0
-		repackIx = true
+	if l.lc.scans < vindexCompactEvery {
+		return
 	}
-	ext, grp := l.sh.Compact(extentCompactMinCap, extentCompactFrac, repackIx)
-	if ext > 0 {
-		l.lc.extents.Add(int64(ext))
-	}
-	if grp > 0 {
+	l.lc.scans = 0
+	if grp := l.sh.Compact(); grp > 0 {
 		l.lc.groups.Add(int64(grp))
 	}
 }

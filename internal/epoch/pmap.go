@@ -9,6 +9,13 @@
 // buckets it actually touches — the "patched-structure granularity" the
 // epoch design needs: per-epoch cost tracks the delta, not |D|, and all
 // untouched structure is shared between consecutive epochs.
+//
+// A batch writes through an Edit token (SetIn, DeleteIn): a node copied
+// under the token belongs to the batch and later writes under the same
+// token mutate it in place, so each node is copied at most once per batch,
+// not once per op — a transient in the sense of Clojure's transients over
+// Bagwell's hash-array-mapped tries. Versions published before the token
+// was taken share no node the token owns, so they never change.
 package epoch
 
 import "math/bits"
@@ -25,20 +32,35 @@ const (
 // Map is one immutable version of a uint64-keyed map. The zero value is
 // NOT usable; start from NewMap[V](). Set and Delete return a new version
 // and never mutate the receiver, so any number of readers may use a
-// version concurrently with a writer deriving the next one. Values are
-// stored as given: a value that is itself mutated after insertion breaks
-// the immutability contract (store fresh slices, as the COW layers do).
+// version concurrently with a writer deriving the next one. SetIn and
+// DeleteIn mutate only a version their own token produced (see Edit).
+// Values are stored as given: a value that is itself mutated after
+// insertion breaks the immutability contract (store fresh slices, as the
+// COW layers do).
 type Map[V any] struct {
 	root *node[V]
 	n    int
+	edit *Edit // the token that produced this version (nil: Set/Delete)
 }
+
+// Edit is a batch-scoped write token. Take a fresh one per batch
+// (new(Edit)), pass it to every SetIn/DeleteIn of the batch, publish the
+// last version and drop the token: once no writer holds it, every version
+// it produced is immutable like any other. A version derived under one
+// token must not be read concurrently with further writes under that
+// token. The byte field keeps the type non-zero-sized: Go may give every
+// allocation of a zero-sized type the same address, which would make two
+// tokens equal.
+type Edit struct{ _ byte }
 
 // node is one trie node: a bitmap-compressed array of slots. A slot is
 // either a leaf (child == nil: key/val hold an entry) or an interior
-// pointer (child != nil). Nodes are immutable once linked into a version.
+// pointer (child != nil). A node is immutable once linked into a version,
+// except under the Edit token that created it (edit != nil).
 type node[V any] struct {
 	bitmap uint64
 	slots  []slot[V]
+	edit   *Edit
 }
 
 type slot[V any] struct {
@@ -81,24 +103,59 @@ func (m *Map[V]) Get(key uint64) (V, bool) {
 
 // Set returns a new version with key bound to val, sharing all untouched
 // structure with the receiver. O(depth) node copies.
-func (m *Map[V]) Set(key uint64, val V) *Map[V] {
-	root, added := setRec(m.root, key, val, 0)
+func (m *Map[V]) Set(key uint64, val V) *Map[V] { return m.SetIn(nil, key, val) }
+
+// SetIn is Set under the batch token ed: nodes ed already owns are
+// updated in place, the others are copied once and then owned by ed.
+// The receiver is returned, updated, when ed produced it. A nil ed copies
+// every node on the path, like Set.
+func (m *Map[V]) SetIn(ed *Edit, key uint64, val V) *Map[V] {
+	root, added := setRec(ed, m.root, key, val, 0)
 	n := m.n
 	if added {
 		n++
 	}
-	return &Map[V]{root: root, n: n}
+	return m.next(ed, root, n)
 }
 
-func setRec[V any](n *node[V], key uint64, val V, depth int) (*node[V], bool) {
+// next returns the version holding root: the receiver itself when ed
+// produced it, a fresh version otherwise.
+func (m *Map[V]) next(ed *Edit, root *node[V], n int) *Map[V] {
+	if ed != nil && m.edit == ed {
+		m.root, m.n = root, n
+		return m
+	}
+	return &Map[V]{root: root, n: n, edit: ed}
+}
+
+// owned returns n itself when the token ed owns it, else a copy of n
+// owned by ed, with room for extra more slots.
+func owned[V any](ed *Edit, n *node[V], extra int) *node[V] {
+	if ed != nil && n.edit == ed {
+		return n
+	}
+	out := &node[V]{bitmap: n.bitmap, slots: make([]slot[V], len(n.slots), len(n.slots)+extra), edit: ed}
+	copy(out.slots, n.slots)
+	return out
+}
+
+func setRec[V any](ed *Edit, n *node[V], key uint64, val V, depth int) (*node[V], bool) {
 	bit := uint64(1) << chunk(key, depth)
 	idx := bits.OnesCount64(n.bitmap & (bit - 1))
 	if n.bitmap&bit == 0 {
-		// Free slot: insert a leaf here.
-		out := &node[V]{bitmap: n.bitmap | bit, slots: make([]slot[V], len(n.slots)+1)}
-		copy(out.slots, n.slots[:idx])
+		// Free slot: insert a leaf here. An owned node that is full
+		// grows by exactly one slot, not by append's doubling, so a
+		// batch leaves no insert slack in the trie.
+		out := owned(ed, n, 1)
+		if len(out.slots) == cap(out.slots) {
+			grown := make([]slot[V], len(out.slots), len(out.slots)+1)
+			copy(grown, out.slots)
+			out.slots = grown
+		}
+		out.bitmap |= bit
+		out.slots = append(out.slots, slot[V]{})
+		copy(out.slots[idx+1:], out.slots[idx:])
 		out.slots[idx] = slot[V]{key: key, val: val}
-		copy(out.slots[idx+1:], n.slots[idx:])
 		return out, true
 	}
 	s := n.slots[idx]
@@ -106,32 +163,32 @@ func setRec[V any](n *node[V], key uint64, val V, depth int) (*node[V], bool) {
 	added := false
 	switch {
 	case s.child != nil:
-		child, a := setRec(s.child, key, val, depth+1)
+		child, a := setRec(ed, s.child, key, val, depth+1)
 		ns, added = slot[V]{child: child}, a
 	case s.key == key:
 		ns = slot[V]{key: key, val: val}
 	default:
 		// Leaf collision on this chunk: push both entries one level down.
 		// Distinct 64-bit keys always separate at some deeper chunk.
-		ns, added = slot[V]{child: split(s, key, val, depth+1)}, true
+		ns, added = slot[V]{child: split(ed, s, key, val, depth+1)}, true
 	}
-	out := &node[V]{bitmap: n.bitmap, slots: make([]slot[V], len(n.slots))}
-	copy(out.slots, n.slots)
+	out := owned(ed, n, 0)
 	out.slots[idx] = ns
 	return out, added
 }
 
 // split builds the subtrie holding an existing leaf and a new entry whose
 // keys collide on all chunks above depth.
-func split[V any](old slot[V], key uint64, val V, depth int) *node[V] {
+func split[V any](ed *Edit, old slot[V], key uint64, val V, depth int) *node[V] {
 	oc, nc := chunk(old.key, depth), chunk(key, depth)
 	if oc == nc {
 		return &node[V]{
 			bitmap: 1 << oc,
-			slots:  []slot[V]{{child: split(old, key, val, depth+1)}},
+			slots:  []slot[V]{{child: split(ed, old, key, val, depth+1)}},
+			edit:   ed,
 		}
 	}
-	n := &node[V]{bitmap: 1<<oc | 1<<nc, slots: make([]slot[V], 2)}
+	n := &node[V]{bitmap: 1<<oc | 1<<nc, slots: make([]slot[V], 2), edit: ed}
 	a, b := slot[V]{key: old.key, val: old.val}, slot[V]{key: key, val: val}
 	if oc < nc {
 		n.slots[0], n.slots[1] = a, b
@@ -142,52 +199,51 @@ func split[V any](old slot[V], key uint64, val V, depth int) *node[V] {
 }
 
 // Delete returns a new version without key (the receiver when absent).
-func (m *Map[V]) Delete(key uint64) *Map[V] {
-	root, removed := delRec(m.root, key, 0)
+func (m *Map[V]) Delete(key uint64) *Map[V] { return m.DeleteIn(nil, key) }
+
+// DeleteIn is Delete under the batch token ed (see SetIn).
+func (m *Map[V]) DeleteIn(ed *Edit, key uint64) *Map[V] {
+	root, removed := delRec(ed, m.root, key, 0)
 	if !removed {
 		return m
 	}
 	if root == nil {
 		root = &node[V]{}
 	}
-	return &Map[V]{root: root, n: m.n - 1}
+	return m.next(ed, root, m.n-1)
 }
 
 // delRec returns the replacement node (nil when the subtree became empty)
 // and whether the key was found. Single-leaf interior nodes are collapsed
 // so lookup depth tracks the live population, not historical peaks.
-func delRec[V any](n *node[V], key uint64, depth int) (*node[V], bool) {
+func delRec[V any](ed *Edit, n *node[V], key uint64, depth int) (*node[V], bool) {
 	bit := uint64(1) << chunk(key, depth)
 	if n.bitmap&bit == 0 {
 		return n, false
 	}
 	idx := bits.OnesCount64(n.bitmap & (bit - 1))
 	s := n.slots[idx]
+	var child *node[V]
 	if s.child == nil {
 		if s.key != key {
 			return n, false
 		}
-		if len(n.slots) == 1 {
-			return nil, true
+	} else {
+		var removed bool
+		if child, removed = delRec(ed, s.child, key, depth+1); !removed {
+			return n, false
 		}
-		out := &node[V]{bitmap: n.bitmap &^ bit, slots: make([]slot[V], len(n.slots)-1)}
-		copy(out.slots, n.slots[:idx])
-		copy(out.slots[idx:], n.slots[idx+1:])
-		return out, true
 	}
-	child, removed := delRec(s.child, key, depth+1)
-	if !removed {
-		return n, false
+	if child == nil && len(n.slots) == 1 {
+		return nil, true
 	}
-	out := &node[V]{bitmap: n.bitmap, slots: make([]slot[V], len(n.slots))}
-	copy(out.slots, n.slots)
+	out := owned(ed, n, 0)
 	switch {
 	case child == nil:
-		if len(out.slots) == 1 {
-			return nil, true
-		}
 		out.bitmap &^= bit
-		out.slots = append(out.slots[:idx:idx], out.slots[idx+1:]...)
+		copy(out.slots[idx:], out.slots[idx+1:])
+		out.slots[len(out.slots)-1] = slot[V]{}
+		out.slots = out.slots[:len(out.slots)-1]
 	case len(child.slots) == 1 && child.slots[0].child == nil:
 		out.slots[idx] = child.slots[0] // collapse a single-leaf chain
 	default:

@@ -53,24 +53,7 @@ func TestMapDifferentialRandom(t *testing.T) {
 
 	check := func(m *Map[int], want map[uint64]int) {
 		t.Helper()
-		for _, k := range keyPool {
-			got, ok := m.Get(k)
-			wv, wok := want[k]
-			if ok != wok || (ok && got != wv) {
-				t.Fatalf("key %x: got (%d,%v) want (%d,%v)", k, got, ok, wv, wok)
-			}
-		}
-		n := 0
-		m.Range(func(k uint64, v int) bool {
-			if wv, ok := want[k]; !ok || wv != v {
-				t.Fatalf("Range surfaced (%x,%d) not in oracle", k, v)
-			}
-			n++
-			return true
-		})
-		if n != len(want) {
-			t.Fatalf("Range visited %d entries, want %d", n, len(want))
-		}
+		checkMap(t, m, want, keyPool)
 	}
 	check(m, oracle)
 	// Every saved version must still read exactly as frozen — later churn
@@ -80,6 +63,128 @@ func TestMapDifferentialRandom(t *testing.T) {
 		if v.m.Len() != len(v.frozen) {
 			t.Fatalf("saved version %d: Len drifted", i)
 		}
+	}
+}
+
+// checkMap asserts that m holds exactly want: every pool key reads as in
+// want, Range surfaces only want's entries, and Len agrees.
+func checkMap(t *testing.T, m *Map[int], want map[uint64]int, keyPool []uint64) {
+	t.Helper()
+	for _, k := range keyPool {
+		got, ok := m.Get(k)
+		wv, wok := want[k]
+		if ok != wok || (ok && got != wv) {
+			t.Fatalf("key %x: got (%d,%v) want (%d,%v)", k, got, ok, wv, wok)
+		}
+	}
+	n := 0
+	m.Range(func(k uint64, v int) bool {
+		if wv, ok := want[k]; !ok || wv != v {
+			t.Fatalf("Range surfaced (%x,%d) not in oracle", k, v)
+		}
+		n++
+		return true
+	})
+	if n != len(want) || m.Len() != len(want) {
+		t.Fatalf("Range visited %d entries, Len %d, want %d", n, m.Len(), len(want))
+	}
+}
+
+// TestMapTransientDifferential runs batches of random SetIn/DeleteIn
+// traffic, each under a fresh Edit token, against a plain Go map. Before
+// each batch takes its token the current version is published (saved
+// with a frozen copy of the oracle); after every batch, every published
+// version must still read exactly as frozen — in-place edits under a
+// token never reach a node an earlier version can see. Every fourth
+// batch writes without a token (Set/Delete), so token-owned nodes are
+// also inherited by plain persistent writes.
+func TestMapTransientDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	keyPool := make([]uint64, 600)
+	for i := range keyPool {
+		if i%3 == 0 {
+			keyPool[i] = uint64(i) << 58 // collide on all low chunks
+		} else {
+			keyPool[i] = rng.Uint64()
+		}
+	}
+	type version struct {
+		m      *Map[int]
+		frozen map[uint64]int
+	}
+	var saved []version
+	m := NewMap[int]()
+	oracle := map[uint64]int{}
+	for batch := 0; batch < 60; batch++ {
+		frozen := make(map[uint64]int, len(oracle))
+		for k, v := range oracle {
+			frozen[k] = v
+		}
+		saved = append(saved, version{m: m, frozen: frozen})
+
+		var ed *Edit
+		if batch%4 != 3 {
+			ed = new(Edit)
+		}
+		for op := 0; op < 1+rng.Intn(300); op++ {
+			k := keyPool[rng.Intn(len(keyPool))]
+			if rng.Float64() < 0.4 {
+				m = m.DeleteIn(ed, k)
+				delete(oracle, k)
+			} else {
+				v := rng.Int()
+				m = m.SetIn(ed, k, v)
+				oracle[k] = v
+			}
+			if m.Len() != len(oracle) {
+				t.Fatalf("batch %d op %d: Len %d, oracle %d", batch, op, m.Len(), len(oracle))
+			}
+		}
+		checkMap(t, m, oracle, keyPool)
+		for i, v := range saved {
+			if v.m.Len() != len(v.frozen) {
+				t.Fatalf("batch %d: version %d's Len drifted", batch, i)
+			}
+			checkMap(t, v.m, v.frozen, keyPool)
+		}
+	}
+}
+
+// editSink makes the tokens of TestEditTokensDistinct escape to the heap,
+// where allocations of a zero-sized type share one address.
+var editSink []*Edit
+
+// TestEditTokensDistinct: tokens are compared by address, so two tokens
+// must never share one (a zero-sized type could).
+func TestEditTokensDistinct(t *testing.T) {
+	editSink = append(editSink[:0], new(Edit), new(Edit))
+	if editSink[0] == editSink[1] {
+		t.Fatal("two Edit tokens share an address")
+	}
+}
+
+// TestMapSetInCopiesOncePerBatch: once a batch token owns the path to a
+// key, rewriting that key under the same token allocates nothing — the
+// path is copied once per batch, not once per op.
+func TestMapSetInCopiesOncePerBatch(t *testing.T) {
+	const mix = 0x9E3779B97F4A7C15
+	m := NewMap[int]()
+	for i := uint64(0); i < 5000; i++ {
+		m = m.Set(i*mix, int(i))
+	}
+	base := m
+	ed := new(Edit)
+	i42 := uint64(42)
+	k := i42 * mix
+	m = m.SetIn(ed, k, -1)
+	if allocs := testing.AllocsPerRun(50, func() { m = m.SetIn(ed, k, -2) }); allocs != 0 {
+		t.Fatalf("rewrite under the owning token allocated %.0f times", allocs)
+	}
+	if v, _ := base.Get(k); v != 42 {
+		t.Fatalf("the version before the token reads %d, want 42", v)
+	}
+	if v, _ := m.Get(k); v != -2 {
+		t.Fatalf("the edited version reads %d, want -2", v)
 	}
 }
 

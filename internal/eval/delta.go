@@ -20,15 +20,19 @@ import (
 //
 // Per delta tuple t the engine enumerates only the valuations that use t,
 // through join indexes (intern.DynIndex) on exactly the column sets the
-// compiled residual plans probe. The indexes are themselves maintained
-// incrementally, so per-op cost depends on the data touched by t's
-// residual joins, not on |D|. Base relations are treated with set
-// semantics: a per-row support count turns physical multiset churn into
-// 0↔1 support transitions, and only transitions trigger view work.
+// compiled residual plans probe — the indexes only the initial full-plan
+// enumeration needs are dropped once it is done. The indexes are
+// themselves maintained incrementally, so per-op cost depends on the data
+// touched by t's residual joins, not on |D|. Base relations are treated
+// with set semantics: a per-row support count turns physical multiset
+// churn into 0↔1 support transitions, and only transitions trigger view
+// work. Extents are chunked copy-on-write (see extent), so a batch copies
+// the chunks it writes and the chunk pointers of the views it publishes,
+// never a whole extent.
 //
 // The engine is not safe for concurrent use; its owner (the shard
-// engine's batch lock) serializes Apply. Extents are exposed interned
-// (ExtentIDs) for zero-copy patching of plan.PreparedViews, and decoded
+// engine's batch lock) serializes Apply. Extents are published interned
+// as immutable headers (PublishExtentIDs) for epoch readers, and decoded
 // (Views) for the Materialized interface.
 type DeltaEngine struct {
 	db    *instance.Database
@@ -47,20 +51,17 @@ type relState struct {
 	plans   []*deltaPlan                // plans triggered by this relation
 }
 
-// viewState is one view's counted extent.
-//
-// sharedLen supports epoch publication (PublishExtentIDs): row slots below
-// it belong to a published immutable header and are never overwritten —
-// the first removal that would touch the shared region copies the header
-// first (copy-on-write per view, paid at most once per epoch and only by
-// views that shrink). Appends are always safe: they write at indexes no
-// published header can see.
+// viewState is one view's counted extent: every row with a positive
+// derivation count, in rows, and per row its count and its index in rows.
+// rows is chunked copy-on-write: chunks a published header
+// (PublishExtentIDs) shares are copied on their first write after the
+// publication, one chunk of extentChunkRows rows at a time, so headers
+// already published never change.
 type viewState struct {
-	name      string
-	arity     int
-	counts    *intern.Grouper[rowStat]
-	rows      [][]uint32
-	sharedLen int
+	name   string
+	arity  int
+	counts *intern.Grouper[rowStat]
+	rows   extent
 }
 
 type rowStat struct {
@@ -135,7 +136,33 @@ func NewDeltaEngine(db *instance.Database, views map[string]*cq.UCQ) (*DeltaEngi
 			return nil, err
 		}
 	}
+	e.dropUnprobedIndexes()
 	return e, nil
+}
+
+// dropUnprobedIndexes unregisters every join index no delta plan probes:
+// the ones only the full plans of the initial enumeration read. Left in
+// place they would be maintained on every later op for nothing — and one
+// keyed on a low-cardinality column (a constant's position, like a region)
+// holds a fixed share of the relation per group, so its linear Remove
+// would make each delete cost O(|D|). The restore path never builds them,
+// so fresh and restored engines keep the same index set.
+func (e *DeltaEngine) dropUnprobedIndexes() {
+	probed := make(map[*intern.DynIndex]bool)
+	for _, rs := range e.rels {
+		for _, p := range rs.plans {
+			for _, st := range p.steps {
+				probed[st.index] = true
+			}
+		}
+	}
+	for _, rs := range e.rels {
+		for key, ix := range rs.indexes {
+			if !probed[ix] {
+				delete(rs.indexes, key)
+			}
+		}
+	}
 }
 
 // Extent is one view's checkpointed counted extent: the extent rows in
@@ -156,8 +183,8 @@ func (e *DeltaEngine) CheckpointExtents() map[string]Extent {
 	out := make(map[string]Extent, len(e.views))
 	for name, v := range e.views {
 		ext := Extent{
-			Rows:   append([][]uint32(nil), v.rows...),
-			Counts: make([]int, len(v.rows)),
+			Rows:   v.rows.appendRows(nil),
+			Counts: make([]int, v.rows.len()),
 		}
 		for i, r := range ext.Rows {
 			ext.Counts[i] = v.counts.At(r).count
@@ -190,7 +217,6 @@ func NewDeltaEngineWithExtents(db *instance.Database, views map[string]*cq.UCQ, 
 		if len(ext.Rows) != len(ext.Counts) {
 			return nil, fmt.Errorf("eval: restore: view %s has %d rows but %d counts", name, len(ext.Rows), len(ext.Counts))
 		}
-		v.rows = make([][]uint32, len(ext.Rows))
 		for i, r := range ext.Rows {
 			if len(r) != v.arity {
 				return nil, fmt.Errorf("eval: restore: view %s row has arity %d, want %d", name, len(r), v.arity)
@@ -199,7 +225,7 @@ func NewDeltaEngineWithExtents(db *instance.Database, views map[string]*cq.UCQ, 
 				return nil, fmt.Errorf("eval: restore: view %s row with non-positive derivation count %d", name, ext.Counts[i])
 			}
 			row := append([]uint32(nil), r...)
-			v.rows[i] = row
+			v.rows.push(row)
 			st := v.counts.At(row)
 			if st.count != 0 {
 				return nil, fmt.Errorf("eval: restore: view %s extent repeats a row", name)
@@ -517,22 +543,14 @@ func (e *DeltaEngine) bump(v *viewState, row []uint32, sign int) error {
 	case st.count < 0:
 		return fmt.Errorf("eval: view %s: negative derivation count for a row — delta out of sync with the database", v.name)
 	case old == 0 && st.count > 0:
-		st.pos = len(v.rows)
-		v.rows = append(v.rows, append([]uint32(nil), row...))
+		st.pos = v.rows.len()
+		v.rows.push(append([]uint32(nil), row...))
 	case old > 0 && st.count == 0:
-		last := len(v.rows) - 1
-		if st.pos < v.sharedLen || last < v.sharedLen {
-			// The swap-remove would overwrite a slot a published epoch
-			// header still reads: privatize the header first. Rows (the
-			// []uint32 elements) are immutable and stay shared.
-			v.rows = append(make([][]uint32, 0, len(v.rows)+8), v.rows...)
-			v.sharedLen = 0
-		}
-		moved := v.rows[last]
-		v.rows[st.pos] = moved
-		v.rows[last] = nil
-		v.rows = v.rows[:last]
-		if st.pos != last {
+		// Swap-remove: the last row fills the hole. Only the chunks
+		// written are copied, and only when a published header shares
+		// them; the rows (the []uint32 elements) are immutable and stay
+		// shared.
+		if moved := v.rows.swapRemove(st.pos); moved != nil {
 			v.counts.At(moved).pos = st.pos
 		}
 		// Drop the spent entry: a long-running server's memory must track
@@ -616,64 +634,39 @@ func (e *DeltaEngine) Apply(a *instance.Applied) ([]string, error) {
 	return changed, nil
 }
 
-// ExtentIDs returns a view's current interned extent. The slice is owned
-// by the engine: it is patched in place by Apply and must only be read
+// ExtentIDs returns a fresh flat copy of a view's current interned extent
+// (the rows are shared and immutable; treat them as read-only). It costs
+// one pointer copy per row: for statistics, not for serving, and only
 // while no Apply is running (its owner's batch lock).
 func (e *DeltaEngine) ExtentIDs(name string) [][]uint32 {
 	v, ok := e.views[name]
 	if !ok {
 		return nil
 	}
-	return v.rows
+	return v.rows.appendRows(make([][]uint32, 0, v.rows.len()))
 }
 
 // PublishExtentIDs returns an immutable header of the view's current
-// extent and marks it shared: the slice (capped at its length) is never
-// mutated by later Apply calls — maintenance copies the header on write
-// instead — so epoch-based readers may keep serving it without locks for
-// as long as they hold it. Each call publishes the CURRENT state; callers
-// snapshot once per epoch.
-func (e *DeltaEngine) PublishExtentIDs(name string) [][]uint32 {
+// extent (the zero header for an unknown view). Later Apply calls never
+// change what it reads: publishing marks every chunk shared, and a write
+// copies the chunk it touches first — so epoch-based readers may keep
+// serving it without locks for as long as they hold it. It costs one
+// pointer per 32 rows; flattening the header for readers (Rows) is left
+// to the first reader. Each call publishes the CURRENT state; callers
+// publish once per epoch, and only the views that changed.
+func (e *DeltaEngine) PublishExtentIDs(name string) ExtentHeader {
 	v, ok := e.views[name]
 	if !ok {
-		return nil
+		return ExtentHeader{}
 	}
-	v.sharedLen = len(v.rows)
-	return v.rows[:len(v.rows):len(v.rows)]
-}
-
-// CompactExtents repacks the backing arrays of views whose live fraction
-// dropped below frac: swap-remove deletions shrink an extent's length but
-// never its capacity, and the copy-on-write privatization in bump sizes
-// its copy for the then-current length — so a view that grew large and
-// then shrank strands the difference until repacked. Arrays below minCap
-// are skipped (the copy costs more than the slack is worth).
-//
-// Repacking only replaces the engine's PRIVATE header; any published
-// headers keep aliasing the old array, which stays alive as long as an
-// epoch pins it. The caller must therefore re-publish the returned views
-// on its next epoch, or all later epochs keep pinning the fat array
-// through their inherited headers.
-func (e *DeltaEngine) CompactExtents(minCap int, frac float64) []string {
-	var repacked []string
-	for _, name := range e.names {
-		v := e.views[name]
-		if cap(v.rows) < minCap || float64(len(v.rows)) >= frac*float64(cap(v.rows)) {
-			continue
-		}
-		fresh := make([][]uint32, len(v.rows), len(v.rows)+len(v.rows)/8+8)
-		copy(fresh, v.rows)
-		v.rows, v.sharedLen = fresh, 0
-		repacked = append(repacked, name)
-	}
-	return repacked
+	return v.rows.freeze()
 }
 
 // Views decodes the current extents, usable directly as plan.Materialized.
 func (e *DeltaEngine) Views() map[string][][]string {
 	out := make(map[string][][]string, len(e.views))
 	for name, v := range e.views {
-		out[name] = e.dict.DecodeAll(v.rows)
+		out[name] = e.dict.DecodeAll(v.rows.appendRows(nil))
 		if out[name] == nil {
 			out[name] = [][]string{}
 		}

@@ -11,8 +11,8 @@ import (
 
 // TestPublishExtentIDsCopyOnWrite pins the COW contract epoch publication
 // relies on: a published extent header is never mutated by later Apply
-// calls — appends land beyond its length, removals privatize the header
-// first — while the engine's own extent keeps tracking the database.
+// calls — appends and removals copy the chunk they write first — while
+// the engine's own extent keeps tracking the database.
 func TestPublishExtentIDsCopyOnWrite(t *testing.T) {
 	s := schema.New(schema.NewRelation("R", "A", "B"))
 	db := instance.NewDatabase(s)
@@ -26,12 +26,12 @@ func TestPublishExtentIDsCopyOnWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fingerprint := func(rows [][]uint32) string { return fmt.Sprint(rows) }
+	fingerprint := func(h ExtentHeader) string { return fmt.Sprint(h.Rows()) }
 
 	pub1 := eng.PublishExtentIDs("V")
 	want1 := fingerprint(pub1)
-	if len(pub1) != 3 {
-		t.Fatalf("initial extent has %d rows", len(pub1))
+	if pub1.Len() != 3 {
+		t.Fatalf("initial extent has %d rows", pub1.Len())
 	}
 
 	apply := func(ins, del []instance.Op) {
@@ -47,17 +47,17 @@ func TestPublishExtentIDsCopyOnWrite(t *testing.T) {
 
 	// Append-only batch: the published header must not see the new row.
 	apply([]instance.Op{{Rel: "R", Row: instance.Tuple{"d", "4"}}}, nil)
-	if fingerprint(pub1) != want1 || len(pub1) != 3 {
+	if fingerprint(pub1) != want1 || pub1.Len() != 3 {
 		t.Fatal("published header mutated by an append")
 	}
 	pub2 := eng.PublishExtentIDs("V")
-	if len(pub2) != 4 {
-		t.Fatalf("second publication has %d rows, want 4", len(pub2))
+	if pub2.Len() != 4 {
+		t.Fatalf("second publication has %d rows, want 4", pub2.Len())
 	}
 	want2 := fingerprint(pub2)
 
 	// Removal batch: both published headers must survive the swap-remove
-	// (the engine privatizes its header before patching).
+	// (the engine copies the chunks it writes before patching).
 	apply(nil, []instance.Op{{Rel: "R", Row: instance.Tuple{"a", "1"}}})
 	if fingerprint(pub1) != want1 {
 		t.Fatal("first published header mutated by a removal")
@@ -65,11 +65,11 @@ func TestPublishExtentIDsCopyOnWrite(t *testing.T) {
 	if fingerprint(pub2) != want2 {
 		t.Fatal("second published header mutated by a removal")
 	}
-	if got := len(eng.PublishExtentIDs("V")); got != 3 {
+	if got := eng.PublishExtentIDs("V").Len(); got != 3 {
 		t.Fatalf("engine extent has %d rows after the delete, want 3", got)
 	}
 
-	// Churn after a removal-privatized header: still no leakage.
+	// Churn after a removal: still no leakage.
 	apply([]instance.Op{{Rel: "R", Row: instance.Tuple{"e", "5"}}},
 		[]instance.Op{{Rel: "R", Row: instance.Tuple{"b", "2"}}})
 	if fingerprint(pub1) != want1 || fingerprint(pub2) != want2 {

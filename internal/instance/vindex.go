@@ -13,7 +13,8 @@ import (
 // epoch-based snapshot reads. A VIndex is never mutated after it is
 // published — Apply returns a NEW version that shares every untouched
 // group with its predecessor (the groups live in a persistent hash trie,
-// epoch.Map, so one batch copies only the trie paths and group entries it
+// epoch.Map, written under one edit token per Apply, so one batch copies
+// each trie node on its touched paths once, and only the group entries it
 // touches). Readers therefore probe any pinned version without locks,
 // concurrently with the writer deriving the next one.
 //
@@ -77,8 +78,9 @@ func BuildVIndex(db *Database, a *access.Schema) (*VIndex, error) {
 			h := intern.HashAt(r, xpos)
 			staged[h] = addToBucket(staged[h], r, vc)
 		}
+		ed := new(epoch.Edit)
 		for h, b := range staged {
-			vc.groups = vc.groups.Set(h, b)
+			vc.groups = vc.groups.SetIn(ed, h, b)
 		}
 		vx.cons[c.Key()] = vc
 	}
@@ -114,7 +116,9 @@ func addToBucket(b []vgroup, r []uint32, vc *vcon) []vgroup {
 // database's application order) into a NEW index version and returns it.
 // The receiver is left exactly as it was: snapshots pinned to it keep
 // serving the pre-batch state. Per-op cost is bounded by the constraints'
-// N plus the trie depth — independent of |D|.
+// N plus the trie depth — independent of |D| — and the buckets are
+// installed under one edit token, so a trie node the batch touches is
+// copied once per batch, however many of its buckets the batch writes.
 func (vx *VIndex) Apply(a *Applied) (*VIndex, error) {
 	out := &VIndex{access: vx.access, dict: vx.dict, cons: make(map[string]*vcon, len(vx.cons))}
 	for k, vc := range vx.cons {
@@ -169,15 +173,18 @@ func (vx *VIndex) Apply(a *Applied) (*VIndex, error) {
 		}
 	}
 
-	// Install the privatized buckets into fresh trie versions, one path
-	// copy per touched hash.
+	// Install the privatized buckets into the next trie versions. The
+	// token lives only for this loop: once Apply returns, nothing can
+	// write the nodes it owns, and the new version is as immutable as
+	// its predecessors.
+	ed := new(epoch.Edit)
 	for vc, buckets := range cloned {
 		nvc := &vcon{c: vc.c, xpos: vc.xpos, xypos: vc.xypos, xyAttrs: vc.xyAttrs, groups: vc.groups}
 		for h, b := range buckets {
 			if len(b) == 0 {
-				nvc.groups = nvc.groups.Delete(h)
+				nvc.groups = nvc.groups.DeleteIn(ed, h)
 			} else {
-				nvc.groups = nvc.groups.Set(h, b)
+				nvc.groups = nvc.groups.SetIn(ed, h, b)
 			}
 		}
 		out.cons[vc.c.Key()] = nvc
@@ -263,8 +270,9 @@ func (vx *VIndex) Compact() (*VIndex, int) {
 			continue
 		}
 		nvc := &vcon{c: vc.c, xpos: vc.xpos, xypos: vc.xypos, xyAttrs: vc.xyAttrs, groups: vc.groups}
+		ed := new(epoch.Edit)
 		for _, r := range todo {
-			nvc.groups = nvc.groups.Set(r.h, r.b)
+			nvc.groups = nvc.groups.SetIn(ed, r.h, r.b)
 		}
 		out.cons[k] = nvc
 		repacked += len(todo)

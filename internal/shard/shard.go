@@ -121,25 +121,23 @@ func (e *Epoch) probe(i int) {
 	}
 }
 
-// gatheredView is one view's extent as pinned by an epoch. Views whose
-// merged form is cheap (global engine, single shard) are published
-// eagerly; a co-partitioned view at P > 1 pins the P immutable per-shard
-// headers at publish time and merges them on FIRST read, memoized — so a
-// write-heavy epoch never pays for views nobody reads, and an unchanged
-// view shares its gatheredView (and memo) with every later epoch until
-// it next changes.
+// gatheredView is one view's extent as pinned by an epoch: the immutable
+// chunked header(s) the engines published (one per shard for a
+// co-partitioned view at P > 1, else one), flattened into the
+// [][]uint32 readers get on FIRST read and memoized — so a write-heavy
+// epoch never pays for views nobody reads, and an unchanged view shares
+// its gatheredView (and memo) with every later epoch until it next
+// changes.
 type gatheredView struct {
 	once    sync.Once
 	rows    [][]uint32
-	compute func() [][]uint32 // nil when published eagerly
+	compute func() [][]uint32
 }
 
 func (g *gatheredView) get() [][]uint32 {
 	g.once.Do(func() {
-		if g.compute != nil {
-			g.rows = g.compute()
-			g.compute = nil
-		}
+		g.rows = g.compute()
+		g.compute = nil
 	})
 	return g.rows
 }
@@ -269,7 +267,6 @@ type Sharded struct {
 	shards     []*state
 	g          *eval.DeltaEngine // global engine; nil when every view is co-partitioned
 	local      map[string]bool
-	repub      map[string]bool // views repacked by Compact, to re-pin next publish
 	statsChurn int
 	statsVer   uint64
 	seq        uint64
@@ -502,32 +499,33 @@ func (s *Sharded) publish(prev *Epoch, dirty map[string]bool, stats *plan.Stats)
 }
 
 // pinView pins one view's extent for the next epoch: the global engine's
-// COW header for non-co-partitioned views, the single shard's header at
-// P=1, and otherwise the P immutable per-shard COW headers with a lazy
+// copy-on-write header for non-co-partitioned views, the single shard's
+// header at P=1, and otherwise the P per-shard headers with a lazy
 // deduplicating merge (shard extents of a co-partitioned view can
 // overlap when the view's head does not bind the partition key — the
 // same row derived on two shards — so the merge dedups; the merged
 // extent is exactly the set one engine over all of D would serve).
+// Pinning copies one pointer per 32 rows; flattening waits for a reader.
 func (s *Sharded) pinView(name string) *gatheredView {
 	if !s.local[name] {
-		return &gatheredView{rows: s.g.PublishExtentIDs(name)}
+		return &gatheredView{compute: s.g.PublishExtentIDs(name).Rows}
 	}
 	if len(s.shards) == 1 {
-		return &gatheredView{rows: s.shards[0].eng.PublishExtentIDs(name)}
+		return &gatheredView{compute: s.shards[0].eng.PublishExtentIDs(name).Rows}
 	}
-	headers := make([][][]uint32, len(s.shards))
+	headers := make([]eval.ExtentHeader, len(s.shards))
 	for i, st := range s.shards {
 		headers[i] = st.eng.PublishExtentIDs(name)
 	}
 	return &gatheredView{compute: func() [][]uint32 {
 		total := 0
 		for _, h := range headers {
-			total += len(h)
+			total += h.Len()
 		}
 		out := make([][]uint32, 0, total)
 		seen := intern.NewSet(total)
 		for _, h := range headers {
-			for _, r := range h {
+			for _, r := range h.Rows() {
 				if seen.Add(r) {
 					out = append(out, r)
 				}
@@ -674,14 +672,6 @@ func (s *Sharded) ApplyDelta(inserts, deletes []instance.Op) (DeltaStats, error)
 	}
 
 	stats.ViewsChanged = len(dirty)
-	// Views a compaction repacked since the last batch re-pin even when
-	// unchanged: a published header pins its whole pre-repack backing
-	// array, so only a fresh header moves later epochs off it. They do not
-	// count toward ViewsChanged — their contents are identical.
-	for name := range s.repub {
-		dirty[name] = true
-	}
-	s.repub = nil
 	prev := s.cur.Load()
 	// The drift decision is COMPUTED before the journal append but ACTED
 	// ON only after it succeeds: a journal failure must leave the stats
@@ -711,43 +701,20 @@ func (s *Sharded) ApplyDelta(inserts, deletes []instance.Op) (DeltaStats, error)
 	return stats, nil
 }
 
-// Compact repacks writer-side copy-on-write storage whose live fraction
-// dropped: every shard's view extents (plus the global engine's) below
-// the (minCap, frac) thresholds, and — when repackIndexes is set — each
-// shard's fetch-index slack buckets. It returns the repacked extent and
-// bucket counts and queues the repacked views for re-pinning on the next
-// publish (see the repub merge in ApplyDelta). Safe to call between
-// batches; a no-op after Close.
-func (s *Sharded) Compact(minCap int, frac float64, repackIndexes bool) (extents, groups int) {
+// Compact repacks every shard's fetch-index slack buckets to exact
+// capacity (see instance.VIndex.Compact) and returns the number of
+// buckets repacked; the next published epoch carries the repacked
+// versions. View extents need no pass: their chunks are freed as they
+// empty. Safe to call between batches; a no-op after Close.
+func (s *Sharded) Compact() (groups int) {
 	s.batchMu.Lock()
 	defer s.batchMu.Unlock()
-	if s.shards == nil {
-		return 0, 0
-	}
-	mark := func(names []string) {
-		for _, n := range names {
-			if s.repub == nil {
-				s.repub = make(map[string]bool)
-			}
-			s.repub[n] = true
-		}
-	}
 	for _, st := range s.shards {
-		names := st.eng.CompactExtents(minCap, frac)
-		extents += len(names)
-		mark(names)
-		if repackIndexes {
-			vix, n := st.vix.Compact()
-			st.vix = vix
-			groups += n
-		}
+		vix, n := st.vix.Compact()
+		st.vix = vix
+		groups += n
 	}
-	if s.g != nil {
-		names := s.g.CompactExtents(minCap, frac)
-		extents += len(names)
-		mark(names)
-	}
-	return extents, groups
+	return groups
 }
 
 // sizeNow sums the writer-side shard sizes (callers hold batchMu).

@@ -13,23 +13,14 @@ import (
 // left the retention ring (or was never published).
 var ErrEpochRetired = fmt.Errorf("repro: epoch retired from the retention ring")
 
-// Compaction thresholds. A compaction pass runs on the writer after a
-// retired epoch's last pin drops; it repacks copy-on-write storage whose
-// live fraction fell below these bounds (the pass itself is a cheap
-// len/cap scan — actual repacking only happens when a threshold trips).
-const (
-	// extentCompactMinCap: view-extent backing arrays below this capacity
-	// are never repacked — the copy costs more than the slack is worth.
-	extentCompactMinCap = 1024
-	// extentCompactFrac: repack an extent's backing array when the live
-	// rows occupy less than this fraction of its capacity.
-	extentCompactFrac = 0.5
-	// vindexCompactEvery: compaction passes between full fetch-index
-	// repacks. The index repack walks the whole trie (O(index), vs the
-	// extent scan's O(views)), so it runs on a coarse cadence; amortized
-	// per-batch cost stays O(index)/vindexCompactEvery.
-	vindexCompactEvery = 512
-)
+// vindexCompactEvery is the compaction cadence. A compaction pass is
+// counted on the writer after a retired epoch's last pin drops, and every
+// vindexCompactEvery passes the fetch indices shed the insert slack
+// copy-on-write left behind. The repack walks the whole trie (O(index)),
+// so it runs on this coarse cadence; amortized per-batch cost stays
+// O(index)/vindexCompactEvery. View extents need no pass: they are
+// chunked, and a chunk is freed as soon as shrinking empties it.
+const vindexCompactEvery = 512
 
 // LifecycleStats reports a handle's epoch-retention and reclamation
 // counters (see Handle.Lifecycle). Reclamation counters are advisory:
@@ -55,9 +46,6 @@ type LifecycleStats struct {
 	FinalizedSnapshots int64
 	// CompactionPasses counts writer-side compaction scans.
 	CompactionPasses int64
-	// RepackedExtents counts view extents whose backing array was
-	// repacked below the live-fraction threshold.
-	RepackedExtents int64
 	// RepackedIndexGroups counts fetch-index groups repacked to exact
 	// capacity (summed across shards).
 	RepackedIndexGroups int64
@@ -79,7 +67,6 @@ type lifecycle struct {
 	finalized atomic.Int64
 	reclaimed atomic.Int64
 	passes    atomic.Int64
-	extents   atomic.Int64
 	groups    atomic.Int64
 	scans     int // writer-side cadence counter for the fetch-index repack
 
@@ -110,8 +97,6 @@ func newLifecycle(retain int, met *obs.Core) *lifecycle {
 			"epochs whose last pin dropped after leaving the ring", lc.reclaimed.Load)
 		met.Reg.GaugeFunc("repro_compaction_passes_total",
 			"writer-side compaction scans", lc.passes.Load)
-		met.Reg.GaugeFunc("repro_compaction_extents_total",
-			"view extents repacked below the live-fraction threshold", lc.extents.Load)
 		met.Reg.GaugeFunc("repro_compaction_index_groups_total",
 			"fetch-index groups repacked to exact capacity", lc.groups.Load)
 	}
@@ -237,7 +222,6 @@ func (lc *lifecycle) stats() LifecycleStats {
 		ReclaimedEpochs:     lc.reclaimed.Load(),
 		FinalizedSnapshots:  lc.finalized.Load(),
 		CompactionPasses:    lc.passes.Load(),
-		RepackedExtents:     lc.extents.Load(),
 		RepackedIndexGroups: lc.groups.Load(),
 	}
 }
