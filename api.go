@@ -51,7 +51,7 @@ type (
 	AccessSchema = access.Schema
 	// Database is an in-memory instance.
 	Database = instance.Database
-	// Indexed is a database with the constraint indices built.
+	// Indexed is the fetch index of a database, with fetch counters.
 	Indexed = instance.Indexed
 	// Tuple is a database row.
 	Tuple = instance.Tuple
@@ -284,7 +284,7 @@ func (sys *System) PrepareViews(ix *Indexed, views map[string][][]string) *Prepa
 // tuples fetched from the underlying database by this call (|Dξ|).
 func (sys *System) ExecutePrepared(p Plan, ix *Indexed, pv *PreparedViewSet) ([][]string, int, error) {
 	before := ix.FetchedTuples()
-	rows, err := plan.RunPrepared(p, ix, pv)
+	rows, err := plan.RunOn(p, ix, pv)
 	if err != nil {
 		return nil, 0, err
 	}

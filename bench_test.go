@@ -212,11 +212,28 @@ func BenchmarkFig1_PlanXi0(b *testing.B) {
 			views := fig1Fixture.prepared[size]
 			for i := 0; i < b.N; i++ {
 				ix.ResetCounters()
-				if _, err := plan.RunPrepared(fig1Fixture.plan, ix, views); err != nil {
+				if _, err := plan.RunOn(fig1Fixture.plan, ix, views); err != nil {
 					b.Fatal(err)
 				}
 				if ix.FetchedTuples() > 2*fig1Fixture.m.N0 {
 					b.Fatal("fetch bound violated")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkBuildIndexes builds the per-constraint fetch indices over the
+// Figure 1 instance: the one-off set-up cost of the static path.
+func BenchmarkBuildIndexes(b *testing.B) {
+	fig1Setup(b)
+	for _, size := range []int{1000, 10000, 100000} {
+		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
+			db := fig1Fixture.dbs[size]
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := instance.BuildIndexes(db, fig1Fixture.m.Access); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})
@@ -511,7 +528,7 @@ func BenchmarkEx63_FOPlan(b *testing.B) {
 	pv := plan.PrepareViews(ix, views)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := plan.RunPrepared(p, ix, pv)
+		rows, err := plan.RunOn(p, ix, pv)
 		if err != nil || len(rows) == 0 {
 			b.Fatal("the FO plan must answer true on T_Q")
 		}

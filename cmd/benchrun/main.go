@@ -353,7 +353,7 @@ func expF1() {
 		}
 		pv := plan.PrepareViews(ix, views)
 		t0 := time.Now()
-		rows, err := plan.RunPrepared(xi0, ix, pv)
+		rows, err := plan.RunOn(xi0, ix, pv)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,7 +5,8 @@
 // (the PTIME effective syntax), synthesizes the bounded plan, and compares
 // plan execution against full-scan evaluation across growing instances —
 // regenerating the shape of the paper's ">90% of queries improved"
-// finding.
+// finding. It exits non-zero when a plan's answers differ from the full
+// scan's or it fetches more tuples than its conformance bound.
 package main
 
 import (
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/cq"
 	"repro/internal/eval"
 	"repro/internal/plan"
 	"repro/internal/topped"
@@ -32,6 +34,7 @@ func main() {
 	fmt.Println("\n--- Topped-ness (PTIME effective syntax, Theorem 5.1) ---")
 	toppedCount := 0
 	plans := map[string]repro.Plan{}
+	bounds := map[string]int64{} // query -> the plan's derived fetch bound
 	for _, q := range queries {
 		res := checker.Check(q.FO, 128)
 		status := "NOT topped"
@@ -39,6 +42,7 @@ func main() {
 			status = fmt.Sprintf("topped, %2d-node plan", res.Size)
 			toppedCount++
 			plans[q.Name] = res.Plan
+			bounds[q.Name] = plan.Conforms(res.Plan, c.Schema, c.Access, nil).FetchBound
 		}
 		fmt.Printf("  %-4s %-42s %s\n", q.Name, q.Descr, status)
 	}
@@ -78,8 +82,11 @@ func main() {
 				log.Fatal(err)
 			}
 			directTime := time.Since(t0)
-			if len(rows) != len(direct) {
-				log.Fatalf("%s: plan %d rows, scan %d rows", q.Name, len(rows), len(direct))
+			if !cq.RowsEqual(rows, direct) {
+				log.Fatalf("%s: plan and scan answers differ (%d vs %d rows)", q.Name, len(rows), len(direct))
+			}
+			if f := int64(ix.FetchedTuples()); f > bounds[q.Name] {
+				log.Fatalf("%s: fetched %d tuples, above the plan's bound %d", q.Name, f, bounds[q.Name])
 			}
 			fmt.Printf("  %-4s %12s %12s %8.1fx %8d\n",
 				q.Name, planTime.Round(time.Microsecond), directTime.Round(time.Microsecond),

@@ -3,7 +3,8 @@
 // V1; it checks the rewriting Q_ξ of Example 2.3 with the effective
 // syntax, regenerates the 11-node plan ξ0 of Figure 1, and runs it against
 // a generated instance, comparing the fetched-tuple count with the 2·N0
-// bound of Example 2.2.
+// bound of Example 2.2. It exits non-zero when the plan's answers differ
+// from the direct scan's or it fetches more tuples than the bound.
 package main
 
 import (
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/cq"
 	"repro/internal/fo"
 	"repro/internal/workload"
 )
@@ -83,11 +85,17 @@ func main() {
 			log.Fatal(err)
 		}
 		directTime := time.Since(t0)
+		if !cq.RowsEqual(rows, direct) {
+			log.Fatalf("plan and direct scan answers differ (%d vs %d rows)", len(rows), len(direct))
+		}
+		if int64(fetched) > bound {
+			log.Fatalf("plan fetched %d tuples, above its bound %d", fetched, bound)
+		}
 
 		fmt.Printf("\n|D| = %8d tuples: Q0 answers = %3d (plan) / %3d (direct scan)\n",
 			db.Size(), len(rows), len(direct))
 		fmt.Printf("  plan fetched %4d tuples (bound %d) in %8s; direct scan took %8s (%.1fx)\n",
-			fetched, 2*n0, planTime, directTime, float64(directTime)/float64(planTime))
+			fetched, bound, planTime, directTime, float64(directTime)/float64(planTime))
 	}
 
 	// Serving under churn: Open returns the unified Handle; every

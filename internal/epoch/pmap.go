@@ -72,6 +72,67 @@ type slot[V any] struct {
 // NewMap returns the empty map.
 func NewMap[V any]() *Map[V] { return &Map[V]{root: &node[V]{}} }
 
+// Entry is one key/value pair given to Build.
+type Entry[V any] struct {
+	Key uint64
+	Val V
+}
+
+// Build returns the map holding exactly entries, whose keys must be
+// distinct. It builds the trie top-down by one in-place radix partition
+// per level, so every node is allocated once at its exact size, where a
+// run of SetIn regrows a node by one slot per insert. No Edit token owns
+// the result. Build reorders entries.
+func Build[V any](entries []Entry[V]) *Map[V] {
+	root := &node[V]{}
+	if len(entries) > 0 {
+		root = build(entries, 0)
+	}
+	return &Map[V]{root: root, n: len(entries)}
+}
+
+// build returns the node over es at depth. It permutes es so that each
+// chunk's entries are contiguous (an American flag sort step), then
+// recurses into each part of two or more entries.
+func build[V any](es []Entry[V], depth int) *node[V] {
+	if depth*bitsPerLevel >= 64 {
+		panic("epoch: Build given a duplicate key")
+	}
+	var start [fanout + 1]int
+	for i := range es {
+		start[chunk(es[i].Key, depth)+1]++
+	}
+	n := &node[V]{}
+	for c := 0; c < fanout; c++ {
+		if start[c+1] > 0 {
+			n.bitmap |= 1 << c
+		}
+		start[c+1] += start[c]
+	}
+	next := start
+	for c := 0; c < fanout; c++ {
+		for next[c] < start[c+1] {
+			d := chunk(es[next[c]].Key, depth)
+			if d != c {
+				es[next[c]], es[next[d]] = es[next[d]], es[next[c]]
+			}
+			next[d]++
+		}
+	}
+	n.slots = make([]slot[V], 0, bits.OnesCount64(n.bitmap))
+	for c := 0; c < fanout; c++ {
+		part := es[start[c]:start[c+1]]
+		switch len(part) {
+		case 0:
+		case 1:
+			n.slots = append(n.slots, slot[V]{key: part[0].Key, val: part[0].Val})
+		default:
+			n.slots = append(n.slots, slot[V]{child: build(part, depth+1)})
+		}
+	}
+	return n
+}
+
 // Len returns the number of keys.
 func (m *Map[V]) Len() int { return m.n }
 

@@ -209,3 +209,101 @@ func TestMapRangeEarlyStop(t *testing.T) {
 		t.Fatalf("Range visited %d entries after early stop", n)
 	}
 }
+
+// buildFixture returns n distinct keys, a third of them clustered so they
+// collide on all low chunks (forcing deep chains), with their values.
+func buildFixture(n int) ([]Entry[int], map[uint64]int, []uint64) {
+	rng := rand.New(rand.NewSource(11))
+	want := make(map[uint64]int, n)
+	pool := make([]uint64, 0, n+1)
+	for i := 0; len(want) < n; i++ {
+		k := rng.Uint64()
+		if i%3 == 0 {
+			k = uint64(i) << 58
+		}
+		if _, dup := want[k]; !dup {
+			want[k] = i
+			pool = append(pool, k)
+		}
+	}
+	entries := make([]Entry[int], 0, n)
+	for k, v := range want {
+		entries = append(entries, Entry[int]{Key: k, Val: v})
+	}
+	return entries, want, append(pool, 12345) // plus an absent key
+}
+
+// TestBuildMatchesSetIn: a bulk-built map holds exactly what a run of
+// SetIn under one token builds from the same entries.
+func TestBuildMatchesSetIn(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 63, 64, 65, 5000} {
+		entries, want, pool := buildFixture(n)
+		ed := new(Edit)
+		inc := NewMap[int]()
+		for _, e := range entries {
+			inc = inc.SetIn(ed, e.Key, e.Val)
+		}
+		checkMap(t, inc, want, pool)
+		checkMap(t, Build(entries), want, pool)
+	}
+}
+
+// TestBuildExactSize: every node of a bulk-built map is allocated at its
+// exact size, and none belongs to an Edit token.
+func TestBuildExactSize(t *testing.T) {
+	entries, _, _ := buildFixture(20000)
+	nodes := 0
+	var walk func(n *node[int])
+	walk = func(n *node[int]) {
+		nodes++
+		if len(n.slots) != cap(n.slots) {
+			t.Fatalf("node with %d slots has capacity %d", len(n.slots), cap(n.slots))
+		}
+		if n.edit != nil {
+			t.Fatal("bulk-built node owned by an Edit token")
+		}
+		for i := range n.slots {
+			if c := n.slots[i].child; c != nil {
+				walk(c)
+			}
+		}
+	}
+	walk(Build(entries).root)
+	if nodes < 2 {
+		t.Fatalf("walked %d nodes, want a multi-level trie", nodes)
+	}
+}
+
+// TestBuildThenSetInLeavesBuiltVersion: writes under a fresh token after
+// a bulk build copy the nodes they touch, so the built version still
+// reads exactly as built.
+func TestBuildThenSetInLeavesBuiltVersion(t *testing.T) {
+	entries, want, pool := buildFixture(3000)
+	built := Build(entries)
+	ed := new(Edit)
+	m := built
+	oracle := make(map[uint64]int, len(want))
+	for k, v := range want {
+		oracle[k] = v
+	}
+	for i, k := range pool {
+		if i%2 == 0 {
+			m = m.SetIn(ed, k, -i)
+			oracle[k] = -i
+		} else {
+			m = m.DeleteIn(ed, k)
+			delete(oracle, k)
+		}
+	}
+	checkMap(t, m, oracle, pool)
+	checkMap(t, built, want, pool)
+}
+
+func TestBuildDuplicateKeyPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Build must reject a duplicate key")
+		}
+	}()
+	Build([]Entry[int]{{Key: 7, Val: 1}, {Key: 7, Val: 2}})
+}

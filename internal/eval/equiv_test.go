@@ -155,7 +155,7 @@ func TestInternedMatchesReferenceMovies(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameRows(t, "fig1 plan", planRows, want)
-	prepRows, err := plan.RunPrepared(m.Fig1Plan(), ix, plan.PrepareViews(ix, views))
+	prepRows, err := plan.RunOn(m.Fig1Plan(), ix, plan.PrepareViews(ix, views))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,10 @@
 // with the relation's attribute order. Internally every database carries an
 // intern.Dict mapping values to dense uint32 IDs, and each table keeps an
 // ID-encoded shadow of its rows (built lazily, extended incrementally on
-// append) that the evaluation engines operate on. Indexed wraps a Database
-// with one hash index per access constraint and accounts for every tuple
-// fetched, which is how the benchmark harness measures |Dξ|.
+// append) that the evaluation engines operate on. VIndex is the one fetch
+// index: a persistent, epoch-versioned hash trie per access constraint.
+// Indexed is a fetch-counting view of one VIndex, which is how the
+// benchmark harness measures |Dξ|.
 package instance
 
 import (
@@ -301,7 +302,7 @@ type Op struct {
 
 // AppliedOp is one physically applied mutation, with the row ID-encoded
 // against the database dictionary — the currency of the incremental
-// maintenance layers (Indexed.Apply, eval's delta engine).
+// maintenance layers (VIndex.Apply, eval's delta engine).
 type AppliedOp struct {
 	Rel string
 	IDs []uint32
@@ -323,7 +324,7 @@ type Applied struct {
 // match) before anything is mutated.
 //
 // The returned Applied lists what actually changed, for feeding the
-// incremental index and view maintenance (Indexed.Apply, eval.DeltaEngine).
+// incremental index and view maintenance (VIndex.Apply, eval.DeltaEngine).
 // Not safe for concurrent use with readers; callers serialize (see
 // internal/shard's batch lock).
 func (db *Database) ApplyDelta(inserts, deletes []Op) (*Applied, error) {

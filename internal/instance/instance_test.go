@@ -210,11 +210,11 @@ func TestRestoreRows(t *testing.T) {
 		}
 	}
 	// The restored table serves fetches (indexes rebuilt from the rows).
-	vx, err := BuildVIndex(r, access.NewSchema(c))
+	ix, err := BuildIndexes(r, access.NewSchema(c))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := vx.Fetch(c, Tuple{"a1"})
+	rows, err := ix.Fetch(c, Tuple{"a1"})
 	if err != nil || len(rows) != 2 {
 		t.Fatalf("fetch on restored table: %v rows, err %v", rows, err)
 	}

@@ -15,75 +15,70 @@ func liveFixture() (*schema.Schema, *access.Schema) {
 	return s, a
 }
 
+// fetchFrom probes one index version with string values, through a
+// counting view of it.
+func fetchFrom(t *testing.T, vx *VIndex, c *access.Constraint, xval Tuple) []Tuple {
+	t.Helper()
+	rows, err := (&Indexed{vx: vx}).Fetch(c, xval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
 // TestIndexedSeesAppliedDelta is the staleness regression test: on the
 // seed behavior, BuildIndexes was a snapshot and fetches never saw tuples
 // inserted afterwards. With incremental index maintenance
-// (Database.ApplyDelta + Indexed.Apply), fetches stay fresh.
+// (Database.ApplyDelta + VIndex.Apply), fetches against the new version
+// stay fresh.
 func TestIndexedSeesAppliedDelta(t *testing.T) {
 	s, a := liveFixture()
 	db := NewDatabase(s)
 	db.MustInsert("R", "x1", "b1", "c1")
-	ix, err := BuildIndexes(db, a)
+	vx, err := BuildVIndex(db, a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := a.Constraints[0]
-
-	rows, err := ix.Fetch(c, Tuple{"x1"})
-	if err != nil {
-		t.Fatal(err)
+	apply := func(ins, del []Op) {
+		t.Helper()
+		applied, err := db.ApplyDelta(ins, del)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vx, err = vx.Apply(applied); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if len(rows) != 1 {
+
+	if rows := fetchFrom(t, vx, c, Tuple{"x1"}); len(rows) != 1 {
 		t.Fatalf("baseline fetch: got %v", rows)
 	}
 
-	// Insert after BuildIndexes, through the delta path.
-	applied, err := db.ApplyDelta([]Op{{Rel: "R", Row: Tuple{"x1", "b2", "c1"}}, {Rel: "R", Row: Tuple{"x9", "b9", "c9"}}}, nil)
-	if err != nil {
-		t.Fatal(err)
+	// Insert after BuildVIndex, through the delta path.
+	apply([]Op{{Rel: "R", Row: Tuple{"x1", "b2", "c1"}}, {Rel: "R", Row: Tuple{"x9", "b9", "c9"}}}, nil)
+	if rows := fetchFrom(t, vx, c, Tuple{"x1"}); len(rows) != 2 {
+		t.Fatalf("fetch must see the tuple inserted after BuildVIndex: got %v", rows)
 	}
-	if err := ix.Apply(applied); err != nil {
-		t.Fatal(err)
-	}
-	rows, err = ix.Fetch(c, Tuple{"x1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("fetch must see the tuple inserted after BuildIndexes: got %v", rows)
-	}
-	rows, err = ix.Fetch(c, Tuple{"x9"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 {
-		t.Fatalf("fetch must see a fresh X-value inserted after BuildIndexes: got %v", rows)
+	if rows := fetchFrom(t, vx, c, Tuple{"x9"}); len(rows) != 1 {
+		t.Fatalf("fetch must see a fresh X-value inserted after BuildVIndex: got %v", rows)
 	}
 
 	// Delete one of them again: the index must retract it.
-	applied, err = db.ApplyDelta(nil, []Op{{Rel: "R", Row: Tuple{"x1", "b2", "c1"}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Apply(applied); err != nil {
-		t.Fatal(err)
-	}
-	rows, err = ix.Fetch(c, Tuple{"x1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 || rows[0][1] != "b1" {
+	apply(nil, []Op{{Rel: "R", Row: Tuple{"x1", "b2", "c1"}}})
+	if rows := fetchFrom(t, vx, c, Tuple{"x1"}); len(rows) != 1 || rows[0][1] != "b1" {
 		t.Fatalf("after delete, fetch must retract the row: got %v", rows)
 	}
 }
 
 // TestIndexedApplyCountsSharedProjections pins the reference-counting
-// detail: two base rows that agree on X ∪ Y derive ONE fetched projection,
-// which must survive the deletion of either row and vanish with the last.
+// detail of VIndex.Apply: two base rows that agree on X ∪ Y derive ONE
+// fetched projection, which must survive the deletion of either row and
+// vanish with the last.
 func TestIndexedApplyCountsSharedProjections(t *testing.T) {
 	s, a := liveFixture() // X={A}, Y={B}: attribute C is outside X ∪ Y
 	db := NewDatabase(s)
-	ix, err := BuildIndexes(db, a)
+	vx, err := BuildVIndex(db, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,20 +89,20 @@ func TestIndexedApplyCountsSharedProjections(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ix.Apply(applied); err != nil {
+		if vx, err = vx.Apply(applied); err != nil {
 			t.Fatal(err)
 		}
 	}
 	step([]Op{{Rel: "R", Row: Tuple{"x", "b", "c1"}}, {Rel: "R", Row: Tuple{"x", "b", "c2"}}}, nil)
-	if rows, _ := ix.Fetch(c, Tuple{"x"}); len(rows) != 1 {
+	if rows := fetchFrom(t, vx, c, Tuple{"x"}); len(rows) != 1 {
 		t.Fatalf("shared AB-projection must be fetched once: got %v", rows)
 	}
 	step(nil, []Op{{Rel: "R", Row: Tuple{"x", "b", "c1"}}})
-	if rows, _ := ix.Fetch(c, Tuple{"x"}); len(rows) != 1 {
+	if rows := fetchFrom(t, vx, c, Tuple{"x"}); len(rows) != 1 {
 		t.Fatalf("projection still derived by (x,b,c2): got %v", rows)
 	}
 	step(nil, []Op{{Rel: "R", Row: Tuple{"x", "b", "c2"}}})
-	if rows, _ := ix.Fetch(c, Tuple{"x"}); len(rows) != 0 {
+	if rows := fetchFrom(t, vx, c, Tuple{"x"}); len(rows) != 0 {
 		t.Fatalf("last deriving row gone, projection must vanish: got %v", rows)
 	}
 }

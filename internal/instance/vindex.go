@@ -9,32 +9,34 @@ import (
 )
 
 // VIndex is one immutable epoch version of the per-constraint fetch
-// indices: the same index function Indexed realizes, but versioned for
-// epoch-based snapshot reads. A VIndex is never mutated after it is
-// published — Apply returns a NEW version that shares every untouched
-// group with its predecessor (the groups live in a persistent hash trie,
-// epoch.Map, written under one edit token per Apply, so one batch copies
-// each trie node on its touched paths once, and only the group entries it
-// touches). Readers therefore probe any pinned version without locks,
-// concurrently with the writer deriving the next one.
+// indices: the "index function" an access constraint promises, which,
+// given an X-value a̅, returns D_{R:XY}(X = a̅) in O(N) time. It stores
+// ID-encoded rows keyed by a 64-bit hash of the packed X-projection (with
+// collision verification), so fetch probes never touch strings. A VIndex
+// is never mutated after it is published: Apply returns a NEW version
+// that shares every untouched group with its predecessor (the groups live
+// in a persistent hash trie, epoch.Map, written under one edit token per
+// Apply, so one batch copies each trie node on its touched paths once,
+// and only the group entries it touches). Readers therefore probe any
+// pinned version without locks, concurrently with the writer deriving
+// the next one.
 //
-// Unlike Indexed, a VIndex does no fetch accounting of its own: it is a
-// pure data version. Serving layers wrap it (the facade's Snapshot) and
-// attribute fetched tuples per call, per snapshot and per handle exactly.
+// A VIndex does no fetch accounting of its own: it is a pure data
+// version. Indexed counts fetches over a static one; the serving layers
+// (the facade's Snapshot, the shard engine) attribute fetched tuples per
+// call, per snapshot and per handle.
 type VIndex struct {
-	access *access.Schema
-	dict   *intern.Dict
-	cons   map[string]*vcon // immutable map: rebuilt (shallow) per Apply
+	dict *intern.Dict
+	cons map[string]*vcon // immutable map: rebuilt (shallow) per Apply
 }
 
 // vcon is one constraint's index version. The struct is immutable; Apply
 // clones it before swapping in a new groups root.
 type vcon struct {
-	c       *access.Constraint
-	xpos    []int    // X attribute positions in the relation
-	xypos   []int    // X ∪ Y attribute positions (sorted attr order)
-	xyAttrs []string // attribute names of the stored projections
-	groups  *epoch.Map[[]vgroup]
+	c      *access.Constraint
+	xpos   []int // X attribute positions in the relation
+	xypos  []int // X ∪ Y attribute positions (sorted attr order)
+	groups *epoch.Map[[]vgroup]
 }
 
 // vgroup is one X-value group: the distinct XY-projections with their base
@@ -51,11 +53,7 @@ type vgroup struct {
 // BuildVIndex constructs the initial epoch version of the fetch indices
 // over db's current contents, one per access constraint.
 func BuildVIndex(db *Database, a *access.Schema) (*VIndex, error) {
-	vx := &VIndex{
-		access: a,
-		dict:   db.Dict,
-		cons:   make(map[string]*vcon, len(a.Constraints)),
-	}
+	vx := &VIndex{dict: db.Dict, cons: make(map[string]*vcon, len(a.Constraints))}
 	for _, c := range a.Constraints {
 		t := db.Table(c.Rel)
 		if t == nil {
@@ -65,23 +63,23 @@ func BuildVIndex(db *Database, a *access.Schema) (*VIndex, error) {
 		if err != nil {
 			return nil, err
 		}
-		xy := c.XY()
-		xypos, err := t.Rel.Positions(xy)
+		xypos, err := t.Rel.Positions(c.XY())
 		if err != nil {
 			return nil, err
 		}
-		vc := &vcon{c: c, xpos: xpos, xypos: xypos, xyAttrs: xy, groups: epoch.NewMap[[]vgroup]()}
-		// Bulk build: mutate freshly allocated buckets in place (nothing is
-		// published yet), going through the trie only per distinct hash.
+		// Stage the buckets in place (nothing is published yet), then
+		// build the trie in one pass with exact-size nodes.
+		vc := &vcon{c: c, xpos: xpos, xypos: xypos}
 		staged := map[uint64][]vgroup{}
 		for _, r := range t.IDRows() {
 			h := intern.HashAt(r, xpos)
 			staged[h] = addToBucket(staged[h], r, vc)
 		}
-		ed := new(epoch.Edit)
+		entries := make([]epoch.Entry[[]vgroup], 0, len(staged))
 		for h, b := range staged {
-			vc.groups = vc.groups.SetIn(ed, h, b)
+			entries = append(entries, epoch.Entry[[]vgroup]{Key: h, Val: b})
 		}
+		vc.groups = epoch.Build(entries)
 		vx.cons[c.Key()] = vc
 	}
 	return vx, nil
@@ -120,12 +118,10 @@ func addToBucket(b []vgroup, r []uint32, vc *vcon) []vgroup {
 // installed under one edit token, so a trie node the batch touches is
 // copied once per batch, however many of its buckets the batch writes.
 func (vx *VIndex) Apply(a *Applied) (*VIndex, error) {
-	out := &VIndex{access: vx.access, dict: vx.dict, cons: make(map[string]*vcon, len(vx.cons))}
+	out := &VIndex{dict: vx.dict, cons: make(map[string]*vcon, len(vx.cons))}
+	byRel := make(map[string][]*vcon)
 	for k, vc := range vx.cons {
 		out.cons[k] = vc
-	}
-	byRel := make(map[string][]*vcon)
-	for _, vc := range vx.cons {
 		byRel[vc.c.Rel] = append(byRel[vc.c.Rel], vc)
 	}
 	// cloned tracks per-constraint buckets already privatized during THIS
@@ -152,9 +148,6 @@ func (vx *VIndex) Apply(a *Applied) (*VIndex, error) {
 		m[h] = b
 		return b
 	}
-	store := func(vc *vcon, h uint64, b []vgroup) {
-		cloned[vc][h] = b
-	}
 
 	for _, op := range a.Deleted {
 		for _, vc := range byRel[op.Rel] {
@@ -163,13 +156,14 @@ func (vx *VIndex) Apply(a *Applied) (*VIndex, error) {
 			if err != nil {
 				return nil, err
 			}
-			store(vc, h, b)
+			cloned[vc][h] = b
 		}
 	}
 	for _, op := range a.Inserted {
 		for _, vc := range byRel[op.Rel] {
 			h := intern.HashAt(op.IDs, vc.xpos)
-			store(vc, h, addToBucket(bucketFor(vc, h), op.IDs, vc))
+			b := addToBucket(bucketFor(vc, h), op.IDs, vc) // creates cloned[vc]
+			cloned[vc][h] = b
 		}
 	}
 
@@ -179,7 +173,7 @@ func (vx *VIndex) Apply(a *Applied) (*VIndex, error) {
 	// its predecessors.
 	ed := new(epoch.Edit)
 	for vc, buckets := range cloned {
-		nvc := &vcon{c: vc.c, xpos: vc.xpos, xypos: vc.xypos, xyAttrs: vc.xyAttrs, groups: vc.groups}
+		nvc := &vcon{c: vc.c, xpos: vc.xpos, xypos: vc.xypos, groups: vc.groups}
 		for h, b := range buckets {
 			if len(b) == 0 {
 				nvc.groups = nvc.groups.DeleteIn(ed, h)
@@ -236,14 +230,12 @@ func removeFromBucket(b []vgroup, r []uint32, vc *vcon) ([]vgroup, error) {
 // is O(index), so callers run it on a coarse cadence (see the facade's
 // vindexCompactEvery), not per batch.
 func (vx *VIndex) Compact() (*VIndex, int) {
-	out := &VIndex{access: vx.access, dict: vx.dict, cons: make(map[string]*vcon, len(vx.cons))}
+	out := &VIndex{dict: vx.dict, cons: make(map[string]*vcon, len(vx.cons))}
 	repacked := 0
 	for k, vc := range vx.cons {
-		type repack struct {
-			h uint64
-			b []vgroup
-		}
-		var todo []repack
+		// Repacked buckets go into a new version under a fresh token, so
+		// the version Range walks never changes under it.
+		groups, n, ed := vc.groups, 0, new(epoch.Edit)
 		vc.groups.Range(func(h uint64, b []vgroup) bool {
 			slack := cap(b) > len(b)
 			for i := range b {
@@ -262,36 +254,18 @@ func (vx *VIndex) Compact() (*VIndex, int) {
 				copy(counts, g.counts)
 				nb[i] = vgroup{x: g.x, rows: rows, counts: counts}
 			}
-			todo = append(todo, repack{h, nb})
+			groups = groups.SetIn(ed, h, nb)
+			n++
 			return true
 		})
-		if len(todo) == 0 {
+		if n == 0 {
 			out.cons[k] = vc // fully compact already: share the version
 			continue
 		}
-		nvc := &vcon{c: vc.c, xpos: vc.xpos, xypos: vc.xypos, xyAttrs: vc.xyAttrs, groups: vc.groups}
-		ed := new(epoch.Edit)
-		for _, r := range todo {
-			nvc.groups = nvc.groups.SetIn(ed, r.h, r.b)
-		}
-		out.cons[k] = nvc
-		repacked += len(todo)
+		out.cons[k] = &vcon{c: vc.c, xpos: vc.xpos, xypos: vc.xypos, groups: groups}
+		repacked += n
 	}
 	return out, repacked
-}
-
-// Dict returns the dictionary rows are interned against, making VIndex a
-// plan.Source (an accounting-free one; serving layers wrap it).
-func (vx *VIndex) Dict() *intern.Dict { return vx.dict }
-
-// FetchAttrs returns the attribute names (ordered) of the tuples a Fetch
-// over constraint c yields: the sorted union X ∪ Y.
-func (vx *VIndex) FetchAttrs(c *access.Constraint) []string {
-	vc, ok := vx.cons[c.Key()]
-	if !ok {
-		return nil
-	}
-	return vc.xyAttrs
 }
 
 // FetchIDs performs fetch(X = xval, R, Y) against this version: the
@@ -315,30 +289,16 @@ func (vx *VIndex) FetchIDs(c *access.Constraint, xval []uint32) ([][]uint32, err
 	return nil, nil
 }
 
-// Fetch is FetchIDs over string values, decoding the result — the
-// convenience form mirroring Indexed.Fetch (again without accounting).
-func (vx *VIndex) Fetch(c *access.Constraint, xval Tuple) ([]Tuple, error) {
-	if len(xval) != len(c.X) {
-		return nil, fmt.Errorf("instance: fetch on %s expects %d input values, got %d", c, len(c.X), len(xval))
+// projEq reports whether proj equals the projection of row at pos, without
+// allocating.
+func projEq(proj, row []uint32, pos []int) bool {
+	if len(proj) != len(pos) {
+		return false
 	}
-	if _, ok := vx.cons[c.Key()]; !ok {
-		return nil, fmt.Errorf("instance: no index for constraint %s", c)
-	}
-	key := make([]uint32, len(xval))
-	for i, v := range xval {
-		id, ok := vx.dict.Lookup(v)
-		if !ok {
-			return nil, nil // value never occurs in D: no row can match
+	for i, p := range pos {
+		if proj[i] != row[p] {
+			return false
 		}
-		key[i] = id
 	}
-	idRows, err := vx.FetchIDs(c, key)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Tuple, len(idRows))
-	for i, r := range idRows {
-		rows[i] = Tuple(vx.dict.Decode(r))
-	}
-	return rows, nil
+	return true
 }

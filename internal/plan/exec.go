@@ -7,16 +7,16 @@ import (
 	"sync"
 
 	"repro/internal/access"
-	"repro/internal/instance"
 	"repro/internal/intern"
 	"repro/internal/par"
 )
 
 // Source is what plan execution reads the underlying database through: the
 // value dictionary rows are interned against, and the fetch function of the
-// access constraints. instance.Indexed is the single-machine source; the
-// sharded engine (internal/shard) implements a scatter-gather source that
-// routes each fetch to the owning partition or gathers across all of them.
+// access constraints. Every source probes the one fetch index,
+// instance.VIndex: instance.Indexed is a fetch-counting view of a static
+// version, and the serving engine (internal/shard) routes each fetch to
+// the owning partition's pinned version or gathers across all of them.
 // FetchIDs must return the distinct XY-projections for the X-value and is
 // responsible for its own fetch accounting; returned rows must stay valid
 // (and unmutated) for the duration of the plan run.
@@ -31,18 +31,19 @@ type Source interface {
 // incur any I/O").
 type Materialized map[string][][]string
 
-// Run executes the plan bottom-up over the indexed instance (Section 2's
-// operational semantics), returning the root relation with set semantics.
-// All access to the underlying database is via ix.Fetch, so ix's counters
-// measure |Dξ| afterwards. Execution is interned end-to-end: rows are
-// ID-encoded against the database dictionary and decoded only here at the
-// boundary. Independent subtrees (products, unions, differences, the two
-// sides of a hash join) run concurrently on the bounded worker pool;
-// Indexed's atomic counters keep the |Dξ| accounting exact. Each view the
-// plan reads is interned once, on first read, for this run only.
-func Run(n Node, ix *instance.Indexed, views Materialized) ([][]string, error) {
-	d := ix.DB.Dict
-	return RunOn(n, ix, NewLazyPreparedViews(d, func(name string) ([][]uint32, bool) {
+// Run executes the plan bottom-up over src (Section 2's operational
+// semantics), returning the root relation with set semantics. All access
+// to the underlying database is via src.FetchIDs, so a counting source
+// (instance.Indexed) measures |Dξ| afterwards. Execution is interned
+// end-to-end: rows are ID-encoded against the source's dictionary and
+// decoded only here at the boundary. Independent subtrees (products,
+// unions, differences, the two sides of a hash join) run concurrently on
+// the bounded worker pool, so the source's accounting must be safe for
+// concurrent fetches. Each view the plan reads is interned once, on first
+// read, for this run only.
+func Run(n Node, src Source, views Materialized) ([][]string, error) {
+	d := src.Dict()
+	return RunOn(n, src, NewLazyPreparedViews(d, func(name string) ([][]uint32, bool) {
 		rows, ok := views[name]
 		return encode(d, rows), ok
 	}))
@@ -58,7 +59,7 @@ func encode(d *intern.Dict, rows [][]string) [][]uint32 {
 
 // PreparedViews is the ID-encoded form of a Materialized view set, bound
 // to the dictionary of one database. Preparing once and executing many
-// plans against it (RunPrepared) avoids re-interning large view extents on
+// plans against it (RunOn) avoids re-interning large view extents on
 // every Run — the right shape for benchmark loops and serving paths that
 // reuse a cache.
 //
@@ -172,28 +173,21 @@ func posKey(pos []int) string {
 	return string(b)
 }
 
-// PrepareViews interns the view extents against ix's database dictionary.
-func PrepareViews(ix *instance.Indexed, views Materialized) *PreparedViews {
+// PrepareViews interns the view extents against src's dictionary.
+func PrepareViews(src Source, views Materialized) *PreparedViews {
+	d := src.Dict()
 	rows := make(map[string][][]uint32, len(views))
 	for name, ext := range views {
-		rows[name] = encode(ix.DB.Dict, ext)
+		rows[name] = encode(d, ext)
 	}
-	return &PreparedViews{d: ix.DB.Dict, rows: rows}
+	return &PreparedViews{d: d, rows: rows}
 }
 
-// PrepareIDViews wraps already-interned view extents (e.g. the live
-// extents of eval's delta engine) as PreparedViews bound to ix's database,
-// with no re-encoding. The rows are retained by reference and must not
-// change afterwards; epoch publishers build a fresh PreparedViews (or a
-// lazy one) per version instead of patching.
-func PrepareIDViews(ix *instance.Indexed, rows map[string][][]uint32) *PreparedViews {
-	return NewPreparedViews(ix.DB.Dict, rows)
-}
-
-// NewPreparedViews wraps already-interned view extents bound to an explicit
-// dictionary — the constructor for sources that are not a single Indexed
-// (the sharded engine's gathered extents). The map is copied; the row sets
-// are retained by reference.
+// NewPreparedViews wraps already-interned view extents (e.g. the live
+// extents of eval's delta engine) bound to dictionary d, with no
+// re-encoding. The map is copied; the row sets are retained by reference
+// and must not change afterwards: epoch publishers build a fresh
+// PreparedViews (or a lazy one) per version instead of patching.
 func NewPreparedViews(d *intern.Dict, rows map[string][][]uint32) *PreparedViews {
 	m := make(map[string][][]uint32, len(rows))
 	for name, ext := range rows {
@@ -210,12 +204,6 @@ func NewPreparedViews(d *intern.Dict, rows map[string][][]uint32) *PreparedViews
 // reads.
 func NewLazyPreparedViews(d *intern.Dict, fill func(name string) ([][]uint32, bool)) *PreparedViews {
 	return &PreparedViews{d: d, fill: fill}
-}
-
-// RunPrepared is Run over views prepared with PrepareViews against the
-// same database.
-func RunPrepared(n Node, ix *instance.Indexed, pv *PreparedViews) ([][]string, error) {
-	return RunOn(n, ix, pv)
 }
 
 // RunOn executes the plan against an arbitrary Source with views prepared

@@ -32,15 +32,15 @@ func preparedFixture(t *testing.T) (*instance.Database, *instance.Indexed, func(
 }
 
 // TestPreparedIDViewsServeWithoutReencoding covers the zero-copy path:
-// PrepareIDViews wraps already-interned extents (e.g. the live extents of
+// NewPreparedViews wraps already-interned extents (e.g. the live extents of
 // an epoch) without re-encoding, including rows over IDs interned after
 // the database was indexed.
 func TestPreparedIDViewsServeWithoutReencoding(t *testing.T) {
 	_, ix, enc := preparedFixture(t)
 	node := &plan.View{Name: "V", Cols: []string{"x"}}
 
-	pv := plan.PrepareIDViews(ix, map[string][][]uint32{"V": enc("a", "b")})
-	got, err := plan.RunPrepared(node, ix, pv)
+	pv := plan.NewPreparedViews(ix.Dict(), map[string][][]uint32{"V": enc("a", "b")})
+	got, err := plan.RunOn(node, ix, pv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +51,8 @@ func TestPreparedIDViewsServeWithoutReencoding(t *testing.T) {
 
 	// A dictionary growing (new live values) must not invalidate the
 	// prepared machinery: extents over fresh IDs just work.
-	pv2 := plan.PrepareIDViews(ix, map[string][][]uint32{"V": enc("zz-fresh")})
-	got, err = plan.RunPrepared(node, ix, pv2)
+	pv2 := plan.NewPreparedViews(ix.Dict(), map[string][][]uint32{"V": enc("zz-fresh")})
+	got, err = plan.RunOn(node, ix, pv2)
 	if err != nil {
 		t.Fatal(err)
 	}

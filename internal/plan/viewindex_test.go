@@ -535,7 +535,7 @@ func TestViewIndexBuiltOncePerEpoch(t *testing.T) {
 // paths alike.
 func TestViewWidthErrorEveryCall(t *testing.T) {
 	_, ix, enc := preparedFixture(t)
-	pv := plan.PrepareIDViews(ix, map[string][][]uint32{"V": enc("a", "b")})
+	pv := plan.NewPreparedViews(ix.Dict(), map[string][][]uint32{"V": enc("a", "b")})
 	wide := &plan.View{Name: "V", Cols: []string{"x", "y"}}
 	for _, p := range []plan.Node{
 		wide,
