@@ -1281,9 +1281,9 @@ func liveHeap() int64 {
 // taken and closed along the way — so any heap growth past the warmup
 // floor is retained epoch state. The gate fails the run when the maximal
 // post-warmup live heap exceeds 1.5x the floor: that is the bounded-memory
-// property the epoch lifecycle layer (refcounted retention ring + COW
-// compaction) exists to provide; before it, heap grew linearly with
-// batches applied.
+// property the epoch lifecycle layer (refcounted retention ring over
+// copy-on-write epochs) exists to provide; before it, heap grew linearly
+// with batches applied.
 func expChurnMem() {
 	header("EXP-CHURNMEM — bounded memory: steady-state heap under sustained swap churn")
 	batches := 10000
@@ -1303,8 +1303,8 @@ func expChurnMem() {
 		{"P=1", 1, batches},
 		{"P=4", 4, batches / 4},
 	}
-	fmt.Println("| engine | batches | batch ops | heap floor | heap steady | ratio | reclaimed epochs | compaction passes |")
-	fmt.Println("|---|---|---|---|---|---|---|---|")
+	fmt.Println("| engine | batches | batch ops | heap floor | heap steady | ratio | reclaimed epochs |")
+	fmt.Println("|---|---|---|---|---|---|---|")
 	for _, cfg := range configs {
 		m := workload.NewMovies(50)
 		db := m.Generate(workload.MoviesParams{Persons: 4000, Movies: 4000, LikesPerPerson: 5, NASAShare: 10, Seed: 7})
@@ -1377,10 +1377,10 @@ func expChurnMem() {
 		}
 		ratio := float64(steady) / float64(floor)
 		lc := h.Lifecycle()
-		fmt.Printf("| %s | %d | %d | %.1f MB | %.1f MB | %.2fx | %d | %d |\n",
+		fmt.Printf("| %s | %d | %d | %.1f MB | %.1f MB | %.2fx | %d |\n",
 			cfg.name, cfg.batches, batch,
 			float64(floor)/(1<<20), float64(steady)/(1<<20), ratio,
-			lc.ReclaimedEpochs, lc.CompactionPasses)
+			lc.ReclaimedEpochs)
 		record(measurement{Experiment: "churnmem", Name: cfg.name,
 			Shards: cfg.shards, Batches: cfg.batches, BatchOps: batch,
 			HeapFloorBytes: floor, HeapSteadyBytes: steady, HeapRatio: ratio,

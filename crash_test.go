@@ -88,8 +88,8 @@ func TestCrashChildHelper(t *testing.T) {
 // TestCrashRecoveryDifferential kill-and-restarts the durable engines at
 // randomized points and checks recovery is exact: the recovered handle
 // must match an in-memory oracle fed the first E batches of the same
-// deterministic stream, where E is the recovered epoch — and with inline
-// fsync (zero group-commit window) E must cover every acked batch.
+// deterministic stream, where E is the recovered epoch — and since every
+// batch is fsynced before its ack, E must cover every acked batch.
 // RECOVER_ROUNDS scales the number of kill points (CI sets it higher).
 func TestCrashRecoveryDifferential(t *testing.T) {
 	if testing.Short() {

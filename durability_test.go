@@ -151,8 +151,8 @@ func TestDurableReplay(t *testing.T) {
 				ins, del := ch.Batch(10)
 				applyBoth(t, h, oracle, ins, del)
 			}
-			// No Close: every batch was fsynced inline (zero group-commit
-			// window), so the journal alone carries the whole history.
+			// No Close: every batch was fsynced before its ack, so the
+			// journal alone carries the whole history.
 
 			h2, err := sys.Open(NewDatabase(sys.Schema), dopts...)
 			if err != nil {

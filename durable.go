@@ -24,7 +24,7 @@ type RecoveryInfo struct {
 // walOptions derives the log header fingerprints from the system: durable
 // state written for a different schema or view set must never be replayed
 // here — the interned IDs and plan constants would not line up.
-func (sys *System) walOptions(cfg openConfig) wal.Options {
+func (sys *System) walOptions() wal.Options {
 	names := make([]string, 0, len(sys.Views))
 	for name := range sys.Views {
 		names = append(names, name)
@@ -35,9 +35,8 @@ func (sys *System) walOptions(cfg openConfig) wal.Options {
 		parts = append(parts, n+"="+sys.Views[n].String())
 	}
 	return wal.Options{
-		SchemaFP:    wal.Fingerprint(sys.Schema.String()),
-		ViewsFP:     wal.Fingerprint(parts...),
-		GroupCommit: cfg.groupCommit,
+		SchemaFP: wal.Fingerprint(sys.Schema.String()),
+		ViewsFP:  wal.Fingerprint(parts...),
 	}
 }
 
@@ -105,7 +104,7 @@ func replayInto(rec *wal.Recovered, dict *intern.Dict, apply func(inserts, delet
 // publishes, and replay routes them through the normal per-shard paths,
 // so recovery reproduces the same epochs at any shard count.
 func (sys *System) openDurable(db *Database, cfg openConfig) (*Live, error) {
-	log, rec, err := wal.Open(cfg.durDir, sys.walOptions(cfg))
+	log, rec, err := wal.Open(cfg.durDir, sys.walOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -140,7 +140,7 @@ func TestFeedbackConvergence(t *testing.T) {
 // rebuild: the corrected selection stays corrected.
 func TestFeedbackStickyUnderStatsDrift(t *testing.T) {
 	sys, fx := feedbackSystem(t)
-	h, err := sys.Open(fx.Generate(), WithStatsDrift(0.01), WithStatsMinChurn(1))
+	h, err := sys.Open(fx.Generate())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestFeedbackStickyUnderStatsDrift(t *testing.T) {
 		t.Fatalf("fixture must converge before the drift: %+v (%v)", st0, ok)
 	}
 	_, ver0 := h.Stats()
-	ds, err := h.ApplyDelta(fx.ChurnBatch(0, 200), nil)
+	ds, err := h.ApplyDelta(fx.ChurnBatch(0, 4000), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

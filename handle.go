@@ -42,9 +42,7 @@ import (
 // refcount on its epoch, released by Snapshot.Close or — best-effort —
 // by a GC finalizer backstop when a snapshot is dropped unclosed. An
 // epoch is reclaimable once it has left the ring and no snapshot pins
-// it; its unshared structures become garbage, and the writer reacts to
-// such deaths by compacting copy-on-write storage whose live fraction
-// fell below the thresholds in lifecycle.go (Lifecycle reports the
+// it; its unshared structures become garbage (Lifecycle reports the
 // counters; the README's "Memory & retention" section has the full
 // story). Holding a Snapshot retains its epoch's versions (not the whole
 // history) for as long as the snapshot lives — or until Close releases
@@ -73,7 +71,7 @@ type Handle interface {
 	// published epochs addressable for point-in-time reads. Requests
 	// outside the ring fail with an error wrapping ErrEpochRetired.
 	At(seq uint64) (*Snapshot, error)
-	// Lifecycle reports the handle's epoch-retention and compaction
+	// Lifecycle reports the handle's epoch-retention and reclamation
 	// counters.
 	Lifecycle() LifecycleStats
 	// Views returns a decoded copy of the current epoch's view extents.
@@ -117,29 +115,18 @@ type Handle interface {
 // ErrClosed is returned by ApplyDelta on a closed handle.
 var ErrClosed = fmt.Errorf("repro: handle is closed")
 
-// Statistics drift defaults: rebuild when the physical ops since the last
-// build exceed the drift fraction of the current |D| (and at least the
-// minimum churn, so tiny instances don't rebuild per batch).
-const (
-	defaultStatsDrift    = 0.2
-	defaultStatsMinChurn = 256
-)
-
 // defaultCheckpointEvery is the periodic-checkpoint interval (in applied
 // batches) when WithDurability is given without WithCheckpointEvery.
 const defaultCheckpointEvery = 256
 
 // openConfig collects Open's functional options.
 type openConfig struct {
-	shards        int
-	statsDrift    float64
-	statsMinChurn int
-	retainEpochs  int
-	durDir        string
-	ckptEvery     int
-	groupCommit   time.Duration
-	slowQuery     time.Duration
-	noMetrics     bool
+	shards       int
+	retainEpochs int
+	durDir       string
+	ckptEvery    int
+	slowQuery    time.Duration
+	noMetrics    bool
 }
 
 // OpenOption configures Open.
@@ -151,18 +138,6 @@ type OpenOption func(*openConfig)
 // The default is p = 1, where routing is compiled away and the given
 // database is served in place. Open rejects p < 1.
 func WithShards(p int) OpenOption { return func(c *openConfig) { c.shards = p } }
-
-// WithStatsDrift sets the churn fraction of |D| past which the cost-model
-// statistics are rebuilt (default 0.2).
-func WithStatsDrift(frac float64) OpenOption {
-	return func(c *openConfig) { c.statsDrift = frac }
-}
-
-// WithStatsMinChurn sets the minimum physical ops before a statistics
-// rebuild is considered (default 256).
-func WithStatsMinChurn(n int) OpenOption {
-	return func(c *openConfig) { c.statsMinChurn = n }
-}
 
 // WithRetainEpochs bounds the handle's retention ring: the last n
 // published epochs (including the current one) stay addressable for
@@ -206,16 +181,6 @@ func WithCheckpointEvery(n int) OpenOption {
 	return func(c *openConfig) { c.ckptEvery = n }
 }
 
-// WithGroupCommit sets the fsync batching window of the write-ahead log.
-// Zero (the default) fsyncs inline on every ApplyDelta — each acked batch
-// is durable. A positive window acks after the buffered write and fsyncs
-// at most once per window: a crash may lose up to the last window of acked
-// batches, but recovery still lands on a consistent epoch prefix (never a
-// torn batch). Only meaningful with WithDurability.
-func WithGroupCommit(d time.Duration) OpenOption {
-	return func(c *openConfig) { c.groupCommit = d }
-}
-
 // WithSlowQueryThreshold arms the handle's slow-query log: any plan
 // execution slower than d is traced — query key, plan, candidate index,
 // epoch sequence, per-constraint probe/row counts, join cardinalities
@@ -245,12 +210,7 @@ func WithoutMetrics() OpenOption {
 // and mutates db in place; at P > 1 its rows move into the partitions).
 // The returned Handle is a *Live.
 func (sys *System) Open(db *Database, opts ...OpenOption) (Handle, error) {
-	cfg := openConfig{
-		shards:        1,
-		statsDrift:    defaultStatsDrift,
-		statsMinChurn: defaultStatsMinChurn,
-		ckptEvery:     defaultCheckpointEvery,
-	}
+	cfg := openConfig{shards: 1, ckptEvery: defaultCheckpointEvery}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -268,8 +228,9 @@ var liveIDs atomic.Uint64
 // epochState is one published engine epoch — every structure a reader
 // touches, immutable, and an accounting-free plan.Source — plus the
 // handle's lifecycle fields, the only mutable ones: advisory refcounting
-// that informs compaction and never gates reads (immutability plus the
-// garbage collector keep pinned structures valid without it).
+// that feeds the reclamation counters and never gates reads
+// (immutability plus the garbage collector keep pinned structures valid
+// without it).
 type epochState struct {
 	*shard.Epoch
 
@@ -550,11 +511,7 @@ type Live struct {
 // was restored from: its epoch number, statistics trajectory and (at
 // P = 1) counted view extents seed the engine instead of being recomputed.
 func (sys *System) newLive(db *Database, cfg openConfig, ck *wal.Checkpoint) (*Live, error) {
-	scfg := shard.Config{
-		Shards:         cfg.shards,
-		StatsDriftFrac: cfg.statsDrift,
-		StatsMinChurn:  cfg.statsMinChurn,
-	}
+	scfg := shard.Config{Shards: cfg.shards}
 	// The metrics core stays nil when disabled: every recording site is
 	// nil-safe.
 	var met *obs.Core
@@ -638,7 +595,7 @@ func (l *Live) At(seq uint64) (*Snapshot, error) {
 	return l.lc.snapshotAt(l.id, seq, &l.fetched)
 }
 
-// Lifecycle reports the handle's epoch-retention and compaction counters.
+// Lifecycle reports the handle's epoch-retention and reclamation counters.
 func (l *Live) Lifecycle() LifecycleStats { return l.lc.stats() }
 
 // Execute runs a plan against the current epoch, returning the answer
@@ -694,7 +651,6 @@ func (l *Live) ApplyDelta(inserts, deletes []Op) (DeltaStats, error) {
 		return DeltaStats{}, err
 	}
 	l.publishEpoch()
-	l.maybeCompactLocked()
 	if l.wal != nil {
 		l.sinceCkpt++
 		if l.ckptEvery > 0 && l.sinceCkpt >= l.ckptEvery {
@@ -741,25 +697,6 @@ func (l *Live) checkpointLocked() error {
 	}
 	l.sinceCkpt = 0
 	return nil
-}
-
-// maybeCompactLocked counts one compaction pass when at least one retired
-// epoch died (last pin dropped) since the previous pass, and every
-// vindexCompactEvery passes repacks the fetch indices (the repack walks
-// the whole trie). Callers hold l.mu.
-func (l *Live) maybeCompactLocked() {
-	if l.lc.dead.Swap(0) == 0 {
-		return
-	}
-	l.lc.passes.Add(1)
-	l.lc.scans++
-	if l.lc.scans < vindexCompactEvery {
-		return
-	}
-	l.lc.scans = 0
-	if grp := l.sh.Compact(); grp > 0 {
-		l.lc.groups.Add(int64(grp))
-	}
 }
 
 // Recovery reports what opening this handle's durable directory replayed.

@@ -218,56 +218,6 @@ func removeFromBucket(b []vgroup, r []uint32, vc *vcon) ([]vgroup, error) {
 	return nil, fmt.Errorf("instance: versioned index %s out of sync: deleted row not indexed", vc.c)
 }
 
-// Compact returns a version identical in content whose slack buckets are
-// repacked to exact capacity, plus the number of buckets repacked. Apply
-// privatizes touched buckets with exact-size clones, so most of the index
-// is self-compacting — the slack Compact reclaims is the append headroom
-// addToBucket's grows leave behind (bucket slices and group rows/counts
-// whose capacity outran their length on insert-heavy hashes).
-//
-// The receiver — and every older version snapshots still pin — is left
-// untouched; untouched trie paths are shared with the result. This walk
-// is O(index), so callers run it on a coarse cadence (see the facade's
-// vindexCompactEvery), not per batch.
-func (vx *VIndex) Compact() (*VIndex, int) {
-	out := &VIndex{dict: vx.dict, cons: make(map[string]*vcon, len(vx.cons))}
-	repacked := 0
-	for k, vc := range vx.cons {
-		// Repacked buckets go into a new version under a fresh token, so
-		// the version Range walks never changes under it.
-		groups, n, ed := vc.groups, 0, new(epoch.Edit)
-		vc.groups.Range(func(h uint64, b []vgroup) bool {
-			slack := cap(b) > len(b)
-			for i := range b {
-				if !slack && (cap(b[i].rows) > len(b[i].rows) || cap(b[i].counts) > len(b[i].counts)) {
-					slack = true
-				}
-			}
-			if !slack {
-				return true
-			}
-			nb := make([]vgroup, len(b))
-			for i, g := range b {
-				rows := make([][]uint32, len(g.rows))
-				copy(rows, g.rows)
-				counts := make([]int, len(g.counts))
-				copy(counts, g.counts)
-				nb[i] = vgroup{x: g.x, rows: rows, counts: counts}
-			}
-			groups = groups.SetIn(ed, h, nb)
-			n++
-			return true
-		})
-		if n == 0 {
-			out.cons[k] = vc // fully compact already: share the version
-			continue
-		}
-		out.cons[k] = &vcon{c: vc.c, xpos: vc.xpos, xypos: vc.xypos, groups: groups}
-		repacked += n
-	}
-	return out, repacked
-}
-
 // FetchIDs performs fetch(X = xval, R, Y) against this version: the
 // distinct XY-projections of rows whose X-attributes equal xval, as of
 // this epoch. The returned rows are immutable and stay valid forever (no

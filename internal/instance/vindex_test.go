@@ -66,12 +66,14 @@ func TestVIndexDifferentialRandom(t *testing.T) {
 	s := schema.New(
 		schema.NewRelation("R", "A", "B", "C"),
 		schema.NewRelation("S", "X", "Y"),
+		schema.NewRelation("H", "K", "V"), // heavy groups, grown and cut below
 	)
 	a := access.NewSchema(
 		access.NewConstraint("R", []string{"A"}, []string{"B"}, 50),
 		access.NewConstraint("R", []string{"A", "B"}, []string{"C"}, 50),
 		access.NewConstraint("R", nil, []string{"A"}, 50),
 		access.NewConstraint("S", []string{"X"}, []string{"Y"}, 50),
+		access.NewConstraint("H", []string{"K"}, []string{"V"}, 400),
 	)
 	val := func() string { return fmt.Sprintf("v%d", rng.Intn(12)) }
 	db := NewDatabase(s)
@@ -147,6 +149,18 @@ func TestVIndexDifferentialRandom(t *testing.T) {
 		return pinned{vx: vx, answer: ans}
 	}
 	var pins []pinned
+	step := func(ins, del []Op) {
+		t.Helper()
+		applied, err := db.ApplyDelta(ins, del)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, err := vx.Apply(applied)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vx = next
+	}
 
 	live := map[string][]Tuple{}
 	for name, tb := range db.Tables {
@@ -178,20 +192,34 @@ func TestVIndexDifferentialRandom(t *testing.T) {
 				ins = append(ins, Op{Rel: rel, Row: row.Clone()})
 			}
 		}
-		applied, err := db.ApplyDelta(ins, del)
-		if err != nil {
-			t.Fatal(err)
-		}
-		next, err := vx.Apply(applied)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vx = next
+		step(ins, del)
 		agree(fmt.Sprintf("batch %d", b), vx)
 		if b%7 == 0 {
 			pins = append(pins, freeze(vx))
 		}
 	}
+
+	// Heavy delete: grow 8 keys to 300 rows each, then delete about 7/8
+	// of them in one batch. Both the shrunk version and the pinned
+	// pre-delete version must keep answering exactly.
+	var ins, del []Op
+	for k := 0; k < 8; k++ {
+		for i := 0; i < 300; i++ {
+			ins = append(ins, Op{Rel: "H", Row: Tuple{fmt.Sprintf("v%d", k), fmt.Sprintf("h%d", i)}})
+		}
+	}
+	step(ins, nil)
+	agree("heavy grow", vx)
+	pins = append(pins, freeze(vx))
+	for k := 0; k < 8; k++ {
+		for i := 0; i < 280; i++ {
+			if rng.Intn(8) != 0 {
+				del = append(del, Op{Rel: "H", Row: Tuple{fmt.Sprintf("v%d", k), fmt.Sprintf("h%d", i)}})
+			}
+		}
+	}
+	step(nil, del)
+	agree("heavy delete", vx)
 
 	// Persistence: every pinned version still answers exactly as frozen.
 	for i, p := range pins {

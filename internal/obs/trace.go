@@ -193,7 +193,7 @@ func NewCore(shards int) *Core {
 	}
 	c.WAL = WALMetrics{
 		Appends:       r.Counter("repro_wal_append_total", "WAL records appended"),
-		AppendLatency: r.Histogram("repro_wal_append_seconds", "WAL append latency (excluding group-commit wait)"),
+		AppendLatency: r.Histogram("repro_wal_append_seconds", "WAL append latency (encode, write and fsync)"),
 		Fsyncs:        r.Counter("repro_wal_fsync_total", "WAL fsync calls"),
 		FsyncLatency:  r.Histogram("repro_wal_fsync_seconds", "WAL fsync latency"),
 		Checkpoints:   r.Counter("repro_wal_checkpoint_total", "checkpoints written"),

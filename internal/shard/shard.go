@@ -37,11 +37,17 @@ type state struct {
 	vix *instance.VIndex
 }
 
+// Statistics drift: rebuild when the physical ops since the last build
+// exceed statsDriftFrac of the current |D| (and at least statsMinChurn,
+// so tiny instances don't rebuild per batch).
+const (
+	statsDriftFrac = 0.2
+	statsMinChurn  = 256
+)
+
 // Config tunes a sharded instance.
 type Config struct {
-	Shards         int
-	StatsDriftFrac float64 // churn fraction of |D| before a stats rebuild
-	StatsMinChurn  int     // minimum ops before a rebuild is considered
+	Shards int
 
 	// Probes, when non-nil, holds one counter per shard bumped on every
 	// fetch-index probe routed to (or scattered over) that shard — the
@@ -680,8 +686,8 @@ func (s *Sharded) ApplyDelta(inserts, deletes []instance.Op) (DeltaStats, error)
 	// log. The decision is a pure read, so recovery — replaying with the
 	// journal detached — reproduces it identically.
 	batch := stats.Inserted + stats.Deleted
-	needStats := float64(s.statsChurn+batch) >= s.cfg.StatsDriftFrac*float64(s.sizeNow()) &&
-		s.statsChurn+batch >= s.cfg.StatsMinChurn
+	needStats := float64(s.statsChurn+batch) >= statsDriftFrac*float64(s.sizeNow()) &&
+		s.statsChurn+batch >= statsMinChurn
 	// Journal before publication: an epoch is never visible to readers
 	// unless its batch reached the log. EVERY accepted batch journals,
 	// even an all-no-op one — the epoch number advances unconditionally,
@@ -699,22 +705,6 @@ func (s *Sharded) ApplyDelta(inserts, deletes []instance.Op) (DeltaStats, error)
 	}
 	s.publish(prev, dirty, st)
 	return stats, nil
-}
-
-// Compact repacks every shard's fetch-index slack buckets to exact
-// capacity (see instance.VIndex.Compact) and returns the number of
-// buckets repacked; the next published epoch carries the repacked
-// versions. View extents need no pass: their chunks are freed as they
-// empty. Safe to call between batches; a no-op after Close.
-func (s *Sharded) Compact() (groups int) {
-	s.batchMu.Lock()
-	defer s.batchMu.Unlock()
-	for _, st := range s.shards {
-		vix, n := st.vix.Compact()
-		st.vix = vix
-		groups += n
-	}
-	return groups
 }
 
 // sizeNow sums the writer-side shard sizes (callers hold batchMu).

@@ -136,7 +136,7 @@ func TestShardedOpenAndPointReads(t *testing.T) {
 		}
 	}
 	views := map[string]*cq.UCQ{}
-	sh, err := Open(db, s, a, views, Config{Shards: 4, StatsDriftFrac: 0.2, StatsMinChurn: 256})
+	sh, err := Open(db, s, a, views, Config{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,13 +44,6 @@ import (
 type Options struct {
 	SchemaFP uint64 // fingerprint of the schema the log serializes IDs for
 	ViewsFP  uint64 // fingerprint of the maintained view set
-
-	// GroupCommit is the fsync batching window. Zero syncs inline on every
-	// Append — each acked batch is durable. A positive window acks after
-	// the buffered write and fsyncs at most once per window: a crash may
-	// lose up to the last window of acked batches, but recovery still
-	// lands on a consistent epoch prefix (never a torn batch).
-	GroupCommit time.Duration
 }
 
 // Fingerprint hashes the given parts into the header fingerprints.
@@ -72,9 +65,10 @@ type Recovered struct {
 }
 
 // Log is an open write-ahead log. One writer at a time: the serving
-// handle's write lock already serializes ApplyDelta, and Append/
-// WriteCheckpoint/Close take the log's own mutex against the group-commit
-// syncer.
+// handle's write lock already serializes ApplyDelta, and the log's own
+// mutex guards every method for callers outside that lock. Every Append
+// fsyncs before it returns, so an acked record is durable and the active
+// segment never holds unsynced writes.
 type Log struct {
 	dir  string
 	opts Options
@@ -85,13 +79,9 @@ type Log struct {
 	base   uint64   // newest installed checkpoint's sequence number
 	hwm    int      // dictionary IDs < hwm are durably journaled
 	fresh  bool     // no checkpoint written yet (Append disallowed)
-	dirty  bool     // active segment has unsynced writes
 	err    error    // first write/sync failure; poisons the log
 	closed bool
 	buf    []byte
-
-	stop chan struct{} // closes the group-commit syncer
-	wg   sync.WaitGroup
 
 	met *obs.WALMetrics // durability instruments (nil when disabled)
 }
@@ -172,14 +162,13 @@ func Open(dir string, o Options) (*Log, *Recovered, error) {
 			segSeqs = append(segSeqs, seq)
 		}
 	}
-	l := &Log{dir: dir, opts: o, stop: make(chan struct{})}
+	l := &Log{dir: dir, opts: o}
 
 	if len(ckptSeqs) == 0 {
 		if len(segSeqs) > 0 {
 			return nil, nil, fmt.Errorf("wal: %s has log segments but no checkpoint", dir)
 		}
 		l.fresh = true
-		l.startSyncer()
 		return l, nil, nil
 	}
 
@@ -262,59 +251,15 @@ func Open(dir string, o Options) (*Log, *Recovered, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	l.startSyncer()
 	return l, rec, nil
-}
-
-// startSyncer launches the group-commit goroutine when a window is set.
-func (l *Log) startSyncer() {
-	if l.opts.GroupCommit <= 0 {
-		return
-	}
-	l.wg.Add(1)
-	go func() {
-		defer l.wg.Done()
-		t := time.NewTicker(l.opts.GroupCommit)
-		defer t.Stop()
-		for {
-			select {
-			case <-l.stop:
-				return
-			case <-t.C:
-				l.mu.Lock()
-				l.syncLocked()
-				l.mu.Unlock()
-			}
-		}
-	}()
-}
-
-// syncLocked flushes the active segment if dirty, recording the first
-// failure as the log's poison error.
-func (l *Log) syncLocked() {
-	if !l.dirty || l.err != nil || l.f == nil {
-		return
-	}
-	var t0 time.Time
-	if l.met != nil {
-		t0 = time.Now()
-	}
-	if err := l.f.Sync(); err != nil {
-		l.poisonLocked(fmt.Errorf("wal: fsync: %w", err))
-		return
-	}
-	if l.met != nil {
-		l.met.Fsyncs.Add(1)
-		l.met.FsyncLatency.Observe(time.Since(t0))
-	}
-	l.dirty = false
 }
 
 // Append journals one accepted batch: the epoch sequence number it will
 // publish, the dictionary growth since the previous append, and the
 // physically applied ops. seq must be exactly the next sequence number —
-// the log and the handle's epoch counter advance in lockstep. With a zero
-// group-commit window the record is fsynced before Append returns.
+// the log and the handle's epoch counter advance in lockstep. The record
+// is fsynced before Append returns; a failed write or fsync poisons the
+// log.
 func (l *Log) Append(dict *intern.Dict, seq uint64, a *instance.Applied) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -354,20 +299,23 @@ func (l *Log) Append(dict *intern.Dict, seq uint64, a *instance.Applied) error {
 	if _, err := l.f.Write(l.buf); err != nil {
 		return l.poisonLocked(fmt.Errorf("wal: append: %w", err))
 	}
-	l.dirty = true
+	var ts time.Time
+	if l.met != nil {
+		ts = time.Now()
+	}
+	if err := l.f.Sync(); err != nil {
+		return l.poisonLocked(fmt.Errorf("wal: fsync: %w", err))
+	}
 	l.seq++
 	l.hwm = n
-	if l.opts.GroupCommit <= 0 {
-		l.syncLocked()
-	}
-	if l.met != nil && l.err == nil {
-		// Append latency covers encode + write + the inline fsync of a
-		// zero group-commit window; with a window armed the fsync cost
-		// lands in the fsync histogram from the syncer goroutine instead.
+	if l.met != nil {
+		// Append latency covers encode + write + fsync.
+		l.met.Fsyncs.Add(1)
+		l.met.FsyncLatency.Observe(time.Since(ts))
 		l.met.Appends.Add(1)
 		l.met.AppendLatency.Observe(time.Since(t0))
 	}
-	return l.err
+	return nil
 }
 
 // WriteCheckpoint durably serializes the CURRENT epoch (ck.Seq must be the
@@ -415,7 +363,6 @@ func (l *Log) writeCheckpointLocked(ck *Checkpoint) error {
 		if err := l.f.Sync(); err != nil {
 			return fmt.Errorf("wal: fsync before checkpoint: %w", err)
 		}
-		l.dirty = false
 	}
 
 	// 2. Atomic checkpoint install.
@@ -505,15 +452,6 @@ func writeFileSync(path string, b []byte) error {
 	return f.Close()
 }
 
-// Sync forces any buffered records to disk (a group-commit window flush on
-// demand). Returns the log's poison error if writes have failed.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.syncLocked()
-	return l.err
-}
-
 // Err returns the log's poison error, if any write or sync has failed.
 func (l *Log) Err() error {
 	l.mu.Lock()
@@ -528,17 +466,15 @@ func (l *Log) NextSeq() uint64 {
 	return l.seq
 }
 
-// Close stops the group-commit syncer, flushes, and closes the active
-// segment. The caller typically writes a final checkpoint first.
+// Close closes the active segment (every appended record is already
+// durable). The caller typically writes a final checkpoint first.
 func (l *Log) Close() error {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.mu.Unlock()
 		return nil
 	}
 	l.closed = true
-	close(l.stop)
-	l.syncLocked()
 	err := l.err
 	if l.f != nil {
 		if cerr := l.f.Close(); err == nil {
@@ -546,7 +482,5 @@ func (l *Log) Close() error {
 		}
 		l.f = nil
 	}
-	l.mu.Unlock()
-	l.wg.Wait()
 	return err
 }

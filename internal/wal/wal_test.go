@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/instance"
 	"repro/internal/intern"
@@ -177,38 +176,6 @@ func TestFingerprintMismatch(t *testing.T) {
 	bad.ViewsFP++
 	if _, _, err := Open(dir, bad); err == nil {
 		t.Fatal("view fingerprint mismatch must fail")
-	}
-}
-
-func TestGroupCommitWindow(t *testing.T) {
-	dir := t.TempDir()
-	o := testOpts
-	o.GroupCommit = time.Hour // syncer effectively off: Close must flush
-	l, _, err := Open(dir, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dict := intern.NewDict()
-	if err := l.WriteCheckpoint(dict, &Checkpoint{Seq: 0, Stats: &plan.Stats{}}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 3; i++ {
-		if err := l.Append(dict, uint64(i), mkApplied(nil, nil)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Sync(); err != nil { // on-demand flush inside the window
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, rec, err := Open(dir, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Records) != 3 {
-		t.Fatalf("recovered %d records, want 3", len(rec.Records))
 	}
 }
 

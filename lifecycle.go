@@ -13,20 +13,11 @@ import (
 // left the retention ring (or was never published).
 var ErrEpochRetired = fmt.Errorf("repro: epoch retired from the retention ring")
 
-// vindexCompactEvery is the compaction cadence. A compaction pass is
-// counted on the writer after a retired epoch's last pin drops, and every
-// vindexCompactEvery passes the fetch indices shed the insert slack
-// copy-on-write left behind. The repack walks the whole trie (O(index)),
-// so it runs on this coarse cadence; amortized per-batch cost stays
-// O(index)/vindexCompactEvery. View extents need no pass: they are
-// chunked, and a chunk is freed as soon as shrinking empties it.
-const vindexCompactEvery = 512
-
 // LifecycleStats reports a handle's epoch-retention and reclamation
 // counters (see Handle.Lifecycle). Reclamation counters are advisory:
-// they drive compaction scheduling and observability, never reader
-// safety — epoch structures are immutable and garbage-collected, so a
-// racy double-count cannot unpublish anything a reader still holds.
+// they are observability, never reader safety — epoch structures are
+// immutable and garbage-collected, so a racy double-count cannot
+// unpublish anything a reader still holds.
 // LifecycleStats is a plain value copy; it retains no reference to the
 // lifecycle it was read from.
 type LifecycleStats struct {
@@ -37,38 +28,36 @@ type LifecycleStats struct {
 	// Close or the finalizer backstop.
 	LiveSnapshots int
 	// ReclaimedEpochs counts epochs whose last pin dropped after they
-	// left the ring — the "truly dead" events that trigger compaction.
+	// left the ring.
 	ReclaimedEpochs int64
 	// FinalizedSnapshots counts snapshots released by the GC finalizer
 	// backstop instead of an explicit Close. Nonzero values mean callers
 	// are leaking snapshots; the backstop is best-effort (it needs a GC
 	// cycle to run) and no substitute for Close.
 	FinalizedSnapshots int64
-	// CompactionPasses counts writer-side compaction scans.
+	// CompactionPasses always reads 0.
+	//
+	// Deprecated: the writer runs no deferred compaction.
 	CompactionPasses int64
-	// RepackedIndexGroups counts fetch-index groups repacked to exact
-	// capacity (summed across shards).
+	// RepackedIndexGroups always reads 0.
+	//
+	// Deprecated: the writer runs no deferred compaction.
 	RepackedIndexGroups int64
 }
 
 // lifecycle tracks one handle's epoch retention: the bounded ring of
-// addressable epochs, the advisory refcounts' death notices, and the
-// compaction counters. The ring is shared by the writer (push, under the
-// handle's write lock) and At readers, so its own mutex guards it; the
-// counters are atomics.
+// addressable epochs and the advisory refcounts' reclamation counters.
+// The ring is shared by the writer (push, under the handle's write lock)
+// and At readers, so its own mutex guards it; the counters are atomics.
 type lifecycle struct {
 	retain int // ring capacity, >= 1 (the current epoch is always ringed)
 
 	mu   sync.Mutex
 	ring []*epochState // oldest first; each entry holds one ring pin
 
-	dead      atomic.Int64 // reclaimed epochs not yet consumed by a compaction scan
 	snaps     atomic.Int64
 	finalized atomic.Int64
 	reclaimed atomic.Int64
-	passes    atomic.Int64
-	groups    atomic.Int64
-	scans     int // writer-side cadence counter for the fetch-index repack
 
 	met *obs.Core // the owning handle's metrics core (nil when disabled)
 }
@@ -95,27 +84,22 @@ func newLifecycle(retain int, met *obs.Core) *lifecycle {
 			})
 		met.Reg.GaugeFunc("repro_epochs_reclaimed_total",
 			"epochs whose last pin dropped after leaving the ring", lc.reclaimed.Load)
-		met.Reg.GaugeFunc("repro_compaction_passes_total",
-			"writer-side compaction scans", lc.passes.Load)
-		met.Reg.GaugeFunc("repro_compaction_index_groups_total",
-			"fetch-index groups repacked to exact capacity", lc.groups.Load)
 	}
 	return lc
 }
 
-// acquire pins the epoch. Pins are advisory (they inform compaction, not
-// reader safety — immutability plus the garbage collector provide that),
-// which is why a reader may acquire an epoch it loaded from the handle's
-// atomic pointer without coordinating with a concurrent eviction: a
-// 0→1 "resurrection" race at worst double-counts a death notice.
+// acquire pins the epoch. Pins are advisory (they feed the reclamation
+// counters, not reader safety — immutability plus the garbage collector
+// provide that), which is why a reader may acquire an epoch it loaded
+// from the handle's atomic pointer without coordinating with a concurrent
+// eviction: a 0→1 "resurrection" race at worst double-counts a
+// reclamation.
 func (e *epochState) acquire() { e.refs.Add(1) }
 
 // release drops one pin; the last release of a RETIRED epoch (one the
-// ring evicted) files a death notice for the writer's next compaction
-// scan.
+// ring evicted) counts it as reclaimed.
 func (e *epochState) release() {
 	if e.refs.Add(-1) == 0 && e.retired.Load() && e.lc != nil {
-		e.lc.dead.Add(1)
 		e.lc.reclaimed.Add(1)
 	}
 }
@@ -138,7 +122,7 @@ func (lc *lifecycle) push(e *epochState) {
 	lc.mu.Unlock()
 	for _, old := range evicted {
 		// Retire BEFORE releasing: if no snapshot pins the epoch, this
-		// very release files its death notice.
+		// very release counts it as reclaimed.
 		old.retired.Store(true)
 		old.release()
 	}
@@ -191,14 +175,14 @@ func finalizeSnapshot(s *Snapshot) {
 }
 
 // Close releases the snapshot's epoch pin, letting a superseded epoch be
-// reclaimed (and compacted around) as soon as its last pin drops. Close
-// is idempotent and safe for concurrent use; it always returns nil (the
-// error return keeps it an io.Closer). Reads through a closed snapshot
-// still work — the epoch's structures are immutable and garbage-collected
-// — but a closed snapshot no longer counts as a pin, so prefer closing
-// only when done. Snapshots dropped unclosed are released by a GC
-// finalizer backstop; that is best-effort and delays reclamation until a
-// collection cycle, so long-running servers should Close explicitly.
+// reclaimed as soon as its last pin drops. Close is idempotent and safe
+// for concurrent use; it always returns nil (the error return keeps it an
+// io.Closer). Reads through a closed snapshot still work — the epoch's
+// structures are immutable and garbage-collected — but a closed snapshot
+// no longer counts as a pin, so prefer closing only when done. Snapshots
+// dropped unclosed are released by a GC finalizer backstop; that is
+// best-effort and delays reclamation until a collection cycle, so
+// long-running servers should Close explicitly.
 func (s *Snapshot) Close() error {
 	if s.lc == nil {
 		return nil // transient internal snapshot (e.g. Views decoding): never pinned
@@ -217,11 +201,9 @@ func (lc *lifecycle) stats() LifecycleStats {
 	n := len(lc.ring)
 	lc.mu.Unlock()
 	return LifecycleStats{
-		RetainedEpochs:      n,
-		LiveSnapshots:       int(lc.snaps.Load()),
-		ReclaimedEpochs:     lc.reclaimed.Load(),
-		FinalizedSnapshots:  lc.finalized.Load(),
-		CompactionPasses:    lc.passes.Load(),
-		RepackedIndexGroups: lc.groups.Load(),
+		RetainedEpochs:     n,
+		LiveSnapshots:      int(lc.snaps.Load()),
+		ReclaimedEpochs:    lc.reclaimed.Load(),
+		FinalizedSnapshots: lc.finalized.Load(),
 	}
 }

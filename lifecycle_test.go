@@ -531,9 +531,6 @@ func TestChurnMemoryBounded(t *testing.T) {
 	if lc.ReclaimedEpochs == 0 {
 		t.Fatal("no epochs reclaimed: the retention ring is not releasing")
 	}
-	if lc.CompactionPasses == 0 {
-		t.Fatal("no compaction pass ran despite reclaimed epochs")
-	}
 }
 
 // TestSnapshotFinalizerBackstop: snapshots dropped without Close are
