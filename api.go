@@ -128,18 +128,24 @@ type System struct {
 	Views  map[string]*UCQ
 	M      int
 
-	// Prepared-query cache (see Prepare): canonical query key -> the
-	// VBRP search result, so renamed/reordered variants of one query
-	// never pay a second exponential search. Entries are created under
-	// prepQMu; the search itself runs under the entry's once, so
-	// concurrent Prepare calls for different queries do not serialize.
+	// Prepared-query caches (see Prepare). prepT maps a template key
+	// (the canonical key of the query with its non-view constants
+	// abstracted) to the VBRP search result, so queries that differ only
+	// in those constants, or only by renaming, share one exponential
+	// search. prepQ maps a concrete canonical key to the PreparedQuery
+	// bound from its template, which carries that query's own selection
+	// state. Entries of both are created under prepQMu; searching and
+	// binding run under the entry's once, so concurrent Prepare calls
+	// for different queries do not serialize.
 	prepQMu      sync.Mutex
 	prepQ        map[string]*prepEntry
-	prepSearches atomic.Int64 // VBRP searches actually run
-	prepHits     atomic.Int64 // Prepare calls answered from the cache
-	prepEvicts   atomic.Int64 // cache entries evicted by the bound
+	prepT        map[string]*prepEntry
+	prepSearches atomic.Int64 // VBRP searches actually run (one per template)
+	prepHits     atomic.Int64 // Prepare calls answered from the concrete cache
+	prepEvicts   atomic.Int64 // entries either cache evicted under its bound
 
-	// prepCacheBound overrides prepCacheMax when positive (test seam).
+	// prepCacheBound overrides prepCacheMax, the bound of each cache,
+	// when positive (test seam).
 	prepCacheBound int
 }
 

@@ -193,3 +193,151 @@ func origTerm(t cq.Term) string {
 	}
 	return "v" + strconv.Quote(t.Val)
 }
+
+// paramPrefix starts every parameter constant Abstract puts in place of a
+// query constant: parameter i is paramPrefix followed by i in decimal.
+// The NUL byte keeps parameters out of ordinary text, and Abstract leaves
+// a query untouched when a fixed constant carries the prefix, so a
+// parameter is never mistaken for a constant of the views.
+const paramPrefix = "\x00$"
+
+// param returns the constant that stands for parameter i in an abstracted
+// query and in the plans searched for it.
+func param(i int) string { return paramPrefix + strconv.Itoa(i) }
+
+// Binding maps the parameters of an abstracted query back to the
+// constants they replaced: parameter i stands for Binding[i]. Abstract
+// gives distinct parameters distinct constants.
+type Binding []string
+
+// Abstract replaces every constant of u that is not in fixed by a
+// parameter, in the head, the atoms and the equalities of every disjunct,
+// and returns the abstracted query with the binding that undoes it. Equal
+// constants get the same parameter and distinct constants distinct ones,
+// numbered by first occurrence, so the abstraction keeps which constants
+// are equal.
+//
+// Queries are generic (Abiteboul, Hull, Vianu, Foundations of Databases,
+// §16): a bijective renaming of constants that fixes the constants of the
+// views maps a bounded rewriting of the abstracted query, and its fetch
+// bound, to one of u. fixed must therefore hold every constant that occurs
+// in a view definition; access constraints carry none. The rewriting
+// search run on the abstracted query then serves every query that differs
+// from u only in its non-view constants, as long as it keeps u's equality
+// pattern; written with their atoms in u's order, such queries abstract
+// to the same QueryKey.
+func Abstract(u *cq.UCQ, fixed map[string]bool) (*cq.UCQ, Binding) {
+	for c := range fixed {
+		if strings.HasPrefix(c, paramPrefix) {
+			return u, nil // a view constant looks like a parameter: keep u verbatim
+		}
+	}
+	params := map[string]string{}
+	var b Binding
+	abs := func(t cq.Term) cq.Term {
+		if !t.Const || fixed[t.Val] {
+			return t
+		}
+		p, ok := params[t.Val]
+		if !ok {
+			p = param(len(b))
+			params[t.Val] = p
+			b = append(b, t.Val)
+		}
+		return cq.Cst(p)
+	}
+	out := &cq.UCQ{Name: u.Name, Disjuncts: make([]*cq.CQ, len(u.Disjuncts))}
+	for i, d := range u.Disjuncts {
+		out.Disjuncts[i] = mapConsts(d, abs)
+	}
+	return out, b
+}
+
+// Query instantiates an abstracted query: every parameter becomes the
+// constant it stands for.
+func (b Binding) Query(u *cq.UCQ) *cq.UCQ {
+	bind := func(t cq.Term) cq.Term {
+		if t.Const {
+			t.Val = b.value(t.Val)
+		}
+		return t
+	}
+	out := &cq.UCQ{Name: u.Name, Disjuncts: make([]*cq.CQ, len(u.Disjuncts))}
+	for i, d := range u.Disjuncts {
+		out.Disjuncts[i] = mapConsts(d, bind)
+	}
+	return out
+}
+
+// Plan instantiates a plan searched for an abstracted query: it copies the
+// plan, putting the bound constant in place of each parameter in Const
+// leaves and in the constant side of selection conditions. Leaves without
+// constants are shared with the input, which stays unchanged. The copy
+// has the input's shape, so its conformance and fetch bound are the
+// input's.
+func (b Binding) Plan(n Node) Node {
+	switch n := n.(type) {
+	case *Const:
+		return &Const{Attr: n.Attr, Val: b.value(n.Val)}
+	case *Fetch:
+		if n.Child == nil {
+			return n
+		}
+		c := *n
+		c.Child = b.Plan(n.Child)
+		return &c
+	case *Project:
+		return &Project{Child: b.Plan(n.Child), Cols: n.Cols}
+	case *Select:
+		conds := make([]CondItem, len(n.Cond))
+		for i, ci := range n.Cond {
+			if ci.RConst {
+				ci.R = b.value(ci.R)
+			}
+			conds[i] = ci
+		}
+		return &Select{Child: b.Plan(n.Child), Cond: conds}
+	case *Product:
+		return &Product{L: b.Plan(n.L), R: b.Plan(n.R)}
+	case *Union:
+		return &Union{L: b.Plan(n.L), R: b.Plan(n.R)}
+	case *Diff:
+		return &Diff{L: b.Plan(n.L), R: b.Plan(n.R)}
+	case *Rename:
+		return &Rename{Child: b.Plan(n.Child), Pairs: n.Pairs}
+	}
+	return n // View: no constants
+}
+
+// value returns the constant a parameter stands for, and any other
+// constant unchanged.
+func (b Binding) value(c string) string {
+	if !strings.HasPrefix(c, paramPrefix) {
+		return c
+	}
+	i, err := strconv.Atoi(c[len(paramPrefix):])
+	if err != nil || i < 0 || i >= len(b) || c != param(i) {
+		return c
+	}
+	return b[i]
+}
+
+// mapConsts copies q with f applied to every term of its head, atoms and
+// equalities.
+func mapConsts(q *cq.CQ, f func(cq.Term) cq.Term) *cq.CQ {
+	out := &cq.CQ{Name: q.Name, Head: make([]cq.Term, len(q.Head)), Atoms: make([]cq.Atom, len(q.Atoms)), Eqs: make([]cq.Equality, len(q.Eqs))}
+	for i, t := range q.Head {
+		out.Head[i] = f(t)
+	}
+	for i, a := range q.Atoms {
+		args := make([]cq.Term, len(a.Args))
+		for j, t := range a.Args {
+			args[j] = f(t)
+		}
+		out.Atoms[i] = cq.Atom{Rel: a.Rel, Args: args}
+	}
+	for i, e := range q.Eqs {
+		out.Eqs[i] = cq.Equality{L: f(e.L), R: f(e.R)}
+	}
+	return out
+}

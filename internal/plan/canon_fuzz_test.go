@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -95,4 +96,84 @@ func renameQuery(q *cq.CQ) *cq.CQ {
 		out.Eqs[i] = cq.Equality{L: sub(e.L), R: sub(e.R)}
 	}
 	return out
+}
+
+// fuzzSeenBindings maps a template key plus binding to the concrete key
+// first observed with them, across the whole fuzz run.
+var fuzzSeenBindings sync.Map
+
+// FuzzQueryTemplate checks the template invariants of Abstract on
+// parser-built queries, with the constants mask selects playing the view
+// constants: instantiating the abstract query with its binding gives back
+// the original key; a bijective renaming of the abstracted constants keeps
+// the template key; and within the corpus, equal template keys with equal
+// bindings only ever come from queries with equal keys.
+func FuzzQueryTemplate(f *testing.F) {
+	f.Add(`Q(x) :- R(x, "a"), S("a", "b").`, uint8(0))
+	f.Add(`Q(x) :- R(x, "emea"), S(x, "u1").`, uint8(1))
+	f.Add(`Q("k", y) :- T(y, "k"), "p" = "q".`, uint8(2))
+	f.Add(`Q(x) :- R(x, y), x = "c", y = "c".`, uint8(0))
+	f.Fuzz(func(t *testing.T, src string, mask uint8) {
+		q, err := parse.Query(src)
+		if err != nil {
+			t.Skip()
+		}
+		u := cq.NewUCQ(q)
+		consts := q.Constants()
+		fixed := map[string]bool{}
+		for i, c := range consts {
+			if mask&(1<<(i%8)) != 0 {
+				fixed[c] = true
+			}
+		}
+		abs, b := Abstract(u, fixed)
+		key, tkey := QueryKey(u), QueryKey(abs)
+		if k := QueryKey(b.Query(abs)); k != key {
+			t.Fatalf("instantiated template changed the key:\nquery %s\n%s\n%s", q, key, k)
+		}
+		seen := map[string]bool{}
+		for _, c := range b {
+			if fixed[c] || seen[c] {
+				t.Fatalf("binding %q of %s holds a fixed or repeated constant %q", []string(b), q, c)
+			}
+			seen[c] = true
+		}
+		for _, c := range abs.Disjuncts[0].Constants() {
+			if !fixed[c] && b.value(c) == c {
+				t.Fatalf("constant %q of %s survived abstraction", c, q)
+			}
+		}
+
+		// Renaming the abstracted constants bijectively keeps the shape.
+		ren := map[string]string{}
+		for _, c := range b {
+			r := c + "\x01r"
+			if fixed[r] || seen[r] {
+				t.Skip()
+			}
+			ren[c] = r
+		}
+		q2 := mapConsts(q, func(tm cq.Term) cq.Term {
+			if r, ok := ren[tm.Val]; tm.Const && ok {
+				tm.Val = r
+			}
+			return tm
+		})
+		abs2, b2 := Abstract(cq.NewUCQ(q2), fixed)
+		if k := QueryKey(abs2); k != tkey {
+			t.Fatalf("renaming constants changed the template key:\n%s\n%s\n%s", q, tkey, k)
+		}
+		if k, want := QueryKey(b2.Query(abs2)), QueryKey(cq.NewUCQ(q2)); k != want {
+			t.Fatalf("instantiated renamed template changed the key:\n%s\n%s", want, k)
+		}
+
+		// Corpus-wide: same template key and binding => same concrete key.
+		id := tkey + "\x00"
+		for _, c := range b {
+			id += strconv.Quote(c)
+		}
+		if prev, loaded := fuzzSeenBindings.LoadOrStore(id, key); loaded && prev.(string) != key {
+			t.Fatalf("equal template key and binding, different keys:\n%s\n%s", prev, key)
+		}
+	})
 }

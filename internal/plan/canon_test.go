@@ -134,3 +134,70 @@ func TestQueryKeySymmetricAtoms(t *testing.T) {
 		t.Fatalf("triangle reordering changed the key:\n%s\n%s", k, got)
 	}
 }
+
+// Abstract keeps the constants of the views verbatim, gives equal
+// constants one parameter (in the head, the atoms and the equalities) and
+// distinct constants distinct ones, so queries that differ only in their
+// other constants share a template key and queries with another equality
+// pattern do not.
+func TestAbstractTemplateKeys(t *testing.T) {
+	fixed := map[string]bool{"emea": true}
+	q := func(u, v, w string) *cq.UCQ {
+		return cq.NewUCQ(cq.NewCQ([]cq.Term{cq.Cst(u), cq.Var("i")}, []cq.Atom{
+			cq.NewAtom("txn", cq.Cst(u), cq.Var("i"), cq.Var("a")),
+			cq.NewAtom("acct", cq.Cst(v), cq.Cst("emea")),
+		}, cq.Equality{L: cq.Var("a"), R: cq.Cst(w)}))
+	}
+	abs, b := Abstract(q("u1", "u2", "u1"), fixed)
+	if want := (Binding{"u1", "u2"}); fmt.Sprint(b) != fmt.Sprint(want) {
+		t.Fatalf("binding %q, want %q", b, want)
+	}
+	d := abs.Disjuncts[0]
+	if d.Head[0].Val != param(0) || d.Atoms[1].Args[0].Val != param(1) || d.Eqs[0].R.Val != param(0) {
+		t.Fatalf("constants not abstracted: %s", d)
+	}
+	if d.Atoms[1].Args[1].Val != "emea" {
+		t.Fatalf("view constant abstracted: %s", d)
+	}
+	if QueryKey(b.Query(abs)) != QueryKey(q("u1", "u2", "u1")) {
+		t.Fatal("instantiation does not give back the query")
+	}
+	tkey := func(u *cq.UCQ) string { a, _ := Abstract(u, fixed); return QueryKey(a) }
+	if tkey(q("u7", "x", "u7")) != QueryKey(abs) {
+		t.Fatal("a rebinding of the same shape must share the template key")
+	}
+	for _, other := range []*cq.UCQ{
+		q("u1", "u1", "u1"),   // merges two parameters
+		q("u1", "emea", "u1"), // binds a view constant
+		q("u1", "u2", "u3"),   // splits a parameter
+	} {
+		if tkey(other) == QueryKey(abs) {
+			t.Fatalf("%s must not share the template of %s", other.Disjuncts[0], q("u1", "u2", "u1").Disjuncts[0])
+		}
+	}
+	// A view constant that looks like a parameter disables abstraction.
+	if _, b := Abstract(q("u1", "u2", "u1"), map[string]bool{param(0): true}); b != nil {
+		t.Fatalf("abstracted next to a parameter-like view constant: %q", b)
+	}
+}
+
+// Binding.Plan puts the bound constants into Const leaves and constant
+// selection conditions of a copy, and leaves the template plan as it was.
+func TestBindingPlan(t *testing.T) {
+	tmpl := &Select{
+		Child: &Product{L: &Const{Attr: "c", Val: param(0)}, R: &View{Name: "V", Cols: []string{"a", "b"}}},
+		Cond:  []CondItem{{L: "a", RConst: true, R: param(1)}, {L: "b", R: "c"}, {L: "b", RConst: true, R: "emea"}},
+	}
+	before := Render(tmpl)
+	got := Render(Binding{"u1", "u2"}.Plan(tmpl))
+	want := Render(&Select{
+		Child: &Product{L: &Const{Attr: "c", Val: "u1"}, R: &View{Name: "V", Cols: []string{"a", "b"}}},
+		Cond:  []CondItem{{L: "a", RConst: true, R: "u2"}, {L: "b", R: "c"}, {L: "b", RConst: true, R: "emea"}},
+	})
+	if got != want {
+		t.Fatalf("bound plan:\n%s\nwant:\n%s", got, want)
+	}
+	if Render(tmpl) != before {
+		t.Fatal("binding changed the template plan")
+	}
+}

@@ -44,7 +44,7 @@ type Problem struct {
 	MaxArity       int // maximum node arity considered (default 4)
 	MaxSelectConds int // maximum comparisons per σ node (default 4)
 	MaxShapes      int // cap on generated shapes; exceeded => ErrSearchTruncated
-	MaxCandidates  int // cap on candidates Candidates collects (default 64)
+	MaxCandidates  int // cap on candidates Candidates collects (default DefaultMaxCandidates)
 }
 
 // ErrSearchTruncated reports that the shape cap was hit: a "no" answer is
@@ -143,11 +143,16 @@ func (p *Problem) maxShapes() int {
 	return 400_000
 }
 
+// DefaultMaxCandidates is the candidate cap Candidates applies when
+// Problem.MaxCandidates is zero. A frontier of that many plans may be
+// incomplete: the enumeration stopped at the cap.
+const DefaultMaxCandidates = 64
+
 func (p *Problem) maxCandidates() int {
 	if p.MaxCandidates > 0 {
 		return p.MaxCandidates
 	}
-	return 64
+	return DefaultMaxCandidates
 }
 
 // viewArity resolves a view's head arity.

@@ -16,21 +16,25 @@ import (
 // completed and found nothing).
 var ErrNoBoundedRewriting = fmt.Errorf("repro: query has no M-bounded rewriting")
 
-// prepCacheMax bounds the prepared-query cache (positive and negative
-// entries alike); see Prepare's eviction note.
+// prepCacheMax bounds each of the two prepared-query caches, the
+// concrete one and the template one (positive and negative entries
+// alike); see lookupPrep for the eviction order.
 const prepCacheMax = 65536
 
-// prepEntry is one slot of the prepared-query cache. The once gates the
-// exponential VBRP search: the first Prepare for a canonical key runs it,
-// every later (or concurrent) Prepare for an equivalent query waits on the
-// same entry and shares the result. done flips after the once completes —
-// an entry that is not done is mid-search (or about to be) and must never
-// be evicted out from under the searcher.
+// prepEntry is one slot of a prepared-query cache. In the template cache
+// the once gates the exponential VBRP search: the first Prepare for a
+// query shape runs it, and every later (or concurrent) Prepare of the same
+// shape waits on the same entry and shares its frontier (cands) or its
+// negative answer (err). In the concrete cache the once gates binding the
+// template's frontier to one query's constants (pq). done flips after the
+// once completes — an entry that is not done is mid-search (or about to
+// be) and must never be evicted out from under its holder.
 type prepEntry struct {
-	once sync.Once
-	done atomic.Bool
-	pq   *PreparedQuery
-	err  error
+	once  sync.Once
+	done  atomic.Bool
+	cands []vbrp.Candidate // template entries: the frontier, over parameters
+	pq    *PreparedQuery   // concrete entries
+	err   error
 }
 
 // Observed-cost feedback knobs (see the README's "Self-tuning selection").
@@ -65,11 +69,13 @@ const (
 )
 
 // PreparedQuery is a compiled query handle: the full frontier of bounded
-// candidate plans found by the VBRP search, plus the cost-model selection
-// state. The search runs once per canonical query (Prepare's cache);
-// selection is revisited whenever the Live handle it serves publishes new
-// statistics — re-selection is a cheap arithmetic pass over the cached
-// candidates, never a new search.
+// candidate plans found by the VBRP search, bound to this query's
+// constants, plus the cost-model selection state. The search runs once
+// per query shape (Prepare's template cache); each concrete query gets
+// its own PreparedQuery and so its own selection. Selection is revisited
+// whenever the Live handle it serves publishes new statistics —
+// re-selection is a cheap arithmetic pass over the cached candidates,
+// never a new search.
 //
 // Selection is closed-loop: every Execute through the handle profiles the
 // run (realized per-constraint fetch groups, join fan-outs, output rows)
@@ -129,54 +135,44 @@ type SelectionStats struct {
 
 // Prepare compiles a UCQ for repeated serving: it canonicalizes the query
 // into a cache key (invariant under variable renaming and atom/disjunct
-// reordering), runs the full VBRP candidate enumeration once per key, and
-// returns a handle that serves the min-cost candidate. Repeated Prepare
-// calls with equivalent queries — including renamed ones — hit the cache
-// and never pay a second search; negative answers are cached too.
+// reordering) and returns a handle that serves the min-cost candidate of
+// the full VBRP candidate frontier. Repeated Prepare calls with
+// equivalent queries — including renamed ones — return the same handle.
+//
+// The search runs once per query shape, not once per query. Every
+// constant that occurs in no view definition becomes a parameter
+// (plan.Abstract), equal constants sharing one, and the frontier of the
+// parameterized query is searched once and cached as a template. A query
+// that differs only in such constants binds its own constants into a copy
+// of the template's plans, with the template's fetch bounds: queries are
+// generic, so the renamed plans are bounded rewritings of the renamed
+// query. Constants of the views stay verbatim, so a query that uses one
+// (or that equates two of its constants differently) has a template of
+// its own. Negative answers are cached per template too.
+//
+// Each concrete query still gets its own PreparedQuery, so plan selection
+// and its observed-cost feedback stay per binding: a hot key does not
+// steer the plan served for a cold one.
 //
 // The plan language defaults matter: pass LangUCQ for UCQ queries. The
 // system's M is the size bound.
 func (sys *System) Prepare(q *UCQ, lang Language) (*PreparedQuery, error) {
 	key := lang.String() + "|" + plan.QueryKey(q)
-	sys.prepQMu.Lock()
-	if sys.prepQ == nil {
-		sys.prepQ = make(map[string]*prepEntry)
-	}
-	e, hit := sys.prepQ[key]
-	if !hit {
-		// Bound the cache: beyond the cap an entry is evicted — negative
-		// entries (no-rewriting and truncated-search results, which are
-		// cheap to rediscover and the likeliest product of adversarial
-		// query text) go first, and an entry whose search is still
-		// in-flight is never touched (its holders share the prepEntry; a
-		// later Prepare for an evicted key just re-searches). Keeps a
-		// long-running server's memory flat under naturally diverse or
-		// adversarial query text.
-		if cap := sys.prepCacheCap(); len(sys.prepQ) >= cap {
-			sys.evictPrepLocked()
-		}
-		e = &prepEntry{}
-		sys.prepQ[key] = e
-	}
-	sys.prepQMu.Unlock()
+	e, hit := sys.lookupPrep(&sys.prepQ, key)
 	if hit {
 		sys.prepHits.Add(1)
 	}
 	e.once.Do(func() {
 		defer e.done.Store(true)
-		sys.prepSearches.Add(1)
-		cands, err := sys.searchCandidates(q, lang)
-		if err != nil && err != vbrp.ErrSearchTruncated {
+		abs, b := plan.Abstract(q, sys.viewConsts())
+		tmpl, err := sys.template(abs, lang)
+		if err != nil {
 			e.err = err
 			return
 		}
-		if len(cands) == 0 {
-			if err == vbrp.ErrSearchTruncated {
-				e.err = err // the "no" is unreliable: report the truncation
-				return
-			}
-			e.err = ErrNoBoundedRewriting
-			return
+		cands := make([]vbrp.Candidate, len(tmpl))
+		for i, c := range tmpl {
+			cands[i] = vbrp.Candidate{Plan: b.Plan(c.Plan), FetchBound: c.FetchBound}
 		}
 		pq := &PreparedQuery{sys: sys, key: key, lang: lang, cands: cands, sels: make(map[uint64]*selState)}
 		// Static selection so Plan() is meaningful before any Live exists.
@@ -186,8 +182,73 @@ func (sys *System) Prepare(q *UCQ, lang Language) (*PreparedQuery, error) {
 	return e.pq, e.err
 }
 
-// prepCacheCap returns the prepared-query cache bound (the test seam
-// defaults to prepCacheMax).
+// template returns the candidate frontier of an abstracted query, running
+// the VBRP search at most once per template key.
+func (sys *System) template(abs *UCQ, lang Language) ([]vbrp.Candidate, error) {
+	t, _ := sys.lookupPrep(&sys.prepT, lang.String()+"|"+plan.QueryKey(abs))
+	t.once.Do(func() {
+		defer t.done.Store(true)
+		sys.prepSearches.Add(1)
+		cands, err := sys.searchCandidates(abs, lang)
+		if err != nil && err != vbrp.ErrSearchTruncated {
+			t.err = err
+			return
+		}
+		if len(cands) == 0 {
+			if err == vbrp.ErrSearchTruncated {
+				t.err = err // the "no" is unreliable: report the truncation
+				return
+			}
+			t.err = ErrNoBoundedRewriting
+			return
+		}
+		t.cands = cands
+	})
+	return t.cands, t.err
+}
+
+// lookupPrep returns the entry for key in the cache *m, creating it
+// on a miss; hit reports that it existed. Beyond the cap an entry is
+// evicted first — negative entries (no-rewriting and truncated-search
+// results, which are cheap to rediscover and the likeliest product of
+// adversarial query text) go first, and an entry whose once is still
+// in-flight is never touched (its holders share the prepEntry; a later
+// Prepare for an evicted key just searches or binds again). Keeps a
+// long-running server's memory flat under naturally diverse or
+// adversarial query text.
+func (sys *System) lookupPrep(m *map[string]*prepEntry, key string) (e *prepEntry, hit bool) {
+	sys.prepQMu.Lock()
+	defer sys.prepQMu.Unlock()
+	if *m == nil {
+		*m = make(map[string]*prepEntry)
+	}
+	if e, hit = (*m)[key]; hit {
+		return e, true
+	}
+	if len(*m) >= sys.prepCacheCap() {
+		sys.evictPrepLocked(*m)
+	}
+	e = &prepEntry{}
+	(*m)[key] = e
+	return e, false
+}
+
+// viewConsts returns the constants of the view definitions: the ones
+// plan.Abstract must keep verbatim.
+func (sys *System) viewConsts() map[string]bool {
+	fixed := map[string]bool{}
+	for _, def := range sys.Views {
+		for _, d := range def.Disjuncts {
+			for _, c := range d.Constants() {
+				fixed[c] = true
+			}
+		}
+	}
+	return fixed
+}
+
+// prepCacheCap returns the bound of each prepared-query cache (the test
+// seam defaults to prepCacheMax).
 func (sys *System) prepCacheCap() int {
 	if sys.prepCacheBound > 0 {
 		return sys.prepCacheBound
@@ -195,13 +256,13 @@ func (sys *System) prepCacheCap() int {
 	return prepCacheMax
 }
 
-// evictPrepLocked drops one evictable cache entry: a completed negative
-// entry if any exists, else a completed positive one. Entries whose
-// search is mid-flight are never evicted (the map may transiently exceed
-// the cap when every entry is in-flight). Callers hold prepQMu.
-func (sys *System) evictPrepLocked() {
+// evictPrepLocked drops one evictable entry of cache m: a completed
+// negative entry if any exists, else a completed positive one. Entries
+// whose once is mid-flight are never evicted (the map may transiently
+// exceed the cap when every entry is in-flight). Callers hold prepQMu.
+func (sys *System) evictPrepLocked(m map[string]*prepEntry) {
 	victim := ""
-	for k, e := range sys.prepQ {
+	for k, e := range m {
 		if !e.done.Load() {
 			continue
 		}
@@ -216,13 +277,16 @@ func (sys *System) evictPrepLocked() {
 	if victim == "" {
 		return
 	}
-	delete(sys.prepQ, victim)
+	delete(m, victim)
 	sys.prepEvicts.Add(1)
 }
 
 // PrepareCacheStats reports the prepared-query cache counters: the number
-// of VBRP searches actually run, the number of Prepare calls served from
-// the cache, and the number of entries evicted by the cache bound.
+// of VBRP searches actually run (one per template, i.e. per query shape;
+// see Prepare), the number of Prepare calls served from the concrete
+// cache, and the number of entries either cache evicted under its bound.
+// A Prepare that misses the concrete cache but binds a cached template
+// counts as neither a search nor a hit.
 func (sys *System) PrepareCacheStats() (searches, hits, evictions int64) {
 	return sys.prepSearches.Load(), sys.prepHits.Load(), sys.prepEvicts.Load()
 }

@@ -364,13 +364,28 @@ func chainQuery(n int) *UCQ {
 	return NewUCQ(NewCQ([]Term{Var("a")}, atoms))
 }
 
-// TestPrepareCacheEvictsNegativesFirst: when the bounded cache overflows,
+// TestPrepareCacheEvictsNegativesFirst: when a bounded cache overflows,
 // negative entries (no bounded rewriting) must be evicted before positive
 // ones — the old arbitrary-map-entry eviction could drop the hot positive
-// entry while the negatives survived — and evictions must be counted.
+// entry while the negatives survived — and evictions must be counted. The
+// template cache and the concrete cache share the bound, and neither may
+// exceed it: chains of distinct lengths overflow both with negatives, and
+// rebindings of the positive query's constant overflow the concrete cache
+// with positives that all bind the one surviving template.
 func TestPrepareCacheEvictsNegativesFirst(t *testing.T) {
 	sys, pp := planPickSystem(t)
 	sys.prepCacheBound = 4
+	sizes := func() (concrete, templates int) {
+		sys.prepQMu.Lock()
+		defer sys.prepQMu.Unlock()
+		return len(sys.prepQ), len(sys.prepT)
+	}
+	checkBound := func(when string) {
+		t.Helper()
+		if c, tm := sizes(); c > sys.prepCacheBound || tm > sys.prepCacheBound {
+			t.Fatalf("%s: a cache exceeded its bound %d: %d concrete, %d template entries", when, sys.prepCacheBound, c, tm)
+		}
+	}
 	pq, err := sys.Prepare(NewUCQ(pp.Q), LangCQ)
 	if err != nil {
 		t.Fatal(err)
@@ -379,16 +394,11 @@ func TestPrepareCacheEvictsNegativesFirst(t *testing.T) {
 		if _, err := sys.Prepare(chainQuery(n), LangCQ); err != ErrNoBoundedRewriting {
 			t.Fatalf("chain %d: want ErrNoBoundedRewriting, got %v", n, err)
 		}
+		checkBound(fmt.Sprintf("chain %d", n))
 	}
 	_, _, evictions := sys.PrepareCacheStats()
 	if evictions == 0 {
 		t.Fatal("cache overflow must count evictions")
-	}
-	sys.prepQMu.Lock()
-	size := len(sys.prepQ)
-	sys.prepQMu.Unlock()
-	if size > sys.prepCacheBound {
-		t.Fatalf("cache exceeded its bound: %d > %d", size, sys.prepCacheBound)
 	}
 	// The positive entry must have survived: re-Prepare hits the cache
 	// (same handle, no new search).
@@ -399,5 +409,17 @@ func TestPrepareCacheEvictsNegativesFirst(t *testing.T) {
 	}
 	if s1, _, _ := sys.PrepareCacheStats(); s1 != s0 || pq2 != pq {
 		t.Fatal("hot positive entry was evicted while negative entries survived")
+	}
+	// Its template survived the negatives too: rebinding "k" searches
+	// nothing, however many bindings overflow the concrete cache.
+	for i := 0; i < 3*sys.prepCacheBound; i++ {
+		q := NewUCQ(NewCQ([]Term{Var("b")}, []Atom{NewAtom("R", Cst(fmt.Sprintf("k%d", i)), Var("b"))}))
+		if _, err := sys.Prepare(q, LangCQ); err != nil {
+			t.Fatal(err)
+		}
+		checkBound(fmt.Sprintf("binding k%d", i))
+	}
+	if s1, _, _ := sys.PrepareCacheStats(); s1 != s0 {
+		t.Fatalf("rebinding a cached template searched again: %d -> %d searches", s0, s1)
 	}
 }
