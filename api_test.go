@@ -7,9 +7,22 @@ import (
 	"repro/internal/workload"
 )
 
-func movieSystem(t *testing.T) (*System, *workload.Movies) {
+// raceEnabled reports a -race build (race_test.go sets it). The race
+// detector slows the engine about tenfold, so the largest inputs of the
+// size sweeps skip themselves under it; the non-race runs — tier 1 and
+// the gates run — still cover them.
+var raceEnabled bool
+
+func movieSystem(t testing.TB) (*System, *workload.Movies) {
 	t.Helper()
-	m := workload.NewMovies(30)
+	return movieSystemN0(t, 30)
+}
+
+// movieSystemN0 is movieSystem over the Movies fixture whose ϕ1 caps
+// movies per (studio, year) at n0.
+func movieSystemN0(t testing.TB, n0 int) (*System, *workload.Movies) {
+	t.Helper()
+	m := workload.NewMovies(n0)
 	sys, err := NewSystem(m.Schema, m.Access, m.Views(), 11)
 	if err != nil {
 		t.Fatal(err)

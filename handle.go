@@ -195,9 +195,9 @@ func WithSlowQueryThreshold(d time.Duration) OpenOption {
 // WithoutMetrics opens the handle with the observability core disabled:
 // Metrics returns an empty snapshot, no latency is recorded and the
 // slow-query log is off. The instrumented path is allocation-free and
-// costs a few percent at most (the `benchrun -exp obs` gate bounds it
-// at 5% on epoch-reader throughput), so this is mainly the baseline for
-// that measurement — production handles should keep metrics on.
+// costs a few percent at most (TestGateMetricsOverhead bounds it at 5%
+// on epoch-reader throughput), so this is mainly the baseline for that
+// measurement — production handles should keep metrics on.
 func WithoutMetrics() OpenOption {
 	return func(c *openConfig) { c.noMetrics = true }
 }
@@ -465,7 +465,7 @@ type DeltaStats struct {
 	// excludes validation, journaling, statistics and publication. Under
 	// epoch reads it blocks no reader — readers stay on the previous epoch
 	// — but it bounds the batch's publication lag, which is what the
-	// sharded scaling experiment tracks.
+	// sharded scaling gate (TestGateShardScaling) tracks.
 	MaxExclusive time.Duration
 }
 

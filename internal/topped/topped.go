@@ -109,8 +109,6 @@ type ctx struct {
 
 func ctxEmpty() *ctx { return &ctx{} }
 
-func (q *ctx) isEmpty() bool { return len(q.exprs) == 0 }
-
 func (q *ctx) attrs() []string {
 	if q.p == nil {
 		return nil

@@ -14,8 +14,8 @@ import (
 // domain whose access schema makes every relation partition cleanly by
 // uid, whose view joins are co-partitioned (shard-local maintenance), and
 // whose serving traffic is per-uid point queries (single-shard routed
-// fetches). It drives the scatter-gather scaling experiment (benchrun
-// -exp shard) and the sharded differential tests.
+// fetches). It drives the scatter-gather scaling gate
+// (TestGateShardScaling) and the sharded differential tests.
 //
 //	acct(uid, region)       with acct(uid -> region, 1)        — key
 //	txn(uid, item, amt)     with txn(uid -> (item, amt), NTxn) — fan-out cap

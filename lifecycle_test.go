@@ -466,12 +466,24 @@ func TestAtDifferential(t *testing.T) {
 	}
 }
 
-// TestChurnMemoryBounded is the in-tree leak regression behind the
-// benchrun churnmem gate: under closed-universe swap churn (|D| and the
-// dictionary plateau by construction) with snapshots taken and closed
-// along the way, live heap after thousands of epochs must stay near the
-// post-warmup floor. Before the lifecycle layer, superseded epochs and
-// their COW slack accumulated without bound.
+// liveHeap returns the live heap after forcing collection twice (the
+// first cycle runs queued finalizers — the snapshot backstop among them —
+// the second collects what they released).
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestChurnMemoryBounded is the tier-1 leak regression behind the
+// churn-memory gate (TestGateChurnMemory in gates_test.go): under
+// closed-universe swap churn (|D| and the dictionary plateau by
+// construction) with snapshots taken and closed along the way, live heap
+// after thousands of epochs must stay near the post-warmup floor. Before
+// the lifecycle layer, superseded epochs and their COW slack accumulated
+// without bound.
 func TestChurnMemoryBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heap-plateau measurement: skipped in -short")
@@ -499,14 +511,6 @@ func TestChurnMemoryBounded(t *testing.T) {
 			s.Close()
 		}
 	}
-	liveHeap := func() int64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapAlloc)
-	}
-
 	const warmup, main = 150, 1200
 	for b := 0; b < warmup; b++ {
 		step(b)

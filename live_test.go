@@ -53,31 +53,72 @@ func assertLiveFresh(t *testing.T, sys *System, l *Live, db *Database, p Plan, q
 }
 
 // TestLiveServesFreshAnswersUnderChurn drives batched churn through a
-// Live handle and checks, at every step, that plan answers and view
-// extents match full recomputation — and that the fetch bound holds
-// throughout (scale independence under updates).
+// Live handle and checks that plan answers and view extents match full
+// recomputation and that the fetch bound holds after every batch (scale
+// independence under updates). The small input is recomputed after every
+// batch; the larger ones (1.25k, 12.5k and 50k persons at N0 = 50) apply
+// 26 batches of 1% of |D| and are recomputed once, at the end.
 func TestLiveServesFreshAnswersUnderChurn(t *testing.T) {
-	sys, m, l, db, p := liveMovieFixture(t, 400, 400)
-	q0 := NewUCQ(m.Q0)
-	assertLiveFresh(t, sys, l, db, p, q0)
-	ch := workload.NewChurn(m, db, workload.ChurnParams{Seed: 3})
-	for b := 0; b < 12; b++ {
-		ins, del := ch.Batch(150)
-		st, err := l.ApplyDelta(ins, del)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Inserted == 0 && st.Deleted == 0 {
-			t.Fatal("batch applied nothing")
-		}
-		_, fetched, err := l.Execute(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fetched > 2*m.N0 {
-			t.Fatalf("batch %d: fetched %d > 2·N0 — scale independence lost under churn", b, fetched)
-		}
-		assertLiveFresh(t, sys, l, db, p, q0)
+	for _, tc := range []struct {
+		n0         int
+		params     workload.MoviesParams
+		churnSeed  int64
+		batches    int
+		batch      int // ops per batch; 0 means 1% of |D|
+		freshEvery bool
+	}{
+		{30, workload.MoviesParams{Persons: 400, Movies: 400, LikesPerPerson: 5, NASAShare: 8, Seed: 1}, 3, 12, 150, true},
+		{50, workload.MoviesParams{Persons: 1250, Movies: 1250, LikesPerPerson: 5, NASAShare: 10, Seed: 7}, 1, 26, 0, false},
+		{50, workload.MoviesParams{Persons: 12500, Movies: 12500, LikesPerPerson: 5, NASAShare: 10, Seed: 7}, 1, 26, 0, false},
+		{50, workload.MoviesParams{Persons: 50000, Movies: 50000, LikesPerPerson: 5, NASAShare: 10, Seed: 7}, 1, 26, 0, false},
+	} {
+		t.Run(fmt.Sprintf("persons=%d", tc.params.Persons), func(t *testing.T) {
+			if raceEnabled && tc.params.Persons >= 50000 {
+				t.Skip("largest input: skipped under the race detector")
+			}
+			sys, m := movieSystemN0(t, tc.n0)
+			db := m.Generate(tc.params)
+			h, err := sys.Open(db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer h.Close()
+			l, p, q0 := h.(*Live), m.Fig1Plan(), NewUCQ(m.Q0)
+			if tc.freshEvery {
+				assertLiveFresh(t, sys, l, db, p, q0)
+			}
+			batch := tc.batch
+			if batch == 0 {
+				batch = db.Size() / 100
+			}
+			ch := workload.NewChurn(m, db, workload.ChurnParams{Seed: tc.churnSeed})
+			worst := 0
+			for b := 0; b < tc.batches; b++ {
+				ins, del := ch.Batch(batch)
+				st, err := l.ApplyDelta(ins, del)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Inserted == 0 && st.Deleted == 0 {
+					t.Fatal("batch applied nothing")
+				}
+				_, fetched, err := l.Execute(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fetched > 2*m.N0 {
+					t.Fatalf("batch %d: fetched %d > 2·N0 — scale independence lost under churn", b, fetched)
+				}
+				worst = max(worst, fetched)
+				if tc.freshEvery {
+					assertLiveFresh(t, sys, l, db, p, q0)
+				}
+			}
+			if !tc.freshEvery {
+				assertLiveFresh(t, sys, l, db, p, q0)
+			}
+			t.Logf("|D| = %d, %d batches of %d ops: max fetched %d <= 2·N0 = %d", l.Size(), tc.batches, batch, worst, 2*m.N0)
+		})
 	}
 }
 

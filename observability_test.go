@@ -150,97 +150,127 @@ func TestMetricsStressNoBlocking(t *testing.T) {
 	}
 }
 
-// TestSlowTraceReconciliation pins an epoch, serves a prepared query on
-// it with a zero-ish slow threshold so the execution is traced, and
-// checks the trace's accounting against the snapshot's exact fetch
-// counter: trace.Fetched, the sum of its per-constraint group rows, and
-// Snapshot.FetchedTuples must all be the same number.
+// TestSlowTraceReconciliation pins an epoch, executes on it with a
+// zero-ish slow threshold so the execution is traced, and checks the
+// trace's accounting against the snapshot's exact fetch counter:
+// trace.Fetched, the sum of its per-constraint group rows, and
+// Snapshot.FetchedTuples must all be the same number. Two inputs: a
+// prepared PlanPick query served through ExecuteOn, and an ad-hoc
+// Snapshot.Execute of the Figure 1 plan on the Movies fixture (N0 = 50,
+// 3k persons), which takes execute's upgrade to the observed path.
 func TestSlowTraceReconciliation(t *testing.T) {
-	sys, pp := planPickSystem(t)
-	db := pp.Generate(4000, 4, 11)
-	h, err := sys.Open(db, WithSlowQueryThreshold(time.Nanosecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	pq, err := sys.Prepare(NewUCQ(pp.Q), LangCQ)
-	if err != nil {
-		t.Fatal(err)
-	}
+	type execFn func(*Snapshot) ([][]string, int, error)
+	for _, tc := range []struct {
+		name string
+		// setup opens the traced handle and returns how to execute on a
+		// snapshot, the query key the trace must carry ("" for an ad-hoc
+		// plan, whose candidate is -1) and the frontier size.
+		setup func(t *testing.T) (Handle, execFn, string, int)
+	}{
+		{"prepared", func(t *testing.T) (Handle, execFn, string, int) {
+			sys, pp := planPickSystem(t)
+			h, err := sys.Open(pp.Generate(4000, 4, 11), WithSlowQueryThreshold(time.Nanosecond))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pq, err := sys.Prepare(NewUCQ(pp.Q), LangCQ)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return h, pq.ExecuteOn, pq.Key(), len(pq.Candidates())
+		}},
+		{"ad-hoc", func(t *testing.T) (Handle, execFn, string, int) {
+			sys, m := movieSystemN0(t, 50)
+			db := m.Generate(workload.MoviesParams{Persons: 3000, Movies: 3000, LikesPerPerson: 5, NASAShare: 10, Seed: 7})
+			h, err := sys.Open(db, WithSlowQueryThreshold(time.Nanosecond))
+			if err != nil {
+				t.Fatal(err)
+			}
+			xi0 := m.Fig1Plan()
+			return h, func(s *Snapshot) ([][]string, int, error) { return s.Execute(xi0) }, "", 0
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h, exec, key, cands := tc.setup(t)
+			defer h.Close()
+			s := h.Snapshot()
+			defer s.Close()
+			rows, fetched, err := exec(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := s.FetchedTuples(); got != fetched {
+				t.Fatalf("snapshot counted %d fetched tuples, Execute reported %d", got, fetched)
+			}
 
-	s := h.Snapshot()
-	defer s.Close()
-	rows, fetched, err := pq.ExecuteOn(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.FetchedTuples(); got != fetched {
-		t.Fatalf("snapshot counted %d fetched tuples, Execute reported %d", got, fetched)
-	}
+			traces := h.SlowQueries()
+			if len(traces) == 0 {
+				t.Fatal("a 1ns threshold must trace every execution")
+			}
+			tr := traces[0]
+			if tr.QueryKey != key {
+				t.Fatalf("trace key %q, want %q", tr.QueryKey, key)
+			}
+			if key == "" && tr.Candidate != -1 {
+				t.Fatalf("ad-hoc trace candidate %d, want -1", tr.Candidate)
+			}
+			if key != "" && (tr.Candidate < 0 || tr.Candidate >= cands) {
+				t.Fatalf("trace candidate %d outside the frontier", tr.Candidate)
+			}
+			if tr.EpochSeq != s.Epoch() {
+				t.Fatalf("trace epoch %d, snapshot epoch %d", tr.EpochSeq, s.Epoch())
+			}
+			if tr.Rows != len(rows) {
+				t.Fatalf("trace rows %d, execution produced %d", tr.Rows, len(rows))
+			}
+			if tr.Plan == "" || tr.Duration <= 0 {
+				t.Fatalf("trace missing plan or duration: %+v", tr)
+			}
+			if tr.Fetched != fetched {
+				t.Fatalf("trace fetched %d, execution fetched %d", tr.Fetched, fetched)
+			}
+			var groupRows, groupProbes int
+			for _, g := range tr.Groups {
+				if g.Key == "" {
+					t.Fatalf("unkeyed group in trace: %+v", tr.Groups)
+				}
+				groupRows += g.Rows
+				groupProbes += g.Probes
+			}
+			if groupRows != fetched {
+				t.Fatalf("per-constraint group rows sum to %d, fetched %d — attribution lost tuples", groupRows, fetched)
+			}
+			if fetched > 0 && groupProbes == 0 {
+				t.Fatal("tuples were fetched but no probe was attributed")
+			}
 
-	traces := h.SlowQueries()
-	if len(traces) == 0 {
-		t.Fatal("a 1ns threshold must trace every execution")
-	}
-	tr := traces[0]
-	if tr.QueryKey != pq.Key() {
-		t.Fatalf("trace key %q, want %q", tr.QueryKey, pq.Key())
-	}
-	if tr.Candidate < 0 || tr.Candidate >= len(pq.Candidates()) {
-		t.Fatalf("trace candidate %d outside the frontier", tr.Candidate)
-	}
-	if tr.EpochSeq != s.Epoch() {
-		t.Fatalf("trace epoch %d, snapshot epoch %d", tr.EpochSeq, s.Epoch())
-	}
-	if tr.Rows != len(rows) {
-		t.Fatalf("trace rows %d, execution produced %d", tr.Rows, len(rows))
-	}
-	if tr.Plan == "" || tr.Duration <= 0 {
-		t.Fatalf("trace missing plan or duration: %+v", tr)
-	}
-	if tr.Fetched != fetched {
-		t.Fatalf("trace fetched %d, execution fetched %d", tr.Fetched, fetched)
-	}
-	var groupRows, groupProbes int
-	for _, g := range tr.Groups {
-		if g.Key == "" {
-			t.Fatalf("unkeyed group in trace: %+v", tr.Groups)
-		}
-		groupRows += g.Rows
-		groupProbes += g.Probes
-	}
-	if groupRows != fetched {
-		t.Fatalf("per-constraint group rows sum to %d, fetched %d — attribution lost tuples", groupRows, fetched)
-	}
-	if fetched > 0 && groupProbes == 0 {
-		t.Fatal("tuples were fetched but no probe was attributed")
-	}
+			// The handle-level counters saw the snapshot execution too.
+			ms := h.Metrics()
+			if ms.Counters["repro_slow_query_total"] < 1 || ms.Counters["repro_query_total"] < 1 {
+				t.Fatalf("handle counters missed the snapshot execution: %v", ms.Counters)
+			}
+			if got, want := ms.Gauges["repro_fetched_tuples_total"], int64(fetched); got != want {
+				t.Fatalf("handle fetch gauge = %d, want %d", got, want)
+			}
 
-	// The handle-level counters saw the snapshot execution too.
-	ms := h.Metrics()
-	if ms.Counters["repro_slow_query_total"] < 1 || ms.Counters["repro_query_total"] < 1 {
-		t.Fatalf("handle counters missed the snapshot execution: %v", ms.Counters)
-	}
-	if got, want := ms.Gauges["repro_fetched_tuples_total"], int64(fetched); got != want {
-		t.Fatalf("handle fetch gauge = %d, want %d", got, want)
-	}
-
-	// The exporter's slow route carries the same trace.
-	rec := httptest.NewRecorder()
-	DebugHandler(h).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/repro/slow", nil))
-	var body struct {
-		Slow []struct {
-			Fetched int `json:"fetched"`
-			Groups  []struct {
-				Rows int `json:"rows"`
-			} `json:"groups"`
-		} `json:"slow"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-		t.Fatalf("slow route JSON: %v", err)
-	}
-	if len(body.Slow) == 0 || body.Slow[0].Fetched != fetched {
-		t.Fatalf("exported slow log diverges: %+v", body.Slow)
+			// The exporter's slow route carries the same trace.
+			rec := httptest.NewRecorder()
+			DebugHandler(h).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/repro/slow", nil))
+			var body struct {
+				Slow []struct {
+					Fetched int `json:"fetched"`
+					Groups  []struct {
+						Rows int `json:"rows"`
+					} `json:"groups"`
+				} `json:"slow"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+				t.Fatalf("slow route JSON: %v", err)
+			}
+			if len(body.Slow) == 0 || body.Slow[0].Fetched != fetched {
+				t.Fatalf("exported slow log diverges: %+v", body.Slow)
+			}
+		})
 	}
 }
 

@@ -518,12 +518,3 @@ func (pq *PreparedQuery) ExecuteOn(s *Snapshot) ([][]string, int, error) {
 	pq.feedback(s.hid, st, idx, ob, met)
 	return rows, fetched, nil
 }
-
-// planOn returns the plan the closed-loop selection would serve the
-// handle with, without executing it (kept for the serving layers that
-// need the plan itself, e.g. open-loop baselines and diagnostics).
-func (pq *PreparedQuery) planOn(id uint64, st *plan.Stats, ver uint64) Plan {
-	pq.mu.Lock()
-	defer pq.mu.Unlock()
-	return pq.cands[pq.selFor(id, st, ver, nil).sel].Plan
-}

@@ -28,46 +28,61 @@ func renamedPlanPickQuery(i int) *UCQ {
 }
 
 // TestPrepareSelectsCheapPlanAndCaches: the handle must serve a plan whose
-// realized fetch volume is far below the worst candidate's, and a
+// realized fetch volume is far below the worst candidate's — at every
+// instance size, 500 to 50k rows, with one search — and a
 // renamed-but-equivalent query must be answered from the cache with no
 // second VBRP search. Negative answers are cached too.
 func TestPrepareSelectsCheapPlanAndCaches(t *testing.T) {
 	sys, pp := planPickSystem(t)
-	db := pp.Generate(4000, 4, 11)
-	l, err := sys.Open(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pq, err := sys.Prepare(NewUCQ(pp.Q), LangCQ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pq.Candidates()) < 3 {
-		t.Fatalf("expected the view, selective-fetch and whole-table candidates, got %d", len(pq.Candidates()))
-	}
-	direct, err := sys.EvalDirect(NewUCQ(pp.Q), db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, fetched, err := pq.Execute(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cq.RowsEqual(rows, direct) {
-		t.Fatalf("prepared answers diverge: %v vs %v", rows, direct)
-	}
-	worst := -1
-	for _, c := range pq.Candidates() {
-		_, f, err := l.Execute(c)
+	var pq *PreparedQuery
+	for _, size := range []struct {
+		rows int
+		seed int64
+	}{{4000, 11}, {500, 7}, {5000, 7}, {50000, 7}} {
+		if raceEnabled && size.rows >= 50000 {
+			t.Logf("%d rows: skipped under the race detector", size.rows)
+			continue
+		}
+		db := pp.Generate(size.rows, 4, size.seed)
+		l, err := sys.Open(db)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f > worst {
-			worst = f
+		if pq, err = sys.Prepare(NewUCQ(pp.Q), LangCQ); err != nil {
+			t.Fatal(err)
 		}
+		if len(pq.Candidates()) < 3 {
+			t.Fatalf("expected the view, selective-fetch and whole-table candidates, got %d", len(pq.Candidates()))
+		}
+		direct, err := sys.EvalDirect(NewUCQ(pp.Q), db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, fetched, err := pq.Execute(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cq.RowsEqual(rows, direct) {
+			t.Fatalf("%d rows: prepared answers diverge: %v vs %v", size.rows, rows, direct)
+		}
+		worst := -1
+		for _, c := range pq.Candidates() {
+			crows, f, err := l.Execute(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !cq.RowsEqual(crows, direct) {
+				t.Fatalf("%d rows: candidate disagrees with direct evaluation:\n%s", size.rows, RenderPlan(c))
+			}
+			worst = max(worst, f)
+		}
+		if worst < 2*(fetched+1) {
+			t.Fatalf("%d rows: cost selection bought nothing: chosen fetches %d, worst %d", size.rows, fetched, worst)
+		}
+		t.Logf("%d rows: chosen fetches %d, worst %d (gap >= 2x)", size.rows, fetched, worst)
 	}
-	if worst < 2*(fetched+1) {
-		t.Fatalf("cost selection bought nothing: chosen fetches %d, worst %d", fetched, worst)
+	if s, _, _ := sys.PrepareCacheStats(); s != 1 {
+		t.Fatalf("re-Preparing across instances ran %d searches, want 1", s)
 	}
 
 	// Renamed query: cache hit, no second search.
