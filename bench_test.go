@@ -697,8 +697,7 @@ func BenchmarkSystemExecuteRepeated(b *testing.B) {
 // churnCycle draws half ShardedChurn batches of ops operations against db
 // and appends their inverses in reverse order, so applying the whole cycle
 // returns the database to its generated state: a stationary write load
-// whatever the number of batches applied. Call it before a handle adopts
-// db.
+// whatever the number of batches applied.
 func churnCycle(w *workload.Sharded, db *instance.Database, half, ops int, seed int64) (ins, dels [][]instance.Op) {
 	ch := w.NewChurn(db, seed)
 	for n := 0; n < half; n++ {
@@ -735,22 +734,14 @@ func openChurnHandle(tb testing.TB, users, half int) (Handle, [][]instance.Op, [
 // BenchmarkLive_ApplyDeltaSweep is the write path's scale-freedom sweep:
 // the same 256-op churn batches (64 of them, then their inverses, cycled)
 // through an in-memory P = 1 handle at three database sizes (31k, 125k
-// and 500k rows). Per-batch
-// time and B/op should stay near flat across the 16x size range: batch
+// and 500k rows), timed from the first batch after Open. Per-batch time
+// and B/op should stay near flat across the 16x size range: batch
 // maintenance costs O(|Δ|) plus a log-depth term, not O(|V|) or O(|D|).
 func BenchmarkLive_ApplyDeltaSweep(b *testing.B) {
 	for _, users := range []int{6250, 25000, 100000} {
 		b.Run(fmt.Sprintf("users=%d", users), func(b *testing.B) {
 			h, ins, dels := openChurnHandle(b, users, 64)
 			defer h.Close()
-			// One untimed cycle first: the first deletes build the tables'
-			// lazy row-position indexes, an O(|D|) step paid once per
-			// handle, not per batch.
-			for p := range ins {
-				if _, err := h.ApplyDelta(ins[p], dels[p]); err != nil {
-					b.Fatal(err)
-				}
-			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
@@ -307,5 +308,35 @@ func TestDurableGuards(t *testing.T) {
 	if _, err := sys.Open(w.Generate(5, 2, 1), WithDurability(dir)); err == nil ||
 		!strings.Contains(err.Error(), "empty database") {
 		t.Fatalf("non-empty database must be rejected on recovery, got %v", err)
+	}
+}
+
+// TestCheckpointRows pins the restore path's checks on checkpointed rows,
+// which the engine adopts without re-interning: good tables pass through
+// as they are, copies included, and an unknown or repeated relation, a
+// row of the wrong arity or an ID beyond the restored dictionary is an
+// error, never a silently wrong engine.
+func TestCheckpointRows(t *testing.T) {
+	s := NewSchema(NewRelation("R", "A", "B", "C"), NewRelation("S", "X"))
+	good := []wal.TableRows{
+		{Rel: "R", Rows: [][]uint32{{0, 1, 2}, {0, 1, 2}, {2, 1, 0}}},
+		{Rel: "S", Rows: [][]uint32{{3}}},
+	}
+	rows, err := checkpointRows(s, 4, good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows["R"]) != 3 || len(rows["S"]) != 1 {
+		t.Fatalf("restored %d R rows and %d S rows, want 3 and 1", len(rows["R"]), len(rows["S"]))
+	}
+	for what, tables := range map[string][]wal.TableRows{
+		"unknown relation":         {{Rel: "nope"}},
+		"repeated relation":        {{Rel: "S"}, {Rel: "S"}},
+		"arity mismatch":           {{Rel: "R", Rows: [][]uint32{{0, 1}}}},
+		"ID beyond the dictionary": {{Rel: "R", Rows: [][]uint32{{0, 1, 4}}}},
+	} {
+		if _, err := checkpointRows(s, 4, tables); err == nil {
+			t.Errorf("%s: checkpoint rows accepted", what)
+		}
 	}
 }

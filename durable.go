@@ -113,7 +113,7 @@ func (sys *System) openDurable(db *Database, cfg openConfig) (*Live, error) {
 	case rec == nil:
 		// Fresh directory: serve the given database; the opening epoch is
 		// checkpointed below so the log has a recovery base.
-		l, err = sys.newLive(db, cfg, nil)
+		l, err = sys.newLive(db.Dict, db.IDTables(), cfg, nil)
 	case db.Size() != 0 || db.Dict.Len() != 0:
 		err = fmt.Errorf("repro: %s holds durable state; recovery requires an empty database", cfg.durDir)
 	default:
@@ -150,10 +150,10 @@ func (sys *System) openDurable(db *Database, cfg openConfig) (*Live, error) {
 // restore rebuilds a handle from a checkpoint plus log suffix. The
 // dictionary prefix restores the exact interned IDs (dense, first-intern
 // order), which is what makes replay reassign identical IDs afterwards.
-// The checkpoint's tables are the writer's per-shard shadows concatenated
-// in shard order; re-routing them by the same hash reproduces each shard's
-// contents and row order, and the restored statistics plus churn counter
-// make every replayed drift decision identical too.
+// The checkpoint's ID rows go to the engine as they are (checkpointRows
+// checks them first); re-routing them by the same hash reproduces each
+// shard's contents, and the restored statistics plus churn counter make
+// every replayed drift decision identical too.
 func (sys *System) restore(rec *wal.Recovered, cfg openConfig) (*Live, error) {
 	ck := rec.Checkpoint
 	dict, ok := intern.FromStrings(ck.Dict)
@@ -163,13 +163,11 @@ func (sys *System) restore(rec *wal.Recovered, cfg openConfig) (*Live, error) {
 	if ck.Stats == nil {
 		return nil, fmt.Errorf("repro: recover: checkpoint carries no statistics")
 	}
-	db := instance.NewDatabaseWith(sys.Schema, dict)
-	for _, t := range ck.Tables {
-		if err := db.RestoreRows(t.Rel, t.Rows); err != nil {
-			return nil, fmt.Errorf("repro: recover: %w", err)
-		}
+	rows, err := checkpointRows(sys.Schema, dict.Len(), ck.Tables)
+	if err != nil {
+		return nil, fmt.Errorf("repro: recover: %w", err)
 	}
-	l, err := sys.newLive(db, cfg, ck)
+	l, err := sys.newLive(dict, rows, cfg, ck)
 	if err != nil {
 		return nil, fmt.Errorf("repro: recover: %w", err)
 	}
@@ -179,4 +177,34 @@ func (sys *System) restore(rec *wal.Recovered, cfg openConfig) (*Live, error) {
 	}
 	l.recovery = info
 	return l, nil
+}
+
+// checkpointRows checks a checkpoint's tables before the engine adopts
+// their rows: each names a relation of s at most once, every row has the
+// relation's arity, and every ID lies below the restored dictionary's
+// length n. The engine trusts its rows, so a corrupt checkpoint must stop
+// here.
+func checkpointRows(s *Schema, n int, tables []wal.TableRows) (map[string][][]uint32, error) {
+	rows := make(map[string][][]uint32, len(tables))
+	for _, t := range tables {
+		rel := s.Relation(t.Rel)
+		if rel == nil {
+			return nil, fmt.Errorf("checkpoint table of unknown relation %s", t.Rel)
+		}
+		if _, dup := rows[t.Rel]; dup {
+			return nil, fmt.Errorf("checkpoint repeats relation %s", t.Rel)
+		}
+		for _, r := range t.Rows {
+			if len(r) != rel.Arity() {
+				return nil, fmt.Errorf("checkpoint %s row has arity %d, want %d", t.Rel, len(r), rel.Arity())
+			}
+			for _, id := range r {
+				if int(id) >= n {
+					return nil, fmt.Errorf("checkpoint %s row references ID %d beyond dictionary length %d", t.Rel, id, n)
+				}
+			}
+		}
+		rows[t.Rel] = t.Rows
+	}
+	return rows, nil
 }

@@ -135,8 +135,8 @@ type OpenOption func(*openConfig)
 // WithShards hash-partitions the database into p shards: batched deltas
 // are routed per shard and maintained concurrently, and fetches whose
 // constraint binds the partition key become single-shard point reads.
-// The default is p = 1, where routing is compiled away and the given
-// database is served in place. Open rejects p < 1.
+// The default is p = 1, where routing is compiled away. Open rejects
+// p < 1.
 func WithShards(p int) OpenOption { return func(c *openConfig) { c.shards = p } }
 
 // WithRetainEpochs bounds the handle's retention ring: the last n
@@ -204,11 +204,12 @@ func WithoutMetrics() OpenOption {
 
 // Open builds a serving handle over db: fetch indices for the system's
 // access schema, incremental maintenance for its views, cost-model
-// statistics, and the epoch machinery for lock-free snapshot reads. The
-// database is consumed and must not be used directly afterwards — route
-// all reads and writes through the handle (at P = 1 the handle serves
-// and mutates db in place; at P > 1 its rows move into the partitions).
-// The returned Handle is a *Live.
+// statistics, and the epoch machinery for lock-free snapshot reads. Open
+// encodes db's rows once into the handle's own row store; it only reads
+// db's tables, never mutating or emptying them, and later changes to them
+// are not seen — route all writes through the handle. db.Dict is shared,
+// not copied: the handle keeps it and interns every value its inserts
+// bring. The returned Handle is a *Live.
 func (sys *System) Open(db *Database, opts ...OpenOption) (Handle, error) {
 	cfg := openConfig{shards: 1, ckptEvery: defaultCheckpointEvery}
 	for _, o := range opts {
@@ -217,7 +218,7 @@ func (sys *System) Open(db *Database, opts ...OpenOption) (Handle, error) {
 	if cfg.durDir != "" {
 		return sys.openDurable(db, cfg)
 	}
-	return sys.newLive(db, cfg, nil)
+	return sys.newLive(db.Dict, db.IDTables(), cfg, nil)
 }
 
 // liveIDs hands every handle a process-unique identity, so prepared
@@ -469,10 +470,10 @@ type DeltaStats struct {
 	MaxExclusive time.Duration
 }
 
-// Live is the serving handle. The database is hash-partitioned into P
-// shards (WithShards; P = 1 by default, where routing compiles away and
-// the one partition is the caller's database), each owning its fetch-index
-// versions, view-maintenance engine and statistics; views whose joins are
+// Live is the serving handle. The rows it was opened over are
+// hash-partitioned into P shards (WithShards; P = 1 by default, where
+// routing compiles away), each owning its rows, fetch-index versions,
+// view-maintenance engine and statistics; views whose joins are
 // not co-partitioned are maintained by one global engine. Fetches whose
 // constraint binds the partition key are single-shard point reads,
 // everything else gathers across shards. ApplyDelta routes ops per shard,
@@ -507,10 +508,11 @@ type Live struct {
 	met *obs.Core // nil when opened WithoutMetrics
 }
 
-// newLive builds a handle over db. ck, when non-nil, is the checkpoint db
-// was restored from: its epoch number, statistics trajectory and (at
-// P = 1) counted view extents seed the engine instead of being recomputed.
-func (sys *System) newLive(db *Database, cfg openConfig, ck *wal.Checkpoint) (*Live, error) {
+// newLive builds a handle over ID-encoded rows interned through d (see
+// shard.Open). ck, when non-nil, is the checkpoint the rows were restored
+// from: its epoch number, statistics trajectory and (at P = 1) counted
+// view extents seed the engine instead of being recomputed.
+func (sys *System) newLive(d *intern.Dict, rows map[string][][]uint32, cfg openConfig, ck *wal.Checkpoint) (*Live, error) {
 	scfg := shard.Config{Shards: cfg.shards}
 	// The metrics core stays nil when disabled: every recording site is
 	// nil-safe.
@@ -530,7 +532,7 @@ func (sys *System) newLive(db *Database, cfg openConfig, ck *wal.Checkpoint) (*L
 			}
 		}
 	}
-	sh, err := shard.Open(db, sys.Schema, sys.Access, sys.Views, scfg)
+	sh, err := shard.Open(d, rows, sys.Schema, sys.Access, sys.Views, scfg)
 	if err != nil {
 		return nil, err
 	}
@@ -673,8 +675,8 @@ func (l *Live) ApplyDelta(inserts, deletes []Op) (DeltaStats, error) {
 }
 
 // checkpointLocked serializes the current epoch into the log: the
-// relations' ID shadows (schema order; per-shard shadows concatenated in
-// shard order) and the statistics with their drift state, plus at P = 1
+// relations' ID rows (schema order; per-shard rows concatenated in shard
+// order) and the statistics with their drift state, plus at P = 1
 // the counted view extents, which spare a restart the view enumeration.
 // Callers hold l.mu.
 func (l *Live) checkpointLocked() error {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cq"
 	"repro/internal/instance"
 	"repro/internal/intern"
+	"repro/internal/schema"
 )
 
 // DeltaEngine keeps a set of UCQ views incrementally consistent with a
@@ -24,29 +25,35 @@ import (
 // enumeration needs are dropped once it is done. The indexes are
 // themselves maintained incrementally, so per-op cost depends on the data
 // touched by t's residual joins, not on |D|. Base relations are treated
-// with set semantics: a per-row support count turns physical multiset
-// churn into 0↔1 support transitions, and only transitions trigger view
-// work. Extents are chunked copy-on-write (see extent), so a batch copies
-// the chunks it writes and the chunk pointers of the views it publishes,
-// never a whole extent.
+// with set semantics: a per-row support count (the row's multiplicity)
+// turns physical multiset churn into 0↔1 support transitions, and only
+// transitions trigger view work. Extents are chunked copy-on-write (see
+// extent), so a batch copies the chunks it writes and the chunk pointers
+// of the views it publishes, never a whole extent.
+//
+// The multiplicity map is also the row store of every relation the engine
+// is built over, read by a view or not: Resolve, Size, Rows and RelStats
+// read it, and the shard engine keeps no other copy of the base rows.
 //
 // The engine is not safe for concurrent use; its owner (the shard
-// engine's batch lock) serializes Apply. Extents are published interned
-// as immutable headers (PublishExtentIDs) for epoch readers, and decoded
-// (Views) for the Materialized interface.
+// engine's batch lock) serializes Resolve and Apply. Extents are
+// published interned as immutable headers (PublishExtentIDs) for epoch
+// readers, and decoded (Views) for the Materialized interface.
 type DeltaEngine struct {
-	db    *instance.Database
 	dict  *intern.Dict
 	views map[string]*viewState
 	names []string // sorted view names
 	rels  map[string]*relState
 }
 
-// relState is the per-relation live state: support counts and the join
-// indexes the compiled plans probe.
+// relState is one stored relation: its rows with their multiplicities,
+// the join indexes the compiled plans probe, and the plans its changes
+// trigger.
 type relState struct {
 	arity   int
-	support *intern.Grouper[int]
+	rows    int                         // stored rows, copies included
+	support *intern.Grouper[int]        // row -> multiplicity
+	cols    []map[uint32]int32          // per column: ID -> distinct rows holding it
 	indexes map[string]*intern.DynIndex // key: packed position set
 	plans   []*deltaPlan                // plans triggered by this relation
 }
@@ -120,13 +127,17 @@ type valSrc struct {
 	slot    int
 }
 
-// NewDeltaEngine compiles the views' delta plans, builds the join indexes
-// and support counts over db's current contents, and computes the initial
-// counted extents. Unsatisfiable disjuncts (inconsistent equalities) are
-// dropped; unsafe disjuncts (unbound head variable) and atoms over unknown
-// relations are errors, mirroring UCQOnDB.
-func NewDeltaEngine(db *instance.Database, views map[string]*cq.UCQ) (*DeltaEngine, error) {
-	e, inits, err := newEngine(db, views, true)
+// NewDeltaEngine builds an engine over ID-encoded rows interned through
+// d: rows maps each relation of s the engine stores to its rows (a
+// multiset), and every relation a view reads must be among them. It
+// compiles the views' delta plans, builds the join indexes and
+// multiplicities, and computes the initial counted extents. Unsatisfiable
+// disjuncts (inconsistent equalities) are dropped; unsafe disjuncts
+// (unbound head variable) and atoms over relations the engine does not
+// store are errors, mirroring UCQOnDB. The rows are shared, never
+// mutated.
+func NewDeltaEngine(s *schema.Schema, d *intern.Dict, rows map[string][][]uint32, views map[string]*cq.UCQ) (*DeltaEngine, error) {
+	e, inits, err := newEngine(s, d, rows, views, true)
 	if err != nil {
 		return nil, err
 	}
@@ -196,15 +207,14 @@ func (e *DeltaEngine) CheckpointExtents() map[string]Extent {
 
 // NewDeltaEngineWithExtents builds an engine whose counted extents are
 // seeded from a checkpoint instead of enumerated from scratch: delta plans
-// are compiled and the join indexes / support counts are rebuilt by a
-// linear scan of db's tables (deterministic from the rows), but the
-// expensive initial full-plan enumeration is skipped entirely — the
-// recovery fast path. The extents MUST be the ones a CheckpointExtents
-// call produced against the same database state and view set; mismatches
-// that are cheap to detect (unknown view, arity, duplicate or non-positive
-// counts) are errors.
-func NewDeltaEngineWithExtents(db *instance.Database, views map[string]*cq.UCQ, extents map[string]Extent) (*DeltaEngine, error) {
-	e, _, err := newEngine(db, views, false)
+// are compiled and the join indexes / multiplicities are rebuilt by a
+// linear scan of rows (deterministic from the rows), but the expensive
+// initial full-plan enumeration is skipped entirely — the recovery fast
+// path. The extents MUST be the ones a CheckpointExtents call produced
+// against the same rows and view set; mismatches that are cheap to detect
+// (unknown view, arity, duplicate or non-positive counts) are errors.
+func NewDeltaEngineWithExtents(s *schema.Schema, d *intern.Dict, rows map[string][][]uint32, views map[string]*cq.UCQ, extents map[string]Extent) (*DeltaEngine, error) {
+	e, _, err := newEngine(s, d, rows, views, false)
 	if err != nil {
 		return nil, err
 	}
@@ -237,17 +247,32 @@ func NewDeltaEngineWithExtents(db *instance.Database, views map[string]*cq.UCQ, 
 	return e, nil
 }
 
-// newEngine compiles the views over db and rebuilds the join indexes and
-// support counts from the current tables. With withInits it also compiles
-// one full plan per disjunct (for NewDeltaEngine's initial enumeration);
-// the restore path skips them — their indexes and enumeration are exactly
-// the work a checkpoint avoids.
-func newEngine(db *instance.Database, views map[string]*cq.UCQ, withInits bool) (*DeltaEngine, []*deltaPlan, error) {
+// newEngine stores rows' relations, compiles the views over them and
+// builds the join indexes and multiplicities from the rows. With
+// withInits it also compiles one full plan per disjunct (for
+// NewDeltaEngine's initial enumeration); the restore path skips them —
+// their indexes and enumeration are exactly the work a checkpoint avoids.
+func newEngine(s *schema.Schema, d *intern.Dict, rows map[string][][]uint32, views map[string]*cq.UCQ, withInits bool) (*DeltaEngine, []*deltaPlan, error) {
 	e := &DeltaEngine{
-		db:    db,
-		dict:  db.Dict,
+		dict:  d,
 		views: make(map[string]*viewState, len(views)),
-		rels:  make(map[string]*relState),
+		rels:  make(map[string]*relState, len(rows)),
+	}
+	for name := range rows {
+		r := s.Relation(name)
+		if r == nil {
+			return nil, nil, fmt.Errorf("eval: no relation %s in the schema", name)
+		}
+		rs := &relState{
+			arity:   r.Arity(),
+			support: intern.NewGrouper[int](allPos(r.Arity())),
+			cols:    make([]map[uint32]int32, r.Arity()),
+			indexes: make(map[string]*intern.DynIndex),
+		}
+		for i := range rs.cols {
+			rs.cols[i] = make(map[uint32]int32)
+		}
+		e.rels[name] = rs
 	}
 	for name := range views {
 		e.names = append(e.names, name)
@@ -260,11 +285,7 @@ func newEngine(db *instance.Database, views map[string]*cq.UCQ, withInits bool) 
 	for _, name := range e.names {
 		def := views[name]
 		v := &viewState{name: name, arity: ucqArity(def)}
-		idpos := make([]int, v.arity)
-		for i := range idpos {
-			idpos[i] = i
-		}
-		v.counts = intern.NewGrouper[rowStat](idpos)
+		v.counts = intern.NewGrouper[rowStat](allPos(v.arity))
 		e.views[name] = v
 		for _, d := range def.Disjuncts {
 			n, err := d.Normalize()
@@ -288,13 +309,14 @@ func newEngine(db *instance.Database, views map[string]*cq.UCQ, withInits bool) 
 		}
 	}
 
-	// Populate support counts and join indexes from the current tables.
+	// Populate multiplicities and join indexes from the rows.
 	for rel, rs := range e.rels {
-		t := db.Table(rel)
-		for _, r := range t.IDRows() {
+		rs.rows = len(rows[rel])
+		for _, r := range rows[rel] {
 			cnt := rs.support.At(r)
 			*cnt++
 			if *cnt == 1 {
+				rs.countCols(r, +1)
 				for _, ix := range rs.indexes {
 					ix.Add(r)
 				}
@@ -304,28 +326,34 @@ func newEngine(db *instance.Database, views map[string]*cq.UCQ, withInits bool) 
 	return e, inits, nil
 }
 
-// relFor returns (creating on first use) the live state of a relation,
-// erroring on names the database does not know.
+// relFor returns the state of a stored relation, erroring on names the
+// engine does not store.
 func (e *DeltaEngine) relFor(rel string) (*relState, error) {
 	if rs, ok := e.rels[rel]; ok {
 		return rs, nil
 	}
-	t := e.db.Table(rel)
-	if t == nil {
-		return nil, fmt.Errorf("unknown relation %s", rel)
+	return nil, fmt.Errorf("unknown relation %s", rel)
+}
+
+// countCols moves the per-column counts by sign for a row entering (+1)
+// or leaving (-1) the relation's set of distinct rows.
+func (rs *relState) countCols(row []uint32, sign int32) {
+	for i, v := range row {
+		c := rs.cols[i]
+		c[v] += sign
+		if sign < 0 && c[v] == 0 {
+			delete(c, v)
+		}
 	}
-	arity := t.Rel.Arity()
-	idpos := make([]int, arity)
-	for i := range idpos {
-		idpos[i] = i
+}
+
+// allPos returns the positions 0..n-1: a whole-row grouping key.
+func allPos(n int) []int {
+	pos := make([]int, n)
+	for i := range pos {
+		pos[i] = i
 	}
-	rs := &relState{
-		arity:   arity,
-		support: intern.NewGrouper[int](idpos),
-		indexes: make(map[string]*intern.DynIndex),
-	}
-	e.rels[rel] = rs
-	return rs, nil
+	return pos
 }
 
 // indexOn returns (creating and registering on first use) the DynIndex of
@@ -560,10 +588,83 @@ func (e *DeltaEngine) bump(v *viewState, row []uint32, sign int) error {
 	return nil
 }
 
-// Apply folds a physically applied batch delta into the counted extents
-// and join indexes, in the database's application order (deletes, then
-// inserts). It returns the names of the views whose extents changed, for
-// patching prepared plan inputs.
+// Resolve turns a validated batch (stored relations, matching arities)
+// into the physical changes it makes to the stored rows, for VIndex.Apply
+// and Apply, without applying them: deletes first, each removing one
+// copy of a stored row — a no-op when the batch's earlier deletes claimed
+// every copy, or the row is not stored — then inserts, each adding one.
+// Deletes intern nothing; inserts intern their values in batch order.
+func (e *DeltaEngine) Resolve(inserts, deletes []instance.Op) *instance.Applied {
+	a := &instance.Applied{}
+	claimed := make(map[*int]int) // stored row's multiplicity -> copies claimed
+rows:
+	for _, op := range deletes {
+		ids := make([]uint32, len(op.Row))
+		for i, v := range op.Row {
+			id, ok := e.dict.Lookup(v)
+			if !ok {
+				continue rows // a value never interned: the row is not stored
+			}
+			ids[i] = id
+		}
+		if n := e.rels[op.Rel].support.Get(ids); n != nil && claimed[n] < *n {
+			claimed[n]++
+			a.Deleted = append(a.Deleted, instance.AppliedOp{Rel: op.Rel, IDs: ids})
+		}
+	}
+	for _, op := range inserts {
+		a.Inserted = append(a.Inserted, instance.AppliedOp{Rel: op.Rel, IDs: e.dict.Encode(op.Row)})
+	}
+	return a
+}
+
+// Size returns the number of stored rows across relations, copies
+// included.
+func (e *DeltaEngine) Size() int {
+	n := 0
+	for _, rs := range e.rels {
+		n += rs.rows
+	}
+	return n
+}
+
+// Rows returns a stored relation's rows, each repeated by its
+// multiplicity, in unspecified order (nil for a relation the engine does
+// not store). The rows are shared; treat them as read-only.
+func (e *DeltaEngine) Rows(rel string) [][]uint32 {
+	rs, ok := e.rels[rel]
+	if !ok {
+		return nil
+	}
+	out := make([][]uint32, 0, rs.rows)
+	rs.support.Each(func(row []uint32, n *int) {
+		for i := 0; i < *n; i++ {
+			out = append(out, row)
+		}
+	})
+	return out
+}
+
+// RelStats returns a stored relation's row count, copies included, and
+// the number of distinct IDs in each of its columns (nil when it stores
+// no row): the relation statistics of the cost model. It reads counts the
+// engine keeps as rows come and go, so it costs O(arity), not O(|R|).
+func (e *DeltaEngine) RelStats(rel string) (int, []int) {
+	rs, ok := e.rels[rel]
+	if !ok || rs.rows == 0 {
+		return 0, nil
+	}
+	d := make([]int, len(rs.cols))
+	for i, m := range rs.cols {
+		d[i] = len(m)
+	}
+	return rs.rows, d
+}
+
+// Apply folds a physically applied batch delta (Resolve's result) into
+// the multiplicities, counted extents and join indexes, in application
+// order (deletes, then inserts). It returns the names of the views whose
+// extents changed, for patching prepared plan inputs.
 func (e *DeltaEngine) Apply(a *instance.Applied) ([]string, error) {
 	// A view is reported changed when any transition triggered its plans —
 	// a cheap over-approximation (the extent header may also move on
@@ -572,13 +673,14 @@ func (e *DeltaEngine) Apply(a *instance.Applied) ([]string, error) {
 	for _, op := range a.Deleted {
 		rs, ok := e.rels[op.Rel]
 		if !ok {
-			continue // relation not referenced by any view: nothing to maintain
+			continue // relation not stored: no view reads it
 		}
 		cnt := rs.support.At(op.IDs)
 		if *cnt <= 0 {
 			return nil, fmt.Errorf("eval: delta engine out of sync: delete of unsupported row in %s", op.Rel)
 		}
 		*cnt--
+		rs.rows--
 		if *cnt > 0 {
 			continue // another physical copy remains: no set-level change
 		}
@@ -599,14 +701,16 @@ func (e *DeltaEngine) Apply(a *instance.Applied) ([]string, error) {
 			}
 		}
 		rs.support.Remove(op.IDs)
+		rs.countCols(op.IDs, -1)
 	}
 	for _, op := range a.Inserted {
 		rs, ok := e.rels[op.Rel]
 		if !ok {
-			continue // relation not referenced by any view: nothing to maintain
+			continue // relation not stored: no view reads it
 		}
 		cnt := rs.support.At(op.IDs)
 		*cnt++
+		rs.rows++
 		if *cnt > 1 {
 			continue // duplicate of a supported row: no set-level change
 		}
@@ -614,6 +718,7 @@ func (e *DeltaEngine) Apply(a *instance.Applied) ([]string, error) {
 		// decomposition's exclude filters keep occurrences before the
 		// trigger from double-counting t.
 		row := append([]uint32(nil), op.IDs...)
+		rs.countCols(row, +1)
 		for _, ix := range rs.indexes {
 			ix.Add(row)
 		}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cq"
 	"repro/internal/instance"
+	"repro/internal/intern"
 	"repro/internal/schema"
 )
 
@@ -103,7 +104,7 @@ func TestDeltaEngineDifferentialRandom(t *testing.T) {
 			rel := s.Relations[rng.Intn(len(s.Relations))]
 			db.MustInsert(rel.Name, randRow(rng, rel.Arity(), pool)...)
 		}
-		e, err := NewDeltaEngine(db, views)
+		e, err := NewDeltaEngine(db.Schema, db.Dict, db.IDTables(), views)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -171,6 +172,23 @@ func TestDeltaEngineDifferentialRandom(t *testing.T) {
 // evaluator when naive is set.
 func assertEngineFresh(t *testing.T, e *DeltaEngine, db *instance.Database, views map[string]*cq.UCQ, naive bool) {
 	t.Helper()
+	// The engine's row store holds the database's rows, copies included,
+	// and its statistics are the ones a scan of the database gives.
+	if e.Size() != db.Size() {
+		t.Fatalf("engine stores %d rows, database holds %d", e.Size(), db.Size())
+	}
+	for _, rel := range db.Schema.Relations {
+		rows := db.Table(rel.Name).IDRows()
+		n, d := e.RelStats(rel.Name)
+		if n != len(rows) || fmt.Sprint(d) != fmt.Sprint(intern.DistinctCols(rows)) {
+			t.Fatalf("relation %s: engine stats %d rows, distinct %v; scan %d rows, distinct %v",
+				rel.Name, n, d, len(rows), intern.DistinctCols(rows))
+		}
+		stored := e.dict.DecodeAll(e.Rows(rel.Name))
+		if !cq.RowsEqual(stored, db.Dict.DecodeAll(rows)) {
+			t.Fatalf("relation %s: engine stores %d rows, database holds %d", rel.Name, len(stored), len(rows))
+		}
+	}
 	got := e.Views()
 	src := &Source{DB: db}
 	for name, def := range views {
@@ -219,7 +237,7 @@ func TestDeltaEngineConstantAndEmptyDisjuncts(t *testing.T) {
 		cq.Equality{L: cq.Cst("a"), R: cq.Cst("b")})
 	views := map[string]*cq.UCQ{"W1": cq.NewUCQ(w1), "W2": {Name: "W2", Disjuncts: []*cq.CQ{w2a, w2b}}}
 	db := instance.NewDatabase(s)
-	e, err := NewDeltaEngine(db, views)
+	e, err := NewDeltaEngine(db.Schema, db.Dict, db.IDTables(), views)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +288,7 @@ func engineFixture(t *testing.T) (*instance.Database, *DeltaEngine, map[string]*
 	})
 	views := map[string]*cq.UCQ{"V1": cq.NewUCQ(v1), "V2": cq.NewUCQ(v2)}
 	db := instance.NewDatabase(s)
-	e, err := NewDeltaEngine(db, views)
+	e, err := NewDeltaEngine(db.Schema, db.Dict, db.IDTables(), views)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +338,7 @@ func TestDeltaEngineConstantAtomBinding(t *testing.T) {
 	v := cq.NewCQ([]cq.Term{cq.Var("x")}, []cq.Atom{cq.NewAtom("E", cq.Cst("hub"), cq.Var("x"))})
 	views := map[string]*cq.UCQ{"V": cq.NewUCQ(v)}
 	db := instance.NewDatabase(s)
-	e, err := NewDeltaEngine(db, views)
+	e, err := NewDeltaEngine(db.Schema, db.Dict, db.IDTables(), views)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,11 +12,13 @@ import (
 
 // TestDeltaEngineRestoreDifferential is the checkpoint/restore harness for
 // the engine's recovery fast path: build an engine, churn it, serialize
-// exactly what a WAL checkpoint stores (dictionary strings, table ID
-// shadows, counted extents), rebuild a second engine from that alone via
-// NewDeltaEngineWithExtents, then drive BOTH engines with the identical
-// remaining op stream — extents must agree batch for batch, and the
-// restored engine must also agree with full recomputation at the end.
+// exactly what a WAL checkpoint stores (dictionary strings, the engine's
+// stored rows, counted extents), rebuild a second engine from that alone
+// via NewDeltaEngineWithExtents, then drive BOTH engines with the
+// identical remaining op stream — the original through the oracle
+// database, the restored one through its own Resolve. Extents and applied
+// op counts must agree batch for batch, and the restored engine must also
+// agree with full recomputation at the end.
 func TestDeltaEngineRestoreDifferential(t *testing.T) {
 	const pool = 9
 	for trial := 0; trial < 3; trial++ {
@@ -32,7 +34,7 @@ func TestDeltaEngineRestoreDifferential(t *testing.T) {
 			rel := s.Relations[rng.Intn(len(s.Relations))]
 			db.MustInsert(rel.Name, randRow(rng, rel.Arity(), pool)...)
 		}
-		e, err := NewDeltaEngine(db, views)
+		e, err := NewDeltaEngine(db.Schema, db.Dict, db.IDTables(), views)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -67,39 +69,41 @@ func TestDeltaEngineRestoreDifferential(t *testing.T) {
 			}
 			batches = append(batches, b)
 		}
-		apply := func(db *instance.Database, e *DeltaEngine, b batch) {
+		apply := func(e *DeltaEngine, a *instance.Applied) {
+			t.Helper()
+			if _, err := e.Apply(a); err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+		}
+		oracle := func(b batch) *instance.Applied {
 			t.Helper()
 			a, err := db.ApplyDelta(b.ins, b.del)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			if _, err := e.Apply(a); err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
+			return a
 		}
 		half := len(batches) / 2
 		for _, b := range batches[:half] {
-			apply(db, e, b)
+			apply(e, oracle(b))
 		}
 
-		// Checkpoint: dictionary prefix, ID shadows, counted extents — and
-		// restore into a fresh database sharing nothing with the original.
+		// Checkpoint: dictionary prefix, stored rows, counted extents — and
+		// restore into an engine sharing nothing with the original.
 		dict2, ok := intern.FromStrings(db.Dict.StringsRange(0, db.Dict.Len()))
 		if !ok {
 			t.Fatalf("trial %d: dictionary serialization has duplicates", trial)
 		}
-		db2 := instance.NewDatabaseWith(s, dict2)
+		rows := map[string][][]uint32{}
 		for _, rel := range s.Relations {
-			if err := db2.RestoreRows(rel.Name, db.Table(rel.Name).IDRows()); err != nil {
-				t.Fatalf("trial %d: restore %s: %v", trial, rel.Name, err)
-			}
+			rows[rel.Name] = e.Rows(rel.Name)
 		}
-		e2, err := NewDeltaEngineWithExtents(db2, views, e.CheckpointExtents())
+		e2, err := NewDeltaEngineWithExtents(s, dict2, rows, views, e.CheckpointExtents())
 		if err != nil {
 			t.Fatalf("trial %d: restore engine: %v", trial, err)
 		}
-		if db2.Size() != db.Size() {
-			t.Fatalf("trial %d: restored |D| = %d, want %d", trial, db2.Size(), db.Size())
+		if e2.Size() != db.Size() {
+			t.Fatalf("trial %d: restored |D| = %d, want %d", trial, e2.Size(), db.Size())
 		}
 		compare := func(when string) {
 			t.Helper()
@@ -116,13 +120,22 @@ func TestDeltaEngineRestoreDifferential(t *testing.T) {
 		// Identical suffix into both engines: divergence anywhere means the
 		// restored join state (indexes, supports, counts) is not equivalent.
 		for i, b := range batches[half:] {
-			apply(db, e, b)
-			apply(db2, e2, b)
+			a := oracle(b)
+			apply(e, a)
+			a2 := e2.Resolve(b.ins, b.del)
+			if len(a2.Inserted) != len(a.Inserted) || len(a2.Deleted) != len(a.Deleted) {
+				t.Fatalf("trial %d suffix batch %d: Resolve applied %d+%d ops, the oracle %d+%d",
+					trial, i, len(a2.Inserted), len(a2.Deleted), len(a.Inserted), len(a.Deleted))
+			}
+			apply(e2, a2)
 			if i%50 == 0 || i == len(batches[half:])-1 {
 				compare(fmt.Sprintf("suffix batch %d", i))
 			}
 		}
-		assertEngineFresh(t, e2, db2, views, true)
+		if e2.Size() != db.Size() {
+			t.Fatalf("trial %d: restored |D| = %d after the suffix, want %d", trial, e2.Size(), db.Size())
+		}
+		assertEngineFresh(t, e2, db, views, true)
 	}
 }
 
@@ -139,7 +152,7 @@ func TestDeltaEngineRestoreRejectsCorruptExtents(t *testing.T) {
 		rel := s.Relations[rng.Intn(len(s.Relations))]
 		db.MustInsert(rel.Name, randRow(rng, rel.Arity(), 4)...)
 	}
-	e, err := NewDeltaEngine(db, views)
+	e, err := NewDeltaEngine(db.Schema, db.Dict, db.IDTables(), views)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +184,7 @@ func TestDeltaEngineRestoreRejectsCorruptExtents(t *testing.T) {
 		})
 	}
 	for what, ext := range cases {
-		if _, err := NewDeltaEngineWithExtents(db, views, ext); err == nil {
+		if _, err := NewDeltaEngineWithExtents(db.Schema, db.Dict, db.IDTables(), views, ext); err == nil {
 			t.Errorf("%s: restore accepted a corrupt checkpoint", what)
 		}
 	}

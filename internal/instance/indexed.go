@@ -27,7 +27,7 @@ type Indexed struct {
 // check it separately so that index construction stays O(|D|)). Later
 // changes to db are not seen: build again, or serve from Open's epochs.
 func BuildIndexes(db *Database, a *access.Schema) (*Indexed, error) {
-	vx, err := BuildVIndex(db, a)
+	vx, err := BuildVIndex(db.Schema, db.Dict, db.IDTables(), a)
 	if err != nil {
 		return nil, err
 	}

@@ -6,8 +6,11 @@
 // with the relation's attribute order. Internally every database carries an
 // intern.Dict mapping values to dense uint32 IDs, and each table keeps an
 // ID-encoded shadow of its rows (built lazily, extended incrementally on
-// append) that the evaluation engines operate on. VIndex is the one fetch
-// index: a persistent, epoch-versioned hash trie per access constraint.
+// append) that the static evaluation engines operate on. Database is the
+// caller's input and the tests' oracle: the serving engine (internal/shard)
+// encodes it once at Open and keeps its rows in the delta engine's
+// multiplicity map instead. VIndex is the one fetch index: a persistent,
+// epoch-versioned hash trie per access constraint, built from ID rows.
 // Indexed is a fetch-counting view of one VIndex, which is how the
 // benchmark harness measures |Dξ|.
 package instance
@@ -256,21 +259,23 @@ type Database struct {
 // NewDatabase creates an empty instance of the schema with one (empty)
 // table per relation, all sharing one dictionary.
 func NewDatabase(s *schema.Schema) *Database {
-	return NewDatabaseWith(s, intern.NewDict())
-}
-
-// NewDatabaseWith creates an empty instance whose tables intern through an
-// existing dictionary. Several instances sharing one dictionary see
-// identical IDs for identical values — the property the sharded engine
-// needs so rows routed to different partitions stay directly comparable.
-func NewDatabaseWith(s *schema.Schema, d *intern.Dict) *Database {
-	db := &Database{Schema: s, Tables: make(map[string]*Table, len(s.Relations)), Dict: d}
+	db := &Database{Schema: s, Tables: make(map[string]*Table, len(s.Relations)), Dict: intern.NewDict()}
 	for _, r := range s.Relations {
-		t := NewTable(r)
-		t.dict = db.Dict
-		db.Tables[r.Name] = t
+		db.Tables[r.Name] = &Table{Rel: r, dict: db.Dict}
 	}
 	return db
+}
+
+// IDTables returns every table's ID-encoded rows (IDRows) by relation
+// name, encoding tables in schema order so new values get the same IDs on
+// every run: the rows BuildVIndex and the serving engine build from. The
+// rows must not be mutated.
+func (db *Database) IDTables() map[string][][]uint32 {
+	out := make(map[string][][]uint32, len(db.Tables))
+	for _, r := range db.Schema.Relations {
+		out[r.Name] = db.Tables[r.Name].IDRows()
+	}
+	return out
 }
 
 // Table returns the table for the named relation, or nil if absent.
@@ -323,10 +328,11 @@ type Applied struct {
 // database size. The whole batch is validated (relations exist, arities
 // match) before anything is mutated.
 //
-// The returned Applied lists what actually changed, for feeding the
-// incremental index and view maintenance (VIndex.Apply, eval.DeltaEngine).
-// Not safe for concurrent use with readers; callers serialize (see
-// internal/shard's batch lock).
+// The returned Applied lists what actually changed, in the form the
+// incremental index and view maintenance consume (VIndex.Apply,
+// eval.DeltaEngine.Apply); the serving engine derives the same Applied
+// from its own rows (eval.DeltaEngine.Resolve), so a Database fed the same
+// batches is its oracle. Not safe for concurrent use with readers.
 func (db *Database) ApplyDelta(inserts, deletes []Op) (*Applied, error) {
 	validate := func(ops []Op, kind string) error {
 		for _, op := range ops {
@@ -357,45 +363,6 @@ func (db *Database) ApplyDelta(inserts, deletes []Op) (*Applied, error) {
 		a.Inserted = append(a.Inserted, AppliedOp{Rel: op.Rel, IDs: ids})
 	}
 	return a, nil
-}
-
-// RestoreRows bulk-loads ID-encoded rows into the named (empty) relation,
-// building the string tuples and the ID shadow in lockstep — the recovery
-// path for checkpointed restarts, which skips per-value re-interning: every
-// ID must already be present in the database's dictionary. Row order is
-// preserved, so a restored table is bit-identical (modulo lazy indexes) to
-// the table the checkpoint serialized.
-func (db *Database) RestoreRows(rel string, idRows [][]uint32) error {
-	t := db.Table(rel)
-	if t == nil {
-		return fmt.Errorf("instance: restore into unknown relation %s", rel)
-	}
-	if len(t.Tuples) != 0 {
-		return fmt.Errorf("instance: restore into non-empty relation %s", rel)
-	}
-	arity := t.Rel.Arity()
-	n := db.Dict.Len()
-	for _, r := range idRows {
-		if len(r) != arity {
-			return fmt.Errorf("instance: restore %s expects arity %d, got %d", rel, arity, len(r))
-		}
-		for _, id := range r {
-			if int(id) >= n {
-				return fmt.Errorf("instance: restore %s references ID %d beyond dictionary length %d", rel, id, n)
-			}
-		}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.Tuples = make([]Tuple, len(idRows))
-	t.idRows = make([][]uint32, len(idRows))
-	for i, r := range idRows {
-		row := append([]uint32(nil), r...)
-		t.idRows[i] = row
-		t.Tuples[i] = Tuple(db.Dict.Decode(row))
-	}
-	t.pos, t.posN = nil, 0
-	return nil
 }
 
 // Size returns |D|: the total number of tuples across all relations.

@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/access"
-	"repro/internal/intern"
 	"repro/internal/schema"
 )
 
@@ -174,77 +173,4 @@ func TestFetchAgreesWithScan(t *testing.T) {
 
 func dom(b byte) string {
 	return string(rune('a' + b%5))
-}
-
-func TestRestoreRows(t *testing.T) {
-	s, c := fixture()
-	db := NewDatabase(s)
-	db.MustInsert("R", "a1", "b1", "c1")
-	db.MustInsert("R", "a1", "b2", "c1")
-	db.MustInsert("R", "a2", "b1", "c2")
-	idRows := db.Table("R").IDRows()
-
-	// Restore into a fresh database over a dictionary rebuilt from the
-	// original's serialized prefix — the WAL checkpoint load path.
-	dict, ok := intern.FromStrings(db.Dict.StringsRange(0, db.Dict.Len()))
-	if !ok {
-		t.Fatal("dictionary serialization has duplicates")
-	}
-	r := NewDatabaseWith(s, dict)
-	if err := r.RestoreRows("R", idRows); err != nil {
-		t.Fatal(err)
-	}
-	rt := r.Table("R")
-	if len(rt.Tuples) != 3 || r.Size() != 3 {
-		t.Fatalf("restored %d tuples, want 3", len(rt.Tuples))
-	}
-	for i, tu := range db.Table("R").Tuples {
-		if tu.Key() != rt.Tuples[i].Key() {
-			t.Fatalf("row %d: restored %v, want %v", i, rt.Tuples[i], tu)
-		}
-	}
-	got := rt.IDRows()
-	for i, row := range idRows {
-		if !intern.RowsEq(got[i], row) {
-			t.Fatalf("row %d: restored IDs %v, want %v", i, got[i], row)
-		}
-	}
-	// The restored table serves fetches (indexes rebuilt from the rows).
-	ix, err := BuildIndexes(r, access.NewSchema(c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := ix.Fetch(c, Tuple{"a1"})
-	if err != nil || len(rows) != 2 {
-		t.Fatalf("fetch on restored table: %v rows, err %v", rows, err)
-	}
-	// And keeps accepting normal mutations.
-	if err := r.Insert("R", "a3", "b9", "c9"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.ApplyDelta(nil, []Op{{Rel: "R", Row: Tuple{"a1", "b1", "c1"}}}); err != nil {
-		t.Fatal(err)
-	}
-	if r.Size() != 3 {
-		t.Fatalf("post-restore mutations: |D| = %d, want 3", r.Size())
-	}
-
-	// Validation: unknown relation, non-empty target, arity skew,
-	// out-of-dictionary IDs.
-	if err := r.RestoreRows("nope", nil); err == nil {
-		t.Error("restore into unknown relation must fail")
-	}
-	if err := r.RestoreRows("R", idRows); err == nil {
-		t.Error("restore into a non-empty relation must fail")
-	}
-	empty := NewDatabaseWith(s, dict)
-	if err := empty.RestoreRows("R", [][]uint32{{0, 1}}); err == nil {
-		t.Error("arity mismatch must fail")
-	}
-	if err := empty.RestoreRows("R", [][]uint32{{0, 1, 9999}}); err == nil {
-		t.Error("IDs beyond the dictionary must fail")
-	}
-	if len(empty.Table("R").Tuples) != 0 {
-		t.Error("failed restore must leave the table empty")
-	}
 }

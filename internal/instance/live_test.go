@@ -35,7 +35,7 @@ func TestIndexedSeesAppliedDelta(t *testing.T) {
 	s, a := liveFixture()
 	db := NewDatabase(s)
 	db.MustInsert("R", "x1", "b1", "c1")
-	vx, err := BuildVIndex(db, a)
+	vx, err := BuildVIndex(db.Schema, db.Dict, db.IDTables(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestIndexedSeesAppliedDelta(t *testing.T) {
 func TestIndexedApplyCountsSharedProjections(t *testing.T) {
 	s, a := liveFixture() // X={A}, Y={B}: attribute C is outside X ∪ Y
 	db := NewDatabase(s)
-	vx, err := BuildVIndex(db, a)
+	vx, err := BuildVIndex(db.Schema, db.Dict, db.IDTables(), a)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/access"
 	"repro/internal/epoch"
 	"repro/internal/intern"
+	"repro/internal/schema"
 )
 
 // VIndex is one immutable epoch version of the per-constraint fetch
@@ -50,30 +51,59 @@ type vgroup struct {
 	counts []int
 }
 
-// BuildVIndex constructs the initial epoch version of the fetch indices
-// over db's current contents, one per access constraint.
-func BuildVIndex(db *Database, a *access.Schema) (*VIndex, error) {
-	vx := &VIndex{dict: db.Dict, cons: make(map[string]*vcon, len(a.Constraints))}
+// BuildVIndex constructs the initial epoch version of the fetch indices,
+// one per access constraint, over ID-encoded rows interned through d:
+// rows maps a relation of s to its rows (a multiset; a missing relation
+// is empty). Each row costs O(1) expected, so a group of g rows builds in
+// O(g), however wide.
+func BuildVIndex(s *schema.Schema, d *intern.Dict, rows map[string][][]uint32, a *access.Schema) (*VIndex, error) {
+	vx := &VIndex{dict: d, cons: make(map[string]*vcon, len(a.Constraints))}
 	for _, c := range a.Constraints {
-		t := db.Table(c.Rel)
-		if t == nil {
+		rel := s.Relation(c.Rel)
+		if rel == nil {
 			return nil, fmt.Errorf("instance: no relation %s for constraint %s", c.Rel, c)
 		}
-		xpos, err := t.Rel.Positions(c.X)
+		xpos, err := rel.Positions(c.X)
 		if err != nil {
 			return nil, err
 		}
-		xypos, err := t.Rel.Positions(c.XY())
+		xypos, err := rel.Positions(c.XY())
 		if err != nil {
 			return nil, err
 		}
 		// Stage the buckets in place (nothing is published yet), then
-		// build the trie in one pass with exact-size nodes.
+		// build the trie in one pass with exact-size nodes. A row finds
+		// its staged XY-projection through proj, keyed by the
+		// projection's hash (XY includes X, so it names the group too):
+		// proj holds 1 + the index in slots of the last projection
+		// staged under a hash, and each slot links to the one before.
+		type slot struct {
+			h          uint64 // the group's bucket
+			g, k, next int    // group in bucket, projection in group, 1 + previous slot
+		}
 		vc := &vcon{c: c, xpos: xpos, xypos: xypos}
 		staged := map[uint64][]vgroup{}
-		for _, r := range t.IDRows() {
+		proj := make(map[uint64]int, len(rows[c.Rel]))
+		slots := make([]slot, 0, len(rows[c.Rel]))
+	rows:
+		for _, r := range rows[c.Rel] {
+			hxy := intern.HashAt(r, xypos)
+			last := proj[hxy]
+			for i := last; i != 0; i = slots[i-1].next {
+				sl := slots[i-1]
+				if g := &staged[sl.h][sl.g]; projEq(g.rows[sl.k], r, xypos) {
+					g.counts[sl.k]++
+					continue rows
+				}
+			}
 			h := intern.HashAt(r, xpos)
-			staged[h] = addToBucket(staged[h], r, vc)
+			b, gi := groupOf(staged[h], r, vc)
+			staged[h] = b
+			g := &b[gi]
+			slots = append(slots, slot{h: h, g: gi, k: len(g.rows), next: last})
+			proj[hxy] = len(slots)
+			g.rows = append(g.rows, intern.Project(r, xypos))
+			g.counts = append(g.counts, 1)
 		}
 		entries := make([]epoch.Entry[[]vgroup], 0, len(staged))
 		for h, b := range staged {
@@ -85,29 +115,33 @@ func BuildVIndex(db *Database, a *access.Schema) (*VIndex, error) {
 	return vx, nil
 }
 
-// addToBucket registers one base row into a PRIVATE (unpublished) bucket,
-// mutating it in place. Only build-time and already-cloned buckets may be
-// passed here.
-func addToBucket(b []vgroup, r []uint32, vc *vcon) []vgroup {
+// groupOf returns b and the index in it of r's X-value group, appending
+// an empty group when b has none.
+func groupOf(b []vgroup, r []uint32, vc *vcon) ([]vgroup, int) {
 	for i := range b {
 		if projEq(b[i].x, r, vc.xpos) {
-			g := &b[i]
-			for k, p := range g.rows {
-				if projEq(p, r, vc.xypos) {
-					g.counts[k]++
-					return b
-				}
-			}
-			g.rows = append(g.rows, intern.Project(r, vc.xypos))
-			g.counts = append(g.counts, 1)
+			return b, i
+		}
+	}
+	return append(b, vgroup{x: intern.Project(r, vc.xpos)}), len(b)
+}
+
+// addToBucket registers one base row into a PRIVATE (unpublished) bucket,
+// mutating it in place. Only already-cloned buckets may be passed here.
+// It scans the row's group, which holds at most N projections on an
+// instance that satisfies the constraint.
+func addToBucket(b []vgroup, r []uint32, vc *vcon) []vgroup {
+	b, i := groupOf(b, r, vc)
+	g := &b[i]
+	for k, p := range g.rows {
+		if projEq(p, r, vc.xypos) {
+			g.counts[k]++
 			return b
 		}
 	}
-	return append(b, vgroup{
-		x:      intern.Project(r, vc.xpos),
-		rows:   [][]uint32{intern.Project(r, vc.xypos)},
-		counts: []int{1},
-	})
+	g.rows = append(g.rows, intern.Project(r, vc.xypos))
+	g.counts = append(g.counts, 1)
+	return b
 }
 
 // Apply folds a physically applied batch (deletes, then inserts — the

@@ -60,13 +60,16 @@ func scanFetch(t *testing.T, db *Database, c *access.Constraint, key []uint32) [
 // X-value) probe agrees with a table-scan fetch and with a VIndex freshly
 // built over the same database — and that every PINNED older version
 // still answers exactly as it did when it was current (persistence:
-// later batches never leak into published epochs).
+// later batches never leak into published epochs). G is one group of
+// 2000 distinct projections, each stored twice, present at every build,
+// so a build whose cost is quadratic in a group's size shows here.
 func TestVIndexDifferentialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	s := schema.New(
 		schema.NewRelation("R", "A", "B", "C"),
 		schema.NewRelation("S", "X", "Y"),
 		schema.NewRelation("H", "K", "V"), // heavy groups, grown and cut below
+		schema.NewRelation("G", "K", "V"), // one wide group from the start
 	)
 	a := access.NewSchema(
 		access.NewConstraint("R", []string{"A"}, []string{"B"}, 50),
@@ -74,6 +77,7 @@ func TestVIndexDifferentialRandom(t *testing.T) {
 		access.NewConstraint("R", nil, []string{"A"}, 50),
 		access.NewConstraint("S", []string{"X"}, []string{"Y"}, 50),
 		access.NewConstraint("H", []string{"K"}, []string{"V"}, 400),
+		access.NewConstraint("G", []string{"K"}, []string{"V"}, 2000),
 	)
 	val := func() string { return fmt.Sprintf("v%d", rng.Intn(12)) }
 	db := NewDatabase(s)
@@ -84,8 +88,14 @@ func TestVIndexDifferentialRandom(t *testing.T) {
 			db.MustInsert("S", val(), val())
 		}
 	}
+	const wide = 2000
+	for copies := 0; copies < 2; copies++ {
+		for i := 0; i < wide; i++ {
+			db.MustInsert("G", "v9", fmt.Sprintf("g%d", i))
+		}
+	}
 
-	vx, err := BuildVIndex(db, a)
+	vx, err := BuildVIndex(db.Schema, db.Dict, db.IDTables(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +121,7 @@ func TestVIndexDifferentialRandom(t *testing.T) {
 	}
 	agree := func(step string, vx *VIndex) {
 		t.Helper()
-		fresh, err := BuildVIndex(db, a)
+		fresh, err := BuildVIndex(db.Schema, db.Dict, db.IDTables(), a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,8 +210,9 @@ func TestVIndexDifferentialRandom(t *testing.T) {
 	}
 
 	// Heavy delete: grow 8 keys to 300 rows each, then delete about 7/8
-	// of them in one batch. Both the shrunk version and the pinned
-	// pre-delete version must keep answering exactly.
+	// of them in one batch, with one copy of half of G's rows and both
+	// copies of a tenth. Both the shrunk version and the pinned pre-delete
+	// version must keep answering exactly.
 	var ins, del []Op
 	for k := 0; k < 8; k++ {
 		for i := 0; i < 300; i++ {
@@ -216,6 +227,12 @@ func TestVIndexDifferentialRandom(t *testing.T) {
 			if rng.Intn(8) != 0 {
 				del = append(del, Op{Rel: "H", Row: Tuple{fmt.Sprintf("v%d", k), fmt.Sprintf("h%d", i)}})
 			}
+		}
+	}
+	for i := 0; i < wide; i += 2 {
+		del = append(del, Op{Rel: "G", Row: Tuple{"v9", fmt.Sprintf("g%d", i)}})
+		if i%10 == 0 {
+			del = append(del, Op{Rel: "G", Row: Tuple{"v9", fmt.Sprintf("g%d", i)}})
 		}
 	}
 	step(nil, del)

@@ -535,11 +535,10 @@ func NewGrouper[T any](pos []int) *Grouper[T] {
 	return &Grouper[T]{pos: pos, buckets: make(map[uint64][]groupEntry[T])}
 }
 
-// At returns the group value for row's projection, allocating a zero T
-// for a projection seen for the first time.
-func (g *Grouper[T]) At(row []uint32) *T {
-	h := HashAt(row, g.pos)
-	es := g.buckets[h]
+// Get returns the group value for row's projection, or nil when the
+// projection has no group. It never allocates.
+func (g *Grouper[T]) Get(row []uint32) *T {
+	es := g.buckets[HashAt(row, g.pos)]
 outer:
 	for i := range es {
 		for j, p := range g.pos {
@@ -549,6 +548,16 @@ outer:
 		}
 		return es[i].val
 	}
+	return nil
+}
+
+// At returns the group value for row's projection, allocating a zero T
+// for a projection seen for the first time.
+func (g *Grouper[T]) At(row []uint32) *T {
+	if v := g.Get(row); v != nil {
+		return v
+	}
+	h := HashAt(row, g.pos)
 	e := groupEntry[T]{key: Project(row, g.pos), val: new(T)}
 	g.buckets[h] = append(g.buckets[h], e)
 	return e.val

@@ -4,7 +4,7 @@ import "math"
 
 // Stats carries the statistics the cost model consumes: relation and view
 // cardinalities plus per-column distinct-ID counts (collected from the
-// interned rows by instance.CollectStats and the live view extents). A nil
+// shards' interned rows and the live view extents). A nil
 // *Stats is valid and falls back to schema-only defaults, so candidates
 // can be ranked statically — purely from the access-constraint bounds N —
 // before any database exists. A published Stats is immutable; copying

@@ -1,5 +1,5 @@
-// Package shard is the serving engine behind the facade's Live handle: a
-// Database is hash-partitioned into P shards, each owning its own
+// Package shard is the serving engine behind the facade's Live handle: an
+// ID-encoded instance is hash-partitioned into P shards, each owning its own
 // versioned fetch indices (instance.VIndex), incremental view-maintenance
 // engine with its join indexes (eval.DeltaEngine over intern.DynIndex),
 // materialized-view partitions and cost-model statistics. Plan execution
@@ -8,7 +8,7 @@
 // shards and dedups — and batched deltas are routed per shard and
 // maintained concurrently on the internal/par pool. Every batch publishes
 // one immutable, cross-shard-consistent Epoch that readers use without
-// locks. P = 1 is the default: the single shard adopts the database and
+// locks. P = 1 is the default: the single shard takes every row and
 // routing is skipped.
 //
 // The paper's scale-independence story composes with partitioning: a

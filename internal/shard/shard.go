@@ -27,12 +27,12 @@ import (
 // validation pass are NOT wrapped: they leave every shard intact.
 var ErrTorn = errors.New("shard: writer state torn by a partial apply")
 
-// state is one shard's WRITER-SIDE machinery: its database partition, the
-// incremental maintenance engine for the co-partitioned (shard-local)
-// views, and the latest version of its fetch indices. Readers never touch
-// it — they read the immutable per-epoch versions published in Epoch.
+// state is one shard's WRITER-SIDE machinery: the incremental
+// maintenance engine for the co-partitioned (shard-local) views, whose
+// multiplicity map is the shard's only copy of its rows, and the latest
+// version of its fetch indices. Readers never touch it — they read the
+// immutable per-epoch versions published in Epoch.
 type state struct {
-	db  *instance.Database
 	eng *eval.DeltaEngine
 	vix *instance.VIndex
 }
@@ -287,13 +287,15 @@ type Sharded struct {
 	cur atomic.Pointer[Epoch]
 }
 
-// Open partitions db into cfg.Shards shards and builds the per-shard
-// state plus the initial epoch. The database is consumed: at P > 1 its
-// rows are moved into the shard partitions and its tables are emptied,
-// and at P = 1 it becomes the single shard's partition as it is. Route
-// all further reads and writes through the returned handle. The views
-// must already be validated against the schema.
-func Open(db *instance.Database, s *schema.Schema, a *access.Schema, views map[string]*cq.UCQ, cfg Config) (*Sharded, error) {
+// Open builds the sharded engine over ID-encoded rows interned through d:
+// rows maps each relation of s to its rows (a multiset; a missing
+// relation is empty). At P > 1 every row goes to the shard its partition
+// columns hash to. Each shard builds its fetch index and its maintenance
+// engine, whose multiplicity map is the shard's only row store, from its
+// rows. The rows are shared and never mutated, and d becomes the engine's
+// dictionary, which later batches intern into. The views must already be
+// validated against the schema.
+func Open(d *intern.Dict, rows map[string][][]uint32, s *schema.Schema, a *access.Schema, views map[string]*cq.UCQ, cfg Config) (*Sharded, error) {
 	p := cfg.Shards
 	if p < 1 {
 		return nil, fmt.Errorf("shard: need at least 1 shard, got %d", p)
@@ -302,13 +304,19 @@ func Open(db *instance.Database, s *schema.Schema, a *access.Schema, views map[s
 	localViews := make(map[string]*cq.UCQ)
 	globalViews := make(map[string]*cq.UCQ)
 	local := make(map[string]bool, len(views))
+	globalRows := make(map[string][][]uint32)
 	for name, def := range views {
 		// With one partition every join is co-partitioned.
 		if p == 1 || pt.LocalView(def) {
 			localViews[name] = def
 			local[name] = true
-		} else {
-			globalViews[name] = def
+			continue
+		}
+		globalViews[name] = def
+		for _, q := range def.Disjuncts {
+			for _, at := range q.Atoms {
+				globalRows[at.Rel] = rows[at.Rel]
+			}
 		}
 	}
 	sh := &Sharded{
@@ -316,58 +324,56 @@ func Open(db *instance.Database, s *schema.Schema, a *access.Schema, views map[s
 		access: a,
 		views:  views,
 		part:   pt,
-		dict:   db.Dict,
+		dict:   d,
 		cfg:    cfg,
 		local:  local,
 	}
 
-	// The global engine seeds its join state from the full instance, so it
-	// must be built before the rows move out.
+	// The global engine stores every row of the relations its views read.
 	if len(globalViews) > 0 {
-		eng, err := eval.NewDeltaEngine(db, globalViews)
+		eng, err := eval.NewDeltaEngine(s, d, globalRows, globalViews)
 		if err != nil {
 			return nil, err
 		}
 		sh.g = eng
 	}
 
-	// Route every row to its shard. Row slices are moved, not copied: the
-	// source database hands its storage over to the partitions. A single
-	// partition adopts the database itself.
-	sh.shards = make([]*state, p)
-	if p == 1 {
-		sh.shards[0] = &state{db: db}
-	} else {
-		for i := range sh.shards {
-			sh.shards[i] = &state{db: instance.NewDatabaseWith(s, db.Dict)}
+	// Every shard stores every relation, empty or not.
+	parts := make([]map[string][][]uint32, p)
+	for i := range parts {
+		parts[i] = make(map[string][][]uint32, len(s.Relations))
+	}
+	for _, r := range s.Relations {
+		for i := range parts {
+			parts[i][r.Name] = nil
 		}
-		for name, t := range db.Tables {
-			for _, tu := range t.Tuples {
-				sdb := sh.shards[pt.ShardOfRow(name, tu)].db
-				st := sdb.Tables[name]
-				st.Tuples = append(st.Tuples, tu)
-			}
-			t.Tuples = nil // consumed; lazy shadows re-encode to empty
+		if p == 1 {
+			parts[0][r.Name] = rows[r.Name]
+			continue
+		}
+		for _, row := range rows[r.Name] {
+			i := pt.ShardOfRow(r.Name, d.Decode(row))
+			parts[i][r.Name] = append(parts[i][r.Name], row)
 		}
 	}
 
 	// Per-shard indices and maintenance engines, built concurrently.
+	sh.shards = make([]*state, p)
 	if err := par.ForEach(p, func(i int) error {
-		st := sh.shards[i]
-		vix, err := instance.BuildVIndex(st.db, a)
+		vix, err := instance.BuildVIndex(s, d, parts[i], a)
 		if err != nil {
 			return err
 		}
 		var eng *eval.DeltaEngine
 		if p == 1 && cfg.Extents != nil {
-			eng, err = eval.NewDeltaEngineWithExtents(st.db, localViews, cfg.Extents)
+			eng, err = eval.NewDeltaEngineWithExtents(s, d, parts[i], localViews, cfg.Extents)
 		} else {
-			eng, err = eval.NewDeltaEngine(st.db, localViews)
+			eng, err = eval.NewDeltaEngine(s, d, parts[i], localViews)
 		}
 		if err != nil {
 			return err
 		}
-		st.vix, st.eng = vix, eng
+		sh.shards[i] = &state{eng: eng, vix: vix}
 		return nil
 	}); err != nil {
 		return nil, err
@@ -408,18 +414,18 @@ func (s *Sharded) StatsState() (*plan.Stats, uint64, int) {
 	return e.stats, s.statsVer, s.statsChurn
 }
 
-// CheckpointTables returns every relation's ID shadow, concatenated in
-// shard order — the logical table serialization a checkpoint stores.
-// Restoring the rows into one database and re-opening with the same
-// partition function reproduces the same per-shard contents in the same
-// per-shard order (all copies of a row hash to one shard). Callers must
-// exclude writers.
+// CheckpointTables returns every relation's rows, copies included, read
+// from the shards' engines and concatenated in shard order — the logical
+// table serialization a checkpoint stores. Re-opening over the rows with
+// the same partition function reproduces the same per-shard contents
+// (all copies of a row hash to one shard); row order is unspecified.
+// Callers must exclude writers.
 func (s *Sharded) CheckpointTables() map[string][][]uint32 {
 	out := make(map[string][][]uint32, len(s.schema.Relations))
 	for _, rel := range s.schema.Relations {
 		rows := [][]uint32{}
 		for _, st := range s.shards {
-			rows = append(rows, st.db.Table(rel.Name).IDRows()...)
+			rows = append(rows, st.eng.Rows(rel.Name)...)
 		}
 		out[rel.Name] = rows
 	}
@@ -484,7 +490,7 @@ func (s *Sharded) publish(prev *Epoch, dirty map[string]bool, stats *plan.Stats)
 	size := 0
 	for i, st := range s.shards {
 		vixes[i] = st.vix
-		sizes[i] = st.db.Size()
+		sizes[i] = st.eng.Size()
 		size += sizes[i]
 	}
 	e := &Epoch{
@@ -548,8 +554,8 @@ func (s *Sharded) Size() int { return s.cur.Load().size }
 func (s *Sharded) ShardSizes() []int { return s.cur.Load().shardSizes }
 
 // ApplyDelta validates and routes a batch per shard, maintains every
-// touched shard concurrently (database, fetch-index versions, local
-// views), feeds the applied ops to the global engine, and publishes the
+// touched shard concurrently (rows, fetch-index versions, local views),
+// feeds the applied ops to the global engine, and publishes the
 // combined state as the next epoch. Readers are never blocked and never
 // see a torn batch: they stay on the previous epoch until the single
 // atomic publication. Semantics match a single instance's: deletes first
@@ -604,10 +610,7 @@ func (s *Sharded) ApplyDelta(inserts, deletes []instance.Op) (DeltaStats, error)
 		st := s.shards[i]
 		t0 := time.Now()
 		defer func() { holds[i] = time.Since(t0) }()
-		a, err := st.db.ApplyDelta(insBy[i], delBy[i])
-		if err != nil {
-			return err
-		}
+		a := st.eng.Resolve(insBy[i], delBy[i])
 		vix, err := st.vix.Apply(a)
 		if err != nil {
 			return err
@@ -686,7 +689,8 @@ func (s *Sharded) ApplyDelta(inserts, deletes []instance.Op) (DeltaStats, error)
 	// log. The decision is a pure read, so recovery — replaying with the
 	// journal detached — reproduces it identically.
 	batch := stats.Inserted + stats.Deleted
-	needStats := float64(s.statsChurn+batch) >= statsDriftFrac*float64(s.sizeNow()) &&
+	size := prev.size + stats.Inserted - stats.Deleted
+	needStats := float64(s.statsChurn+batch) >= statsDriftFrac*float64(size) &&
 		s.statsChurn+batch >= statsMinChurn
 	// Journal before publication: an epoch is never visible to readers
 	// unless its batch reached the log. EVERY accepted batch journals,
@@ -707,53 +711,32 @@ func (s *Sharded) ApplyDelta(inserts, deletes []instance.Op) (DeltaStats, error)
 	return stats, nil
 }
 
-// sizeNow sums the writer-side shard sizes (callers hold batchMu).
-func (s *Sharded) sizeNow() int {
-	n := 0
-	for _, st := range s.shards {
-		n += st.db.Size()
-	}
-	return n
-}
-
-// collectStats collects per-shard statistics concurrently and returns the
-// merged result. Relation row counts sum exactly; distinct counts sum
+// collectStats merges the shards' statistics: the relation counts their
+// engines keep, and a scan of every view extent. Relation row counts sum
+// exactly; distinct counts sum
 // (exact for partition columns, whose values never repeat across shards,
 // and an upper bound the cost model clamps for the rest); view rows sum
 // per-shard extents, an upper bound when a view's head does not bind the
 // partition key (cross-shard duplicate heads). Callers must exclude
 // concurrent writers (ApplyDelta holds batchMu; Open has exclusive use).
 func (s *Sharded) collectStats() *plan.Stats {
-	p := len(s.shards)
-	rels := make([]*instance.RelStats, p)
-	_ = par.ForEach(p, func(i int) error {
-		rels[i] = instance.CollectStats(s.shards[i].db)
-		return nil
-	})
 	st := &plan.Stats{
 		RelRows:      make(map[string]int),
 		RelDistinct:  make(map[string]map[string]int),
 		ViewRows:     make(map[string]int),
 		ViewDistinct: make(map[string][]int),
 	}
-	for _, rs := range rels {
-		for name, n := range rs.Rows {
-			st.RelRows[name] += n
-		}
-		for name, counts := range rs.Distinct {
-			rel := s.schema.Relation(name)
-			if rel == nil {
-				continue
-			}
-			byAttr := st.RelDistinct[name]
+	for _, sh := range s.shards {
+		for _, rel := range s.schema.Relations {
+			n, distinct := sh.eng.RelStats(rel.Name)
+			st.RelRows[rel.Name] += n
+			byAttr := st.RelDistinct[rel.Name]
 			if byAttr == nil {
-				byAttr = make(map[string]int, len(counts))
-				st.RelDistinct[name] = byAttr
+				byAttr = make(map[string]int, len(distinct))
+				st.RelDistinct[rel.Name] = byAttr
 			}
-			for i, a := range rel.Attrs {
-				if i < len(counts) {
-					byAttr[a] += counts[i]
-				}
+			for i, c := range distinct {
+				byAttr[rel.Attrs[i]] += c
 			}
 		}
 	}
@@ -785,7 +768,7 @@ func (s *Sharded) collectStats() *plan.Stats {
 }
 
 // Close releases the writer-side maintenance machinery — the shard
-// databases, maintenance engines and global engine. The current epoch
+// engines with their rows, and the global engine. The current epoch
 // (and any pinned one) keeps serving reads; callers must fence
 // ApplyDelta beforehand (the facade's closed flag).
 func (s *Sharded) Close() {

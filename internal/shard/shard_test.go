@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -136,7 +137,7 @@ func TestShardedOpenAndPointReads(t *testing.T) {
 		}
 	}
 	views := map[string]*cq.UCQ{}
-	sh, err := Open(db, s, a, views, Config{Shards: 4})
+	sh, err := Open(db.Dict, db.IDTables(), s, a, views, Config{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,5 +184,32 @@ func TestShardedOpenAndPointReads(t *testing.T) {
 	}
 	if len(rows) != 2 {
 		t.Fatalf("broadcast fetch gathered %d distinct projections, want 2", len(rows))
+	}
+}
+
+// TestStaleVIndexRejectionIsTorn: a fetch-index rejection raised after a
+// shard resolved and started applying its slice surfaces as ErrTorn. The
+// shard is handed an index version from before a row it stores (ghost),
+// so the index refuses that row's delete while the engine accepts it.
+func TestStaleVIndexRejectionIsTorn(t *testing.T) {
+	s, a := fixtureSchema()
+	db := instance.NewDatabase(s)
+	db.MustInsert("acct", "u1", "emea")
+	sh, err := Open(db.Dict, db.IDTables(), s, a, map[string]*cq.UCQ{}, Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := sh.shards[0].vix
+	ghost := instance.Op{Rel: "acct", Row: instance.Tuple{"ghost", "apac"}}
+	if _, err := sh.ApplyDelta([]instance.Op{ghost}, nil); err != nil {
+		t.Fatal(err)
+	}
+	sh.shards[0].vix = stale
+	_, err = sh.ApplyDelta(nil, []instance.Op{ghost})
+	if !errors.Is(err, ErrTorn) {
+		t.Fatalf("stale index rejection must wrap ErrTorn, got %v", err)
+	}
+	if got := sh.Size(); got != 2 {
+		t.Fatalf("the torn batch published: size %d, want the last epoch's 2", got)
 	}
 }

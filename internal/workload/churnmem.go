@@ -44,9 +44,7 @@ type SwapChurn struct {
 }
 
 // NewSwapChurn seeds the universe from db's current person and like rows
-// plus freshly minted spares. Call it BEFORE handing db to System.Open —
-// at P > 1 the handle consumes the database's row storage, and at P = 1 it
-// mutates the database in place.
+// plus freshly minted spares.
 func NewSwapChurn(m *Movies, db *instance.Database, p SwapChurnParams) *SwapChurn {
 	c := &SwapChurn{rng: rand.New(rand.NewSource(p.Seed)), p: p}
 	persons := &swapPool{rel: "person"}

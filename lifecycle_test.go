@@ -14,36 +14,34 @@ import (
 	"repro/internal/workload"
 )
 
-// desyncLive makes a P = 1 handle's internal components disagree by
-// slipping a row into its database behind the maintenance machinery's
-// back (at P = 1 the shard serves the database it was opened with in
-// place): the next delete of that row is accepted by the database but
-// detected as an out-of-sync retraction by the component named in which
-// ("eng" — person rows are view inputs but not constraint keys, so the
-// maintenance engine trips; "vix" — movie rows are ϕ1 keys and the
-// versioned index trips first).
-func desyncLive(t *testing.T, db *Database, which string) Op {
+// desyncLive makes a P = 1 handle's next batch fail after its shard
+// mutated: it replaces the journal hook, which runs once every structure
+// has applied the batch, with one that fails, and returns a delete of a
+// stored row for that batch. which picks the row: "eng" a person (a view
+// input but no constraint key, so the batch changes the maintenance
+// engine's rows and views), "vix" a movie (a ϕ1 key, so the batch also
+// changes the versioned fetch index). The stale-index rejection itself
+// is covered by shard's TestStaleVIndexRejectionIsTorn.
+func desyncLive(t *testing.T, l *Live, db *Database, which string) Op {
 	t.Helper()
-	var op Op
+	var rel string
 	switch which {
 	case "eng":
-		op = Op{Rel: "person", Row: Tuple{"ghost-p", "Ghost Person", "NASA"}}
+		rel = "person"
 	case "vix":
-		op = Op{Rel: "movie", Row: Tuple{"ghost-m", "Ghost Movie", "MGM", "2001"}}
+		rel = "movie"
 	default:
 		t.Fatalf("unknown desync target %q", which)
 	}
-	if _, err := db.ApplyDelta([]Op{op}, nil); err != nil {
-		t.Fatal(err)
-	}
-	return op
+	l.sh.SetJournal(func(uint64, *instance.Applied) error { return errors.New("injected post-mutation failure") })
+	return Op{Rel: rel, Row: db.Table(rel).Tuples[0]}
 }
 
 // TestPartialApplyFencesLive proves the P = 1 fence: when a batch fails
-// AFTER the database mutated (maintenance engine or fetch index rejects
-// the delta), the handle must fence — later writes fail with ErrClosed
-// while reads keep serving the last published epoch — because the
-// writer-side components no longer describe one state.
+// AFTER the shard mutated (here injected through the journal hook), the
+// handle must fence — later writes fail with ErrClosed while reads keep
+// serving the last published epoch — because the writer-side components
+// no longer describe one published state.
 func TestPartialApplyFencesLive(t *testing.T) {
 	for _, which := range []string{"eng", "vix"} {
 		t.Run(which, func(t *testing.T) {
@@ -62,7 +60,7 @@ func TestPartialApplyFencesLive(t *testing.T) {
 			wantViews := viewFingerprint(l.Views())
 			wantSize := l.Size()
 
-			op := desyncLive(t, db, which)
+			op := desyncLive(t, l, db, which)
 			_, err = l.ApplyDelta(nil, []Op{op})
 			if err == nil {
 				t.Fatal("deleting the desynced row must fail")
@@ -243,7 +241,7 @@ func TestCloseIdempotent(t *testing.T) {
 
 // TestCloseAfterFenceSkipsFinalCheckpoint: a fenced durable handle's
 // in-memory state is AHEAD of the journal (the torn batch mutated the
-// database but never reached the log), so Close must not write its usual
+// shard but never reached the log), so Close must not write its usual
 // final checkpoint — recovery must come from the journal's truth. The
 // checkpoint interval is disabled, so a recovery that replays exactly the
 // k accepted batches proves no stale checkpoint was folded; the clean
@@ -268,7 +266,7 @@ func TestCloseAfterFenceSkipsFinalCheckpoint(t *testing.T) {
 		want := viewFingerprint(l.Views())
 		size := l.Size()
 
-		op := desyncLive(t, db, "eng")
+		op := desyncLive(t, l, db, "eng")
 		if _, err := l.ApplyDelta(nil, []Op{op}); err == nil {
 			t.Fatal("desynced delete must fence")
 		}
@@ -290,8 +288,8 @@ func TestCloseAfterFenceSkipsFinalCheckpoint(t *testing.T) {
 		t.Fatalf("recovery replayed %d epochs, want %d — a final checkpoint was written despite the fence", got, k)
 	}
 	// The recovered state is the last PUBLISHED epoch: the fenced batch's
-	// database mutations (the ghost insert and its delete) never reached
-	// the journal and must be gone.
+	// delete of a stored person never reached the journal and must be
+	// gone.
 	if got := viewFingerprint(l2.Views()); got != want {
 		t.Fatal("recovered views differ from the last published epoch")
 	}

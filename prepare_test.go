@@ -39,10 +39,6 @@ func TestPrepareSelectsCheapPlanAndCaches(t *testing.T) {
 		rows int
 		seed int64
 	}{{4000, 11}, {500, 7}, {5000, 7}, {50000, 7}} {
-		if raceEnabled && size.rows >= 50000 {
-			t.Logf("%d rows: skipped under the race detector", size.rows)
-			continue
-		}
 		db := pp.Generate(size.rows, 4, size.seed)
 		l, err := sys.Open(db)
 		if err != nil {
@@ -187,6 +183,7 @@ func TestPreparedReselectsUnderChurnDrift(t *testing.T) {
 func TestPreparedConcurrentChurnMatchesLockedRecompute(t *testing.T) {
 	sys, pp := planPickSystem(t)
 	db := pp.Generate(600, 4, 23)
+	mirror := db.Clone() // fed every batch the handle accepts
 	l, err := sys.Open(db)
 	if err != nil {
 		t.Fatal(err)
@@ -222,6 +219,9 @@ func TestPreparedConcurrentChurnMatchesLockedRecompute(t *testing.T) {
 				ins = append(ins, Op{Rel: "R", Row: Tuple{"k", "kb3"}})
 			}
 			_, err := l.ApplyDelta(ins, del)
+			if err == nil {
+				_, err = mirror.ApplyDelta(ins, del)
+			}
 			gate.RUnlock()
 			if err != nil {
 				errCh <- err
@@ -279,7 +279,7 @@ func TestPreparedConcurrentChurnMatchesLockedRecompute(t *testing.T) {
 	// Checker: freeze the writer, compare against full recomputation.
 	for c := 0; c < 20; c++ {
 		gate.Lock()
-		direct, err := sys.EvalDirect(NewUCQ(pp.Q), db)
+		direct, err := sys.EvalDirect(NewUCQ(pp.Q), mirror)
 		if err != nil {
 			gate.Unlock()
 			t.Fatal(err)

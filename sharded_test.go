@@ -229,8 +229,13 @@ func assertMatchesOracle(t *testing.T, sys *System, plans []Plan, mirror *Databa
 // random schemas, access constraints, views, plans and delta streams, run
 // on handles with P ∈ {1,2,3,8} and checked against the static oracle
 // over a mirror database updated batch by batch. Answer rows, fetch
-// totals, per-batch delta stats and view snapshots must all agree at
-// every checkpoint. CI runs this under -race.
+// totals, per-batch delta stats, sizes and view snapshots must all agree
+// at every checkpoint. The stream exercises the row store's multiset
+// cases: duplicate inserts of live rows, repeated deletes, deletes of
+// absent rows and deletes naming values never interned, which must leave
+// the dictionary
+// as it was (journal replay relies on the intern order). CI runs this
+// under -race.
 func TestShardedDifferentialRandom(t *testing.T) {
 	const (
 		trials     = 3
@@ -298,6 +303,23 @@ func TestShardedDifferentialRandom(t *testing.T) {
 						row[j] = diffVal(rng)
 					}
 					del = append(del, Op{Rel: rel.Name, Row: row})
+				case rng.Float64() < 0.1:
+					// Delete naming a value no handle has interned.
+					row := make(instance.Tuple, rel.Arity())
+					for j := range row {
+						row[j] = diffVal(rng)
+					}
+					row[rng.Intn(len(row))] = fmt.Sprintf("never-%d-%d", b, o)
+					del = append(del, Op{Rel: rel.Name, Row: row})
+				case rng.Float64() < 0.08 && len(del) > 0:
+					// A repeat of one of the batch's deletes: it claims a
+					// second copy, or nothing.
+					del = append(del, del[rng.Intn(len(del))])
+				case rng.Float64() < 0.15 && len(live[rel.Name]) > 0:
+					// Another copy of a live row.
+					row := live[rel.Name][rng.Intn(len(live[rel.Name]))].Clone()
+					live[rel.Name] = append(live[rel.Name], row)
+					ins = append(ins, Op{Rel: rel.Name, Row: row.Clone()})
 				default:
 					row := make(instance.Tuple, rel.Arity())
 					for j := range row {
@@ -312,6 +334,17 @@ func TestShardedDifferentialRandom(t *testing.T) {
 				t.Fatalf("trial %d batch %d: %v", trial, b, err)
 			}
 			for _, p := range shardCounts {
+				// Only the inserts' new values may grow the dictionary.
+				dict := handles[p].(*Live).sh.Dict()
+				fresh := map[string]bool{}
+				for _, op := range ins {
+					for _, v := range op.Row {
+						if _, ok := dict.Lookup(v); !ok {
+							fresh[v] = true
+						}
+					}
+				}
+				before := dict.Len()
 				got, err := handles[p].ApplyDelta(ins, del)
 				if err != nil {
 					t.Fatalf("trial %d batch %d P=%d: %v", trial, b, p, err)
@@ -319,6 +352,13 @@ func TestShardedDifferentialRandom(t *testing.T) {
 				if got.Inserted != len(want.Inserted) || got.Deleted != len(want.Deleted) {
 					t.Fatalf("trial %d batch %d P=%d: delta stats diverge: handle %+v, mirror applied %d+%d",
 						trial, b, p, got, len(want.Inserted), len(want.Deleted))
+				}
+				if grown := dict.Len() - before; grown != len(fresh) {
+					t.Fatalf("trial %d batch %d P=%d: dictionary grew by %d, the inserts hold %d new values",
+						trial, b, p, grown, len(fresh))
+				}
+				if n := handles[p].Size(); n != mirror.Size() {
+					t.Fatalf("trial %d batch %d P=%d: size %d, mirror %d", trial, b, p, n, mirror.Size())
 				}
 			}
 			if b%checkEvery == 0 || b == batches {
