@@ -152,16 +152,12 @@ func (sys *System) openDurable(db *Database, cfg openConfig) (*Live, error) {
 // order), which is what makes replay reassign identical IDs afterwards.
 // The checkpoint's ID rows go to the engine as they are (checkpointRows
 // checks them first); re-routing them by the same hash reproduces each
-// shard's contents, and the restored statistics plus churn counter make
-// every replayed drift decision identical too.
+// shard's contents, and with them the exact statistics the engines count.
 func (sys *System) restore(rec *wal.Recovered, cfg openConfig) (*Live, error) {
 	ck := rec.Checkpoint
 	dict, ok := intern.FromStrings(ck.Dict)
 	if !ok {
 		return nil, fmt.Errorf("repro: recover: checkpoint dictionary has duplicate strings")
-	}
-	if ck.Stats == nil {
-		return nil, fmt.Errorf("repro: recover: checkpoint carries no statistics")
 	}
 	rows, err := checkpointRows(sys.Schema, dict.Len(), ck.Tables)
 	if err != nil {

@@ -76,8 +76,10 @@ type Handle interface {
 	Lifecycle() LifecycleStats
 	// Views returns a decoded copy of the current epoch's view extents.
 	Views() map[string][][]string
-	// Stats returns the current cost-model statistics and their version.
-	// The Stats value is immutable once published; treat it as read-only.
+	// Stats returns the current epoch's cost-model statistics, exact as
+	// of that epoch, and their version, which bumps only when churn
+	// passes the re-rank threshold. The Stats value is immutable once
+	// published; treat it as read-only.
 	Stats() (*plan.Stats, uint64)
 	// Size returns |D| as of the current epoch.
 	Size() int
@@ -457,7 +459,7 @@ type DeltaStats struct {
 	Inserted       int  // tuples physically inserted
 	Deleted        int  // tuples physically removed (absent deletes are no-ops)
 	ViewsChanged   int  // views whose extents changed in the new epoch
-	StatsRefreshed bool // churn drift passed the threshold: statistics rebuilt
+	StatsRefreshed bool // published a new statistics version: prepared queries re-rank
 
 	// MaxExclusive is the longest contiguous single-structure maintenance
 	// window of the batch: the slowest shard's slice (its rows, fetch
@@ -510,8 +512,8 @@ type Live struct {
 
 // newLive builds a handle over ID-encoded rows interned through d (see
 // shard.Open). ck, when non-nil, is the checkpoint the rows were restored
-// from: its epoch number, statistics trajectory and (at P = 1) counted
-// view extents seed the engine instead of being recomputed.
+// from: its epoch number and (at P = 1) counted view extents seed the
+// engine instead of being recomputed.
 func (sys *System) newLive(d *intern.Dict, rows map[string][][]uint32, cfg openConfig, ck *wal.Checkpoint) (*Live, error) {
 	scfg := shard.Config{Shards: cfg.shards}
 	// The metrics core stays nil when disabled: every recording site is
@@ -524,7 +526,6 @@ func (sys *System) newLive(d *intern.Dict, rows map[string][][]uint32, cfg openC
 	}
 	if ck != nil {
 		scfg.InitialSeq = ck.Seq
-		scfg.Restored = &shard.RestoredStats{Stats: ck.Stats, StatsVer: ck.StatsVer, StatsChurn: ck.StatsChurn}
 		if len(ck.Views) > 0 {
 			scfg.Extents = make(map[string]eval.Extent, len(ck.Views))
 			for _, v := range ck.Views {
@@ -676,17 +677,10 @@ func (l *Live) ApplyDelta(inserts, deletes []Op) (DeltaStats, error) {
 
 // checkpointLocked serializes the current epoch into the log: the
 // relations' ID rows (schema order; per-shard rows concatenated in shard
-// order) and the statistics with their drift state, plus at P = 1
-// the counted view extents, which spare a restart the view enumeration.
-// Callers hold l.mu.
+// order), plus at P = 1 the counted view extents, which spare a restart
+// the view enumeration. Callers hold l.mu.
 func (l *Live) checkpointLocked() error {
-	stats, ver, churn := l.sh.StatsState()
-	ck := &wal.Checkpoint{
-		Seq:        l.sh.Seq(),
-		StatsVer:   ver,
-		StatsChurn: churn,
-		Stats:      stats,
-	}
+	ck := &wal.Checkpoint{Seq: l.sh.Seq()}
 	tables := l.sh.CheckpointTables()
 	for _, rel := range l.sys.Schema.Relations {
 		ck.Tables = append(ck.Tables, wal.TableRows{Rel: rel.Name, Rows: tables[rel.Name]})

@@ -52,24 +52,6 @@ func freezeTerm(t Term) string {
 	return FreezeVar(t.Val)
 }
 
-// AddRows merges extra rows (e.g. another tableau) into t, deduplicating.
-func (t *Tableau) AddRows(other map[string][][]string) {
-	for rel, rows := range other {
-		seen := make(map[string]struct{}, len(t.Rows[rel]))
-		for _, r := range t.Rows[rel] {
-			seen[rowKey(r)] = struct{}{}
-		}
-		for _, r := range rows {
-			k := rowKey(r)
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			seen[k] = struct{}{}
-			t.Rows[rel] = append(t.Rows[rel], r)
-		}
-	}
-}
-
 func rowKey(r []string) string {
 	out := ""
 	for i, v := range r {

@@ -34,6 +34,9 @@ import (
 // The multiplicity map is also the row store of every relation the engine
 // is built over, read by a view or not: Resolve, Size, Rows and RelStats
 // read it, and the shard engine keeps no other copy of the base rows.
+// Relations and views alike keep per-column distinct counts, moved on
+// the same 0↔positive transitions, so the cost model's statistics
+// (RelStats, ViewStats) are exact reads, never scans.
 //
 // The engine is not safe for concurrent use; its owner (the shard
 // engine's batch lock) serializes Resolve and Apply. Extents are
@@ -53,13 +56,14 @@ type relState struct {
 	arity   int
 	rows    int                         // stored rows, copies included
 	support *intern.Grouper[int]        // row -> multiplicity
-	cols    []map[uint32]int32          // per column: ID -> distinct rows holding it
+	cols    colCounts                   // over the distinct rows
 	indexes map[string]*intern.DynIndex // key: packed position set
 	plans   []*deltaPlan                // plans triggered by this relation
 }
 
 // viewState is one view's counted extent: every row with a positive
-// derivation count, in rows, and per row its count and its index in rows.
+// derivation count, in rows, and per row its count and its index in rows;
+// cols counts the extent's distinct IDs per column.
 // rows is chunked copy-on-write: chunks a published header
 // (PublishExtentIDs) shares are copied on their first write after the
 // publication, one chunk of extentChunkRows rows at a time, so headers
@@ -69,6 +73,7 @@ type viewState struct {
 	arity  int
 	counts *intern.Grouper[rowStat]
 	rows   extent
+	cols   colCounts
 }
 
 type rowStat struct {
@@ -242,6 +247,7 @@ func NewDeltaEngineWithExtents(s *schema.Schema, d *intern.Dict, rows map[string
 			}
 			st.count = ext.Counts[i]
 			st.pos = i
+			v.cols.add(row, +1)
 		}
 	}
 	return e, nil
@@ -263,16 +269,12 @@ func newEngine(s *schema.Schema, d *intern.Dict, rows map[string][][]uint32, vie
 		if r == nil {
 			return nil, nil, fmt.Errorf("eval: no relation %s in the schema", name)
 		}
-		rs := &relState{
+		e.rels[name] = &relState{
 			arity:   r.Arity(),
 			support: intern.NewGrouper[int](allPos(r.Arity())),
-			cols:    make([]map[uint32]int32, r.Arity()),
+			cols:    newColCounts(r.Arity()),
 			indexes: make(map[string]*intern.DynIndex),
 		}
-		for i := range rs.cols {
-			rs.cols[i] = make(map[uint32]int32)
-		}
-		e.rels[name] = rs
 	}
 	for name := range views {
 		e.names = append(e.names, name)
@@ -286,6 +288,7 @@ func newEngine(s *schema.Schema, d *intern.Dict, rows map[string][][]uint32, vie
 		def := views[name]
 		v := &viewState{name: name, arity: ucqArity(def)}
 		v.counts = intern.NewGrouper[rowStat](allPos(v.arity))
+		v.cols = newColCounts(v.arity)
 		e.views[name] = v
 		for _, d := range def.Disjuncts {
 			n, err := d.Normalize()
@@ -316,7 +319,7 @@ func newEngine(s *schema.Schema, d *intern.Dict, rows map[string][][]uint32, vie
 			cnt := rs.support.At(r)
 			*cnt++
 			if *cnt == 1 {
-				rs.countCols(r, +1)
+				rs.cols.add(r, +1)
 				for _, ix := range rs.indexes {
 					ix.Add(r)
 				}
@@ -335,16 +338,38 @@ func (e *DeltaEngine) relFor(rel string) (*relState, error) {
 	return nil, fmt.Errorf("unknown relation %s", rel)
 }
 
-// countCols moves the per-column counts by sign for a row entering (+1)
-// or leaving (-1) the relation's set of distinct rows.
-func (rs *relState) countCols(row []uint32, sign int32) {
+// colCounts holds, per column of a set of distinct rows, the number of
+// rows holding each ID: the map sizes are the per-column distinct counts
+// of the cost model.
+type colCounts []map[uint32]int32
+
+func newColCounts(arity int) colCounts {
+	c := make(colCounts, arity)
+	for i := range c {
+		c[i] = make(map[uint32]int32)
+	}
+	return c
+}
+
+// add moves the counts by sign for a row entering (+1) or leaving (-1)
+// the set.
+func (c colCounts) add(row []uint32, sign int32) {
 	for i, v := range row {
-		c := rs.cols[i]
-		c[v] += sign
-		if sign < 0 && c[v] == 0 {
-			delete(c, v)
+		m := c[i]
+		m[v] += sign
+		if sign < 0 && m[v] == 0 {
+			delete(m, v)
 		}
 	}
+}
+
+// distinct returns the number of distinct IDs in each column.
+func (c colCounts) distinct() []int {
+	d := make([]int, len(c))
+	for i, m := range c {
+		d[i] = len(m)
+	}
+	return d
 }
 
 // allPos returns the positions 0..n-1: a whole-row grouping key.
@@ -573,6 +598,7 @@ func (e *DeltaEngine) bump(v *viewState, row []uint32, sign int) error {
 	case old == 0 && st.count > 0:
 		st.pos = v.rows.len()
 		v.rows.push(append([]uint32(nil), row...))
+		v.cols.add(row, +1)
 	case old > 0 && st.count == 0:
 		// Swap-remove: the last row fills the hole. Only the chunks
 		// written are copied, and only when a published header shares
@@ -584,6 +610,7 @@ func (e *DeltaEngine) bump(v *viewState, row []uint32, sign int) error {
 		// Drop the spent entry: a long-running server's memory must track
 		// the live extent, not every row ever derived.
 		v.counts.Remove(row)
+		v.cols.add(row, -1)
 	}
 	return nil
 }
@@ -654,11 +681,18 @@ func (e *DeltaEngine) RelStats(rel string) (int, []int) {
 	if !ok || rs.rows == 0 {
 		return 0, nil
 	}
-	d := make([]int, len(rs.cols))
-	for i, m := range rs.cols {
-		d[i] = len(m)
+	return rs.rows, rs.cols.distinct()
+}
+
+// ViewStats returns a view's extent size and the number of distinct IDs
+// in each of its head columns (nil when the extent is empty): the view
+// statistics of the cost model, read from counts kept like RelStats'.
+func (e *DeltaEngine) ViewStats(name string) (int, []int) {
+	v, ok := e.views[name]
+	if !ok || v.rows.len() == 0 {
+		return 0, nil
 	}
-	return rs.rows, d
+	return v.rows.len(), v.cols.distinct()
 }
 
 // Apply folds a physically applied batch delta (Resolve's result) into
@@ -701,7 +735,7 @@ func (e *DeltaEngine) Apply(a *instance.Applied) ([]string, error) {
 			}
 		}
 		rs.support.Remove(op.IDs)
-		rs.countCols(op.IDs, -1)
+		rs.cols.add(op.IDs, -1)
 	}
 	for _, op := range a.Inserted {
 		rs, ok := e.rels[op.Rel]
@@ -718,7 +752,7 @@ func (e *DeltaEngine) Apply(a *instance.Applied) ([]string, error) {
 		// decomposition's exclude filters keep occurrences before the
 		// trigger from double-counting t.
 		row := append([]uint32(nil), op.IDs...)
-		rs.countCols(row, +1)
+		rs.cols.add(row, +1)
 		for _, ix := range rs.indexes {
 			ix.Add(row)
 		}
@@ -737,18 +771,6 @@ func (e *DeltaEngine) Apply(a *instance.Applied) ([]string, error) {
 		}
 	}
 	return changed, nil
-}
-
-// ExtentIDs returns a fresh flat copy of a view's current interned extent
-// (the rows are shared and immutable; treat them as read-only). It costs
-// one pointer copy per row: for statistics, not for serving, and only
-// while no Apply is running (its owner's batch lock).
-func (e *DeltaEngine) ExtentIDs(name string) [][]uint32 {
-	v, ok := e.views[name]
-	if !ok {
-		return nil
-	}
-	return v.rows.appendRows(make([][]uint32, 0, v.rows.len()))
 }
 
 // PublishExtentIDs returns an immutable header of the view's current

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cq"
 	"repro/internal/instance"
-	"repro/internal/intern"
 	"repro/internal/schema"
 )
 
@@ -180,9 +179,9 @@ func assertEngineFresh(t *testing.T, e *DeltaEngine, db *instance.Database, view
 	for _, rel := range db.Schema.Relations {
 		rows := db.Table(rel.Name).IDRows()
 		n, d := e.RelStats(rel.Name)
-		if n != len(rows) || fmt.Sprint(d) != fmt.Sprint(intern.DistinctCols(rows)) {
+		if n != len(rows) || fmt.Sprint(d) != fmt.Sprint(distinctCols(rows)) {
 			t.Fatalf("relation %s: engine stats %d rows, distinct %v; scan %d rows, distinct %v",
-				rel.Name, n, d, len(rows), intern.DistinctCols(rows))
+				rel.Name, n, d, len(rows), distinctCols(rows))
 		}
 		stored := e.dict.DecodeAll(e.Rows(rel.Name))
 		if !cq.RowsEqual(stored, db.Dict.DecodeAll(rows)) {
@@ -203,6 +202,10 @@ func assertEngineFresh(t *testing.T, e *DeltaEngine, db *instance.Database, view
 			t.Fatalf("view %s (|D|=%d) incremental != recompute\ngot  %d rows: %v\nwant %d rows: %v",
 				name, db.Size(), len(g), g, len(want), want)
 		}
+		if n, d := e.ViewStats(name); n != len(want) || fmt.Sprint(d) != fmt.Sprint(distinctCols(want)) {
+			t.Fatalf("view %s: engine stats %d rows, distinct %v; scan %d rows, distinct %v",
+				name, n, d, len(want), distinctCols(want))
+		}
 		if naive {
 			ref := naiveUCQ(t, def, src)
 			if !cq.RowsEqual(got[name], ref) {
@@ -211,6 +214,28 @@ func assertEngineFresh(t *testing.T, e *DeltaEngine, db *instance.Database, view
 			}
 		}
 	}
+}
+
+// distinctCols counts the distinct values in each column of rows (nil
+// for no rows): the scan the engine's per-column counts must agree with.
+func distinctCols[T comparable](rows [][]T) []int {
+	if len(rows) == 0 {
+		return nil
+	}
+	seen := make([]map[T]bool, len(rows[0]))
+	for i := range seen {
+		seen[i] = make(map[T]bool)
+	}
+	for _, r := range rows {
+		for i, v := range r {
+			seen[i][v] = true
+		}
+	}
+	out := make([]int, len(seen))
+	for i, m := range seen {
+		out[i] = len(m)
+	}
+	return out
 }
 
 func randRow(rng *rand.Rand, arity, pool int) []string {

@@ -223,11 +223,6 @@ type Query struct {
 	Body Expr
 }
 
-// NewQuery builds an FO query.
-func NewQuery(name string, head []string, body Expr) *Query {
-	return &Query{Name: name, Head: head, Body: body}
-}
-
 // Validate checks that Head matches the body's free variables as a set.
 func (q *Query) Validate() error {
 	fv := q.Body.FreeVars()
@@ -272,18 +267,6 @@ func IsPositiveExistential(e Expr) bool {
 	default:
 		return false
 	}
-}
-
-// HasViews reports whether the formula mentions any atom whose relation
-// name is in views.
-func HasViews(e Expr, views map[string]bool) bool {
-	found := false
-	Walk(e, func(x Expr) {
-		if a, ok := x.(*Atom); ok && views[a.Rel] {
-			found = true
-		}
-	})
-	return found
 }
 
 // Walk visits every subformula in preorder.

@@ -17,7 +17,6 @@ package instance
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -47,7 +46,7 @@ func (t Tuple) Project(pos []int) Tuple {
 
 // Table is the instance of one relation schema. Tuples is the
 // string-valued storage; treat it as append-only from the outside (mutate
-// through Insert/DeleteAll/ApplyDelta so the ID-encoded shadow stays
+// through Insert/ApplyDelta so the ID-encoded shadow stays
 // consistent — plain appends are also picked up lazily by IDRows).
 type Table struct {
 	Rel    *schema.Relation
@@ -66,13 +65,6 @@ type Table struct {
 	posN int
 }
 
-// NewTable creates an empty table for the relation schema with its own
-// private dictionary; tables created through NewDatabase share the
-// database's dictionary instead.
-func NewTable(rel *schema.Relation) *Table {
-	return &Table{Rel: rel, dict: intern.NewDict()}
-}
-
 // Insert appends a tuple after checking its arity.
 func (t *Table) Insert(row ...string) error {
 	if len(row) != t.Rel.Arity() {
@@ -88,30 +80,6 @@ func (t *Table) MustInsert(row ...string) {
 	if err := t.Insert(row...); err != nil {
 		panic(err)
 	}
-}
-
-// DeleteAll removes every copy of the given tuple, returning how many rows
-// were removed. It keeps the ID-encoded shadow consistent; use it instead
-// of compacting Tuples in place.
-func (t *Table) DeleteAll(row ...string) int {
-	key := Tuple(row).Key()
-	w := 0
-	for _, tu := range t.Tuples {
-		if tu.Key() != key {
-			t.Tuples[w] = tu
-			w++
-		}
-	}
-	removed := len(t.Tuples) - w
-	if removed > 0 {
-		t.Tuples = t.Tuples[:w]
-		t.mu.Lock()
-		t.idRows = nil // shrunk: re-encode (and re-index positions) lazily
-		t.pos = nil
-		t.posN = 0
-		t.mu.Unlock()
-	}
-	return removed
 }
 
 // Len returns the number of tuples.
@@ -221,31 +189,6 @@ func (t *Table) deleteOne(row Tuple) ([]uint32, bool) {
 	t.idRows = t.idRows[:last]
 	t.posN = last
 	return ids, true
-}
-
-// Count returns the number of occurrences of row in the table; a row of
-// the wrong arity occurs zero times.
-func (t *Table) Count(row ...string) int {
-	if len(row) != t.Rel.Arity() {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.encodeLocked()
-	pos := t.posLocked()
-	ids := make([]uint32, len(row))
-	for i, v := range row {
-		id, ok := t.dict.Lookup(v)
-		if !ok {
-			return 0
-		}
-		ids[i] = id
-	}
-	n := len(*pos.At(ids))
-	if n == 0 {
-		pos.Remove(ids) // At created an empty group for an absent row
-	}
-	return n
 }
 
 // Database is an instance of a database schema. Dict is the value
@@ -420,25 +363,6 @@ func (db *Database) Violations(a *access.Schema) []*access.Constraint {
 			out = append(out, c)
 		}
 	}
-	return out
-}
-
-// ActiveDomain returns the sorted set of all values occurring in the
-// instance; used by the FO evaluation engine and by property tests.
-func (db *Database) ActiveDomain() []string {
-	seen := make(map[string]struct{})
-	for _, t := range db.Tables {
-		for _, tu := range t.Tuples {
-			for _, v := range tu {
-				seen[v] = struct{}{}
-			}
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -246,30 +246,6 @@ func Project(row []uint32, pos []int) []uint32 {
 	return out
 }
 
-// DistinctCols returns, for each column position, the number of distinct
-// IDs among the rows — the per-column statistics the cost model consumes.
-// All rows must share the arity of the first; nil for an empty input.
-func DistinctCols(rows [][]uint32) []int {
-	if len(rows) == 0 {
-		return nil
-	}
-	arity := len(rows[0])
-	seen := make([]map[uint32]struct{}, arity)
-	for i := range seen {
-		seen[i] = make(map[uint32]struct{})
-	}
-	for _, r := range rows {
-		for i, v := range r {
-			seen[i][v] = struct{}{}
-		}
-	}
-	out := make([]int, arity)
-	for i, s := range seen {
-		out[i] = len(s)
-	}
-	return out
-}
-
 // Set is a set of ID rows keyed by Hash with collision verification.
 // Added rows are retained by reference and must not be mutated afterwards.
 // The zero value is an empty set ready to use. Not safe for concurrent

@@ -3,8 +3,9 @@ package plan
 import "math"
 
 // Stats carries the statistics the cost model consumes: relation and view
-// cardinalities plus per-column distinct-ID counts (collected from the
-// shards' interned rows and the live view extents). A nil
+// cardinalities plus per-column distinct-ID counts (exact counters the
+// view-maintenance engines keep over their rows and view extents,
+// published with every epoch). A nil
 // *Stats is valid and falls back to schema-only defaults, so candidates
 // can be ranked statically — purely from the access-constraint bounds N —
 // before any database exists. A published Stats is immutable; copying

@@ -2,7 +2,8 @@
 // ID-encoded instance is hash-partitioned into P shards, each owning its own
 // versioned fetch indices (instance.VIndex), incremental view-maintenance
 // engine with its join indexes (eval.DeltaEngine over intern.DynIndex),
-// materialized-view partitions and cost-model statistics. Plan execution
+// materialized-view partitions and the counters behind the cost-model
+// statistics every epoch publishes. Plan execution
 // is scatter-gather — a fetch whose access constraint binds the partition
 // key routes to the single owning shard, everything else gathers across
 // shards and dedups — and batched deltas are routed per shard and

@@ -37,9 +37,11 @@ type state struct {
 	vix *instance.VIndex
 }
 
-// Statistics drift: rebuild when the physical ops since the last build
-// exceed statsDriftFrac of the current |D| (and at least statsMinChurn,
-// so tiny instances don't rebuild per batch).
+// Re-rank pacing: every epoch publishes exact statistics, but the
+// statistics version — which prepared queries re-rank on — bumps only
+// when the physical ops since the last bump exceed statsDriftFrac of the
+// current |D| (and at least statsMinChurn, so tiny instances don't
+// re-rank per batch).
 const (
 	statsDriftFrac = 0.2
 	statsMinChurn  = 256
@@ -55,14 +57,11 @@ type Config struct {
 	// must equal Shards when set; nil disables the accounting.
 	Probes []*obs.Counter
 
-	// Restart state, set by the durability layer when reopening a
-	// journaled directory: the initial epoch sequence number (the restored
+	// InitialSeq, set by the durability layer when reopening a journaled
+	// directory, is the initial epoch sequence number: the restored
 	// checkpoint's, so replayed batches publish the same epochs they did
-	// originally) and the checkpointed statistics trajectory (skipping the
-	// open-time stats collection AND making later drift decisions replay
-	// identically to the original run).
+	// originally.
 	InitialSeq uint64
-	Restored   *RestoredStats
 	// Extents, when set, seed the single shard's view engine at P = 1
 	// from checkpointed counted extents instead of enumerating the views
 	// (the checkpoint of a P = 1 instance carries them; see
@@ -71,22 +70,15 @@ type Config struct {
 	Extents map[string]eval.Extent
 }
 
-// RestoredStats is a checkpointed statistics trajectory. Copying the
-// struct shares the underlying *plan.Stats, which is immutable once
-// checkpointed.
-type RestoredStats struct {
-	Stats      *plan.Stats
-	StatsVer   uint64
-	StatsChurn int
-}
-
 // DeltaStats summarizes one applied batch (mirrors the facade's).
-// MaxShardHold is the longest single-shard maintenance window of the
-// batch. Under epoch reads it blocks nobody — readers stay on the
-// previous epoch until the new one is published — but it still bounds the
-// batch's publication lag, and its ~P-fold shrink is the per-shard
-// parallelism signal the scaling experiment gates. DeltaStats is a
-// plain value — safe to copy, retains no reference to shard state.
+// StatsRefreshed reports that the batch published a new statistics
+// version, so prepared queries re-rank. MaxShardHold is the longest
+// single-shard maintenance window of the batch. Under epoch reads it
+// blocks nobody — readers stay on the previous epoch until the new one is
+// published — but it still bounds the batch's publication lag, and its
+// ~P-fold shrink is the per-shard parallelism signal the scaling
+// experiment gates. DeltaStats is a plain value — safe to copy, retains
+// no reference to shard state.
 type DeltaStats struct {
 	Inserted       int
 	Deleted        int
@@ -384,13 +376,7 @@ func Open(d *intern.Dict, rows map[string][][]uint32, s *schema.Schema, a *acces
 		dirty[name] = true
 	}
 	sh.seq = cfg.InitialSeq
-	if cfg.Restored != nil {
-		sh.statsVer = cfg.Restored.StatsVer
-		sh.statsChurn = cfg.Restored.StatsChurn
-		sh.publish(nil, dirty, cfg.Restored.Stats)
-	} else {
-		sh.publish(nil, dirty, sh.collectStats())
-	}
+	sh.publish(nil, dirty)
 	return sh, nil
 }
 
@@ -405,14 +391,6 @@ func (s *Sharded) SetJournal(fn func(seq uint64, a *instance.Applied) error) {
 
 // Seq returns the current epoch's sequence number.
 func (s *Sharded) Seq() uint64 { return s.cur.Load().seq }
-
-// StatsState returns the writer-side statistics trajectory — the current
-// merged statistics, their version and the churn since the last rebuild —
-// for checkpointing. Callers must exclude writers.
-func (s *Sharded) StatsState() (*plan.Stats, uint64, int) {
-	e := s.cur.Load()
-	return e.stats, s.statsVer, s.statsChurn
-}
 
 // CheckpointTables returns every relation's rows, copies included, read
 // from the shards' engines and concatenated in shard order — the logical
@@ -469,17 +447,14 @@ func (s *Sharded) LocalViews() (local, global []string) {
 }
 
 // publish pins the next epoch's views (re-pinning only the dirty ones,
-// reusing the rest — including their merge memo — from prev) and
-// installs it. stats == nil carries the previous epoch's statistics
-// forward. Callers hold batchMu (or have exclusive access, as in Open).
-func (s *Sharded) publish(prev *Epoch, dirty map[string]bool, stats *plan.Stats) {
+// reusing the rest — including their merge memo — from prev) and its
+// statistics, and installs it. Callers hold batchMu (or have exclusive
+// access, as in Open).
+func (s *Sharded) publish(prev *Epoch, dirty map[string]bool) {
 	views := make(map[string]*gatheredView, len(s.views))
 	if prev != nil {
 		for name, gv := range prev.views {
 			views[name] = gv
-		}
-		if stats == nil {
-			stats = prev.stats
 		}
 	}
 	for name := range dirty {
@@ -499,7 +474,7 @@ func (s *Sharded) publish(prev *Epoch, dirty map[string]bool, stats *plan.Stats)
 		dict:       s.dict,
 		vixes:      vixes,
 		views:      views,
-		stats:      stats,
+		stats:      s.collectStats(),
 		statsVer:   s.statsVer,
 		size:       size,
 		shardSizes: sizes,
@@ -681,17 +656,6 @@ func (s *Sharded) ApplyDelta(inserts, deletes []instance.Op) (DeltaStats, error)
 	}
 
 	stats.ViewsChanged = len(dirty)
-	prev := s.cur.Load()
-	// The drift decision is COMPUTED before the journal append but ACTED
-	// ON only after it succeeds: a journal failure must leave the stats
-	// trajectory (version, churn counter) exactly as the last durable
-	// epoch knew it, or a checkpoint written later could disagree with the
-	// log. The decision is a pure read, so recovery — replaying with the
-	// journal detached — reproduces it identically.
-	batch := stats.Inserted + stats.Deleted
-	size := prev.size + stats.Inserted - stats.Deleted
-	needStats := float64(s.statsChurn+batch) >= statsDriftFrac*float64(size) &&
-		s.statsChurn+batch >= statsMinChurn
 	// Journal before publication: an epoch is never visible to readers
 	// unless its batch reached the log. EVERY accepted batch journals,
 	// even an all-no-op one — the epoch number advances unconditionally,
@@ -701,24 +665,27 @@ func (s *Sharded) ApplyDelta(inserts, deletes []instance.Op) (DeltaStats, error)
 			return DeltaStats{}, fmt.Errorf("%w: journal: %w", ErrTorn, err)
 		}
 	}
-	s.statsChurn += batch
-	var st *plan.Stats
-	if needStats {
-		st = s.collectStats()
+	prev := s.cur.Load()
+	s.statsChurn += stats.Inserted + stats.Deleted
+	size := prev.size + stats.Inserted - stats.Deleted
+	if float64(s.statsChurn) >= statsDriftFrac*float64(size) && s.statsChurn >= statsMinChurn {
+		s.statsVer++
+		s.statsChurn = 0
 		stats.StatsRefreshed = true
 	}
-	s.publish(prev, dirty, st)
+	s.publish(prev, dirty)
 	return stats, nil
 }
 
-// collectStats merges the shards' statistics: the relation counts their
-// engines keep, and a scan of every view extent. Relation row counts sum
-// exactly; distinct counts sum
-// (exact for partition columns, whose values never repeat across shards,
-// and an upper bound the cost model clamps for the rest); view rows sum
-// per-shard extents, an upper bound when a view's head does not bind the
-// partition key (cross-shard duplicate heads). Callers must exclude
-// concurrent writers (ApplyDelta holds batchMu; Open has exclusive use).
+// collectStats merges the engines' statistics, read from the counts they
+// keep: O(#columns), no scan. Relation row counts sum exactly; distinct
+// counts sum (exact for partition columns, whose values never repeat
+// across shards, and an upper bound the cost model clamps for the rest);
+// a co-partitioned view's rows and distinct counts sum its per-shard
+// extents, an upper bound when the view's head does not bind the
+// partition key (cross-shard duplicate heads), and the global engine
+// counts the rest. Callers must exclude concurrent writers (ApplyDelta
+// holds batchMu; Open has exclusive use).
 func (s *Sharded) collectStats() *plan.Stats {
 	st := &plan.Stats{
 		RelRows:      make(map[string]int),
@@ -740,30 +707,28 @@ func (s *Sharded) collectStats() *plan.Stats {
 			}
 		}
 	}
-	addView := func(name string, rows [][]uint32) {
-		st.ViewRows[name] += len(rows)
-		d := intern.DistinctCols(rows)
+	addView := func(name string, eng *eval.DeltaEngine) {
+		n, d := eng.ViewStats(name)
+		st.ViewRows[name] += n
 		if len(d) > len(st.ViewDistinct[name]) {
 			grown := make([]int, len(d))
 			copy(grown, st.ViewDistinct[name])
 			st.ViewDistinct[name] = grown
 		}
-		for i, n := range d {
-			st.ViewDistinct[name][i] += n
+		for i, c := range d {
+			st.ViewDistinct[name][i] += c
 		}
 	}
 	for name := range s.views {
 		st.ViewRows[name] = 0
 		if s.local[name] {
 			for _, sh := range s.shards {
-				addView(name, sh.eng.ExtentIDs(name))
+				addView(name, sh.eng)
 			}
 		} else {
-			addView(name, s.g.ExtentIDs(name))
+			addView(name, s.g)
 		}
 	}
-	s.statsVer++
-	s.statsChurn = 0
 	return st
 }
 

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-
-	"repro/internal/plan"
 )
 
 // Checkpoint is a serialized epoch: everything needed to rebuild a serving
@@ -25,14 +23,15 @@ import (
 // Views holds the counted view extents of a P = 1 engine, whose restore
 // seeds from them; at P > 1 the checkpoint is logical (no Views) and the
 // per-shard extents are rebuilt from the restored tables on open.
+//
+// A checkpoint carries no statistics: the restored engines count them
+// exactly from the tables and extents. Files written when it did still
+// decode, since gob skips stream fields the struct lacks.
 type Checkpoint struct {
-	Seq        uint64
-	StatsVer   uint64
-	StatsChurn int
-	Dict       []string
-	Tables     []TableRows
-	Views      []ViewExtent
-	Stats      *plan.Stats
+	Seq    uint64
+	Dict   []string
+	Tables []TableRows
+	Views  []ViewExtent
 }
 
 // TableRows is one relation's ID shadow in storage order.

@@ -1,14 +1,18 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/instance"
 	"repro/internal/intern"
-	"repro/internal/plan"
 )
 
 var testOpts = Options{SchemaFP: Fingerprint("schema"), ViewsFP: Fingerprint("views")}
@@ -74,7 +78,6 @@ func writeFixture(t *testing.T, dir string, n int, o Options) *intern.Dict {
 	ck := &Checkpoint{
 		Seq:    0,
 		Tables: []TableRows{{Rel: "R", Rows: [][]uint32{{0, 1}}}},
-		Stats:  &plan.Stats{RelRows: map[string]int{"R": 1}},
 	}
 	if err := l.WriteCheckpoint(dict, ck); err != nil {
 		t.Fatal(err)
@@ -102,7 +105,7 @@ func TestLogRoundTripAndResume(t *testing.T) {
 	if rec == nil || rec.Checkpoint.Seq != 0 || rec.TornTail {
 		t.Fatalf("recovered %+v", rec)
 	}
-	if len(rec.Checkpoint.Dict) != 2 || rec.Checkpoint.Stats.RelRows["R"] != 1 {
+	if len(rec.Checkpoint.Dict) != 2 || len(rec.Checkpoint.Tables) != 1 || len(rec.Checkpoint.Tables[0].Rows) != 1 {
 		t.Fatalf("checkpoint contents %+v", rec.Checkpoint)
 	}
 	if len(rec.Records) != 5 {
@@ -138,7 +141,7 @@ func TestLogRoundTripAndResume(t *testing.T) {
 		t.Fatal("out-of-order append must fail")
 	}
 	// Checkpoint at the tip, then one more record; reopen sees exactly them.
-	ck := &Checkpoint{Seq: 6, Tables: []TableRows{{Rel: "R", Rows: nil}}, Stats: &plan.Stats{}}
+	ck := &Checkpoint{Seq: 6, Tables: []TableRows{{Rel: "R", Rows: nil}}}
 	if err := l.WriteCheckpoint(dict, ck); err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +298,7 @@ func TestTornTailEveryOffset(t *testing.T) {
 			dict.ID(s)
 		}
 	}
-	if err := l.WriteCheckpoint(dict, &Checkpoint{Seq: 4, Stats: &plan.Stats{}}); err != nil {
+	if err := l.WriteCheckpoint(dict, &Checkpoint{Seq: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -392,7 +395,7 @@ func TestCheckpointFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	dict := intern.NewDict()
-	if err := l.WriteCheckpoint(dict, &Checkpoint{Seq: 0, Stats: &plan.Stats{}}); err != nil {
+	if err := l.WriteCheckpoint(dict, &Checkpoint{Seq: 0}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 2; i++ {
@@ -400,7 +403,7 @@ func TestCheckpointFallback(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.WriteCheckpoint(dict, &Checkpoint{Seq: 2, Stats: &plan.Stats{}}); err != nil {
+	if err := l.WriteCheckpoint(dict, &Checkpoint{Seq: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Append(dict, 3, mkApplied(nil, nil)); err != nil {
@@ -437,5 +440,68 @@ func TestCheckpointFallback(t *testing.T) {
 	}
 	if _, _, err := Open(dir, testOpts); err == nil {
 		t.Fatal("no usable checkpoint must fail")
+	}
+}
+
+// legacyCheckpoint is the checkpoint layout that also carried the cost
+// model's statistics and their drift state (StatsVer, StatsChurn, Stats).
+type legacyCheckpoint struct {
+	Seq        uint64
+	StatsVer   uint64
+	StatsChurn int
+	Dict       []string
+	Tables     []TableRows
+	Views      []ViewExtent
+	Stats      *legacyStats
+}
+
+type legacyStats struct {
+	RelRows      map[string]int
+	RelDistinct  map[string]map[string]int
+	ViewRows     map[string]int
+	ViewDistinct map[string][]int
+}
+
+// TestLegacyCheckpointDecodes: a checkpoint file written with the
+// statistics fields still recovers, with its tables, view extents and
+// dictionary intact — gob skips the stream fields Checkpoint lacks.
+func TestLegacyCheckpointDecodes(t *testing.T) {
+	dir := t.TempDir()
+	old := &legacyCheckpoint{
+		Seq:        3,
+		StatsVer:   7,
+		StatsChurn: 40,
+		Dict:       []string{"a", "b", "c"},
+		Tables:     []TableRows{{Rel: "R", Rows: [][]uint32{{0, 1}, {2, 1}}}},
+		Views:      []ViewExtent{{Name: "V", Rows: [][]uint32{{1}}, Counts: []int{2}}},
+		Stats: &legacyStats{
+			RelRows:      map[string]int{"R": 2},
+			RelDistinct:  map[string]map[string]int{"R": {"A": 2, "B": 1}},
+			ViewRows:     map[string]int{"V": 1},
+			ViewDistinct: map[string][]int{"V": {1}},
+		},
+	}
+	var buf bytes.Buffer
+	buf.Write(fileHeaderBytes(ckptMagic, testOpts.SchemaFP, testOpts.ViewsFP, old.Seq))
+	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	b := binary.LittleEndian.AppendUint32(buf.Bytes(), crc32.Checksum(buf.Bytes(), crcTable))
+	if err := os.WriteFile(filepath.Join(dir, ckptName(old.Seq)), b, 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	l, rec, err := Open(dir, testOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	ck := rec.Checkpoint
+	if ck.Seq != old.Seq || !reflect.DeepEqual(ck.Dict, old.Dict) ||
+		!reflect.DeepEqual(ck.Tables, old.Tables) || !reflect.DeepEqual(ck.Views, old.Views) {
+		t.Fatalf("legacy checkpoint decoded as %+v, want %+v", ck, old)
+	}
+	if len(rec.Records) != 0 || l.NextSeq() != old.Seq+1 {
+		t.Fatalf("recovered %d records, next seq %d", len(rec.Records), l.NextSeq())
 	}
 }

@@ -73,7 +73,7 @@ const (
 // constants, plus the cost-model selection state. The search runs once
 // per query shape (Prepare's template cache); each concrete query gets
 // its own PreparedQuery and so its own selection. Selection is revisited
-// whenever the Live handle it serves publishes new statistics —
+// whenever the Live handle it serves publishes a new statistics version —
 // re-selection is a cheap arithmetic pass over the cached candidates,
 // never a new search.
 //
@@ -357,9 +357,9 @@ func (pq *PreparedQuery) selFor(id uint64, st *plan.Stats, ver uint64, met *obs.
 		return s
 	}
 	if s.ver != ver {
-		// The handle's statistics were rebuilt (churn drift). Re-rank
-		// under the fresh estimates WITH the observation overlay — the
-		// realized widths survive the rebuild, so a selection that
+		// The handle published a new statistics version (churn drift).
+		// Re-rank under the fresh estimates WITH the observation overlay —
+		// the realized widths survive the new version, so a selection that
 		// feedback corrected stays corrected instead of reverting to
 		// whatever the new skew-blind averages say.
 		pq.rerankLocked(s, st, met)
