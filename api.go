@@ -14,7 +14,8 @@
 //   - the VBRP decision procedures of Sections 3-4 and 6 (exact,
 //     enumeration-based; exponential, for the theory experiments);
 //   - the bounded-output problem BOP and A-equivalence reasoning;
-//   - plan execution with fetch accounting (measure |Dξ| yourself).
+//   - serving handles (Open) that execute plans over live, epoch-versioned
+//     data and report each call's fetched tuples |Dξ|.
 //
 // See README.md for a walkthrough and EXPERIMENTS.md for the reproduction
 // of the paper's tables and figures.
@@ -51,8 +52,6 @@ type (
 	AccessSchema = access.Schema
 	// Database is an in-memory instance.
 	Database = instance.Database
-	// Indexed is the fetch index of a database, with fetch counters.
-	Indexed = instance.Indexed
 	// Tuple is a database row.
 	Tuple = instance.Tuple
 	// Op is one tuple-level mutation of a batch delta (insert or delete).
@@ -97,8 +96,6 @@ var (
 	NewAccessSchema = access.NewSchema
 	// NewDatabase builds an empty instance of a schema.
 	NewDatabase = instance.NewDatabase
-	// BuildIndexes builds the per-constraint fetch indices over D.
-	BuildIndexes = instance.BuildIndexes
 	// Var and Cst build query terms.
 	Var = cq.Var
 	// Cst builds a constant term.
@@ -267,43 +264,6 @@ func (sys *System) AContained(q1, q2 *UCQ) bool {
 // Materialize computes the cached view extents V(D).
 func (sys *System) Materialize(db *Database) (map[string][][]string, error) {
 	return eval.Materialize(sys.Views, db)
-}
-
-// PreparedViewSet is the interned (ID-encoded) form of a set of
-// materialized view extents, bound to one indexed instance — the explicit
-// replacement for the old map-identity Execute cache. Prepare once, run
-// many plans; when the extents change, prepare again (or, for churning
-// databases, use Open and serve from epochs instead).
-type PreparedViewSet = plan.PreparedViews
-
-// PrepareViews interns the view extents against ix's database dictionary
-// for repeated ExecutePrepared calls. The rows are captured at call time:
-// later mutations of the views map are not observed (prepare again after
-// changing them — the explicit contract that replaces the old "pass a NEW
-// map" identity-cache footgun).
-func (sys *System) PrepareViews(ix *Indexed, views map[string][][]string) *PreparedViewSet {
-	return plan.PrepareViews(ix, views)
-}
-
-// ExecutePrepared runs a plan over the indexed instance with views
-// prepared by PrepareViews, returning the answer rows and the number of
-// tuples fetched from the underlying database by this call (|Dξ|).
-func (sys *System) ExecutePrepared(p Plan, ix *Indexed, pv *PreparedViewSet) ([][]string, int, error) {
-	before := ix.FetchedTuples()
-	rows, err := plan.RunOn(p, ix, pv)
-	if err != nil {
-		return nil, 0, err
-	}
-	return rows, ix.FetchedTuples() - before, nil
-}
-
-// Execute runs a plan over the indexed instance with the materialized
-// views. The extents are interned on every call: for repeated execution
-// against unchanged views use PrepareViews + ExecutePrepared, and for a
-// churning database use Open — both make the caching explicit instead of
-// keying on map identity.
-func (sys *System) Execute(p Plan, ix *Indexed, views map[string][][]string) ([][]string, int, error) {
-	return sys.ExecutePrepared(p, ix, plan.PrepareViews(ix, views))
 }
 
 // EvalDirect evaluates a UCQ by full scans (the baseline an engine without

@@ -55,15 +55,12 @@ func TestSystemEndToEnd(t *testing.T) {
 		t.Fatalf("conformance: %v %d %s", okConf, bound, reason)
 	}
 	db := m.Generate(workload.MoviesParams{Persons: 400, Movies: 400, LikesPerPerson: 5, NASAShare: 8, Seed: 1})
-	views, err := sys.Materialize(db)
+	h, err := sys.Open(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := BuildIndexes(db, m.Access)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, fetched, err := sys.Execute(res.Plan, ix, views)
+	defer h.Close()
+	rows, fetched, err := h.Execute(res.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}

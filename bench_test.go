@@ -169,7 +169,7 @@ var fig1Fixture = struct {
 	dbs      map[int]*instance.Database
 	views    map[int]map[string][][]string
 	prepared map[int]*plan.PreparedViews
-	ixs      map[int]*instance.Indexed
+	vxs      map[int]*instance.VIndex
 }{}
 
 func fig1Setup(b *testing.B) {
@@ -180,7 +180,7 @@ func fig1Setup(b *testing.B) {
 		fig1Fixture.dbs = map[int]*instance.Database{}
 		fig1Fixture.views = map[int]map[string][][]string{}
 		fig1Fixture.prepared = map[int]*plan.PreparedViews{}
-		fig1Fixture.ixs = map[int]*instance.Indexed{}
+		fig1Fixture.vxs = map[int]*instance.VIndex{}
 		for _, size := range []int{1000, 10000, 100000} {
 			db := m.Generate(workload.MoviesParams{
 				Persons: size, Movies: size, LikesPerPerson: 5, NASAShare: 10, Seed: 7,
@@ -189,14 +189,14 @@ func fig1Setup(b *testing.B) {
 			if err != nil {
 				panic(err)
 			}
-			ix, err := instance.BuildIndexes(db, m.Access)
+			vx, err := instance.BuildVIndex(db.Schema, db.Dict, db.IDTables(), m.Access)
 			if err != nil {
 				panic(err)
 			}
 			fig1Fixture.dbs[size] = db
 			fig1Fixture.views[size] = views
-			fig1Fixture.prepared[size] = plan.PrepareViews(ix, views)
-			fig1Fixture.ixs[size] = ix
+			fig1Fixture.prepared[size] = plan.PrepareViews(db.Dict, views)
+			fig1Fixture.vxs[size] = vx
 		}
 	})
 }
@@ -208,14 +208,14 @@ func BenchmarkFig1_PlanXi0(b *testing.B) {
 	fig1Setup(b)
 	for _, size := range []int{1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
-			ix := fig1Fixture.ixs[size]
+			vx := fig1Fixture.vxs[size]
 			views := fig1Fixture.prepared[size]
 			for i := 0; i < b.N; i++ {
-				ix.ResetCounters()
-				if _, err := plan.RunOn(fig1Fixture.plan, ix, views); err != nil {
+				_, fetched, err := plan.Run(fig1Fixture.plan, vx, views)
+				if err != nil {
 					b.Fatal(err)
 				}
-				if ix.FetchedTuples() > 2*fig1Fixture.m.N0 {
+				if fetched > 2*fig1Fixture.m.N0 {
 					b.Fatal("fetch bound violated")
 				}
 			}
@@ -223,16 +223,16 @@ func BenchmarkFig1_PlanXi0(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildIndexes builds the per-constraint fetch indices over the
-// Figure 1 instance: the one-off set-up cost of the static path.
-func BenchmarkBuildIndexes(b *testing.B) {
+// BenchmarkBuildVIndex builds the per-constraint fetch indices over the
+// Figure 1 instance, the index build Open performs.
+func BenchmarkBuildVIndex(b *testing.B) {
 	fig1Setup(b)
 	for _, size := range []int{1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
 			db := fig1Fixture.dbs[size]
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := instance.BuildIndexes(db, fig1Fixture.m.Access); err != nil {
+				if _, err := instance.BuildVIndex(db.Schema, db.Dict, db.IDTables(), fig1Fixture.m.Access); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -349,7 +349,7 @@ var cdrFixture = struct {
 	plans map[string]plan.Node
 	qs    []workload.CDRQuery
 	dbs   map[int]*instance.Database
-	ixs   map[int]*instance.Indexed
+	vxs   map[int]*instance.VIndex
 }{}
 
 func cdrSetup() {
@@ -365,15 +365,15 @@ func cdrSetup() {
 			}
 		}
 		cdrFixture.dbs = map[int]*instance.Database{}
-		cdrFixture.ixs = map[int]*instance.Indexed{}
+		cdrFixture.vxs = map[int]*instance.VIndex{}
 		for _, n := range []int{2000, 20000} {
 			db := c.Generate(workload.CDRParams{Customers: n, Days: 30, Seed: 1})
-			ix, err := instance.BuildIndexes(db, c.Access)
+			vx, err := instance.BuildVIndex(db.Schema, db.Dict, db.IDTables(), c.Access)
 			if err != nil {
 				panic(err)
 			}
 			cdrFixture.dbs[n] = db
-			cdrFixture.ixs[n] = ix
+			cdrFixture.vxs[n] = vx
 		}
 	})
 }
@@ -383,14 +383,14 @@ func BenchmarkCDR_BoundedPlans(b *testing.B) {
 	cdrSetup()
 	for _, n := range []int{2000, 20000} {
 		b.Run(fmt.Sprintf("customers=%d", n), func(b *testing.B) {
-			ix := cdrFixture.ixs[n]
+			vx := cdrFixture.vxs[n]
 			for i := 0; i < b.N; i++ {
 				for _, q := range cdrFixture.qs {
 					p, ok := cdrFixture.plans[q.Name]
 					if !ok {
 						continue
 					}
-					if _, err := plan.Run(p, ix, nil); err != nil {
+					if _, _, err := plan.Run(p, vx, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -437,14 +437,13 @@ func BenchmarkGraphSearch_Plan(b *testing.B) {
 		b.Fatal(res.Reason)
 	}
 	db := so.Generate(workload.SocialParams{Persons: 20000, Restaurants: 500, Dates: 28, Seed: 3})
-	ix, err := instance.BuildIndexes(db, so.Access)
+	vx, err := instance.BuildVIndex(db.Schema, db.Dict, db.IDTables(), so.Access)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.ResetCounters()
-		if _, err := plan.Run(res.Plan, ix, nil); err != nil {
+		if _, _, err := plan.Run(res.Plan, vx, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -521,14 +520,14 @@ func BenchmarkEx63_FOPlan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ix, err := instance.BuildIndexes(db, e.A)
+	vx, err := instance.BuildVIndex(db.Schema, db.Dict, db.IDTables(), e.A)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pv := plan.PrepareViews(ix, views)
+	pv := plan.PrepareViews(db.Dict, views)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := plan.RunOn(p, ix, pv)
+		rows, _, err := plan.Run(p, vx, pv)
 		if err != nil || len(rows) == 0 {
 			b.Fatal("the FO plan must answer true on T_Q")
 		}
@@ -654,43 +653,12 @@ func BenchmarkLive_FullRefresh(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				ix, err := instance.BuildIndexes(db, m.Access)
-				if err != nil {
+				if _, err := instance.BuildVIndex(db.Schema, db.Dict, db.IDTables(), m.Access); err != nil {
 					b.Fatal(err)
 				}
-				plan.PrepareViews(ix, views)
+				plan.PrepareViews(db.Dict, views)
 			}
 		})
-	}
-}
-
-// BenchmarkSystemExecuteRepeated guards the explicit prepared-view path:
-// iterations over a PreparedViewSet must not re-intern the view extents
-// (compare allocs/op with the view size; see also
-// TestSystemPreparedViewSet).
-func BenchmarkSystemExecuteRepeated(b *testing.B) {
-	m := workload.NewMovies(50)
-	db := m.Generate(workload.MoviesParams{Persons: 20000, Movies: 20000, LikesPerPerson: 5, NASAShare: 10, Seed: 7})
-	sys, err := NewSystem(m.Schema, m.Access, m.Views(), 11)
-	if err != nil {
-		b.Fatal(err)
-	}
-	views, err := sys.Materialize(db)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ix, err := instance.BuildIndexes(db, m.Access)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := m.Fig1Plan()
-	pv := sys.PrepareViews(ix, views)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := sys.ExecutePrepared(p, ix, pv); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

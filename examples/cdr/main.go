@@ -50,9 +50,13 @@ func main() {
 		toppedCount, len(queries))
 
 	fmt.Println("\n--- Speedup of bounded plans vs full scans ---")
+	sys, err := repro.NewSystem(c.Schema, c.Access, nil, 128)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, customers := range []int{2000, 20000, 100000} {
 		db := c.Generate(workload.CDRParams{Customers: customers, Days: 30, Seed: 1})
-		ix, err := repro.BuildIndexes(db, c.Access)
+		h, err := sys.Open(db)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -64,9 +68,8 @@ func main() {
 			if !ok {
 				continue
 			}
-			ix.ResetCounters()
 			t0 := time.Now()
-			rows, err := plan.Run(p, ix, nil)
+			rows, fetched, err := h.Execute(p)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -85,12 +88,15 @@ func main() {
 			if !cq.RowsEqual(rows, direct) {
 				log.Fatalf("%s: plan and scan answers differ (%d vs %d rows)", q.Name, len(rows), len(direct))
 			}
-			if f := int64(ix.FetchedTuples()); f > bounds[q.Name] {
-				log.Fatalf("%s: fetched %d tuples, above the plan's bound %d", q.Name, f, bounds[q.Name])
+			if int64(fetched) > bounds[q.Name] {
+				log.Fatalf("%s: fetched %d tuples, above the plan's bound %d", q.Name, fetched, bounds[q.Name])
 			}
 			fmt.Printf("  %-4s %12s %12s %8.1fx %8d\n",
 				q.Name, planTime.Round(time.Microsecond), directTime.Round(time.Microsecond),
-				float64(directTime)/float64(max64(1, int64(planTime))), ix.FetchedTuples())
+				float64(directTime)/float64(max64(1, int64(planTime))), fetched)
+		}
+		if err := h.Close(); err != nil {
+			log.Fatal(err)
 		}
 	}
 }

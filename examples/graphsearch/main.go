@@ -41,25 +41,28 @@ func main() {
 	rep := plan.Conforms(res.Plan, so.Schema, so.Access, nil)
 	fmt.Printf("conforms: %v, structural fetch bound: %d tuples\n", rep.Conforms, rep.FetchBound)
 
+	sys, err := repro.NewSystem(so.Schema, so.Access, nil, 64)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("\n|D| sweep — fetched tuples stay constant while the graph grows:")
 	fmt.Printf("  %10s %10s %12s %12s %9s\n", "|D|", "fetched", "plan time", "scan time", "speedup")
 	for _, persons := range []int{5000, 50000, 200000} {
 		db := so.Generate(workload.SocialParams{Persons: persons, Restaurants: 500, Dates: 28, Seed: 3})
-		ix, err := repro.BuildIndexes(db, so.Access)
+		h, err := sys.Open(db)
 		if err != nil {
 			log.Fatal(err)
 		}
 		t0 := time.Now()
-		rows, err := plan.Run(res.Plan, ix, nil)
+		rows, fetched, err := h.Execute(res.Plan)
 		if err != nil {
 			log.Fatal(err)
 		}
 		planTime := time.Since(t0)
-
-		sys, err := repro.NewSystem(so.Schema, so.Access, nil, 64)
-		if err != nil {
+		if err := h.Close(); err != nil {
 			log.Fatal(err)
 		}
+
 		t0 = time.Now()
 		direct, err := sys.EvalDirectFO(q, db)
 		if err != nil {
@@ -69,11 +72,11 @@ func main() {
 		if !cq.RowsEqual(rows, direct) {
 			log.Fatalf("plan and scan answers differ (%d vs %d rows)", len(rows), len(direct))
 		}
-		if f := int64(ix.FetchedTuples()); f > rep.FetchBound {
-			log.Fatalf("fetched %d tuples, above the plan's bound %d", f, rep.FetchBound)
+		if int64(fetched) > rep.FetchBound {
+			log.Fatalf("fetched %d tuples, above the plan's bound %d", fetched, rep.FetchBound)
 		}
 		fmt.Printf("  %10d %10d %12s %12s %8.1fx\n",
-			db.Size(), ix.FetchedTuples(), planTime.Round(time.Microsecond),
+			db.Size(), fetched, planTime.Round(time.Microsecond),
 			scanTime.Round(time.Microsecond), float64(scanTime)/float64(planTime))
 	}
 }

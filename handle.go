@@ -242,29 +242,6 @@ type epochState struct {
 	lc      *lifecycle
 }
 
-// countedSource wraps an epoch's fetch source with exact accounting: one
-// counter per attribution level (call, snapshot, handle). Counters are
-// atomic because independent plan subtrees fetch concurrently.
-type countedSource struct {
-	src      plan.Source
-	counters [3]*atomic.Int64
-}
-
-func (c *countedSource) Dict() *intern.Dict { return c.src.Dict() }
-
-func (c *countedSource) FetchIDs(con *Constraint, xval []uint32) ([][]uint32, error) {
-	rows, err := c.src.FetchIDs(con, xval)
-	if err == nil {
-		n := int64(len(rows))
-		for _, ctr := range c.counters {
-			if ctr != nil {
-				ctr.Add(n)
-			}
-		}
-	}
-	return rows, err
-}
-
 // traceCtx carries the prepared-query identity of an execution into the
 // sealed observed-execution path, so slow-query traces can name the
 // query and frontier candidate that ran. nil for ad-hoc plan runs.
@@ -274,7 +251,7 @@ type traceCtx struct {
 	explore   bool   // exploration probe of a non-incumbent
 }
 
-// recordExec folds one observed execution into the metrics core and,
+// recordExec folds one execution into the metrics core and,
 // when it ran over the armed threshold, the slow-query log. The trace —
 // including the rendered plan — is built only on the slow path; the
 // fast path pays the latency histogram update and one comparison.
@@ -359,57 +336,53 @@ func (s *Snapshot) met() *obs.Core {
 // and the tuples fetched from the database by this call (exact per-call
 // attribution, also under concurrent use).
 func (s *Snapshot) Execute(p Plan) ([][]string, int, error) {
-	return execute(s.e, s.met(), &s.fetched, s.hfetched, p)
+	rows, n, _, err := execute(s.e, s.met(), &s.fetched, s.hfetched, p, nil, false)
+	return rows, n, err
 }
 
 // executeObserved is Execute plus the run's execution profile, for the
 // closed-loop selection in PreparedQuery.ExecuteOn.
 func (s *Snapshot) executeObserved(p Plan, tc *traceCtx) ([][]string, int, *plan.Observation, error) {
-	return executeObserved(s.e, s.met(), &s.fetched, s.hfetched, p, tc)
+	return execute(s.e, s.met(), &s.fetched, s.hfetched, p, tc, true)
 }
 
 // execute runs a plan against epoch e for a handle or snapshot: the
-// tuples fetched are counted for the call and added to the caller's
-// attribution counters (owner; up, when the owner rolls up into a handle —
-// nil otherwise), and the run is recorded in met (nil-safe).
-func execute(e *epochState, met *obs.Core, owner, up *atomic.Int64, p Plan) ([][]string, int, error) {
-	if met.SlowEnabled() {
-		// Slow logging needs the execution profile for the trace's
-		// per-constraint breakdown: upgrade to the observed path (its
-		// extra allocation is the documented cost of arming the log).
-		rows, n, _, err := executeObserved(e, met, owner, up, p, nil)
-		return rows, n, err
-	}
+// tuples the run fetched are returned for the call and added to the
+// caller's attribution counters (owner; up, when the owner rolls up into
+// a handle — nil otherwise), also when the run fails, and the run is
+// recorded in met (nil-safe). observe asks for the run's execution
+// profile; an armed slow-query log needs it too, for the trace's
+// per-constraint breakdown (its extra allocation is the documented cost
+// of arming the log). tc names the prepared query for that trace.
+func execute(e *epochState, met *obs.Core, owner, up *atomic.Int64, p Plan, tc *traceCtx, observe bool) ([][]string, int, *plan.Observation, error) {
 	var t0 time.Time
 	if met != nil {
 		t0 = time.Now()
 	}
-	var call atomic.Int64
-	src := &countedSource{src: e.Epoch, counters: [3]*atomic.Int64{&call, owner, up}}
-	rows, err := plan.RunOn(p, src, e.Prepared())
-	if err != nil {
-		return nil, 0, err
+	var rows [][]string
+	var fetched int
+	var ob *plan.Observation
+	var err error
+	if observe || met.SlowEnabled() {
+		rows, fetched, ob, err = plan.RunObserved(p, e.Epoch, e.Prepared())
+	} else {
+		rows, fetched, err = plan.Run(p, e.Epoch, e.Prepared())
 	}
-	if met != nil {
-		met.RecordQuery(time.Since(t0))
-	}
-	return rows, int(call.Load()), nil
-}
-
-// executeObserved is execute plus the run's execution profile. The
-// observing source wraps the same epoch source the counters do, so the
-// profile reflects the cross-shard-deduplicated fetches exactly like the
-// fetch accounting.
-func executeObserved(e *epochState, met *obs.Core, owner, up *atomic.Int64, p Plan, tc *traceCtx) ([][]string, int, *plan.Observation, error) {
-	t0 := time.Now()
-	var call atomic.Int64
-	src := &countedSource{src: e.Epoch, counters: [3]*atomic.Int64{&call, owner, up}}
-	rows, ob, err := plan.RunObserved(p, src, e.Prepared())
+	account(fetched, owner, up)
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	recordExec(met, e.Seq(), p, tc, t0, int(call.Load()), len(rows), ob)
-	return rows, int(call.Load()), ob, nil
+	recordExec(met, e.Seq(), p, tc, t0, fetched, len(rows), ob)
+	return rows, fetched, ob, nil
+}
+
+// account adds n fetched tuples to a snapshot's or handle's counter and,
+// when non-nil, to the handle counter it rolls up into.
+func account(n int, owner, up *atomic.Int64) {
+	owner.Add(int64(n))
+	if up != nil {
+		up.Add(int64(n))
+	}
 }
 
 // Views returns a decoded copy of the pinned epoch's view extents. The
@@ -441,11 +414,11 @@ func (s *Snapshot) Fetch(c *Constraint, xval Tuple) ([]Tuple, error) {
 		}
 		key[i] = id
 	}
-	src := &countedSource{src: s.e.Epoch, counters: [3]*atomic.Int64{&s.fetched, s.hfetched, nil}}
-	idRows, err := src.FetchIDs(c, key)
+	idRows, err := s.e.FetchIDs(c, key)
 	if err != nil {
 		return nil, err
 	}
+	account(len(idRows), &s.fetched, s.hfetched)
 	rows := make([]Tuple, len(idRows))
 	for i, r := range idRows {
 		rows[i] = Tuple(s.e.Dict().Decode(r))
@@ -605,13 +578,14 @@ func (l *Live) Lifecycle() LifecycleStats { return l.lc.stats() }
 // rows and the tuples fetched from D by this call (exact attribution,
 // also under concurrent readers and writers).
 func (l *Live) Execute(p Plan) ([][]string, int, error) {
-	return execute(l.cur.Load(), l.met, &l.fetched, nil, p)
+	rows, n, _, err := execute(l.cur.Load(), l.met, &l.fetched, nil, p, nil, false)
+	return rows, n, err
 }
 
 // executeObserved is Execute plus the run's execution profile, for the
 // closed-loop selection in PreparedQuery.Execute.
 func (l *Live) executeObserved(p Plan, tc *traceCtx) ([][]string, int, *plan.Observation, error) {
-	return executeObserved(l.cur.Load(), l.met, &l.fetched, nil, p, tc)
+	return execute(l.cur.Load(), l.met, &l.fetched, nil, p, tc, true)
 }
 
 // Metrics returns a point-in-time snapshot of the handle's metrics.

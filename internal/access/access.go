@@ -4,9 +4,8 @@
 // An instance D satisfies R(X -> Y, N) when every X-value in D matches at
 // most N distinct Y-projections, and an index exists that, given an X-value
 // a̅, returns D_{R:XY}(X = a̅) in O(N) time. The index side is realized by
-// instance.VIndex in package instance (instance.Indexed counts fetches over
-// it); this package carries the declarative part and schema-level
-// validation.
+// instance.VIndex in package instance; this package carries the
+// declarative part and schema-level validation.
 package access
 
 import (

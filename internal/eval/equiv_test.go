@@ -139,27 +139,21 @@ func TestInternedMatchesReferenceMovies(t *testing.T) {
 		assertSameRows(t, "view "+name, got, naiveUCQ(t, def, src))
 	}
 
-	// The Figure 1 plan must agree with the direct evaluation, both via
-	// lazy views and via the prepared-views fast path.
+	// The Figure 1 plan must agree with the direct evaluation.
 	views, err := Materialize(m.Views(), db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := instance.BuildIndexes(db, m.Access)
+	ix, err := instance.BuildVIndex(db.Schema, db.Dict, db.IDTables(), m.Access)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := naiveCQ(t, m.Q0, src)
-	planRows, err := plan.Run(m.Fig1Plan(), ix, views)
+	planRows, _, err := plan.Run(m.Fig1Plan(), ix, plan.PrepareViews(ix.Dict(), views))
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameRows(t, "fig1 plan", planRows, want)
-	prepRows, err := plan.RunOn(m.Fig1Plan(), ix, plan.PrepareViews(ix, views))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameRows(t, "fig1 plan (prepared)", prepRows, want)
 }
 
 // TestInternedMatchesReferenceCDR checks every CQ of the CDR workload, and
@@ -168,7 +162,7 @@ func TestInternedMatchesReferenceCDR(t *testing.T) {
 	c := workload.NewCDR(20, 5, 100)
 	db := c.Generate(workload.CDRParams{Customers: 500, Days: 30, Seed: 1})
 	src := &Source{DB: db}
-	ix, err := instance.BuildIndexes(db, c.Access)
+	ix, err := instance.BuildVIndex(db.Schema, db.Dict, db.IDTables(), c.Access)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +176,7 @@ func TestInternedMatchesReferenceCDR(t *testing.T) {
 			assertSameRows(t, q.Name, got, naiveCQ(t, q.CQ, src))
 		}
 		if res := checker.Check(q.FO, 128); res.Topped {
-			planRows, err := plan.Run(res.Plan, ix, nil)
+			planRows, _, err := plan.Run(res.Plan, ix, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,11 +201,11 @@ func TestInternedMatchesReferenceGraphSearch(t *testing.T) {
 		t.Fatal(res.Reason)
 	}
 	db := so.Generate(workload.SocialParams{Persons: 2000, Restaurants: 100, Dates: 28, Seed: 3})
-	ix, err := instance.BuildIndexes(db, so.Access)
+	ix, err := instance.BuildVIndex(db.Schema, db.Dict, db.IDTables(), so.Access)
 	if err != nil {
 		t.Fatal(err)
 	}
-	planRows, err := plan.Run(res.Plan, ix, nil)
+	planRows, _, err := plan.Run(res.Plan, ix, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,9 @@
 // caller's input and the tests' oracle: the serving engine (internal/shard)
 // encodes it once at Open and keeps its rows in the delta engine's
 // multiplicity map instead. VIndex is the one fetch index: a persistent,
-// epoch-versioned hash trie per access constraint, built from ID rows.
-// Indexed is a fetch-counting view of one VIndex, which is how the
-// benchmark harness measures |Dξ|.
+// epoch-versioned hash trie per access constraint, built from ID rows; a
+// plan runs over it directly, and plan.Run counts the tuples fetched
+// (|Dξ|).
 package instance
 
 import (

@@ -54,34 +54,21 @@ func TestFetchReturnsProjections(t *testing.T) {
 	db.MustInsert("R", "b", "9", "z")
 	// Same (A,B) with different C: the XY-projection is deduplicated.
 	db.MustInsert("R", "a", "1", "other")
-	ix, err := BuildIndexes(db, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := ix.Fetch(c, Tuple{"a"})
+	vx := buildVIndex(t, db, a)
+	rows, err := fetchStrings(vx, c, Tuple{"a"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 2 {
 		t.Fatalf("want the 2 distinct (A,B) projections, got %v", rows)
 	}
-	if ix.FetchedTuples() != 2 || ix.FetchCalls() != 1 {
-		t.Fatalf("accounting: %d tuples / %d calls", ix.FetchedTuples(), ix.FetchCalls())
-	}
-	// Missing key: empty, still one call.
-	rows, err = ix.Fetch(c, Tuple{"zzz"})
+	// Missing key: empty.
+	rows, err = fetchStrings(vx, c, Tuple{"zzz"})
 	if err != nil || len(rows) != 0 {
 		t.Fatalf("missing key: %v %v", rows, err)
 	}
-	if ix.FetchCalls() != 2 {
-		t.Fatal("second call not counted")
-	}
-	ix.ResetCounters()
-	if ix.FetchedTuples() != 0 || ix.FetchCalls() != 0 {
-		t.Fatal("reset failed")
-	}
 	// Wrong input arity.
-	if _, err := ix.Fetch(c, Tuple{"a", "b"}); err == nil {
+	if _, err := fetchStrings(vx, c, Tuple{"a", "b"}); err == nil {
 		t.Fatal("wrong input arity must fail")
 	}
 }
@@ -92,11 +79,8 @@ func TestEmptyXFetch(t *testing.T) {
 	db := NewDatabase(s)
 	db.MustInsert("S", "1")
 	db.MustInsert("S", "2")
-	ix, err := BuildIndexes(db, access.NewSchema(c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := ix.Fetch(c, nil)
+	vx := buildVIndex(t, db, access.NewSchema(c))
+	rows, err := fetchStrings(vx, c, nil)
 	if err != nil || len(rows) != 2 {
 		t.Fatalf("empty-X fetch returns the whole projection: %v %v", rows, err)
 	}
@@ -137,12 +121,12 @@ func TestFetchAgreesWithScan(t *testing.T) {
 		if ok, _ := db.SatisfiesAll(a); !ok {
 			return false
 		}
-		ix, err := BuildIndexes(db, a)
+		vx, err := BuildVIndex(db.Schema, db.Dict, db.IDTables(), a)
 		if err != nil {
 			return false
 		}
 		key := dom(probe)
-		got, err := ix.Fetch(c, Tuple{key})
+		got, err := fetchStrings(vx, c, Tuple{key})
 		if err != nil {
 			return false
 		}

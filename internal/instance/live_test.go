@@ -15,19 +15,18 @@ func liveFixture() (*schema.Schema, *access.Schema) {
 	return s, a
 }
 
-// fetchFrom probes one index version with string values, through a
-// counting view of it.
+// fetchFrom probes one index version with string values.
 func fetchFrom(t *testing.T, vx *VIndex, c *access.Constraint, xval Tuple) []Tuple {
 	t.Helper()
-	rows, err := (&Indexed{vx: vx}).Fetch(c, xval)
+	rows, err := fetchStrings(vx, c, xval)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return rows
 }
 
-// TestIndexedSeesAppliedDelta is the staleness regression test: on the
-// seed behavior, BuildIndexes was a snapshot and fetches never saw tuples
+// TestIndexedSeesAppliedDelta is the staleness regression test: an index
+// built once is a snapshot, and fetches against it never see tuples
 // inserted afterwards. With incremental index maintenance
 // (Database.ApplyDelta + VIndex.Apply), fetches against the new version
 // stay fresh.

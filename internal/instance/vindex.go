@@ -22,10 +22,11 @@ import (
 // pinned version without locks, concurrently with the writer deriving
 // the next one.
 //
-// A VIndex does no fetch accounting of its own: it is a pure data
-// version. Indexed counts fetches over a static one; the serving layers
-// (the facade's Snapshot, the shard engine) attribute fetched tuples per
-// call, per snapshot and per handle.
+// A VIndex is a plan.Source: plans run over a static version directly,
+// and the serving engine (internal/shard) routes over per-shard versions.
+// It does no fetch accounting of its own: plan.Run counts the tuples a
+// run fetches, and the facade attributes them per call, per snapshot and
+// per handle.
 type VIndex struct {
 	dict *intern.Dict
 	cons map[string]*vcon // immutable map: rebuilt (shallow) per Apply
@@ -251,6 +252,9 @@ func removeFromBucket(b []vgroup, r []uint32, vc *vcon) ([]vgroup, error) {
 	}
 	return nil, fmt.Errorf("instance: versioned index %s out of sync: deleted row not indexed", vc.c)
 }
+
+// Dict returns the dictionary the indexed rows are interned against.
+func (vx *VIndex) Dict() *intern.Dict { return vx.dict }
 
 // FetchIDs performs fetch(X = xval, R, Y) against this version: the
 // distinct XY-projections of rows whose X-attributes equal xval, as of

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/access"
 	"repro/internal/intern"
@@ -14,12 +15,12 @@ import (
 // Source is what plan execution reads the underlying database through: the
 // value dictionary rows are interned against, and the fetch function of the
 // access constraints. Every source probes the one fetch index,
-// instance.VIndex: instance.Indexed is a fetch-counting view of a static
-// version, and the serving engine (internal/shard) routes each fetch to
-// the owning partition's pinned version or gathers across all of them.
-// FetchIDs must return the distinct XY-projections for the X-value and is
-// responsible for its own fetch accounting; returned rows must stay valid
-// (and unmutated) for the duration of the plan run.
+// instance.VIndex: a static version is a Source itself, and the serving
+// engine (internal/shard) routes each fetch to the owning partition's
+// pinned version or gathers across all of them. FetchIDs must return the
+// distinct XY-projections for the X-value; returned rows must stay valid
+// (and unmutated) for the duration of the plan run. Sources do no fetch
+// accounting: Run counts the tuples every fetch returns.
 type Source interface {
 	Dict() *intern.Dict
 	FetchIDs(c *access.Constraint, xval []uint32) ([][]uint32, error)
@@ -31,42 +32,10 @@ type Source interface {
 // incur any I/O").
 type Materialized map[string][][]string
 
-// Run executes the plan bottom-up over src (Section 2's operational
-// semantics), returning the root relation with set semantics. All access
-// to the underlying database is via src.FetchIDs, so a counting source
-// (instance.Indexed) measures |Dξ| afterwards. Execution is interned
-// end-to-end: rows are ID-encoded against the source's dictionary and
-// decoded only here at the boundary. Independent subtrees (products,
-// unions, differences, the two sides of a hash join) run concurrently on
-// the bounded worker pool, so the source's accounting must be safe for
-// concurrent fetches. Each view the plan reads is interned once, on first
-// read, for this run only.
-func Run(n Node, src Source, views Materialized) ([][]string, error) {
-	d := src.Dict()
-	return RunOn(n, src, NewLazyPreparedViews(d, func(name string) ([][]uint32, bool) {
-		rows, ok := views[name]
-		return encode(d, rows), ok
-	}))
-}
-
-func encode(d *intern.Dict, rows [][]string) [][]uint32 {
-	enc := make([][]uint32, len(rows))
-	for i, r := range rows {
-		enc[i] = d.Encode(r)
-	}
-	return enc
-}
-
-// PreparedViews is the ID-encoded form of a Materialized view set, bound
-// to the dictionary of one database. Preparing once and executing many
-// plans against it (RunOn) avoids re-interning large view extents on
-// every Run — the right shape for benchmark loops and serving paths that
-// reuse a cache.
-//
-// A PreparedViews may be LAZY (NewLazyPreparedViews): a view's rows are
-// resolved by a fill function on first read, so serving layers can
-// publish an epoch without eagerly materializing extents no plan may ever
-// read.
+// PreparedViews is the ID-encoded view set a plan run reads, bound to the
+// dictionary of one database. A view's rows are resolved by a fill
+// function on first read, so serving layers can publish an epoch without
+// eagerly materializing extents no plan may ever read.
 //
 // A PreparedViews also memoizes what plans derive from its extents: each
 // view's width check and the flat hash indices joins look the view up
@@ -77,7 +46,6 @@ func encode(d *intern.Dict, rows [][]string) [][]uint32 {
 // execution.
 type PreparedViews struct {
 	d     *intern.Dict
-	rows  map[string][][]uint32
 	fill  func(name string) ([][]uint32, bool)
 	views sync.Map // view name -> *viewMemo
 }
@@ -119,11 +87,7 @@ func (pv *PreparedViews) view(v *View) (*viewMemo, error) {
 }
 
 func (vm *viewMemo) resolve(pv *PreparedViews, name string) {
-	if pv.fill != nil {
-		vm.rows, vm.found = pv.fill(name)
-	} else {
-		vm.rows, vm.found = pv.rows[name]
-	}
+	vm.rows, vm.found = pv.fill(name)
 	vm.odd = -1
 	if len(vm.rows) == 0 {
 		return
@@ -173,27 +137,21 @@ func posKey(pos []int) string {
 	return string(b)
 }
 
-// PrepareViews interns the view extents against src's dictionary.
-func PrepareViews(src Source, views Materialized) *PreparedViews {
-	d := src.Dict()
-	rows := make(map[string][][]uint32, len(views))
-	for name, ext := range views {
-		rows[name] = encode(d, ext)
+// PrepareViews interns the view extents m against dictionary d, eagerly:
+// the rows are captured at call time, so later changes to m are not seen.
+func PrepareViews(d *intern.Dict, m Materialized) *PreparedViews {
+	rows := make(map[string][][]uint32, len(m))
+	for name, ext := range m {
+		enc := make([][]uint32, len(ext))
+		for i, r := range ext {
+			enc[i] = d.Encode(r)
+		}
+		rows[name] = enc
 	}
-	return &PreparedViews{d: d, rows: rows}
-}
-
-// NewPreparedViews wraps already-interned view extents (e.g. the live
-// extents of eval's delta engine) bound to dictionary d, with no
-// re-encoding. The map is copied; the row sets are retained by reference
-// and must not change afterwards: epoch publishers build a fresh
-// PreparedViews (or a lazy one) per version instead of patching.
-func NewPreparedViews(d *intern.Dict, rows map[string][][]uint32) *PreparedViews {
-	m := make(map[string][][]uint32, len(rows))
-	for name, ext := range rows {
-		m[name] = ext
-	}
-	return &PreparedViews{d: d, rows: m}
+	return NewLazyPreparedViews(d, func(name string) ([][]uint32, bool) {
+		ext, ok := rows[name]
+		return ext, ok
+	})
 }
 
 // NewLazyPreparedViews builds a PreparedViews whose extents are resolved
@@ -206,36 +164,45 @@ func NewLazyPreparedViews(d *intern.Dict, fill func(name string) ([][]uint32, bo
 	return &PreparedViews{d: d, fill: fill}
 }
 
-// RunOn executes the plan against an arbitrary Source with views prepared
-// over the same dictionary. A nil pv serves no views (View nodes error).
-func RunOn(n Node, src Source, pv *PreparedViews) ([][]string, error) {
-	rows, _, err := runOn(n, src, pv, false)
-	return rows, err
+// Run executes the plan bottom-up over src with views prepared over the
+// same dictionary (Section 2's operational semantics), returning the root
+// relation with set semantics and the number of tuples the run fetched
+// from the underlying database (|Dξ|). fetched counts every tuple a Fetch
+// node got back, also when the run fails later. A nil pv serves no views
+// (View nodes error). Execution is interned end-to-end: rows are
+// ID-encoded against the source's dictionary and decoded only here at the
+// boundary. Independent subtrees (products, unions, differences, the two
+// sides of a hash join) run concurrently on the bounded worker pool, so
+// src must be safe for concurrent fetches.
+func Run(n Node, src Source, pv *PreparedViews) (rows [][]string, fetched int, err error) {
+	rows, fetched, _, err = runOn(n, src, pv, false)
+	return rows, fetched, err
 }
 
-// RunObserved is RunOn with execution profiling: alongside the answer it
+// RunObserved is Run with execution profiling: alongside the answer it
 // returns the run's Observation — realized per-constraint fetch groups,
 // hash-join fan-outs and the output cardinality — the feedback signal a
 // serving layer folds into an ObservedStats to correct the cost model's
 // estimates. Profiling costs a few counter updates per operator, not per
-// row; Run/RunOn skip even that.
-func RunObserved(n Node, src Source, pv *PreparedViews) ([][]string, *Observation, error) {
+// row; Run skips even that.
+func RunObserved(n Node, src Source, pv *PreparedViews) ([][]string, int, *Observation, error) {
 	return runOn(n, src, pv, true)
 }
 
-func runOn(n Node, src Source, pv *PreparedViews, observe bool) ([][]string, *Observation, error) {
+func runOn(n Node, src Source, pv *PreparedViews, observe bool) ([][]string, int, *Observation, error) {
 	if pv == nil {
-		pv = &PreparedViews{} // no views: View nodes error
+		pv = NewLazyPreparedViews(src.Dict(), func(string) ([][]uint32, bool) { return nil, false })
 	} else if pv.d != src.Dict() {
-		return nil, nil, fmt.Errorf("plan: prepared views belong to a different database")
+		return nil, 0, nil, fmt.Errorf("plan: prepared views belong to a different database")
 	}
 	ctx := &execCtx{src: src, d: src.Dict(), views: pv}
 	if observe {
 		ctx.obs = &Observation{}
 	}
 	rows, err := ctx.run(n)
+	fetched := int(ctx.fetched.Load())
 	if err != nil {
-		return nil, ctx.obs, err
+		return nil, fetched, ctx.obs, err
 	}
 	seen := intern.NewSet(len(rows))
 	out := rows[:0:0]
@@ -247,15 +214,17 @@ func runOn(n Node, src Source, pv *PreparedViews, observe bool) ([][]string, *Ob
 	if ctx.obs != nil {
 		ctx.obs.Rows = len(out)
 	}
-	return ctx.d.DecodeAll(out), ctx.obs, nil
+	return ctx.d.DecodeAll(out), fetched, ctx.obs, nil
 }
 
 // execCtx carries one execution's state: the fetch source, the view set
-// (whose memo outlives the run) and the optional profile.
+// (whose memo outlives the run), the fetched-tuple count and the optional
+// profile.
 type execCtx struct {
-	src   Source
-	d     *intern.Dict
-	views *PreparedViews
+	src     Source
+	d       *intern.Dict
+	views   *PreparedViews
+	fetched atomic.Int64 // tuples returned by fetches; parallel subtrees add concurrently
 
 	obs   *Observation // nil unless RunObserved; guarded by obsMu
 	obsMu sync.Mutex   // parallel subtrees record concurrently
@@ -363,10 +332,12 @@ func (ctx *execCtx) run(n Node) ([][]uint32, error) {
 		for _, in := range inputs {
 			rows, err := ctx.src.FetchIDs(x.C, in)
 			if err != nil {
+				ctx.fetched.Add(int64(len(out)))
 				return nil, err
 			}
 			out = append(out, rows...)
 		}
+		ctx.fetched.Add(int64(len(out)))
 		if x.As != nil && len(out) > 0 && len(out[0]) != len(x.As) {
 			return nil, fmt.Errorf("plan: fetch names %d outputs for %d-column tuples", len(x.As), len(out[0]))
 		}

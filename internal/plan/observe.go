@@ -10,9 +10,6 @@ import "math"
 // correct the estimates it trusted (see ObservedStats and the
 // PreparedQuery feedback loop in the root package).
 type Observation struct {
-	// Fetched is the total tuples the run fetched from the underlying
-	// database (|Dξ| of this execution).
-	Fetched int
 	// Rows is the output cardinality after the root's set-semantics dedup.
 	Rows int
 	// JoinIn and JoinOut are the summed input and output rows of the
@@ -43,7 +40,6 @@ func (o *Observation) addGroup(key string, probes, rows int) {
 	g.Probes += probes
 	g.Rows += rows
 	o.Groups[key] = g
-	o.Fetched += rows
 }
 
 // ObservedStats accumulates Observations as exponentially-decayed running

@@ -13,11 +13,11 @@ import (
 	"repro/internal/schema"
 )
 
-func preparedFixture(t *testing.T) (*instance.Database, *instance.Indexed, func(rows ...string) [][]uint32) {
+func preparedFixture(t *testing.T) (*instance.Database, *instance.VIndex, func(rows ...string) [][]uint32) {
 	t.Helper()
 	s := schema.New(schema.NewRelation("R", "A"))
 	db := instance.NewDatabase(s)
-	ix, err := instance.BuildIndexes(db, access.NewSchema())
+	ix, err := instance.BuildVIndex(db.Schema, db.Dict, db.IDTables(), access.NewSchema())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,16 +31,25 @@ func preparedFixture(t *testing.T) (*instance.Database, *instance.Indexed, func(
 	return db, ix, enc
 }
 
-// TestPreparedIDViewsServeWithoutReencoding covers the zero-copy path:
-// NewPreparedViews wraps already-interned extents (e.g. the live extents of
-// an epoch) without re-encoding, including rows over IDs interned after
-// the database was indexed.
+// idViews serves already-interned extents through a fill, the way an
+// epoch serves its live extents.
+func idViews(ix *instance.VIndex, rows map[string][][]uint32) *plan.PreparedViews {
+	return plan.NewLazyPreparedViews(ix.Dict(), func(name string) ([][]uint32, bool) {
+		ext, ok := rows[name]
+		return ext, ok
+	})
+}
+
+// TestPreparedIDViewsServeWithoutReencoding covers the zero-copy path: a
+// fill serves already-interned extents (e.g. the live extents of an
+// epoch) without re-encoding, including rows over IDs interned after the
+// database was indexed.
 func TestPreparedIDViewsServeWithoutReencoding(t *testing.T) {
 	_, ix, enc := preparedFixture(t)
 	node := &plan.View{Name: "V", Cols: []string{"x"}}
 
-	pv := plan.NewPreparedViews(ix.Dict(), map[string][][]uint32{"V": enc("a", "b")})
-	got, err := plan.RunOn(node, ix, pv)
+	pv := idViews(ix, map[string][][]uint32{"V": enc("a", "b")})
+	got, _, err := plan.Run(node, ix, pv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +60,8 @@ func TestPreparedIDViewsServeWithoutReencoding(t *testing.T) {
 
 	// A dictionary growing (new live values) must not invalidate the
 	// prepared machinery: extents over fresh IDs just work.
-	pv2 := plan.NewPreparedViews(ix.Dict(), map[string][][]uint32{"V": enc("zz-fresh")})
-	got, err = plan.RunOn(node, ix, pv2)
+	pv2 := idViews(ix, map[string][][]uint32{"V": enc("zz-fresh")})
+	got, _, err = plan.Run(node, ix, pv2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +108,7 @@ func TestLazyPreparedViewsResolveOnceUnderConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 20; j++ {
-				got, err := plan.RunOn(node, ix, pv)
+				got, _, err := plan.Run(node, ix, pv)
 				if err != nil {
 					t.Error(err)
 					return
@@ -119,8 +128,8 @@ func TestLazyPreparedViewsResolveOnceUnderConcurrency(t *testing.T) {
 		t.Fatalf("merge ran %d times for a view no plan read, want 0", n)
 	}
 
-	// Unknown views still error like eager ones.
-	if _, err := plan.RunOn(&plan.View{Name: "Nope", Cols: []string{"x"}}, ix, pv); err == nil {
+	// Unknown views error.
+	if _, _, err := plan.Run(&plan.View{Name: "Nope", Cols: []string{"x"}}, ix, pv); err == nil {
 		t.Fatal("unknown view must error")
 	}
 }

@@ -44,11 +44,11 @@ func TestUnfoldingAgreesWithExecution(t *testing.T) {
 			continue
 		}
 		for name, db := range map[string]*instance.Database{"satisfying": good, "violating": bad} {
-			ix, err := instance.BuildIndexes(db, c.Access)
+			ix, err := instance.BuildVIndex(db.Schema, db.Dict, db.IDTables(), c.Access)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := plan.Run(res.Plan, ix, nil)
+			got, _, err := plan.Run(res.Plan, ix, nil)
 			if err != nil {
 				t.Fatalf("%s/%s: run: %v", q.Name, name, err)
 			}
@@ -99,11 +99,11 @@ func TestApproxUnfoldingOverApproximates(t *testing.T) {
 	db.MustInsert("R", "k", "2")
 	db.MustInsert("R", "k", "3")
 	db.MustInsert("R", "z", "9")
-	ix, err := instance.BuildIndexes(db, a)
+	ix, err := instance.BuildVIndex(db.Schema, db.Dict, db.IDTables(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := plan.Run(p, ix, nil)
+	got, _, err := plan.Run(p, ix, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

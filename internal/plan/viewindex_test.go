@@ -20,14 +20,34 @@ import (
 
 // refRun is a naive string-level plan interpreter: nested-loop products,
 // linear filters, no indices, no memo. It mirrors the executor's bag
-// semantics and its Observation accounting (a selection over a product
-// with a cross-side equality and no ≠ counts as a hash join), so the
-// executor's indexed paths can be checked against it row for row and
-// counter for counter.
+// semantics, its fetch count and its Observation accounting (a selection
+// over a product with a cross-side equality and no ≠ counts as a hash
+// join), so the executor's indexed paths can be checked against it row for
+// row and counter for counter. It runs sequentially.
 type refRun struct {
-	ix    *instance.Indexed
-	views plan.Materialized
-	obs   plan.Observation
+	vx      *instance.VIndex
+	views   plan.Materialized
+	obs     plan.Observation
+	fetched int
+}
+
+// fetchStrings probes vx with string values: the decoded distinct
+// XY-projections, none for a value that never occurs in D (it is looked up
+// as an ID no interned value has).
+func fetchStrings(vx *instance.VIndex, c *access.Constraint, xval []string) ([][]string, error) {
+	key := make([]uint32, len(xval))
+	for i, v := range xval {
+		id, ok := vx.Dict().Lookup(v)
+		if !ok {
+			id = ^uint32(0)
+		}
+		key[i] = id
+	}
+	rows, err := vx.FetchIDs(c, key)
+	if err != nil {
+		return nil, err
+	}
+	return vx.Dict().DecodeAll(rows), nil
 }
 
 func (r *refRun) run(n plan.Node) ([][]string, error) {
@@ -56,13 +76,11 @@ func (r *refRun) run(n plan.Node) ([][]string, error) {
 		}
 		var out [][]string
 		for _, in := range inputs {
-			got, err := r.ix.Fetch(x.C, in)
+			got, err := fetchStrings(r.vx, x.C, in)
 			if err != nil {
 				return nil, err
 			}
-			for _, t := range got {
-				out = append(out, t)
-			}
+			out = append(out, got...)
 		}
 		if r.obs.Groups == nil {
 			r.obs.Groups = map[string]plan.GroupObs{}
@@ -71,7 +89,7 @@ func (r *refRun) run(n plan.Node) ([][]string, error) {
 		g.Probes += len(inputs)
 		g.Rows += len(out)
 		r.obs.Groups[x.C.Key()] = g
-		r.obs.Fetched += len(out)
+		r.fetched += len(out)
 		return out, nil
 	case *plan.Project:
 		rows, err := r.run(x.Child)
@@ -379,13 +397,13 @@ func newViewIndexFixture(t *testing.T, seed int64) *viewIndexFixture {
 	}}
 }
 
-func (f *viewIndexFixture) indexed(t *testing.T) *instance.Indexed {
+func (f *viewIndexFixture) index(t *testing.T) *instance.VIndex {
 	t.Helper()
-	ix, err := instance.BuildIndexes(f.db, access.NewSchema(f.gen.cA, f.gen.cAll))
+	vx, err := instance.BuildVIndex(f.db.Schema, f.db.Dict, f.db.IDTables(), access.NewSchema(f.gen.cA, f.gen.cAll))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ix
+	return vx
 }
 
 func canonRows(rows [][]string) string {
@@ -396,15 +414,15 @@ func canonRows(rows [][]string) string {
 
 // TestViewIndexDifferentialRandom runs random plans through the indexed
 // executor — over one long-lived PreparedViews (its view indices built by
-// the first plan that needs them and reused by every later one), and
-// through Run with per-call interning — against the naive interpreter:
-// identical rows, fetch counts and full Observation. A second phase
-// replays every plan from concurrent readers of the shared view set, the
-// memo's race check.
+// the first plan that needs them and reused by every later one), and over
+// a fresh view set per call — against the naive interpreter: identical
+// rows, fetch counts and full Observation. A second phase replays every
+// plan from concurrent readers of the shared view set, the memo's race
+// check.
 func TestViewIndexDifferentialRandom(t *testing.T) {
 	f := newViewIndexFixture(t, 1)
-	ixExec, ixRef := f.indexed(t), f.indexed(t)
-	pv := plan.PrepareViews(ixExec, f.views)
+	vx := f.index(t)
+	pv := plan.PrepareViews(vx.Dict(), f.views)
 
 	type want struct {
 		rows string
@@ -415,8 +433,7 @@ func TestViewIndexDifferentialRandom(t *testing.T) {
 	joins := 0
 	for i := 0; i < 400; i++ {
 		p := f.gen.node(3)
-		ref := &refRun{ix: ixRef, views: f.views}
-		ixRef.ResetCounters()
+		ref := &refRun{vx: vx, views: f.views}
 		rows, err := ref.run(p)
 		if err != nil {
 			t.Fatalf("reference failed on\n%s: %v", plan.Render(p), err)
@@ -426,8 +443,7 @@ func TestViewIndexDifferentialRandom(t *testing.T) {
 		joins += ref.obs.JoinIn
 
 		for rep := 0; rep < 2; rep++ {
-			ixExec.ResetCounters()
-			got, ob, err := plan.RunObserved(p, ixExec, pv)
+			got, fetched, ob, err := plan.RunObserved(p, vx, pv)
 			if err != nil {
 				t.Fatalf("plan %d rep %d: %v\n%s", i, rep, err, plan.Render(p))
 			}
@@ -437,15 +453,14 @@ func TestViewIndexDifferentialRandom(t *testing.T) {
 			if !reflect.DeepEqual(*ob, w.obs) {
 				t.Fatalf("plan %d rep %d observation:\n got %+v\nwant %+v\n%s", i, rep, *ob, w.obs, plan.Render(p))
 			}
-			if ixExec.FetchedTuples() != ixRef.FetchedTuples() {
-				t.Fatalf("plan %d: fetched %d, reference %d", i, ixExec.FetchedTuples(), ixRef.FetchedTuples())
+			if fetched != ref.fetched {
+				t.Fatalf("plan %d: fetched %d, reference %d", i, fetched, ref.fetched)
 			}
 		}
-		ixExec.ResetCounters()
-		got, err := plan.Run(p, ixExec, f.views)
-		if err != nil || canonRows(got) != w.rows || ixExec.FetchedTuples() != ixRef.FetchedTuples() {
+		got, fetched, err := plan.Run(p, vx, plan.PrepareViews(vx.Dict(), f.views))
+		if err != nil || canonRows(got) != w.rows || fetched != ref.fetched {
 			t.Fatalf("plan %d via Run: err=%v rows %s want %s, fetched %d want %d",
-				i, err, canonRows(got), w.rows, ixExec.FetchedTuples(), ixRef.FetchedTuples())
+				i, err, canonRows(got), w.rows, fetched, ref.fetched)
 		}
 		plans, wants = append(plans, p), append(wants, w)
 	}
@@ -453,7 +468,7 @@ func TestViewIndexDifferentialRandom(t *testing.T) {
 		t.Fatal("generator produced no hash joins")
 	}
 
-	fresh := plan.PrepareViews(ixExec, f.views)
+	fresh := plan.PrepareViews(vx.Dict(), f.views)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -461,7 +476,7 @@ func TestViewIndexDifferentialRandom(t *testing.T) {
 			defer wg.Done()
 			for k := range plans {
 				i := (k + g*len(plans)/4) % len(plans)
-				got, ob, err := plan.RunObserved(plans[i], ixExec, fresh)
+				got, _, ob, err := plan.RunObserved(plans[i], vx, fresh)
 				if err != nil || canonRows(got) != wants[i].rows || !reflect.DeepEqual(*ob, wants[i].obs) {
 					t.Errorf("concurrent plan %d: err=%v rows %s want %s obs %+v want %+v",
 						i, err, canonRows(got), wants[i].rows, ob, wants[i].obs)
@@ -484,11 +499,11 @@ func TestViewIndexBuiltOncePerEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := instance.BuildIndexes(db, m.Access)
+	vx, err := instance.BuildVIndex(db.Schema, db.Dict, db.IDTables(), m.Access)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := plan.Run(m.Fig1Plan(), ix, views)
+	want, _, err := plan.Run(m.Fig1Plan(), vx, plan.PrepareViews(db.Dict, views))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +529,7 @@ func TestViewIndexBuiltOncePerEpoch(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for j := 0; j < 25; j++ {
-					got, err := plan.RunOn(m.Fig1Plan(), ix, pv)
+					got, _, err := plan.Run(m.Fig1Plan(), vx, pv)
 					if err != nil || canonRows(got) != canonRows(want) {
 						t.Errorf("epoch %d: err=%v, %d rows want %d", e, err, len(got), len(want))
 						return
@@ -535,7 +550,7 @@ func TestViewIndexBuiltOncePerEpoch(t *testing.T) {
 // paths alike.
 func TestViewWidthErrorEveryCall(t *testing.T) {
 	_, ix, enc := preparedFixture(t)
-	pv := plan.NewPreparedViews(ix.Dict(), map[string][][]uint32{"V": enc("a", "b")})
+	pv := idViews(ix, map[string][][]uint32{"V": enc("a", "b")})
 	wide := &plan.View{Name: "V", Cols: []string{"x", "y"}}
 	for _, p := range []plan.Node{
 		wide,
@@ -546,14 +561,14 @@ func TestViewWidthErrorEveryCall(t *testing.T) {
 		},
 	} {
 		for call := 0; call < 3; call++ {
-			_, err := plan.RunOn(p, ix, pv)
+			_, _, err := plan.Run(p, ix, pv)
 			if err == nil || !strings.Contains(err.Error(), "rows have 1 columns, node expects 2") {
 				t.Fatalf("call %d of\n%s: err = %v, want the width error", call, plan.Render(p), err)
 			}
 		}
 	}
 	// The narrow reading of the same view set still works.
-	if rows, err := plan.RunOn(&plan.View{Name: "V", Cols: []string{"x"}}, ix, pv); err != nil || len(rows) != 2 {
+	if rows, _, err := plan.Run(&plan.View{Name: "V", Cols: []string{"x"}}, ix, pv); err != nil || len(rows) != 2 {
 		t.Fatalf("narrow read: %v, %d rows", err, len(rows))
 	}
 }

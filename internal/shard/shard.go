@@ -179,7 +179,7 @@ func (e *Epoch) Size() int { return e.size }
 // FetchIDs answers a fetch against this epoch: a point read on the owning
 // shard when the constraint binds the partition key, a scatter over every
 // shard's pinned index version (deduplicated) otherwise. No accounting
-// happens here; serving layers wrap the epoch in a counting source.
+// happens here: plan.Run counts the tuples a run fetches.
 func (e *Epoch) FetchIDs(c *access.Constraint, xval []uint32) ([][]uint32, error) {
 	if len(e.vixes) == 1 {
 		// One partition: nothing to route (the index itself validates the

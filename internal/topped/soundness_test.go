@@ -25,7 +25,7 @@ func TestToppedSoundnessOnRandomQueries(t *testing.T) {
 	}
 	type fixture struct {
 		db  *instance.Database
-		ix  *instance.Indexed
+		ix  *instance.VIndex
 		src *eval.Source
 	}
 	var fixtures []fixture
@@ -33,7 +33,7 @@ func TestToppedSoundnessOnRandomQueries(t *testing.T) {
 		if ok, _ := db.SatisfiesAll(c.Access); !ok {
 			t.Fatalf("instance violates A: %v", db.Violations(c.Access))
 		}
-		ix, err := instance.BuildIndexes(db, c.Access)
+		ix, err := instance.BuildVIndex(db.Schema, db.Dict, db.IDTables(), c.Access)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func TestToppedSoundnessOnRandomQueries(t *testing.T) {
 			t.Fatalf("seed %d: accepted query's plan does not conform: %s\nquery: %s", seed, rep.Reason, q)
 		}
 		for fi, f := range fixtures {
-			got, err := plan.Run(res.Plan, f.ix, nil)
+			got, _, err := plan.Run(res.Plan, f.ix, nil)
 			if err != nil {
 				t.Fatalf("seed %d fixture %d: run: %v\n%s", seed, fi, err, plan.Render(res.Plan))
 			}

@@ -45,11 +45,11 @@ func TestConjunctionJoinCase(t *testing.T) {
 	db.MustInsert("R", "a", "2")
 	db.MustInsert("R", "b", "3")
 	db.MustInsert("R", "zz", "9") // not in S
-	ix, err := instance.BuildIndexes(db, a)
+	ix, err := instance.BuildVIndex(db.Schema, db.Dict, db.IDTables(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := plan.Run(res.Plan, ix, nil)
+	got, _, err := plan.Run(res.Plan, ix, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +95,11 @@ func TestAtomWithRepeatsAndConstants(t *testing.T) {
 	db.MustInsert("R", "k", "1", "2")
 	db.MustInsert("R", "k", "3", "3")
 	db.MustInsert("R", "other", "4", "4")
-	ix, err := instance.BuildIndexes(db, a)
+	ix, err := instance.BuildVIndex(db.Schema, db.Dict, db.IDTables(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := plan.Run(res.Plan, ix, nil)
+	got, _, err := plan.Run(res.Plan, ix, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +135,11 @@ func TestContextOverlapJoinBack(t *testing.T) {
 	db.MustInsert("S", "2")
 	db.MustInsert("R", "k", "2")
 	db.MustInsert("R", "k", "3") // 3 ∉ S
-	ix, err := instance.BuildIndexes(db, a)
+	ix, err := instance.BuildVIndex(db.Schema, db.Dict, db.IDTables(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := plan.Run(res.Plan, ix, nil)
+	got, _, err := plan.Run(res.Plan, ix, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,18 +170,18 @@ func TestViewCallWithConstant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := instance.BuildIndexes(db, a)
+	ix, err := instance.BuildVIndex(db.Schema, db.Dict, db.IDTables(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := plan.Run(res.Plan, ix, views2)
+	got, fetched, err := plan.Run(res.Plan, ix, plan.PrepareViews(ix.Dict(), views2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !cq.RowsEqual(got, [][]string{{"1"}}) {
 		t.Fatalf("got %v\n%s", got, plan.Render(res.Plan))
 	}
-	if ix.FetchedTuples() != 0 {
+	if fetched != 0 {
 		t.Fatal("view-only plans fetch nothing from D")
 	}
 }

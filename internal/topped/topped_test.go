@@ -146,11 +146,11 @@ func TestQ3PlanMatchesFOEvaluation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ix, err := instance.BuildIndexes(db, f.a)
+		ix, err := instance.BuildVIndex(db.Schema, db.Dict, db.IDTables(), f.a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := plan.Run(res.Plan, ix, views)
+		got, _, err := plan.Run(res.Plan, ix, plan.PrepareViews(ix.Dict(), views))
 		if err != nil {
 			t.Fatalf("seed %d: run: %v", seed, err)
 		}
@@ -203,11 +203,11 @@ func TestToppedQxiExample23(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := instance.BuildIndexes(db, m.Access)
+	ix, err := instance.BuildVIndex(db.Schema, db.Dict, db.IDTables(), m.Access)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := plan.Run(res.Plan, ix, views)
+	got, fetched, err := plan.Run(res.Plan, ix, plan.PrepareViews(ix.Dict(), views))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,8 +218,8 @@ func TestToppedQxiExample23(t *testing.T) {
 	if !cq.RowsEqual(got, want) {
 		t.Fatalf("generated plan disagrees with Q0: %d vs %d rows", len(got), len(want))
 	}
-	if ix.FetchedTuples() > 2*m.N0 {
-		t.Fatalf("fetched %d > 2·N0", ix.FetchedTuples())
+	if fetched > 2*m.N0 {
+		t.Fatalf("fetched %d > 2·N0", fetched)
 	}
 }
 
@@ -267,11 +267,11 @@ func TestDisjunctionTopped(t *testing.T) {
 	db.MustInsert("R", "a", "2")
 	db.MustInsert("R", "b", "3")
 	db.MustInsert("R", "c", "4")
-	ix, err := instance.BuildIndexes(db, a)
+	ix, err := instance.BuildVIndex(db.Schema, db.Dict, db.IDTables(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := plan.Run(res.Plan, ix, nil)
+	got, _, err := plan.Run(res.Plan, ix, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

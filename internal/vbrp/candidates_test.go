@@ -73,7 +73,7 @@ func TestCandidatesAllConformAndMatchDirect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ix, err := instance.BuildIndexes(db, a)
+		ix, err := instance.BuildVIndex(db.Schema, db.Dict, db.IDTables(), a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,8 +89,7 @@ func TestCandidatesAllConformAndMatchDirect(t *testing.T) {
 			if rep.FetchBound != c.FetchBound {
 				t.Fatalf("trial %d candidate %d: bound %d recorded, conformance derives %d", trial, ci, c.FetchBound, rep.FetchBound)
 			}
-			ix.ResetCounters()
-			rows, err := plan.Run(c.Plan, ix, mats)
+			rows, fetched, err := plan.Run(c.Plan, ix, plan.PrepareViews(ix.Dict(), mats))
 			if err != nil {
 				t.Fatalf("trial %d candidate %d: %v", trial, ci, err)
 			}
@@ -98,9 +97,9 @@ func TestCandidatesAllConformAndMatchDirect(t *testing.T) {
 				t.Fatalf("trial %d candidate %d disagrees with direct evaluation (%d vs %d rows):\n%s",
 					trial, ci, len(rows), len(direct), plan.Render(c.Plan))
 			}
-			if int64(ix.FetchedTuples()) > c.FetchBound {
+			if int64(fetched) > c.FetchBound {
 				t.Fatalf("trial %d candidate %d fetched %d > declared bound %d",
-					trial, ci, ix.FetchedTuples(), c.FetchBound)
+					trial, ci, fetched, c.FetchBound)
 			}
 		}
 	}

@@ -203,11 +203,11 @@ func TestEx63FOPlanIsCorrect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ix, err := instance.BuildIndexes(db, e.A)
+		ix, err := instance.BuildVIndex(db.Schema, db.Dict, db.IDTables(), e.A)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := plan.Run(p, ix, views)
+		got, _, err := plan.Run(p, ix, plan.PrepareViews(ix.Dict(), views))
 		if err != nil {
 			t.Fatal(err)
 		}

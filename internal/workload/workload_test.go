@@ -64,7 +64,7 @@ func TestCDRPlansMatchBaseline(t *testing.T) {
 	c := NewCDR(8, 3, 30)
 	db := c.Generate(CDRParams{Customers: 500, Days: 15, Seed: 11})
 	checker := topped.NewChecker(c.Schema, c.Access, nil)
-	ix, err := instance.BuildIndexes(db, c.Access)
+	ix, err := instance.BuildVIndex(db.Schema, db.Dict, db.IDTables(), c.Access)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +74,7 @@ func TestCDRPlansMatchBaseline(t *testing.T) {
 		if !res.Topped {
 			continue
 		}
-		ix.ResetCounters()
-		got, err := plan.Run(res.Plan, ix, nil)
+		got, fetched, err := plan.Run(res.Plan, ix, nil)
 		if err != nil {
 			t.Fatalf("%s: run: %v", q.Name, err)
 		}
@@ -93,8 +92,8 @@ func TestCDRPlansMatchBaseline(t *testing.T) {
 			eval.SortRows(want)
 			t.Fatalf("%s: plan %d rows vs baseline %d rows\nplan:\n%s", q.Name, len(got), len(want), plan.Render(res.Plan))
 		}
-		if ix.FetchedTuples() > 20000 {
-			t.Fatalf("%s: fetched %d tuples; plans must touch a bounded slice", q.Name, ix.FetchedTuples())
+		if fetched > 20000 {
+			t.Fatalf("%s: fetched %d tuples; plans must touch a bounded slice", q.Name, fetched)
 		}
 	}
 }
@@ -110,14 +109,13 @@ func TestCDRFetchCountScaleIndependent(t *testing.T) {
 	var fetched [2]int
 	for i, n := range []int{300, 3000} {
 		db := c.Generate(CDRParams{Customers: n, Days: 15, Seed: 4})
-		ix, err := instance.BuildIndexes(db, c.Access)
+		ix, err := instance.BuildVIndex(db.Schema, db.Dict, db.IDTables(), c.Access)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := plan.Run(res.Plan, ix, nil); err != nil {
+		if _, fetched[i], err = plan.Run(res.Plan, ix, nil); err != nil {
 			t.Fatal(err)
 		}
-		fetched[i] = ix.FetchedTuples()
 	}
 	// The fetch bound is a constant (≤ FanOut + FanOut²·...) regardless of
 	// |D|; allow equality or small variation from data sparsity.
@@ -147,11 +145,11 @@ func TestGraphSearchTopped(t *testing.T) {
 	if ok, _ := db.SatisfiesAll(so.Access); !ok {
 		t.Fatalf("instance violates constraints: %v", db.Violations(so.Access))
 	}
-	ix, err := instance.BuildIndexes(db, so.Access)
+	ix, err := instance.BuildVIndex(db.Schema, db.Dict, db.IDTables(), so.Access)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := plan.Run(res.Plan, ix, nil)
+	got, fetched, err := plan.Run(res.Plan, ix, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +161,8 @@ func TestGraphSearchTopped(t *testing.T) {
 		t.Fatalf("plan %d rows vs FO baseline %d rows\n%s", len(got), len(want), plan.Render(res.Plan))
 	}
 	maxFetch := so.FriendCap * 3 * 2 // friends × (dine key + history + city)
-	if ix.FetchedTuples() > maxFetch {
-		t.Fatalf("fetched %d > structural bound %d", ix.FetchedTuples(), maxFetch)
+	if fetched > maxFetch {
+		t.Fatalf("fetched %d > structural bound %d", fetched, maxFetch)
 	}
 }
 

@@ -226,56 +226,32 @@ func TestLiveDeltaOnRelationOutsideViews(t *testing.T) {
 	}
 }
 
-// TestSystemPreparedViewSet pins the explicit prepared-views contract
-// that replaced the map-identity Execute cache: a PreparedViewSet
-// captures the extents at preparation time (later map mutations are not
-// observed), repeated ExecutePrepared calls never re-intern, and plain
-// Execute — now documented as interning per call — observes every fresh
-// map it is handed.
-func TestSystemPreparedViewSet(t *testing.T) {
+// TestExecuteWarmAllocCeiling bounds a warm Execute of ξ0: once the
+// epoch's first read has resolved V1 and built the index its join probes,
+// a call must allocate far less than once per V1 row — else the extent is
+// re-encoded or re-indexed per call.
+func TestExecuteWarmAllocCeiling(t *testing.T) {
 	sys, m := movieSystem(t)
 	db := m.Generate(workload.MoviesParams{Persons: 2000, Movies: 2000, LikesPerPerson: 5, NASAShare: 8, Seed: 1})
-	views, err := sys.Materialize(db)
+	h, err := sys.Open(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := BuildIndexes(db, m.Access)
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer h.Close()
 	p := m.Fig1Plan()
-	pv := sys.PrepareViews(ix, views)
-	rows1, _, err := sys.ExecutePrepared(p, ix, pv)
-	if err != nil {
+	if _, _, err := h.Execute(p); err != nil {
 		t.Fatal(err)
 	}
-	// Mutating the map after preparation must NOT change results: the
-	// extents were captured by PrepareViews.
-	views["V1"] = append(views["V1"], []string{"m0"}) // an existing movie id
-	rows2, _, err := sys.ExecutePrepared(p, ix, pv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows1) != len(rows2) {
-		t.Fatalf("PreparedViewSet observed later map mutations: %d rows then %d", len(rows1), len(rows2))
-	}
-	// Plain Execute interns per call, so it sees the mutated map.
-	rows3, _, err := sys.Execute(p, ix, views)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows3) < len(rows1) {
-		t.Fatalf("Execute must observe the views map it is handed: %d rows vs %d", len(rows3), len(rows1))
-	}
-	// Allocation ceiling: a warm ExecutePrepared must allocate far less
-	// than one cold view preparation (which encodes the whole extent).
 	warm := testing.AllocsPerRun(5, func() {
-		if _, _, err := sys.ExecutePrepared(p, ix, pv); err != nil {
+		if _, _, err := h.Execute(p); err != nil {
 			t.Fatal(err)
 		}
 	})
-	perView := float64(len(views["V1"]))
-	if warm > perView {
-		t.Fatalf("warm ExecutePrepared allocates %.0f times — looks like the %v-row view extent is re-interned per call", warm, perView)
+	perView := float64(len(h.Views()["V1"]))
+	if perView < 500 {
+		t.Fatalf("fixture too small: |V1| = %.0f", perView)
+	}
+	if warm >= perView {
+		t.Fatalf("warm Execute allocates %.0f times — looks like the %.0f-row view extent is re-encoded per call", warm, perView)
 	}
 }

@@ -178,23 +178,23 @@ func diffPlans(t *testing.T, rng *rand.Rand, sys *System) []Plan {
 }
 
 // assertMatchesOracle runs every plan on each handle and on the static
-// oracle — plan.Run over fetch indices built from the mirror database —
-// requiring identical answer rows AND fetch totals, then compares every
-// handle's views with the views materialized from the mirror.
+// oracle — plan.Run over a fetch index built from the mirror database,
+// with views materialized from it by full evaluation — requiring identical
+// answer rows AND fetch totals, then compares every handle's views with
+// the oracle's.
 func assertMatchesOracle(t *testing.T, sys *System, plans []Plan, mirror *Database, handles map[int]Handle) {
 	t.Helper()
-	ix, err := BuildIndexes(mirror, sys.Access)
+	vx, err := instance.BuildVIndex(mirror.Schema, mirror.Dict, mirror.IDTables(), sys.Access)
 	if err != nil {
 		t.Fatal(err)
 	}
-	views, err := sys.Materialize(mirror)
+	views, err := eval.Materialize(sys.Views, mirror)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pv := plan.PrepareViews(mirror.Dict, views)
 	for pi, p := range plans {
-		before := ix.FetchedTuples()
-		wantRows, wantErr := plan.Run(p, ix, views)
-		wantFetched := ix.FetchedTuples() - before
+		wantRows, wantFetched, wantErr := plan.Run(p, vx, pv)
 		for _, pcount := range shardCounts {
 			gotRows, gotFetched, gotErr := handles[pcount].Execute(p)
 			if (wantErr == nil) != (gotErr == nil) {
