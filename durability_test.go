@@ -235,8 +235,8 @@ func TestDurableTornTail(t *testing.T) {
 // TestDurableCrossEngine pins that every shard count shares one durable
 // format: state written at P = 8 (no view extents in its checkpoints)
 // recovers at the default P = 1, and state written at P = 1 (extents
-// included) recovers at P = 4, identical either way to an oracle opened
-// at the reopened shard count (merged distinct counts depend on P).
+// included) recovers at P = 4, identical either way — views, fetches and
+// statistics — to one in-memory oracle at P = 1.
 func TestDurableCrossEngine(t *testing.T) {
 	cases := []struct {
 		name          string
@@ -250,7 +250,7 @@ func TestDurableCrossEngine(t *testing.T) {
 			const users = 30
 			w, sys, db := shardedWorkload(t, users, 5)
 			mirror := db.Clone()
-			oracle, err := sys.Open(db.Clone(), tc.reopen...)
+			oracle, err := sys.Open(db.Clone())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,9 +2,11 @@ package repro
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/cq"
+	"repro/internal/plan"
 	"repro/internal/workload"
 )
 
@@ -129,6 +131,81 @@ func TestFeedbackConvergence(t *testing.T) {
 			if st2.Switches != swaps {
 				t.Fatalf("selection oscillated: %d -> %d switches over 1000 stable executions",
 					swaps, st2.Switches)
+			}
+		})
+	}
+}
+
+// TestSelectionIndependentOfShardCount: statistics are a property of D,
+// so plan choice must not depend on P. On the PlanPick, PlanFeedback
+// (whose closed loop switches plans), template-binding (PlanFeedback's hot
+// and cold bindings of one template) and Sharded point-query fixtures, the
+// published statistics, the candidate they rank first, and the candidate
+// SelectionStats reports after a warm-up must be the same at P = 1, 2, 4
+// and 8.
+func TestSelectionIndependentOfShardCount(t *testing.T) {
+	pp := workload.NewPlanPick(5, 100_000)
+	fb := workload.NewPlanFeedback()
+	sh := workload.NewSharded(8)
+	binding := func(a string) *UCQ {
+		return NewUCQ(NewCQ([]Term{Var("c")}, []Atom{NewAtom("R", Cst(a), Cst("j"), Var("c"))}))
+	}
+	for _, tc := range []struct {
+		name    string
+		schema  *Schema
+		access  *AccessSchema
+		views   map[string]*UCQ
+		m       int
+		db      func() *Database
+		queries []*UCQ
+	}{
+		{"planpick", pp.Schema, pp.Access, pp.Views(), pp.M,
+			func() *Database { return pp.Generate(4000, 4, 11) }, []*UCQ{NewUCQ(pp.Q)}},
+		{"feedback", fb.Schema, fb.Access, fb.Views(), fb.M, fb.Generate, []*UCQ{NewUCQ(fb.Q)}},
+		{"template", fb.Schema, fb.Access, fb.Views(), fb.M, fb.Generate, []*UCQ{binding("k"), binding("j0")}},
+		{"sharded", sh.Schema, sh.Access, sh.Views(), sh.M,
+			func() *Database { return sh.Generate(2000, 6, 5) }, []*UCQ{NewUCQ(sh.Query(sh.UID(7)))}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := NewSystem(tc.schema, tc.access, tc.views, tc.m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []string
+			var wantStats *plan.Stats
+			for _, p := range []int{1, 2, 4, 8} {
+				h, err := sys.Open(tc.db(), WithShards(p))
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, _ := h.Stats()
+				if wantStats == nil {
+					wantStats = st
+				} else if !reflect.DeepEqual(st, wantStats) {
+					t.Fatalf("P = %d publishes statistics\n%+v\nP = 1\n%+v", p, *st, *wantStats)
+				}
+				var got []string
+				for _, q := range tc.queries {
+					pq, err := sys.Prepare(q, LangCQ)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ranked, _ := bestCandidate(pq.cands, st)
+					for i := 0; i < 8; i++ {
+						if _, _, err := pq.Execute(h); err != nil {
+							t.Fatal(err)
+						}
+					}
+					sel, _ := pq.SelectionStats(h)
+					got = append(got, fmt.Sprintf("ranked %d, selected %d", ranked, sel.Selected))
+				}
+				h.Close()
+				if want == nil {
+					want = got
+					t.Logf("P = 1: %v", got)
+				} else if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("P = %d picks %v, P = 1 picks %v", p, got, want)
+				}
 			}
 		})
 	}

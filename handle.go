@@ -54,8 +54,8 @@ import (
 type Handle interface {
 	// Execute runs a plan against the current epoch, returning the answer
 	// rows and the number of tuples this call fetched from the underlying
-	// database (|Dξ|). Per-call attribution is exact even under
-	// concurrent readers and writers.
+	// database (|Dξ|), also when the call fails. Per-call attribution is
+	// exact even under concurrent readers and writers.
 	Execute(p Plan) ([][]string, int, error)
 	// ApplyDelta applies a batch of mutations (deletes first, then
 	// inserts; each delete removes one occurrence and is a no-op when
@@ -77,9 +77,9 @@ type Handle interface {
 	// Views returns a decoded copy of the current epoch's view extents.
 	Views() map[string][][]string
 	// Stats returns the current epoch's cost-model statistics, exact as
-	// of that epoch, and their version, which bumps only when churn
-	// passes the re-rank threshold. The Stats value is immutable once
-	// published; treat it as read-only.
+	// of that epoch and the same at any shard count, and their version,
+	// which bumps only when churn passes the re-rank threshold. The Stats
+	// value is immutable once published; treat it as read-only.
 	Stats() (*plan.Stats, uint64)
 	// Size returns |D| as of the current epoch.
 	Size() int
@@ -370,7 +370,7 @@ func execute(e *epochState, met *obs.Core, owner, up *atomic.Int64, p Plan, tc *
 	}
 	account(fetched, owner, up)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, fetched, nil, err
 	}
 	recordExec(met, e.Seq(), p, tc, t0, fetched, len(rows), ob)
 	return rows, fetched, ob, nil
@@ -447,9 +447,10 @@ type DeltaStats struct {
 
 // Live is the serving handle. The rows it was opened over are
 // hash-partitioned into P shards (WithShards; P = 1 by default, where
-// routing compiles away), each owning its rows, fetch-index versions,
-// view-maintenance engine and statistics; views whose joins are
-// not co-partitioned are maintained by one global engine. Fetches whose
+// routing compiles away), each owning its rows, fetch-index versions and
+// view-maintenance engine; views that are not shard-local (a join across
+// partition keys, or a head that drops the key) are maintained by one
+// global engine, and one store keeps the statistics. Fetches whose
 // constraint binds the partition key are single-shard point reads,
 // everything else gathers across shards. ApplyDelta routes ops per shard,
 // maintains the shards concurrently and publishes the combined result as
@@ -688,14 +689,13 @@ func (l *Live) ShardCount() int { return l.sh.ShardCount() }
 // ShardSizes returns |D_p| for every partition.
 func (l *Live) ShardSizes() []int { return l.sh.ShardSizes() }
 
-// LocalViews reports which views are maintained shard-locally (their
-// joins are co-partitioned; at P = 1 every view) and which by the
-// cross-shard global engine.
+// LocalViews reports which views are maintained shard-locally (at P = 1
+// every view) and which by the cross-shard global engine.
 func (l *Live) LocalViews() (local, global []string) { return l.sh.LocalViews() }
 
-// Stats returns the current cost-model statistics (merged across shards)
-// and their version. The returned Stats is immutable once published;
-// treat it as read-only.
+// Stats returns the current cost-model statistics (exact, and the same
+// at any shard count) and their version. The returned Stats is immutable
+// once published; treat it as read-only.
 func (l *Live) Stats() (*plan.Stats, uint64) {
 	return l.cur.Load().Stats()
 }

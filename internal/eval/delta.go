@@ -32,21 +32,31 @@ import (
 // of the views it publishes, never a whole extent.
 //
 // The multiplicity map is also the row store of every relation the engine
-// is built over, read by a view or not: Resolve, Size, Rows and RelStats
-// read it, and the shard engine keeps no other copy of the base rows.
-// Relations and views alike keep per-column distinct counts, moved on
-// the same 0↔positive transitions, so the cost model's statistics
-// (RelStats, ViewStats) are exact reads, never scans.
+// is built over, read by a view or not: Resolve, Size and EachRow read
+// it, and the shard engine keeps no other copy of the base rows.
+// Each Apply reports its 0↔positive transitions, of stored rows and of
+// view rows alike, so the owner can keep statistics without a scan.
 //
 // The engine is not safe for concurrent use; its owner (the shard
 // engine's batch lock) serializes Resolve and Apply. Extents are
 // published interned as immutable headers (PublishExtentIDs) for epoch
-// readers, and decoded (Views) for the Materialized interface.
+// readers.
 type DeltaEngine struct {
 	dict  *intern.Dict
 	views map[string]*viewState
 	names []string // sorted view names
 	rels  map[string]*relState
+	trans []Transition // the last Apply's transitions; reused across calls
+}
+
+// Transition is one row entering (Sign +1) or leaving (Sign -1) a stored
+// relation's set of distinct rows or a view's extent: its multiplicity or
+// derivation count moved between 0 and positive. Row is shared, immutable.
+type Transition struct {
+	Name string // the relation or view
+	View bool
+	Sign int32
+	Row  []uint32
 }
 
 // relState is one stored relation: its rows with their multiplicities,
@@ -56,14 +66,12 @@ type relState struct {
 	arity   int
 	rows    int                         // stored rows, copies included
 	support *intern.Grouper[int]        // row -> multiplicity
-	cols    colCounts                   // over the distinct rows
 	indexes map[string]*intern.DynIndex // key: packed position set
 	plans   []*deltaPlan                // plans triggered by this relation
 }
 
 // viewState is one view's counted extent: every row with a positive
-// derivation count, in rows, and per row its count and its index in rows;
-// cols counts the extent's distinct IDs per column.
+// derivation count, in rows, and per row its count and its index in rows.
 // rows is chunked copy-on-write: chunks a published header
 // (PublishExtentIDs) shares are copied on their first write after the
 // publication, one chunk of extentChunkRows rows at a time, so headers
@@ -73,7 +81,6 @@ type viewState struct {
 	arity  int
 	counts *intern.Grouper[rowStat]
 	rows   extent
-	cols   colCounts
 }
 
 type rowStat struct {
@@ -247,7 +254,6 @@ func NewDeltaEngineWithExtents(s *schema.Schema, d *intern.Dict, rows map[string
 			}
 			st.count = ext.Counts[i]
 			st.pos = i
-			v.cols.add(row, +1)
 		}
 	}
 	return e, nil
@@ -272,7 +278,6 @@ func newEngine(s *schema.Schema, d *intern.Dict, rows map[string][][]uint32, vie
 		e.rels[name] = &relState{
 			arity:   r.Arity(),
 			support: intern.NewGrouper[int](allPos(r.Arity())),
-			cols:    newColCounts(r.Arity()),
 			indexes: make(map[string]*intern.DynIndex),
 		}
 	}
@@ -286,9 +291,8 @@ func newEngine(s *schema.Schema, d *intern.Dict, rows map[string][][]uint32, vie
 	var inits []*deltaPlan
 	for _, name := range e.names {
 		def := views[name]
-		v := &viewState{name: name, arity: ucqArity(def)}
+		v := &viewState{name: name, arity: def.Arity()}
 		v.counts = intern.NewGrouper[rowStat](allPos(v.arity))
-		v.cols = newColCounts(v.arity)
 		e.views[name] = v
 		for _, d := range def.Disjuncts {
 			n, err := d.Normalize()
@@ -319,7 +323,6 @@ func newEngine(s *schema.Schema, d *intern.Dict, rows map[string][][]uint32, vie
 			cnt := rs.support.At(r)
 			*cnt++
 			if *cnt == 1 {
-				rs.cols.add(r, +1)
 				for _, ix := range rs.indexes {
 					ix.Add(r)
 				}
@@ -336,40 +339,6 @@ func (e *DeltaEngine) relFor(rel string) (*relState, error) {
 		return rs, nil
 	}
 	return nil, fmt.Errorf("unknown relation %s", rel)
-}
-
-// colCounts holds, per column of a set of distinct rows, the number of
-// rows holding each ID: the map sizes are the per-column distinct counts
-// of the cost model.
-type colCounts []map[uint32]int32
-
-func newColCounts(arity int) colCounts {
-	c := make(colCounts, arity)
-	for i := range c {
-		c[i] = make(map[uint32]int32)
-	}
-	return c
-}
-
-// add moves the counts by sign for a row entering (+1) or leaving (-1)
-// the set.
-func (c colCounts) add(row []uint32, sign int32) {
-	for i, v := range row {
-		m := c[i]
-		m[v] += sign
-		if sign < 0 && m[v] == 0 {
-			delete(m, v)
-		}
-	}
-}
-
-// distinct returns the number of distinct IDs in each column.
-func (c colCounts) distinct() []int {
-	d := make([]int, len(c))
-	for i, m := range c {
-		d[i] = len(m)
-	}
-	return d
 }
 
 // allPos returns the positions 0..n-1: a whole-row grouping key.
@@ -553,7 +522,7 @@ func (e *DeltaEngine) enumerate(p *deltaPlan, t []uint32, sign int) error {
 					head[j] = slots[h.slot]
 				}
 			}
-			return e.bump(p.view, head, sign)
+			return e.bump(p.view, head, sign, t != nil)
 		}
 		st := &p.steps[i]
 		key = key[:0]
@@ -587,19 +556,22 @@ func (e *DeltaEngine) enumerate(p *deltaPlan, t []uint32, sign int) error {
 }
 
 // bump applies a derivation-count change to one view row, patching the
-// extent on 0↔positive transitions.
-func (e *DeltaEngine) bump(v *viewState, row []uint32, sign int) error {
+// extent on 0↔positive transitions and, with record (a delta tuple's
+// enumeration, not the initial one), reporting them.
+func (e *DeltaEngine) bump(v *viewState, row []uint32, sign int, record bool) error {
 	st := v.counts.At(row)
 	old := st.count
 	st.count += sign
+	tr := Transition{Name: v.name, View: true}
 	switch {
 	case st.count < 0:
 		return fmt.Errorf("eval: view %s: negative derivation count for a row — delta out of sync with the database", v.name)
 	case old == 0 && st.count > 0:
 		st.pos = v.rows.len()
 		v.rows.push(append([]uint32(nil), row...))
-		v.cols.add(row, +1)
+		tr.Sign, tr.Row = +1, v.rows.at(st.pos)
 	case old > 0 && st.count == 0:
+		tr.Sign, tr.Row = -1, v.rows.at(st.pos)
 		// Swap-remove: the last row fills the hole. Only the chunks
 		// written are copied, and only when a published header shares
 		// them; the rows (the []uint32 elements) are immutable and stay
@@ -610,7 +582,9 @@ func (e *DeltaEngine) bump(v *viewState, row []uint32, sign int) error {
 		// Drop the spent entry: a long-running server's memory must track
 		// the live extent, not every row ever derived.
 		v.counts.Remove(row)
-		v.cols.add(row, -1)
+	}
+	if record && tr.Sign != 0 {
+		e.trans = append(e.trans, tr)
 	}
 	return nil
 }
@@ -655,55 +629,23 @@ func (e *DeltaEngine) Size() int {
 	return n
 }
 
-// Rows returns a stored relation's rows, each repeated by its
-// multiplicity, in unspecified order (nil for a relation the engine does
-// not store). The rows are shared; treat them as read-only.
-func (e *DeltaEngine) Rows(rel string) [][]uint32 {
-	rs, ok := e.rels[rel]
-	if !ok {
-		return nil
+// EachRow calls fn with every distinct row of a stored relation and its
+// number of copies, in unspecified order (never for a relation the engine
+// does not store). The rows are shared; treat them as read-only.
+func (e *DeltaEngine) EachRow(rel string, fn func(row []uint32, copies int)) {
+	if rs, ok := e.rels[rel]; ok {
+		rs.support.Each(func(row []uint32, n *int) { fn(row, *n) })
 	}
-	out := make([][]uint32, 0, rs.rows)
-	rs.support.Each(func(row []uint32, n *int) {
-		for i := 0; i < *n; i++ {
-			out = append(out, row)
-		}
-	})
-	return out
-}
-
-// RelStats returns a stored relation's row count, copies included, and
-// the number of distinct IDs in each of its columns (nil when it stores
-// no row): the relation statistics of the cost model. It reads counts the
-// engine keeps as rows come and go, so it costs O(arity), not O(|R|).
-func (e *DeltaEngine) RelStats(rel string) (int, []int) {
-	rs, ok := e.rels[rel]
-	if !ok || rs.rows == 0 {
-		return 0, nil
-	}
-	return rs.rows, rs.cols.distinct()
-}
-
-// ViewStats returns a view's extent size and the number of distinct IDs
-// in each of its head columns (nil when the extent is empty): the view
-// statistics of the cost model, read from counts kept like RelStats'.
-func (e *DeltaEngine) ViewStats(name string) (int, []int) {
-	v, ok := e.views[name]
-	if !ok || v.rows.len() == 0 {
-		return 0, nil
-	}
-	return v.rows.len(), v.cols.distinct()
 }
 
 // Apply folds a physically applied batch delta (Resolve's result) into
 // the multiplicities, counted extents and join indexes, in application
-// order (deletes, then inserts). It returns the names of the views whose
-// extents changed, for patching prepared plan inputs.
-func (e *DeltaEngine) Apply(a *instance.Applied) ([]string, error) {
-	// A view is reported changed when any transition triggered its plans —
-	// a cheap over-approximation (the extent header may also move on
-	// append), which is exactly what prepared-view patching needs.
-	dirty := make(map[string]bool)
+// order (deletes, then inserts). It returns the batch's transitions in
+// the order they happened, so a view's extent changed iff it has one; the
+// slice is reused by the next Apply, so read it before then.
+func (e *DeltaEngine) Apply(a *instance.Applied) ([]Transition, error) {
+	clear(e.trans) // drop the last batch's row references
+	e.trans = e.trans[:0]
 	for _, op := range a.Deleted {
 		rs, ok := e.rels[op.Rel]
 		if !ok {
@@ -725,7 +667,6 @@ func (e *DeltaEngine) Apply(a *instance.Applied) ([]string, error) {
 			if err := e.enumerate(p, op.IDs, -1); err != nil {
 				return nil, err
 			}
-			dirty[p.view.name] = true
 		}
 		for _, ix := range rs.indexes {
 			if !ix.Remove(op.IDs) {
@@ -735,7 +676,7 @@ func (e *DeltaEngine) Apply(a *instance.Applied) ([]string, error) {
 			}
 		}
 		rs.support.Remove(op.IDs)
-		rs.cols.add(op.IDs, -1)
+		e.trans = append(e.trans, Transition{Name: op.Rel, Sign: -1, Row: op.IDs})
 	}
 	for _, op := range a.Inserted {
 		rs, ok := e.rels[op.Rel]
@@ -752,7 +693,7 @@ func (e *DeltaEngine) Apply(a *instance.Applied) ([]string, error) {
 		// decomposition's exclude filters keep occurrences before the
 		// trigger from double-counting t.
 		row := append([]uint32(nil), op.IDs...)
-		rs.cols.add(row, +1)
+		e.trans = append(e.trans, Transition{Name: op.Rel, Sign: +1, Row: row})
 		for _, ix := range rs.indexes {
 			ix.Add(row)
 		}
@@ -760,17 +701,9 @@ func (e *DeltaEngine) Apply(a *instance.Applied) ([]string, error) {
 			if err := e.enumerate(p, row, +1); err != nil {
 				return nil, err
 			}
-			dirty[p.view.name] = true
 		}
 	}
-
-	var changed []string
-	for _, name := range e.names {
-		if dirty[name] {
-			changed = append(changed, name)
-		}
-	}
-	return changed, nil
+	return e.trans, nil
 }
 
 // PublishExtentIDs returns an immutable header of the view's current
@@ -787,24 +720,4 @@ func (e *DeltaEngine) PublishExtentIDs(name string) ExtentHeader {
 		return ExtentHeader{}
 	}
 	return v.rows.freeze()
-}
-
-// Views decodes the current extents, usable directly as plan.Materialized.
-func (e *DeltaEngine) Views() map[string][][]string {
-	out := make(map[string][][]string, len(e.views))
-	for name, v := range e.views {
-		out[name] = e.dict.DecodeAll(v.rows.appendRows(nil))
-		if out[name] == nil {
-			out[name] = [][]string{}
-		}
-	}
-	return out
-}
-
-// ucqArity returns the head arity of a UCQ (0 for an empty union).
-func ucqArity(u *cq.UCQ) int {
-	if len(u.Disjuncts) == 0 {
-		return 0
-	}
-	return len(u.Disjuncts[0].Head)
 }

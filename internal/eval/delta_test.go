@@ -3,6 +3,7 @@ package eval
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/cq"
@@ -76,8 +77,10 @@ func randView(rng *rand.Rand, s *schema.Schema, name string, pool int) *cq.UCQ {
 // (>= 10k ops in total across trials), with the incremental maintainer's
 // extents checked against full recomputation — frequently against the
 // interned evaluator (UCQOnDB) and, at sparser checkpoints, against the
-// independent naive nested-loop evaluator of equiv_test.go. CI runs this
-// under the race detector.
+// independent naive nested-loop evaluator of equiv_test.go. The engine's
+// reported transitions, folded from its opening contents, must rebuild
+// its rows and extents at every check. CI runs this under the race
+// detector.
 func TestDeltaEngineDifferentialRandom(t *testing.T) {
 	const (
 		trials          = 4
@@ -108,6 +111,7 @@ func TestDeltaEngineDifferentialRandom(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		assertEngineFresh(t, e, db, views, true)
+		mirror := mirrorOf(e)
 
 		// live tracks the multiset of rows per relation so deletes mostly
 		// hit existing rows (absent deletes are exercised too).
@@ -149,17 +153,21 @@ func TestDeltaEngineDifferentialRandom(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d op %d: %v", trial, op, err)
 			}
-			if _, err := e.Apply(a); err != nil {
+			trans, err := e.Apply(a)
+			if err != nil {
 				t.Fatalf("trial %d op %d: %v", trial, op, err)
 			}
+			mirror.fold(t, trans)
 			if op%fastCheckEvery == 0 {
 				assertEngineFresh(t, e, db, views, false)
+				mirror.check(t, e)
 			}
 			if op%naiveCheckEvery == 0 {
 				assertEngineFresh(t, e, db, views, true)
 			}
 		}
 		assertEngineFresh(t, e, db, views, true)
+		mirror.check(t, e)
 	}
 	if totalOps < 10000 {
 		t.Fatalf("stream too short: %d ops", totalOps)
@@ -171,18 +179,12 @@ func TestDeltaEngineDifferentialRandom(t *testing.T) {
 // evaluator when naive is set.
 func assertEngineFresh(t *testing.T, e *DeltaEngine, db *instance.Database, views map[string]*cq.UCQ, naive bool) {
 	t.Helper()
-	// The engine's row store holds the database's rows, copies included,
-	// and its statistics are the ones a scan of the database gives.
+	// The engine's row store holds the database's rows, copies included.
 	if e.Size() != db.Size() {
 		t.Fatalf("engine stores %d rows, database holds %d", e.Size(), db.Size())
 	}
 	for _, rel := range db.Schema.Relations {
 		rows := db.Table(rel.Name).IDRows()
-		n, d := e.RelStats(rel.Name)
-		if n != len(rows) || fmt.Sprint(d) != fmt.Sprint(distinctCols(rows)) {
-			t.Fatalf("relation %s: engine stats %d rows, distinct %v; scan %d rows, distinct %v",
-				rel.Name, n, d, len(rows), distinctCols(rows))
-		}
 		stored := e.dict.DecodeAll(e.Rows(rel.Name))
 		if !cq.RowsEqual(stored, db.Dict.DecodeAll(rows)) {
 			t.Fatalf("relation %s: engine stores %d rows, database holds %d", rel.Name, len(stored), len(rows))
@@ -202,10 +204,6 @@ func assertEngineFresh(t *testing.T, e *DeltaEngine, db *instance.Database, view
 			t.Fatalf("view %s (|D|=%d) incremental != recompute\ngot  %d rows: %v\nwant %d rows: %v",
 				name, db.Size(), len(g), g, len(want), want)
 		}
-		if n, d := e.ViewStats(name); n != len(want) || fmt.Sprint(d) != fmt.Sprint(distinctCols(want)) {
-			t.Fatalf("view %s: engine stats %d rows, distinct %v; scan %d rows, distinct %v",
-				name, n, d, len(want), distinctCols(want))
-		}
 		if naive {
 			ref := naiveUCQ(t, def, src)
 			if !cq.RowsEqual(got[name], ref) {
@@ -216,26 +214,85 @@ func assertEngineFresh(t *testing.T, e *DeltaEngine, db *instance.Database, view
 	}
 }
 
-// distinctCols counts the distinct values in each column of rows (nil
-// for no rows): the scan the engine's per-column counts must agree with.
-func distinctCols[T comparable](rows [][]T) []int {
-	if len(rows) == 0 {
+// Rows returns a stored relation's rows, each repeated by its
+// multiplicity, in unspecified order (nil for a relation the engine does
+// not store). The rows are shared; treat them as read-only.
+func (e *DeltaEngine) Rows(rel string) [][]uint32 {
+	rs, ok := e.rels[rel]
+	if !ok {
 		return nil
 	}
-	seen := make([]map[T]bool, len(rows[0]))
-	for i := range seen {
-		seen[i] = make(map[T]bool)
-	}
-	for _, r := range rows {
-		for i, v := range r {
-			seen[i][v] = true
+	out := make([][]uint32, 0, rs.rows)
+	e.EachRow(rel, func(row []uint32, n int) {
+		for i := 0; i < n; i++ {
+			out = append(out, row)
+		}
+	})
+	return out
+}
+
+// Views decodes the current extents, as strings.
+func (e *DeltaEngine) Views() map[string][][]string {
+	out := make(map[string][][]string, len(e.views))
+	for name, v := range e.views {
+		out[name] = e.dict.DecodeAll(v.rows.appendRows(nil))
+		if out[name] == nil {
+			out[name] = [][]string{}
 		}
 	}
-	out := make([]int, len(seen))
-	for i, m := range seen {
-		out[i] = len(m)
-	}
 	return out
+}
+
+// transitionMirror rebuilds an engine's distinct stored rows and view
+// extents from its reported transitions alone, keyed "rel R" / "view V"
+// and then by the row.
+type transitionMirror map[string]map[string]bool
+
+// mirrorOf reads an engine's current contents into a mirror.
+func mirrorOf(e *DeltaEngine) transitionMirror {
+	m := transitionMirror{}
+	for rel := range e.rels {
+		set := map[string]bool{}
+		e.EachRow(rel, func(row []uint32, _ int) { set[fmt.Sprint(row)] = true })
+		m["rel "+rel] = set
+	}
+	for name, v := range e.views {
+		set := map[string]bool{}
+		for _, row := range v.rows.appendRows(nil) {
+			set[fmt.Sprint(row)] = true
+		}
+		m["view "+name] = set
+	}
+	return m
+}
+
+// fold applies one Apply's transitions: each must move a row into a set
+// that lacks it or out of one that holds it.
+func (m transitionMirror) fold(t *testing.T, trans []Transition) {
+	t.Helper()
+	for _, tr := range trans {
+		key := "rel " + tr.Name
+		if tr.View {
+			key = "view " + tr.Name
+		}
+		row := fmt.Sprint(tr.Row)
+		if m[key][row] == (tr.Sign > 0) {
+			t.Fatalf("%s: transition %+d of row %s contradicts the set (holds the row: %v)", key, tr.Sign, row, m[key][row])
+		}
+		if tr.Sign > 0 {
+			m[key][row] = true
+		} else {
+			delete(m[key], row)
+		}
+	}
+}
+
+// check compares the mirror with the engine's contents.
+func (m transitionMirror) check(t *testing.T, e *DeltaEngine) {
+	t.Helper()
+	if fresh := mirrorOf(e); !reflect.DeepEqual(m, fresh) {
+		t.Fatalf("transitions rebuild\n%v\nengine holds\n%v", m, fresh)
+	}
 }
 
 func randRow(rng *rand.Rand, arity, pool int) []string {

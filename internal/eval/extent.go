@@ -29,6 +29,11 @@ type extent struct {
 // len returns the number of rows.
 func (x *extent) len() int { return x.n }
 
+// at returns row i.
+func (x *extent) at(i int) []uint32 {
+	return x.chunks[i/extentChunkRows].rows[i%extentChunkRows]
+}
+
 // writable returns chunk i for writing, first replacing it by a private
 // copy when a published header may share it.
 func (x *extent) writable(i int) *extChunk {
@@ -113,5 +118,10 @@ func (h ExtentHeader) Len() int { return h.n }
 // shared and immutable; treat them as read-only). It costs one pointer
 // copy per row, so serving layers flatten once per header and memoize.
 func (h ExtentHeader) Rows() [][]uint32 {
-	return appendChunks(make([][]uint32, 0, h.n), h.chunks, h.n)
+	return h.AppendRows(make([][]uint32, 0, h.n))
+}
+
+// AppendRows appends the header's rows, in order, to dst.
+func (h ExtentHeader) AppendRows(dst [][]uint32) [][]uint32 {
+	return appendChunks(dst, h.chunks, h.n)
 }

@@ -22,9 +22,6 @@ import (
 // spawning, though a raised value will not grow the pool.
 var tokens = make(chan struct{}, runtime.GOMAXPROCS(0)-1)
 
-// Workers returns the total worker count (the token pool plus the caller).
-func Workers() int { return min(cap(tokens), runtime.GOMAXPROCS(0)-1) + 1 }
-
 // Do runs the functions, in parallel when tokens are free, and returns the
 // first error (by argument order). Every function has completed when Do
 // returns.

@@ -3,9 +3,9 @@ package plan
 import "math"
 
 // Stats carries the statistics the cost model consumes: relation and view
-// cardinalities plus per-column distinct-ID counts (exact counters the
-// view-maintenance engines keep over their rows and view extents,
-// published with every epoch). A nil
+// cardinalities plus per-column distinct-ID counts (exact counts of D's
+// rows and the view extents that the shard writer keeps in one store,
+// the same at any shard count, published with every epoch). A nil
 // *Stats is valid and falls back to schema-only defaults, so candidates
 // can be ranked statically — purely from the access-constraint bounds N —
 // before any database exists. A published Stats is immutable; copying

@@ -1,13 +1,14 @@
 // Package shard is the serving engine behind the facade's Live handle: an
 // ID-encoded instance is hash-partitioned into P shards, each owning its own
 // versioned fetch indices (instance.VIndex), incremental view-maintenance
-// engine with its join indexes (eval.DeltaEngine over intern.DynIndex),
-// materialized-view partitions and the counters behind the cost-model
-// statistics every epoch publishes. Plan execution
-// is scatter-gather — a fetch whose access constraint binds the partition
-// key routes to the single owning shard, everything else gathers across
-// shards and dedups — and batched deltas are routed per shard and
-// maintained concurrently on the internal/par pool. Every batch publishes
+// engine with its join indexes (eval.DeltaEngine over intern.DynIndex) and
+// materialized-view partitions; the writer keeps one statistics store,
+// which counts each value once, so the statistics every epoch publishes
+// are exact and the same at any P. Plan execution is scatter-gather — a
+// fetch whose access constraint binds the partition key routes to the
+// single owning shard, everything else gathers across shards and dedups —
+// and batched deltas are routed per shard and maintained concurrently on
+// the internal/par pool. Every batch publishes
 // one immutable, cross-shard-consistent Epoch that readers use without
 // locks. P = 1 is the default: the single shard takes every row and
 // routing is skipped.
@@ -19,7 +20,9 @@
 package shard
 
 import (
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/access"
@@ -181,17 +184,22 @@ func (pt *Partition) Route(c *access.Constraint) *conRoute { return pt.cons[c.Ke
 // Rel returns the partitioning rule of a relation (nil for unknown ones).
 func (pt *Partition) Rel(name string) *relRoute { return pt.rels[name] }
 
-// LocalView reports whether a UCQ view is co-partitioned: every
-// satisfiable disjunct, after normalization, binds the partition
-// attributes of all its atoms to the same term sequence, so every
-// valuation draws all of its rows from a single shard. For such views
-// V(D) = ∪_p V(D_p) (as sets) and maintenance stays entirely shard-local;
-// anything else is maintained by the global engine instead.
+// LocalView reports whether a UCQ view is maintained shard-locally: every
+// satisfiable disjunct, normalized, binds the partition attributes of all
+// its atoms to one term sequence (a valuation reads one shard), and each
+// term is a constant or a head variable placed alike in every disjunct
+// (the head row fixes that shard). Then V(D) is the disjoint union of the
+// V(D_p) and per-shard counts sum exactly. Anything else, such as a
+// projection or Boolean view that drops the key, is maintained globally.
 func (pt *Partition) LocalView(def *cq.UCQ) bool {
+	var key []cq.Term // the shard key: constants and head positions
 	for _, d := range def.Disjuncts {
 		n, err := d.Normalize()
 		if err != nil {
 			continue // unsatisfiable: contributes nothing on any shard
+		}
+		if len(n.Atoms) == 0 {
+			return false // derived on every shard
 		}
 		var sig []cq.Term
 		for i, at := range n.Atoms {
@@ -203,26 +211,25 @@ func (pt *Partition) LocalView(def *cq.UCQ) bool {
 			for j, p := range rr.Pos {
 				s[j] = at.Args[p]
 			}
-			if i == 0 {
-				sig = s
-				continue
-			}
-			if !termsEq(sig, s) {
+			if i > 0 && !slices.Equal(sig, s) {
 				return false
 			}
+			sig = s
 		}
-	}
-	return true
-}
-
-func termsEq(a, b []cq.Term) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Const != b[i].Const || a[i].Val != b[i].Val {
+		// Over the head, a variable becomes its first head position.
+		for i, t := range sig {
+			if !t.Const {
+				pos := slices.Index(n.Head, t)
+				if pos < 0 {
+					return false
+				}
+				sig[i] = cq.Var(strconv.Itoa(pos))
+			}
+		}
+		if key != nil && !slices.Equal(key, sig) {
 			return false
 		}
+		key = sig
 	}
 	return true
 }

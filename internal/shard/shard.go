@@ -28,7 +28,7 @@ import (
 var ErrTorn = errors.New("shard: writer state torn by a partial apply")
 
 // state is one shard's WRITER-SIDE machinery: the incremental
-// maintenance engine for the co-partitioned (shard-local) views, whose
+// maintenance engine for the shard-local views, whose
 // multiplicity map is the shard's only copy of its rows, and the latest
 // version of its fetch indices. Readers never touch it — they read the
 // immutable per-epoch versions published in Epoch.
@@ -89,7 +89,7 @@ type DeltaStats struct {
 
 // Epoch is one published, immutable version of the whole sharded state:
 // every shard's fetch-index version, the gathered view extents and the
-// merged statistics, all installed by a single atomic pointer swap — so a
+// statistics, all installed by a single atomic pointer swap — so a
 // reader pinning an Epoch sees one cross-shard-consistent state and a
 // batch can never be observed applied on some shards and not others.
 //
@@ -121,7 +121,7 @@ func (e *Epoch) probe(i int) {
 
 // gatheredView is one view's extent as pinned by an epoch: the immutable
 // chunked header(s) the engines published (one per shard for a
-// co-partitioned view at P > 1, else one), flattened into the
+// shard-local view, else the global engine's), flattened into the
 // [][]uint32 readers get on FIRST read and memoized — so a write-heavy
 // epoch never pays for views nobody reads, and an unchanged view shares
 // its gatheredView (and memo) with every later epoch until it next
@@ -170,7 +170,8 @@ func (e *Epoch) AllViewIDs() map[string][][]uint32 {
 // Prepared returns the epoch's prepared plan inputs.
 func (e *Epoch) Prepared() *plan.PreparedViews { return e.pv }
 
-// Stats returns the epoch's merged statistics and their version.
+// Stats returns the epoch's statistics and their version: exact, and the
+// same at any shard count.
 func (e *Epoch) Stats() (*plan.Stats, uint64) { return e.stats, e.statsVer }
 
 // Size returns |D| across all shards as of this epoch.
@@ -244,8 +245,8 @@ func (e *Epoch) FetchIDs(c *access.Constraint, xval []uint32) ([][]uint32, error
 }
 
 // Sharded is a partitioned live instance: P shards, the routing metadata,
-// the global maintenance engine for non-co-partitioned views, and the
-// atomically published current Epoch.
+// the global maintenance engine for the other views, the statistics
+// store, and the atomically published current Epoch.
 //
 // Concurrency: readers load the current epoch (Current) and serve from
 // its immutable structures — they take no locks and are never blocked by
@@ -263,8 +264,9 @@ type Sharded struct {
 
 	batchMu    sync.Mutex // serializes ApplyDelta batches
 	shards     []*state
-	g          *eval.DeltaEngine // global engine; nil when every view is co-partitioned
+	g          *eval.DeltaEngine // global engine; nil when every view is shard-local
 	local      map[string]bool
+	stats      *statsStore
 	statsChurn int
 	statsVer   uint64
 	seq        uint64
@@ -298,7 +300,7 @@ func Open(d *intern.Dict, rows map[string][][]uint32, s *schema.Schema, a *acces
 	local := make(map[string]bool, len(views))
 	globalRows := make(map[string][][]uint32)
 	for name, def := range views {
-		// With one partition every join is co-partitioned.
+		// With one partition every view is shard-local.
 		if p == 1 || pt.LocalView(def) {
 			localViews[name] = def
 			local[name] = true
@@ -370,6 +372,7 @@ func Open(d *intern.Dict, rows map[string][][]uint32, s *schema.Schema, a *acces
 	}); err != nil {
 		return nil, err
 	}
+	sh.stats = sh.seedStats(rows)
 
 	dirty := make(map[string]bool, len(views))
 	for name := range views {
@@ -403,7 +406,11 @@ func (s *Sharded) CheckpointTables() map[string][][]uint32 {
 	for _, rel := range s.schema.Relations {
 		rows := [][]uint32{}
 		for _, st := range s.shards {
-			rows = append(rows, st.eng.Rows(rel.Name)...)
+			st.eng.EachRow(rel.Name, func(row []uint32, n int) {
+				for ; n > 0; n-- {
+					rows = append(rows, row)
+				}
+			})
 		}
 		out[rel.Name] = rows
 	}
@@ -433,8 +440,8 @@ func (s *Sharded) Dict() *intern.Dict { return s.dict }
 // immutable) for as long as the caller holds it.
 func (s *Sharded) Current() *Epoch { return s.cur.Load() }
 
-// LocalViews reports which views are maintained shard-locally (the
-// co-partitioned ones) vs by the global engine.
+// LocalViews reports which views are maintained shard-locally (see
+// Partition.LocalView) vs by the global engine.
 func (s *Sharded) LocalViews() (local, global []string) {
 	for name := range s.views {
 		if s.local[name] {
@@ -474,7 +481,7 @@ func (s *Sharded) publish(prev *Epoch, dirty map[string]bool) {
 		dict:       s.dict,
 		vixes:      vixes,
 		views:      views,
-		stats:      s.collectStats(),
+		stats:      s.stats.stats(s.schema),
 		statsVer:   s.statsVer,
 		size:       size,
 		shardSizes: sizes,
@@ -486,37 +493,25 @@ func (s *Sharded) publish(prev *Epoch, dirty map[string]bool) {
 }
 
 // pinView pins one view's extent for the next epoch: the global engine's
-// copy-on-write header for non-co-partitioned views, the single shard's
-// header at P=1, and otherwise the P per-shard headers with a lazy
-// deduplicating merge (shard extents of a co-partitioned view can
-// overlap when the view's head does not bind the partition key — the
-// same row derived on two shards — so the merge dedups; the merged
-// extent is exactly the set one engine over all of D would serve).
-// Pinning copies one pointer per 32 rows; flattening waits for a reader.
+// copy-on-write header for a global view, else the per-shard headers,
+// concatenated lazily (a shard-local view's head fixes the shard, so the
+// shards' extents are disjoint and their concatenation is exactly the set
+// one engine over all of D would serve). Pinning copies one pointer per
+// 32 rows; flattening waits for a reader.
 func (s *Sharded) pinView(name string) *gatheredView {
 	if !s.local[name] {
 		return &gatheredView{compute: s.g.PublishExtentIDs(name).Rows}
 	}
-	if len(s.shards) == 1 {
-		return &gatheredView{compute: s.shards[0].eng.PublishExtentIDs(name).Rows}
-	}
 	headers := make([]eval.ExtentHeader, len(s.shards))
+	total := 0
 	for i, st := range s.shards {
 		headers[i] = st.eng.PublishExtentIDs(name)
+		total += headers[i].Len()
 	}
 	return &gatheredView{compute: func() [][]uint32 {
-		total := 0
-		for _, h := range headers {
-			total += h.Len()
-		}
 		out := make([][]uint32, 0, total)
-		seen := intern.NewSet(total)
 		for _, h := range headers {
-			for _, r := range h.Rows() {
-				if seen.Add(r) {
-					out = append(out, r)
-				}
-			}
+			out = h.AppendRows(out)
 		}
 		return out
 	}}
@@ -576,7 +571,7 @@ func (s *Sharded) ApplyDelta(inserts, deletes []instance.Op) (DeltaStats, error)
 	}
 
 	applied := make([]*instance.Applied, p)
-	changed := make([][]string, p)
+	trans := make([][]eval.Transition, p)
 	holds := make([]time.Duration, p)
 	if err := par.ForEach(p, func(i int) error {
 		if len(delBy[i]) == 0 && len(insBy[i]) == 0 {
@@ -591,11 +586,11 @@ func (s *Sharded) ApplyDelta(inserts, deletes []instance.Op) (DeltaStats, error)
 			return err
 		}
 		st.vix = vix
-		ch, err := st.eng.Apply(a)
+		tr, err := st.eng.Apply(a)
 		if err != nil {
 			return err
 		}
-		applied[i], changed[i] = a, ch
+		applied[i], trans[i] = a, tr
 		return nil
 	}); err != nil {
 		// Even a per-shard validation failure is torn here: the other
@@ -612,11 +607,9 @@ func (s *Sharded) ApplyDelta(inserts, deletes []instance.Op) (DeltaStats, error)
 		if applied[i] == nil {
 			continue
 		}
+		s.stats.fold(applied[i], trans[i], true, dirty)
 		stats.Inserted += len(applied[i].Inserted)
 		stats.Deleted += len(applied[i].Deleted)
-		for _, name := range changed[i] {
-			dirty[name] = true
-		}
 	}
 
 	// The combined physical batch (deletes first, then inserts, each in
@@ -637,22 +630,20 @@ func (s *Sharded) ApplyDelta(inserts, deletes []instance.Op) (DeltaStats, error)
 		}
 	}
 
-	// Non-co-partitioned views see the whole batch, deletes first. Their
+	// Global views see the whole batch, deletes first. Their
 	// maintenance lands in the SAME epoch as the base rows — the atomic
 	// publication below removes the old "global views one batch behind"
 	// read window.
 	if s.g != nil && stats.Inserted+stats.Deleted > 0 {
 		t0 := time.Now()
-		gch, err := s.g.Apply(combined)
+		gtr, err := s.g.Apply(combined)
 		if err != nil {
 			return DeltaStats{}, fmt.Errorf("%w: %w", ErrTorn, err)
 		}
 		if hold := time.Since(t0); hold > stats.MaxShardHold {
 			stats.MaxShardHold = hold
 		}
-		for _, name := range gch {
-			dirty[name] = true
-		}
+		s.stats.fold(combined, gtr, false, dirty)
 	}
 
 	stats.ViewsChanged = len(dirty)
@@ -677,67 +668,12 @@ func (s *Sharded) ApplyDelta(inserts, deletes []instance.Op) (DeltaStats, error)
 	return stats, nil
 }
 
-// collectStats merges the engines' statistics, read from the counts they
-// keep: O(#columns), no scan. Relation row counts sum exactly; distinct
-// counts sum (exact for partition columns, whose values never repeat
-// across shards, and an upper bound the cost model clamps for the rest);
-// a co-partitioned view's rows and distinct counts sum its per-shard
-// extents, an upper bound when the view's head does not bind the
-// partition key (cross-shard duplicate heads), and the global engine
-// counts the rest. Callers must exclude concurrent writers (ApplyDelta
-// holds batchMu; Open has exclusive use).
-func (s *Sharded) collectStats() *plan.Stats {
-	st := &plan.Stats{
-		RelRows:      make(map[string]int),
-		RelDistinct:  make(map[string]map[string]int),
-		ViewRows:     make(map[string]int),
-		ViewDistinct: make(map[string][]int),
-	}
-	for _, sh := range s.shards {
-		for _, rel := range s.schema.Relations {
-			n, distinct := sh.eng.RelStats(rel.Name)
-			st.RelRows[rel.Name] += n
-			byAttr := st.RelDistinct[rel.Name]
-			if byAttr == nil {
-				byAttr = make(map[string]int, len(distinct))
-				st.RelDistinct[rel.Name] = byAttr
-			}
-			for i, c := range distinct {
-				byAttr[rel.Attrs[i]] += c
-			}
-		}
-	}
-	addView := func(name string, eng *eval.DeltaEngine) {
-		n, d := eng.ViewStats(name)
-		st.ViewRows[name] += n
-		if len(d) > len(st.ViewDistinct[name]) {
-			grown := make([]int, len(d))
-			copy(grown, st.ViewDistinct[name])
-			st.ViewDistinct[name] = grown
-		}
-		for i, c := range d {
-			st.ViewDistinct[name][i] += c
-		}
-	}
-	for name := range s.views {
-		st.ViewRows[name] = 0
-		if s.local[name] {
-			for _, sh := range s.shards {
-				addView(name, sh.eng)
-			}
-		} else {
-			addView(name, s.g)
-		}
-	}
-	return st
-}
-
 // Close releases the writer-side maintenance machinery — the shard
 // engines with their rows, and the global engine. The current epoch
 // (and any pinned one) keeps serving reads; callers must fence
 // ApplyDelta beforehand (the facade's closed flag).
 func (s *Sharded) Close() {
 	s.batchMu.Lock()
-	s.shards, s.g = nil, nil
+	s.shards, s.g, s.stats = nil, nil, nil
 	s.batchMu.Unlock()
 }

@@ -85,15 +85,37 @@ func TestRoutingConsistency(t *testing.T) {
 }
 
 // TestLocalViewAnalysis pins the co-partition analysis: joins on the
-// partition key are shard-local, anything else is global.
+// partition key whose head keeps the key are shard-local, anything else
+// is global.
 func TestLocalViewAnalysis(t *testing.T) {
 	s, a := fixtureSchema()
 	pt := NewPartition(s, a, 4)
 	mk := func(head []cq.Term, atoms ...cq.Atom) *cq.UCQ { return cq.NewUCQ(cq.NewCQ(head, atoms)) }
 
-	// Single atom: always local.
+	// Single atom whose head keeps the key: local.
 	if !pt.LocalView(mk([]cq.Term{cq.Var("u")}, cq.NewAtom("acct", cq.Var("u"), cq.Var("r")))) {
 		t.Fatal("single-atom view must be local")
+	}
+	// A head that drops the key: the same row derives on many shards, so
+	// the view is global — a projection and a Boolean view alike.
+	if pt.LocalView(mk([]cq.Term{cq.Var("r")}, cq.NewAtom("acct", cq.Var("u"), cq.Var("r")))) {
+		t.Fatal("a projection dropping the partition key must be global")
+	}
+	if pt.LocalView(mk(nil, cq.NewAtom("acct", cq.Var("u"), cq.Var("r")))) {
+		t.Fatal("a Boolean view must be global")
+	}
+	// A union is local when every disjunct puts the key at the same head
+	// position, global otherwise.
+	acctTxn := func(txnHead []cq.Term) *cq.UCQ {
+		return cq.NewUCQ(
+			cq.NewCQ([]cq.Term{cq.Var("u"), cq.Var("r")}, []cq.Atom{cq.NewAtom("acct", cq.Var("u"), cq.Var("r"))}),
+			cq.NewCQ(txnHead, []cq.Atom{cq.NewAtom("txn", cq.Var("v"), cq.Var("i"), cq.Var("x"))}))
+	}
+	if !pt.LocalView(acctTxn([]cq.Term{cq.Var("v"), cq.Var("i")})) {
+		t.Fatal("a union keeping the key at one head position must be local")
+	}
+	if pt.LocalView(acctTxn([]cq.Term{cq.Var("i"), cq.Var("v")})) {
+		t.Fatal("a union placing the key at different head positions must be global")
 	}
 	// Join on the shared partition key: local.
 	coPart := mk([]cq.Term{cq.Var("u"), cq.Var("i")},

@@ -11,63 +11,56 @@ import (
 	"repro/internal/plan"
 )
 
-// scanStats is the statistics a scan gives: every shard's stored rows and
-// every engine's published view extents, counted column by column and
-// merged as collectStats merges the engines' counters. It is the
-// reference the published statistics must equal at every epoch.
-func scanStats(s *Sharded) *plan.Stats {
+// scanStats is the statistics a scan gives: the union of every shard's
+// stored rows, and every view's extent as the epoch serves it with
+// repeated rows dropped, counted column by column over distinct rows. It
+// is the reference the published statistics must equal at every epoch.
+func scanStats(t *testing.T, s *Sharded) *plan.Stats {
+	t.Helper()
 	st := &plan.Stats{
 		RelRows:      make(map[string]int),
 		RelDistinct:  make(map[string]map[string]int),
 		ViewRows:     make(map[string]int),
 		ViewDistinct: make(map[string][]int),
 	}
-	for _, sh := range s.shards {
-		for _, rel := range s.schema.Relations {
-			rows := sh.eng.Rows(rel.Name)
-			st.RelRows[rel.Name] += len(rows)
-			byAttr := st.RelDistinct[rel.Name]
-			if byAttr == nil {
-				byAttr = make(map[string]int)
-				st.RelDistinct[rel.Name] = byAttr
-			}
-			for i, c := range distinctCols(rows) {
-				byAttr[rel.Attrs[i]] += c
-			}
+	tables := s.CheckpointTables()
+	for _, rel := range s.schema.Relations {
+		rows := tables[rel.Name]
+		st.RelRows[rel.Name] = len(rows)
+		byAttr := make(map[string]int)
+		for i, c := range distinctCols(dedup(rows), rel.Arity()) {
+			byAttr[rel.Attrs[i]] = c
 		}
-	}
-	addView := func(name string, rows [][]uint32) {
-		st.ViewRows[name] += len(rows)
-		d := distinctCols(rows)
-		if len(d) > len(st.ViewDistinct[name]) {
-			grown := make([]int, len(d))
-			copy(grown, st.ViewDistinct[name])
-			st.ViewDistinct[name] = grown
-		}
-		for i, n := range d {
-			st.ViewDistinct[name][i] += n
-		}
+		st.RelDistinct[rel.Name] = byAttr
 	}
 	for name := range s.views {
-		st.ViewRows[name] = 0
-		if s.local[name] {
-			for _, sh := range s.shards {
-				addView(name, sh.eng.PublishExtentIDs(name).Rows())
-			}
-		} else {
-			addView(name, s.g.PublishExtentIDs(name).Rows())
+		rows, _ := s.Current().ViewIDs(name)
+		set := dedup(rows)
+		if len(set) != len(rows) {
+			t.Fatalf("view %s: the epoch's extent repeats rows (%d rows, %d distinct)", name, len(rows), len(set))
 		}
+		st.ViewRows[name] = len(set)
+		st.ViewDistinct[name] = distinctCols(set, s.views[name].Arity())
 	}
 	return st
 }
 
-// distinctCols counts the distinct IDs in each column of rows (nil for
-// no rows).
-func distinctCols(rows [][]uint32) []int {
-	if len(rows) == 0 {
-		return nil
+// dedup returns the distinct rows of rows.
+func dedup(rows [][]uint32) [][]uint32 {
+	seen := make(map[string]bool, len(rows))
+	var out [][]uint32
+	for _, r := range rows {
+		if k := fmt.Sprint(r); !seen[k] {
+			seen[k] = true
+			out = append(out, r)
+		}
 	}
-	seen := make([]map[uint32]bool, len(rows[0]))
+	return out
+}
+
+// distinctCols counts the distinct IDs in each column of rows.
+func distinctCols(rows [][]uint32, arity int) []int {
+	seen := make([]map[uint32]bool, arity)
 	for i := range seen {
 		seen[i] = make(map[uint32]bool)
 	}
@@ -85,19 +78,26 @@ func distinctCols(rows [][]uint32) []int {
 
 // TestPublishedStatsMatchScan drives random batches — duplicate copies,
 // deletes of stored and absent rows, a row deleted and re-inserted in one
-// batch — through engines at P = 1, 2 and 4, and after Open and every
+// batch — through engines at P = 1, 2, 4 and 8, and after Open and every
 // ApplyDelta compares the current epoch's statistics with a scan of the
-// engines' rows and extents. The views cover a co-partitioned join, heads
-// that drop the partition key (cross-shard duplicates), a union, a
-// Boolean view and, at P > 1, views the global engine maintains.
+// shards' rows and the served extents, and with the statistics of a P = 1
+// engine fed the same batches: statistics are a property of D, not of P.
+// The views cover shard-local joins and unions, heads that drop the
+// partition key (a projection, a Boolean view, a union), joins across
+// partition keys and a self-join.
 func TestPublishedStatsMatchScan(t *testing.T) {
 	s, a := fixtureSchema()
 	v := cq.Var
 	views := map[string]*cq.UCQ{
 		"accts": cq.NewUCQ(cq.NewCQ([]cq.Term{v("u"), v("r")},
 			[]cq.Atom{cq.NewAtom("acct", v("u"), v("r"))})),
+		"regions": cq.NewUCQ(cq.NewCQ([]cq.Term{v("r")},
+			[]cq.Atom{cq.NewAtom("acct", v("u"), v("r"))})),
 		"buys": cq.NewUCQ(cq.NewCQ([]cq.Term{v("u"), v("i")},
 			[]cq.Atom{cq.NewAtom("acct", v("u"), cq.Cst("r0")), cq.NewAtom("txn", v("u"), v("i"), v("x"))})),
+		"active": cq.NewUCQ(
+			cq.NewCQ([]cq.Term{v("u")}, []cq.Atom{cq.NewAtom("acct", v("u"), cq.Cst("r1"))}),
+			cq.NewCQ([]cq.Term{v("u")}, []cq.Atom{cq.NewAtom("txn", v("u"), v("i"), cq.Cst("x0"))})),
 		"items": cq.NewUCQ(
 			cq.NewCQ([]cq.Term{v("i"), v("x")}, []cq.Atom{cq.NewAtom("txn", v("u"), v("i"), v("x"))}),
 			cq.NewCQ([]cq.Term{v("a"), v("b")}, []cq.Atom{cq.NewAtom("misc", v("a"), v("b"))})),
@@ -119,29 +119,38 @@ func TestPublishedStatsMatchScan(t *testing.T) {
 		}
 	}
 	rels := []string{"acct", "txn", "misc"}
-	for _, p := range []int{1, 2, 4} {
+	for _, p := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("P=%d", p), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(p)))
-			db := instance.NewDatabase(s)
+			db, refDB := instance.NewDatabase(s), instance.NewDatabase(s)
 			live := map[string][]instance.Tuple{}
 			for i := 0; i < 40; i++ {
 				rel := rels[rng.Intn(len(rels))]
 				row := randRow(rng, rel)
 				db.MustInsert(rel, row...)
+				refDB.MustInsert(rel, row...)
 				live[rel] = append(live[rel], row)
+			}
+			ref, err := Open(refDB.Dict, refDB.IDTables(), s, a, views, Config{Shards: 1})
+			if err != nil {
+				t.Fatal(err)
 			}
 			sh, err := Open(db.Dict, db.IDTables(), s, a, views, Config{Shards: p})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, global := sh.LocalViews(); p > 1 && len(global) == 0 {
-				t.Fatal("fixture must include views the global engine maintains")
+			local, global := sh.LocalViews()
+			if p > 1 && (len(local) < 3 || len(global) < 5) {
+				t.Fatalf("fixture must include shard-local and global views: local %v, global %v", local, global)
 			}
 			check := func(when string) {
 				t.Helper()
 				got, _ := sh.Current().Stats()
-				if want := scanStats(sh); !reflect.DeepEqual(got, want) {
+				if want := scanStats(t, sh); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: published stats\n%+v\nscan\n%+v", when, *got, *want)
+				}
+				if want, _ := ref.Current().Stats(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: published stats\n%+v\nP = 1\n%+v", when, *got, *want)
 				}
 			}
 			check("open")
@@ -168,8 +177,10 @@ func TestPublishedStatsMatchScan(t *testing.T) {
 					del = append(del, instance.Op{Rel: "acct", Row: row})
 					ins = append(ins, instance.Op{Rel: "acct", Row: row})
 				}
-				if _, err := sh.ApplyDelta(ins, del); err != nil {
-					t.Fatal(err)
+				for _, e := range []*Sharded{sh, ref} {
+					if _, err := e.ApplyDelta(ins, del); err != nil {
+						t.Fatal(err)
+					}
 				}
 				check(fmt.Sprintf("batch %d", b))
 			}

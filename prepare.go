@@ -488,8 +488,8 @@ func diverged(now, ranked float64) bool {
 // Execute serves the query against a handle at any shard count: the
 // candidate selected by the closed-loop cost model runs over the current
 // epoch's views and indices, the run is profiled, and the realized costs
-// feed the next selection. Returns the answer rows and the
-// tuples this call fetched from the underlying database.
+// feed the next selection. Returns the answer rows and the tuples this
+// call fetched from the underlying database, also when it fails.
 func (pq *PreparedQuery) Execute(h Handle) ([][]string, int, error) {
 	st, ver := h.Stats()
 	id := h.handleID()
@@ -497,7 +497,7 @@ func (pq *PreparedQuery) Execute(h Handle) ([][]string, int, error) {
 	p, idx, explore := pq.pickPlan(id, st, ver, met)
 	rows, fetched, ob, err := h.executeObserved(p, &traceCtx{key: pq.key, candidate: idx, explore: explore})
 	if err != nil {
-		return nil, 0, err
+		return nil, fetched, err
 	}
 	pq.feedback(id, st, idx, ob, met)
 	return rows, fetched, nil
@@ -513,7 +513,7 @@ func (pq *PreparedQuery) ExecuteOn(s *Snapshot) ([][]string, int, error) {
 	p, idx, explore := pq.pickPlan(s.hid, st, ver, met)
 	rows, fetched, ob, err := s.executeObserved(p, &traceCtx{key: pq.key, candidate: idx, explore: explore})
 	if err != nil {
-		return nil, 0, err
+		return nil, fetched, err
 	}
 	pq.feedback(s.hid, st, idx, ob, met)
 	return rows, fetched, nil

@@ -393,6 +393,67 @@ func TestSnapshotFetchAccounting(t *testing.T) {
 	}
 }
 
+// TestFailedCallReportsFetched: a plan that fetches and then fails — a
+// product of a fetch chain and a view the system lacks — returns the
+// tuples it fetched together with its error, on every entry point
+// (Live.Execute, Snapshot.Execute, PreparedQuery.Execute and ExecuteOn),
+// so the per-call counts, failed calls included, sum to FetchedTuples.
+func TestFailedCallReportsFetched(t *testing.T) {
+	w, sys, _ := shardedWorkload(t, 0, 0)
+	uid := w.UID(3)
+	failing := &plan.Product{
+		L: &plan.Fetch{Child: &plan.Const{Attr: "uid", Val: uid}, C: w.Txn},
+		R: &plan.View{Name: "missing", Cols: []string{"x"}},
+	}
+	pq, err := sys.Prepare(NewUCQ(w.Query(uid)), LangCQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every candidate becomes the failing plan, so the prepared paths run
+	// it whatever they select.
+	for i := range pq.cands {
+		pq.cands[i].Plan = failing
+	}
+	for _, p := range []int{1, 4} {
+		h, err := sys.Open(w.Generate(40, 5, 17), WithShards(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := h.Snapshot()
+		calls := map[string]func() (int, error){
+			"Live.Execute": func() (int, error) { _, n, err := h.Execute(failing); return n, err },
+			"Snapshot.Execute": func() (int, error) {
+				_, n, err := snap.Execute(failing)
+				return n, err
+			},
+			"PreparedQuery.Execute": func() (int, error) { _, n, err := pq.Execute(h); return n, err },
+			"ExecuteOn":             func() (int, error) { _, n, err := pq.ExecuteOn(snap); return n, err },
+		}
+		total, onSnap := 0, 0
+		for name, call := range calls {
+			n, err := call()
+			if err == nil {
+				t.Fatalf("%s: a plan over a missing view returned no error", name)
+			}
+			if n == 0 {
+				t.Fatalf("%s: the failed call reported no fetched tuples", name)
+			}
+			total += n
+			if name == "Snapshot.Execute" || name == "ExecuteOn" {
+				onSnap += n
+			}
+		}
+		if got := h.FetchedTuples(); got != total {
+			t.Fatalf("P = %d: handle counted %d fetched tuples, the calls reported %d", p, got, total)
+		}
+		if got := snap.FetchedTuples(); got != onSnap {
+			t.Fatalf("P = %d: snapshot counted %d fetched tuples, its calls reported %d", p, got, onSnap)
+		}
+		snap.Close()
+		h.Close()
+	}
+}
+
 // TestHandleClose pins Close semantics: writes fail, reads keep serving
 // the final epoch, pinned snapshots are unaffected.
 func TestHandleClose(t *testing.T) {
