@@ -711,8 +711,8 @@ func (e *DeltaEngine) Apply(a *instance.Applied) ([]Transition, error) {
 // change what it reads: publishing marks every chunk shared, and a write
 // copies the chunk it touches first — so epoch-based readers may keep
 // serving it without locks for as long as they hold it. It costs one
-// pointer per 32 rows; flattening the header for readers (Rows) is left
-// to the first reader. Each call publishes the CURRENT state; callers
+// pointer per 32 rows; flattening the header for readers (AppendRows) is
+// left to the first reader. Each call publishes the CURRENT state; callers
 // publish once per epoch, and only the views that changed.
 func (e *DeltaEngine) PublishExtentIDs(name string) ExtentHeader {
 	v, ok := e.views[name]

@@ -114,14 +114,21 @@ type ExtentHeader struct {
 // Len returns the number of rows.
 func (h ExtentHeader) Len() int { return h.n }
 
-// Rows flattens the header into a fresh slice (the rows themselves are
-// shared and immutable; treat them as read-only). It costs one pointer
-// copy per row, so serving layers flatten once per header and memoize.
-func (h ExtentHeader) Rows() [][]uint32 {
-	return h.AppendRows(make([][]uint32, 0, h.n))
+// Each calls fn on every row, in order, without flattening the header.
+func (h ExtentHeader) Each(fn func(row []uint32)) {
+	n := h.n
+	for _, c := range h.chunks {
+		for _, r := range c.rows[:min(n, extentChunkRows)] {
+			fn(r)
+		}
+		n -= extentChunkRows
+	}
 }
 
-// AppendRows appends the header's rows, in order, to dst.
+// AppendRows appends the header's rows, in order, to dst (the rows
+// themselves are shared and immutable; treat them as read-only). It costs
+// one pointer copy per row, so serving layers flatten once per header and
+// memoize.
 func (h ExtentHeader) AppendRows(dst [][]uint32) [][]uint32 {
 	return appendChunks(dst, h.chunks, h.n)
 }

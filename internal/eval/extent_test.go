@@ -51,7 +51,7 @@ func TestExtentGrowShrinkFreesChunks(t *testing.T) {
 		t.Fatalf("%d rows in %d chunks, want %d", n, got, chunksFor(n))
 	}
 	pub := eng.PublishExtentIDs("V")
-	pubWant := fmt.Sprint(pub.Rows())
+	pubWant := fmt.Sprint(pub.AppendRows(nil))
 
 	// Shrink to an eighth, then by one more row to leave a partial chunk.
 	var del []instance.Op
@@ -66,7 +66,7 @@ func TestExtentGrowShrinkFreesChunks(t *testing.T) {
 	if got := len(v.rows.chunks); got != chunksFor(live) {
 		t.Fatalf("%d rows in %d chunks after the shrink, want %d", live, got, chunksFor(live))
 	}
-	if pub.Len() != n || fmt.Sprint(pub.Rows()) != pubWant {
+	if pub.Len() != n || fmt.Sprint(pub.AppendRows(nil)) != pubWant {
 		t.Fatal("a header published before the shrink no longer reads its rows")
 	}
 	got := eng.Views()["V"]
@@ -83,7 +83,7 @@ func TestExtentGrowShrinkFreesChunks(t *testing.T) {
 	if v.rows.len() != 0 || len(v.rows.chunks) != 0 {
 		t.Fatalf("empty extent keeps %d rows in %d chunks", v.rows.len(), len(v.rows.chunks))
 	}
-	if pub.Len() != n || fmt.Sprint(pub.Rows()) != pubWant {
+	if pub.Len() != n || fmt.Sprint(pub.AppendRows(nil)) != pubWant {
 		t.Fatal("the published header changed when the extent emptied")
 	}
 }
@@ -143,7 +143,7 @@ func TestExtentDifferentialRandom(t *testing.T) {
 			t.Fatalf("seed %d: live rows differ from the reference", seed)
 		}
 		for i, f := range saved {
-			got := f.h.Rows()
+			got := f.h.AppendRows(nil)
 			if f.h.Len() != len(f.want) || len(got) != len(f.want) || (len(got) > 0 && !reflect.DeepEqual(got, f.want)) {
 				t.Fatalf("seed %d: header %d of %d drifted after later mutations", seed, i, len(saved))
 			}

@@ -2,6 +2,8 @@ package plan
 
 import (
 	"fmt"
+	"iter"
+	"maps"
 	"slices"
 	"strconv"
 	"sync"
@@ -33,97 +35,58 @@ type Source interface {
 type Materialized map[string][][]string
 
 // PreparedViews is the ID-encoded view set a plan run reads, bound to the
-// dictionary of one database. A view's rows are resolved by a fill
-// function on first read, so serving layers can publish an epoch without
-// eagerly materializing extents no plan may ever read.
-//
-// A PreparedViews also memoizes what plans derive from its extents: each
-// view's width check and the flat hash indices joins look the view up
-// through, keyed by (view, key positions). Each is built once, on first
-// demand, and then shared read-only by every concurrent reader — serving
-// engines publish one PreparedViews per epoch, so a bounded plan joining a
-// large cached view pays O(|V|) once per epoch instead of once per
-// execution.
+// dictionary of one database: an immutable map from view names to view
+// versions. Serving engines publish one per epoch, derived from the
+// previous epoch's by With, so a view a batch left unchanged keeps its
+// version, with its resolved rows and its join indices, across epochs.
 type PreparedViews struct {
 	d     *intern.Dict
-	fill  func(name string) ([][]uint32, bool)
-	views sync.Map // view name -> *viewMemo
+	views map[string]*ViewVersion
 }
 
-// viewMemo is one view's derived state within one PreparedViews: its
-// extent, resolved and width-scanned once, and the indices built over it.
-type viewMemo struct {
+// ViewVersion is one version of one view's extent: its rows and the flat
+// hash indices joins look it up through, one per key positions. Each is
+// built once, on first demand, and then shared read-only by every reader
+// of every view set holding the version, so a bounded plan joining a large
+// cached view pays O(|V|) once per version of V, not per execution.
+type ViewVersion struct {
+	arity   int
 	once    sync.Once
+	compute func() [][]uint32
 	rows    [][]uint32
-	found   bool
-	width   int      // width of rows[0] (0 for an empty extent)
-	odd     int      // width of the first row whose width differs from rows[0], -1 if none
 	indices sync.Map // posKey(key positions) -> *viewIndex
 }
 
-// viewIndex is one memoized index of a view, keyed by column positions.
+// viewIndex is one memoized index of a view version.
 type viewIndex struct {
 	once sync.Once
 	ix   *intern.FlatIndex
 }
 
-// view returns v's memo within pv: the extent, resolved and width-scanned
-// on the first call for v's view, checked against v's width. The outcome
-// of the one-time resolve, an error included, is returned to every call.
-func (pv *PreparedViews) view(v *View) (*viewMemo, error) {
-	e, ok := pv.views.Load(v.Name)
-	if !ok {
-		e, _ = pv.views.LoadOrStore(v.Name, &viewMemo{})
-	}
-	vm := e.(*viewMemo)
-	vm.once.Do(func() { vm.resolve(pv, v.Name) })
-	if !vm.found {
-		return nil, fmt.Errorf("plan: view %s not materialized", v.Name)
-	}
-	if w := vm.badWidth(len(v.Cols)); w >= 0 {
-		return nil, fmt.Errorf("plan: view %s rows have %d columns, node expects %d", v.Name, w, len(v.Cols))
-	}
-	return vm, nil
+// NewViewVersion returns a version of an arity-wide view whose rows
+// compute returns, called at most once, on the first read. compute must
+// be safe to call from any goroutine and return arity-wide rows.
+func NewViewVersion(arity int, compute func() [][]uint32) *ViewVersion {
+	return &ViewVersion{arity: arity, compute: compute}
 }
 
-func (vm *viewMemo) resolve(pv *PreparedViews, name string) {
-	vm.rows, vm.found = pv.fill(name)
-	vm.odd = -1
-	if len(vm.rows) == 0 {
-		return
-	}
-	vm.width = len(vm.rows[0])
-	for _, r := range vm.rows {
-		if len(r) != vm.width {
-			vm.odd = len(r)
-			return
-		}
-	}
+// Rows returns the version's rows, resolving them on the first call. The
+// rows are shared and immutable; treat them as read-only.
+func (vv *ViewVersion) Rows() [][]uint32 {
+	vv.once.Do(func() { vv.rows, vv.compute = vv.compute(), nil })
+	return vv.rows
 }
 
-// badWidth returns the width of the first row that is not cols wide, or
-// -1 when every row is.
-func (vm *viewMemo) badWidth(cols int) int {
-	switch {
-	case len(vm.rows) == 0:
-		return -1
-	case vm.width != cols:
-		return vm.width
-	default:
-		return vm.odd
-	}
-}
-
-// index returns the view's flat index keyed by the columns at pos, building
-// it on first demand.
-func (vm *viewMemo) index(pos []int) *intern.FlatIndex {
+// index returns the version's flat index keyed by the columns at pos,
+// building it on first demand.
+func (vv *ViewVersion) index(pos []int) *intern.FlatIndex {
 	key := posKey(pos)
-	e, ok := vm.indices.Load(key)
+	e, ok := vv.indices.Load(key)
 	if !ok {
-		e, _ = vm.indices.LoadOrStore(key, &viewIndex{})
+		e, _ = vv.indices.LoadOrStore(key, &viewIndex{})
 	}
 	vi := e.(*viewIndex)
-	vi.once.Do(func() { vi.ix = intern.NewFlatIndex(vm.rows, slices.Clone(pos)) })
+	vi.once.Do(func() { vi.ix = intern.NewFlatIndex(vv.Rows(), slices.Clone(pos)) })
 	return vi.ix
 }
 
@@ -137,31 +100,62 @@ func posKey(pos []int) string {
 	return string(b)
 }
 
+// NewPreparedViews binds the view versions to dictionary d. The view set
+// owns the map; callers must not change it afterwards.
+func NewPreparedViews(d *intern.Dict, views map[string]*ViewVersion) *PreparedViews {
+	return &PreparedViews{d: d, views: views}
+}
+
+// With derives the view set that serves changed's versions in place of
+// pv's and shares every other version, rows and indices included, with
+// pv. pv itself is unchanged.
+func (pv *PreparedViews) With(changed map[string]*ViewVersion) *PreparedViews {
+	views := make(map[string]*ViewVersion, len(pv.views))
+	maps.Copy(views, pv.views)
+	maps.Copy(views, changed)
+	return NewPreparedViews(pv.d, views)
+}
+
+// View returns the named view's version.
+func (pv *PreparedViews) View(name string) (*ViewVersion, bool) {
+	vv, ok := pv.views[name]
+	return vv, ok
+}
+
+// All iterates over the view set's names and versions.
+func (pv *PreparedViews) All() iter.Seq2[string, *ViewVersion] { return maps.All(pv.views) }
+
+// view returns v's version and rows, resolving the rows on the version's
+// first read, checked against v's width. An empty extent fits any width.
+func (pv *PreparedViews) view(v *View) (*ViewVersion, [][]uint32, error) {
+	vv, ok := pv.views[v.Name]
+	if !ok {
+		return nil, nil, fmt.Errorf("plan: view %s not materialized", v.Name)
+	}
+	rows := vv.Rows()
+	if len(rows) > 0 && vv.arity != len(v.Cols) {
+		return nil, nil, fmt.Errorf("plan: view %s rows have %d columns, node expects %d", v.Name, vv.arity, len(v.Cols))
+	}
+	return vv, rows, nil
+}
+
 // PrepareViews interns the view extents m against dictionary d, eagerly:
 // the rows are captured at call time, so later changes to m are not seen.
+// A view's arity is the width of its first row.
 func PrepareViews(d *intern.Dict, m Materialized) *PreparedViews {
-	rows := make(map[string][][]uint32, len(m))
+	views := make(map[string]*ViewVersion, len(m))
 	for name, ext := range m {
 		enc := make([][]uint32, len(ext))
 		for i, r := range ext {
 			enc[i] = d.Encode(r)
 		}
-		rows[name] = enc
+		arity := 0
+		if len(enc) > 0 {
+			arity = len(enc[0])
+		}
+		views[name] = NewViewVersion(arity, func() [][]uint32 { return enc })
 	}
-	return NewLazyPreparedViews(d, func(name string) ([][]uint32, bool) {
-		ext, ok := rows[name]
-		return ext, ok
-	})
-}
-
-// NewLazyPreparedViews builds a PreparedViews whose extents are resolved
-// by fill, at most once per view, on the view's first read. fill must be
-// thread-safe and pure with respect to the published state it captures;
-// epoch publishers pin immutable per-shard extent headers and gather them
-// only when fill asks, so a writer-side batch never pays for views nobody
-// reads.
-func NewLazyPreparedViews(d *intern.Dict, fill func(name string) ([][]uint32, bool)) *PreparedViews {
-	return &PreparedViews{d: d, fill: fill}
+	return NewPreparedViews(d, views)
 }
 
 // Run executes the plan bottom-up over src with views prepared over the
@@ -191,7 +185,7 @@ func RunObserved(n Node, src Source, pv *PreparedViews) ([][]string, int, *Obser
 
 func runOn(n Node, src Source, pv *PreparedViews, observe bool) ([][]string, int, *Observation, error) {
 	if pv == nil {
-		pv = NewLazyPreparedViews(src.Dict(), func(string) ([][]uint32, bool) { return nil, false })
+		pv = NewPreparedViews(src.Dict(), nil)
 	} else if pv.d != src.Dict() {
 		return nil, 0, nil, fmt.Errorf("plan: prepared views belong to a different database")
 	}
@@ -218,8 +212,8 @@ func runOn(n Node, src Source, pv *PreparedViews, observe bool) ([][]string, int
 }
 
 // execCtx carries one execution's state: the fetch source, the view set
-// (whose memo outlives the run), the fetched-tuple count and the optional
-// profile.
+// (whose view versions outlive the run), the fetched-tuple count and the
+// optional profile.
 type execCtx struct {
 	src     Source
 	d       *intern.Dict
@@ -300,11 +294,8 @@ func (ctx *execCtx) run(n Node) ([][]uint32, error) {
 		return [][]uint32{{ctx.d.ID(x.Val)}}, nil
 
 	case *View:
-		vm, err := ctx.views.view(x)
-		if err != nil {
-			return nil, err
-		}
-		return vm.rows, nil
+		_, rows, err := ctx.views.view(x)
+		return rows, err
 
 	case *Fetch:
 		var inputs [][]uint32
@@ -480,8 +471,8 @@ func holds(conds []cond, r []uint32) bool {
 // done is false when the condition shape does not permit the rewrite.
 //
 // A side that is a view leaf (under renamings) is never scanned: the
-// other side runs and each of its rows looks its matches up in the view's
-// per-epoch memoized index, so the join costs O(|other|) per execution
+// other side runs and each of its rows looks its matches up in the view
+// version's memoized index, so the join costs O(|other|) per execution
 // instead of O(|V|). Without a view side, a per-run index is built over
 // the smaller side. The Observation is the same either way: JoinIn counts
 // both inputs in full, the view's extent included.
@@ -515,7 +506,7 @@ func (ctx *execCtx) hashJoin(sel *Select, prod *Product) ([][]uint32, bool, erro
 	if err != nil {
 		return nil, true, err
 	}
-	var lm, rm *viewMemo
+	var lm, rm *ViewVersion
 	var lRows, rRows [][]uint32
 	lv, rv := viewLeaf(prod.L), viewLeaf(prod.R)
 	if lv == nil && rv == nil {
@@ -564,18 +555,14 @@ func (ctx *execCtx) hashJoin(sel *Select, prod *Product) ([][]uint32, bool, erro
 }
 
 // joinInput evaluates one join input: a view leaf v resolves to its
-// memoized extent (and the memo its indices live in) without running; any
-// other node runs.
-func (ctx *execCtx) joinInput(n Node, v *View) (*viewMemo, [][]uint32, error) {
+// version's rows (and the version its indices live in) without running;
+// any other node runs.
+func (ctx *execCtx) joinInput(n Node, v *View) (*ViewVersion, [][]uint32, error) {
 	if v == nil {
 		rows, err := ctx.run(n)
 		return nil, rows, err
 	}
-	vm, err := ctx.views.view(v)
-	if err != nil {
-		return nil, nil, err
-	}
-	return vm, vm.rows, nil
+	return ctx.views.view(v)
 }
 
 func concat(a, b []uint32) []uint32 {

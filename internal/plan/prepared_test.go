@@ -31,13 +31,18 @@ func preparedFixture(t *testing.T) (*instance.Database, *instance.VIndex, func(r
 	return db, ix, enc
 }
 
-// idViews serves already-interned extents through a fill, the way an
-// epoch serves its live extents.
+// idViews serves already-interned extents as view versions, the way an
+// epoch serves its live extents; a view's arity is its first row's width.
 func idViews(ix *instance.VIndex, rows map[string][][]uint32) *plan.PreparedViews {
-	return plan.NewLazyPreparedViews(ix.Dict(), func(name string) ([][]uint32, bool) {
-		ext, ok := rows[name]
-		return ext, ok
-	})
+	views := make(map[string]*plan.ViewVersion, len(rows))
+	for name, ext := range rows {
+		arity := 0
+		if len(ext) > 0 {
+			arity = len(ext[0])
+		}
+		views[name] = plan.NewViewVersion(arity, func() [][]uint32 { return ext })
+	}
+	return plan.NewPreparedViews(ix.Dict(), views)
 }
 
 // TestPreparedIDViewsServeWithoutReencoding covers the zero-copy path: a
@@ -70,35 +75,22 @@ func TestPreparedIDViewsServeWithoutReencoding(t *testing.T) {
 	}
 }
 
-// TestLazyPreparedViewsResolveOnceUnderConcurrency covers the epoch
-// publication path: a lazy view set resolves extents through a
-// thread-safe fill whose expensive merge runs on FIRST read only (the
-// provider memoizes, mirroring the sharded epoch's per-view sync.Once),
-// and the merge never runs for views no plan reads.
-func TestLazyPreparedViewsResolveOnceUnderConcurrency(t *testing.T) {
+// TestViewVersionResolveOnceUnderConcurrency covers the epoch
+// publication path: a view version resolves its extent through a compute
+// function that runs on the version's FIRST read only, however many
+// readers race for it, and never for views no plan reads.
+func TestViewVersionResolveOnceUnderConcurrency(t *testing.T) {
 	db, ix, enc := preparedFixture(t)
-	var fills, untouchedFills atomic.Int64
-	memo := func(name string, counter *atomic.Int64, rows ...string) func() [][]uint32 {
-		var once sync.Once
-		var ext [][]uint32
-		return func() [][]uint32 {
-			once.Do(func() {
-				counter.Add(1)
-				ext = enc(rows...)
-			})
-			return ext
-		}
+	var computes, untouchedComputes atomic.Int64
+	version := func(counter *atomic.Int64, rows ...string) *plan.ViewVersion {
+		return plan.NewViewVersion(1, func() [][]uint32 {
+			counter.Add(1)
+			return enc(rows...)
+		})
 	}
-	views := map[string]func() [][]uint32{
-		"V":         memo("V", &fills, "a", "b"),
-		"Untouched": memo("Untouched", &untouchedFills, "x"),
-	}
-	pv := plan.NewLazyPreparedViews(db.Dict, func(name string) ([][]uint32, bool) {
-		f, ok := views[name]
-		if !ok {
-			return nil, false
-		}
-		return f(), true
+	pv := plan.NewPreparedViews(db.Dict, map[string]*plan.ViewVersion{
+		"V":         version(&computes, "a", "b"),
+		"Untouched": version(&untouchedComputes, "x"),
 	})
 	node := &plan.View{Name: "V", Cols: []string{"x"}}
 
@@ -121,11 +113,11 @@ func TestLazyPreparedViewsResolveOnceUnderConcurrency(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := fills.Load(); n != 1 {
-		t.Fatalf("merge ran %d times for one view, want 1 (provider memoization)", n)
+	if n := computes.Load(); n != 1 {
+		t.Fatalf("compute ran %d times for one view version, want 1", n)
 	}
-	if n := untouchedFills.Load(); n != 0 {
-		t.Fatalf("merge ran %d times for a view no plan read, want 0", n)
+	if n := untouchedComputes.Load(); n != 0 {
+		t.Fatalf("compute ran %d times for a view no plan read, want 0", n)
 	}
 
 	// Unknown views error.

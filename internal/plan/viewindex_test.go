@@ -2,6 +2,7 @@ package plan_test
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -488,11 +489,13 @@ func TestViewIndexDifferentialRandom(t *testing.T) {
 	wg.Wait()
 }
 
-// TestViewIndexBuiltOncePerEpoch is the scale-independence pin: however
-// many executions of ξ0 follow, concurrent or not, a lazy view set (one
-// serving epoch) resolves V1 — and so scans it — exactly once; a new
-// epoch resolves it once more.
-func TestViewIndexBuiltOncePerEpoch(t *testing.T) {
+// TestViewIndexBuiltOncePerVersion is the scale-independence pin:
+// however many executions of ξ0 follow, from 8 concurrent readers, a view
+// version resolves V1 — and so scans it — and builds its join index
+// exactly once. A view set derived from it that keeps V1 (the epoch after
+// a batch that left V1 unchanged) shares both; one that replaces V1
+// resolves and indexes the new version exactly once.
+func TestViewIndexBuiltOncePerVersion(t *testing.T) {
 	m := workload.NewMovies(20)
 	db := m.Generate(workload.MoviesParams{Persons: 300, Movies: 300, LikesPerPerson: 4, NASAShare: 5, Seed: 2})
 	views, err := eval.Materialize(m.Views(), db)
@@ -507,22 +510,18 @@ func TestViewIndexBuiltOncePerEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := map[string][][]uint32{}
-	for name, rows := range views {
-		for _, r := range rows {
-			ids[name] = append(ids[name], db.Dict.Encode(r))
-		}
+	var ids [][]uint32
+	for _, r := range views["V1"] {
+		ids = append(ids, db.Dict.Encode(r))
 	}
-	var fills atomic.Int64
-	epoch := func() *plan.PreparedViews {
-		return plan.NewLazyPreparedViews(db.Dict, func(name string) ([][]uint32, bool) {
-			fills.Add(1)
-			rows, ok := ids[name]
-			return rows, ok
+	var computes atomic.Int64
+	version := func() *plan.ViewVersion {
+		return plan.NewViewVersion(1, func() [][]uint32 {
+			computes.Add(1)
+			return ids
 		})
 	}
-	for e := 1; e <= 2; e++ {
-		pv := epoch()
+	read := func(pv *plan.PreparedViews, what string) *plan.ViewVersion {
 		var wg sync.WaitGroup
 		for r := 0; r < 8; r++ {
 			wg.Add(1)
@@ -531,23 +530,46 @@ func TestViewIndexBuiltOncePerEpoch(t *testing.T) {
 				for j := 0; j < 25; j++ {
 					got, _, err := plan.Run(m.Fig1Plan(), vx, pv)
 					if err != nil || canonRows(got) != canonRows(want) {
-						t.Errorf("epoch %d: err=%v, %d rows want %d", e, err, len(got), len(want))
+						t.Errorf("%s: err=%v, %d rows want %d", what, err, len(got), len(want))
 						return
 					}
 				}
 			}()
 		}
 		wg.Wait()
-		if n := fills.Load(); n != int64(e) {
-			t.Fatalf("after epoch %d: V1 resolved %d times, want %d (once per epoch)", e, n, e)
-		}
+		v1, _ := pv.View("V1")
+		return v1
+	}
+
+	first := plan.NewPreparedViews(db.Dict, map[string]*plan.ViewVersion{"V1": version()})
+	v1 := read(first, "first version")
+	built := plan.BuiltIndices(v1)
+	if n := computes.Load(); n != 1 || len(built) != 1 {
+		t.Fatalf("first version: V1 resolved %d times and %d indices built, want 1 and 1", n, len(built))
+	}
+
+	kept := read(first.With(nil), "derived set keeping V1")
+	if kept != v1 {
+		t.Fatal("a derived view set that keeps V1 serves another version of it")
+	}
+	if n := computes.Load(); n != 1 || !maps.Equal(plan.BuiltIndices(v1), built) {
+		t.Fatalf("derived set keeping V1: V1 resolved %d times in all (want 1), indices %v, want %v",
+			n, plan.BuiltIndices(v1), built)
+	}
+
+	replaced := read(first.With(map[string]*plan.ViewVersion{"V1": version()}), "derived set replacing V1")
+	if replaced == v1 {
+		t.Fatal("a derived view set that replaces V1 serves the old version")
+	}
+	rebuilt := plan.BuiltIndices(replaced)
+	if n := computes.Load(); n != 2 || len(rebuilt) != 1 || maps.Equal(rebuilt, built) {
+		t.Fatalf("derived set replacing V1: V1 resolved %d times in all (want 2), indices %v (old %v)", n, rebuilt, built)
 	}
 }
 
 // TestViewWidthErrorEveryCall checks that a view whose rows do not match
-// the node's width fails every execution — the width scan runs once per
-// view set, its verdict is remembered — on the scan, σ[col = c] and join
-// paths alike.
+// the node's width fails every execution — the version's arity is checked
+// on every read — on the scan, σ[col = c] and join paths alike.
 func TestViewWidthErrorEveryCall(t *testing.T) {
 	_, ix, enc := preparedFixture(t)
 	pv := idViews(ix, map[string][][]uint32{"V": enc("a", "b")})

@@ -10,7 +10,9 @@
 // and batched deltas are routed per shard and maintained concurrently on
 // the internal/par pool. Every batch publishes
 // one immutable, cross-shard-consistent Epoch that readers use without
-// locks. P = 1 is the default: the single shard takes every row and
+// locks; its views are plan.ViewVersions, and only the views the batch
+// changed get new ones, so every other view keeps its rows and join
+// indices. P = 1 is the default: the single shard takes every row and
 // routing is skipped.
 //
 // The paper's scale-independence story composes with partitioning: a
@@ -27,6 +29,7 @@ import (
 
 	"repro/internal/access"
 	"repro/internal/cq"
+	"repro/internal/intern"
 	"repro/internal/schema"
 )
 
@@ -37,19 +40,35 @@ const (
 )
 
 // hashVals hashes a sequence of domain values byte-wise. Routing hashes
-// string values (not interned IDs) so rows can be placed without touching
-// the dictionary and probes can be routed from either representation.
+// string values (not interned IDs), so placement does not depend on the
+// order values were interned in and rows and probes can be routed from
+// either representation (hashIDs).
 func hashVals(vals []string) uint64 {
 	h := uint64(fnvOffset64)
 	for _, v := range vals {
-		for i := 0; i < len(v); i++ {
-			h ^= uint64(v[i])
-			h *= fnvPrime64
-		}
-		h ^= 0x1f // value separator, so ("ab","c") != ("a","bc")
-		h *= fnvPrime64
+		h = hashVal(h, v)
 	}
 	return h
+}
+
+// hashIDs is hashVals of the strings of row's IDs at pos, read in place
+// from d: nothing is decoded or allocated.
+func hashIDs(d *intern.Dict, row []uint32, pos []int) uint64 {
+	h := uint64(fnvOffset64)
+	for _, p := range pos {
+		h = hashVal(h, d.Str(row[p]))
+	}
+	return h
+}
+
+// hashVal folds one value's bytes and the value separator into h.
+func hashVal(h uint64, v string) uint64 {
+	for i := 0; i < len(v); i++ {
+		h ^= uint64(v[i])
+		h *= fnvPrime64
+	}
+	h ^= 0x1f // value separator, so ("ab","c") != ("a","bc")
+	return h * fnvPrime64
 }
 
 // relRoute is one relation's partitioning rule: rows are placed by the
@@ -176,6 +195,12 @@ func (pt *Partition) ShardOfRow(rel string, row []string) int {
 		vals[i] = row[p]
 	}
 	return int(hashVals(vals) % uint64(pt.P))
+}
+
+// ShardOfIDs returns the shard owning an ID-encoded row of the named
+// relation: ShardOfRow of the decoded row, without decoding it.
+func (pt *Partition) ShardOfIDs(d *intern.Dict, rel string, row []uint32) int {
+	return int(hashIDs(d, row, pt.rels[rel].Pos) % uint64(pt.P))
 }
 
 // Route returns the fetch route of a constraint (nil for unknown ones).

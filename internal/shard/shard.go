@@ -88,10 +88,12 @@ type DeltaStats struct {
 }
 
 // Epoch is one published, immutable version of the whole sharded state:
-// every shard's fetch-index version, the gathered view extents and the
-// statistics, all installed by a single atomic pointer swap — so a
-// reader pinning an Epoch sees one cross-shard-consistent state and a
-// batch can never be observed applied on some shards and not others.
+// every shard's fetch-index version, the view set and the statistics, all
+// installed by a single atomic pointer swap — so a reader pinning an
+// Epoch sees one cross-shard-consistent state and a batch can never be
+// observed applied on some shards and not others. The view set holds one
+// plan.ViewVersion per view: a view the batch left unchanged keeps the
+// previous epoch's version, with its flattened rows and join indices.
 //
 // Epoch implements plan.Source (accounting-free): fetches whose
 // constraint binds the partition key probe the one owning shard's index
@@ -101,7 +103,6 @@ type Epoch struct {
 	part       *Partition
 	dict       *intern.Dict
 	vixes      []*instance.VIndex
-	views      map[string]*gatheredView // per-view pinned (lazily merged) extents
 	pv         *plan.PreparedViews
 	stats      *plan.Stats
 	statsVer   uint64
@@ -119,50 +120,29 @@ func (e *Epoch) probe(i int) {
 	}
 }
 
-// gatheredView is one view's extent as pinned by an epoch: the immutable
-// chunked header(s) the engines published (one per shard for a
-// shard-local view, else the global engine's), flattened into the
-// [][]uint32 readers get on FIRST read and memoized — so a write-heavy
-// epoch never pays for views nobody reads, and an unchanged view shares
-// its gatheredView (and memo) with every later epoch until it next
-// changes.
-type gatheredView struct {
-	once    sync.Once
-	rows    [][]uint32
-	compute func() [][]uint32
-}
-
-func (g *gatheredView) get() [][]uint32 {
-	g.once.Do(func() {
-		g.rows = g.compute()
-		g.compute = nil
-	})
-	return g.rows
-}
-
 // Seq returns the epoch's sequence number.
 func (e *Epoch) Seq() uint64 { return e.seq }
 
 // Dict returns the shared dictionary, making the epoch a plan.Source.
 func (e *Epoch) Dict() *intern.Dict { return e.dict }
 
-// ViewIDs returns one view's gathered extent as of this epoch (merging
-// lazily on first read). The rows are immutable; treat them as read-only.
+// ViewIDs returns one view's gathered extent as of this epoch (merged on
+// its version's first read). The rows are immutable; treat them as read-only.
 func (e *Epoch) ViewIDs(name string) ([][]uint32, bool) {
-	gv, ok := e.views[name]
+	vv, ok := e.pv.View(name)
 	if !ok {
 		return nil, false
 	}
-	return gv.get(), true
+	return vv.Rows(), true
 }
 
 // AllViewIDs returns every view's gathered extent as of this epoch,
 // forcing any pending merges. The map is fresh; the row sets are
 // immutable.
 func (e *Epoch) AllViewIDs() map[string][][]uint32 {
-	out := make(map[string][][]uint32, len(e.views))
-	for name, gv := range e.views {
-		out[name] = gv.get()
+	out := make(map[string][][]uint32)
+	for name, vv := range e.pv.All() {
+		out[name] = vv.Rows()
 	}
 	return out
 }
@@ -196,11 +176,7 @@ func (e *Epoch) FetchIDs(c *access.Constraint, xval []uint32) ([][]uint32, error
 		return nil, fmt.Errorf("shard: fetch on %s expects %d input values, got %d", c, len(c.X), len(xval))
 	}
 	if r.XPos != nil {
-		vals := make([]string, len(r.XPos))
-		for i, p := range r.XPos {
-			vals[i] = e.dict.Str(xval[p])
-		}
-		si := int(hashVals(vals) % uint64(len(e.vixes)))
+		si := int(hashIDs(e.dict, xval, r.XPos) % uint64(len(e.vixes)))
 		e.probe(si)
 		return e.vixes[si].FetchIDs(c, xval)
 	}
@@ -346,7 +322,7 @@ func Open(d *intern.Dict, rows map[string][][]uint32, s *schema.Schema, a *acces
 			continue
 		}
 		for _, row := range rows[r.Name] {
-			i := pt.ShardOfRow(r.Name, d.Decode(row))
+			i := pt.ShardOfIDs(d, r.Name, row)
 			parts[i][r.Name] = append(parts[i][r.Name], row)
 		}
 	}
@@ -372,14 +348,17 @@ func Open(d *intern.Dict, rows map[string][][]uint32, s *schema.Schema, a *acces
 	}); err != nil {
 		return nil, err
 	}
-	sh.stats = sh.seedStats(rows)
 
-	dirty := make(map[string]bool, len(views))
+	// Pin every view once: the opening epoch serves the headers, and the
+	// statistics are seeded by walking them.
+	headers := make(map[string][]eval.ExtentHeader, len(views))
+	pinned := make(map[string]*plan.ViewVersion, len(views))
 	for name := range views {
-		dirty[name] = true
+		headers[name], pinned[name] = sh.pin(name)
 	}
+	sh.stats = sh.seedStats(rows, headers)
 	sh.seq = cfg.InitialSeq
-	sh.publish(nil, dirty)
+	sh.publish(plan.NewPreparedViews(d, pinned))
 	return sh, nil
 }
 
@@ -453,20 +432,10 @@ func (s *Sharded) LocalViews() (local, global []string) {
 	return local, global
 }
 
-// publish pins the next epoch's views (re-pinning only the dirty ones,
-// reusing the rest — including their merge memo — from prev) and its
-// statistics, and installs it. Callers hold batchMu (or have exclusive
-// access, as in Open).
-func (s *Sharded) publish(prev *Epoch, dirty map[string]bool) {
-	views := make(map[string]*gatheredView, len(s.views))
-	if prev != nil {
-		for name, gv := range prev.views {
-			views[name] = gv
-		}
-	}
-	for name := range dirty {
-		views[name] = s.pinView(name)
-	}
+// publish installs the next epoch over the view set pv and the shards'
+// current index versions and statistics. Callers hold batchMu (or have
+// exclusive access, as in Open).
+func (s *Sharded) publish(pv *plan.PreparedViews) {
 	vixes := make([]*instance.VIndex, len(s.shards))
 	sizes := make([]int, len(s.shards))
 	size := 0
@@ -475,46 +444,48 @@ func (s *Sharded) publish(prev *Epoch, dirty map[string]bool) {
 		sizes[i] = st.eng.Size()
 		size += sizes[i]
 	}
-	e := &Epoch{
+	s.cur.Store(&Epoch{
 		seq:        s.seq,
 		part:       s.part,
 		dict:       s.dict,
 		vixes:      vixes,
-		views:      views,
+		pv:         pv,
 		stats:      s.stats.stats(s.schema),
 		statsVer:   s.statsVer,
 		size:       size,
 		shardSizes: sizes,
 		probes:     s.cfg.Probes,
-	}
-	e.pv = plan.NewLazyPreparedViews(s.dict, e.ViewIDs)
+	})
 	s.seq++
-	s.cur.Store(e)
 }
 
-// pinView pins one view's extent for the next epoch: the global engine's
-// copy-on-write header for a global view, else the per-shard headers,
-// concatenated lazily (a shard-local view's head fixes the shard, so the
-// shards' extents are disjoint and their concatenation is exactly the set
-// one engine over all of D would serve). Pinning copies one pointer per
-// 32 rows; flattening waits for a reader.
-func (s *Sharded) pinView(name string) *gatheredView {
-	if !s.local[name] {
-		return &gatheredView{compute: s.g.PublishExtentIDs(name).Rows}
+// pin pins one view's extent for the next epoch — the global engine's
+// copy-on-write header for a global view, else one header per shard —
+// and returns the headers and the view version serving their
+// concatenation, flattened on its first read (a shard-local view's head
+// fixes the shard, so the shards' extents are disjoint and their
+// concatenation is exactly the set one engine over all of D would serve).
+// Pinning copies one pointer per 32 rows.
+func (s *Sharded) pin(name string) ([]eval.ExtentHeader, *plan.ViewVersion) {
+	var hs []eval.ExtentHeader
+	if s.local[name] {
+		for _, st := range s.shards {
+			hs = append(hs, st.eng.PublishExtentIDs(name))
+		}
+	} else {
+		hs = []eval.ExtentHeader{s.g.PublishExtentIDs(name)}
 	}
-	headers := make([]eval.ExtentHeader, len(s.shards))
-	total := 0
-	for i, st := range s.shards {
-		headers[i] = st.eng.PublishExtentIDs(name)
-		total += headers[i].Len()
-	}
-	return &gatheredView{compute: func() [][]uint32 {
-		out := make([][]uint32, 0, total)
-		for _, h := range headers {
+	return hs, plan.NewViewVersion(s.views[name].Arity(), func() [][]uint32 {
+		n := 0
+		for _, h := range hs {
+			n += h.Len()
+		}
+		out := make([][]uint32, 0, n)
+		for _, h := range hs {
 			out = h.AppendRows(out)
 		}
 		return out
-	}}
+	})
 }
 
 // Size returns |D| across all shards as of the current epoch.
@@ -664,7 +635,13 @@ func (s *Sharded) ApplyDelta(inserts, deletes []instance.Op) (DeltaStats, error)
 		s.statsChurn = 0
 		stats.StatsRefreshed = true
 	}
-	s.publish(prev, dirty)
+	// Only the dirty views get a new version; the rest keep theirs, with
+	// their rows and indices.
+	changed := make(map[string]*plan.ViewVersion, len(dirty))
+	for name := range dirty {
+		_, changed[name] = s.pin(name)
+	}
+	s.publish(prev.pv.With(changed))
 	return stats, nil
 }
 

@@ -8,7 +8,9 @@ import (
 	"repro/internal/access"
 	"repro/internal/cq"
 	"repro/internal/instance"
+	"repro/internal/plan"
 	"repro/internal/schema"
+	"repro/internal/workload"
 )
 
 func fixtureSchema() (*schema.Schema, *access.Schema) {
@@ -81,6 +83,30 @@ func TestRoutingConsistency(t *testing.T) {
 		if got := int(hashVals(vals) % 7); got != st {
 			t.Fatalf("uid %s: fetch routes to shard %d, row lives on %d", uid, got, st)
 		}
+	}
+
+	// Routing from interned IDs hashes the same bytes: every row of the
+	// Sharded fixture at P = 8 lands on one shard whichever form it is
+	// routed from, and so does the routed fetch key of its uid.
+	w := workload.NewSharded(8)
+	db := w.Generate(300, 5, 3)
+	pt8 := NewPartition(w.Schema, w.Access, 8)
+	route := pt8.Route(w.Txn)
+	rows := 0
+	for rel, ids := range db.IDTables() {
+		for _, row := range ids {
+			want := pt8.ShardOfRow(rel, db.Dict.Decode(row))
+			if got := pt8.ShardOfIDs(db.Dict, rel, row); got != want {
+				t.Fatalf("%s%v: routed to shard %d from IDs, %d from strings", rel, db.Dict.Decode(row), got, want)
+			}
+			if got := int(hashIDs(db.Dict, row[:1], route.XPos) % 8); got != want {
+				t.Fatalf("%s%v: the uid's fetch routes to shard %d, the row lives on %d", rel, db.Dict.Decode(row), got, want)
+			}
+			rows++
+		}
+	}
+	if rows != 300*6 {
+		t.Fatalf("checked %d rows, want %d", rows, 300*6)
 	}
 }
 
@@ -206,6 +232,76 @@ func TestShardedOpenAndPointReads(t *testing.T) {
 	}
 	if len(rows) != 2 {
 		t.Fatalf("broadcast fetch gathered %d distinct projections, want 2", len(rows))
+	}
+}
+
+// TestEpochKeepsUnchangedViewVersions: a batch that changes no view
+// publishes an epoch serving every view from the previous epoch's view
+// version, its rows and indices included; a batch that changes one view
+// serves a new version of that view and the old version of every other.
+func TestEpochKeepsUnchangedViewVersions(t *testing.T) {
+	s, a := fixtureSchema()
+	v := cq.Var
+	views := map[string]*cq.UCQ{
+		"accts": cq.NewUCQ(cq.NewCQ([]cq.Term{v("u"), v("r")},
+			[]cq.Atom{cq.NewAtom("acct", v("u"), v("r"))})),
+		"regions": cq.NewUCQ(cq.NewCQ([]cq.Term{v("r")},
+			[]cq.Atom{cq.NewAtom("acct", v("u"), v("r"))})),
+		"items": cq.NewUCQ(cq.NewCQ([]cq.Term{v("i")},
+			[]cq.Atom{cq.NewAtom("txn", v("u"), v("i"), v("x"))})),
+	}
+	for _, p := range []int{1, 4} {
+		t.Run(fmt.Sprintf("P=%d", p), func(t *testing.T) {
+			db := instance.NewDatabase(s)
+			db.MustInsert("acct", "u1", "emea")
+			db.MustInsert("txn", "u1", "it1", "9")
+			sh, err := Open(db.Dict, db.IDTables(), s, a, views, Config{Shards: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			versions := func() map[string]*plan.ViewVersion {
+				out := make(map[string]*plan.ViewVersion)
+				for name, vv := range sh.Current().Prepared().All() {
+					out[name] = vv
+				}
+				return out
+			}
+			apply := func(ins ...instance.Op) DeltaStats {
+				t.Helper()
+				st, err := sh.ApplyDelta(ins, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st
+			}
+			before := versions()
+			// A relation no view reads, and a second copy of a stored row:
+			// no view's extent moves.
+			st := apply(instance.Op{Rel: "misc", Row: instance.Tuple{"x", "y"}},
+				instance.Op{Rel: "acct", Row: instance.Tuple{"u1", "emea"}})
+			if st.ViewsChanged != 0 {
+				t.Fatalf("the batch changed %d views, want 0", st.ViewsChanged)
+			}
+			kept := versions()
+			for name := range views {
+				if kept[name] != before[name] {
+					t.Fatalf("view %s: a batch that left it unchanged published a new version", name)
+				}
+			}
+			// A new item changes items alone.
+			if st := apply(instance.Op{Rel: "txn", Row: instance.Tuple{"u2", "it2", "1"}}); st.ViewsChanged != 1 {
+				t.Fatalf("the batch changed %d views, want 1", st.ViewsChanged)
+			}
+			after := versions()
+			for name := range views {
+				if changed := name == "items"; (after[name] != kept[name]) != changed {
+					t.Fatalf("view %s: new version %v, want %v", name, after[name] != kept[name], changed)
+				}
+			}
+			if rows, _ := sh.Current().ViewIDs("items"); len(rows) != 2 {
+				t.Fatalf("items serves %d rows after the insert, want 2", len(rows))
+			}
+		})
 	}
 }
 

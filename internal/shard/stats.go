@@ -45,9 +45,9 @@ func (c *colStats) distinct() []int {
 }
 
 // seedStats builds the store from Open's rows, the shard engines'
-// distinct rows and every view's pinned extent, one relation or view per
-// task.
-func (s *Sharded) seedStats(rows map[string][][]uint32) *statsStore {
+// distinct rows and every view's pinned headers, walked chunk by chunk
+// without flattening, one relation or view per task.
+func (s *Sharded) seedStats(rows map[string][][]uint32, headers map[string][]eval.ExtentHeader) *statsStore {
 	st := &statsStore{rels: make(map[string]*colStats), views: make(map[string]*colStats)}
 	newCols := func(arity int) *colStats {
 		c := &colStats{cols: make([]map[uint32]int32, arity)}
@@ -67,12 +67,12 @@ func (s *Sharded) seedStats(rows map[string][][]uint32) *statsStore {
 			}
 		})
 	}
-	for name, def := range s.views {
-		c := newCols(def.Arity())
+	for name, hs := range headers {
+		c := newCols(s.views[name].Arity())
 		st.views[name] = c
 		fills = append(fills, func() {
-			for _, row := range s.pinView(name).get() {
-				c.add(row, +1, 1)
+			for _, h := range hs {
+				h.Each(func(row []uint32) { c.add(row, +1, 1) })
 			}
 		})
 	}
