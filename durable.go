@@ -3,6 +3,7 @@ package repro
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"repro/internal/instance"
 	"repro/internal/intern"
@@ -40,28 +41,27 @@ func (sys *System) walOptions() wal.Options {
 	}
 }
 
-// decodeReplayOps turns one journal record back into a facade batch. The
-// record's dictionary growth is re-interned FIRST, in journal order, and
-// each string must land on exactly the ID it had when journaled — any skew
+// replayOps turns one journal record back into an ID batch. The record's
+// dictionary growth is re-interned FIRST, in journal order, and each
+// string must land on exactly the ID it had when journaled — any skew
 // means the directory does not belong to this state and replay must stop
-// rather than silently misbind rows.
-func decodeReplayOps(dict *intern.Dict, r *wal.Record) (inserts, deletes []Op, err error) {
-	for _, s := range r.Dict {
+// rather than silently misbind rows. The engine trusts its batch, so the
+// rows must pass checkIDRows.
+func replayOps(s *Schema, dict *intern.Dict, r *wal.Record) (inserts, deletes []instance.AppliedOp, err error) {
+	for _, str := range r.Dict {
 		want := dict.Len()
-		if id := dict.ID(s); int(id) != want {
-			return nil, nil, fmt.Errorf("repro: replay epoch %d: dictionary determinism violated: %q interned as id %d, journal expects %d", r.Seq, s, id, want)
+		if id := dict.ID(str); int(id) != want {
+			return nil, nil, fmt.Errorf("repro: replay epoch %d: dictionary determinism violated: %q interned as id %d, journal expects %d", r.Seq, str, id, want)
 		}
 	}
-	n := dict.Len()
-	mk := func(ops []wal.Op) ([]Op, error) {
-		out := make([]Op, len(ops))
+	mk := func(ops []wal.Op) ([]instance.AppliedOp, error) {
+		out := make([]instance.AppliedOp, len(ops))
 		for i, op := range ops {
-			for _, id := range op.Row {
-				if int(id) >= n {
-					return nil, fmt.Errorf("repro: replay epoch %d: row references id %d beyond dictionary size %d", r.Seq, id, n)
-				}
+			rel := r.Rels[op.Rel].Name
+			if err := checkIDRows(s, dict.Len(), rel, op.Row); err != nil {
+				return nil, fmt.Errorf("repro: replay epoch %d: %w", r.Seq, err)
 			}
-			out[i] = Op{Rel: r.Rels[op.Rel].Name, Row: Tuple(dict.Decode(op.Row))}
+			out[i] = instance.AppliedOp{Rel: rel, IDs: op.Row}
 		}
 		return out, nil
 	}
@@ -74,17 +74,17 @@ func decodeReplayOps(dict *intern.Dict, r *wal.Record) (inserts, deletes []Op, e
 	return inserts, deletes, nil
 }
 
-// replayInto drives the recovered log suffix through a handle's normal
-// ApplyDelta (journaling still detached), validating after every record
-// that the replay applied exactly the ops the journal recorded.
-func replayInto(rec *wal.Recovered, dict *intern.Dict, apply func(inserts, deletes []Op) (DeltaStats, error)) (RecoveryInfo, error) {
+// replayInto drives the recovered log suffix through a fresh handle's
+// normal apply path (journaling still detached), validating after every
+// record that the replay applied exactly the ops the journal recorded.
+func replayInto(rec *wal.Recovered, l *Live) (RecoveryInfo, error) {
 	info := RecoveryInfo{CheckpointSeq: rec.Checkpoint.Seq, TornTail: rec.TornTail}
 	for _, r := range rec.Records {
-		ins, dels, err := decodeReplayOps(dict, r)
+		ins, dels, err := replayOps(l.sys.Schema, l.sh.Dict(), r)
 		if err != nil {
 			return info, err
 		}
-		st, err := apply(ins, dels)
+		st, err := l.applyLocked(time.Now(), ins, dels)
 		if err != nil {
 			return info, fmt.Errorf("repro: replay epoch %d: %w", r.Seq, err)
 		}
@@ -101,8 +101,8 @@ func replayInto(rec *wal.Recovered, dict *intern.Dict, apply func(inserts, delet
 // openDurable opens (or recovers) a handle over a durable directory. One
 // log serves all shards: the journal hook receives each batch's combined
 // physical ops (deletes then inserts, in shard order) before the epoch
-// publishes, and replay routes them through the normal per-shard paths,
-// so recovery reproduces the same epochs at any shard count.
+// publishes, and replay applies the journaled ID rows on ApplyDelta's
+// path, so recovery reproduces the same epochs at any shard count.
 func (sys *System) openDurable(db *Database, cfg openConfig) (*Live, error) {
 	log, rec, err := wal.Open(cfg.durDir, sys.walOptions())
 	if err != nil {
@@ -167,7 +167,7 @@ func (sys *System) restore(rec *wal.Recovered, cfg openConfig) (*Live, error) {
 	if err != nil {
 		return nil, fmt.Errorf("repro: recover: %w", err)
 	}
-	info, err := replayInto(rec, dict, l.ApplyDelta)
+	info, err := replayInto(rec, l)
 	if err != nil {
 		return nil, err
 	}
@@ -176,31 +176,40 @@ func (sys *System) restore(rec *wal.Recovered, cfg openConfig) (*Live, error) {
 }
 
 // checkpointRows checks a checkpoint's tables before the engine adopts
-// their rows: each names a relation of s at most once, every row has the
-// relation's arity, and every ID lies below the restored dictionary's
-// length n. The engine trusts its rows, so a corrupt checkpoint must stop
-// here.
+// their rows: each names a relation at most once, and its rows pass
+// checkIDRows against the restored dictionary's length n. The engine
+// trusts its rows, so a corrupt checkpoint must stop here.
 func checkpointRows(s *Schema, n int, tables []wal.TableRows) (map[string][][]uint32, error) {
 	rows := make(map[string][][]uint32, len(tables))
 	for _, t := range tables {
-		rel := s.Relation(t.Rel)
-		if rel == nil {
-			return nil, fmt.Errorf("checkpoint table of unknown relation %s", t.Rel)
-		}
 		if _, dup := rows[t.Rel]; dup {
 			return nil, fmt.Errorf("checkpoint repeats relation %s", t.Rel)
 		}
-		for _, r := range t.Rows {
-			if len(r) != rel.Arity() {
-				return nil, fmt.Errorf("checkpoint %s row has arity %d, want %d", t.Rel, len(r), rel.Arity())
-			}
-			for _, id := range r {
-				if int(id) >= n {
-					return nil, fmt.Errorf("checkpoint %s row references ID %d beyond dictionary length %d", t.Rel, id, n)
-				}
-			}
+		if err := checkIDRows(s, n, t.Rel, t.Rows...); err != nil {
+			return nil, fmt.Errorf("checkpoint: %w", err)
 		}
 		rows[t.Rel] = t.Rows
 	}
 	return rows, nil
+}
+
+// checkIDRows checks ID rows of relation rel from durable state: rel is
+// a relation of s, every row has its arity and every ID lies below the
+// dictionary's length n.
+func checkIDRows(s *Schema, n int, rel string, rows ...[]uint32) error {
+	r := s.Relation(rel)
+	if r == nil {
+		return fmt.Errorf("unknown relation %s", rel)
+	}
+	for _, row := range rows {
+		if len(row) != r.Arity() {
+			return fmt.Errorf("%s row has arity %d, want %d", rel, len(row), r.Arity())
+		}
+		for _, id := range row {
+			if int(id) >= n {
+				return fmt.Errorf("%s row references ID %d beyond dictionary length %d", rel, id, n)
+			}
+		}
+	}
+	return nil
 }

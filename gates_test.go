@@ -286,9 +286,11 @@ func TestGateEpochReadLatency(t *testing.T) {
 // TestGateRecoverRestart times sys.Open to a first served fetch three
 // ways over one final state: a cold rebuild, log replay of a directory
 // never cleanly closed, and a checkpointed restart of one that closed
-// cleanly. The checkpointed restart must be ≥ 10x and the replay ≥ 1.5x
-// faster than the cold rebuild; both must replay the expected number of
-// epochs and end with the cold rebuild's view extents.
+// cleanly. At P = 1 the checkpointed restart must be ≥ 10x and the replay
+// ≥ 1.5x faster than the cold rebuild; at P = 8, where the checkpointed
+// extents are split across the shards, ≥ 5x and ≥ 1.5x. Both must replay
+// the expected number of epochs and end with the cold rebuild's view
+// extents.
 func TestGateRecoverRestart(t *testing.T) {
 	const (
 		users    = 400
@@ -302,82 +304,92 @@ func TestGateRecoverRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := w.Generate(users, txnsPer, 17)
-	dirReplay, dirCkpt := t.TempDir(), t.TempDir()
+	for _, tc := range []struct {
+		shards             int
+		ckptMin, replayMin float64
+	}{{1, 10, 1.5}, {8, 5, 1.5}} {
+		t.Run(fmt.Sprintf("P=%d", tc.shards), func(t *testing.T) {
+			db := w.Generate(users, txnsPer, 17)
+			dirReplay, dirCkpt := t.TempDir(), t.TempDir()
+			shards := WithShards(tc.shards)
 
-	// Drive the identical deterministic stream into both durable dirs and
-	// a plain database that becomes the cold-rebuild input.
-	hReplay, err := sys.Open(db.Clone(), WithDurability(dirReplay), WithCheckpointEvery(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hCkpt, err := sys.Open(db.Clone(), WithDurability(dirCkpt), WithCheckpointEvery(ckptInt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := db.Clone()
-	ch := w.NewChurn(db, 5)
-	for b := 0; b < batches; b++ {
-		ins, del := ch.Batch(batchOps)
-		applyBoth(t, hReplay, hCkpt, ins, del)
-		if _, err := final.ApplyDelta(ins, del); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// hCkpt closes cleanly (final checkpoint); hReplay is abandoned as a
-	// crash would leave it — every batch is in the journal, none folded.
-	if err := hCkpt.Close(); err != nil {
-		t.Fatal(err)
-	}
+			// Drive the identical deterministic stream into both durable
+			// dirs and a plain database that becomes the cold-rebuild input.
+			hReplay, err := sys.Open(db.Clone(), shards, WithDurability(dirReplay), WithCheckpointEvery(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			hCkpt, err := sys.Open(db.Clone(), shards, WithDurability(dirCkpt), WithCheckpointEvery(ckptInt))
+			if err != nil {
+				t.Fatal(err)
+			}
+			final := db.Clone()
+			ch := w.NewChurn(db, 5)
+			for b := 0; b < batches; b++ {
+				ins, del := ch.Batch(batchOps)
+				applyBoth(t, hReplay, hCkpt, ins, del)
+				if _, err := final.ApplyDelta(ins, del); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// hCkpt closes cleanly (final checkpoint); hReplay is abandoned
+			// as a crash would leave it — every batch is in the journal,
+			// none folded.
+			if err := hCkpt.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	timeToServe := func(db *Database, opts ...OpenOption) (Handle, time.Duration) {
-		runtime.GC()
-		t0 := time.Now()
-		h, err := sys.Open(db, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows, err := h.Snapshot().Fetch(w.Acct, Tuple{w.UID(3)})
-		if err != nil || len(rows) == 0 {
-			t.Fatalf("serving probe failed: %d rows, %v", len(rows), err)
-		}
-		return h, time.Since(t0)
-	}
-	hCold, coldD := timeToServe(final)
-	defer hCold.Close()
-	hR, replayD := timeToServe(NewDatabase(sys.Schema), WithDurability(dirReplay), WithCheckpointEvery(0))
-	defer hR.Close()
-	hC, ckptD := timeToServe(NewDatabase(sys.Schema), WithDurability(dirCkpt), WithCheckpointEvery(ckptInt))
-	defer hC.Close()
+			timeToServe := func(db *Database, opts ...OpenOption) (Handle, time.Duration) {
+				runtime.GC()
+				t0 := time.Now()
+				h, err := sys.Open(db, append([]OpenOption{shards}, opts...)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows, err := h.Snapshot().Fetch(w.Acct, Tuple{w.UID(3)})
+				if err != nil || len(rows) == 0 {
+					t.Fatalf("serving probe failed: %d rows, %v", len(rows), err)
+				}
+				return h, time.Since(t0)
+			}
+			hCold, coldD := timeToServe(final)
+			defer hCold.Close()
+			hR, replayD := timeToServe(NewDatabase(sys.Schema), WithDurability(dirReplay), WithCheckpointEvery(0))
+			defer hR.Close()
+			hC, ckptD := timeToServe(NewDatabase(sys.Schema), WithDurability(dirCkpt), WithCheckpointEvery(ckptInt))
+			defer hC.Close()
 
-	ri, ci := hR.(*Live).Recovery(), hC.(*Live).Recovery()
-	if ri.ReplayedEpochs != batches {
-		t.Fatalf("log-replay recovery replayed %d epochs, want %d", ri.ReplayedEpochs, batches)
-	}
-	if ci.ReplayedEpochs != 0 {
-		t.Fatalf("checkpointed recovery replayed %d epochs, want 0 after a clean close", ci.ReplayedEpochs)
-	}
-	// Fast but wrong recovery is worthless; viewFingerprint sorts the
-	// extents (enumeration and incremental arrival order rows apart).
-	coldViews := viewFingerprint(hCold.Views())
-	if viewFingerprint(hR.Views()) != coldViews {
-		t.Fatal("log-replay recovery diverged from the cold rebuild")
-	}
-	if viewFingerprint(hC.Views()) != coldViews {
-		t.Fatal("checkpointed recovery diverged from the cold rebuild")
-	}
+			ri, ci := hR.(*Live).Recovery(), hC.(*Live).Recovery()
+			if ri.ReplayedEpochs != batches {
+				t.Fatalf("log-replay recovery replayed %d epochs, want %d", ri.ReplayedEpochs, batches)
+			}
+			if ci.ReplayedEpochs != 0 {
+				t.Fatalf("checkpointed recovery replayed %d epochs, want 0 after a clean close", ci.ReplayedEpochs)
+			}
+			// Fast but wrong recovery is worthless; viewFingerprint sorts
+			// the extents (enumeration and incremental arrival order rows
+			// apart).
+			coldViews := viewFingerprint(hCold.Views())
+			if viewFingerprint(hR.Views()) != coldViews {
+				t.Fatal("log-replay recovery diverged from the cold rebuild")
+			}
+			if viewFingerprint(hC.Views()) != coldViews {
+				t.Fatal("checkpointed recovery diverged from the cold rebuild")
+			}
 
-	ckptX, replayX := float64(coldD)/float64(ckptD), float64(coldD)/float64(replayD)
-	t.Logf("|Dfinal| = %d; cold rebuild %s, log replay (%d epochs, %d ops) %s, checkpointed restart %s",
-		final.Size(), coldD.Round(time.Microsecond), ri.ReplayedEpochs, ri.ReplayedOps,
-		replayD.Round(time.Microsecond), ckptD.Round(time.Microsecond))
-	t.Logf("gate: checkpointed restart %.1fx >= 10x cold", ckptX)
-	t.Logf("gate: log replay %.1fx >= 1.5x cold", replayX)
-	if ckptX < 10 {
-		t.Errorf("checkpointed restart is only %.1fx faster than a cold rebuild (gate: >= 10x)", ckptX)
-	}
-	if replayX < 1.5 {
-		t.Errorf("log-replay recovery is only %.1fx faster than a cold rebuild (gate: >= 1.5x)", replayX)
+			ckptX, replayX := float64(coldD)/float64(ckptD), float64(coldD)/float64(replayD)
+			t.Logf("P = %d, |Dfinal| = %d; cold rebuild %s, log replay (%d epochs, %d ops) %s, checkpointed restart %s",
+				tc.shards, final.Size(), coldD.Round(time.Microsecond), ri.ReplayedEpochs, ri.ReplayedOps,
+				replayD.Round(time.Microsecond), ckptD.Round(time.Microsecond))
+			t.Logf("gate: P = %d checkpointed restart %.1fx >= %gx cold", tc.shards, ckptX, tc.ckptMin)
+			t.Logf("gate: P = %d log replay %.1fx >= %gx cold", tc.shards, replayX, tc.replayMin)
+			if ckptX < tc.ckptMin {
+				t.Errorf("checkpointed restart is only %.1fx faster than a cold rebuild (gate: >= %gx)", ckptX, tc.ckptMin)
+			}
+			if replayX < tc.replayMin {
+				t.Errorf("log-replay recovery is only %.1fx faster than a cold rebuild (gate: >= %gx)", replayX, tc.replayMin)
+			}
+		})
 	}
 }
 

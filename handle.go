@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -9,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/eval"
+	"repro/internal/instance"
 	"repro/internal/intern"
 	"repro/internal/obs"
 	"repro/internal/plan"
@@ -137,7 +137,7 @@ type OpenOption func(*openConfig)
 // WithShards hash-partitions the database into p shards: batched deltas
 // are routed per shard and maintained concurrently, and fetches whose
 // constraint binds the partition key become single-shard point reads.
-// The default is p = 1, where routing is compiled away. Open rejects
+// The default is p = 1, served by the same code path. Open rejects
 // p < 1.
 func WithShards(p int) OpenOption { return func(c *openConfig) { c.shards = p } }
 
@@ -406,13 +406,9 @@ func (s *Snapshot) Fetch(c *Constraint, xval Tuple) ([]Tuple, error) {
 	if len(xval) != len(c.X) {
 		return nil, fmt.Errorf("repro: fetch on %s expects %d input values, got %d", c, len(c.X), len(xval))
 	}
-	key := make([]uint32, len(xval))
-	for i, v := range xval {
-		id, ok := s.e.Dict().Lookup(v)
-		if !ok {
-			return nil, nil // value never interned: no row can match
-		}
-		key[i] = id
+	key, ok := s.e.Dict().LookupRow(xval)
+	if !ok {
+		return nil, nil // value never interned: no row can match
 	}
 	idRows, err := s.e.FetchIDs(c, key)
 	if err != nil {
@@ -446,8 +442,8 @@ type DeltaStats struct {
 }
 
 // Live is the serving handle. The rows it was opened over are
-// hash-partitioned into P shards (WithShards; P = 1 by default, where
-// routing compiles away), each owning its rows, fetch-index versions and
+// hash-partitioned into P shards (WithShards; P = 1 by default), each
+// owning its rows, fetch-index versions and
 // view-maintenance engine; views that are not shard-local (a join across
 // partition keys, or a head that drops the key) are maintained by one
 // global engine, and one store keeps the statistics. Fetches whose
@@ -486,8 +482,8 @@ type Live struct {
 
 // newLive builds a handle over ID-encoded rows interned through d (see
 // shard.Open). ck, when non-nil, is the checkpoint the rows were restored
-// from: its epoch number and (at P = 1) counted view extents seed the
-// engine instead of being recomputed.
+// from: its epoch number and counted view extents seed the engine instead
+// of being recomputed, at any shard count.
 func (sys *System) newLive(d *intern.Dict, rows map[string][][]uint32, cfg openConfig, ck *wal.Checkpoint) (*Live, error) {
 	scfg := shard.Config{Shards: cfg.shards}
 	// The metrics core stays nil when disabled: every recording site is
@@ -507,7 +503,7 @@ func (sys *System) newLive(d *intern.Dict, rows map[string][][]uint32, cfg openC
 			}
 		}
 	}
-	sh, err := shard.Open(d, rows, sys.Schema, sys.Access, sys.Views, scfg)
+	sh, e, err := shard.Open(d, rows, sys.Schema, sys.Access, sys.Views, scfg)
 	if err != nil {
 		return nil, err
 	}
@@ -515,7 +511,7 @@ func (sys *System) newLive(d *intern.Dict, rows map[string][][]uint32, cfg openC
 	l.registerGauges()
 	// A restored checkpoint's epoch enters the ring before replay, so the
 	// replayed batches retire it through the normal eviction path.
-	l.publishEpoch()
+	l.publishEpoch(e)
 	return l, nil
 }
 
@@ -549,8 +545,8 @@ func (l *Live) registerGauges() {
 // an epoch is addressable through At by the time Snapshot can observe it
 // as current. Called with the writer lock held (or exclusive access, as
 // in newLive).
-func (l *Live) publishEpoch() {
-	es := &epochState{Epoch: l.sh.Current()}
+func (l *Live) publishEpoch(e *shard.Epoch) {
+	es := &epochState{Epoch: e}
 	l.lc.push(es)
 	l.cur.Store(es)
 	if l.met != nil {
@@ -607,7 +603,8 @@ func (l *Live) metricsCore() *obs.Core { return l.met }
 // routed per shard and maintained concurrently, and publishes the next
 // epoch. Per-batch cost depends on the data the delta's residual joins
 // touch, not on |D|. Readers are never blocked: they stay on the previous
-// epoch until the new one is published atomically.
+// epoch until the new one is published atomically. The batch is validated,
+// then interned once in batch order, so IDs do not depend on P.
 func (l *Live) ApplyDelta(inserts, deletes []Op) (DeltaStats, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -615,20 +612,25 @@ func (l *Live) ApplyDelta(inserts, deletes []Op) (DeltaStats, error) {
 		return DeltaStats{}, ErrClosed
 	}
 	t0 := time.Now()
-	st, err := l.sh.ApplyDelta(inserts, deletes)
-	if err != nil {
-		// ErrTorn covers every post-mutation failure (a shard's index or
-		// maintenance engine, the global engine, the journal): the
-		// writer-side state no longer matches the published epoch, so
-		// fence like Close — reads keep serving the last published epoch.
-		// Pure validation errors leave every shard intact and the handle
-		// open.
-		if errors.Is(err, shard.ErrTorn) || (l.wal != nil && l.wal.Err() != nil) {
-			l.closed = true
-		}
+	if err := instance.Validate(l.sys.Schema, inserts, deletes); err != nil {
 		return DeltaStats{}, err
 	}
-	l.publishEpoch()
+	ins, del := instance.Encode(l.sh.Dict(), inserts, deletes)
+	return l.applyLocked(t0, ins, del)
+}
+
+// applyLocked applies a validated ID batch, publishes its epoch and
+// checkpoints when due: ApplyDelta's path and log replay's. Callers hold
+// l.mu (or have exclusive access, as replay does).
+func (l *Live) applyLocked(t0 time.Time, inserts, deletes []instance.AppliedOp) (DeltaStats, error) {
+	st, e, err := l.sh.ApplyDelta(inserts, deletes)
+	if err != nil {
+		// Every engine error is post-mutation (shard.ErrTorn): fence like
+		// Close; reads keep serving the last published epoch.
+		l.closed = true
+		return DeltaStats{}, err
+	}
+	l.publishEpoch(e)
 	if l.wal != nil {
 		l.sinceCkpt++
 		if l.ckptEvery > 0 && l.sinceCkpt >= l.ckptEvery {
@@ -652,10 +654,10 @@ func (l *Live) ApplyDelta(inserts, deletes []Op) (DeltaStats, error) {
 
 // checkpointLocked serializes the current epoch into the log: the
 // relations' ID rows (schema order; per-shard rows concatenated in shard
-// order), plus at P = 1 the counted view extents, which spare a restart
-// the view enumeration. Callers hold l.mu.
+// order) and every view's counted extent, which spares a restart at any
+// shard count the view enumeration. Callers hold l.mu.
 func (l *Live) checkpointLocked() error {
-	ck := &wal.Checkpoint{Seq: l.sh.Seq()}
+	ck := &wal.Checkpoint{Seq: l.cur.Load().Seq()}
 	tables := l.sh.CheckpointTables()
 	for _, rel := range l.sys.Schema.Relations {
 		ck.Tables = append(ck.Tables, wal.TableRows{Rel: rel.Name, Rows: tables[rel.Name]})
@@ -684,10 +686,10 @@ func (l *Live) Views() map[string][][]string {
 func (l *Live) Size() int { return l.cur.Load().Size() }
 
 // ShardCount returns the number of partitions.
-func (l *Live) ShardCount() int { return l.sh.ShardCount() }
+func (l *Live) ShardCount() int { return len(l.ShardSizes()) }
 
 // ShardSizes returns |D_p| for every partition.
-func (l *Live) ShardSizes() []int { return l.sh.ShardSizes() }
+func (l *Live) ShardSizes() []int { return l.cur.Load().ShardSizes() }
 
 // LocalViews reports which views are maintained shard-locally (at P = 1
 // every view) and which by the cross-shard global engine.

@@ -25,12 +25,16 @@ type Constraint struct {
 	X   []string // input attributes (possibly empty)
 	Y   []string // output attributes
 	N   int      // cardinality bound
+
+	key string // Key(), computed once so the per-fetch lookups allocate nothing
 }
 
 // NewConstraint builds a constraint, normalizing the attribute lists
 // (sorted, de-duplicated) so that equality of constraints is syntactic.
 func NewConstraint(rel string, x, y []string, n int) *Constraint {
-	return &Constraint{Rel: rel, X: normalize(x), Y: normalize(y), N: n}
+	c := &Constraint{Rel: rel, X: normalize(x), Y: normalize(y), N: n}
+	c.key = c.Key()
+	return c
 }
 
 func normalize(attrs []string) []string {
@@ -111,7 +115,10 @@ func (c *Constraint) Validate(s *schema.Schema) error {
 // Key returns a canonical identifier for the constraint, used for index
 // lookup and de-duplication.
 func (c *Constraint) Key() string {
-	return c.Rel + "(" + strings.Join(c.X, ",") + "->" + strings.Join(c.Y, ",") + ")"
+	if c.key == "" { // built as a literal, not by NewConstraint
+		return c.Rel + "(" + strings.Join(c.X, ",") + "->" + strings.Join(c.Y, ",") + ")"
+	}
+	return c.key
 }
 
 // String renders the constraint in the paper's notation R(X -> Y, N).

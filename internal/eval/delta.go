@@ -143,15 +143,22 @@ type valSrc struct {
 // d: rows maps each relation of s the engine stores to its rows (a
 // multiset), and every relation a view reads must be among them. It
 // compiles the views' delta plans, builds the join indexes and
-// multiplicities, and computes the initial counted extents. Unsatisfiable
-// disjuncts (inconsistent equalities) are dropped; unsafe disjuncts
-// (unbound head variable) and atoms over relations the engine does not
-// store are errors, mirroring UCQOnDB. The rows are shared, never
-// mutated.
-func NewDeltaEngine(s *schema.Schema, d *intern.Dict, rows map[string][][]uint32, views map[string]*cq.UCQ) (*DeltaEngine, error) {
-	e, inits, err := newEngine(s, d, rows, views, true)
+// multiplicities, and computes the initial counted extents — or, with
+// non-nil extents, seeds them (see seed), skipping the enumeration.
+// Unsatisfiable disjuncts (inconsistent equalities) are dropped; unsafe
+// disjuncts (unbound head variable) and atoms over relations the engine
+// does not store are errors, mirroring UCQOnDB. The rows are shared,
+// never mutated.
+func NewDeltaEngine(s *schema.Schema, d *intern.Dict, rows map[string][][]uint32, views map[string]*cq.UCQ, extents map[string]Extent) (*DeltaEngine, error) {
+	e, inits, err := newEngine(s, d, rows, views, extents == nil)
 	if err != nil {
 		return nil, err
+	}
+	if extents != nil {
+		if err := e.seed(extents); err != nil {
+			return nil, err
+		}
+		return e, nil
 	}
 	// Initial extents: enumerate every derivation through the full plans.
 	for _, p := range inits {
@@ -191,7 +198,7 @@ func (e *DeltaEngine) dropUnprobedIndexes() {
 // Extent is one view's checkpointed counted extent: the extent rows in
 // publication order, each paired with its derivation count. It is the unit
 // the write-ahead log's checkpointer serializes and the restore path
-// (NewDeltaEngineWithExtents) seeds from, skipping the initial full-plan
+// (NewDeltaEngine with extents) seeds from, skipping the initial full-plan
 // enumeration.
 type Extent struct {
 	Rows   [][]uint32
@@ -217,52 +224,48 @@ func (e *DeltaEngine) CheckpointExtents() map[string]Extent {
 	return out
 }
 
-// NewDeltaEngineWithExtents builds an engine whose counted extents are
-// seeded from a checkpoint instead of enumerated from scratch: delta plans
-// are compiled and the join indexes / multiplicities are rebuilt by a
-// linear scan of rows (deterministic from the rows), but the expensive
-// initial full-plan enumeration is skipped entirely — the recovery fast
-// path. The extents MUST be the ones a CheckpointExtents call produced
-// against the same rows and view set; mismatches that are cheap to detect
-// (unknown view, arity, duplicate or non-positive counts) are errors.
-func NewDeltaEngineWithExtents(s *schema.Schema, d *intern.Dict, rows map[string][][]uint32, views map[string]*cq.UCQ, extents map[string]Extent) (*DeltaEngine, error) {
-	e, _, err := newEngine(s, d, rows, views, false)
-	if err != nil {
-		return nil, err
-	}
+// seed installs checkpointed counted extents instead of enumerating
+// them: the delta plans are compiled and the join indexes and
+// multiplicities rebuilt by a linear scan of the rows (deterministic from
+// the rows), but the expensive initial full-plan enumeration is skipped
+// entirely — the recovery fast path. The extents MUST be the ones a
+// CheckpointExtents call produced against the same rows and view set;
+// mismatches that are cheap to detect (a view with no extent, arity,
+// duplicate or non-positive counts) are errors.
+func (e *DeltaEngine) seed(extents map[string]Extent) error {
 	for _, name := range e.names {
 		v := e.views[name]
 		ext, ok := extents[name]
 		if !ok {
-			return nil, fmt.Errorf("eval: restore: no checkpointed extent for view %s", name)
+			return fmt.Errorf("eval: restore: no checkpointed extent for view %s", name)
 		}
 		if len(ext.Rows) != len(ext.Counts) {
-			return nil, fmt.Errorf("eval: restore: view %s has %d rows but %d counts", name, len(ext.Rows), len(ext.Counts))
+			return fmt.Errorf("eval: restore: view %s has %d rows but %d counts", name, len(ext.Rows), len(ext.Counts))
 		}
 		for i, r := range ext.Rows {
 			if len(r) != v.arity {
-				return nil, fmt.Errorf("eval: restore: view %s row has arity %d, want %d", name, len(r), v.arity)
+				return fmt.Errorf("eval: restore: view %s row has arity %d, want %d", name, len(r), v.arity)
 			}
 			if ext.Counts[i] <= 0 {
-				return nil, fmt.Errorf("eval: restore: view %s row with non-positive derivation count %d", name, ext.Counts[i])
+				return fmt.Errorf("eval: restore: view %s row with non-positive derivation count %d", name, ext.Counts[i])
 			}
 			row := append([]uint32(nil), r...)
 			v.rows.push(row)
 			st := v.counts.At(row)
 			if st.count != 0 {
-				return nil, fmt.Errorf("eval: restore: view %s extent repeats a row", name)
+				return fmt.Errorf("eval: restore: view %s extent repeats a row", name)
 			}
 			st.count = ext.Counts[i]
 			st.pos = i
 		}
 	}
-	return e, nil
+	return nil
 }
 
 // newEngine stores rows' relations, compiles the views over them and
 // builds the join indexes and multiplicities from the rows. With
 // withInits it also compiles one full plan per disjunct (for
-// NewDeltaEngine's initial enumeration); the restore path skips them —
+// NewDeltaEngine's initial enumeration); seeding skips them —
 // their indexes and enumeration are exactly the work a checkpoint avoids.
 func newEngine(s *schema.Schema, d *intern.Dict, rows map[string][][]uint32, views map[string]*cq.UCQ, withInits bool) (*DeltaEngine, []*deltaPlan, error) {
 	e := &DeltaEngine{
@@ -589,32 +592,20 @@ func (e *DeltaEngine) bump(v *viewState, row []uint32, sign int, record bool) er
 	return nil
 }
 
-// Resolve turns a validated batch (stored relations, matching arities)
-// into the physical changes it makes to the stored rows, for VIndex.Apply
-// and Apply, without applying them: deletes first, each removing one
-// copy of a stored row — a no-op when the batch's earlier deletes claimed
-// every copy, or the row is not stored — then inserts, each adding one.
-// Deletes intern nothing; inserts intern their values in batch order.
-func (e *DeltaEngine) Resolve(inserts, deletes []instance.Op) *instance.Applied {
-	a := &instance.Applied{}
+// Resolve turns a validated ID batch (stored relations, matching
+// arities) into the physical changes it makes to the stored rows, for
+// VIndex.Apply and Apply, without applying them: deletes first, each
+// removing one copy of a stored row — a no-op when the batch's earlier
+// deletes claimed every copy, or the row is not stored — then inserts,
+// each adding one. The ops' rows are shared, not copied.
+func (e *DeltaEngine) Resolve(inserts, deletes []instance.AppliedOp) *instance.Applied {
+	a := &instance.Applied{Inserted: inserts}
 	claimed := make(map[*int]int) // stored row's multiplicity -> copies claimed
-rows:
 	for _, op := range deletes {
-		ids := make([]uint32, len(op.Row))
-		for i, v := range op.Row {
-			id, ok := e.dict.Lookup(v)
-			if !ok {
-				continue rows // a value never interned: the row is not stored
-			}
-			ids[i] = id
-		}
-		if n := e.rels[op.Rel].support.Get(ids); n != nil && claimed[n] < *n {
+		if n := e.rels[op.Rel].support.Get(op.IDs); n != nil && claimed[n] < *n {
 			claimed[n]++
-			a.Deleted = append(a.Deleted, instance.AppliedOp{Rel: op.Rel, IDs: ids})
+			a.Deleted = append(a.Deleted, op)
 		}
-	}
-	for _, op := range inserts {
-		a.Inserted = append(a.Inserted, instance.AppliedOp{Rel: op.Rel, IDs: e.dict.Encode(op.Row)})
 	}
 	return a
 }

@@ -106,7 +106,7 @@ func TestDeltaEngineDifferentialRandom(t *testing.T) {
 			rel := s.Relations[rng.Intn(len(s.Relations))]
 			db.MustInsert(rel.Name, randRow(rng, rel.Arity(), pool)...)
 		}
-		e, err := NewDeltaEngine(db.Schema, db.Dict, db.IDTables(), views)
+		e, err := NewDeltaEngine(db.Schema, db.Dict, db.IDTables(), views, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -319,7 +319,7 @@ func TestDeltaEngineConstantAndEmptyDisjuncts(t *testing.T) {
 		cq.Equality{L: cq.Cst("a"), R: cq.Cst("b")})
 	views := map[string]*cq.UCQ{"W1": cq.NewUCQ(w1), "W2": {Name: "W2", Disjuncts: []*cq.CQ{w2a, w2b}}}
 	db := instance.NewDatabase(s)
-	e, err := NewDeltaEngine(db.Schema, db.Dict, db.IDTables(), views)
+	e, err := NewDeltaEngine(db.Schema, db.Dict, db.IDTables(), views, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func engineFixture(t *testing.T) (*instance.Database, *DeltaEngine, map[string]*
 	})
 	views := map[string]*cq.UCQ{"V1": cq.NewUCQ(v1), "V2": cq.NewUCQ(v2)}
 	db := instance.NewDatabase(s)
-	e, err := NewDeltaEngine(db.Schema, db.Dict, db.IDTables(), views)
+	e, err := NewDeltaEngine(db.Schema, db.Dict, db.IDTables(), views, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +420,7 @@ func TestDeltaEngineConstantAtomBinding(t *testing.T) {
 	v := cq.NewCQ([]cq.Term{cq.Var("x")}, []cq.Atom{cq.NewAtom("E", cq.Cst("hub"), cq.Var("x"))})
 	views := map[string]*cq.UCQ{"V": cq.NewUCQ(v)}
 	db := instance.NewDatabase(s)
-	e, err := NewDeltaEngine(db.Schema, db.Dict, db.IDTables(), views)
+	e, err := NewDeltaEngine(db.Schema, db.Dict, db.IDTables(), views, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func TestExtentGrowShrinkFreesChunks(t *testing.T) {
 	views := map[string]*cq.UCQ{
 		"V": cq.NewUCQ(cq.NewCQ([]cq.Term{cq.Var("x")}, []cq.Atom{cq.NewAtom("R", cq.Var("x"), cq.Var("y"))})),
 	}
-	eng, err := NewDeltaEngine(db.Schema, db.Dict, db.IDTables(), views)
+	eng, err := NewDeltaEngine(db.Schema, db.Dict, db.IDTables(), views, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,11 +193,11 @@ func TestRestoredEngineRegistersSameIndexes(t *testing.T) {
 		sort.Strings(out)
 		return out
 	}
-	fresh, err := NewDeltaEngine(db.Schema, db.Dict, db.IDTables(), views)
+	fresh, err := NewDeltaEngine(db.Schema, db.Dict, db.IDTables(), views, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := NewDeltaEngineWithExtents(db.Schema, db.Dict, db.IDTables(), views, fresh.CheckpointExtents())
+	restored, err := NewDeltaEngine(db.Schema, db.Dict, db.IDTables(), views, fresh.CheckpointExtents())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func TestPublishExtentIDsCopyOnWrite(t *testing.T) {
 	views := map[string]*cq.UCQ{
 		"V": cq.NewUCQ(cq.NewCQ([]cq.Term{cq.Var("x")}, []cq.Atom{cq.NewAtom("R", cq.Var("x"), cq.Var("y"))})),
 	}
-	eng, err := NewDeltaEngine(db.Schema, db.Dict, db.IDTables(), views)
+	eng, err := NewDeltaEngine(db.Schema, db.Dict, db.IDTables(), views, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

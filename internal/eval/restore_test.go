@@ -14,7 +14,7 @@ import (
 // the engine's recovery fast path: build an engine, churn it, serialize
 // exactly what a WAL checkpoint stores (dictionary strings, the engine's
 // stored rows, counted extents), rebuild a second engine from that alone
-// via NewDeltaEngineWithExtents, then drive BOTH engines with the
+// via NewDeltaEngine with the extents, then drive BOTH engines with the
 // identical remaining op stream — the original through the oracle
 // database, the restored one through its own Resolve. Extents and applied
 // op counts must agree batch for batch, and the restored engine must also
@@ -34,7 +34,7 @@ func TestDeltaEngineRestoreDifferential(t *testing.T) {
 			rel := s.Relations[rng.Intn(len(s.Relations))]
 			db.MustInsert(rel.Name, randRow(rng, rel.Arity(), pool)...)
 		}
-		e, err := NewDeltaEngine(db.Schema, db.Dict, db.IDTables(), views)
+		e, err := NewDeltaEngine(db.Schema, db.Dict, db.IDTables(), views, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -98,7 +98,7 @@ func TestDeltaEngineRestoreDifferential(t *testing.T) {
 		for _, rel := range s.Relations {
 			rows[rel.Name] = e.Rows(rel.Name)
 		}
-		e2, err := NewDeltaEngineWithExtents(s, dict2, rows, views, e.CheckpointExtents())
+		e2, err := NewDeltaEngine(s, dict2, rows, views, e.CheckpointExtents())
 		if err != nil {
 			t.Fatalf("trial %d: restore engine: %v", trial, err)
 		}
@@ -122,7 +122,7 @@ func TestDeltaEngineRestoreDifferential(t *testing.T) {
 		for i, b := range batches[half:] {
 			a := oracle(b)
 			apply(e, a)
-			a2 := e2.Resolve(b.ins, b.del)
+			a2 := e2.Resolve(instance.Encode(dict2, b.ins, b.del))
 			if len(a2.Inserted) != len(a.Inserted) || len(a2.Deleted) != len(a.Deleted) {
 				t.Fatalf("trial %d suffix batch %d: Resolve applied %d+%d ops, the oracle %d+%d",
 					trial, i, len(a2.Inserted), len(a2.Deleted), len(a.Inserted), len(a.Deleted))
@@ -152,7 +152,7 @@ func TestDeltaEngineRestoreRejectsCorruptExtents(t *testing.T) {
 		rel := s.Relations[rng.Intn(len(s.Relations))]
 		db.MustInsert(rel.Name, randRow(rng, rel.Arity(), 4)...)
 	}
-	e, err := NewDeltaEngine(db.Schema, db.Dict, db.IDTables(), views)
+	e, err := NewDeltaEngine(db.Schema, db.Dict, db.IDTables(), views, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestDeltaEngineRestoreRejectsCorruptExtents(t *testing.T) {
 		})
 	}
 	for what, ext := range cases {
-		if _, err := NewDeltaEngineWithExtents(db.Schema, db.Dict, db.IDTables(), views, ext); err == nil {
+		if _, err := NewDeltaEngine(db.Schema, db.Dict, db.IDTables(), views, ext); err == nil {
 			t.Errorf("%s: restore accepted a corrupt checkpoint", what)
 		}
 	}

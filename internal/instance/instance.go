@@ -152,13 +152,9 @@ func (t *Table) deleteOne(row Tuple) ([]uint32, bool) {
 	defer t.mu.Unlock()
 	t.encodeLocked()
 	pos := t.posLocked()
-	ids := make([]uint32, len(row))
-	for i, v := range row {
-		id, ok := t.dict.Lookup(v)
-		if !ok {
-			return nil, false // value never interned: row cannot be present
-		}
-		ids[i] = id
+	ids, ok := t.dict.LookupRow(row)
+	if !ok {
+		return nil, false
 	}
 	occ := pos.At(ids)
 	if len(*occ) == 0 {
@@ -277,22 +273,7 @@ type Applied struct {
 // from its own rows (eval.DeltaEngine.Resolve), so a Database fed the same
 // batches is its oracle. Not safe for concurrent use with readers.
 func (db *Database) ApplyDelta(inserts, deletes []Op) (*Applied, error) {
-	validate := func(ops []Op, kind string) error {
-		for _, op := range ops {
-			t := db.Table(op.Rel)
-			if t == nil {
-				return fmt.Errorf("instance: %s into unknown relation %s", kind, op.Rel)
-			}
-			if len(op.Row) != t.Rel.Arity() {
-				return fmt.Errorf("instance: %s %s expects %d values, got %d", kind, op.Rel, t.Rel.Arity(), len(op.Row))
-			}
-		}
-		return nil
-	}
-	if err := validate(deletes, "delete"); err != nil {
-		return nil, err
-	}
-	if err := validate(inserts, "insert"); err != nil {
+	if err := Validate(db.Schema, inserts, deletes); err != nil {
 		return nil, err
 	}
 	a := &Applied{}
@@ -306,6 +287,42 @@ func (db *Database) ApplyDelta(inserts, deletes []Op) (*Applied, error) {
 		a.Inserted = append(a.Inserted, AppliedOp{Rel: op.Rel, IDs: ids})
 	}
 	return a, nil
+}
+
+// Validate checks a batch against s before anything is mutated or
+// interned: every op names a relation of s and carries its arity.
+func Validate(s *schema.Schema, inserts, deletes []Op) error {
+	check := func(ops []Op, kind string) error {
+		for _, op := range ops {
+			if r := s.Relation(op.Rel); r == nil {
+				return fmt.Errorf("instance: %s into unknown relation %s", kind, op.Rel)
+			} else if len(op.Row) != r.Arity() {
+				return fmt.Errorf("instance: %s %s expects %d values, got %d", kind, op.Rel, r.Arity(), len(op.Row))
+			}
+		}
+		return nil
+	}
+	if err := check(deletes, "delete"); err != nil {
+		return err
+	}
+	return check(inserts, "insert")
+}
+
+// Encode interns a validated batch against d in batch order, so new
+// values get IDs in the order the inserts name them; deletes intern
+// nothing, and one naming a never-interned value is dropped.
+func Encode(d *intern.Dict, inserts, deletes []Op) (ins, del []AppliedOp) {
+	del = make([]AppliedOp, 0, len(deletes))
+	for _, op := range deletes {
+		if ids, ok := d.LookupRow(op.Row); ok {
+			del = append(del, AppliedOp{Rel: op.Rel, IDs: ids})
+		}
+	}
+	ins = make([]AppliedOp, len(inserts))
+	for i, op := range inserts {
+		ins[i] = AppliedOp{Rel: op.Rel, IDs: d.Encode(op.Row)}
+	}
+	return ins, del
 }
 
 // Size returns |D|: the total number of tuples across all relations.

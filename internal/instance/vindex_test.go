@@ -111,8 +111,8 @@ func TestVIndexDifferentialRandom(t *testing.T) {
 				return
 			}
 			for i := 0; i < 12; i++ {
-				if id, ok := db.Dict.Lookup(fmt.Sprintf("v%d", i)); ok {
-					rec(append(prefix, id), k+1)
+				if id, ok := db.Dict.LookupRow([]string{fmt.Sprintf("v%d", i)}); ok {
+					rec(append(prefix, id[0]), k+1)
 				}
 			}
 		}
@@ -258,11 +258,10 @@ func TestVIndexDifferentialRandom(t *testing.T) {
 func fetchStrings(vx *VIndex, c *access.Constraint, xval Tuple) ([]Tuple, error) {
 	key := make([]uint32, len(xval))
 	for i, v := range xval {
-		id, ok := vx.Dict().Lookup(v)
-		if !ok {
-			id = ^uint32(0)
+		key[i] = ^uint32(0)
+		if id, ok := vx.Dict().LookupRow([]string{v}); ok {
+			key[i] = id[0]
 		}
-		key[i] = id
 	}
 	idRows, err := vx.FetchIDs(c, key)
 	if err != nil {
@@ -307,5 +306,26 @@ func TestVIndexFetchStrings(t *testing.T) {
 	}
 	if rows, err = fetchStrings(vx, a.Constraints[0], Tuple{"absent"}); err != nil || rows != nil {
 		t.Fatalf("absent key: %v %v", rows, err)
+	}
+}
+
+// TestVIndexProbeAllocs: a fetch-index probe allocates nothing — the
+// constraint's key, which selects the per-constraint trie, is computed
+// once by access.NewConstraint, not per probe.
+func TestVIndexProbeAllocs(t *testing.T) {
+	s := schema.New(schema.NewRelation("R", "A", "B"))
+	a := access.NewSchema(access.NewConstraint("R", []string{"A"}, []string{"B"}, 3))
+	db := NewDatabase(s)
+	db.MustInsert("R", "k", "x")
+	db.MustInsert("R", "k", "y")
+	vx := buildVIndex(t, db, a)
+	key := []uint32{db.Dict.ID("k")}
+	var rows [][]uint32
+	allocs := testing.AllocsPerRun(100, func() { rows, _ = vx.FetchIDs(a.Constraints[0], key) })
+	if len(rows) != 2 {
+		t.Fatalf("probe fetched %d rows, want 2", len(rows))
+	}
+	if allocs != 0 {
+		t.Fatalf("a VIndex probe allocates %.1f times, want 0", allocs)
 	}
 }

@@ -48,20 +48,20 @@ func (d *Dict) ID(s string) uint32 {
 	return id
 }
 
-// Lookup returns the ID of s without interning it.
-func (d *Dict) Lookup(s string) (uint32, bool) {
+// LookupRow returns the IDs of row's values without interning any, and
+// false when some value was never interned: no stored row can hold it.
+func (d *Dict) LookupRow(row []string) ([]uint32, bool) {
+	ids := make([]uint32, len(row))
 	d.mu.RLock()
-	id, ok := d.ids[s]
-	d.mu.RUnlock()
-	return id, ok
-}
-
-// Str returns the string for an interned ID.
-func (d *Dict) Str(id uint32) string {
-	d.mu.RLock()
-	s := d.strs[id]
-	d.mu.RUnlock()
-	return s
+	defer d.mu.RUnlock()
+	for i, v := range row {
+		id, ok := d.ids[v]
+		if !ok {
+			return nil, false
+		}
+		ids[i] = id
+	}
+	return ids, true
 }
 
 // Len returns the number of interned strings.

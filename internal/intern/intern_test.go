@@ -21,12 +21,15 @@ func TestDictRoundTrip(t *testing.T) {
 		t.Fatalf("want 5 distinct values, got %d", d.Len())
 	}
 	for i, w := range words {
-		if got := d.Str(ids[i]); got != w {
-			t.Fatalf("Str(ID(%q)) = %q", w, got)
+		if got := d.Decode(ids[i : i+1])[0]; got != w {
+			t.Fatalf("Decode(ID(%q)) = %q", w, got)
 		}
 	}
-	if _, ok := d.Lookup("absent"); ok {
-		t.Fatal("Lookup must not intern")
+	if got, ok := d.LookupRow([]string{"b", "a"}); !ok || got[0] != ids[1] || got[1] != ids[0] {
+		t.Fatalf("LookupRow(b, a) = %v, %v", got, ok)
+	}
+	if _, ok := d.LookupRow([]string{"a", "absent"}); ok || d.Len() != 5 {
+		t.Fatal("LookupRow must not intern")
 	}
 	row := []string{"x", "y", "x"}
 	enc := d.Encode(row)

@@ -38,11 +38,10 @@ type refRun struct {
 func fetchStrings(vx *instance.VIndex, c *access.Constraint, xval []string) ([][]string, error) {
 	key := make([]uint32, len(xval))
 	for i, v := range xval {
-		id, ok := vx.Dict().Lookup(v)
-		if !ok {
-			id = ^uint32(0)
+		key[i] = ^uint32(0)
+		if id, ok := vx.Dict().LookupRow([]string{v}); ok {
+			key[i] = id[0]
 		}
-		key[i] = id
 	}
 	rows, err := vx.FetchIDs(c, key)
 	if err != nil {

@@ -12,8 +12,8 @@
 // one immutable, cross-shard-consistent Epoch that readers use without
 // locks; its views are plan.ViewVersions, and only the views the batch
 // changed get new ones, so every other view keeps its rows and join
-// indices. P = 1 is the default: the single shard takes every row and
-// routing is skipped.
+// indices. The engine speaks interned IDs only, and one code path serves
+// every shard count, P = 1 (the default) included.
 //
 // The paper's scale-independence story composes with partitioning: a
 // bounded plan touches cached views plus a constant-size slice of D, and
@@ -22,9 +22,9 @@
 package shard
 
 import (
+	"math/bits"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/access"
@@ -33,42 +33,12 @@ import (
 	"repro/internal/schema"
 )
 
-// fnv64 parameters, matching intern's row hashing.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// hashVals hashes a sequence of domain values byte-wise. Routing hashes
-// string values (not interned IDs), so placement does not depend on the
-// order values were interned in and rows and probes can be routed from
-// either representation (hashIDs).
-func hashVals(vals []string) uint64 {
-	h := uint64(fnvOffset64)
-	for _, v := range vals {
-		h = hashVal(h, v)
-	}
-	return h
-}
-
-// hashIDs is hashVals of the strings of row's IDs at pos, read in place
-// from d: nothing is decoded or allocated.
-func hashIDs(d *intern.Dict, row []uint32, pos []int) uint64 {
-	h := uint64(fnvOffset64)
-	for _, p := range pos {
-		h = hashVal(h, d.Str(row[p]))
-	}
-	return h
-}
-
-// hashVal folds one value's bytes and the value separator into h.
-func hashVal(h uint64, v string) uint64 {
-	for i := 0; i < len(v); i++ {
-		h ^= uint64(v[i])
-		h *= fnvPrime64
-	}
-	h ^= 0x1f // value separator, so ("ab","c") != ("a","bc")
-	return h * fnvPrime64
+// shardOf places rows, fetch keys and view rows alike: the HashAt of
+// their partition value IDs, mixed by 2^64/φ the way intern.FlatIndex
+// buckets it, scaled to [0, p) by a multiply-high.
+func shardOf(h uint64, p int) int {
+	hi, _ := bits.Mul64(h*0x9E3779B97F4A7C15, uint64(p))
+	return int(hi)
 }
 
 // relRoute is one relation's partitioning rule: rows are placed by the
@@ -187,74 +157,74 @@ func subsetPositions(sub, super []string) (bool, []int) {
 	return true, pos
 }
 
-// ShardOfRow returns the shard owning a row of the named relation.
-func (pt *Partition) ShardOfRow(rel string, row []string) int {
-	rr := pt.rels[rel]
-	vals := make([]string, len(rr.Pos))
-	for i, p := range rr.Pos {
-		vals[i] = row[p]
-	}
-	return int(hashVals(vals) % uint64(pt.P))
-}
-
 // ShardOfIDs returns the shard owning an ID-encoded row of the named
-// relation: ShardOfRow of the decoded row, without decoding it.
-func (pt *Partition) ShardOfIDs(d *intern.Dict, rel string, row []uint32) int {
-	return int(hashIDs(d, row, pt.rels[rel].Pos) % uint64(pt.P))
+// relation: the one its partition values hash to.
+func (pt *Partition) ShardOfIDs(rel string, row []uint32) int {
+	return shardOf(intern.HashAt(row, pt.rels[rel].Pos), pt.P)
 }
 
 // Route returns the fetch route of a constraint (nil for unknown ones).
 func (pt *Partition) Route(c *access.Constraint) *conRoute { return pt.cons[c.Key()] }
 
-// Rel returns the partitioning rule of a relation (nil for unknown ones).
-func (pt *Partition) Rel(name string) *relRoute { return pt.rels[name] }
+// ViewKey names the shard of a shard-local view's row: per partition
+// value of the base rows deriving it, the head position holding it, or at
+// Pos[j] = -1 the constant Const[j]. It hashes like those rows.
+type ViewKey struct {
+	Pos   []int
+	Const []string
+}
 
-// LocalView reports whether a UCQ view is maintained shard-locally: every
-// satisfiable disjunct, normalized, binds the partition attributes of all
-// its atoms to one term sequence (a valuation reads one shard), and each
-// term is a constant or a head variable placed alike in every disjunct
-// (the head row fixes that shard). Then V(D) is the disjoint union of the
-// V(D_p) and per-shard counts sum exactly. Anything else, such as a
-// projection or Boolean view that drops the key, is maintained globally.
-func (pt *Partition) LocalView(def *cq.UCQ) bool {
-	var key []cq.Term // the shard key: constants and head positions
+// LocalView reports whether a UCQ view is maintained shard-locally, and
+// with which shard key: every satisfiable disjunct, normalized, binds the
+// partition attributes of all its atoms to one term sequence (a valuation
+// reads one shard), and each term is a constant or a head variable placed
+// alike in every disjunct (the head row fixes that shard). Then V(D) is
+// the disjoint union of the V(D_p) and per-shard counts sum exactly.
+// Anything else, such as a projection or Boolean view that drops the key,
+// is maintained globally. With one partition every view is local, under
+// the empty key: the one shard derives every row.
+func (pt *Partition) LocalView(def *cq.UCQ) (ViewKey, bool) {
+	var key ViewKey
+	if pt.P == 1 {
+		return key, true
+	}
 	for _, d := range def.Disjuncts {
 		n, err := d.Normalize()
 		if err != nil {
 			continue // unsatisfiable: contributes nothing on any shard
 		}
 		if len(n.Atoms) == 0 {
-			return false // derived on every shard
+			return ViewKey{}, false // derived on every shard
 		}
 		var sig []cq.Term
 		for i, at := range n.Atoms {
 			rr := pt.rels[at.Rel]
 			if rr == nil || len(at.Args) < len(rr.Pos) {
-				return false // unknown relation / malformed atom: play safe
+				return ViewKey{}, false // unknown relation / malformed atom: play safe
 			}
 			s := make([]cq.Term, len(rr.Pos))
 			for j, p := range rr.Pos {
 				s[j] = at.Args[p]
 			}
 			if i > 0 && !slices.Equal(sig, s) {
-				return false
+				return ViewKey{}, false
 			}
 			sig = s
 		}
 		// Over the head, a variable becomes its first head position.
-		for i, t := range sig {
-			if !t.Const {
-				pos := slices.Index(n.Head, t)
-				if pos < 0 {
-					return false
-				}
-				sig[i] = cq.Var(strconv.Itoa(pos))
+		k := ViewKey{Pos: make([]int, len(sig)), Const: make([]string, len(sig))}
+		for j, t := range sig {
+			k.Pos[j] = -1
+			if t.Const {
+				k.Const[j] = t.Val
+			} else if k.Pos[j] = slices.Index(n.Head, t); k.Pos[j] < 0 {
+				return ViewKey{}, false
 			}
 		}
-		if key != nil && !slices.Equal(key, sig) {
-			return false
+		if key.Pos != nil && !(slices.Equal(key.Pos, k.Pos) && slices.Equal(key.Const, k.Const)) {
+			return ViewKey{}, false
 		}
-		key = sig
+		key = k
 	}
-	return true
+	return key, true
 }

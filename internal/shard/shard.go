@@ -3,8 +3,9 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/access"
@@ -18,13 +19,11 @@ import (
 	"repro/internal/schema"
 )
 
-// ErrTorn wraps every ApplyDelta error raised AFTER some shard may have
-// mutated its writer-side state: the per-shard maintenance runs
-// concurrently, so a mid-batch failure leaves the batch applied on some
-// shards and not others (the published epoch is untouched — readers never
-// see the tear — but the writer-side state no longer matches it). Callers
-// must fence further writes on it. Errors raised by the pre-mutation
-// validation pass are NOT wrapped: they leave every shard intact.
+// ErrTorn wraps every ApplyDelta error: its batch is validated, so it
+// fails only after some shard may have mutated its writer-side state, and
+// the shards run concurrently, so a failure leaves the batch applied on
+// some shards and not others (the published epoch is untouched, but the
+// writer-side state no longer matches it). Callers must fence writes.
 var ErrTorn = errors.New("shard: writer state torn by a partial apply")
 
 // state is one shard's WRITER-SIDE machinery: the incremental
@@ -62,11 +61,8 @@ type Config struct {
 	// checkpoint's, so replayed batches publish the same epochs they did
 	// originally.
 	InitialSeq uint64
-	// Extents, when set, seed the single shard's view engine at P = 1
-	// from checkpointed counted extents instead of enumerating the views
-	// (the checkpoint of a P = 1 instance carries them; see
-	// CheckpointExtents). At P > 1 they are ignored: the per-shard and
-	// global extents are rebuilt from the restored rows.
+	// Extents, when set, seed every view engine from checkpointed counted
+	// extents (CheckpointExtents, at any P) instead of enumerating views.
 	Extents map[string]eval.Extent
 }
 
@@ -126,16 +122,6 @@ func (e *Epoch) Seq() uint64 { return e.seq }
 // Dict returns the shared dictionary, making the epoch a plan.Source.
 func (e *Epoch) Dict() *intern.Dict { return e.dict }
 
-// ViewIDs returns one view's gathered extent as of this epoch (merged on
-// its version's first read). The rows are immutable; treat them as read-only.
-func (e *Epoch) ViewIDs(name string) ([][]uint32, bool) {
-	vv, ok := e.pv.View(name)
-	if !ok {
-		return nil, false
-	}
-	return vv.Rows(), true
-}
-
 // AllViewIDs returns every view's gathered extent as of this epoch,
 // forcing any pending merges. The map is fresh; the row sets are
 // immutable.
@@ -157,6 +143,9 @@ func (e *Epoch) Stats() (*plan.Stats, uint64) { return e.stats, e.statsVer }
 // Size returns |D| across all shards as of this epoch.
 func (e *Epoch) Size() int { return e.size }
 
+// ShardSizes returns |D_p| per shard as of this epoch.
+func (e *Epoch) ShardSizes() []int { return e.shardSizes }
+
 // FetchIDs answers a fetch against this epoch: a point read on the owning
 // shard when the constraint binds the partition key, a scatter over every
 // shard's pinned index version (deduplicated) otherwise. No accounting
@@ -176,7 +165,7 @@ func (e *Epoch) FetchIDs(c *access.Constraint, xval []uint32) ([][]uint32, error
 		return nil, fmt.Errorf("shard: fetch on %s expects %d input values, got %d", c, len(c.X), len(xval))
 	}
 	if r.XPos != nil {
-		si := int(hashIDs(e.dict, xval, r.XPos) % uint64(len(e.vixes)))
+		si := shardOf(intern.HashAt(xval, r.XPos), len(e.vixes))
 		e.probe(si)
 		return e.vixes[si].FetchIDs(c, xval)
 	}
@@ -222,26 +211,24 @@ func (e *Epoch) FetchIDs(c *access.Constraint, xval []uint32) ([][]uint32, error
 
 // Sharded is a partitioned live instance: P shards, the routing metadata,
 // the global maintenance engine for the other views, the statistics
-// store, and the atomically published current Epoch.
+// store, and the last Epoch it published.
 //
-// Concurrency: readers load the current epoch (Current) and serve from
-// its immutable structures — they take no locks and are never blocked by
-// ApplyDelta, which maintains the writer-side shards concurrently and
-// publishes the combined next epoch with one atomic swap. There is no
-// torn-batch window: either an epoch contains all of a batch's effects on
-// every shard (and on the global views) or none of them.
+// Concurrency: Open and ApplyDelta return the epoch they publish for the
+// caller to install; readers serve from its immutable structures without
+// locks and are never blocked by ApplyDelta. There is no torn-batch
+// window: either an epoch contains all of a batch's effects on every
+// shard (and on the global views) or none of them.
 type Sharded struct {
 	schema *schema.Schema
-	access *access.Schema
 	views  map[string]*cq.UCQ
 	part   *Partition
 	dict   *intern.Dict
-	cfg    Config
+	probes []*obs.Counter // Config.Probes
 
 	batchMu    sync.Mutex // serializes ApplyDelta batches
 	shards     []*state
-	g          *eval.DeltaEngine // global engine; nil when every view is shard-local
-	local      map[string]bool
+	g          *eval.DeltaEngine  // global engine; nil when every view is shard-local
+	keys       map[string]ViewKey // the shard-local views' keys
 	stats      *statsStore
 	statsChurn int
 	statsVer   uint64
@@ -254,32 +241,39 @@ type Sharded struct {
 	// is already mutated; the caller must fence further writes).
 	journal func(seq uint64, a *instance.Applied) error
 
-	cur atomic.Pointer[Epoch]
+	last *Epoch // the last published; the next batch's views and |D| derive from it
 }
 
 // Open builds the sharded engine over ID-encoded rows interned through d:
 // rows maps each relation of s to its rows (a multiset; a missing
-// relation is empty). At P > 1 every row goes to the shard its partition
-// columns hash to. Each shard builds its fetch index and its maintenance
-// engine, whose multiplicity map is the shard's only row store, from its
-// rows. The rows are shared and never mutated, and d becomes the engine's
+// relation is empty). Every row goes to the shard its partition values
+// hash to. Each shard builds its fetch index and its maintenance engine,
+// whose multiplicity map is the shard's only row store, from its rows.
+// The rows are shared and never mutated, and d becomes the engine's
 // dictionary, which later batches intern into. The views must already be
-// validated against the schema.
-func Open(d *intern.Dict, rows map[string][][]uint32, s *schema.Schema, a *access.Schema, views map[string]*cq.UCQ, cfg Config) (*Sharded, error) {
+// validated against the schema. Open returns the epoch it publishes.
+func Open(d *intern.Dict, rows map[string][][]uint32, s *schema.Schema, a *access.Schema, views map[string]*cq.UCQ, cfg Config) (*Sharded, *Epoch, error) {
 	p := cfg.Shards
 	if p < 1 {
-		return nil, fmt.Errorf("shard: need at least 1 shard, got %d", p)
+		return nil, nil, fmt.Errorf("shard: need at least 1 shard, got %d", p)
 	}
 	pt := NewPartition(s, a, p)
+	// Intern the views' constants in view-name order, so the dictionary
+	// does not depend on the order the engines compile in.
+	for _, name := range slices.Sorted(maps.Keys(views)) {
+		for _, q := range views[name].Disjuncts {
+			for _, c := range q.Constants() {
+				d.ID(c)
+			}
+		}
+	}
 	localViews := make(map[string]*cq.UCQ)
 	globalViews := make(map[string]*cq.UCQ)
-	local := make(map[string]bool, len(views))
+	keys := make(map[string]ViewKey)
 	globalRows := make(map[string][][]uint32)
 	for name, def := range views {
-		// With one partition every view is shard-local.
-		if p == 1 || pt.LocalView(def) {
-			localViews[name] = def
-			local[name] = true
+		if key, ok := pt.LocalView(def); ok {
+			localViews[name], keys[name] = def, key
 			continue
 		}
 		globalViews[name] = def
@@ -291,19 +285,23 @@ func Open(d *intern.Dict, rows map[string][][]uint32, s *schema.Schema, a *acces
 	}
 	sh := &Sharded{
 		schema: s,
-		access: a,
 		views:  views,
 		part:   pt,
 		dict:   d,
-		cfg:    cfg,
-		local:  local,
+		probes: cfg.Probes,
+		keys:   keys,
+	}
+	// With checkpointed extents, every engine seeds from its share of them.
+	shardExts, err := sh.splitExtents(cfg.Extents)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	// The global engine stores every row of the relations its views read.
 	if len(globalViews) > 0 {
-		eng, err := eval.NewDeltaEngine(s, d, globalRows, globalViews)
+		eng, err := eval.NewDeltaEngine(s, d, globalRows, globalViews, cfg.Extents)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		sh.g = eng
 	}
@@ -317,12 +315,8 @@ func Open(d *intern.Dict, rows map[string][][]uint32, s *schema.Schema, a *acces
 		for i := range parts {
 			parts[i][r.Name] = nil
 		}
-		if p == 1 {
-			parts[0][r.Name] = rows[r.Name]
-			continue
-		}
 		for _, row := range rows[r.Name] {
-			i := pt.ShardOfIDs(d, r.Name, row)
+			i := pt.ShardOfIDs(r.Name, row)
 			parts[i][r.Name] = append(parts[i][r.Name], row)
 		}
 	}
@@ -334,19 +328,14 @@ func Open(d *intern.Dict, rows map[string][][]uint32, s *schema.Schema, a *acces
 		if err != nil {
 			return err
 		}
-		var eng *eval.DeltaEngine
-		if p == 1 && cfg.Extents != nil {
-			eng, err = eval.NewDeltaEngineWithExtents(s, d, parts[i], localViews, cfg.Extents)
-		} else {
-			eng, err = eval.NewDeltaEngine(s, d, parts[i], localViews)
-		}
+		eng, err := eval.NewDeltaEngine(s, d, parts[i], localViews, shardExts[i])
 		if err != nil {
 			return err
 		}
 		sh.shards[i] = &state{eng: eng, vix: vix}
 		return nil
 	}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Pin every view once: the opening epoch serves the headers, and the
@@ -358,8 +347,54 @@ func Open(d *intern.Dict, rows map[string][][]uint32, s *schema.Schema, a *acces
 	}
 	sh.stats = sh.seedStats(rows, headers)
 	sh.seq = cfg.InitialSeq
-	sh.publish(plan.NewPreparedViews(d, pinned))
-	return sh, nil
+	return sh, sh.publish(plan.NewPreparedViews(d, pinned)), nil
+}
+
+// splitExtents deals the shard-local views' extents out to the shards,
+// each row to the shard its key names; every shard lists every such view,
+// empty or not, as seeding requires. With nil exts every share is nil.
+func (s *Sharded) splitExtents(exts map[string]eval.Extent) ([]map[string]eval.Extent, error) {
+	out := make([]map[string]eval.Extent, s.part.P)
+	if exts == nil {
+		return out, nil
+	}
+	for i := range out {
+		out[i] = make(map[string]eval.Extent, len(s.keys))
+	}
+	for name, k := range s.keys {
+		ext, ok := exts[name]
+		if !ok {
+			continue
+		}
+		if len(ext.Rows) != len(ext.Counts) {
+			return nil, fmt.Errorf("shard: restore: view %s has %d rows but %d counts", name, len(ext.Rows), len(ext.Counts))
+		}
+		for i := range out {
+			out[i][name] = eval.Extent{}
+		}
+		arity := s.views[name].Arity()
+		key := make([]uint32, len(k.Pos))
+		for j, p := range k.Pos {
+			if p < 0 {
+				key[j] = s.dict.ID(k.Const[j])
+			}
+		}
+		for r, row := range ext.Rows {
+			if len(row) != arity {
+				return nil, fmt.Errorf("shard: restore: view %s row has arity %d, want %d", name, len(row), arity)
+			}
+			for j, p := range k.Pos {
+				if p >= 0 {
+					key[j] = row[p]
+				}
+			}
+			i := shardOf(intern.Hash(key), s.part.P)
+			e := out[i][name]
+			e.Rows, e.Counts = append(e.Rows, row), append(e.Counts, ext.Counts[r])
+			out[i][name] = e
+		}
+	}
+	return out, nil
 }
 
 // SetJournal installs (or clears) the batch journal hook. The durability
@@ -370,9 +405,6 @@ func (s *Sharded) SetJournal(fn func(seq uint64, a *instance.Applied) error) {
 	s.journal = fn
 	s.batchMu.Unlock()
 }
-
-// Seq returns the current epoch's sequence number.
-func (s *Sharded) Seq() uint64 { return s.cur.Load().seq }
 
 // CheckpointTables returns every relation's rows, copies included, read
 // from the shards' engines and concatenated in shard order — the logical
@@ -396,34 +428,37 @@ func (s *Sharded) CheckpointTables() map[string][][]uint32 {
 	return out
 }
 
-// CheckpointExtents returns the counted view extents a checkpoint stores
-// alongside the tables at P = 1, where the single shard's engine holds
-// every view and a restart can seed from them (Config.Extents). It
-// returns nil at P > 1, where recovery rebuilds the extents from the
-// restored rows. Callers must exclude writers.
+// CheckpointExtents returns every view's counted extent: a shard-local
+// view's is the concatenation of the shards' disjoint extents, a global
+// view's the global engine's. It does not depend on P, so it seeds an open
+// at any shard count (Config.Extents). Callers must exclude writers.
 func (s *Sharded) CheckpointExtents() map[string]eval.Extent {
-	if len(s.shards) != 1 {
-		return nil
+	out := make(map[string]eval.Extent, len(s.views))
+	add := func(eng *eval.DeltaEngine) {
+		for name, ext := range eng.CheckpointExtents() {
+			if acc, ok := out[name]; ok {
+				ext.Rows, ext.Counts = append(acc.Rows, ext.Rows...), append(acc.Counts, ext.Counts...)
+			}
+			out[name] = ext
+		}
 	}
-	return s.shards[0].eng.CheckpointExtents()
+	for _, st := range s.shards {
+		add(st.eng)
+	}
+	if s.g != nil {
+		add(s.g)
+	}
+	return out
 }
-
-// ShardCount returns P.
-func (s *Sharded) ShardCount() int { return s.part.P }
 
 // Dict returns the shared dictionary.
 func (s *Sharded) Dict() *intern.Dict { return s.dict }
-
-// Current returns the current epoch. Successive calls may return newer
-// epochs as batches land; every returned epoch stays valid (and
-// immutable) for as long as the caller holds it.
-func (s *Sharded) Current() *Epoch { return s.cur.Load() }
 
 // LocalViews reports which views are maintained shard-locally (see
 // Partition.LocalView) vs by the global engine.
 func (s *Sharded) LocalViews() (local, global []string) {
 	for name := range s.views {
-		if s.local[name] {
+		if _, ok := s.keys[name]; ok {
 			local = append(local, name)
 		} else {
 			global = append(global, name)
@@ -432,10 +467,10 @@ func (s *Sharded) LocalViews() (local, global []string) {
 	return local, global
 }
 
-// publish installs the next epoch over the view set pv and the shards'
-// current index versions and statistics. Callers hold batchMu (or have
-// exclusive access, as in Open).
-func (s *Sharded) publish(pv *plan.PreparedViews) {
+// publish builds the next epoch over the view set pv and the shards'
+// current index versions and statistics, records it as the last and
+// returns it. Callers hold batchMu (or have exclusive access, as in Open).
+func (s *Sharded) publish(pv *plan.PreparedViews) *Epoch {
 	vixes := make([]*instance.VIndex, len(s.shards))
 	sizes := make([]int, len(s.shards))
 	size := 0
@@ -444,7 +479,7 @@ func (s *Sharded) publish(pv *plan.PreparedViews) {
 		sizes[i] = st.eng.Size()
 		size += sizes[i]
 	}
-	s.cur.Store(&Epoch{
+	s.last = &Epoch{
 		seq:        s.seq,
 		part:       s.part,
 		dict:       s.dict,
@@ -454,9 +489,10 @@ func (s *Sharded) publish(pv *plan.PreparedViews) {
 		statsVer:   s.statsVer,
 		size:       size,
 		shardSizes: sizes,
-		probes:     s.cfg.Probes,
-	})
+		probes:     s.probes,
+	}
 	s.seq++
+	return s.last
 }
 
 // pin pins one view's extent for the next epoch — the global engine's
@@ -468,7 +504,7 @@ func (s *Sharded) publish(pv *plan.PreparedViews) {
 // Pinning copies one pointer per 32 rows.
 func (s *Sharded) pin(name string) ([]eval.ExtentHeader, *plan.ViewVersion) {
 	var hs []eval.ExtentHeader
-	if s.local[name] {
+	if _, ok := s.keys[name]; ok {
 		for _, st := range s.shards {
 			hs = append(hs, st.eng.PublishExtentIDs(name))
 		}
@@ -488,64 +524,33 @@ func (s *Sharded) pin(name string) ([]eval.ExtentHeader, *plan.ViewVersion) {
 	})
 }
 
-// Size returns |D| across all shards as of the current epoch.
-func (s *Sharded) Size() int { return s.cur.Load().size }
-
-// ShardSizes returns |D_p| per shard as of the current epoch.
-func (s *Sharded) ShardSizes() []int { return s.cur.Load().shardSizes }
-
-// ApplyDelta validates and routes a batch per shard, maintains every
-// touched shard concurrently (rows, fetch-index versions, local views),
-// feeds the applied ops to the global engine, and publishes the
-// combined state as the next epoch. Readers are never blocked and never
-// see a torn batch: they stay on the previous epoch until the single
-// atomic publication. Semantics match a single instance's: deletes first
-// (each removing one occurrence, absent deletes are no-ops), then
-// inserts; all copies of a row live on one shard, so per-shard
-// application preserves the batch's outcome exactly.
-func (s *Sharded) ApplyDelta(inserts, deletes []instance.Op) (DeltaStats, error) {
+// ApplyDelta routes a validated ID batch (instance.Validate, Encode) per
+// shard, maintains every touched shard concurrently (rows, fetch-index
+// versions, local views), feeds the applied ops to the global engine, and
+// publishes and returns the next epoch. Semantics match a single
+// instance's: deletes first (each removing one occurrence, absent deletes
+// are no-ops), then inserts; all copies of a row live on one shard, so
+// per-shard application preserves the batch's outcome exactly.
+func (s *Sharded) ApplyDelta(inserts, deletes []instance.AppliedOp) (DeltaStats, *Epoch, error) {
 	s.batchMu.Lock()
 	defer s.batchMu.Unlock()
-	validate := func(ops []instance.Op, kind string) error {
-		for _, op := range ops {
-			r := s.schema.Relation(op.Rel)
-			if r == nil {
-				return fmt.Errorf("shard: %s into unknown relation %s", kind, op.Rel)
-			}
-			if len(op.Row) != r.Arity() {
-				return fmt.Errorf("shard: %s %s expects %d values, got %d", kind, op.Rel, r.Arity(), len(op.Row))
-			}
-		}
-		return nil
-	}
-	if err := validate(deletes, "delete"); err != nil {
-		return DeltaStats{}, err
-	}
-	if err := validate(inserts, "insert"); err != nil {
-		return DeltaStats{}, err
-	}
-
 	p := len(s.shards)
-	delBy := make([][]instance.Op, p)
-	insBy := make([][]instance.Op, p)
-	if p == 1 {
-		delBy[0], insBy[0] = deletes, inserts
-	} else {
-		for _, op := range deletes {
-			i := s.part.ShardOfRow(op.Rel, op.Row)
-			delBy[i] = append(delBy[i], op)
+	route := func(ops []instance.AppliedOp) [][]instance.AppliedOp {
+		by := make([][]instance.AppliedOp, p)
+		for _, op := range ops {
+			i := s.part.ShardOfIDs(op.Rel, op.IDs)
+			by[i] = append(by[i], op)
 		}
-		for _, op := range inserts {
-			i := s.part.ShardOfRow(op.Rel, op.Row)
-			insBy[i] = append(insBy[i], op)
-		}
+		return by
 	}
+	delBy, insBy := route(deletes), route(inserts)
 
 	applied := make([]*instance.Applied, p)
 	trans := make([][]eval.Transition, p)
 	holds := make([]time.Duration, p)
 	if err := par.ForEach(p, func(i int) error {
 		if len(delBy[i]) == 0 && len(insBy[i]) == 0 {
+			applied[i] = new(instance.Applied)
 			return nil
 		}
 		st := s.shards[i]
@@ -564,9 +569,9 @@ func (s *Sharded) ApplyDelta(inserts, deletes []instance.Op) (DeltaStats, error)
 		applied[i], trans[i] = a, tr
 		return nil
 	}); err != nil {
-		// Even a per-shard validation failure is torn here: the other
-		// shards ran concurrently and may have applied their slices.
-		return DeltaStats{}, fmt.Errorf("%w: %w", ErrTorn, err)
+		// Even a per-shard index rejection is torn here: the other shards
+		// ran concurrently and may have applied their slices.
+		return DeltaStats{}, nil, fmt.Errorf("%w: %w", ErrTorn, err)
 	}
 
 	stats := DeltaStats{}
@@ -574,9 +579,6 @@ func (s *Sharded) ApplyDelta(inserts, deletes []instance.Op) (DeltaStats, error)
 	for i := 0; i < p; i++ {
 		if holds[i] > stats.MaxShardHold {
 			stats.MaxShardHold = holds[i]
-		}
-		if applied[i] == nil {
-			continue
 		}
 		s.stats.fold(applied[i], trans[i], true, dirty)
 		stats.Inserted += len(applied[i].Inserted)
@@ -589,15 +591,11 @@ func (s *Sharded) ApplyDelta(inserts, deletes []instance.Op) (DeltaStats, error)
 	var combined *instance.Applied
 	if (s.g != nil && stats.Inserted+stats.Deleted > 0) || s.journal != nil {
 		combined = &instance.Applied{}
-		for i := 0; i < p; i++ {
-			if applied[i] != nil {
-				combined.Deleted = append(combined.Deleted, applied[i].Deleted...)
-			}
+		for _, a := range applied {
+			combined.Deleted = append(combined.Deleted, a.Deleted...)
 		}
-		for i := 0; i < p; i++ {
-			if applied[i] != nil {
-				combined.Inserted = append(combined.Inserted, applied[i].Inserted...)
-			}
+		for _, a := range applied {
+			combined.Inserted = append(combined.Inserted, a.Inserted...)
 		}
 	}
 
@@ -609,7 +607,7 @@ func (s *Sharded) ApplyDelta(inserts, deletes []instance.Op) (DeltaStats, error)
 		t0 := time.Now()
 		gtr, err := s.g.Apply(combined)
 		if err != nil {
-			return DeltaStats{}, fmt.Errorf("%w: %w", ErrTorn, err)
+			return DeltaStats{}, nil, fmt.Errorf("%w: %w", ErrTorn, err)
 		}
 		if hold := time.Since(t0); hold > stats.MaxShardHold {
 			stats.MaxShardHold = hold
@@ -624,12 +622,11 @@ func (s *Sharded) ApplyDelta(inserts, deletes []instance.Op) (DeltaStats, error)
 	// and replay must reproduce the exact numbering.
 	if s.journal != nil {
 		if err := s.journal(s.seq, combined); err != nil {
-			return DeltaStats{}, fmt.Errorf("%w: journal: %w", ErrTorn, err)
+			return DeltaStats{}, nil, fmt.Errorf("%w: journal: %w", ErrTorn, err)
 		}
 	}
-	prev := s.cur.Load()
 	s.statsChurn += stats.Inserted + stats.Deleted
-	size := prev.size + stats.Inserted - stats.Deleted
+	size := s.last.size + stats.Inserted - stats.Deleted
 	if float64(s.statsChurn) >= statsDriftFrac*float64(size) && s.statsChurn >= statsMinChurn {
 		s.statsVer++
 		s.statsChurn = 0
@@ -641,8 +638,7 @@ func (s *Sharded) ApplyDelta(inserts, deletes []instance.Op) (DeltaStats, error)
 	for name := range dirty {
 		_, changed[name] = s.pin(name)
 	}
-	s.publish(prev.pv.With(changed))
-	return stats, nil
+	return stats, s.publish(s.last.pv.With(changed)), nil
 }
 
 // Close releases the writer-side maintenance machinery — the shard

@@ -3,11 +3,13 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/access"
 	"repro/internal/cq"
 	"repro/internal/instance"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/schema"
 	"repro/internal/workload"
@@ -34,16 +36,16 @@ func fixtureSchema() (*schema.Schema, *access.Schema) {
 func TestPartitionAttrsAndRoutes(t *testing.T) {
 	s, a := fixtureSchema()
 	pt := NewPartition(s, a, 4)
-	if got := pt.Rel("acct").Attrs; len(got) != 1 || got[0] != "uid" {
+	if got := pt.rels["acct"].Attrs; len(got) != 1 || got[0] != "uid" {
 		t.Fatalf("acct partition attrs = %v, want [uid]", got)
 	}
 	// {uid} is a subset of both txn constraints' X-sets, {uid,item} only of
 	// one: {uid} wins.
-	if got := pt.Rel("txn").Attrs; len(got) != 1 || got[0] != "uid" {
+	if got := pt.rels["txn"].Attrs; len(got) != 1 || got[0] != "uid" {
 		t.Fatalf("txn partition attrs = %v, want [uid]", got)
 	}
 	// misc has no constraint with non-empty X: full-row partitioning.
-	if got := pt.Rel("misc").Attrs; len(got) != 2 {
+	if got := pt.rels["misc"].Attrs; len(got) != 2 {
 		t.Fatalf("misc partition attrs = %v, want the full row", got)
 	}
 	if r := pt.Route(a.Constraints[0]); r == nil || r.XPos == nil {
@@ -57,56 +59,85 @@ func TestPartitionAttrsAndRoutes(t *testing.T) {
 	}
 }
 
+// applyOps encodes a string batch through the engine's dictionary, as
+// the facade does, and applies it.
+func applyOps(s *Sharded, inserts, deletes []instance.Op) (DeltaStats, error) {
+	ins, del := instance.Encode(s.dict, inserts, deletes)
+	st, _, err := s.ApplyDelta(ins, del)
+	return st, err
+}
+
 // TestRoutingConsistency checks the load-bearing invariant: the shard a
 // row is placed on equals the shard every routed fetch key for that row
-// hashes to, and co-partitioned atoms land together.
+// hashes to, so co-partitioned atoms land together. On the Sharded
+// fixture at P = 8, each row's uid is fetched through both constraints on
+// an epoch: exactly the probe counter of the row's shard moves, and the
+// fetch returns the row.
 func TestRoutingConsistency(t *testing.T) {
-	s, a := fixtureSchema()
-	pt := NewPartition(s, a, 7)
-	for i := 0; i < 200; i++ {
-		uid := fmt.Sprintf("u%d", i)
-		accRow := []string{uid, "emea"}
-		txnRow := []string{uid, fmt.Sprintf("it%d", i%13), "9"}
-		sa := pt.ShardOfRow("acct", accRow)
-		st := pt.ShardOfRow("txn", txnRow)
-		if sa != st {
-			t.Fatalf("uid %s: acct on shard %d, txn on shard %d — co-partitioning broken", uid, sa, st)
-		}
-		// The routed fetch key for txn(uid,item -> amt) is (item, uid) in
-		// sorted-X order; XPos must pick out uid.
-		r := pt.Route(a.Constraints[2])
-		xval := []string{txnRow[1], uid} // c.X = [item, uid] sorted
-		vals := make([]string, len(r.XPos))
-		for j, p := range r.XPos {
-			vals[j] = xval[p]
-		}
-		if got := int(hashVals(vals) % 7); got != st {
-			t.Fatalf("uid %s: fetch routes to shard %d, row lives on %d", uid, got, st)
-		}
-	}
-
-	// Routing from interned IDs hashes the same bytes: every row of the
-	// Sharded fixture at P = 8 lands on one shard whichever form it is
-	// routed from, and so does the routed fetch key of its uid.
 	w := workload.NewSharded(8)
 	db := w.Generate(300, 5, 3)
-	pt8 := NewPartition(w.Schema, w.Access, 8)
-	route := pt8.Route(w.Txn)
+	probes := obs.NewCore(8).ShardProbes
+	sh, e, err := Open(db.Dict, db.IDTables(), w.Schema, w.Access, nil, Config{Shards: 8, Probes: probes})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rows := 0
 	for rel, ids := range db.IDTables() {
 		for _, row := range ids {
-			want := pt8.ShardOfRow(rel, db.Dict.Decode(row))
-			if got := pt8.ShardOfIDs(db.Dict, rel, row); got != want {
-				t.Fatalf("%s%v: routed to shard %d from IDs, %d from strings", rel, db.Dict.Decode(row), got, want)
-			}
-			if got := int(hashIDs(db.Dict, row[:1], route.XPos) % 8); got != want {
-				t.Fatalf("%s%v: the uid's fetch routes to shard %d, the row lives on %d", rel, db.Dict.Decode(row), got, want)
+			want := sh.part.ShardOfIDs(rel, row)
+			for _, c := range []*access.Constraint{w.Acct, w.Txn} {
+				before := probes[want].Load()
+				got, err := e.FetchIDs(c, row[:1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if probes[want].Load() != before+1 {
+					t.Fatalf("%s%v: the uid's fetch through %s did not probe shard %d, where the row lives",
+						rel, db.Dict.Decode(row), c, want)
+				}
+				// The fetch returns XY-projections (sorted attribute order):
+				// compare the values as multisets.
+				sorted := slices.Sorted(slices.Values(row))
+				if c.Rel == rel && !slices.ContainsFunc(got, func(r []uint32) bool {
+					return slices.Equal(slices.Sorted(slices.Values(r)), sorted)
+				}) {
+					t.Fatalf("%s%v: the uid's fetch through %s misses the row", rel, db.Dict.Decode(row), c)
+				}
 			}
 			rows++
 		}
 	}
-	if rows != 300*6 {
-		t.Fatalf("checked %d rows, want %d", rows, 300*6)
+	total := int64(0)
+	for _, c := range probes {
+		total += c.Load()
+	}
+	if rows != 300*6 || total != int64(2*rows) {
+		t.Fatalf("checked %d rows with %d probes, want %d rows, 2 probes each", rows, total, 300*6)
+	}
+}
+
+// TestShardBalance: on the Sharded fixture (25k users, six rows each,
+// partitioned by uid) every shard holds within ±5 % of |D|/P at P = 2, 3
+// and 8 — the interned IDs are dense and small, and the hash must still
+// spread them evenly.
+func TestShardBalance(t *testing.T) {
+	w := workload.NewSharded(8)
+	db := w.Generate(25_000, 5, 11)
+	tables := db.IDTables()
+	for _, p := range []int{2, 3, 8} {
+		pt := NewPartition(w.Schema, w.Access, p)
+		sizes := make([]int, p)
+		for rel, rows := range tables {
+			for _, row := range rows {
+				sizes[pt.ShardOfIDs(rel, row)]++
+			}
+		}
+		fair := float64(db.Size()) / float64(p)
+		for i, n := range sizes {
+			if dev := float64(n)/fair - 1; dev < -0.05 || dev > 0.05 {
+				t.Errorf("P = %d: shard %d holds %d rows, %+.1f%% off |D|/P = %.0f (sizes %v)", p, i, n, 100*dev, fair, sizes)
+			}
+		}
 	}
 }
 
@@ -116,18 +147,22 @@ func TestRoutingConsistency(t *testing.T) {
 func TestLocalViewAnalysis(t *testing.T) {
 	s, a := fixtureSchema()
 	pt := NewPartition(s, a, 4)
+	local := func(def *cq.UCQ) bool {
+		_, ok := pt.LocalView(def)
+		return ok
+	}
 	mk := func(head []cq.Term, atoms ...cq.Atom) *cq.UCQ { return cq.NewUCQ(cq.NewCQ(head, atoms)) }
 
 	// Single atom whose head keeps the key: local.
-	if !pt.LocalView(mk([]cq.Term{cq.Var("u")}, cq.NewAtom("acct", cq.Var("u"), cq.Var("r")))) {
+	if !local(mk([]cq.Term{cq.Var("u")}, cq.NewAtom("acct", cq.Var("u"), cq.Var("r")))) {
 		t.Fatal("single-atom view must be local")
 	}
 	// A head that drops the key: the same row derives on many shards, so
 	// the view is global — a projection and a Boolean view alike.
-	if pt.LocalView(mk([]cq.Term{cq.Var("r")}, cq.NewAtom("acct", cq.Var("u"), cq.Var("r")))) {
+	if local(mk([]cq.Term{cq.Var("r")}, cq.NewAtom("acct", cq.Var("u"), cq.Var("r")))) {
 		t.Fatal("a projection dropping the partition key must be global")
 	}
-	if pt.LocalView(mk(nil, cq.NewAtom("acct", cq.Var("u"), cq.Var("r")))) {
+	if local(mk(nil, cq.NewAtom("acct", cq.Var("u"), cq.Var("r")))) {
 		t.Fatal("a Boolean view must be global")
 	}
 	// A union is local when every disjunct puts the key at the same head
@@ -137,24 +172,24 @@ func TestLocalViewAnalysis(t *testing.T) {
 			cq.NewCQ([]cq.Term{cq.Var("u"), cq.Var("r")}, []cq.Atom{cq.NewAtom("acct", cq.Var("u"), cq.Var("r"))}),
 			cq.NewCQ(txnHead, []cq.Atom{cq.NewAtom("txn", cq.Var("v"), cq.Var("i"), cq.Var("x"))}))
 	}
-	if !pt.LocalView(acctTxn([]cq.Term{cq.Var("v"), cq.Var("i")})) {
+	if !local(acctTxn([]cq.Term{cq.Var("v"), cq.Var("i")})) {
 		t.Fatal("a union keeping the key at one head position must be local")
 	}
-	if pt.LocalView(acctTxn([]cq.Term{cq.Var("i"), cq.Var("v")})) {
+	if local(acctTxn([]cq.Term{cq.Var("i"), cq.Var("v")})) {
 		t.Fatal("a union placing the key at different head positions must be global")
 	}
 	// Join on the shared partition key: local.
 	coPart := mk([]cq.Term{cq.Var("u"), cq.Var("i")},
 		cq.NewAtom("acct", cq.Var("u"), cq.Cst("emea")),
 		cq.NewAtom("txn", cq.Var("u"), cq.Var("i"), cq.Var("x")))
-	if !pt.LocalView(coPart) {
+	if !local(coPart) {
 		t.Fatal("join on the partition key must be local")
 	}
 	// Join on a non-partition column: global.
 	crossPart := mk([]cq.Term{cq.Var("u")},
 		cq.NewAtom("acct", cq.Var("u"), cq.Var("r")),
 		cq.NewAtom("txn", cq.Var("v"), cq.Var("r"), cq.Var("x")))
-	if pt.LocalView(crossPart) {
+	if local(crossPart) {
 		t.Fatal("join across partition keys must be global")
 	}
 	// An equality that unifies the keys makes it local again (analysis
@@ -165,7 +200,7 @@ func TestLocalViewAnalysis(t *testing.T) {
 			cq.NewAtom("txn", cq.Var("v"), cq.Var("i"), cq.Var("x")),
 		},
 		cq.Equality{L: cq.Var("u"), R: cq.Var("v")}))
-	if !pt.LocalView(unified) {
+	if !local(unified) {
 		t.Fatal("normalization must make the unified join local")
 	}
 }
@@ -185,14 +220,14 @@ func TestShardedOpenAndPointReads(t *testing.T) {
 		}
 	}
 	views := map[string]*cq.UCQ{}
-	sh, err := Open(db.Dict, db.IDTables(), s, a, views, Config{Shards: 4})
+	sh, e, err := Open(db.Dict, db.IDTables(), s, a, views, Config{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sh.Size(); got != users*4 {
+	if got := e.Size(); got != users*4 {
 		t.Fatalf("size %d, want %d", got, users*4)
 	}
-	sizes := sh.ShardSizes()
+	sizes := e.ShardSizes()
 	nonEmpty := 0
 	for _, n := range sizes {
 		if n > 0 {
@@ -203,7 +238,6 @@ func TestShardedOpenAndPointReads(t *testing.T) {
 		t.Fatalf("hash partitioning left the data on %d shard(s): %v", nonEmpty, sizes)
 	}
 	// Routed probe per uid against the current epoch: exactly the 3 txns.
-	e := sh.Current()
 	for i := 0; i < users; i++ {
 		uid := sh.dict.ID(fmt.Sprintf("u%d", i))
 		rows, err := e.FetchIDs(a.Constraints[1], []uint32{uid})
@@ -216,7 +250,7 @@ func TestShardedOpenAndPointReads(t *testing.T) {
 	}
 	// Broadcast probe on misc (empty X): the gathered whole-relation scan.
 	// The pinned epoch e must NOT see the delta; the new epoch must.
-	if _, err := sh.ApplyDelta([]instance.Op{
+	if _, err := applyOps(sh, []instance.Op{
 		{Rel: "misc", Row: instance.Tuple{"x", "y"}},
 		{Rel: "misc", Row: instance.Tuple{"p", "q"}},
 		{Rel: "misc", Row: instance.Tuple{"x", "y"}}, // duplicate: one projection
@@ -226,7 +260,7 @@ func TestShardedOpenAndPointReads(t *testing.T) {
 	if rows, err := e.FetchIDs(a.Constraints[3], nil); err != nil || len(rows) != 0 {
 		t.Fatalf("pinned epoch observed a later batch: %v rows, err %v", len(rows), err)
 	}
-	rows, err := sh.Current().FetchIDs(a.Constraints[3], nil)
+	rows, err := sh.last.FetchIDs(a.Constraints[3], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,20 +289,20 @@ func TestEpochKeepsUnchangedViewVersions(t *testing.T) {
 			db := instance.NewDatabase(s)
 			db.MustInsert("acct", "u1", "emea")
 			db.MustInsert("txn", "u1", "it1", "9")
-			sh, err := Open(db.Dict, db.IDTables(), s, a, views, Config{Shards: p})
+			sh, _, err := Open(db.Dict, db.IDTables(), s, a, views, Config{Shards: p})
 			if err != nil {
 				t.Fatal(err)
 			}
 			versions := func() map[string]*plan.ViewVersion {
 				out := make(map[string]*plan.ViewVersion)
-				for name, vv := range sh.Current().Prepared().All() {
+				for name, vv := range sh.last.Prepared().All() {
 					out[name] = vv
 				}
 				return out
 			}
 			apply := func(ins ...instance.Op) DeltaStats {
 				t.Helper()
-				st, err := sh.ApplyDelta(ins, nil)
+				st, err := applyOps(sh, ins, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -298,7 +332,7 @@ func TestEpochKeepsUnchangedViewVersions(t *testing.T) {
 					t.Fatalf("view %s: new version %v, want %v", name, after[name] != kept[name], changed)
 				}
 			}
-			if rows, _ := sh.Current().ViewIDs("items"); len(rows) != 2 {
+			if rows := sh.last.AllViewIDs()["items"]; len(rows) != 2 {
 				t.Fatalf("items serves %d rows after the insert, want 2", len(rows))
 			}
 		})
@@ -313,21 +347,43 @@ func TestStaleVIndexRejectionIsTorn(t *testing.T) {
 	s, a := fixtureSchema()
 	db := instance.NewDatabase(s)
 	db.MustInsert("acct", "u1", "emea")
-	sh, err := Open(db.Dict, db.IDTables(), s, a, map[string]*cq.UCQ{}, Config{Shards: 1})
+	sh, _, err := Open(db.Dict, db.IDTables(), s, a, map[string]*cq.UCQ{}, Config{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	stale := sh.shards[0].vix
 	ghost := instance.Op{Rel: "acct", Row: instance.Tuple{"ghost", "apac"}}
-	if _, err := sh.ApplyDelta([]instance.Op{ghost}, nil); err != nil {
+	if _, err := applyOps(sh, []instance.Op{ghost}, nil); err != nil {
 		t.Fatal(err)
 	}
 	sh.shards[0].vix = stale
-	_, err = sh.ApplyDelta(nil, []instance.Op{ghost})
+	_, err = applyOps(sh, nil, []instance.Op{ghost})
 	if !errors.Is(err, ErrTorn) {
 		t.Fatalf("stale index rejection must wrap ErrTorn, got %v", err)
 	}
-	if got := sh.Size(); got != 2 {
+	if got := sh.last.Size(); got != 2 {
 		t.Fatalf("the torn batch published: size %d, want the last epoch's 2", got)
+	}
+}
+
+// TestRoutedProbeAllocs: a routed fetch on a P = 8 epoch — constraint
+// lookup, route, hash, per-shard probe telemetry and the owning shard's
+// index probe — allocates nothing.
+func TestRoutedProbeAllocs(t *testing.T) {
+	w := workload.NewSharded(8)
+	db := w.Generate(200, 5, 3)
+	probes := obs.NewCore(8).ShardProbes
+	sh, e, err := Open(db.Dict, db.IDTables(), w.Schema, w.Access, w.Views(), Config{Shards: 8, Probes: probes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	uid := []uint32{sh.dict.ID(w.UID(7))}
+	var rows [][]uint32
+	allocs := testing.AllocsPerRun(100, func() { rows, _ = e.FetchIDs(w.Txn, uid) })
+	if len(rows) != 5 {
+		t.Fatalf("routed probe fetched %d rows, want 5", len(rows))
+	}
+	if allocs != 0 {
+		t.Fatalf("a routed P = 8 probe allocates %.1f times, want 0", allocs)
 	}
 }

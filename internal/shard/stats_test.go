@@ -34,7 +34,7 @@ func scanStats(t *testing.T, s *Sharded) *plan.Stats {
 		st.RelDistinct[rel.Name] = byAttr
 	}
 	for name := range s.views {
-		rows, _ := s.Current().ViewIDs(name)
+		rows := s.last.AllViewIDs()[name]
 		set := dedup(rows)
 		if len(set) != len(rows) {
 			t.Fatalf("view %s: the epoch's extent repeats rows (%d rows, %d distinct)", name, len(rows), len(set))
@@ -131,11 +131,11 @@ func TestPublishedStatsMatchScan(t *testing.T) {
 				refDB.MustInsert(rel, row...)
 				live[rel] = append(live[rel], row)
 			}
-			ref, err := Open(refDB.Dict, refDB.IDTables(), s, a, views, Config{Shards: 1})
+			ref, _, err := Open(refDB.Dict, refDB.IDTables(), s, a, views, Config{Shards: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			sh, err := Open(db.Dict, db.IDTables(), s, a, views, Config{Shards: p})
+			sh, _, err := Open(db.Dict, db.IDTables(), s, a, views, Config{Shards: p})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,11 +145,11 @@ func TestPublishedStatsMatchScan(t *testing.T) {
 			}
 			check := func(when string) {
 				t.Helper()
-				got, _ := sh.Current().Stats()
+				got, _ := sh.last.Stats()
 				if want := scanStats(t, sh); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: published stats\n%+v\nscan\n%+v", when, *got, *want)
 				}
-				if want, _ := ref.Current().Stats(); !reflect.DeepEqual(got, want) {
+				if want, _ := ref.last.Stats(); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: published stats\n%+v\nP = 1\n%+v", when, *got, *want)
 				}
 			}
@@ -178,7 +178,7 @@ func TestPublishedStatsMatchScan(t *testing.T) {
 					ins = append(ins, instance.Op{Rel: "acct", Row: row})
 				}
 				for _, e := range []*Sharded{sh, ref} {
-					if _, err := e.ApplyDelta(ins, del); err != nil {
+					if _, err := applyOps(e, ins, del); err != nil {
 						t.Fatal(err)
 					}
 				}

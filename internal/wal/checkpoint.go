@@ -20,9 +20,11 @@ import (
 // hwm (reader-side interning not yet journaled) are deliberately excluded:
 // the record that journals them re-assigns the same IDs on replay.
 //
-// Views holds the counted view extents of a P = 1 engine, whose restore
-// seeds from them; at P > 1 the checkpoint is logical (no Views) and the
-// per-shard extents are rebuilt from the restored tables on open.
+// Views holds every view's counted extent, whatever the shard count it
+// was written at: a restore at any shard count seeds its engines from
+// them instead of enumerating the views. Files without Views (written
+// before extents were checkpointed at every shard count) restore by
+// enumeration.
 //
 // A checkpoint carries no statistics: the restored engines count them
 // exactly from the tables and extents. Files written when it did still

@@ -10,6 +10,7 @@ import (
 	"repro/internal/cq"
 	"repro/internal/eval"
 	"repro/internal/instance"
+	"repro/internal/intern"
 	"repro/internal/plan"
 	"repro/internal/workload"
 )
@@ -339,7 +340,7 @@ func TestShardedDifferentialRandom(t *testing.T) {
 				fresh := map[string]bool{}
 				for _, op := range ins {
 					for _, v := range op.Row {
-						if _, ok := dict.Lookup(v); !ok {
+						if _, ok := dict.LookupRow([]string{v}); !ok {
 							fresh[v] = true
 						}
 					}
@@ -396,6 +397,58 @@ func TestWithShardsRejectsNonPositive(t *testing.T) {
 	defer h.Close()
 	if rec := h.(*Live).Recovery(); rec != (RecoveryInfo{}) {
 		t.Fatalf("a rejected open left durable state behind: %+v", rec)
+	}
+}
+
+// TestInterningIndependentOfShardCount: a batch is interned once, in
+// batch order, before it is routed to the shards, so the same batches of
+// new values build the same dictionary — string for string, ID for ID —
+// at P = 1 and P = 8.
+func TestInterningIndependentOfShardCount(t *testing.T) {
+	w := workload.NewSharded(8)
+	sys, err := NewSystem(w.Schema, w.Access, w.Views(), w.M)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := w.Generate(200, 4, 17)
+	dicts := map[int]*intern.Dict{}
+	var handles []Handle
+	for _, p := range []int{1, 8} {
+		h, err := sys.Open(db.Clone(), WithShards(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Close()
+		handles = append(handles, h)
+		dicts[p] = h.(*Live).sh.Dict()
+	}
+	for b := 0; b < 20; b++ {
+		var ins []Op
+		for i := 0; i < 120; i++ {
+			uid := fmt.Sprintf("n%d-%d", b, i)
+			ins = append(ins,
+				Op{Rel: "acct", Row: Tuple{uid, fmt.Sprintf("r%d", (b*120+i)%37)}},
+				Op{Rel: "txn", Row: Tuple{uid, fmt.Sprintf("it%d-%d", b, i), "1"}})
+		}
+		for _, h := range handles {
+			if _, err := h.ApplyDelta(ins, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	n := dicts[1].Len()
+	if dicts[8].Len() != n {
+		t.Fatalf("dictionary holds %d strings at P = 1, %d at P = 8", n, dicts[8].Len())
+	}
+	one, eight := dicts[1].StringsRange(0, n), dicts[8].StringsRange(0, n)
+	differ := 0
+	for i := range one {
+		if one[i] != eight[i] {
+			differ++
+		}
+	}
+	if differ > 0 {
+		t.Fatalf("%d of %d IDs name different strings at P = 1 and P = 8", differ, n)
 	}
 }
 
