@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/intern"
 	"repro/internal/wal"
 	"repro/internal/workload"
 )
@@ -339,5 +340,64 @@ func TestCheckpointRows(t *testing.T) {
 		if _, err := checkpointRows(s, 4, tables); err == nil {
 			t.Errorf("%s: checkpoint rows accepted", what)
 		}
+	}
+}
+
+// TestRestoreRejectsViewIDsBeyondDictionary: a checkpoint whose CRC is
+// valid but one of whose counted view rows names an ID beyond the restored
+// dictionary must fail to open — the engine would serve the row, and the
+// first read would decode past the dictionary's end.
+func TestRestoreRejectsViewIDsBeyondDictionary(t *testing.T) {
+	w, sys, db := shardedWorkload(t, 30, 4)
+	dir := t.TempDir()
+	h, err := sys.Open(db, WithDurability(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := w.NewChurn(db.Clone(), 5)
+	for b := 0; b < 3; b++ {
+		ins, del := ch.Batch(10)
+		if _, err := h.ApplyDelta(ins, del); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := h.Close(); err != nil { // writes the final checkpoint
+		t.Fatal(err)
+	}
+
+	log, rec, err := wal.Open(dir, sys.walOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := rec.Checkpoint
+	corrupted := false
+	for _, v := range ck.Views {
+		if len(v.Rows) > 0 {
+			v.Rows[0][0] = uint32(len(ck.Dict)) + 7
+			corrupted = true
+			break
+		}
+	}
+	if !corrupted {
+		t.Fatal("fixture too small: the checkpoint holds no view rows")
+	}
+	dict, ok := intern.FromStrings(ck.Dict)
+	if !ok {
+		t.Fatal("checkpoint dictionary has duplicates")
+	}
+	if err := log.WriteCheckpoint(dict, ck); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	h2, err := sys.Open(NewDatabase(sys.Schema), WithDurability(dir))
+	if err == nil {
+		h2.Close()
+		t.Fatal("a checkpoint with an out-of-range view ID opened")
+	}
+	if !strings.Contains(err.Error(), "beyond dictionary length") {
+		t.Fatalf("open failed for another reason: %v", err)
 	}
 }

@@ -163,6 +163,11 @@ func (sys *System) restore(rec *wal.Recovered, cfg openConfig) (*Live, error) {
 	if err != nil {
 		return nil, fmt.Errorf("repro: recover: %w", err)
 	}
+	for _, v := range ck.Views {
+		if err := checkIDRange(dict.Len(), "view "+v.Name, v.Rows); err != nil {
+			return nil, fmt.Errorf("repro: recover: checkpoint: %w", err)
+		}
+	}
 	l, err := sys.newLive(dict, rows, cfg, ck)
 	if err != nil {
 		return nil, fmt.Errorf("repro: recover: %w", err)
@@ -194,8 +199,7 @@ func checkpointRows(s *Schema, n int, tables []wal.TableRows) (map[string][][]ui
 }
 
 // checkIDRows checks ID rows of relation rel from durable state: rel is
-// a relation of s, every row has its arity and every ID lies below the
-// dictionary's length n.
+// a relation of s, every row has its arity and passes checkIDRange.
 func checkIDRows(s *Schema, n int, rel string, rows ...[]uint32) error {
 	r := s.Relation(rel)
 	if r == nil {
@@ -205,9 +209,18 @@ func checkIDRows(s *Schema, n int, rel string, rows ...[]uint32) error {
 		if len(row) != r.Arity() {
 			return fmt.Errorf("%s row has arity %d, want %d", rel, len(row), r.Arity())
 		}
+	}
+	return checkIDRange(n, rel, rows)
+}
+
+// checkIDRange checks that every ID of rows (of a relation or a view,
+// named by what) from durable state lies below the restored dictionary's
+// length n: the engine serves the rows it adopts, and a read decodes them.
+func checkIDRange(n int, what string, rows [][]uint32) error {
+	for _, row := range rows {
 		for _, id := range row {
 			if int(id) >= n {
-				return fmt.Errorf("%s row references ID %d beyond dictionary length %d", rel, id, n)
+				return fmt.Errorf("%s row references ID %d beyond dictionary length %d", what, id, n)
 			}
 		}
 	}

@@ -1,0 +1,186 @@
+package repro
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/cq"
+	"repro/internal/plan"
+	"repro/internal/workload"
+)
+
+// TestExecAllocBudget bounds the allocations of one warm read on each
+// serving path: ξ0 on Movies through Handle.Execute, which compiles the
+// caller's plan on every call, and a per-uid point query on a P = 8
+// Sharded handle through PreparedQuery.Execute, which reuses the program
+// compiled for its binding. The plan executor allocates per answer, not
+// per row: intermediate rows live in a pooled arena, so the budgets hold
+// whatever the fetch fan-out. The race detector's instrumentation
+// allocates on its own, so the gate skips under it.
+func TestExecAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const (
+		fig1Budget  = 8
+		pointBudget = 16
+	)
+	t.Run("fig1", func(t *testing.T) {
+		sys, m := movieSystemN0(t, 50)
+		db := m.Generate(workload.MoviesParams{Persons: 4000, Movies: 4000, LikesPerPerson: 5, NASAShare: 10, Seed: 1})
+		want, err := sys.EvalDirect(NewUCQ(m.Q0), db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := sys.Open(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Close()
+		p := m.Fig1Plan()
+		rows, fetched, err := h.Execute(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cq.RowsEqual(rows, want) || len(want) == 0 || fetched < 50 {
+			t.Fatalf("ξ0: %d rows (want %d), %d fetched", len(rows), len(want), fetched)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, _, err := h.Execute(p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("ξ0 via Handle.Execute: %.1f allocs per call, %d rows, %d fetched", allocs, len(rows), fetched)
+		if allocs > fig1Budget {
+			t.Fatalf("ξ0 allocates %.1f times per call, budget %d", allocs, fig1Budget)
+		}
+	})
+	t.Run("point", func(t *testing.T) {
+		sys, w, h, db := shardedFixture(t, 400, 5, 8)
+		defer h.Close()
+		uid := w.UID(7)
+		q := NewUCQ(w.Query(uid))
+		want, err := sys.EvalDirect(q, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pq, err := sys.Prepare(q, LangCQ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, _, err := pq.Execute(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cq.RowsEqual(rows, want) || len(want) == 0 {
+			t.Fatalf("point query: %d rows, want %d", len(rows), len(want))
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, _, err := pq.Execute(h); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("point query via PreparedQuery.Execute: %.1f allocs per call, %d rows", allocs, len(rows))
+		if allocs > pointBudget {
+			t.Fatalf("point query allocates %.1f times per call, budget %d", allocs, pointBudget)
+		}
+	})
+}
+
+// fig1With is ξ0 and Q0 of the Movies fixture with every occurrence of the
+// constants in sub replaced.
+func fig1With(m *workload.Movies, sub map[string]string) (Plan, *UCQ) {
+	p := m.Fig1Plan()
+	var walk func(plan.Node)
+	walk = func(n plan.Node) {
+		switch x := n.(type) {
+		case *plan.Const:
+			if v, ok := sub[x.Val]; ok {
+				x.Val = v
+			}
+		case *plan.Select:
+			for i, c := range x.Cond {
+				if v, ok := sub[c.R]; ok && c.RConst {
+					x.Cond[i].R = v
+				}
+			}
+		}
+		for _, ch := range n.Children() {
+			walk(ch)
+		}
+	}
+	walk(p)
+	atoms := make([]cq.Atom, len(m.Q0.Atoms))
+	for i, a := range m.Q0.Atoms {
+		args := append([]cq.Term(nil), a.Args...)
+		for k, t := range args {
+			if v, ok := sub[t.Val]; ok && t.Const {
+				args[k].Val = v
+			}
+		}
+		atoms[i] = cq.NewAtom(a.Rel, args...)
+	}
+	return p, NewUCQ(cq.NewCQ(m.Q0.Head, atoms))
+}
+
+// TestReadsNeverIntern: a read resolves its plan's constants by lookup
+// only. A constant the dictionary lacks gets a program-local ID that
+// matches no stored value, so 1,000 executions of ξ0 with constants no
+// database row holds leave a durable handle's dictionary — which journals
+// its growth with the next batch — exactly as large as before, and answer
+// like direct evaluation. Absent constants that reach the answer decode
+// from the program's own table, and equal ones compare equal.
+func TestReadsNeverIntern(t *testing.T) {
+	sys, m := movieSystemN0(t, 50)
+	db := m.Generate(workload.MoviesParams{Persons: 1000, Movies: 1000, LikesPerPerson: 5, NASAShare: 10, Seed: 1})
+	mirror := db.Clone()
+	h, err := sys.Open(db, WithDurability(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	dict := h.(*Live).sh.Dict()
+	before := dict.Len()
+	for i := 0; i < 1000; i++ {
+		sub := map[string]string{"Universal": fmt.Sprintf("fresh-studio-%d", i)}
+		if i%2 == 1 {
+			sub = map[string]string{"5": fmt.Sprintf("fresh-rank-%d", i)}
+		}
+		p, q := fig1With(m, sub)
+		rows, _, err := h.Execute(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%25 == 0 {
+			want, err := sys.EvalDirect(q, mirror)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !cq.RowsEqual(rows, want) {
+				t.Fatalf("execution %d (%v): %v, direct evaluation %v", i, sub, rows, want)
+			}
+		}
+	}
+	if got := dict.Len(); got != before {
+		t.Fatalf("reads grew the dictionary from %d to %d strings", before, got)
+	}
+
+	// Absent constants in the answer: a = b holds for two equal ones, and
+	// the row decodes to the constants themselves.
+	pair := func(a, b string) Plan {
+		return &plan.Select{
+			Child: &plan.Product{L: &plan.Const{Attr: "a", Val: a}, R: &plan.Const{Attr: "b", Val: b}},
+			Cond:  []plan.CondItem{{L: "a", R: "b"}, {L: "a", RConst: true, R: a}},
+		}
+	}
+	rows, _, err := h.Execute(pair("absent-x", "absent-x"))
+	if err != nil || len(rows) != 1 || rows[0][0] != "absent-x" || rows[0][1] != "absent-x" {
+		t.Fatalf("equal absent constants: rows %v, err %v", rows, err)
+	}
+	if rows, _, err := h.Execute(pair("absent-x", "absent-y")); err != nil || rows != nil {
+		t.Fatalf("distinct absent constants: rows %v, err %v", rows, err)
+	}
+	if got := dict.Len(); got != before {
+		t.Fatalf("reads grew the dictionary from %d to %d strings", before, got)
+	}
+}

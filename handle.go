@@ -107,11 +107,11 @@ type Handle interface {
 	// the prepared-query layer and the debug exporter. Sealing method.
 	metricsCore() *obs.Core
 
-	// executeObserved is Execute plus the run's execution profile — the
-	// observation the closed-loop plan selection feeds on (see
-	// PreparedQuery.Execute). tc carries the prepared-query identity for
-	// slow-query tracing (nil for ad-hoc runs). Sealing method.
-	executeObserved(p Plan, tc *traceCtx) ([][]string, int, *plan.Observation, error)
+	// executeObserved runs prog, the compiled form of plan p, with the
+	// run's execution profile — the observation the closed-loop plan
+	// selection feeds on (see PreparedQuery.Execute). tc carries the
+	// prepared-query identity for slow-query tracing. Sealing method.
+	executeObserved(p Plan, prog *plan.Program, tc *traceCtx) ([][]string, int, *plan.Observation, error)
 }
 
 // ErrClosed is returned by ApplyDelta on a closed handle.
@@ -336,25 +336,29 @@ func (s *Snapshot) met() *obs.Core {
 // and the tuples fetched from the database by this call (exact per-call
 // attribution, also under concurrent use).
 func (s *Snapshot) Execute(p Plan) ([][]string, int, error) {
-	rows, n, _, err := execute(s.e, s.met(), &s.fetched, s.hfetched, p, nil, false)
+	rows, n, _, err := execute(s.e, s.met(), &s.fetched, s.hfetched, p, nil, nil)
 	return rows, n, err
 }
 
-// executeObserved is Execute plus the run's execution profile, for the
-// closed-loop selection in PreparedQuery.ExecuteOn.
-func (s *Snapshot) executeObserved(p Plan, tc *traceCtx) ([][]string, int, *plan.Observation, error) {
-	return execute(s.e, s.met(), &s.fetched, s.hfetched, p, tc, true)
+// executeObserved runs a prepared candidate's program with the run's
+// execution profile, for the closed-loop selection in
+// PreparedQuery.ExecuteOn.
+func (s *Snapshot) executeObserved(p Plan, prog *plan.Program, tc *traceCtx) ([][]string, int, *plan.Observation, error) {
+	return execute(s.e, s.met(), &s.fetched, s.hfetched, p, prog, tc)
 }
 
-// execute runs a plan against epoch e for a handle or snapshot: the
-// tuples the run fetched are returned for the call and added to the
-// caller's attribution counters (owner; up, when the owner rolls up into
-// a handle — nil otherwise), also when the run fails, and the run is
-// recorded in met (nil-safe). observe asks for the run's execution
-// profile; an armed slow-query log needs it too, for the trace's
-// per-constraint breakdown (its extra allocation is the documented cost
-// of arming the log). tc names the prepared query for that trace.
-func execute(e *epochState, met *obs.Core, owner, up *atomic.Int64, p Plan, tc *traceCtx, observe bool) ([][]string, int, *plan.Observation, error) {
+// execute runs plan p against epoch e for a handle or snapshot. prog,
+// when not nil, is p compiled once — a prepared candidate's program — and
+// its run is profiled for the closed-loop selection; tc names the
+// prepared query for the slow-query trace. Without prog, p is the caller's
+// and may change between calls, so it is compiled on this one. The tuples
+// the run fetched are returned for the call and added to the caller's
+// attribution counters (owner; up, when the owner rolls up into a handle —
+// nil otherwise), also when the run fails, and the run is recorded in met
+// (nil-safe). An armed slow-query log needs the run's profile too, for
+// the trace's per-constraint breakdown (its extra allocation is the
+// documented cost of arming the log).
+func execute(e *epochState, met *obs.Core, owner, up *atomic.Int64, p Plan, prog *plan.Program, tc *traceCtx) ([][]string, int, *plan.Observation, error) {
 	var t0 time.Time
 	if met != nil {
 		t0 = time.Now()
@@ -363,9 +367,12 @@ func execute(e *epochState, met *obs.Core, owner, up *atomic.Int64, p Plan, tc *
 	var fetched int
 	var ob *plan.Observation
 	var err error
-	if observe || met.SlowEnabled() {
+	switch {
+	case prog != nil:
+		rows, fetched, ob, err = prog.RunObserved(e.Epoch, e.Prepared())
+	case met.SlowEnabled():
 		rows, fetched, ob, err = plan.RunObserved(p, e.Epoch, e.Prepared())
-	} else {
+	default:
 		rows, fetched, err = plan.Run(p, e.Epoch, e.Prepared())
 	}
 	account(fetched, owner, up)
@@ -575,14 +582,15 @@ func (l *Live) Lifecycle() LifecycleStats { return l.lc.stats() }
 // rows and the tuples fetched from D by this call (exact attribution,
 // also under concurrent readers and writers).
 func (l *Live) Execute(p Plan) ([][]string, int, error) {
-	rows, n, _, err := execute(l.cur.Load(), l.met, &l.fetched, nil, p, nil, false)
+	rows, n, _, err := execute(l.cur.Load(), l.met, &l.fetched, nil, p, nil, nil)
 	return rows, n, err
 }
 
-// executeObserved is Execute plus the run's execution profile, for the
-// closed-loop selection in PreparedQuery.Execute.
-func (l *Live) executeObserved(p Plan, tc *traceCtx) ([][]string, int, *plan.Observation, error) {
-	return execute(l.cur.Load(), l.met, &l.fetched, nil, p, tc, true)
+// executeObserved runs a prepared candidate's program with the run's
+// execution profile, for the closed-loop selection in
+// PreparedQuery.Execute.
+func (l *Live) executeObserved(p Plan, prog *plan.Program, tc *traceCtx) ([][]string, int, *plan.Observation, error) {
+	return execute(l.cur.Load(), l.met, &l.fetched, nil, p, prog, tc)
 }
 
 // Metrics returns a point-in-time snapshot of the handle's metrics.

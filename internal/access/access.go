@@ -26,14 +26,15 @@ type Constraint struct {
 	Y   []string // output attributes
 	N   int      // cardinality bound
 
-	key string // Key(), computed once so the per-fetch lookups allocate nothing
+	key string   // Key(), computed once so the per-fetch lookups allocate nothing
+	xy  []string // XY(), computed once: every fetch node names its outputs by it
 }
 
 // NewConstraint builds a constraint, normalizing the attribute lists
 // (sorted, de-duplicated) so that equality of constraints is syntactic.
 func NewConstraint(rel string, x, y []string, n int) *Constraint {
 	c := &Constraint{Rel: rel, X: normalize(x), Y: normalize(y), N: n}
-	c.key = c.Key()
+	c.key, c.xy = c.Key(), c.XY()
 	return c
 }
 
@@ -55,9 +56,13 @@ func normalize(attrs []string) []string {
 func (c *Constraint) IsFD() bool { return c.N == 1 }
 
 // XY returns the union X ∪ Y, sorted and de-duplicated. Fetch operations
-// over this constraint return XY-projections of tuples.
+// over this constraint return XY-projections of tuples. The slice is shared
+// and capped: treat it as read-only.
 func (c *Constraint) XY() []string {
-	return normalize(append(append([]string(nil), c.X...), c.Y...))
+	if c.xy == nil { // built as a literal, not by NewConstraint
+		return normalize(append(append([]string(nil), c.X...), c.Y...))
+	}
+	return c.xy[:len(c.xy):len(c.xy)]
 }
 
 // Covers reports whether a fetch retrieving attributes y over input

@@ -98,6 +98,10 @@ type deltaPlan struct {
 	steps   []joinStep
 	head    []valSrc
 	nslots  int
+
+	// Scratch of enumerate, reused across calls: the engine's single
+	// writer enumerates one plan at a time.
+	slots, key, row []uint32
 }
 
 // triggerSpec matches the delta tuple against the trigger atom.
@@ -497,7 +501,9 @@ func (e *DeltaEngine) compile(v *viewState, n *cq.CQ, trig int) (*deltaPlan, err
 // enumerate walks a plan's steps for delta tuple t (nil for the full
 // plan), applying sign to the view count of every valuation's head row.
 func (e *DeltaEngine) enumerate(p *deltaPlan, t []uint32, sign int) error {
-	slots := make([]uint32, p.nslots)
+	if p.slots == nil {
+		p.slots, p.row = make([]uint32, p.nslots), make([]uint32, len(p.head))
+	}
 	if t != nil {
 		for _, c := range p.trigger.consts {
 			if t[c.pos] != c.id {
@@ -510,52 +516,52 @@ func (e *DeltaEngine) enumerate(p *deltaPlan, t []uint32, sign int) error {
 			}
 		}
 		for _, b := range p.trigger.binds {
-			slots[b.slot] = t[b.pos]
+			p.slots[b.slot] = t[b.pos]
 		}
 	}
-	key := make([]uint32, 0, 8)
-	head := make([]uint32, len(p.head))
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == len(p.steps) {
-			for j, h := range p.head {
-				if h.isConst {
-					head[j] = h.id
-				} else {
-					head[j] = slots[h.slot]
-				}
-			}
-			return e.bump(p.view, head, sign, t != nil)
-		}
-		st := &p.steps[i]
-		key = key[:0]
-		for _, k := range st.key {
-			if k.isConst {
-				key = append(key, k.id)
+	return e.extend(p, t, sign, 0)
+}
+
+// extend binds the valuation in p.slots through steps i, i+1, … and
+// counts the head row of each complete one.
+func (e *DeltaEngine) extend(p *deltaPlan, t []uint32, sign, i int) error {
+	if i == len(p.steps) {
+		for j, h := range p.head {
+			if h.isConst {
+				p.row[j] = h.id
 			} else {
-				key = append(key, slots[k.slot])
+				p.row[j] = p.slots[h.slot]
 			}
 		}
-	rows:
-		for _, r := range st.index.Get(key) {
-			if st.exclude && intern.RowsEq(r, t) {
-				continue
-			}
-			for _, d := range st.post {
-				if r[d[0]] != r[d[1]] {
-					continue rows
-				}
-			}
-			for _, b := range st.binds {
-				slots[b.slot] = r[b.pos]
-			}
-			if err := rec(i + 1); err != nil {
-				return err
-			}
-		}
-		return nil
+		return e.bump(p.view, p.row, sign, t != nil)
 	}
-	return rec(0)
+	st := &p.steps[i]
+	p.key = p.key[:0]
+	for _, k := range st.key {
+		if k.isConst {
+			p.key = append(p.key, k.id)
+		} else {
+			p.key = append(p.key, p.slots[k.slot])
+		}
+	}
+rows:
+	for _, r := range st.index.Get(p.key) {
+		if st.exclude && intern.RowsEq(r, t) {
+			continue
+		}
+		for _, d := range st.post {
+			if r[d[0]] != r[d[1]] {
+				continue rows
+			}
+		}
+		for _, b := range st.binds {
+			p.slots[b.slot] = r[b.pos]
+		}
+		if err := e.extend(p, t, sign, i+1); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // bump applies a derivation-count change to one view row, patching the

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cq"
 	"repro/internal/instance"
 	"repro/internal/schema"
+	"repro/internal/workload"
 )
 
 // randViewSchema draws a small random schema: 2-3 relations of arity 1-3.
@@ -431,5 +432,33 @@ func TestDeltaEngineConstantAtomBinding(t *testing.T) {
 	applyFresh(t, db, e, views, []instance.Op{{Rel: "E", Row: instance.Tuple{"hub", "1"}}}, nil)
 	if !cq.RowsEqual(e.Views()["V"], [][]string{{"1"}}) {
 		t.Fatalf("got %v", e.Views()["V"])
+	}
+}
+
+// TestDeltaTxnChurnAllocs bounds one txn insert and its delete on the
+// Sharded fixture. Each enumerates every delta plan the txn relation
+// triggers, over scratch buffers the plans keep between calls, so what
+// allocates is the change itself: the stored row, its support and index
+// entries, and the view rows it derives.
+func TestDeltaTxnChurnAllocs(t *testing.T) {
+	w := workload.NewSharded(8)
+	db := w.Generate(200, 5, 3)
+	e, err := NewDeltaEngine(w.Schema, db.Dict, db.IDTables(), w.Views(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := []instance.AppliedOp{{Rel: "txn", IDs: db.Dict.Encode([]string{w.UID(7), "churn-item", "9"})}}
+	ins, del := &instance.Applied{Inserted: op}, &instance.Applied{Deleted: op}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := e.Apply(ins); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Apply(del); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("txn insert + delete: %.1f allocs", allocs)
+	if allocs > 8 {
+		t.Fatalf("txn insert + delete allocates %.1f times, budget 8", allocs)
 	}
 }

@@ -277,6 +277,19 @@ func (vx *VIndex) FetchIDs(c *access.Constraint, xval []uint32) ([][]uint32, err
 	return nil, nil
 }
 
+// FetchAll appends to out the rows FetchIDs returns for each of keys, in
+// turn, making the version a plan.Source.
+func (vx *VIndex) FetchAll(c *access.Constraint, keys, out [][]uint32) ([][]uint32, error) {
+	for _, k := range keys {
+		rows, err := vx.FetchIDs(c, k)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, rows...)
+	}
+	return out, nil
+}
+
 // projEq reports whether proj equals the projection of row at pos, without
 // allocating.
 func projEq(proj, row []uint32, pos []int) bool {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/access"
@@ -327,5 +328,27 @@ func TestVIndexProbeAllocs(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("a VIndex probe allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestConstraintXYAllocs: XY is computed once by NewConstraint, so naming
+// a fetch's outputs by it allocates nothing, and the shared slice is
+// capped, so a caller's append cannot write into it.
+func TestConstraintXYAllocs(t *testing.T) {
+	c := access.NewConstraint("R", []string{"B", "A"}, []string{"C", "A"}, 3)
+	var xy []string
+	if allocs := testing.AllocsPerRun(100, func() { xy = c.XY() }); allocs != 0 {
+		t.Fatalf("XY allocates %.1f times, want 0", allocs)
+	}
+	if strings.Join(xy, ",") != "A,B,C" {
+		t.Fatalf("XY = %v, want [A B C]", xy)
+	}
+	_ = append(xy, "D")
+	if got := c.XY(); len(got) != 3 || cap(got) != 3 {
+		t.Fatalf("after a caller's append XY = %v (cap %d)", got, cap(got))
+	}
+	lit := &access.Constraint{Rel: "R", X: []string{"A"}, Y: []string{"B"}, N: 1}
+	if strings.Join(lit.XY(), ",") != "A,B" {
+		t.Fatalf("literal constraint XY = %v", lit.XY())
 	}
 }

@@ -1,7 +1,8 @@
 // Package intern implements the interned-value execution core: a
 // dictionary mapping domain strings to dense uint32 IDs, plus hash
-// containers (Set, Index, FlatIndex) keyed by packed []uint32 rows through
-// a cheap FNV-style 64-bit key with collision verification.
+// containers (Set, Index, FlatIndex, RowSet) keyed by packed []uint32 rows
+// through a cheap FNV-style 64-bit key with collision verification, and
+// the pooled Arena a query execution builds its rows in.
 //
 // The evaluation engines (internal/eval, internal/plan, internal/cq)
 // operate on ID-encoded rows end-to-end and decode back to strings only at
@@ -62,6 +63,21 @@ func (d *Dict) LookupRow(row []string) ([]uint32, bool) {
 		ids[i] = id
 	}
 	return ids, true
+}
+
+// Resolve writes the ID of each of strs to ids without interning any,
+// under one lock acquisition: a string never interned gets localID(i),
+// which no stored row holds.
+func (d *Dict) Resolve(strs []string, ids []uint32) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	for i, s := range strs {
+		id, ok := d.ids[s]
+		if !ok {
+			id = localID(i)
+		}
+		ids[i] = id
+	}
 }
 
 // Len returns the number of interned strings.
@@ -127,18 +143,34 @@ func (d *Dict) Decode(ids []uint32) []string {
 	return out
 }
 
-// DecodeAll decodes a row set under a single lock acquisition.
-func (d *Dict) DecodeAll(rows [][]uint32) [][]string {
+// DecodeAll decodes a row set under a single lock acquisition into one
+// backing array. Each row is capped, so appending to one never overwrites
+// the next.
+func (d *Dict) DecodeAll(rows [][]uint32) [][]string { return d.DecodeLocal(rows, nil) }
+
+// DecodeLocal is DecodeAll for rows that may hold local IDs: localID(i)
+// decodes to local[i].
+func (d *Dict) DecodeLocal(rows [][]uint32, local []string) [][]string {
 	if rows == nil {
 		return nil
 	}
+	n := 0
+	for _, r := range rows {
+		n += len(r)
+	}
+	flat := make([]string, n)
+	out := make([][]string, len(rows))
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	out := make([][]string, len(rows))
 	for i, r := range rows {
-		row := make([]string, len(r))
+		row := flat[:len(r):len(r)]
+		flat = flat[len(r):]
 		for j, id := range r {
-			row[j] = d.strs[id]
+			if int(id) < len(d.strs) {
+				row[j] = d.strs[id]
+			} else {
+				row[j] = local[localID(0)-id]
+			}
 		}
 		out[i] = row
 	}

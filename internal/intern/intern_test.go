@@ -220,3 +220,75 @@ func TestFlatIndexMatchesScan(t *testing.T) {
 		}
 	}
 }
+
+// TestRowSetMatchesMap checks RowSet against a map over random rows with
+// many repeats: Add and AddAt report exactly the first sighting of each
+// row (or projection), Has agrees, and Rows keeps first-added order. The
+// sets fill to their bound, so probing wraps around the table.
+func TestRowSetMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 7, 300, 5000} {
+		a := TakeArena()
+		rows := make([][]uint32, n)
+		for i := range rows {
+			rows[i] = []uint32{uint32(rng.Intn(20)), uint32(rng.Intn(20)), uint32(rng.Intn(3))}
+		}
+		whole, proj := NewRowSet(a, n), NewRowSet(a, n)
+		seen, seenProj := map[string]bool{}, map[string]bool{}
+		var order [][]uint32
+		for _, r := range rows {
+			k := fmt.Sprint(r)
+			if got := whole.Add(r); got == seen[k] {
+				t.Fatalf("n=%d: Add(%v) = %v after %d sightings", n, r, got, len(seen))
+			}
+			if !seen[k] {
+				order = append(order, r)
+			}
+			seen[k] = true
+			pk := fmt.Sprint([]uint32{r[2], r[0]})
+			if got := proj.AddAt(a, r, []int{2, 0}); got == seenProj[pk] {
+				t.Fatalf("n=%d: AddAt(%v) = %v", n, r, got)
+			}
+			seenProj[pk] = true
+		}
+		if len(whole.Rows) != len(seen) || len(proj.Rows) != len(seenProj) {
+			t.Fatalf("n=%d: %d and %d rows, want %d and %d", n, len(whole.Rows), len(proj.Rows), len(seen), len(seenProj))
+		}
+		for i, r := range order {
+			if !RowsEq(whole.Rows[i], r) || !whole.Has(r) {
+				t.Fatalf("n=%d: row %d is %v, want %v (Has %v)", n, i, whole.Rows[i], r, whole.Has(r))
+			}
+		}
+		if whole.Has([]uint32{99, 99, 99}) {
+			t.Fatalf("n=%d: Has reports an absent row", n)
+		}
+		a.Keep(whole.Rows)
+		a.Keep(proj.Rows)
+		a.Release()
+	}
+}
+
+// TestDecodeAllCapsRows: the decoded rows share one backing array, but
+// each is capped, so appending to one row cannot overwrite the next; a
+// local ID decodes from the caller's table.
+func TestDecodeAllCapsRows(t *testing.T) {
+	d := NewDict()
+	a, b := d.Encode([]string{"a", "b"}), d.Encode([]string{"c", "d"})
+	out := d.DecodeAll([][]uint32{a, b})
+	if cap(out[0]) != 2 {
+		t.Fatalf("row 0 has capacity %d, want 2", cap(out[0]))
+	}
+	_ = append(out[0], "x")
+	if out[1][0] != "c" {
+		t.Fatalf("an append to row 0 overwrote row 1: %v", out[1])
+	}
+	ids := make([]uint32, 2)
+	d.Resolve([]string{"b", "absent"}, ids)
+	got := d.DecodeLocal([][]uint32{ids}, []string{"b", "absent"})
+	if got[0][0] != "b" || got[0][1] != "absent" || d.Len() != 4 {
+		t.Fatalf("resolved %v decode to %v with %d strings interned", ids, got, d.Len())
+	}
+	if d.DecodeAll(nil) != nil {
+		t.Fatal("DecodeAll(nil) is not nil")
+	}
+}

@@ -52,7 +52,9 @@ func Estimate(n Node, st *Stats) Cost {
 // plan's measured output is every plan's output. A nil obs — or one with
 // no sample for a component — falls back to Estimate's behavior.
 func EstimateObserved(n Node, st *Stats, obs *ObservedStats) Cost {
-	e := costOf(n, st, obs)
+	p := pooled(n)
+	defer p.release()
+	e := p.cost(st, obs)
 	c := Cost{Fetch: e.fetch, Work: e.work, Rows: e.rows}
 	if r, ok := obs.Rows(); ok {
 		c.Rows = r
@@ -165,234 +167,181 @@ func (e *est) capDist() {
 	}
 }
 
-func costOf(n Node, st *Stats, obs *ObservedStats) est {
-	switch x := n.(type) {
-	case *Const:
+// cost estimates the compiled program bottom-up, over the operators the
+// executor runs — a selection over a product is priced as a hash join
+// exactly when it runs as one — and returns the root's estimate. The ops
+// are in post-order, so each op's inputs are estimated before it. A
+// program that failed to compile still has every op; a position it could
+// not resolve (-1) prices as one distinct value.
+func (p *Program) cost(st *Stats, obs *ObservedStats) est {
+	ests := make([]est, len(p.ops))
+	for i := range p.ops {
+		ests[i] = opCost(&p.ops[i], ests, st, obs)
+	}
+	return ests[len(ests)-1]
+}
+
+// distAt returns the distinct count at position i, 1 when i is not one.
+func distAt(dist []float64, i int) float64 {
+	if i >= 0 && i < len(dist) {
+		return dist[i]
+	}
+	return 1
+}
+
+func opCost(o *op, ests []est, st *Stats, obs *ObservedStats) est {
+	var l, r est
+	if o.l >= 0 {
+		l = ests[o.l]
+	}
+	if o.r >= 0 {
+		r = ests[o.r]
+	}
+	var e est
+	switch o.kind {
+	case opConst:
 		return est{rows: 1, dist: []float64{1}}
 
-	case *View:
-		r := st.viewRows(x.Name)
-		return est{rows: r, work: r, dist: st.viewDist(x.Name, len(x.Cols), r)}
+	case opView:
+		n := st.viewRows(o.view.Name)
+		return est{rows: n, work: n, dist: st.viewDist(o.view.Name, len(o.view.Cols), n)}
 
-	case *Fetch:
-		relRows := st.relRows(x.C.Rel)
-		xy := x.C.XY()
-		if x.Child == nil {
+	case opFetch:
+		relRows := st.relRows(o.c.Rel)
+		xy := o.c.XY()
+		d := make([]float64, len(xy))
+		if o.l < 0 {
 			// Input-free fetch: one probe returning the distinct
 			// XY-projections, bounded by both N and the table.
-			r := math.Min(float64(x.C.N), relRows)
-			if w, ok := obs.obsWidth(x.C.Key(), float64(x.C.N)); ok {
-				r = w
+			n := math.Min(float64(o.c.N), relRows)
+			if w, ok := obs.obsWidth(o.c.Key(), float64(o.c.N)); ok {
+				n = w
 			}
-			d := make([]float64, len(xy))
 			for i, a := range xy {
-				d[i] = math.Min(st.relDist(x.C.Rel, a, relRows), math.Max(1, r))
+				d[i] = math.Min(st.relDist(o.c.Rel, a, relRows), math.Max(1, n))
 			}
-			return est{rows: r, fetch: r, work: r, dist: d}
+			return est{rows: n, fetch: n, work: n, dist: d}
 		}
-		c := costOf(x.Child, st, obs)
-		childAttrs := x.Child.Attrs()
-		bind := x.InBind()
 		// Distinct probe keys: the execution dedupes child rows on the
 		// binding before probing.
 		keys := 1.0
-		bindDist := make(map[string]float64, len(bind))
-		for i, a := range bind {
-			d := 1.0
-			if p := indexOf(childAttrs, a); p >= 0 && p < len(c.dist) {
-				d = c.dist[p]
-			}
-			bindDist[x.C.X[i]] = d
-			keys *= d
+		for _, q := range o.pos {
+			keys *= distAt(l.dist, q)
 		}
-		keys = clamp(keys, 1, math.Max(1, c.rows))
+		keys = clamp(keys, 1, math.Max(1, l.rows))
 		// Average group width on this D: |R| over the distinct X-combos,
 		// never above the constraint's promise N. An observed width for
 		// this constraint — what fetches through it actually returned per
 		// probe — takes precedence over the collected-distinct-count
 		// average, which skew can put an order of magnitude off.
 		dx := 1.0
-		for _, a := range x.C.X {
-			dx *= st.relDist(x.C.Rel, a, relRows)
+		for _, a := range o.c.X {
+			dx *= st.relDist(o.c.Rel, a, relRows)
 		}
 		dx = clamp(dx, 1, math.Max(1, relRows))
-		g := math.Min(float64(x.C.N), math.Max(1, relRows/dx))
-		if w, ok := obs.obsWidth(x.C.Key(), float64(x.C.N)); ok {
+		g := math.Min(float64(o.c.N), math.Max(1, relRows/dx))
+		if w, ok := obs.obsWidth(o.c.Key(), float64(o.c.N)); ok {
 			g = w
 		}
-		r := keys * g
-		d := make([]float64, len(xy))
 		for i, a := range xy {
-			if bd, ok := bindDist[a]; ok {
-				d[i] = bd
+			if k := indexOf(o.c.X, a); k >= 0 && k < len(o.pos) {
+				d[i] = distAt(l.dist, o.pos[k])
 			} else {
-				d[i] = st.relDist(x.C.Rel, a, relRows)
+				d[i] = st.relDist(o.c.Rel, a, relRows)
 			}
 		}
-		e := est{rows: r, fetch: c.fetch + keys*g, work: c.work + c.rows + r, dist: d}
-		e.capDist()
-		return e
+		e = est{rows: keys * g, fetch: l.fetch + keys*g, work: l.work + l.rows + keys*g, dist: d}
 
-	case *Project:
-		c := costOf(x.Child, st, obs)
-		childAttrs := x.Child.Attrs()
+	case opProject:
 		prod := 1.0
-		d := make([]float64, len(x.Cols))
-		for i, a := range x.Cols {
-			di := 1.0
-			if p := indexOf(childAttrs, a); p >= 0 && p < len(c.dist) {
-				di = c.dist[p]
-			}
-			d[i] = di
-			prod *= di
+		d := make([]float64, len(o.pos))
+		for i, q := range o.pos {
+			d[i] = distAt(l.dist, q)
+			prod *= d[i]
 		}
-		e := est{rows: math.Min(c.rows, math.Max(1, prod)), fetch: c.fetch, work: c.work + c.rows, dist: d}
-		if c.rows == 0 {
+		e = est{rows: math.Min(l.rows, math.Max(1, prod)), fetch: l.fetch, work: l.work + l.rows, dist: d}
+		if l.rows == 0 {
 			e.rows = 0
 		}
-		e.capDist()
+
+	case opFilter:
+		e = est{rows: l.rows, fetch: l.fetch, work: l.work + l.rows, dist: append([]float64(nil), l.dist...)}
+		applyConds(&e, o.conds)
 		return e
 
-	case *Select:
-		if prod, ok := x.Child.(*Product); ok {
-			if e, joined := joinCost(x, prod, st, obs); joined {
-				return e
-			}
+	case opJoin:
+		// Work is the two inputs plus the join output, never the cross
+		// product.
+		dist := append(append([]float64(nil), l.dist...), r.dist...)
+		rows := l.rows * r.rows
+		for k, lp := range o.pos {
+			rows /= equate(dist, lp, len(l.dist)+o.rpos[k])
 		}
-		c := costOf(x.Child, st, obs)
-		e := est{rows: c.rows, fetch: c.fetch, work: c.work + c.rows, dist: append([]float64(nil), c.dist...)}
-		applyConds(&e, x.Cond, x.Child.Attrs())
-		return e
-
-	case *Product:
-		l, r := costOf(x.L, st, obs), costOf(x.R, st, obs)
-		cross := l.rows * r.rows
-		e := est{rows: cross, fetch: l.fetch + r.fetch, work: l.work + r.work + cross,
-			dist: append(append([]float64(nil), l.dist...), r.dist...)}
+		// Observed fan-out overlay: the executor reports summed hash-join
+		// input/output rows, so the realized out-per-in ratio re-prices
+		// this join's output against its estimated inputs — replacing the
+		// System-R 1/max(d) selectivity, which correlated columns can put
+		// orders of magnitude off in either direction.
+		if fan, ok := obs.JoinFanOut(); ok {
+			rows = fan * (l.rows + r.rows)
+		}
+		e = est{rows: rows, fetch: l.fetch + r.fetch, work: l.work + r.work + l.rows + r.rows + rows, dist: dist}
 		e.capDist()
+		applyConds(&e, o.conds)
 		return e
 
-	case *Union:
-		l, r := costOf(x.L, st, obs), costOf(x.R, st, obs)
-		e := est{rows: l.rows + r.rows, fetch: l.fetch + r.fetch, work: l.work + r.work + l.rows + r.rows}
+	case opProduct:
+		cross := l.rows * r.rows
+		e = est{rows: cross, fetch: l.fetch + r.fetch, work: l.work + r.work + cross,
+			dist: append(append([]float64(nil), l.dist...), r.dist...)}
+
+	case opUnion:
+		e = est{rows: l.rows + r.rows, fetch: l.fetch + r.fetch, work: l.work + r.work + l.rows + r.rows}
 		e.dist = make([]float64, len(l.dist))
 		for i := range e.dist {
-			d := l.dist[i]
+			e.dist[i] = l.dist[i]
 			if i < len(r.dist) {
-				d += r.dist[i]
+				e.dist[i] += r.dist[i]
 			}
-			e.dist[i] = d
 		}
-		e.capDist()
-		return e
 
-	case *Diff:
-		l, r := costOf(x.L, st, obs), costOf(x.R, st, obs)
-		e := est{rows: l.rows, fetch: l.fetch + r.fetch, work: l.work + r.work + l.rows + r.rows,
+	default: // opDiff
+		e = est{rows: l.rows, fetch: l.fetch + r.fetch, work: l.work + r.work + l.rows + r.rows,
 			dist: append([]float64(nil), l.dist...)}
-		e.capDist()
-		return e
-
-	case *Rename:
-		return costOf(x.Child, st, obs)
-
-	default:
-		return est{}
 	}
+	e.capDist()
+	return e
+}
+
+// equate prices an equality between columns i and j (the System-R rule:
+// it keeps ~1/max(d_i, d_j) of the rows), leaves both at min(d_i, d_j)
+// distinct values and returns the divisor.
+func equate(dist []float64, i, j int) float64 {
+	di, dj := distAt(dist, i), distAt(dist, j)
+	m := math.Min(di, dj)
+	for _, k := range [2]int{i, j} {
+		if k >= 0 && k < len(dist) {
+			dist[k] = m
+		}
+	}
+	return math.Max(1, math.Max(di, dj))
 }
 
 // applyConds folds a selection's comparisons into the estimate using the
 // per-column distinct counts: an equality against a constant keeps ~1/d of
-// the rows and pins the column; an equality between columns keeps
-// ~1/max(d1,d2) (the System-R join-selectivity rule); inequalities are
-// treated as non-selective.
-func applyConds(e *est, conds []CondItem, attrs []string) {
+// the rows and pins the column; an equality between columns is priced by
+// equate; inequalities are treated as non-selective.
+func applyConds(e *est, conds []cond) {
 	for _, c := range conds {
-		if c.Neq {
+		if c.neq || c.lpos < 0 || c.lpos >= len(e.dist) {
 			continue
 		}
-		lp := indexOf(attrs, c.L)
-		if lp < 0 || lp >= len(e.dist) {
-			continue
+		if c.rpos < 0 {
+			e.rows /= math.Max(1, e.dist[c.lpos])
+			e.dist[c.lpos] = 1
+		} else if c.rpos < len(e.dist) {
+			e.rows /= equate(e.dist, c.lpos, c.rpos)
 		}
-		if c.RConst {
-			e.rows /= math.Max(1, e.dist[lp])
-			e.dist[lp] = 1
-			continue
-		}
-		rp := indexOf(attrs, c.R)
-		if rp < 0 || rp >= len(e.dist) {
-			continue
-		}
-		dl, dr := e.dist[lp], e.dist[rp]
-		e.rows /= math.Max(1, math.Max(dl, dr))
-		m := math.Min(dl, dr)
-		e.dist[lp], e.dist[rp] = m, m
 	}
 	e.capDist()
-}
-
-// joinCost estimates σ_Cond(L × R) the way the executor runs it — as a
-// hash join — when at least one condition equates columns across the two
-// sides. Work is the two inputs plus the join output, never the cross
-// product. joined is false when no cross-side equality exists (the generic
-// path then prices the materialized product, matching execution).
-func joinCost(sel *Select, prod *Product, st *Stats, obs *ObservedStats) (est, bool) {
-	la, ra := prod.L.Attrs(), prod.R.Attrs()
-	type crossEq struct{ lp, rp int } // positions in the combined row
-	var cross []crossEq
-	var local []CondItem
-	for _, c := range sel.Cond {
-		if c.Neq || c.RConst {
-			local = append(local, c)
-			continue
-		}
-		li, lInR := indexOf(la, c.L), indexOf(ra, c.L)
-		ri, rInR := indexOf(la, c.R), indexOf(ra, c.R)
-		switch {
-		case li >= 0 && rInR >= 0:
-			cross = append(cross, crossEq{lp: li, rp: len(la) + rInR})
-		case lInR >= 0 && ri >= 0:
-			cross = append(cross, crossEq{lp: ri, rp: len(la) + lInR})
-		default:
-			local = append(local, c)
-		}
-	}
-	if len(cross) == 0 {
-		return est{}, false
-	}
-	l, r := costOf(prod.L, st, obs), costOf(prod.R, st, obs)
-	dist := append(append([]float64(nil), l.dist...), r.dist...)
-	rows := l.rows * r.rows
-	for _, eq := range cross {
-		dl, dr := 1.0, 1.0
-		if eq.lp < len(dist) {
-			dl = dist[eq.lp]
-		}
-		if eq.rp < len(dist) {
-			dr = dist[eq.rp]
-		}
-		rows /= math.Max(1, math.Max(dl, dr))
-		m := math.Min(dl, dr)
-		if eq.lp < len(dist) {
-			dist[eq.lp] = m
-		}
-		if eq.rp < len(dist) {
-			dist[eq.rp] = m
-		}
-	}
-	// Observed fan-out overlay: the executor reports summed hash-join
-	// input/output rows, so the realized out-per-in ratio re-prices this
-	// join's output against its estimated inputs — replacing the System-R
-	// 1/max(d) selectivity, which correlated columns can put orders of
-	// magnitude off in either direction.
-	if fan, ok := obs.JoinFanOut(); ok {
-		rows = fan * (l.rows + r.rows)
-	}
-	e := est{rows: rows, fetch: l.fetch + r.fetch,
-		work: l.work + r.work + l.rows + r.rows + rows, dist: dist}
-	e.capDist()
-	attrs := append(append([]string{}, la...), ra...)
-	applyConds(&e, local, attrs)
-	return e, true
 }

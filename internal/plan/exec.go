@@ -19,13 +19,17 @@ import (
 // access constraints. Every source probes the one fetch index,
 // instance.VIndex: a static version is a Source itself, and the serving
 // engine (internal/shard) routes each fetch to the owning partition's
-// pinned version or gathers across all of them. FetchIDs must return the
-// distinct XY-projections for the X-value; returned rows must stay valid
-// (and unmutated) for the duration of the plan run. Sources do no fetch
-// accounting: Run counts the tuples every fetch returns.
+// pinned version or gathers across all of them. FetchAll appends to out,
+// for each X-value of keys in turn, its distinct XY-projections, and
+// returns out; on an error, out holds the rows of the keys before the
+// failing one. One call serves all of a fetch operator's keys, so a
+// serving source counts its probes once per call, not once per key.
+// Returned rows must stay valid (and unmutated) for the duration of the
+// plan run. Sources do no fetch accounting: Run counts the tuples every
+// fetch returns.
 type Source interface {
 	Dict() *intern.Dict
-	FetchIDs(c *access.Constraint, xval []uint32) ([][]uint32, error)
+	FetchAll(c *access.Constraint, keys, out [][]uint32) ([][]uint32, error)
 }
 
 // Materialized maps view names to their cached extents V(D), with columns
@@ -78,9 +82,8 @@ func (vv *ViewVersion) Rows() [][]uint32 {
 }
 
 // index returns the version's flat index keyed by the columns at pos,
-// building it on first demand.
-func (vv *ViewVersion) index(pos []int) *intern.FlatIndex {
-	key := posKey(pos)
+// whose posKey is key, building it on first demand.
+func (vv *ViewVersion) index(key string, pos []int) *intern.FlatIndex {
 	e, ok := vv.indices.Load(key)
 	if !ok {
 		e, _ = vv.indices.LoadOrStore(key, &viewIndex{})
@@ -92,7 +95,8 @@ func (vv *ViewVersion) index(pos []int) *intern.FlatIndex {
 
 // posKey renders column positions as a map key.
 func posKey(pos []int) string {
-	b := make([]byte, 0, 4*len(pos))
+	var buf [32]byte
+	b := buf[:0]
 	for _, p := range pos {
 		b = strconv.AppendInt(b, int64(p), 10)
 		b = append(b, ',')
@@ -160,16 +164,17 @@ func PrepareViews(d *intern.Dict, m Materialized) *PreparedViews {
 
 // Run executes the plan bottom-up over src with views prepared over the
 // same dictionary (Section 2's operational semantics), returning the root
-// relation with set semantics and the number of tuples the run fetched
-// from the underlying database (|Dξ|). fetched counts every tuple a Fetch
-// node got back, also when the run fails later. A nil pv serves no views
-// (View nodes error). Execution is interned end-to-end: rows are
-// ID-encoded against the source's dictionary and decoded only here at the
-// boundary. Independent subtrees (products, unions, differences, the two
+// relation with set semantics (nil when empty) and the number of tuples the
+// run fetched from the underlying database (|Dξ|). fetched counts every
+// tuple a Fetch node got back, also when the run fails later. A nil pv
+// serves no views (View nodes error). Run compiles the plan (see Compile)
+// into a pooled Program and runs it: rows are ID-encoded against the
+// source's dictionary and decoded only at the boundary, and no value is
+// interned. Independent subtrees (products, unions, differences, the two
 // sides of a hash join) run concurrently on the bounded worker pool, so
 // src must be safe for concurrent fetches.
 func Run(n Node, src Source, pv *PreparedViews) (rows [][]string, fetched int, err error) {
-	rows, fetched, _, err = runOn(n, src, pv, false)
+	rows, fetched, _, err = runPlan(n, src, pv, false)
 	return rows, fetched, err
 }
 
@@ -180,283 +185,221 @@ func Run(n Node, src Source, pv *PreparedViews) (rows [][]string, fetched int, e
 // estimates. Profiling costs a few counter updates per operator, not per
 // row; Run skips even that.
 func RunObserved(n Node, src Source, pv *PreparedViews) ([][]string, int, *Observation, error) {
-	return runOn(n, src, pv, true)
+	return runPlan(n, src, pv, true)
 }
 
-func runOn(n Node, src Source, pv *PreparedViews, observe bool) ([][]string, int, *Observation, error) {
+var executions = sync.Pool{New: func() any { return new(execution) }}
+
+func runPlan(n Node, src Source, pv *PreparedViews, observe bool) ([][]string, int, *Observation, error) {
+	p := pooled(n)
+	defer p.release()
+	if p.err != nil {
+		return nil, 0, nil, p.err
+	}
+	return p.run(src, pv, observe)
+}
+
+// RunObserved runs the compiled plan under RunObserved's contract.
+func (p *Program) RunObserved(src Source, pv *PreparedViews) ([][]string, int, *Observation, error) {
+	return p.run(src, pv, true)
+}
+
+func (p *Program) run(src Source, pv *PreparedViews, observe bool) ([][]string, int, *Observation, error) {
+	d := src.Dict()
 	if pv == nil {
-		pv = NewPreparedViews(src.Dict(), nil)
-	} else if pv.d != src.Dict() {
+		pv = NewPreparedViews(d, nil)
+	} else if pv.d != d {
 		return nil, 0, nil, fmt.Errorf("plan: prepared views belong to a different database")
 	}
-	ctx := &execCtx{src: src, d: src.Dict(), views: pv}
+	x, a := executions.Get().(*execution), intern.TakeArena()
+	defer x.release(a)
+	x.p, x.src, x.views = p, src, pv
+	x.ids = slices.Grow(x.ids[:0], len(p.consts))[:len(p.consts)]
+	d.Resolve(p.consts, x.ids)
 	if observe {
-		ctx.obs = &Observation{}
+		x.obs = &Observation{}
 	}
-	rows, err := ctx.run(n)
-	fetched := int(ctx.fetched.Load())
+	rows, err := x.exec(a, len(p.ops)-1)
+	fetched, ob := int(x.fetched.Load()), x.obs
 	if err != nil {
-		return nil, fetched, ctx.obs, err
+		return nil, fetched, ob, err
 	}
-	seen := intern.NewSet(len(rows))
-	out := rows[:0:0]
+	set := intern.NewRowSet(a, len(rows))
 	for _, r := range rows {
-		if seen.Add(r) {
-			out = append(out, r)
-		}
+		set.Add(r)
 	}
-	if ctx.obs != nil {
-		ctx.obs.Rows = len(out)
+	if a.Keep(set.Rows); ob != nil {
+		ob.Rows = len(set.Rows)
 	}
-	return ctx.d.DecodeAll(out), fetched, ctx.obs, nil
+	if len(set.Rows) == 0 {
+		return nil, fetched, ob, nil
+	}
+	return d.DecodeLocal(set.Rows, p.consts), fetched, ob, nil
 }
 
-// execCtx carries one execution's state: the fetch source, the view set
-// (whose view versions outlive the run), the fetched-tuple count and the
-// optional profile.
-type execCtx struct {
+// execution is one run's state: the program, the fetch source, the view
+// set (whose versions outlive the run), the IDs of the program's constants
+// in the source's dictionary, the fetched-tuple count and the optional
+// profile. Each goroutine of the run builds in its own intern.Arena.
+type execution struct {
+	p       *Program
 	src     Source
-	d       *intern.Dict
 	views   *PreparedViews
-	fetched atomic.Int64 // tuples returned by fetches; parallel subtrees add concurrently
-
-	obs   *Observation // nil unless RunObserved; guarded by obsMu
-	obsMu sync.Mutex   // parallel subtrees record concurrently
+	ids     []uint32
+	fetched atomic.Int64 // parallel subtrees add concurrently
+	obs     *Observation // nil unless observed; guarded by obsMu
+	obsMu   sync.Mutex
 }
 
-// observeFetch records one fetch node's realized traffic: probes distinct
-// probe keys through constraint c returned rows tuples.
-func (ctx *execCtx) observeFetch(c *access.Constraint, probes, rows int) {
-	if ctx.obs == nil {
+// release gives the arena, and then x, back to their pools.
+func (x *execution) release(a *intern.Arena) {
+	a.Release()
+	x.p, x.src, x.views, x.obs = nil, nil, nil, nil
+	x.fetched.Store(0)
+	executions.Put(x)
+}
+
+// observeFetch records one fetch's realized traffic: probes distinct
+// keys through constraint c returned rows tuples.
+func (x *execution) observeFetch(c *access.Constraint, probes, rows int) {
+	if x.obs == nil {
 		return
 	}
-	ctx.obsMu.Lock()
-	ctx.obs.addGroup(c.Key(), probes, rows)
-	ctx.obsMu.Unlock()
+	x.obsMu.Lock()
+	x.obs.addGroup(c.Key(), probes, rows)
+	x.obsMu.Unlock()
 }
 
 // observeJoin records one hash join's realized fan-out.
-func (ctx *execCtx) observeJoin(in, out int) {
-	if ctx.obs == nil {
+func (x *execution) observeJoin(in, out int) {
+	if x.obs == nil {
 		return
 	}
-	ctx.obsMu.Lock()
-	ctx.obs.JoinIn += in
-	ctx.obs.JoinOut += out
-	ctx.obsMu.Unlock()
+	x.obsMu.Lock()
+	x.obs.JoinIn += in
+	x.obs.JoinOut += out
+	x.obsMu.Unlock()
 }
 
-// both evaluates two subtrees, concurrently when workers are free and
-// neither is a leaf: a leaf (a constant or a view scan) costs less to run
-// inline than to hand to another goroutine.
-func (ctx *execCtx) both(ln, rn Node) (l, r [][]uint32, err error) {
-	if isLeaf(ln) || isLeaf(rn) {
-		if l, err = ctx.run(ln); err != nil {
-			return nil, nil, err
-		}
-		r, err = ctx.run(rn)
-		return l, r, err
-	}
-	var lerr, rerr error
-	perr := par.Do(
-		func() error { l, lerr = ctx.run(ln); return lerr },
-		func() error { r, rerr = ctx.run(rn); return rerr },
-	)
-	return l, r, perr
-}
+// noInput is the one empty X-value a leaf fetch probes with.
+var noInput = [][]uint32{{}}
 
-func isLeaf(n Node) bool {
-	if _, ok := n.(*Const); ok {
-		return true
-	}
-	return viewLeaf(n) != nil
-}
-
-// viewLeaf returns the View under n's renamings, or nil when n is not a
-// (renamed) view scan. Renaming keeps column positions, so positions in
-// n's output are positions in the view's rows.
-func viewLeaf(n Node) *View {
-	for {
-		switch x := n.(type) {
-		case *View:
-			return x
-		case *Rename:
-			n = x.Child
-		default:
-			return nil
-		}
-	}
-}
-
-func (ctx *execCtx) run(n Node) ([][]uint32, error) {
-	switch x := n.(type) {
-	case *Const:
-		return [][]uint32{{ctx.d.ID(x.Val)}}, nil
-
-	case *View:
-		_, rows, err := ctx.views.view(x)
+// exec runs op i, building in a, and returns its rows: a bag, as only the
+// root's rows are deduplicated.
+func (x *execution) exec(a *intern.Arena, i int) (out [][]uint32, err error) {
+	o := &x.p.ops[i]
+	var l, r [][]uint32
+	switch o.kind {
+	case opConst:
+		row := a.Row(1)
+		row[0] = x.ids[o.val]
+		return a.Keep(append(a.List(1), row)), nil
+	case opView:
+		_, rows, err := x.views.view(o.view)
 		return rows, err
-
-	case *Fetch:
-		var inputs [][]uint32
-		if x.Child == nil {
-			inputs = [][]uint32{{}}
-		} else {
-			childRows, err := ctx.run(x.Child)
-			if err != nil {
+	case opJoin:
+		return x.join(a, o)
+	case opFetch:
+		keys := noInput
+		if o.l >= 0 {
+			if l, err = x.exec(a, o.l); err != nil {
 				return nil, err
 			}
-			// Project child rows onto the constraint's X order via the
-			// positional binding.
-			pos, err := positions(x.Child.Attrs(), x.InBind(), "fetch child")
-			if err != nil {
-				return nil, err
+			set := intern.NewRowSet(a, len(l))
+			for _, r := range l {
+				set.AddAt(a, r, o.pos)
 			}
-			seen := intern.NewSet(len(childRows))
-			for _, r := range childRows {
-				if key, fresh := seen.AddProj(r, pos); fresh {
-					inputs = append(inputs, key)
-				}
-			}
+			keys = a.Keep(set.Rows)
 		}
-		var out [][]uint32
-		for _, in := range inputs {
-			rows, err := ctx.src.FetchIDs(x.C, in)
-			if err != nil {
-				ctx.fetched.Add(int64(len(out)))
-				return nil, err
-			}
-			out = append(out, rows...)
-		}
-		ctx.fetched.Add(int64(len(out)))
-		if x.As != nil && len(out) > 0 && len(out[0]) != len(x.As) {
-			return nil, fmt.Errorf("plan: fetch names %d outputs for %d-column tuples", len(x.As), len(out[0]))
-		}
-		ctx.observeFetch(x.C, len(inputs), len(out))
-		return out, nil
-
-	case *Project:
-		pos, err := positions(x.Child.Attrs(), x.Cols, "projection input")
-		if err != nil {
+		out, err = x.src.FetchAll(o.c, keys, a.List(len(keys)))
+		if x.fetched.Add(int64(len(out))); err != nil {
 			return nil, err
 		}
-		childRows, err := ctx.run(x.Child)
-		if err != nil {
+		x.observeFetch(o.c, len(keys), len(out))
+		return a.Keep(out), nil
+	case opProject, opFilter:
+		if l, err = x.exec(a, o.l); err != nil {
 			return nil, err
 		}
-		out := make([][]uint32, 0, len(childRows))
-		for _, r := range childRows {
-			out = append(out, intern.Project(r, pos))
-		}
-		return out, nil
-
-	case *Select:
-		// Equality selections directly over a product run as a hash join:
-		// same semantics, linear instead of quadratic time. This matters
-		// because cached views may be large even when fetches are bounded.
-		if prod, ok := x.Child.(*Product); ok {
-			if out, done, err := ctx.hashJoin(x, prod); done {
-				return out, err
-			}
-		}
-		conds, err := ctx.resolveConds(x.Cond, x.Child.Attrs())
-		if err != nil {
-			return nil, err
-		}
-		childRows, err := ctx.run(x.Child)
-		if err != nil {
-			return nil, err
-		}
-		var out [][]uint32
-		for _, r := range childRows {
-			if holds(conds, r) {
-				out = append(out, r)
-			}
-		}
-		return out, nil
-
-	case *Product:
-		l, r, err := ctx.both(x.L, x.R)
-		if err != nil {
-			return nil, err
-		}
-		out := make([][]uint32, 0, len(l)*len(r))
-		for _, a := range l {
-			for _, b := range r {
-				out = append(out, concat(a, b))
-			}
-		}
-		return out, nil
-
-	case *Union:
-		if err := sameArity(x.L, x.R, "union"); err != nil {
-			return nil, err
-		}
-		l, r, err := ctx.both(x.L, x.R)
-		if err != nil {
-			return nil, err
-		}
-		return append(l, r...), nil
-
-	case *Diff:
-		if err := sameArity(x.L, x.R, "difference"); err != nil {
-			return nil, err
-		}
-		l, r, err := ctx.both(x.L, x.R)
-		if err != nil {
-			return nil, err
-		}
-		drop := intern.NewSet(len(r))
-		for _, b := range r {
-			drop.Add(b)
-		}
-		var out [][]uint32
-		for _, a := range l {
-			if !drop.Has(a) {
-				out = append(out, a)
-			}
-		}
-		return out, nil
-
-	case *Rename:
-		return ctx.run(x.Child)
-
 	default:
-		return nil, fmt.Errorf("plan: unknown node type %T", n)
+		if l, r, err = x.both(a, o); err != nil {
+			return nil, err
+		}
 	}
+	switch o.kind {
+	case opProject:
+		out = a.List(len(l))
+		for _, u := range l {
+			row := a.Row(len(o.pos))
+			for j, p := range o.pos {
+				row[j] = u[p]
+			}
+			out = append(out, row)
+		}
+	case opFilter:
+		out = a.List(0)
+		for _, u := range l {
+			if x.holds(o.conds, u) {
+				out = append(out, u)
+			}
+		}
+	case opProduct:
+		out = a.List(len(l) * len(r))
+		for _, u := range l {
+			for _, v := range r {
+				out = append(out, concat(a, u, v))
+			}
+		}
+	case opUnion:
+		out = append(append(a.List(len(l)+len(r)), l...), r...)
+	case opDiff:
+		drop := intern.NewRowSet(a, len(r))
+		for _, v := range r {
+			drop.Add(v)
+		}
+		a.Keep(drop.Rows)
+		out = a.List(0)
+		for _, u := range l {
+			if !drop.Has(u) {
+				out = append(out, u)
+			}
+		}
+	}
+	return a.Keep(out), nil
 }
 
-// cond is a CondItem with attribute names resolved to row positions and
-// constants interned: lpos op (rpos | rconst), flipped by neq.
-type cond struct {
-	lpos   int
-	rpos   int // -1 when the right side is a constant
-	rconst uint32
-	neq    bool
+// both runs o's two inputs, concurrently when the compiler marked them so.
+func (x *execution) both(a *intern.Arena, o *op) (l, r [][]uint32, err error) {
+	if o.par {
+		return x.parallel(a, o)
+	}
+	if l, err = x.exec(a, o.l); err != nil {
+		return nil, nil, err
+	}
+	r, err = x.exec(a, o.r)
+	return l, r, err
 }
 
-func (ctx *execCtx) resolveConds(items []CondItem, attrs []string) ([]cond, error) {
-	out := make([]cond, len(items))
-	for i, c := range items {
-		rc := cond{lpos: indexOf(attrs, c.L), rpos: -1, neq: c.Neq}
-		if rc.lpos < 0 {
-			return nil, fmt.Errorf("plan: selection input lacks attribute %s", c.L)
-		}
-		if c.RConst {
-			rc.rconst = ctx.d.ID(c.R)
-		} else if rc.rpos = indexOf(attrs, c.R); rc.rpos < 0 {
-			return nil, fmt.Errorf("plan: selection input lacks attribute %s", c.R)
-		}
-		out[i] = rc
-	}
-	return out, nil
+// parallel runs o's two inputs concurrently, the right one building in an
+// arena of its own. It is apart from both because the closures par.Do
+// takes move what they capture to the heap.
+func (x *execution) parallel(a *intern.Arena, o *op) (l, r [][]uint32, err error) {
+	b := a.Branch()
+	var lerr, rerr error
+	err = par.Do(
+		func() error { l, lerr = x.exec(a, o.l); return lerr },
+		func() error { r, rerr = x.exec(b, o.r); return rerr },
+	)
+	return l, r, err
 }
 
 // holds reports whether row r satisfies every condition.
-func holds(conds []cond, r []uint32) bool {
+func (x *execution) holds(conds []cond, r []uint32) bool {
 	for _, c := range conds {
-		rv := c.rconst
-		if c.rpos >= 0 {
+		var rv uint32
+		if c.rpos < 0 {
+			rv = x.ids[c.val]
+		} else {
 			rv = r[c.rpos]
 		}
 		if (r[c.lpos] == rv) == c.neq {
@@ -466,134 +409,77 @@ func holds(conds []cond, r []uint32) bool {
 	return true
 }
 
-// hashJoin evaluates σ_Cond(L × R) as a hash join when every cross-side
-// condition is an equality. Side-local conditions are applied as filters.
-// done is false when the condition shape does not permit the rewrite.
+// join evaluates σ(L × R) as a hash join on the key positions the compiler
+// found, filtering the joined rows by the remaining conditions.
 //
-// A side that is a view leaf (under renamings) is never scanned: the
-// other side runs and each of its rows looks its matches up in the view
-// version's memoized index, so the join costs O(|other|) per execution
-// instead of O(|V|). Without a view side, a per-run index is built over
-// the smaller side. The Observation is the same either way: JoinIn counts
-// both inputs in full, the view's extent included.
-func (ctx *execCtx) hashJoin(sel *Select, prod *Product) ([][]uint32, bool, error) {
-	la, ra := prod.L.Attrs(), prod.R.Attrs()
-	var joinL, joinR []int    // cross-side equality positions
-	var localConds []CondItem // conditions evaluable on the combined row
-	for _, c := range sel.Cond {
-		if c.Neq {
-			return nil, false, nil
-		}
-		if c.RConst {
-			localConds = append(localConds, c)
-			continue
-		}
-		li, lInL := indexOf(la, c.L), indexOf(ra, c.L)
-		ri, rInL := indexOf(la, c.R), indexOf(ra, c.R)
-		switch {
-		case li >= 0 && rInL >= 0: // L-attr = R-attr
-			joinL, joinR = append(joinL, li), append(joinR, rInL)
-		case lInL >= 0 && ri >= 0: // R-attr = L-attr
-			joinL, joinR = append(joinL, ri), append(joinR, lInL)
-		default:
-			localConds = append(localConds, c)
-		}
-	}
-	if len(joinL) == 0 {
-		return nil, false, nil
-	}
-	conds, err := ctx.resolveConds(localConds, append(append([]string{}, la...), ra...))
-	if err != nil {
-		return nil, true, err
-	}
-	var lm, rm *ViewVersion
-	var lRows, rRows [][]uint32
-	lv, rv := viewLeaf(prod.L), viewLeaf(prod.R)
-	if lv == nil && rv == nil {
-		lRows, rRows, err = ctx.both(prod.L, prod.R)
-	} else if lm, lRows, err = ctx.joinInput(prod.L, lv); err == nil {
-		rm, rRows, err = ctx.joinInput(prod.R, rv)
+// A side that is a view scan is never scanned: the other side runs and
+// each of its rows looks its matches up in the view version's memoized
+// index, so the join costs O(|other|) per execution instead of O(|V|).
+// Without a view side, a per-run index is built over the smaller side. The
+// Observation is the same either way: JoinIn counts both inputs in full,
+// the view's extent included.
+func (x *execution) join(a *intern.Arena, o *op) ([][]uint32, error) {
+	var lv, rv *ViewVersion
+	var l, r [][]uint32
+	var err error
+	if o.lkey == "" && o.rkey == "" {
+		l, r, err = x.both(a, o)
+	} else if lv, l, err = x.joinInput(a, o.l, o.lkey); err == nil {
+		rv, r, err = x.joinInput(a, o.r, o.rkey)
 	}
 	if err != nil {
-		return nil, true, err
+		return nil, err
 	}
 	// Look up into a view side's memoized index (the larger view's when
 	// both sides are views), else into a per-run index over the smaller
 	// side: a bounded plan's fetch side is often tiny while the view side
 	// grows with |D|.
-	indexLeft := len(lRows) < len(rRows)
-	if lm != nil || rm != nil {
-		indexLeft = rm == nil || (lm != nil && len(lRows) > len(rRows))
+	indexLeft := len(l) < len(r)
+	if lv != nil || rv != nil {
+		indexLeft = rv == nil || (lv != nil && len(l) > len(r))
 	}
-	build, probe, buildPos, probePos, bm := rRows, lRows, joinR, joinL, rm
+	build, probe, buildPos, probePos, key, bv := r, l, o.rpos, o.pos, o.rkey, rv
 	if indexLeft {
-		build, probe, buildPos, probePos, bm = lRows, rRows, joinL, joinR, lm
+		build, probe, buildPos, probePos, key, bv = l, r, o.pos, o.rpos, o.lkey, lv
 	}
 	var index *intern.FlatIndex
-	if bm != nil {
-		index = bm.index(buildPos)
+	if bv != nil {
+		index = bv.index(key, buildPos)
 	} else {
 		index = intern.NewFlatIndex(build, buildPos)
 	}
-	var out, matches [][]uint32
+	out, matches := a.List(0), a.List(0)
 	for _, p := range probe {
 		matches = index.Lookup(p, probePos, matches[:0])
 		for _, m := range matches {
-			var row []uint32
+			u, v := p, m
 			if indexLeft {
-				row = concat(m, p)
-			} else {
-				row = concat(p, m)
+				u, v = m, p
 			}
-			if holds(conds, row) {
+			if row := concat(a, u, v); x.holds(o.conds, row) {
 				out = append(out, row)
 			}
 		}
 	}
-	ctx.observeJoin(len(lRows)+len(rRows), len(out))
-	return out, true, nil
+	a.Keep(matches)
+	x.observeJoin(len(l)+len(r), len(out))
+	return a.Keep(out), nil
 }
 
-// joinInput evaluates one join input: a view leaf v resolves to its
-// version's rows (and the version its indices live in) without running;
-// any other node runs.
-func (ctx *execCtx) joinInput(n Node, v *View) (*ViewVersion, [][]uint32, error) {
-	if v == nil {
-		rows, err := ctx.run(n)
+// joinInput evaluates join input op i: a view scan (one with an index
+// key) resolves to its version's rows, and the version its indices live
+// in, without running; any other op runs.
+func (x *execution) joinInput(a *intern.Arena, i int, key string) (*ViewVersion, [][]uint32, error) {
+	if key == "" {
+		rows, err := x.exec(a, i)
 		return nil, rows, err
 	}
-	return ctx.views.view(v)
+	return x.views.view(x.p.ops[i].view)
 }
 
-func concat(a, b []uint32) []uint32 {
-	row := make([]uint32, 0, len(a)+len(b))
-	return append(append(row, a...), b...)
-}
-
-// positions resolves each name in names to its position in attrs, failing
-// on a name what (the input being read) lacks.
-func positions(attrs, names []string, what string) ([]int, error) {
-	pos := make([]int, len(names))
-	for i, a := range names {
-		if pos[i] = indexOf(attrs, a); pos[i] < 0 {
-			return nil, fmt.Errorf("plan: %s lacks attribute %s", what, a)
-		}
-	}
-	return pos, nil
-}
-
-func sameArity(l, r Node, op string) error {
-	if nl, nr := len(l.Attrs()), len(r.Attrs()); nl != nr {
-		return fmt.Errorf("plan: %s children have arities %d and %d", op, nl, nr)
-	}
-	return nil
-}
-
-func indexOf(xs []string, a string) int {
-	for i, x := range xs {
-		if x == a {
-			return i
-		}
-	}
-	return -1
+// concat carves the concatenation of u and v from a.
+func concat(a *intern.Arena, u, v []uint32) []uint32 {
+	row := a.Row(len(u) + len(v))
+	copy(row[copy(row, u):], v)
+	return row
 }

@@ -7,6 +7,68 @@ import (
 	"repro/internal/plan"
 )
 
+// fetchChain is fetch(A ∈ fetch(∅, R, A), R, B): two dependent fetches,
+// with fresh output names.
+func fetchChain(g *viewPlanGen) plan.Node {
+	all := &plan.Fetch{C: g.cAll, As: []string{g.fresh()}}
+	a := all.As[0]
+	return &plan.Fetch{
+		Child: &plan.Project{Child: all, Cols: []string{a}},
+		C:     g.cA, Bind: []string{a}, As: []string{g.fresh(), g.fresh()},
+	}
+}
+
+// TestRunParallelBranches runs a plan whose products, union and
+// difference all have two fetching inputs, so each runs its right input on
+// a pool worker building in an arena of its own, from 8 goroutines at
+// once over one compiled program and through Run's pooled programs. Every
+// answer must equal the sequential reference interpreter's. Under -race
+// it checks that no two branches build in one arena and that a released
+// arena is not reused while its rows are read.
+func TestRunParallelBranches(t *testing.T) {
+	f := newViewIndexFixture(t, 5)
+	g := f.gen
+	vx := f.index(t)
+	pv := plan.PrepareViews(vx.Dict(), f.views)
+	pair := func() plan.Node { return &plan.Product{L: fetchChain(g), R: fetchChain(g)} }
+	narrowed := pair()
+	p := &plan.Diff{
+		L: &plan.Union{L: pair(), R: pair()},
+		R: &plan.Select{Child: narrowed, Cond: []plan.CondItem{{L: narrowed.Attrs()[1], RConst: true, R: "v1"}}},
+	}
+	ref := &refRun{vx: vx, views: f.views}
+	rows, err := ref.run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := canonRows(rows)
+	if len(rows) == 0 {
+		t.Fatal("fixture too sparse: the plan answers nothing")
+	}
+	prog, err := plan.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 10; r++ {
+				got, fetched, _, err := prog.RunObserved(vx, pv)
+				if r%2 == 1 {
+					got, fetched, err = plan.Run(p, vx, pv)
+				}
+				if err != nil || canonRows(got) != want || fetched != ref.fetched {
+					t.Errorf("err=%v, fetched %d (want %d), rows\n got %s\nwant %s", err, fetched, ref.fetched, canonRows(got), want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestRunConcurrentFetchAccounting runs plans whose independent subtrees
 // fetch in parallel — products, unions and differences of fetch chains,
 // plus random plans — through Run from 8 goroutines over one VIndex. Every
@@ -20,15 +82,7 @@ func TestRunConcurrentFetchAccounting(t *testing.T) {
 	vx := f.index(t)
 	pv := plan.PrepareViews(vx.Dict(), f.views)
 
-	// chain is fetch(A ∈ fetch(∅, R, A), R, B): two dependent fetches.
-	chain := func() plan.Node {
-		all := &plan.Fetch{C: g.cAll, As: []string{g.fresh()}}
-		a := all.As[0]
-		return &plan.Fetch{
-			Child: &plan.Project{Child: all, Cols: []string{a}},
-			C:     g.cA, Bind: []string{a}, As: []string{g.fresh(), g.fresh()},
-		}
-	}
+	chain := func() plan.Node { return fetchChain(g) }
 	narrowed := func() plan.Node {
 		c := chain()
 		return &plan.Select{Child: c, Cond: []plan.CondItem{{L: c.Attrs()[1], RConst: true, R: "v1"}}}

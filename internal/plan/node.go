@@ -263,13 +263,26 @@ func Canonical(n Node) string {
 	return b.String()
 }
 
-// Validate checks structural well-formedness: attribute existence and
-// uniqueness, product disjointness, equal arity for union/difference,
-// fetch input attributes matching the constraint's X.
+// Validate checks structural well-formedness: what Compile checks
+// (attributes exist, union and difference operands have equal arity, fetch
+// output names match the constraint) and, over every node, attribute
+// names non-empty and unique, products over disjoint attributes, selections
+// non-empty, renamings of existing attributes, and fetches whose
+// constraint fits the schema and whose input binding is the child's
+// attributes, one per X attribute (a fetch is a leaf exactly when X is
+// empty).
 func Validate(n Node, s *schema.Schema) error {
-	attrs := n.Attrs()
+	p := pooled(n)
+	err := p.err
+	if p.release(); err != nil {
+		return err
+	}
+	return validate(n, s)
+}
+
+func validate(n Node, s *schema.Schema) error {
 	seen := map[string]bool{}
-	for _, a := range attrs {
+	for _, a := range n.Attrs() {
 		if a == "" {
 			return fmt.Errorf("plan: empty attribute name in %s", n.label())
 		}
@@ -279,8 +292,6 @@ func Validate(n Node, s *schema.Schema) error {
 		seen[a] = true
 	}
 	switch x := n.(type) {
-	case *Const, *View:
-		// leaves: nothing more
 	case *Fetch:
 		if err := x.C.Validate(s); err != nil {
 			return err
@@ -288,17 +299,10 @@ func Validate(n Node, s *schema.Schema) error {
 		if x.Bind != nil && len(x.Bind) != len(x.C.X) {
 			return fmt.Errorf("plan: fetch binding %v must have one entry per X attribute %v", x.Bind, x.C.X)
 		}
-		if x.As != nil && len(x.As) != len(x.C.XY()) {
-			return fmt.Errorf("plan: fetch output names %v must have one entry per XY attribute %v", x.As, x.C.XY())
+		if (len(x.C.X) == 0) != (x.Child == nil) {
+			return fmt.Errorf("plan: a fetch must be a leaf exactly when its X is empty")
 		}
-		if len(x.C.X) == 0 {
-			if x.Child != nil {
-				return fmt.Errorf("plan: fetch with empty X must be a leaf")
-			}
-		} else {
-			if x.Child == nil {
-				return fmt.Errorf("plan: fetch with non-empty X needs a child")
-			}
+		if x.Child != nil {
 			ca := append([]string(nil), x.Child.Attrs()...)
 			sort.Strings(ca)
 			bind := append([]string(nil), x.InBind()...)
@@ -307,23 +311,7 @@ func Validate(n Node, s *schema.Schema) error {
 				return fmt.Errorf("plan: fetch child attrs %v must equal input binding %v", ca, bind)
 			}
 		}
-	case *Project:
-		in := toSet(x.Child.Attrs())
-		for _, a := range x.Cols {
-			if !in[a] {
-				return fmt.Errorf("plan: projection attribute %s not in child attrs", a)
-			}
-		}
 	case *Select:
-		in := toSet(x.Child.Attrs())
-		for _, c := range x.Cond {
-			if !in[c.L] {
-				return fmt.Errorf("plan: selection attribute %s not in child attrs", c.L)
-			}
-			if !c.RConst && !in[c.R] {
-				return fmt.Errorf("plan: selection attribute %s not in child attrs", c.R)
-			}
-		}
 		if len(x.Cond) == 0 {
 			return fmt.Errorf("plan: empty selection condition")
 		}
@@ -334,14 +322,6 @@ func Validate(n Node, s *schema.Schema) error {
 				return fmt.Errorf("plan: product children share attribute %s", a)
 			}
 		}
-	case *Union:
-		if len(x.L.Attrs()) != len(x.R.Attrs()) {
-			return fmt.Errorf("plan: union children have different arity")
-		}
-	case *Diff:
-		if len(x.L.Attrs()) != len(x.R.Attrs()) {
-			return fmt.Errorf("plan: difference children have different arity")
-		}
 	case *Rename:
 		in := toSet(x.Child.Attrs())
 		for _, p := range x.Pairs {
@@ -349,11 +329,9 @@ func Validate(n Node, s *schema.Schema) error {
 				return fmt.Errorf("plan: rename source %s not in child attrs", p.From)
 			}
 		}
-	default:
-		return fmt.Errorf("plan: unknown node type %T", n)
 	}
 	for _, c := range n.Children() {
-		if err := Validate(c, s); err != nil {
+		if err := validate(c, s); err != nil {
 			return err
 		}
 	}

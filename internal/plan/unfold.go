@@ -19,6 +19,7 @@ type Unfolder struct {
 	Views  map[string]*cq.UCQ
 
 	counter int
+	approx  bool // unfolding for UCQApprox
 }
 
 // NewUnfolder builds an unfolder over the schema and view definitions.
@@ -227,6 +228,9 @@ func (u *Unfolder) UCQ(n Node) (*cq.UCQ, error) {
 		return out, nil
 
 	case *Diff:
+		if u.approx {
+			return u.UCQ(x.L)
+		}
 		return nil, fmt.Errorf("plan: set difference is not expressible in UCQ")
 
 	default:
@@ -239,86 +243,9 @@ func (u *Unfolder) UCQ(n Node) (*cq.UCQ, error) {
 // which makes it a sound input for bounded-output conformance checks on FO
 // plans (where the exact analysis is undecidable, Theorem 3.4).
 func (u *Unfolder) UCQApprox(n Node) (*cq.UCQ, error) {
-	if d, ok := n.(*Diff); ok {
-		return u.UCQApprox(d.L)
-	}
-	// Rebuild the node with approximated children, then unfold.
-	switch x := n.(type) {
-	case *Fetch:
-		if x.Child == nil {
-			return u.UCQ(x)
-		}
-		c, err := u.approxNode(x.Child)
-		if err != nil {
-			return nil, err
-		}
-		return u.UCQ(&Fetch{Child: c, C: x.C, Bind: x.Bind, As: x.As})
-	default:
-		a, err := u.approxNode(n)
-		if err != nil {
-			return nil, err
-		}
-		return u.UCQ(a)
-	}
-}
-
-// approxNode rewrites the subtree replacing Diff by its left child.
-func (u *Unfolder) approxNode(n Node) (Node, error) {
-	switch x := n.(type) {
-	case *Const, *View:
-		return n, nil
-	case *Diff:
-		return u.approxNode(x.L)
-	case *Fetch:
-		if x.Child == nil {
-			return x, nil
-		}
-		c, err := u.approxNode(x.Child)
-		if err != nil {
-			return nil, err
-		}
-		return &Fetch{Child: c, C: x.C, Bind: x.Bind, As: x.As}, nil
-	case *Project:
-		c, err := u.approxNode(x.Child)
-		if err != nil {
-			return nil, err
-		}
-		return &Project{Child: c, Cols: x.Cols}, nil
-	case *Select:
-		c, err := u.approxNode(x.Child)
-		if err != nil {
-			return nil, err
-		}
-		return &Select{Child: c, Cond: x.Cond}, nil
-	case *Rename:
-		c, err := u.approxNode(x.Child)
-		if err != nil {
-			return nil, err
-		}
-		return &Rename{Child: c, Pairs: x.Pairs}, nil
-	case *Product:
-		l, err := u.approxNode(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := u.approxNode(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return &Product{L: l, R: r}, nil
-	case *Union:
-		l, err := u.approxNode(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := u.approxNode(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return &Union{L: l, R: r}, nil
-	default:
-		return nil, fmt.Errorf("plan: unknown node type %T", n)
-	}
+	u.approx = true
+	defer func() { u.approx = false }()
+	return u.UCQ(n)
 }
 
 // rebindHead freshens all variables of a view disjunct and rebinds its head

@@ -107,12 +107,13 @@ type Epoch struct {
 	probes     []*obs.Counter // per-shard probe telemetry (nil when disabled)
 }
 
-// probe bumps shard i's probe counter. A nil probes slice (metrics
-// disabled) costs one bounds check; the counter add itself is a striped
-// lock-free atomic, so probing stays allocation-free on the read path.
-func (e *Epoch) probe(i int) {
+// probe adds n probes to shard i's probe counter. A nil probes slice
+// (metrics disabled) costs one bounds check; the counter add itself is a
+// striped lock-free atomic, so probing stays allocation-free on the read
+// path.
+func (e *Epoch) probe(i, n int) {
 	if i < len(e.probes) {
-		e.probes[i].Add(1)
+		e.probes[i].Add(int64(n))
 	}
 }
 
@@ -154,7 +155,7 @@ func (e *Epoch) FetchIDs(c *access.Constraint, xval []uint32) ([][]uint32, error
 	if len(e.vixes) == 1 {
 		// One partition: nothing to route (the index itself validates the
 		// constraint and the arity).
-		e.probe(0)
+		e.probe(0, 1)
 		return e.vixes[0].FetchIDs(c, xval)
 	}
 	r := e.part.Route(c)
@@ -166,7 +167,7 @@ func (e *Epoch) FetchIDs(c *access.Constraint, xval []uint32) ([][]uint32, error
 	}
 	if r.XPos != nil {
 		si := shardOf(intern.HashAt(xval, r.XPos), len(e.vixes))
-		e.probe(si)
+		e.probe(si, 1)
 		return e.vixes[si].FetchIDs(c, xval)
 	}
 	// Broadcast: gather the distinct XY-projections across all shards.
@@ -175,7 +176,7 @@ func (e *Epoch) FetchIDs(c *access.Constraint, xval []uint32) ([][]uint32, error
 	p := len(e.vixes)
 	parts := make([][][]uint32, p)
 	if err := par.ForEach(p, func(i int) error {
-		e.probe(i)
+		e.probe(i, 1)
 		rows, err := e.vixes[i].FetchIDs(c, xval)
 		parts[i] = rows
 		return err
@@ -205,6 +206,25 @@ func (e *Epoch) FetchIDs(c *access.Constraint, xval []uint32) ([][]uint32, error
 				out = append(out, r)
 			}
 		}
+	}
+	return out, nil
+}
+
+// FetchAll appends to out the rows FetchIDs returns for each of keys, in
+// turn, making the epoch a plan.Source. With one partition the keys'
+// probes are counted with one counter add.
+func (e *Epoch) FetchAll(c *access.Constraint, keys, out [][]uint32) ([][]uint32, error) {
+	fetch := e.FetchIDs
+	if len(e.vixes) == 1 {
+		e.probe(0, len(keys))
+		fetch = e.vixes[0].FetchIDs
+	}
+	for _, k := range keys {
+		rows, err := fetch(c, k)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, rows...)
 	}
 	return out, nil
 }

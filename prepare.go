@@ -96,8 +96,25 @@ type PreparedQuery struct {
 	staticSel  int       // min-cost candidate under static (nil) statistics
 	staticCost plan.Cost // its static cost estimate
 
+	progs []compiled // per candidate: its plan compiled on first execution
+
 	mu   sync.Mutex
 	sels map[uint64]*selState // Live handle id -> selection (bounded, see selFor)
+}
+
+// compiled is a candidate's program, compiled once for every handle and
+// execution that selects the candidate.
+type compiled struct {
+	once sync.Once
+	prog *plan.Program
+	err  error
+}
+
+// program returns candidate i's compiled program.
+func (pq *PreparedQuery) program(i int) (*plan.Program, error) {
+	c := &pq.progs[i]
+	c.once.Do(func() { c.prog, c.err = plan.Compile(pq.cands[i].Plan) })
+	return c.prog, c.err
 }
 
 // selState is one Live handle's cached plan selection and its accumulated
@@ -174,7 +191,7 @@ func (sys *System) Prepare(q *UCQ, lang Language) (*PreparedQuery, error) {
 		for i, c := range tmpl {
 			cands[i] = vbrp.Candidate{Plan: b.Plan(c.Plan), FetchBound: c.FetchBound}
 		}
-		pq := &PreparedQuery{sys: sys, key: key, lang: lang, cands: cands, sels: make(map[uint64]*selState)}
+		pq := &PreparedQuery{sys: sys, key: key, lang: lang, cands: cands, progs: make([]compiled, len(cands)), sels: make(map[uint64]*selState)}
 		// Static selection so Plan() is meaningful before any Live exists.
 		pq.staticSel, pq.staticCost = bestCandidate(cands, nil)
 		e.pq = pq
@@ -495,7 +512,11 @@ func (pq *PreparedQuery) Execute(h Handle) ([][]string, int, error) {
 	id := h.handleID()
 	met := h.metricsCore()
 	p, idx, explore := pq.pickPlan(id, st, ver, met)
-	rows, fetched, ob, err := h.executeObserved(p, &traceCtx{key: pq.key, candidate: idx, explore: explore})
+	prog, err := pq.program(idx)
+	if err != nil {
+		return nil, 0, err
+	}
+	rows, fetched, ob, err := h.executeObserved(p, prog, &traceCtx{key: pq.key, candidate: idx, explore: explore})
 	if err != nil {
 		return nil, fetched, err
 	}
@@ -511,7 +532,11 @@ func (pq *PreparedQuery) ExecuteOn(s *Snapshot) ([][]string, int, error) {
 	st, ver := s.Stats()
 	met := s.met()
 	p, idx, explore := pq.pickPlan(s.hid, st, ver, met)
-	rows, fetched, ob, err := s.executeObserved(p, &traceCtx{key: pq.key, candidate: idx, explore: explore})
+	prog, err := pq.program(idx)
+	if err != nil {
+		return nil, 0, err
+	}
+	rows, fetched, ob, err := s.executeObserved(p, prog, &traceCtx{key: pq.key, candidate: idx, explore: explore})
 	if err != nil {
 		return nil, fetched, err
 	}
