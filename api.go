@@ -226,8 +226,12 @@ func (sys *System) HasBoundedRewriting(q *UCQ, lang Language) (bool, Plan, error
 		}
 		return false, nil, nil
 	}
-	best, _ := bestCandidate(cands, nil)
-	return true, cands[best].Plan, nil
+	plans := make([]Plan, len(cands))
+	for i, c := range cands {
+		plans[i] = c.Plan
+	}
+	best, _ := plan.Best(plans, nil)
+	return true, plans[best], nil
 }
 
 // searchCandidates runs the full VBRP enumeration for q, returning every

@@ -23,7 +23,7 @@ func TestExecAllocBudget(t *testing.T) {
 	}
 	const (
 		fig1Budget  = 8
-		pointBudget = 16
+		pointBudget = 4
 	)
 	t.Run("fig1", func(t *testing.T) {
 		sys, m := movieSystemN0(t, 50)

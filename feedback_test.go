@@ -3,6 +3,7 @@ package repro
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cq"
@@ -79,7 +80,7 @@ func TestFeedbackConvergence(t *testing.T) {
 			// handle's collected statistics realizes >= 10x the frontier's
 			// cheapest fetch volume.
 			st0, _ := h.Stats()
-			openLoop, _ := bestCandidate(pq.cands, st0)
+			openLoop, _ := pq.best(st0, nil)
 			if fetches[openLoop] < 10*max(1, minF) {
 				t.Fatalf("fixture not adversarial: open-loop pick fetches %d, frontier min %d",
 					fetches[openLoop], minF)
@@ -190,7 +191,7 @@ func TestSelectionIndependentOfShardCount(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					ranked, _ := bestCandidate(pq.cands, st)
+					ranked, _ := pq.best(st, nil)
 					for i := 0; i < 8; i++ {
 						if _, _, err := pq.Execute(h); err != nil {
 							t.Fatal(err)
@@ -258,6 +259,101 @@ func TestFeedbackStickyUnderStatsDrift(t *testing.T) {
 	st1, _ := pq.SelectionStats(h)
 	if st1.Selected != st0.Selected || st1.Switches != st0.Switches {
 		t.Fatalf("drift rebuild moved the selection: %+v -> %+v", st0, st1)
+	}
+}
+
+// TestFeedbackSkipIsExact: feedback prices the incumbent again only when
+// a mean of its overlay moved, another candidate ran, or the handle
+// published other statistics, and it must decide exactly as a feedback
+// that always re-prices. On the PlanFeedback fixture, with churn batches
+// between the executions (a new Stats with every epoch, a new version on
+// a rebuild) and every 64th execution exploring a runner-up, each
+// execution that kept its statistics version must re-rank exactly when
+// the always-re-pricing rule says so, and afterwards the incumbent's
+// fresh overlaid estimate under the handle's current statistics must not
+// have diverged from the cost its selection holds.
+func TestFeedbackSkipIsExact(t *testing.T) {
+	for _, p := range []int{1, 8} {
+		t.Run(fmt.Sprintf("P=%d", p), func(t *testing.T) {
+			sys, fx := feedbackSystem(t)
+			h, err := sys.Open(fx.Generate(), WithShards(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer h.Close()
+			pq, err := sys.Prepare(NewUCQ(fx.Q), LangCQ)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id := h.handleID()
+			reranks := func() int64 { return h.Metrics().Counters["repro_plan_rerank_total"] }
+			_, ver0 := h.Stats()
+			for i := 0; i < 300; i++ {
+				if i%25 == 24 {
+					size := 64
+					if i%100 == 99 {
+						size = 4000
+					}
+					if _, err := h.ApplyDelta(fx.ChurnBatch(i, size), nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				st, ver := h.Stats()
+				pq.mu.Lock()
+				pre, ok := pq.sels[id]
+				var was selState
+				if ok {
+					was = *pre
+				}
+				pq.mu.Unlock()
+				r0 := reranks()
+				if _, _, err := pq.Execute(h); err != nil {
+					t.Fatal(err)
+				}
+				pq.mu.Lock()
+				s := pq.sels[id]
+				fresh, held := pq.progs[s.sel].Estimate(st, s.obs), s.cost
+				want := ok && (s.probes > was.probes ||
+					diverged(pq.progs[was.sel].Estimate(st, s.obs).Score(), was.cost.Score()))
+				pq.mu.Unlock()
+				if got := reranks() > r0; ok && was.ver == ver && got != want {
+					t.Fatalf("execution %d: re-ranked %v, the always-re-pricing rule says %v", i, got, want)
+				}
+				if diverged(fresh.Score(), held.Score()) {
+					t.Fatalf("execution %d: incumbent %d re-estimates at %v, its selection holds %v",
+						i, s.sel, fresh.Score(), held.Score())
+				}
+			}
+			if _, ver := h.Stats(); ver == ver0 {
+				t.Fatal("fixture: the churn never bumped the statistics version")
+			}
+			if st, _ := pq.SelectionStats(h); st.Switches < 1 || st.Explorations < 1 {
+				t.Fatalf("fixture: the loop must switch and explore: %+v", st)
+			}
+
+			// A run that moves no mean, fed back under statistics the
+			// incumbent was not last priced with, prices it again.
+			st, _ := h.Stats()
+			pq.mu.Lock()
+			sel := pq.sels[id].sel
+			pq.mu.Unlock()
+			rows, x, err := h.executeObserved(pq.cands[sel].Plan, pq.progs[sel], traceCtx{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			slots := slices.Clone(x.Slots())
+			x.Release()
+			other := *st
+			for _, st := range []*plan.Stats{st, &other} {
+				pq.feedback(id, st, sel, slots, len(rows), nil)
+				pq.mu.Lock()
+				priced := pq.sels[id].st
+				pq.mu.Unlock()
+				if priced != st {
+					t.Fatal("feedback under new statistics skipped the incumbent's re-estimate")
+				}
+			}
+		})
 	}
 }
 

@@ -2,7 +2,8 @@ package repro
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -107,11 +108,17 @@ type Handle interface {
 	// the prepared-query layer and the debug exporter. Sealing method.
 	metricsCore() *obs.Core
 
-	// executeObserved runs prog, the compiled form of plan p, with the
-	// run's execution profile — the observation the closed-loop plan
-	// selection feeds on (see PreparedQuery.Execute). tc carries the
-	// prepared-query identity for slow-query tracing. Sealing method.
-	executeObserved(p Plan, prog *plan.Program, tc *traceCtx) ([][]string, int, *plan.Observation, error)
+	runner
+}
+
+// runner runs a prepared query's candidates: a Handle, on its current
+// epoch, or a Snapshot, on its pinned one.
+type runner interface {
+	// executeObserved runs prog, the compiled form of plan p, and returns
+	// the answer and the run's Execution, whose slots the closed-loop plan
+	// selection feeds on (see PreparedQuery.Execute); the caller releases
+	// it. tc names the prepared query for slow-query tracing.
+	executeObserved(p Plan, prog *plan.Program, tc traceCtx) ([][]string, *plan.Execution, error)
 }
 
 // ErrClosed is returned by ApplyDelta on a closed handle.
@@ -187,9 +194,10 @@ func WithCheckpointEvery(n int) OpenOption {
 // execution slower than d is traced — query key, plan, candidate index,
 // epoch sequence, per-constraint probe/row counts, join cardinalities
 // and timings — into a ring of the most recent traces, readable through
-// Handle.SlowQueries and the debug exporter. The fast path pays one
-// duration comparison; the trace itself is only built for executions
-// over the threshold. d <= 0 (the default) disables slow logging.
+// Handle.SlowQueries and the debug exporter. Arming the log changes no
+// execution: a trace is summed from the per-op slots every run keeps, and
+// only for executions over the threshold; the others pay one duration
+// comparison. d <= 0 (the default) disables slow logging.
 func WithSlowQueryThreshold(d time.Duration) OpenOption {
 	return func(c *openConfig) { c.slowQuery = d }
 }
@@ -243,19 +251,20 @@ type epochState struct {
 }
 
 // traceCtx carries the prepared-query identity of an execution into the
-// sealed observed-execution path, so slow-query traces can name the
-// query and frontier candidate that ran. nil for ad-hoc plan runs.
+// execution path, so slow-query traces can name the query and frontier
+// candidate that ran. The zero value marks an ad-hoc plan run.
 type traceCtx struct {
-	key       string // canonical query key
+	key       string // canonical query key; "" for an ad-hoc run
 	candidate int    // index in the prepared frontier
 	explore   bool   // exploration probe of a non-incumbent
 }
 
-// recordExec folds one execution into the metrics core and,
-// when it ran over the armed threshold, the slow-query log. The trace —
-// including the rendered plan — is built only on the slow path; the
-// fast path pays the latency histogram update and one comparison.
-func recordExec(met *obs.Core, seq uint64, p Plan, tc *traceCtx, start time.Time, fetched, rows int, ob *plan.Observation) {
+// recordExec folds one execution, run x, into the metrics core and, when
+// it ran over the armed threshold, the slow-query log. The trace — the
+// rendered plan and the per-constraint groups summed from x's slots — is
+// built only on the slow path; the fast path pays the latency histogram
+// update and one comparison.
+func recordExec(met *obs.Core, seq uint64, p Plan, tc traceCtx, start time.Time, rows int, x *plan.Execution) {
 	if met == nil {
 		return
 	}
@@ -266,23 +275,20 @@ func recordExec(met *obs.Core, seq uint64, p Plan, tc *traceCtx, start time.Time
 	}
 	t := obs.Trace{
 		Start: start, Plan: plan.Render(p), Candidate: -1,
-		EpochSeq: seq, Duration: d, Fetched: fetched, Rows: rows,
+		EpochSeq: seq, Duration: d, Fetched: x.Fetched(), Rows: rows,
 	}
-	if tc != nil {
+	if tc.key != "" {
 		t.QueryKey, t.Candidate, t.Explore = tc.key, tc.candidate, tc.explore
 	}
-	if ob != nil {
-		t.JoinIn, t.JoinOut = ob.JoinIn, ob.JoinOut
-		keys := make([]string, 0, len(ob.Groups))
-		for k := range ob.Groups {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			g := ob.Groups[k]
-			t.Groups = append(t.Groups, obs.GroupTrace{Key: k, Probes: g.Probes, Rows: g.Rows})
+	prog, slots := x.Program(), x.Slots()
+	j := prog.Joins(slots)
+	t.JoinIn, t.JoinOut = j.In, j.Out
+	for i := range slots {
+		if key, g, ok := prog.Group(slots, i); ok {
+			t.Groups = append(t.Groups, obs.GroupTrace{Key: key, Probes: g.In, Rows: g.Out})
 		}
 	}
+	slices.SortFunc(t.Groups, func(a, b obs.GroupTrace) int { return strings.Compare(a.Key, b.Key) })
 	met.MaybeSlow(t)
 }
 
@@ -336,51 +342,42 @@ func (s *Snapshot) met() *obs.Core {
 // and the tuples fetched from the database by this call (exact per-call
 // attribution, also under concurrent use).
 func (s *Snapshot) Execute(p Plan) ([][]string, int, error) {
-	rows, n, _, err := execute(s.e, s.met(), &s.fetched, s.hfetched, p, nil, nil)
-	return rows, n, err
+	return released(execute(s.e, s.met(), &s.fetched, s.hfetched, p, nil, traceCtx{}))
 }
 
-// executeObserved runs a prepared candidate's program with the run's
-// execution profile, for the closed-loop selection in
+// executeObserved runs a prepared candidate's program for
 // PreparedQuery.ExecuteOn.
-func (s *Snapshot) executeObserved(p Plan, prog *plan.Program, tc *traceCtx) ([][]string, int, *plan.Observation, error) {
+func (s *Snapshot) executeObserved(p Plan, prog *plan.Program, tc traceCtx) ([][]string, *plan.Execution, error) {
 	return execute(s.e, s.met(), &s.fetched, s.hfetched, p, prog, tc)
 }
 
-// execute runs plan p against epoch e for a handle or snapshot. prog,
-// when not nil, is p compiled once — a prepared candidate's program — and
-// its run is profiled for the closed-loop selection; tc names the
-// prepared query for the slow-query trace. Without prog, p is the caller's
-// and may change between calls, so it is compiled on this one. The tuples
-// the run fetched are returned for the call and added to the caller's
-// attribution counters (owner; up, when the owner rolls up into a handle —
-// nil otherwise), also when the run fails, and the run is recorded in met
-// (nil-safe). An armed slow-query log needs the run's profile too, for
-// the trace's per-constraint breakdown (its extra allocation is the
-// documented cost of arming the log).
-func execute(e *epochState, met *obs.Core, owner, up *atomic.Int64, p Plan, prog *plan.Program, tc *traceCtx) ([][]string, int, *plan.Observation, error) {
+// execute runs plan p against epoch e for a handle or snapshot: prog, p
+// compiled once, when it is a prepared candidate's, else p compiled for
+// this run (a caller's plan may change between calls). tc names the
+// prepared query for the slow-query trace. The tuples the run fetched are
+// added to the caller's attribution counters (owner; up, when the owner
+// rolls up into a handle — nil otherwise), also when the run fails, and
+// the run is recorded in met (nil-safe). The caller releases the returned
+// Execution.
+func execute(e *epochState, met *obs.Core, owner, up *atomic.Int64, p Plan, prog *plan.Program, tc traceCtx) ([][]string, *plan.Execution, error) {
 	var t0 time.Time
 	if met != nil {
 		t0 = time.Now()
 	}
-	var rows [][]string
-	var fetched int
-	var ob *plan.Observation
-	var err error
-	switch {
-	case prog != nil:
-		rows, fetched, ob, err = prog.RunObserved(e.Epoch, e.Prepared())
-	case met.SlowEnabled():
-		rows, fetched, ob, err = plan.RunObserved(p, e.Epoch, e.Prepared())
-	default:
-		rows, fetched, err = plan.Run(p, e.Epoch, e.Prepared())
+	rows, x, err := plan.Exec(p, prog, e.Epoch, e.Prepared())
+	account(x.Fetched(), owner, up)
+	if err == nil {
+		recordExec(met, e.Seq(), p, tc, t0, len(rows), x)
 	}
-	account(fetched, owner, up)
-	if err != nil {
-		return nil, fetched, nil, err
-	}
-	recordExec(met, e.Seq(), p, tc, t0, fetched, len(rows), ob)
-	return rows, fetched, ob, nil
+	return rows, x, err
+}
+
+// released releases an ad-hoc run's Execution and returns the run's answer
+// and fetched tuples.
+func released(rows [][]string, x *plan.Execution, err error) ([][]string, int, error) {
+	n := x.Fetched()
+	x.Release()
+	return rows, n, err
 }
 
 // account adds n fetched tuples to a snapshot's or handle's counter and,
@@ -582,14 +579,12 @@ func (l *Live) Lifecycle() LifecycleStats { return l.lc.stats() }
 // rows and the tuples fetched from D by this call (exact attribution,
 // also under concurrent readers and writers).
 func (l *Live) Execute(p Plan) ([][]string, int, error) {
-	rows, n, _, err := execute(l.cur.Load(), l.met, &l.fetched, nil, p, nil, nil)
-	return rows, n, err
+	return released(execute(l.cur.Load(), l.met, &l.fetched, nil, p, nil, traceCtx{}))
 }
 
-// executeObserved runs a prepared candidate's program with the run's
-// execution profile, for the closed-loop selection in
+// executeObserved runs a prepared candidate's program for
 // PreparedQuery.Execute.
-func (l *Live) executeObserved(p Plan, prog *plan.Program, tc *traceCtx) ([][]string, int, *plan.Observation, error) {
+func (l *Live) executeObserved(p Plan, prog *plan.Program, tc traceCtx) ([][]string, *plan.Execution, error) {
 	return execute(l.cur.Load(), l.met, &l.fetched, nil, p, prog, tc)
 }
 

@@ -39,21 +39,21 @@ func (c Cost) Score() float64 { return c.Fetch*fetchWeight + c.Work + c.Rows }
 
 // Estimate costs a plan against the statistics (nil for static defaults).
 func Estimate(n Node, st *Stats) Cost {
-	return EstimateObserved(n, st, nil)
+	p := pooled(n)
+	defer p.release()
+	return p.Estimate(st, nil)
 }
 
-// EstimateObserved costs a plan against the statistics with an
+// Estimate costs the compiled program against the statistics with an
 // observed-cost overlay: where obs carries a realized group width for an
 // access constraint, that width replaces the one derived from collected
 // distinct counts (the skew-blind |R|/distinct average); realized join
 // fan-outs replace the System-R selectivity guess inside hash joins (see
-// joinCost); and the realized output cardinality replaces the estimated
+// opCost); and the realized output cardinality replaces the estimated
 // Rows term outright — every candidate answers the same query, so one
 // plan's measured output is every plan's output. A nil obs — or one with
-// no sample for a component — falls back to Estimate's behavior.
-func EstimateObserved(n Node, st *Stats, obs *ObservedStats) Cost {
-	p := pooled(n)
-	defer p.release()
+// no sample for a component — prices from the statistics alone.
+func (p *Program) Estimate(st *Stats, obs *ObservedStats) Cost {
 	e := p.cost(st, obs)
 	c := Cost{Fetch: e.fetch, Work: e.work, Rows: e.rows}
 	if r, ok := obs.Rows(); ok {
@@ -69,15 +69,21 @@ func EstimateObserved(n Node, st *Stats, obs *ObservedStats) Cost {
 // lowest-index candidate, so selection is deterministic in the search
 // order (which enumerates smallest plans first).
 func Best(cands []Node, st *Stats) (int, Cost) {
-	return BestObserved(cands, st, nil)
+	return cheapest(len(cands), func(i int) Cost { return Estimate(cands[i], st) })
 }
 
-// BestObserved is Best under EstimateObserved's observation overlay.
-func BestObserved(cands []Node, st *Stats, obs *ObservedStats) (int, Cost) {
+// BestProgram is Best over compiled candidates under Estimate's
+// observation overlay.
+func BestProgram(progs []*Program, st *Stats, obs *ObservedStats) (int, Cost) {
+	return cheapest(len(progs), func(i int) Cost { return progs[i].Estimate(st, obs) })
+}
+
+// cheapest applies Best's rules to the costs of n candidates.
+func cheapest(n int, cost func(int) Cost) (int, Cost) {
 	best, bc := -1, Cost{}
 	bestFinite := false
-	for i, p := range cands {
-		c := EstimateObserved(p, st, obs)
+	for i := range n {
+		c := cost(i)
 		s := c.Score()
 		finite := !math.IsNaN(s) && !math.IsInf(s, 0)
 		switch {

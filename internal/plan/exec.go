@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/access"
 	"repro/internal/intern"
@@ -168,142 +167,177 @@ func PrepareViews(d *intern.Dict, m Materialized) *PreparedViews {
 // run fetched from the underlying database (|Dξ|). fetched counts every
 // tuple a Fetch node got back, also when the run fails later. A nil pv
 // serves no views (View nodes error). Run compiles the plan (see Compile)
-// into a pooled Program and runs it: rows are ID-encoded against the
-// source's dictionary and decoded only at the boundary, and no value is
-// interned. Independent subtrees (products, unions, differences, the two
-// sides of a hash join) run concurrently on the bounded worker pool, so
-// src must be safe for concurrent fetches.
+// into a pooled Program and runs it (see Exec): rows are ID-encoded
+// against the source's dictionary and decoded only at the boundary, and no
+// value is interned. Independent subtrees (products, unions, differences,
+// the two sides of a hash join) run concurrently on the bounded worker
+// pool, so src must be safe for concurrent fetches.
 func Run(n Node, src Source, pv *PreparedViews) (rows [][]string, fetched int, err error) {
-	rows, fetched, _, err = runPlan(n, src, pv, false)
+	rows, x, err := Exec(n, nil, src, pv)
+	fetched = x.Fetched()
+	x.Release()
 	return rows, fetched, err
 }
 
-// RunObserved is Run with execution profiling: alongside the answer it
-// returns the run's Observation — realized per-constraint fetch groups,
-// hash-join fan-outs and the output cardinality — the feedback signal a
-// serving layer folds into an ObservedStats to correct the cost model's
-// estimates. Profiling costs a few counter updates per operator, not per
-// row; Run skips even that.
-func RunObserved(n Node, src Source, pv *PreparedViews) ([][]string, int, *Observation, error) {
-	return runPlan(n, src, pv, true)
+// Slot is one op's counters in one run: for a fetch op, the distinct
+// keys it probed (In) and the tuples they returned (Out); for a hash
+// join, its two inputs in full (In) and its output (Out); for any other
+// op, the rows it read and the rows it emitted.
+type Slot struct{ In, Out int }
+
+// Execution is one run of a program: the state the run threads through
+// its ops and, once Exec returns, the run's profile, one Slot per op of
+// the program (see Slots). Executions are pooled: Release one once read.
+type Execution struct {
+	p     *Program
+	own   bool // p was compiled for this run: Release releases it too
+	src   Source
+	views *PreparedViews
+	ids   []uint32 // the IDs of p's constants in the source's dictionary
+	slots []Slot   // op i's slot is written only by the goroutine running op i
 }
 
-var executions = sync.Pool{New: func() any { return new(execution) }}
+var executions = sync.Pool{New: func() any { return new(Execution) }}
 
-func runPlan(n Node, src Source, pv *PreparedViews, observe bool) ([][]string, int, *Observation, error) {
-	p := pooled(n)
-	defer p.release()
-	if p.err != nil {
-		return nil, 0, nil, p.err
+// Exec runs prog, or plan n compiled for this run when prog is nil, under
+// Run's contract, and returns the answer and the run's Execution, never
+// nil, also when the run fails. Each goroutine of the run builds in its
+// own intern.Arena, released before Exec returns.
+func Exec(n Node, prog *Program, src Source, pv *PreparedViews) ([][]string, *Execution, error) {
+	x := executions.Get().(*Execution)
+	if prog == nil {
+		if prog = pooled(n); prog.err != nil {
+			err := prog.err
+			prog.release()
+			return nil, x, err
+		}
+		x.own = true
 	}
-	return p.run(src, pv, observe)
+	x.p = prog
+	rows, err := x.run(src, pv)
+	return rows, x, err
 }
 
-// RunObserved runs the compiled plan under RunObserved's contract.
-func (p *Program) RunObserved(src Source, pv *PreparedViews) ([][]string, int, *Observation, error) {
-	return p.run(src, pv, true)
-}
-
-func (p *Program) run(src Source, pv *PreparedViews, observe bool) ([][]string, int, *Observation, error) {
-	d := src.Dict()
+func (x *Execution) run(src Source, pv *PreparedViews) ([][]string, error) {
+	p, d := x.p, src.Dict()
 	if pv == nil {
 		pv = NewPreparedViews(d, nil)
 	} else if pv.d != d {
-		return nil, 0, nil, fmt.Errorf("plan: prepared views belong to a different database")
+		return nil, fmt.Errorf("plan: prepared views belong to a different database")
 	}
-	x, a := executions.Get().(*execution), intern.TakeArena()
-	defer x.release(a)
-	x.p, x.src, x.views = p, src, pv
+	a := intern.TakeArena()
+	defer a.Release()
+	x.src, x.views = src, pv
 	x.ids = slices.Grow(x.ids[:0], len(p.consts))[:len(p.consts)]
 	d.Resolve(p.consts, x.ids)
-	if observe {
-		x.obs = &Observation{}
-	}
+	x.slots = slices.Grow(x.slots[:0], len(p.ops))[:len(p.ops)]
+	clear(x.slots)
 	rows, err := x.exec(a, len(p.ops)-1)
-	fetched, ob := int(x.fetched.Load()), x.obs
 	if err != nil {
-		return nil, fetched, ob, err
+		return nil, err
 	}
 	set := intern.NewRowSet(a, len(rows))
 	for _, r := range rows {
 		set.Add(r)
 	}
-	if a.Keep(set.Rows); ob != nil {
-		ob.Rows = len(set.Rows)
+	if a.Keep(set.Rows); len(set.Rows) == 0 {
+		return nil, nil
 	}
-	if len(set.Rows) == 0 {
-		return nil, fetched, ob, nil
-	}
-	return d.DecodeLocal(set.Rows, p.consts), fetched, ob, nil
+	return d.DecodeLocal(set.Rows, p.consts), nil
 }
 
-// execution is one run's state: the program, the fetch source, the view
-// set (whose versions outlive the run), the IDs of the program's constants
-// in the source's dictionary, the fetched-tuple count and the optional
-// profile. Each goroutine of the run builds in its own intern.Arena.
-type execution struct {
-	p       *Program
-	src     Source
-	views   *PreparedViews
-	ids     []uint32
-	fetched atomic.Int64 // parallel subtrees add concurrently
-	obs     *Observation // nil unless observed; guarded by obsMu
-	obsMu   sync.Mutex
+// Program returns the program the run ran (nil when it failed to
+// compile), valid until Release.
+func (x *Execution) Program() *Program { return x.p }
+
+// Slots returns the run's per-op counters, indexed like the program's ops
+// (empty when the run failed before its first op), valid until Release.
+// The ops the run did not reach read zero.
+func (x *Execution) Slots() []Slot { return x.slots }
+
+// Fetched returns the tuples the run fetched: the sum of its fetch ops'
+// slots. A failed run counts the tuples its fetches got before it failed.
+func (x *Execution) Fetched() int {
+	n := 0
+	for i, s := range x.slots {
+		if x.p.ops[i].kind == opFetch {
+			n += s.Out
+		}
+	}
+	return n
 }
 
-// release gives the arena, and then x, back to their pools.
-func (x *execution) release(a *intern.Arena) {
-	a.Release()
-	x.p, x.src, x.views, x.obs = nil, nil, nil, nil
-	x.fetched.Store(0)
+// Release gives x, and the program compiled for it, back to their pools.
+func (x *Execution) Release() {
+	if x.own {
+		x.p.release()
+	}
+	x.p, x.own, x.src, x.views, x.slots = nil, false, nil, nil, x.slots[:0]
 	executions.Put(x)
 }
 
-// observeFetch records one fetch's realized traffic: probes distinct
-// keys through constraint c returned rows tuples.
-func (x *execution) observeFetch(c *access.Constraint, probes, rows int) {
-	if x.obs == nil {
-		return
+// Group reports whether op i is the first of the program's fetch ops
+// through its access constraint and, if so, returns the constraint's key
+// and the probe keys (In) and tuples (Out) those ops recorded in slots,
+// summed: Out/In is the run's realized group width.
+func (p *Program) Group(slots []Slot, i int) (key string, g Slot, ok bool) {
+	if p.ops[i].kind != opFetch {
+		return "", g, false
 	}
-	x.obsMu.Lock()
-	x.obs.addGroup(c.Key(), probes, rows)
-	x.obsMu.Unlock()
+	key = p.ops[i].c.Key()
+	for j, s := range slots {
+		if o := &p.ops[j]; o.kind == opFetch && o.c.Key() == key {
+			if j < i {
+				return "", g, false
+			}
+			g.In, g.Out = g.In+s.In, g.Out+s.Out
+		}
+	}
+	return key, g, true
 }
 
-// observeJoin records one hash join's realized fan-out.
-func (x *execution) observeJoin(in, out int) {
-	if x.obs == nil {
-		return
+// Joins returns the input (In) and output (Out) rows of the program's
+// hash joins recorded in slots, summed: Out/In is the run's realized join
+// fan-out.
+func (p *Program) Joins(slots []Slot) (g Slot) {
+	for i, s := range slots {
+		if p.ops[i].kind == opJoin {
+			g.In, g.Out = g.In+s.In, g.Out+s.Out
+		}
 	}
-	x.obsMu.Lock()
-	x.obs.JoinIn += in
-	x.obs.JoinOut += out
-	x.obsMu.Unlock()
+	return g
 }
 
 // noInput is the one empty X-value a leaf fetch probes with.
 var noInput = [][]uint32{{}}
 
-// exec runs op i, building in a, and returns its rows: a bag, as only the
-// root's rows are deduplicated.
-func (x *execution) exec(a *intern.Arena, i int) (out [][]uint32, err error) {
-	o := &x.p.ops[i]
+// exec runs op i, building in a, records its slot and returns its rows: a
+// bag, as only the root's rows are deduplicated.
+func (x *Execution) exec(a *intern.Arena, i int) ([][]uint32, error) {
+	out, in, err := x.eval(a, &x.p.ops[i])
+	x.slots[i] = Slot{In: in, Out: len(out)}
+	return out, err
+}
+
+// eval computes op o's rows and the rows it read. A failed fetch returns
+// the rows of the keys before the failing one.
+func (x *Execution) eval(a *intern.Arena, o *op) (out [][]uint32, in int, err error) {
 	var l, r [][]uint32
 	switch o.kind {
 	case opConst:
 		row := a.Row(1)
 		row[0] = x.ids[o.val]
-		return a.Keep(append(a.List(1), row)), nil
+		return a.Keep(append(a.List(1), row)), 0, nil
 	case opView:
 		_, rows, err := x.views.view(o.view)
-		return rows, err
+		return rows, 0, err
 	case opJoin:
 		return x.join(a, o)
 	case opFetch:
 		keys := noInput
 		if o.l >= 0 {
 			if l, err = x.exec(a, o.l); err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			set := intern.NewRowSet(a, len(l))
 			for _, r := range l {
@@ -312,18 +346,14 @@ func (x *execution) exec(a *intern.Arena, i int) (out [][]uint32, err error) {
 			keys = a.Keep(set.Rows)
 		}
 		out, err = x.src.FetchAll(o.c, keys, a.List(len(keys)))
-		if x.fetched.Add(int64(len(out))); err != nil {
-			return nil, err
-		}
-		x.observeFetch(o.c, len(keys), len(out))
-		return a.Keep(out), nil
+		return a.Keep(out), len(keys), err
 	case opProject, opFilter:
 		if l, err = x.exec(a, o.l); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	default:
 		if l, r, err = x.both(a, o); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
 	switch o.kind {
@@ -365,11 +395,11 @@ func (x *execution) exec(a *intern.Arena, i int) (out [][]uint32, err error) {
 			}
 		}
 	}
-	return a.Keep(out), nil
+	return a.Keep(out), len(l) + len(r), nil
 }
 
 // both runs o's two inputs, concurrently when the compiler marked them so.
-func (x *execution) both(a *intern.Arena, o *op) (l, r [][]uint32, err error) {
+func (x *Execution) both(a *intern.Arena, o *op) (l, r [][]uint32, err error) {
 	if o.par {
 		return x.parallel(a, o)
 	}
@@ -383,7 +413,7 @@ func (x *execution) both(a *intern.Arena, o *op) (l, r [][]uint32, err error) {
 // parallel runs o's two inputs concurrently, the right one building in an
 // arena of its own. It is apart from both because the closures par.Do
 // takes move what they capture to the heap.
-func (x *execution) parallel(a *intern.Arena, o *op) (l, r [][]uint32, err error) {
+func (x *Execution) parallel(a *intern.Arena, o *op) (l, r [][]uint32, err error) {
 	b := a.Branch()
 	var lerr, rerr error
 	err = par.Do(
@@ -394,7 +424,7 @@ func (x *execution) parallel(a *intern.Arena, o *op) (l, r [][]uint32, err error
 }
 
 // holds reports whether row r satisfies every condition.
-func (x *execution) holds(conds []cond, r []uint32) bool {
+func (x *Execution) holds(conds []cond, r []uint32) bool {
 	for _, c := range conds {
 		var rv uint32
 		if c.rpos < 0 {
@@ -416,9 +446,9 @@ func (x *execution) holds(conds []cond, r []uint32) bool {
 // each of its rows looks its matches up in the view version's memoized
 // index, so the join costs O(|other|) per execution instead of O(|V|).
 // Without a view side, a per-run index is built over the smaller side. The
-// Observation is the same either way: JoinIn counts both inputs in full,
-// the view's extent included.
-func (x *execution) join(a *intern.Arena, o *op) ([][]uint32, error) {
+// rows read are the same either way: both inputs in full, the view's
+// extent included.
+func (x *Execution) join(a *intern.Arena, o *op) ([][]uint32, int, error) {
 	var lv, rv *ViewVersion
 	var l, r [][]uint32
 	var err error
@@ -428,7 +458,7 @@ func (x *execution) join(a *intern.Arena, o *op) ([][]uint32, error) {
 		rv, r, err = x.joinInput(a, o.r, o.rkey)
 	}
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	// Look up into a view side's memoized index (the larger view's when
 	// both sides are views), else into a per-run index over the smaller
@@ -462,14 +492,13 @@ func (x *execution) join(a *intern.Arena, o *op) ([][]uint32, error) {
 		}
 	}
 	a.Keep(matches)
-	x.observeJoin(len(l)+len(r), len(out))
-	return a.Keep(out), nil
+	return a.Keep(out), len(l) + len(r), nil
 }
 
 // joinInput evaluates join input op i: a view scan (one with an index
 // key) resolves to its version's rows, and the version its indices live
 // in, without running; any other op runs.
-func (x *execution) joinInput(a *intern.Arena, i int, key string) (*ViewVersion, [][]uint32, error) {
+func (x *Execution) joinInput(a *intern.Arena, i int, key string) (*ViewVersion, [][]uint32, error) {
 	if key == "" {
 		rows, err := x.exec(a, i)
 		return nil, rows, err

@@ -55,7 +55,9 @@ func TestRunParallelBranches(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < 10; r++ {
-				got, fetched, _, err := prog.RunObserved(vx, pv)
+				got, x, err := plan.Exec(nil, prog, vx, pv)
+				fetched := x.Fetched()
+				x.Release()
 				if r%2 == 1 {
 					got, fetched, err = plan.Run(p, vx, pv)
 				}
@@ -72,7 +74,7 @@ func TestRunParallelBranches(t *testing.T) {
 // TestRunConcurrentFetchAccounting runs plans whose independent subtrees
 // fetch in parallel — products, unions and differences of fetch chains,
 // plus random plans — through Run from 8 goroutines over one VIndex. Every
-// call's fetched count must equal the sum of its Observation's group rows
+// call's fetched count must equal the sum of its per-constraint group rows
 // and the sequential reference's count: the executor, not the source,
 // counts |Dξ|, and parallel workers must merge that count exactly. Run
 // with -race.
@@ -111,14 +113,15 @@ func TestRunConcurrentFetchAccounting(t *testing.T) {
 		if ref.fetched > 0 {
 			fetching++
 		}
-		_, fetched, ob, err := plan.RunObserved(p, vx, pv)
+		got, x, err := plan.Exec(p, nil, vx, pv)
 		if err != nil {
 			t.Fatalf("plan %d: %v\n%s", i, err, plan.Render(p))
 		}
-		groupRows := 0
-		for _, gr := range ob.Groups {
-			groupRows += gr.Rows
+		fetched, groupRows := x.Fetched(), 0
+		for _, gr := range profileOf(x, len(got)).Groups {
+			groupRows += gr.Out
 		}
+		x.Release()
 		if fetched != want[i] || groupRows != want[i] {
 			t.Fatalf("plan %d: fetched %d, group rows %d, reference %d\n%s",
 				i, fetched, groupRows, want[i], plan.Render(p))

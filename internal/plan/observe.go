@@ -2,108 +2,72 @@ package plan
 
 import "math"
 
-// Observation is the realized execution profile of ONE plan run: what the
-// plan actually fetched and produced, attributed to the structures the
-// cost model estimates. It is the closed-loop counterpart of Cost — where
-// Estimate predicts from collected statistics, an Observation reports what
-// a concrete run against a concrete epoch measured, so a serving layer can
-// correct the estimates it trusted (see ObservedStats and the
-// PreparedQuery feedback loop in the root package).
-type Observation struct {
-	// Rows is the output cardinality after the root's set-semantics dedup.
-	Rows int
-	// JoinIn and JoinOut are the summed input and output rows of the
-	// run's hash joins — their ratio is the realized join fan-out.
-	JoinIn  int
-	JoinOut int
-	// Groups attributes fetch traffic to access constraints: for each
-	// constraint the plan fetched through (keyed by Constraint.Key), the
-	// number of distinct probe keys and the tuples they returned. Their
-	// ratio is the realized group width — the quantity the cost model
-	// otherwise guesses as |R| over the collected distinct counts.
-	Groups map[string]GroupObs
-}
+// observedAlpha is the EWMA weight of the newest run in ObservedStats'
+// running means.
+const observedAlpha = 0.3
 
-// GroupObs is the realized fetch profile of one access constraint within
-// one plan run. Plain value; safe to copy.
-type GroupObs struct {
-	Probes int // distinct probe keys fetched through the constraint
-	Rows   int // tuples those probes returned
-}
-
-// addGroup folds one fetch node's traffic into the observation.
-func (o *Observation) addGroup(key string, probes, rows int) {
-	if o.Groups == nil {
-		o.Groups = make(map[string]GroupObs, 4)
-	}
-	g := o.Groups[key]
-	g.Probes += probes
-	g.Rows += rows
-	o.Groups[key] = g
-}
-
-// ObservedStats accumulates Observations as exponentially-decayed running
-// means and overlays them on a Stats during estimation: an observed group
-// width for an access constraint takes precedence over the width derived
-// from collected distinct counts, so candidate ranking corrects its own
-// estimation error instead of re-trusting a skew-blind average. Decay
-// (weight Alpha on the newest sample) keeps the overlay tracking a
-// drifting instance instead of pinning the first thing it saw.
+// ObservedStats accumulates the profiles of plan runs (see Execution) as
+// exponentially-decayed running means and overlays them on a Stats during
+// estimation: an observed group width for an access constraint takes
+// precedence over the width derived from collected distinct counts, so
+// candidate ranking corrects its own estimation error instead of
+// re-trusting a skew-blind average. Decay (weight observedAlpha on the
+// newest run) keeps the overlay tracking a drifting instance instead of
+// pinning the first thing it saw.
 //
 // ObservedStats is NOT safe for concurrent use and must not be copied
 // (copies would share the width map but fork the scalar means); callers
 // hold one *ObservedStats and serialize access (the PreparedQuery
-// feedback loop folds observations under its selection lock).
+// feedback loop folds runs under its selection lock).
 type ObservedStats struct {
-	alpha   float64
 	width   map[string]float64 // constraint key -> EWMA realized group width
 	rows    float64            // EWMA output rows (-1 until first sample)
 	joinFan float64            // EWMA join fan-out ratio (-1 until first join)
 	samples int64
 }
 
-// DefaultObservedAlpha is the EWMA weight of the newest observation used
-// when NewObservedStats is given a non-positive alpha.
-const DefaultObservedAlpha = 0.3
-
-// NewObservedStats builds an empty accumulator. alpha in (0, 1] is the
-// weight of the newest observation; <= 0 selects DefaultObservedAlpha.
-func NewObservedStats(alpha float64) *ObservedStats {
-	if alpha <= 0 || alpha > 1 {
-		alpha = DefaultObservedAlpha
-	}
-	return &ObservedStats{alpha: alpha, width: make(map[string]float64), rows: -1, joinFan: -1}
+// NewObservedStats builds an empty accumulator.
+func NewObservedStats() *ObservedStats {
+	return &ObservedStats{width: make(map[string]float64), rows: -1, joinFan: -1}
 }
 
-// ewma folds sample into prev (prev < 0 means "no samples yet").
-func (o *ObservedStats) ewma(prev, sample float64) float64 {
-	if prev < 0 {
-		return sample
+// ewma folds sample into the running mean *m (negative: no sample yet)
+// and reports whether the mean changed bit for bit.
+func ewma(m *float64, sample float64) bool {
+	old := *m
+	if old < 0 {
+		*m = sample
+	} else {
+		*m = old + observedAlpha*(sample-old)
 	}
-	return prev + o.alpha*(sample-prev)
+	return math.Float64bits(*m) != math.Float64bits(old)
 }
 
-// Absorb folds one run's observation into the running means. A nil
-// observation is a no-op.
-func (o *ObservedStats) Absorb(ob *Observation) {
-	if ob == nil {
-		return
-	}
-	for key, g := range ob.Groups {
-		if g.Probes <= 0 {
+// Absorb folds one run of program p — the slots it recorded and its answer
+// count — into the running means: per access constraint, the width its
+// fetch ops realized together (see Program.Group), the output rows and
+// the fan-out of the hash joins. It reports whether any mean changed bit
+// for bit; when none did, every estimate under the overlay is unchanged.
+func (o *ObservedStats) Absorb(p *Program, slots []Slot, rows int) (moved bool) {
+	for i := range slots {
+		key, g, ok := p.Group(slots, i)
+		if !ok || g.In <= 0 {
 			continue
 		}
-		w := float64(g.Rows) / float64(g.Probes)
-		if prev, ok := o.width[key]; ok {
-			w = prev + o.alpha*(w-prev)
+		w, seen := o.width[key]
+		if !seen {
+			w = -1
 		}
-		o.width[key] = w
+		if ewma(&w, float64(g.Out)/float64(g.In)) {
+			o.width[key], moved = w, true
+		}
 	}
-	o.rows = o.ewma(o.rows, float64(ob.Rows))
-	if ob.JoinIn > 0 {
-		o.joinFan = o.ewma(o.joinFan, float64(ob.JoinOut)/float64(ob.JoinIn))
+	moved = ewma(&o.rows, float64(rows)) || moved
+	if j := p.Joins(slots); j.In > 0 {
+		moved = ewma(&o.joinFan, float64(j.Out)/float64(j.In)) || moved
 	}
 	o.samples++
+	return moved
 }
 
 // Width returns the observed mean group width for a constraint key, if
@@ -134,7 +98,7 @@ func (o *ObservedStats) JoinFanOut() (float64, bool) {
 	return o.joinFan, true
 }
 
-// Samples returns the number of observations absorbed.
+// Samples returns the number of runs absorbed.
 func (o *ObservedStats) Samples() int64 {
 	if o == nil {
 		return 0

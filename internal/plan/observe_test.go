@@ -79,6 +79,10 @@ func TestBestTieBreaksByIndex(t *testing.T) {
 func TestEstimateObservedOverridesWidth(t *testing.T) {
 	byA := access.NewConstraint("R", []string{"A"}, []string{"B"}, 4096)
 	probe := &Fetch{Child: &Const{Attr: "x", Val: "k"}, C: byA, Bind: []string{"x"}, As: []string{"a", "b"}}
+	prog, err := Compile(probe)
+	if err != nil {
+		t.Fatal(err)
+	}
 	st := &Stats{
 		RelRows:     map[string]int{"R": 9000},
 		RelDistinct: map[string]map[string]int{"R": {"A": 6000, "B": 100}},
@@ -87,16 +91,20 @@ func TestEstimateObservedOverridesWidth(t *testing.T) {
 	if base.Fetch > 10 {
 		t.Fatalf("fixture: estimated probe width must be tiny, got %v", base.Fetch)
 	}
+	// run is the slots of one run of probe whose fetch (op 1) probed in
+	// keys and got out tuples.
+	run := func(in, out int) []Slot { return []Slot{{Out: 1}, {In: in, Out: out}} }
 
-	obs := NewObservedStats(0.5)
-	obs.Absorb(&Observation{Groups: map[string]GroupObs{byA.Key(): {Probes: 1, Rows: 3000}}})
-	over := EstimateObserved(probe, st, obs)
+	obs := NewObservedStats()
+	obs.Absorb(prog, run(1, 3000), 0)
+	over := prog.Estimate(st, obs)
 	if over.Fetch < 2900 || over.Fetch > 3100 {
 		t.Fatalf("observed width must replace the estimate: fetch %v", over.Fetch)
 	}
-	// EWMA: a second, smaller sample pulls the mean halfway (alpha 0.5).
-	obs.Absorb(&Observation{Groups: map[string]GroupObs{byA.Key(): {Probes: 1, Rows: 1000}}})
-	if w, ok := obs.Width(byA.Key()); !ok || w < 1900 || w > 2100 {
+	// EWMA: a second, smaller sample pulls the mean 0.3 of the way (to
+	// 2400).
+	obs.Absorb(prog, run(1, 1000), 0)
+	if w, ok := obs.Width(byA.Key()); !ok || w < 2300 || w > 2500 {
 		t.Fatalf("EWMA width off: %v (%v)", w, ok)
 	}
 	if obs.Samples() != 2 {
@@ -105,19 +113,48 @@ func TestEstimateObservedOverridesWidth(t *testing.T) {
 
 	// The overlay is clamped to the constraint's promise N and floored at
 	// 0.5 (an observed-empty group must not zero downstream estimates).
-	obs2 := NewObservedStats(1)
-	obs2.Absorb(&Observation{Groups: map[string]GroupObs{byA.Key(): {Probes: 1, Rows: 100000}}})
-	if c := EstimateObserved(probe, st, obs2); c.Fetch > float64(byA.N) {
+	// A single sample is exact.
+	obs2 := NewObservedStats()
+	obs2.Absorb(prog, run(1, 100000), 0)
+	if c := prog.Estimate(st, obs2); c.Fetch > float64(byA.N) {
 		t.Fatalf("observed width must clamp to N=%d, got fetch %v", byA.N, c.Fetch)
 	}
-	obs3 := NewObservedStats(1)
-	obs3.Absorb(&Observation{Groups: map[string]GroupObs{byA.Key(): {Probes: 4, Rows: 0}}})
-	if c := EstimateObserved(probe, st, obs3); c.Fetch <= 0 || c.Fetch > 1 {
+	obs3 := NewObservedStats()
+	obs3.Absorb(prog, run(4, 0), 0)
+	if c := prog.Estimate(st, obs3); c.Fetch <= 0 || c.Fetch > 1 {
 		t.Fatalf("observed-empty group must floor at 0.5 fetches, got %v", c.Fetch)
 	}
 
 	// A nil overlay (and a nil *ObservedStats) is exactly Estimate.
-	if got := EstimateObserved(probe, st, nil); got != base {
+	if got := prog.Estimate(st, nil); got != base {
 		t.Fatalf("nil overlay must match Estimate: %+v vs %+v", got, base)
+	}
+}
+
+// Absorb reports a move exactly when a mean the overlay prices with
+// changes: a run that repeats the means moves nothing, a fetch that
+// probed no key folds no width, and a run that changes only the answer
+// count moves the Rows mean.
+func TestAbsorbReportsMoves(t *testing.T) {
+	byA := access.NewConstraint("R", []string{"A"}, []string{"B"}, 4096)
+	prog, err := Compile(&Fetch{Child: &Const{Attr: "x", Val: "k"}, C: byA, Bind: []string{"x"}, As: []string{"a", "b"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := NewObservedStats()
+	slots := []Slot{{Out: 1}, {In: 2, Out: 10}}
+	for i, want := range []bool{true, false, false} {
+		if got := obs.Absorb(prog, slots, 3); got != want {
+			t.Fatalf("run %d: moved %v, want %v", i, got, want)
+		}
+	}
+	if obs.Absorb(prog, []Slot{{Out: 1}, {}}, 3) {
+		t.Fatal("a fetch that probed nothing has no width to fold")
+	}
+	if !obs.Absorb(prog, slots, 4) {
+		t.Fatal("a new answer count must move the Rows mean")
+	}
+	if obs.Samples() != 5 {
+		t.Fatalf("samples: got %d, want 5", obs.Samples())
 	}
 }

@@ -21,15 +21,40 @@ import (
 
 // refRun is a naive string-level plan interpreter: nested-loop products,
 // linear filters, no indices, no memo. It mirrors the executor's bag
-// semantics, its fetch count and its Observation accounting (a selection
+// semantics, its fetch count and the profile its slots sum to (a selection
 // over a product with a cross-side equality and no ≠ counts as a hash
 // join), so the executor's indexed paths can be checked against it row for
 // row and counter for counter. It runs sequentially.
 type refRun struct {
 	vx      *instance.VIndex
 	views   plan.Materialized
-	obs     plan.Observation
+	obs     profile
+	fetches map[string]int // fetch nodes run per constraint key
 	fetched int
+}
+
+// profile is what a run's slots sum to: per access constraint, the probe
+// keys (In) and tuples (Out) of every fetch through it; the hash joins'
+// inputs and outputs; the answer count.
+type profile struct {
+	Groups map[string]plan.Slot
+	Joins  plan.Slot
+	Rows   int
+}
+
+// profileOf sums run x's slots; rows is its answer count.
+func profileOf(x *plan.Execution, rows int) profile {
+	p, slots := x.Program(), x.Slots()
+	pr := profile{Joins: p.Joins(slots), Rows: rows}
+	for i := range slots {
+		if key, g, ok := p.Group(slots, i); ok {
+			if pr.Groups == nil {
+				pr.Groups = map[string]plan.Slot{}
+			}
+			pr.Groups[key] = g
+		}
+	}
+	return pr
 }
 
 // fetchStrings probes vx with string values: the decoded distinct
@@ -83,12 +108,13 @@ func (r *refRun) run(n plan.Node) ([][]string, error) {
 			out = append(out, got...)
 		}
 		if r.obs.Groups == nil {
-			r.obs.Groups = map[string]plan.GroupObs{}
+			r.obs.Groups, r.fetches = map[string]plan.Slot{}, map[string]int{}
 		}
 		g := r.obs.Groups[x.C.Key()]
-		g.Probes += len(inputs)
-		g.Rows += len(out)
+		g.In += len(inputs)
+		g.Out += len(out)
 		r.obs.Groups[x.C.Key()] = g
+		r.fetches[x.C.Key()]++
 		r.fetched += len(out)
 		return out, nil
 	case *plan.Project:
@@ -107,7 +133,7 @@ func (r *refRun) run(n plan.Node) ([][]string, error) {
 				return nil, err
 			}
 			rows = cross(l, rr)
-			r.obs.JoinIn += len(l) + len(rr)
+			r.obs.Joins.In += len(l) + len(rr)
 		} else if rows, err = r.run(x.Child); err != nil {
 			return nil, err
 		}
@@ -119,7 +145,7 @@ func (r *refRun) run(n plan.Node) ([][]string, error) {
 			}
 		}
 		if join {
-			r.obs.JoinOut += len(out)
+			r.obs.Joins.Out += len(out)
 		}
 		return out, nil
 	case *plan.Product:
@@ -412,13 +438,14 @@ func canonRows(rows [][]string) string {
 	return fmt.Sprint(rows)
 }
 
-// TestViewIndexDifferentialRandom runs random plans through the indexed
-// executor — over one long-lived PreparedViews (its view indices built by
-// the first plan that needs them and reused by every later one), and over
-// a fresh view set per call — against the naive interpreter: identical
-// rows, fetch counts and full Observation. A second phase replays every
-// plan from concurrent readers of the shared view set, the memo's race
-// check.
+// TestViewIndexDifferentialRandom runs plans through the indexed executor
+// — over one long-lived PreparedViews (its view indices built by the first
+// plan that needs them and reused by every later one), and over a fresh
+// view set per call — against the naive interpreter: identical rows, fetch
+// counts and full profile. The plans are random ones and plans that fetch
+// through one constraint from several ops, whose slots must merge into the
+// reference's per-constraint sums. A second phase replays every plan from
+// concurrent readers of the shared view set, the memo's race check.
 func TestViewIndexDifferentialRandom(t *testing.T) {
 	f := newViewIndexFixture(t, 1)
 	vx := f.index(t)
@@ -426,13 +453,19 @@ func TestViewIndexDifferentialRandom(t *testing.T) {
 
 	type want struct {
 		rows string
-		obs  plan.Observation
+		obs  profile
 	}
-	var plans []plan.Node
-	var wants []want
-	joins := 0
+	g := f.gen
+	plans := []plan.Node{
+		&plan.Product{L: fetchChain(g), R: fetchChain(g)},
+		&plan.Union{L: fetchChain(g), R: fetchChain(g)},
+	}
 	for i := 0; i < 400; i++ {
-		p := f.gen.node(3)
+		plans = append(plans, g.node(3))
+	}
+	var wants []want
+	joins, shared := 0, 0
+	for i, p := range plans {
 		ref := &refRun{vx: vx, views: f.views}
 		rows, err := ref.run(p)
 		if err != nil {
@@ -440,32 +473,41 @@ func TestViewIndexDifferentialRandom(t *testing.T) {
 		}
 		ref.obs.Rows = len(distinct(rows))
 		w := want{canonRows(rows), ref.obs}
-		joins += ref.obs.JoinIn
+		joins += ref.obs.Joins.In
+		for key, n := range ref.fetches {
+			if n > 1 && ref.obs.Groups[key].Out > 0 {
+				shared++
+			}
+		}
 
 		for rep := 0; rep < 2; rep++ {
-			got, fetched, ob, err := plan.RunObserved(p, vx, pv)
+			got, x, err := plan.Exec(p, nil, vx, pv)
 			if err != nil {
 				t.Fatalf("plan %d rep %d: %v\n%s", i, rep, err, plan.Render(p))
 			}
 			if g := canonRows(got); g != w.rows {
 				t.Fatalf("plan %d rep %d rows:\n got %s\nwant %s\n%s", i, rep, g, w.rows, plan.Render(p))
 			}
-			if !reflect.DeepEqual(*ob, w.obs) {
-				t.Fatalf("plan %d rep %d observation:\n got %+v\nwant %+v\n%s", i, rep, *ob, w.obs, plan.Render(p))
+			if ob := profileOf(x, len(got)); !reflect.DeepEqual(ob, w.obs) {
+				t.Fatalf("plan %d rep %d profile:\n got %+v\nwant %+v\n%s", i, rep, ob, w.obs, plan.Render(p))
 			}
-			if fetched != ref.fetched {
-				t.Fatalf("plan %d: fetched %d, reference %d", i, fetched, ref.fetched)
+			if x.Fetched() != ref.fetched {
+				t.Fatalf("plan %d: fetched %d, reference %d", i, x.Fetched(), ref.fetched)
 			}
+			x.Release()
 		}
 		got, fetched, err := plan.Run(p, vx, plan.PrepareViews(vx.Dict(), f.views))
 		if err != nil || canonRows(got) != w.rows || fetched != ref.fetched {
 			t.Fatalf("plan %d via Run: err=%v rows %s want %s, fetched %d want %d",
 				i, err, canonRows(got), w.rows, fetched, ref.fetched)
 		}
-		plans, wants = append(plans, p), append(wants, w)
+		wants = append(wants, w)
 	}
 	if joins == 0 {
 		t.Fatal("generator produced no hash joins")
+	}
+	if shared < 2 {
+		t.Fatalf("only %d plans fetch through one constraint from several ops", shared)
 	}
 
 	fresh := plan.PrepareViews(vx.Dict(), f.views)
@@ -476,9 +518,11 @@ func TestViewIndexDifferentialRandom(t *testing.T) {
 			defer wg.Done()
 			for k := range plans {
 				i := (k + g*len(plans)/4) % len(plans)
-				got, _, ob, err := plan.RunObserved(plans[i], vx, fresh)
-				if err != nil || canonRows(got) != wants[i].rows || !reflect.DeepEqual(*ob, wants[i].obs) {
-					t.Errorf("concurrent plan %d: err=%v rows %s want %s obs %+v want %+v",
+				got, x, err := plan.Exec(plans[i], nil, vx, fresh)
+				ob := profileOf(x, len(got))
+				x.Release()
+				if err != nil || canonRows(got) != wants[i].rows || !reflect.DeepEqual(ob, wants[i].obs) {
+					t.Errorf("concurrent plan %d: err=%v rows %s want %s profile %+v want %+v",
 						i, err, canonRows(got), wants[i].rows, ob, wants[i].obs)
 					return
 				}

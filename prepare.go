@@ -39,15 +39,12 @@ type prepEntry struct {
 
 // Observed-cost feedback knobs (see the README's "Self-tuning selection").
 const (
-	// feedbackAlpha is the EWMA weight of the newest observation when
-	// folding realized group widths into a selection's ObservedStats.
-	feedbackAlpha = 0.3
-	// feedbackDivergence triggers a re-rank: after absorbing an
-	// observation, the incumbent plan's overlaid score must have moved by
-	// at least this factor (either direction) from the score it was ranked
-	// at. Below it the estimates are deemed "close enough" and selection
-	// stays put — the cheap-arithmetic guard that keeps steady state at
-	// one Estimate per execution.
+	// feedbackDivergence triggers a re-rank: after absorbing a run, the
+	// incumbent plan's overlaid score must have moved by at least this
+	// factor (either direction) from the score it was ranked at. Below it
+	// the estimates are deemed "close enough" and selection stays put —
+	// the cheap-arithmetic guard that keeps steady state at one Estimate
+	// per execution that moved the overlay, and none for one that did not.
 	feedbackDivergence = 2.0
 	// feedbackHysteresis is the switching margin: a challenger must beat
 	// the incumbent's overlaid score by this factor to take over. It is
@@ -77,12 +74,12 @@ const (
 // re-selection is a cheap arithmetic pass over the cached candidates,
 // never a new search.
 //
-// Selection is closed-loop: every Execute through the handle profiles the
-// run (realized per-constraint fetch groups, join fan-outs, output rows)
-// and folds it into the serving handle's ObservedStats. When observation
-// diverges from the estimates the current ranking trusted, the cached
-// frontier is re-ranked under the observation overlay — switching plans
-// is a re-pick, never a re-search — with hysteresis and a bounded
+// Selection is closed-loop: every Execute through the handle folds the
+// run's per-op counters (realized per-constraint fetch groups, join
+// fan-outs, output rows) into the serving handle's ObservedStats. When
+// observation diverges from the estimates the current ranking trusted, the
+// cached frontier is re-ranked under the observation overlay — switching
+// plans is a re-pick, never a re-search — with hysteresis and a bounded
 // exploration budget so selection converges instead of thrashing.
 //
 // Handles are safe for concurrent use; one handle may serve many Execute
@@ -93,28 +90,13 @@ type PreparedQuery struct {
 	lang  Language
 	cands []vbrp.Candidate
 
+	progs []*plan.Program // per candidate: its plan, compiled once
+
 	staticSel  int       // min-cost candidate under static (nil) statistics
 	staticCost plan.Cost // its static cost estimate
 
-	progs []compiled // per candidate: its plan compiled on first execution
-
 	mu   sync.Mutex
 	sels map[uint64]*selState // Live handle id -> selection (bounded, see selFor)
-}
-
-// compiled is a candidate's program, compiled once for every handle and
-// execution that selects the candidate.
-type compiled struct {
-	once sync.Once
-	prog *plan.Program
-	err  error
-}
-
-// program returns candidate i's compiled program.
-func (pq *PreparedQuery) program(i int) (*plan.Program, error) {
-	c := &pq.progs[i]
-	c.once.Do(func() { c.prog, c.err = plan.Compile(pq.cands[i].Plan) })
-	return c.prog, c.err
 }
 
 // selState is one Live handle's cached plan selection and its accumulated
@@ -123,9 +105,10 @@ func (pq *PreparedQuery) program(i int) (*plan.Program, error) {
 // it (and a restart therefore starts from estimates again — observed
 // statistics are deliberately not durable; see the README).
 type selState struct {
-	sel    int       // incumbent candidate index
-	cost   plan.Cost // incumbent's overlaid cost when last ranked
-	ver    uint64    // statistics version the ranking used
+	sel    int         // incumbent candidate index
+	cost   plan.Cost   // incumbent's overlaid cost when last ranked
+	ver    uint64      // statistics version the ranking used
+	st     *plan.Stats // statistics of the incumbent's last estimate
 	obs    *plan.ObservedStats
 	execs  int64 // executions attributed to this (handle, query) pair
 	swaps  int64 // incumbent switches (diagnostics; the flap detector)
@@ -147,7 +130,7 @@ type SelectionStats struct {
 	Executions   int64 // executions attributed to this (handle, query) pair
 	Switches     int64 // times observation re-ranking changed the incumbent
 	Explorations int64 // executions served by a near-tied runner-up
-	Samples      int64 // observations absorbed into the overlay
+	Samples      int64 // runs absorbed into the overlay
 }
 
 // Prepare compiles a UCQ for repeated serving: it canonicalizes the query
@@ -187,13 +170,16 @@ func (sys *System) Prepare(q *UCQ, lang Language) (*PreparedQuery, error) {
 			e.err = err
 			return
 		}
-		cands := make([]vbrp.Candidate, len(tmpl))
+		pq := &PreparedQuery{sys: sys, key: key, lang: lang, cands: make([]vbrp.Candidate, len(tmpl)),
+			progs: make([]*plan.Program, len(tmpl)), sels: make(map[uint64]*selState)}
 		for i, c := range tmpl {
-			cands[i] = vbrp.Candidate{Plan: b.Plan(c.Plan), FetchBound: c.FetchBound}
+			pq.cands[i] = vbrp.Candidate{Plan: b.Plan(c.Plan), FetchBound: c.FetchBound}
+			if pq.progs[i], e.err = plan.Compile(pq.cands[i].Plan); e.err != nil {
+				return
+			}
 		}
-		pq := &PreparedQuery{sys: sys, key: key, lang: lang, cands: cands, progs: make([]compiled, len(cands)), sels: make(map[uint64]*selState)}
 		// Static selection so Plan() is meaningful before any Live exists.
-		pq.staticSel, pq.staticCost = bestCandidate(cands, nil)
+		pq.staticSel, pq.staticCost = pq.best(nil, nil)
 		e.pq = pq
 	})
 	return e.pq, e.err
@@ -308,16 +294,9 @@ func (sys *System) PrepareCacheStats() (searches, hits, evictions int64) {
 	return sys.prepSearches.Load(), sys.prepHits.Load(), sys.prepEvicts.Load()
 }
 
-func bestCandidate(cands []vbrp.Candidate, st *plan.Stats) (int, plan.Cost) {
-	return bestObserved(cands, st, nil)
-}
-
-func bestObserved(cands []vbrp.Candidate, st *plan.Stats, obs *plan.ObservedStats) (int, plan.Cost) {
-	plans := make([]plan.Node, len(cands))
-	for i, c := range cands {
-		plans[i] = c.Plan
-	}
-	return plan.BestObserved(plans, st, obs)
+// best returns the candidate with the least overlaid cost and its cost.
+func (pq *PreparedQuery) best(st *plan.Stats, obs *plan.ObservedStats) (int, plan.Cost) {
+	return plan.BestProgram(pq.progs, st, obs)
 }
 
 // Key returns the canonical cache key the query was prepared under.
@@ -367,9 +346,8 @@ func (pq *PreparedQuery) selFor(id uint64, st *plan.Stats, ver uint64, met *obs.
 		if len(pq.sels) >= maxLiveSelections {
 			pq.evictSelLocked(id)
 		}
-		s = &selState{obs: plan.NewObservedStats(feedbackAlpha)}
-		s.sel, s.cost = bestObserved(pq.cands, st, s.obs)
-		s.ver = ver
+		s = &selState{ver: ver, st: st, obs: plan.NewObservedStats()}
+		s.sel, s.cost = pq.best(st, s.obs)
 		pq.sels[id] = s
 		return s
 	}
@@ -411,8 +389,9 @@ func (pq *PreparedQuery) rerankLocked(s *selState, st *plan.Stats, met *obs.Core
 	if met != nil {
 		met.Reranks.Add(1)
 	}
-	cur := plan.EstimateObserved(pq.cands[s.sel].Plan, st, s.obs)
-	best, bc := bestObserved(pq.cands, st, s.obs)
+	cur := pq.progs[s.sel].Estimate(st, s.obs)
+	best, bc := pq.best(st, s.obs)
+	s.st = st
 	if best != s.sel && bc.Score()*feedbackHysteresis < cur.Score() {
 		s.sel, s.cost = best, bc
 		s.swaps++
@@ -427,9 +406,8 @@ func (pq *PreparedQuery) rerankLocked(s *selState, st *plan.Stats, met *obs.Core
 // pickPlan chooses the candidate to execute for this call: the incumbent,
 // or — once per exploreEvery executions — a near-tied runner-up, so a
 // pessimistically estimated candidate gets real observations and can be
-// promoted. Returns the plan and the candidate index the run must be
-// attributed to.
-func (pq *PreparedQuery) pickPlan(id uint64, st *plan.Stats, ver uint64, met *obs.Core) (Plan, int, bool) {
+// promoted. Returns the candidate index the run must be attributed to.
+func (pq *PreparedQuery) pickPlan(id uint64, st *plan.Stats, ver uint64, met *obs.Core) (int, bool) {
 	pq.mu.Lock()
 	defer pq.mu.Unlock()
 	s := pq.selFor(id, st, ver, met)
@@ -446,18 +424,18 @@ func (pq *PreparedQuery) pickPlan(id uint64, st *plan.Stats, ver uint64, met *ob
 			}
 		}
 	}
-	return pq.cands[idx].Plan, idx, explore
+	return idx, explore
 }
 
 // runnerUpLocked returns the best-scored candidate other than the
 // incumbent under the overlay. Callers hold pq.mu.
 func (pq *PreparedQuery) runnerUpLocked(s *selState, st *plan.Stats) (int, plan.Cost, bool) {
 	best, bc := -1, plan.Cost{}
-	for i, c := range pq.cands {
+	for i, p := range pq.progs {
 		if i == s.sel {
 			continue
 		}
-		cost := plan.EstimateObserved(c.Plan, st, s.obs)
+		cost := p.Estimate(st, s.obs)
 		if best < 0 || cost.Score() < bc.Score() {
 			best, bc = i, cost
 		}
@@ -465,14 +443,16 @@ func (pq *PreparedQuery) runnerUpLocked(s *selState, st *plan.Stats) (int, plan.
 	return best, bc, best >= 0
 }
 
-// feedback folds one run's observation into the handle's selection state
-// and re-ranks when the incumbent's overlaid score diverged past the
-// threshold from the score it was ranked at (or when the run explored a
-// runner-up, whose fresh observations are exactly what a re-rank needs).
-func (pq *PreparedQuery) feedback(id uint64, st *plan.Stats, executed int, ob *plan.Observation, met *obs.Core) {
-	if ob == nil {
-		return
-	}
+// feedback folds the slots and answer count of one run of candidate
+// executed into the handle's selection state and re-ranks when the
+// incumbent's overlaid score diverged past the threshold from the score it
+// was ranked at (or when the run explored a runner-up, whose fresh
+// observations are exactly what a re-rank needs). The incumbent is priced
+// again only when something its price depends on moved: when no overlay
+// mean moved, the incumbent ran and its last estimate used these very
+// (immutable) statistics, that estimate stands — and, unless its score is
+// non-finite, it left a selection that a re-estimate would not re-rank.
+func (pq *PreparedQuery) feedback(id uint64, st *plan.Stats, executed int, slots []plan.Slot, rows int, met *obs.Core) {
 	pq.mu.Lock()
 	defer pq.mu.Unlock()
 	s, ok := pq.sels[id]
@@ -481,8 +461,12 @@ func (pq *PreparedQuery) feedback(id uint64, st *plan.Stats, executed int, ob *p
 		// nothing to attribute the run to.
 		return
 	}
-	s.obs.Absorb(ob)
-	cur := plan.EstimateObserved(pq.cands[s.sel].Plan, st, s.obs)
+	moved := s.obs.Absorb(pq.progs[executed], slots, rows)
+	if !moved && executed == s.sel && st == s.st && finite(s.cost.Score()) {
+		return
+	}
+	s.st = st
+	cur := pq.progs[s.sel].Estimate(st, s.obs)
 	if executed != s.sel || diverged(cur.Score(), s.cost.Score()) {
 		pq.rerankLocked(s, st, met)
 	}
@@ -492,7 +476,7 @@ func (pq *PreparedQuery) feedback(id uint64, st *plan.Stats, executed int, ob *p
 // divergence threshold from the score the ranking trusted. Non-finite
 // scores always count as diverged.
 func diverged(now, ranked float64) bool {
-	if math.IsNaN(now) || math.IsInf(now, 0) || math.IsNaN(ranked) || math.IsInf(ranked, 0) {
+	if !finite(now) || !finite(ranked) {
 		return true
 	}
 	lo, hi := math.Min(now, ranked), math.Max(now, ranked)
@@ -502,44 +486,36 @@ func diverged(now, ranked float64) bool {
 	return hi/lo >= feedbackDivergence
 }
 
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
 // Execute serves the query against a handle at any shard count: the
 // candidate selected by the closed-loop cost model runs over the current
-// epoch's views and indices, the run is profiled, and the realized costs
-// feed the next selection. Returns the answer rows and the tuples this
-// call fetched from the underlying database, also when it fails.
+// epoch's views and indices, and the run's per-op counters feed the next
+// selection. Returns the answer rows and the tuples this call fetched from
+// the underlying database, also when it fails.
 func (pq *PreparedQuery) Execute(h Handle) ([][]string, int, error) {
 	st, ver := h.Stats()
-	id := h.handleID()
-	met := h.metricsCore()
-	p, idx, explore := pq.pickPlan(id, st, ver, met)
-	prog, err := pq.program(idx)
-	if err != nil {
-		return nil, 0, err
-	}
-	rows, fetched, ob, err := h.executeObserved(p, prog, &traceCtx{key: pq.key, candidate: idx, explore: explore})
-	if err != nil {
-		return nil, fetched, err
-	}
-	pq.feedback(id, st, idx, ob, met)
-	return rows, fetched, nil
+	return pq.serve(h, h.handleID(), st, ver, h.metricsCore())
 }
 
 // ExecuteOn serves the query against a pinned snapshot: the selected
 // candidate under the snapshot's statistics runs against exactly the
-// snapshot's epoch. Observations feed the same per-handle selection state
-// as Execute — a snapshot read is a real measurement of its epoch.
+// snapshot's epoch. Its run feeds the same per-handle selection state as
+// Execute — a snapshot read is a real measurement of its epoch.
 func (pq *PreparedQuery) ExecuteOn(s *Snapshot) ([][]string, int, error) {
 	st, ver := s.Stats()
-	met := s.met()
-	p, idx, explore := pq.pickPlan(s.hid, st, ver, met)
-	prog, err := pq.program(idx)
-	if err != nil {
-		return nil, 0, err
+	return pq.serve(s, s.hid, st, ver, s.met())
+}
+
+// serve runs the candidate picked for handle id on r and, when the run
+// succeeds, feeds its slots back into the handle's selection.
+func (pq *PreparedQuery) serve(r runner, id uint64, st *plan.Stats, ver uint64, met *obs.Core) ([][]string, int, error) {
+	idx, explore := pq.pickPlan(id, st, ver, met)
+	rows, x, err := r.executeObserved(pq.cands[idx].Plan, pq.progs[idx], traceCtx{key: pq.key, candidate: idx, explore: explore})
+	fetched := x.Fetched()
+	if err == nil {
+		pq.feedback(id, st, idx, x.Slots(), len(rows), met)
 	}
-	rows, fetched, ob, err := s.executeObserved(p, prog, &traceCtx{key: pq.key, candidate: idx, explore: explore})
-	if err != nil {
-		return nil, fetched, err
-	}
-	pq.feedback(s.hid, st, idx, ob, met)
-	return rows, fetched, nil
+	x.Release()
+	return rows, fetched, err
 }

@@ -411,8 +411,12 @@ func TestFailedCallReportsFetched(t *testing.T) {
 	}
 	// Every candidate becomes the failing plan, so the prepared paths run
 	// it whatever they select.
+	prog, err := plan.Compile(failing)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range pq.cands {
-		pq.cands[i].Plan = failing
+		pq.cands[i].Plan, pq.progs[i] = failing, prog
 	}
 	for _, p := range []int{1, 4} {
 		h, err := sys.Open(w.Generate(40, 5, 17), WithShards(p))

@@ -374,7 +374,7 @@ func TestPrepareSelectionPerBinding(t *testing.T) {
 		t.Fatalf("hot binding: %+v; want a switch over %d executions", hs, hotRuns)
 	}
 	st, _ := h.Stats()
-	estimated, _ := bestCandidate(cold.cands, st)
+	estimated, _ := cold.best(st, nil)
 	if cs.Switches != 0 || cs.Executions != coldRuns || cs.Selected != estimated || hs.Selected == estimated {
 		t.Fatalf("cold binding: %+v (hot %+v, estimated pick %d); want its own %d executions on the estimated pick",
 			cs, hs, estimated, coldRuns)
