@@ -452,3 +452,59 @@ func TestSelectionEvictionSparesServingHandle(t *testing.T) {
 		t.Fatal("Close must clear the closed handle's selection slot")
 	}
 }
+
+// TestRerankPricesEachCandidateOnce: one re-rank prices every candidate
+// exactly once. The incumbent's fresh price, which decided that a re-rank
+// is due, is the one the frontier scan ranks it at — whether feedback
+// forced the re-rank or a new statistics version did.
+func TestRerankPricesEachCandidateOnce(t *testing.T) {
+	sys, fx := feedbackSystem(t)
+	h, err := sys.Open(fx.Generate())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	pq, err := sys.Prepare(NewUCQ(fx.Q), LangCQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pq.progs) < 2 {
+		t.Fatalf("fixture: %d candidates, a re-rank needs two", len(pq.progs))
+	}
+	if _, _, err := pq.Execute(h); err != nil {
+		t.Fatal(err)
+	}
+	priced := 0
+	defer func(e func(*plan.Program, *plan.Stats, *plan.ObservedStats) plan.Cost) { estimate = e }(estimate)
+	estimate = func(p *plan.Program, st *plan.Stats, obs *plan.ObservedStats) plan.Cost {
+		priced++
+		return p.Estimate(st, obs)
+	}
+	reranks := func() int64 { return h.Metrics().Counters["repro_plan_rerank_total"] }
+
+	// Feedback from a run of a runner-up always re-ranks.
+	id := h.handleID()
+	st, ver := h.Stats()
+	pq.mu.Lock()
+	other := (pq.sels[id].sel + 1) % len(pq.progs)
+	pq.mu.Unlock()
+	rows, x, err := h.executeObserved(pq.cands[other].Plan, pq.progs[other], traceCtx{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots := slices.Clone(x.Slots())
+	x.Release()
+	r0 := reranks()
+	priced = 0
+	pq.feedback(id, st, other, slots, len(rows), h.metricsCore())
+	if reranks() != r0+1 || priced != len(pq.progs) {
+		t.Fatalf("feedback re-rank: %d re-ranks, %d estimates for %d candidates", reranks()-r0, priced, len(pq.progs))
+	}
+
+	// So does the first pick under a new statistics version.
+	priced = 0
+	pq.pickPlan(id, st, ver+1, h.metricsCore())
+	if reranks() != r0+2 || priced != len(pq.progs) {
+		t.Fatalf("version re-rank: %d re-ranks, %d estimates for %d candidates", reranks()-r0-1, priced, len(pq.progs))
+	}
+}

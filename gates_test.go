@@ -327,7 +327,17 @@ func TestGateRecoverRestart(t *testing.T) {
 			ch := w.NewChurn(db, 5)
 			for b := 0; b < batches; b++ {
 				ins, del := ch.Batch(batchOps)
-				applyBoth(t, hReplay, hCkpt, ins, del)
+				sr, err := hReplay.ApplyDelta(ins, del)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sc, err := hCkpt.ApplyDelta(ins, del)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sr.Inserted != sc.Inserted || sr.Deleted != sc.Deleted {
+					t.Fatalf("batch %d: the two durable handles applied %d+%d and %d+%d", b, sr.Inserted, sr.Deleted, sc.Inserted, sc.Deleted)
+				}
 				if _, err := final.ApplyDelta(ins, del); err != nil {
 					t.Fatal(err)
 				}

@@ -1,8 +1,6 @@
 package cq
 
 import (
-	"sort"
-
 	"repro/internal/intern"
 )
 
@@ -367,20 +365,6 @@ func UCQContained(u1, u2 *UCQ) bool {
 
 // Equivalent reports classical equivalence of CQs.
 func Equivalent(q1, q2 *CQ) bool { return Contained(q1, q2) && Contained(q2, q1) }
-
-// SortRows sorts a row set lexicographically; helper for deterministic
-// comparison in tests and experiment output.
-func SortRows(rows [][]string) {
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
-	})
-}
 
 // RowsEqual reports set equality of two row sets.
 func RowsEqual(a, b [][]string) bool {

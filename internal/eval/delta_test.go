@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cq"
@@ -199,9 +200,9 @@ func assertEngineFresh(t *testing.T, e *DeltaEngine, db *instance.Database, view
 			t.Fatal(err)
 		}
 		if !cq.RowsEqual(got[name], want) {
-			SortRows(want)
+			slices.SortFunc(want, slices.Compare)
 			g := append([][]string{}, got[name]...)
-			SortRows(g)
+			slices.SortFunc(g, slices.Compare)
 			t.Fatalf("view %s (|D|=%d) incremental != recompute\ngot  %d rows: %v\nwant %d rows: %v",
 				name, db.Size(), len(g), g, len(want), want)
 		}

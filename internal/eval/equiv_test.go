@@ -2,6 +2,7 @@ package eval
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 
 // naiveCQ is an independent reference evaluator: plain string comparisons,
 // nested-loop backtracking, no interning, no indexes. The interned
-// pipeline must return row-for-row identical results (after SortRows).
+// pipeline must return row-for-row identical results (after sorting).
 func naiveCQ(t *testing.T, q *cq.CQ, src *Source) [][]string {
 	t.Helper()
 	n, err := q.Normalize()
@@ -107,8 +108,8 @@ func naiveUCQ(t *testing.T, u *cq.UCQ, src *Source) [][]string {
 
 func assertSameRows(t *testing.T, name string, got, want [][]string) {
 	t.Helper()
-	SortRows(got)
-	SortRows(want)
+	slices.SortFunc(got, slices.Compare)
+	slices.SortFunc(want, slices.Compare)
 	if len(got) == 0 && len(want) == 0 {
 		return
 	}

@@ -322,19 +322,6 @@ func UCQOnDB(u *cq.UCQ, src *Source) ([][]string, error) {
 	return src.Dict().DecodeAll(out), nil
 }
 
-// SortRows sorts rows lexicographically, for deterministic output.
-func SortRows(rows [][]string) {
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
-	})
-}
-
 // Materialize computes the extents of a set of views (UCQ definitions) over
 // the database, for caching as plan inputs. The views are evaluated
 // concurrently on the worker pool.

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -33,7 +34,7 @@ func TestCQOnDBPaths(t *testing.T) {
 	// 2-paths over a→b, b→c, c→a, a→c.
 	want := [][]string{{"a", "c"}, {"a", "a"}, {"b", "a"}, {"c", "b"}, {"c", "c"}}
 	if !cq.RowsEqual(got, want) {
-		SortRows(got)
+		slices.SortFunc(got, slices.Compare)
 		t.Fatalf("got %v", got)
 	}
 }

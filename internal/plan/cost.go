@@ -69,17 +69,12 @@ func (p *Program) Estimate(st *Stats, obs *ObservedStats) Cost {
 // lowest-index candidate, so selection is deterministic in the search
 // order (which enumerates smallest plans first).
 func Best(cands []Node, st *Stats) (int, Cost) {
-	return cheapest(len(cands), func(i int) Cost { return Estimate(cands[i], st) })
+	return Cheapest(len(cands), func(i int) Cost { return Estimate(cands[i], st) })
 }
 
-// BestProgram is Best over compiled candidates under Estimate's
-// observation overlay.
-func BestProgram(progs []*Program, st *Stats, obs *ObservedStats) (int, Cost) {
-	return cheapest(len(progs), func(i int) Cost { return progs[i].Estimate(st, obs) })
-}
-
-// cheapest applies Best's rules to the costs of n candidates.
-func cheapest(n int, cost func(int) Cost) (int, Cost) {
+// Cheapest applies Best's rules to the costs of n candidates, pricing
+// each once through cost.
+func Cheapest(n int, cost func(int) Cost) (int, Cost) {
 	best, bc := -1, Cost{}
 	bestFinite := false
 	for i := range n {

@@ -2,12 +2,12 @@ package plan_test
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/access"
-	"repro/internal/eval"
 	"repro/internal/instance"
 	"repro/internal/plan"
 	"repro/internal/schema"
@@ -58,7 +58,7 @@ func TestPreparedIDViewsServeWithoutReencoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval.SortRows(got)
+	slices.SortFunc(got, slices.Compare)
 	if !reflect.DeepEqual(got, [][]string{{"a"}, {"b"}}) {
 		t.Fatalf("initial extent: %v", got)
 	}

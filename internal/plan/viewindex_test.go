@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -434,7 +435,7 @@ func (f *viewIndexFixture) index(t *testing.T) *instance.VIndex {
 
 func canonRows(rows [][]string) string {
 	rows = distinct(rows)
-	eval.SortRows(rows)
+	slices.SortFunc(rows, slices.Compare)
 	return fmt.Sprint(rows)
 }
 

@@ -1,6 +1,7 @@
 package topped_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cq"
@@ -69,8 +70,8 @@ func TestToppedSoundnessOnRandomQueries(t *testing.T) {
 				t.Fatalf("seed %d fixture %d: eval: %v", seed, fi, err)
 			}
 			if !cq.RowsEqual(got, want) {
-				eval.SortRows(got)
-				eval.SortRows(want)
+				slices.SortFunc(got, slices.Compare)
+				slices.SortFunc(want, slices.Compare)
 				t.Fatalf("seed %d fixture %d: plan/query disagree\nquery: %s\nplan:\n%sgot  %v\nwant %v",
 					seed, fi, q, plan.Render(res.Plan), got, want)
 			}

@@ -2,6 +2,7 @@ package topped_test
 
 import (
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -161,8 +162,8 @@ func TestQ3PlanMatchesFOEvaluation(t *testing.T) {
 			t.Fatalf("seed %d: FO eval: %v", seed, err)
 		}
 		if !cq.RowsEqual(got, want) {
-			eval.SortRows(got)
-			eval.SortRows(want)
+			slices.SortFunc(got, slices.Compare)
+			slices.SortFunc(want, slices.Compare)
 			t.Fatalf("seed %d: plan ≠ query: got %v want %v\n%s", seed, got, want, plan.Render(res.Plan))
 		}
 	}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cq"
@@ -88,8 +89,8 @@ func TestCDRPlansMatchBaseline(t *testing.T) {
 			t.Fatalf("%s: baseline: %v", q.Name, err)
 		}
 		if !cq.RowsEqual(got, want) {
-			eval.SortRows(got)
-			eval.SortRows(want)
+			slices.SortFunc(got, slices.Compare)
+			slices.SortFunc(want, slices.Compare)
 			t.Fatalf("%s: plan %d rows vs baseline %d rows\nplan:\n%s", q.Name, len(got), len(want), plan.Render(res.Plan))
 		}
 		if fetched > 20000 {

@@ -3,9 +3,7 @@ package repro
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -244,9 +242,8 @@ func TestCloseIdempotent(t *testing.T) {
 // shard but never reached the log), so Close must not write its usual
 // final checkpoint — recovery must come from the journal's truth. The
 // checkpoint interval is disabled, so a recovery that replays exactly the
-// k accepted batches proves no stale checkpoint was folded; the clean
-// control handle shows the contrast (final checkpoint written, zero
-// replay).
+// k accepted batches proves no stale checkpoint was folded. (A clean
+// close does fold one and replays nothing: the simulator's close op.)
 func TestCloseAfterFenceSkipsFinalCheckpoint(t *testing.T) {
 	const k = 5
 	seed := func(t *testing.T, dir string) (*System, string, int) {
@@ -295,172 +292,6 @@ func TestCloseAfterFenceSkipsFinalCheckpoint(t *testing.T) {
 	}
 	if l2.Size() != size {
 		t.Fatalf("recovered size %d, want %d (torn batch leaked into recovery)", l2.Size(), size)
-	}
-
-	// Contrast: a handle closed CLEANLY folds a final checkpoint, so the
-	// next open replays nothing.
-	dir2 := t.TempDir()
-	sys2, m2 := movieSystem(t)
-	db2 := m2.Generate(workload.MoviesParams{Persons: 80, Movies: 80, LikesPerPerson: 3, NASAShare: 8, Seed: 10})
-	hc, err := sys2.Open(db2, WithDurability(dir2), WithCheckpointEvery(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < k; i++ {
-		if _, err := hc.ApplyDelta([]Op{{Rel: "person", Row: Tuple{fmt.Sprintf("d%d", i), "Durable", "NASA"}}}, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := hc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	hr, err := sys2.Open(NewDatabase(sys2.Schema), WithDurability(dir2), WithCheckpointEvery(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hr.Close()
-	if got := hr.(*Live).Recovery().ReplayedEpochs; got != 0 {
-		t.Fatalf("clean close must fold a final checkpoint; recovery replayed %d epochs", got)
-	}
-}
-
-// TestAtDifferential drives bounded churn while recording every published
-// epoch's fingerprint, then checks the retention ring's contract on the
-// default handle (shards=0: no WithShards option, P = 1), WithShards(1)
-// and P = 8: At(seq) inside the window answers EXACTLY as epoch seq did
-// when it was current; outside the window it fails wrapping
-// ErrEpochRetired; and concurrent At readers racing the writer see either
-// a historical match or that error, never a torn state.
-func TestAtDifferential(t *testing.T) {
-	const retain = 6
-	for _, shards := range []int{0, 1, 8} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			sys, m := movieSystem(t)
-			db := m.Generate(workload.MoviesParams{Persons: 200, Movies: 200, LikesPerPerson: 4, NASAShare: 8, Seed: 5})
-			ch := workload.NewSwapChurn(m, db, workload.SwapChurnParams{Seed: 13})
-			opts := []OpenOption{WithRetainEpochs(retain)}
-			if shards > 0 {
-				opts = append(opts, WithShards(shards))
-			}
-			h, err := sys.Open(db, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer h.Close()
-
-			var mu sync.Mutex
-			history := map[uint64]string{}
-			var latest uint64
-			fingerprint := func(s *Snapshot) string {
-				return fmt.Sprintf("%s|%d", viewFingerprint(s.Views()), s.Size())
-			}
-			record := func() {
-				s := h.Snapshot()
-				defer s.Close()
-				mu.Lock()
-				history[s.Epoch()] = fingerprint(s)
-				latest = s.Epoch()
-				mu.Unlock()
-			}
-			record()
-
-			// Phase 1: sequential differential. After every batch the whole
-			// retained window must match history and the epoch just beyond it
-			// must be gone.
-			const batches = 3 * retain
-			for b := 0; b < batches; b++ {
-				ins, del := ch.Batch(25)
-				if _, err := h.ApplyDelta(ins, del); err != nil {
-					t.Fatal(err)
-				}
-				record()
-				cur := latest
-				lo := uint64(0)
-				if cur+1 >= retain {
-					lo = cur + 1 - retain
-				}
-				for seq := lo; seq <= cur; seq++ {
-					s, err := h.At(seq)
-					if err != nil {
-						t.Fatalf("batch %d: At(%d) in window [%d,%d]: %v", b, seq, lo, cur, err)
-					}
-					if got := fingerprint(s); got != history[seq] {
-						t.Fatalf("batch %d: At(%d) diverges from epoch %d's recorded state", b, seq, seq)
-					}
-					s.Close()
-				}
-				if lo > 0 {
-					if _, err := h.At(lo - 1); !errors.Is(err, ErrEpochRetired) {
-						t.Fatalf("batch %d: At(%d) outside the window: got %v, want ErrEpochRetired", b, lo-1, err)
-					}
-				}
-			}
-
-			// Phase 2: concurrent point-in-time readers racing the writer.
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			for r := 0; r < 4; r++ {
-				wg.Add(1)
-				go func(seed int64) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(seed))
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						mu.Lock()
-						cur := latest
-						mu.Unlock()
-						span := uint64(2 * retain)
-						var seq uint64
-						if cur > span {
-							seq = cur - span + uint64(rng.Intn(int(span)+1))
-						} else {
-							seq = uint64(rng.Intn(int(cur) + 1))
-						}
-						s, err := h.At(seq)
-						if err != nil {
-							if !errors.Is(err, ErrEpochRetired) {
-								t.Errorf("At(%d): %v", seq, err)
-								return
-							}
-							continue
-						}
-						got := fingerprint(s)
-						s.Close()
-						mu.Lock()
-						want := history[seq]
-						mu.Unlock()
-						if got != want {
-							t.Errorf("concurrent At(%d) diverges from recorded history", seq)
-							return
-						}
-					}
-				}(int64(100 + r))
-			}
-			for b := 0; b < batches; b++ {
-				ins, del := ch.Batch(25)
-				if _, err := h.ApplyDelta(ins, del); err != nil {
-					t.Fatal(err)
-				}
-				record()
-			}
-			close(stop)
-			wg.Wait()
-
-			lc := h.Lifecycle()
-			if lc.LiveSnapshots != 0 {
-				t.Fatalf("%d snapshots leaked", lc.LiveSnapshots)
-			}
-			if lc.RetainedEpochs != retain {
-				t.Fatalf("ring holds %d epochs, want %d", lc.RetainedEpochs, retain)
-			}
-			if lc.ReclaimedEpochs == 0 {
-				t.Fatal("no epoch was ever reclaimed despite churn far past the retention bound")
-			}
-		})
 	}
 }
 

@@ -294,9 +294,14 @@ func (sys *System) PrepareCacheStats() (searches, hits, evictions int64) {
 	return sys.prepSearches.Load(), sys.prepHits.Load(), sys.prepEvicts.Load()
 }
 
+// estimate prices one compiled candidate under statistics and an
+// observation overlay. Selection prices only through it, so a test can
+// count what a re-rank costs.
+var estimate = (*plan.Program).Estimate
+
 // best returns the candidate with the least overlaid cost and its cost.
 func (pq *PreparedQuery) best(st *plan.Stats, obs *plan.ObservedStats) (int, plan.Cost) {
-	return plan.BestProgram(pq.progs, st, obs)
+	return plan.Cheapest(len(pq.progs), func(i int) plan.Cost { return estimate(pq.progs[i], st, obs) })
 }
 
 // Key returns the canonical cache key the query was prepared under.
@@ -357,7 +362,7 @@ func (pq *PreparedQuery) selFor(id uint64, st *plan.Stats, ver uint64, met *obs.
 		// the realized widths survive the new version, so a selection that
 		// feedback corrected stays corrected instead of reverting to
 		// whatever the new skew-blind averages say.
-		pq.rerankLocked(s, st, met)
+		pq.rerankLocked(s, st, estimate(pq.progs[s.sel], st, s.obs), met)
 		s.ver = ver
 	}
 	return s
@@ -384,13 +389,18 @@ func (pq *PreparedQuery) dropHandle(id uint64) {
 
 // rerankLocked re-ranks the frontier under the observation overlay and
 // switches the incumbent only when the challenger clears the hysteresis
-// margin. Callers hold pq.mu.
-func (pq *PreparedQuery) rerankLocked(s *selState, st *plan.Stats, met *obs.Core) {
+// margin. cur is the incumbent's fresh price under st and the overlay, so
+// one re-rank prices each candidate once. Callers hold pq.mu.
+func (pq *PreparedQuery) rerankLocked(s *selState, st *plan.Stats, cur plan.Cost, met *obs.Core) {
 	if met != nil {
 		met.Reranks.Add(1)
 	}
-	cur := pq.progs[s.sel].Estimate(st, s.obs)
-	best, bc := pq.best(st, s.obs)
+	best, bc := plan.Cheapest(len(pq.progs), func(i int) plan.Cost {
+		if i == s.sel {
+			return cur
+		}
+		return estimate(pq.progs[i], st, s.obs)
+	})
 	s.st = st
 	if best != s.sel && bc.Score()*feedbackHysteresis < cur.Score() {
 		s.sel, s.cost = best, bc
@@ -435,7 +445,7 @@ func (pq *PreparedQuery) runnerUpLocked(s *selState, st *plan.Stats) (int, plan.
 		if i == s.sel {
 			continue
 		}
-		cost := p.Estimate(st, s.obs)
+		cost := estimate(p, st, s.obs)
 		if best < 0 || cost.Score() < bc.Score() {
 			best, bc = i, cost
 		}
@@ -466,9 +476,9 @@ func (pq *PreparedQuery) feedback(id uint64, st *plan.Stats, executed int, slots
 		return
 	}
 	s.st = st
-	cur := pq.progs[s.sel].Estimate(st, s.obs)
+	cur := estimate(pq.progs[s.sel], st, s.obs)
 	if executed != s.sel || diverged(cur.Score(), s.cost.Score()) {
-		pq.rerankLocked(s, st, met)
+		pq.rerankLocked(s, st, cur, met)
 	}
 }
 
