@@ -212,10 +212,9 @@ func TestSelectionIndependentOfShardCount(t *testing.T) {
 	}
 }
 
-// Drift stickiness: a statistics rebuild (churn past the drift threshold)
-// bumps the stats version and used to reset selection to the fresh — still
-// skew-blind — estimates. The observation overlay must survive the
-// rebuild: the corrected selection stays corrected.
+// Drift stickiness: churn publishes new — still skew-blind — statistics,
+// under which the next pick prices its incumbent again. The observation
+// overlay must survive them: the corrected selection stays corrected.
 func TestFeedbackStickyUnderStatsDrift(t *testing.T) {
 	sys, fx := feedbackSystem(t)
 	h, err := sys.Open(fx.Generate())
@@ -236,16 +235,8 @@ func TestFeedbackStickyUnderStatsDrift(t *testing.T) {
 	if !ok || st0.Switches < 1 {
 		t.Fatalf("fixture must converge before the drift: %+v (%v)", st0, ok)
 	}
-	_, ver0 := h.Stats()
-	ds, err := h.ApplyDelta(fx.ChurnBatch(0, 4000), nil)
-	if err != nil {
+	if _, err := h.ApplyDelta(fx.ChurnBatch(0, 4000), nil); err != nil {
 		t.Fatal(err)
-	}
-	if !ds.StatsRefreshed {
-		t.Fatal("churn batch must trip the drift rebuild")
-	}
-	if _, ver1 := h.Stats(); ver1 == ver0 {
-		t.Fatal("stats version must change on rebuild")
 	}
 	for i := 0; i < 4; i++ {
 		_, f, err := pq.Execute(h)
@@ -258,20 +249,74 @@ func TestFeedbackStickyUnderStatsDrift(t *testing.T) {
 	}
 	st1, _ := pq.SelectionStats(h)
 	if st1.Selected != st0.Selected || st1.Switches != st0.Switches {
-		t.Fatalf("drift rebuild moved the selection: %+v -> %+v", st0, st1)
+		t.Fatalf("drift moved the selection: %+v -> %+v", st0, st1)
 	}
 }
 
-// TestFeedbackSkipIsExact: feedback prices the incumbent again only when
-// a mean of its overlay moved, another candidate ran, or the handle
-// published other statistics, and it must decide exactly as a feedback
-// that always re-prices. On the PlanFeedback fixture, with churn batches
-// between the executions (a new Stats with every epoch, a new version on
-// a rebuild) and every 64th execution exploring a runner-up, each
-// execution that kept its statistics version must re-rank exactly when
-// the always-re-pricing rule says so, and afterwards the incumbent's
-// fresh overlaid estimate under the handle's current statistics must not
-// have diverged from the cost its selection holds.
+// TestStationaryChurnReranksNothing: churn that leaves the incumbent's
+// price in range re-ranks nothing, however much of D it rewrites. After
+// convergence on the PlanFeedback fixture, batches of fresh rows, each
+// followed by its inverse, rewrite more than |D| in all while every epoch
+// publishes new statistics; the executions between them, fewer than
+// exploreEvery, must leave the re-rank counter and the selection as they
+// were.
+func TestStationaryChurnReranksNothing(t *testing.T) {
+	sys, fx := feedbackSystem(t)
+	h, err := sys.Open(fx.Generate())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	pq, err := sys.Prepare(NewUCQ(fx.Q), LangCQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if _, _, err := pq.Execute(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st0, _ := pq.SelectionStats(h)
+	if st0.Switches < 1 {
+		t.Fatalf("fixture must converge before the churn: %+v", st0)
+	}
+	reranks := func() int64 { return h.Metrics().Counters["repro_plan_rerank_total"] }
+	r0, size, churned := reranks(), h.Size(), 0
+	for round := 0; churned <= size; round++ {
+		batch := fx.ChurnBatch(round, 1000)
+		for _, b := range [][2][]Op{{batch, nil}, {nil, batch}} {
+			ds, err := h.ApplyDelta(b[0], b[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			churned += ds.Inserted + ds.Deleted
+			if _, _, err := pq.Execute(h); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	st1, _ := pq.SelectionStats(h)
+	if st1.Executions >= exploreEvery {
+		t.Fatalf("fixture: %d executions reach the exploration budget", st1.Executions)
+	}
+	if got := reranks(); got != r0 || st1.Selected != st0.Selected {
+		t.Fatalf("%d churned ops over |D| = %d re-ranked %d times, selection %d -> %d",
+			churned, size, got-r0, st0.Selected, st1.Selected)
+	}
+}
+
+// TestFeedbackSkipIsExact: a pick prices the incumbent again only when
+// the handle published other statistics, and feedback only when a mean of
+// its overlay moved, another candidate ran, or the statistics moved; both
+// must decide exactly as a loop that always re-prices. On the PlanFeedback
+// fixture, with churn batches between the executions (new statistics with
+// every epoch) and every 64th execution exploring a runner-up, each
+// execution must re-rank exactly when the always-re-pricing rule says so:
+// when the incumbent's price under the serving statistics diverged from
+// its ranked cost before the run was absorbed (the pick) or after it (the
+// feedback), or the run explored. Afterwards the incumbent's fresh overlaid
+// estimate under the handle's current statistics must not have diverged
+// from the cost its selection holds.
 func TestFeedbackSkipIsExact(t *testing.T) {
 	for _, p := range []int{1, 8} {
 		t.Run(fmt.Sprintf("P=%d", p), func(t *testing.T) {
@@ -287,7 +332,7 @@ func TestFeedbackSkipIsExact(t *testing.T) {
 			}
 			id := h.handleID()
 			reranks := func() int64 { return h.Metrics().Counters["repro_plan_rerank_total"] }
-			_, ver0 := h.Stats()
+			moved := 0 // executions served under statistics their incumbent was not priced with
 			for i := 0; i < 300; i++ {
 				if i%25 == 24 {
 					size := 64
@@ -298,12 +343,17 @@ func TestFeedbackSkipIsExact(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				st, ver := h.Stats()
+				st, _ := h.Stats()
 				pq.mu.Lock()
 				pre, ok := pq.sels[id]
 				var was selState
+				var atPick bool
 				if ok {
 					was = *pre
+					atPick = diverged(pq.progs[was.sel].Estimate(st, pre.obs).Score(), was.cost.Score())
+					if was.st != st {
+						moved++
+					}
 				}
 				pq.mu.Unlock()
 				r0 := reranks()
@@ -313,10 +363,10 @@ func TestFeedbackSkipIsExact(t *testing.T) {
 				pq.mu.Lock()
 				s := pq.sels[id]
 				fresh, held := pq.progs[s.sel].Estimate(st, s.obs), s.cost
-				want := ok && (s.probes > was.probes ||
+				want := ok && (atPick || s.probes > was.probes ||
 					diverged(pq.progs[was.sel].Estimate(st, s.obs).Score(), was.cost.Score()))
 				pq.mu.Unlock()
-				if got := reranks() > r0; ok && was.ver == ver && got != want {
+				if got := reranks() > r0; ok && got != want {
 					t.Fatalf("execution %d: re-ranked %v, the always-re-pricing rule says %v", i, got, want)
 				}
 				if diverged(fresh.Score(), held.Score()) {
@@ -324,8 +374,8 @@ func TestFeedbackSkipIsExact(t *testing.T) {
 						i, s.sel, fresh.Score(), held.Score())
 				}
 			}
-			if _, ver := h.Stats(); ver == ver0 {
-				t.Fatal("fixture: the churn never bumped the statistics version")
+			if moved == 0 {
+				t.Fatal("fixture: no execution met statistics its incumbent was not priced with")
 			}
 			if st, _ := pq.SelectionStats(h); st.Switches < 1 || st.Explorations < 1 {
 				t.Fatalf("fixture: the loop must switch and explore: %+v", st)
@@ -456,7 +506,9 @@ func TestSelectionEvictionSparesServingHandle(t *testing.T) {
 // TestRerankPricesEachCandidateOnce: one re-rank prices every candidate
 // exactly once. The incumbent's fresh price, which decided that a re-rank
 // is due, is the one the frontier scan ranks it at — whether feedback
-// forced the re-rank or a new statistics version did.
+// forced the re-rank or a pick under moved statistics did. A pick under
+// other statistics that leave the incumbent's price in range prices the
+// incumbent alone and re-ranks nothing.
 func TestRerankPricesEachCandidateOnce(t *testing.T) {
 	sys, fx := feedbackSystem(t)
 	h, err := sys.Open(fx.Generate())
@@ -484,7 +536,7 @@ func TestRerankPricesEachCandidateOnce(t *testing.T) {
 
 	// Feedback from a run of a runner-up always re-ranks.
 	id := h.handleID()
-	st, ver := h.Stats()
+	st, _ := h.Stats()
 	pq.mu.Lock()
 	other := (pq.sels[id].sel + 1) % len(pq.progs)
 	pq.mu.Unlock()
@@ -501,10 +553,31 @@ func TestRerankPricesEachCandidateOnce(t *testing.T) {
 		t.Fatalf("feedback re-rank: %d re-ranks, %d estimates for %d candidates", reranks()-r0, priced, len(pq.progs))
 	}
 
-	// So does the first pick under a new statistics version.
-	priced = 0
-	pq.pickPlan(id, st, ver+1, h.metricsCore())
-	if reranks() != r0+2 || priced != len(pq.progs) {
-		t.Fatalf("version re-rank: %d re-ranks, %d estimates for %d candidates", reranks()-r0-1, priced, len(pq.progs))
+	// A fresh selection (no overlay yet) picks under st. Statistics equal
+	// to st but published anew price its incumbent once and keep it; the
+	// database grown 1000-fold moves the incumbent's price past the
+	// divergence threshold, and that pick re-ranks.
+	const fresh = 1 << 62 // an id no handle holds
+	pq.pickPlan(fresh, st, nil)
+	same, grown := *st, *st
+	grown.RelRows = map[string]int{}
+	for rel, n := range st.RelRows {
+		grown.RelRows[rel] = 1000 * n
+	}
+	for _, tc := range []struct {
+		name    string
+		st      *plan.Stats
+		reranks int64
+		priced  int
+	}{
+		{"equal statistics", &same, 0, 1},
+		{"grown statistics", &grown, 1, len(pq.progs)},
+	} {
+		r0, priced = reranks(), 0
+		pq.pickPlan(fresh, tc.st, h.metricsCore())
+		if reranks()-r0 != tc.reranks || priced != tc.priced {
+			t.Fatalf("pick under %s: %d re-ranks, %d estimates for %d candidates; want %d and %d",
+				tc.name, reranks()-r0, priced, len(pq.progs), tc.reranks, tc.priced)
+		}
 	}
 }

@@ -78,9 +78,9 @@ type Handle interface {
 	// Views returns a decoded copy of the current epoch's view extents.
 	Views() map[string][][]string
 	// Stats returns the current epoch's cost-model statistics, exact as
-	// of that epoch and the same at any shard count, and their version,
-	// which bumps only when churn passes the re-rank threshold. The Stats
-	// value is immutable once published; treat it as read-only.
+	// of that epoch and the same at any shard count, and the epoch's
+	// sequence number. Every epoch publishes its own Stats value, which is
+	// immutable once published; treat it as read-only.
 	Stats() (*plan.Stats, uint64)
 	// Size returns |D| as of the current epoch.
 	Size() int
@@ -319,8 +319,9 @@ func (s *Snapshot) Epoch() uint64 { return s.e.Seq() }
 // Size returns |D| as of the pinned epoch.
 func (s *Snapshot) Size() int { return s.e.Size() }
 
-// Stats returns the pinned epoch's cost-model statistics and version.
-func (s *Snapshot) Stats() (*plan.Stats, uint64) { return s.e.Stats() }
+// Stats returns the pinned epoch's cost-model statistics and its
+// sequence number (the same as Epoch).
+func (s *Snapshot) Stats() (*plan.Stats, uint64) { return s.e.Stats(), s.e.Seq() }
 
 // FetchedTuples returns the tuples fetched through THIS snapshot so far —
 // the read-only fetch-accounting accessor that replaces reaching into the
@@ -429,10 +430,9 @@ func (s *Snapshot) Fetch(c *Constraint, xval Tuple) ([]Tuple, error) {
 // DeltaStats summarizes one applied batch. It is a plain value — safe
 // to copy, retains no reference to engine state.
 type DeltaStats struct {
-	Inserted       int  // tuples physically inserted
-	Deleted        int  // tuples physically removed (absent deletes are no-ops)
-	ViewsChanged   int  // views whose extents changed in the new epoch
-	StatsRefreshed bool // published a new statistics version: prepared queries re-rank
+	Inserted     int // tuples physically inserted
+	Deleted      int // tuples physically removed (absent deletes are no-ops)
+	ViewsChanged int // views whose extents differ from the previous epoch's
 
 	// MaxExclusive is the longest contiguous single-structure maintenance
 	// window of the batch: the slowest shard's slice (its rows, fetch
@@ -443,6 +443,14 @@ type DeltaStats struct {
 	// — but it bounds the batch's publication lag, which is what the
 	// sharded scaling gate (TestGateShardScaling) tracks.
 	MaxExclusive time.Duration
+	// StatsRefreshed reports that the batch moved the published
+	// statistics: it inserted or deleted at least one tuple
+	// (Inserted+Deleted > 0).
+	//
+	// Deprecated: every epoch publishes exact statistics, and a prepared
+	// query re-prices its plan under each epoch's; there is no statistics
+	// version to refresh. Read Inserted and Deleted instead.
+	StatsRefreshed bool
 }
 
 // Live is the serving handle. The rows it was opened over are
@@ -650,8 +658,8 @@ func (l *Live) applyLocked(t0 time.Time, inserts, deletes []instance.AppliedOp) 
 		Inserted:       st.Inserted,
 		Deleted:        st.Deleted,
 		ViewsChanged:   st.ViewsChanged,
-		StatsRefreshed: st.StatsRefreshed,
 		MaxExclusive:   st.MaxShardHold,
+		StatsRefreshed: st.Inserted+st.Deleted > 0,
 	}, nil
 }
 
@@ -698,11 +706,12 @@ func (l *Live) ShardSizes() []int { return l.cur.Load().ShardSizes() }
 // every view) and which by the cross-shard global engine.
 func (l *Live) LocalViews() (local, global []string) { return l.sh.LocalViews() }
 
-// Stats returns the current cost-model statistics (exact, and the same
-// at any shard count) and their version. The returned Stats is immutable
-// once published; treat it as read-only.
+// Stats returns the current epoch's cost-model statistics (exact, and the
+// same at any shard count) and its sequence number. The returned Stats is
+// immutable once published; treat it as read-only.
 func (l *Live) Stats() (*plan.Stats, uint64) {
-	return l.cur.Load().Stats()
+	e := l.cur.Load()
+	return e.Stats(), e.Seq()
 }
 
 // FetchedTuples returns the handle-lifetime count of tuples fetched from

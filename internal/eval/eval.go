@@ -180,7 +180,7 @@ func cqIDRows(q *cq.CQ, src *Source) ([][]uint32, error) {
 		// Filter rows by constants and intra-atom repeats, index by join
 		// key. No size hint: constants typically filter most rows away,
 		// and presizing to the unfiltered count would dominate the cost.
-		index := intern.NewIndex(0)
+		index := intern.NewDynIndex(joinAtom)
 	rowLoop:
 		for _, r := range rows {
 			if len(r) != len(at.Args) {
@@ -196,7 +196,7 @@ func cqIDRows(q *cq.CQ, src *Source) ([][]uint32, error) {
 					continue rowLoop
 				}
 			}
-			index.AddAt(r, joinAtom)
+			index.Add(r)
 		}
 		// Extend bindings.
 		next := make([][]uint32, 0, len(bindings))

@@ -545,9 +545,9 @@ func joinRel(l, r *relation) *relation {
 			extraPos = append(extraPos, i)
 		}
 	}
-	index := intern.NewIndex(len(r.rows))
+	index := intern.NewDynIndex(rpos)
 	for _, row := range r.rows {
-		index.AddAt(row, rpos)
+		index.Add(row)
 	}
 	out := &relation{cols: append(append([]string{}, l.cols...), extraCols...)}
 	for _, lrow := range l.rows {

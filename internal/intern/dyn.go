@@ -1,10 +1,11 @@
 package intern
 
 // DynIndex is a multimap from a fixed projection of ID rows to the rows
-// themselves, supporting removal — the incrementally maintained join state
-// of the live-update subsystem. Where Index is build-once (hash joins build
-// it per execution), a DynIndex lives as long as the database it mirrors:
-// rows are added when a tuple gains support and removed when it loses it.
+// themselves, keyed by HashAt with collision verification and supporting
+// removal. It is the incrementally maintained join state of the
+// live-update subsystem, where it lives as long as the database it
+// mirrors (rows are added when a tuple gains support and removed when it
+// loses it), and the per-join build side of the reference evaluators.
 //
 // Rows are retained by reference and must not be mutated while indexed.
 // An empty position set is allowed: every row lands in one bucket, which
@@ -14,6 +15,11 @@ package intern
 type DynIndex struct {
 	pos     []int
 	buckets map[uint64][]indexEntry
+}
+
+type indexEntry struct {
+	key  []uint32
+	rows [][]uint32
 }
 
 // NewDynIndex creates an index keyed by the projection at pos.
@@ -88,6 +94,23 @@ func (ix *DynIndex) Get(key []uint32) [][]uint32 {
 		if RowsEq(e.key, key) {
 			return e.rows
 		}
+	}
+	return nil
+}
+
+// GetAt returns the rows whose projection equals the projection of probe
+// at positions probePos, without allocating it (nil when absent). The
+// returned slice is invalidated by the next Add/Remove and must not be
+// mutated.
+func (ix *DynIndex) GetAt(probe []uint32, probePos []int) [][]uint32 {
+outer:
+	for _, e := range ix.buckets[HashAt(probe, probePos)] {
+		for i, p := range probePos {
+			if e.key[i] != probe[p] {
+				continue outer
+			}
+		}
+		return e.rows
 	}
 	return nil
 }

@@ -370,90 +370,6 @@ outer:
 // Len returns the number of distinct rows added.
 func (s *Set) Len() int { return s.n }
 
-// Index is a multimap from ID-row keys to ID rows, keyed by Hash with
-// collision verification — the interned replacement for
-// map[string][][]string join indexes. Keys and rows are retained by
-// reference. Not safe for concurrent use.
-type Index struct {
-	buckets map[uint64][]indexEntry
-}
-
-type indexEntry struct {
-	key  []uint32
-	rows [][]uint32
-}
-
-// NewIndex creates an index with a size hint.
-func NewIndex(hint int) *Index {
-	return &Index{buckets: make(map[uint64][]indexEntry, hint)}
-}
-
-// Add appends row under key.
-func (ix *Index) Add(key, row []uint32) {
-	h := Hash(key)
-	es := ix.buckets[h]
-	for i := range es {
-		if RowsEq(es[i].key, key) {
-			es[i].rows = append(es[i].rows, row)
-			return
-		}
-	}
-	ix.buckets[h] = append(es, indexEntry{key: key, rows: [][]uint32{row}})
-}
-
-// AddAt appends row under the projection of row at positions pos,
-// allocating the key only for the first row of each group.
-func (ix *Index) AddAt(row []uint32, pos []int) {
-	h := HashAt(row, pos)
-	es := ix.buckets[h]
-outer:
-	for i := range es {
-		if len(es[i].key) != len(pos) {
-			continue
-		}
-		for j, p := range pos {
-			if es[i].key[j] != row[p] {
-				continue outer
-			}
-		}
-		es[i].rows = append(es[i].rows, row)
-		return
-	}
-	ix.buckets[h] = append(es, indexEntry{key: Project(row, pos), rows: [][]uint32{row}})
-}
-
-// Get returns the rows stored under key (nil when absent). The returned
-// slice must not be mutated.
-func (ix *Index) Get(key []uint32) [][]uint32 {
-	for _, e := range ix.buckets[Hash(key)] {
-		if RowsEq(e.key, key) {
-			return e.rows
-		}
-	}
-	return nil
-}
-
-// GetAt returns the rows stored under the projection of row at positions
-// pos, without allocating the projection.
-func (ix *Index) GetAt(row []uint32, pos []int) [][]uint32 {
-	for _, e := range ix.buckets[HashAt(row, pos)] {
-		if len(e.key) != len(pos) {
-			continue
-		}
-		eq := true
-		for i, p := range pos {
-			if e.key[i] != row[p] {
-				eq = false
-				break
-			}
-		}
-		if eq {
-			return e.rows
-		}
-	}
-	return nil
-}
-
 // FlatIndex is a read-only multimap from the projection of rows at fixed
 // key positions to those rows, laid out flat: a power-of-two bucket table
 // of offsets into one uint32 permutation of the row positions, bucketed by

@@ -109,25 +109,47 @@ func TestSet(t *testing.T) {
 }
 
 func TestIndex(t *testing.T) {
-	ix := NewIndex(0)
-	ix.Add([]uint32{1}, []uint32{1, 10})
-	ix.Add([]uint32{1}, []uint32{1, 11})
-	ix.Add([]uint32{2}, []uint32{2, 20})
-	if got := ix.Get([]uint32{1}); len(got) != 2 {
-		t.Fatalf("want 2 rows under key 1, got %d", len(got))
+	ix := NewDynIndex([]int{0})
+	a, b, c := []uint32{1, 10}, []uint32{1, 11}, []uint32{1, 12}
+	for _, r := range [][]uint32{a, b, c, {2, 20}} {
+		ix.Add(r)
+	}
+	if got := ix.Get([]uint32{1}); len(got) != 3 {
+		t.Fatalf("want 3 rows under key 1, got %d", len(got))
 	}
 	if got := ix.Get([]uint32{3}); got != nil {
 		t.Fatal("missing key must yield nil")
 	}
+	// GetAt probes the projection of another row at its own positions.
 	if got := ix.GetAt([]uint32{5, 2, 9}, []int{1}); len(got) != 1 || got[0][1] != 20 {
 		t.Fatal("GetAt must probe the projection")
 	}
-	// Empty keys (cross products) are a single group.
-	ix2 := NewIndex(0)
-	ix2.Add(nil, []uint32{1})
-	ix2.Add([]uint32{}, []uint32{2})
+	if got := ix.GetAt([]uint32{5, 3, 9}, []int{1}); got != nil {
+		t.Fatal("GetAt of an absent projection must yield nil")
+	}
+	// Removing a row from the middle of a group swaps the last row in.
+	if !ix.Remove([]uint32{1, 10}) {
+		t.Fatal("Remove must find an indexed row by value")
+	}
+	if got := ix.Get([]uint32{1}); len(got) != 2 || got[0][1] != 12 || got[1][1] != 11 {
+		t.Fatalf("swap-delete: want rows 12 and 11 under key 1, got %v", got)
+	}
+	if ix.Remove([]uint32{1, 10}) || ix.Remove([]uint32{3, 30}) {
+		t.Fatal("removing an absent row (in a present group or an absent one) must report false")
+	}
+	// Removing a group's last row drops the group.
+	if !ix.Remove([]uint32{2, 20}) || ix.Get([]uint32{2}) != nil || len(ix.buckets) != 1 {
+		t.Fatalf("removing the last row of group 2 must drop it, %d buckets left", len(ix.buckets))
+	}
+	// Empty key positions (cross products) are a single group.
+	ix2 := NewDynIndex(nil)
+	ix2.Add([]uint32{1})
+	ix2.Add([]uint32{2})
 	if got := ix2.Get(nil); len(got) != 2 {
 		t.Fatalf("empty key group: want 2 rows, got %d", len(got))
+	}
+	if got := ix2.GetAt([]uint32{7}, []int{}); len(got) != 2 {
+		t.Fatalf("GetAt with no positions: want the 2 rows, got %d", len(got))
 	}
 }
 

@@ -663,9 +663,9 @@ func BenchmarkViewIndexBuild(b *testing.B) {
 	b.Run("scan_probe", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
-			idx := intern.NewIndex(len(fetched))
+			idx := intern.NewDynIndex([]int{0})
 			for _, r := range fetched {
-				idx.AddAt(r, []int{0})
+				idx.Add(r)
 			}
 			for _, r := range view {
 				idx.GetAt(r, []int{0})

@@ -36,16 +36,6 @@ type state struct {
 	vix *instance.VIndex
 }
 
-// Re-rank pacing: every epoch publishes exact statistics, but the
-// statistics version — which prepared queries re-rank on — bumps only
-// when the physical ops since the last bump exceed statsDriftFrac of the
-// current |D| (and at least statsMinChurn, so tiny instances don't
-// re-rank per batch).
-const (
-	statsDriftFrac = 0.2
-	statsMinChurn  = 256
-)
-
 // Config tunes a sharded instance.
 type Config struct {
 	Shards int
@@ -67,20 +57,18 @@ type Config struct {
 }
 
 // DeltaStats summarizes one applied batch (mirrors the facade's).
-// StatsRefreshed reports that the batch published a new statistics
-// version, so prepared queries re-rank. MaxShardHold is the longest
-// single-shard maintenance window of the batch. Under epoch reads it
-// blocks nobody — readers stay on the previous epoch until the new one is
-// published — but it still bounds the batch's publication lag, and its
-// ~P-fold shrink is the per-shard parallelism signal the scaling
-// experiment gates. DeltaStats is a plain value — safe to copy, retains
-// no reference to shard state.
+// ViewsChanged counts the views whose extents differ from the previous
+// epoch's. MaxShardHold is the longest single-shard maintenance window of
+// the batch. Under epoch reads it blocks nobody — readers stay on the
+// previous epoch until the new one is published — but it still bounds the
+// batch's publication lag, and its ~P-fold shrink is the per-shard
+// parallelism signal the scaling experiment gates. DeltaStats is a plain
+// value — safe to copy, retains no reference to shard state.
 type DeltaStats struct {
-	Inserted       int
-	Deleted        int
-	ViewsChanged   int
-	StatsRefreshed bool
-	MaxShardHold   time.Duration
+	Inserted     int
+	Deleted      int
+	ViewsChanged int
+	MaxShardHold time.Duration
 }
 
 // Epoch is one published, immutable version of the whole sharded state:
@@ -101,7 +89,6 @@ type Epoch struct {
 	vixes      []*instance.VIndex
 	pv         *plan.PreparedViews
 	stats      *plan.Stats
-	statsVer   uint64
 	size       int
 	shardSizes []int
 	probes     []*obs.Counter // per-shard probe telemetry (nil when disabled)
@@ -137,9 +124,9 @@ func (e *Epoch) AllViewIDs() map[string][][]uint32 {
 // Prepared returns the epoch's prepared plan inputs.
 func (e *Epoch) Prepared() *plan.PreparedViews { return e.pv }
 
-// Stats returns the epoch's statistics and their version: exact, and the
-// same at any shard count.
-func (e *Epoch) Stats() (*plan.Stats, uint64) { return e.stats, e.statsVer }
+// Stats returns the epoch's statistics: exact, and the same at any shard
+// count. Every epoch publishes its own.
+func (e *Epoch) Stats() *plan.Stats { return e.stats }
 
 // Size returns |D| across all shards as of this epoch.
 func (e *Epoch) Size() int { return e.size }
@@ -245,14 +232,12 @@ type Sharded struct {
 	dict   *intern.Dict
 	probes []*obs.Counter // Config.Probes
 
-	batchMu    sync.Mutex // serializes ApplyDelta batches
-	shards     []*state
-	g          *eval.DeltaEngine  // global engine; nil when every view is shard-local
-	keys       map[string]ViewKey // the shard-local views' keys
-	stats      *statsStore
-	statsChurn int
-	statsVer   uint64
-	seq        uint64
+	batchMu sync.Mutex // serializes ApplyDelta batches
+	shards  []*state
+	g       *eval.DeltaEngine  // global engine; nil when every view is shard-local
+	keys    map[string]ViewKey // the shard-local views' keys
+	stats   *statsStore
+	seq     uint64
 
 	// journal, when set (SetJournal), receives every accepted batch — its
 	// epoch sequence number and the combined physically applied ops across
@@ -261,7 +246,7 @@ type Sharded struct {
 	// is already mutated; the caller must fence further writes).
 	journal func(seq uint64, a *instance.Applied) error
 
-	last *Epoch // the last published; the next batch's views and |D| derive from it
+	last *Epoch // the last published; the next batch's views derive from it
 }
 
 // Open builds the sharded engine over ID-encoded rows interned through d:
@@ -506,7 +491,6 @@ func (s *Sharded) publish(pv *plan.PreparedViews) *Epoch {
 		vixes:      vixes,
 		pv:         pv,
 		stats:      s.stats.stats(s.schema),
-		statsVer:   s.statsVer,
 		size:       size,
 		shardSizes: sizes,
 		probes:     s.probes,
@@ -644,13 +628,6 @@ func (s *Sharded) ApplyDelta(inserts, deletes []instance.AppliedOp) (DeltaStats,
 		if err := s.journal(s.seq, combined); err != nil {
 			return DeltaStats{}, nil, fmt.Errorf("%w: journal: %w", ErrTorn, err)
 		}
-	}
-	s.statsChurn += stats.Inserted + stats.Deleted
-	size := s.last.size + stats.Inserted - stats.Deleted
-	if float64(s.statsChurn) >= statsDriftFrac*float64(size) && s.statsChurn >= statsMinChurn {
-		s.statsVer++
-		s.statsChurn = 0
-		stats.StatsRefreshed = true
 	}
 	// Only the dirty views get a new version; the rest keep theirs, with
 	// their rows and indices.

@@ -316,6 +316,13 @@ func TestEpochKeepsUnchangedViewVersions(t *testing.T) {
 			if st.ViewsChanged != 0 {
 				t.Fatalf("the batch changed %d views, want 0", st.ViewsChanged)
 			}
+			// Both copies of acct(u1, emea) deleted and one inserted back:
+			// the row's accts and regions rows leave and enter again, and
+			// neither extent moves.
+			u1 := instance.Op{Rel: "acct", Row: instance.Tuple{"u1", "emea"}}
+			if st, err := applyOps(sh, []instance.Op{u1}, []instance.Op{u1, u1}); err != nil || st.ViewsChanged != 0 {
+				t.Fatalf("the leave-and-re-enter batch changed %d views (%v), want 0", st.ViewsChanged, err)
+			}
 			kept := versions()
 			for name := range views {
 				if kept[name] != before[name] {

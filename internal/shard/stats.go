@@ -1,6 +1,10 @@
 package shard
 
 import (
+	"cmp"
+	"slices"
+	"strings"
+
 	"repro/internal/eval"
 	"repro/internal/instance"
 	"repro/internal/par"
@@ -84,6 +88,11 @@ func (s *Sharded) seedStats(rows map[string][][]uint32, headers map[string][]eva
 // and the transitions it reported move distinct counts and view rows and
 // mark the views whose extents changed dirty. withRels is false for the
 // global engine, whose base rows copy the shards'.
+//
+// A row's transitions within one Apply alternate in sign, and all of
+// them come from the one engine that holds the row, so a view changed
+// iff some row's signs do not sum to zero: a row that left and entered
+// again (or entered and left) leaves its view's extent as it was.
 func (st *statsStore) fold(a *instance.Applied, trans []eval.Transition, withRels bool, dirty map[string]bool) {
 	if withRels {
 		for _, op := range a.Deleted {
@@ -93,14 +102,28 @@ func (st *statsStore) fold(a *instance.Applied, trans []eval.Transition, withRel
 			st.rels[op.Rel].rows++
 		}
 	}
+	var vt []eval.Transition
 	for _, t := range trans {
 		switch {
 		case t.View:
-			dirty[t.Name] = true
+			vt = append(vt, t)
 			st.views[t.Name].add(t.Row, t.Sign, int(t.Sign))
 		case withRels:
 			st.rels[t.Name].add(t.Row, t.Sign, 0)
 		}
+	}
+	slices.SortFunc(vt, func(x, y eval.Transition) int {
+		return cmp.Or(strings.Compare(x.Name, y.Name), slices.Compare(x.Row, y.Row))
+	})
+	for i := 0; i < len(vt); {
+		net, j := int32(0), i
+		for ; j < len(vt) && vt[j].Name == vt[i].Name && slices.Equal(vt[j].Row, vt[i].Row); j++ {
+			net += vt[j].Sign
+		}
+		if net != 0 {
+			dirty[vt[i].Name] = true
+		}
+		i = j
 	}
 }
 

@@ -145,11 +145,11 @@ func TestPublishedStatsMatchScan(t *testing.T) {
 			}
 			check := func(when string) {
 				t.Helper()
-				got, _ := sh.last.Stats()
+				got := sh.last.Stats()
 				if want := scanStats(t, sh); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: published stats\n%+v\nscan\n%+v", when, *got, *want)
 				}
-				if want, _ := ref.last.Stats(); !reflect.DeepEqual(got, want) {
+				if want := ref.last.Stats(); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: published stats\n%+v\nP = 1\n%+v", when, *got, *want)
 				}
 			}

@@ -99,9 +99,8 @@ func (p *PlanFeedback) Generate() *instance.Database {
 }
 
 // ChurnBatch returns a batch of inserts that preserves the fixture's skew
-// shape (fresh singleton A-values, recycled B-values) — enough physical
-// ops to bump the statistics version without changing which candidate
-// is realized-cheapest.
+// shape (fresh singleton A-values, recycled B-values): its epoch publishes
+// new statistics without changing which candidate is realized-cheapest.
 func (p *PlanFeedback) ChurnBatch(round, size int) []instance.Op {
 	ops := make([]instance.Op, 0, size)
 	for i := 0; i < size; i++ {

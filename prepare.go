@@ -44,7 +44,8 @@ const (
 	// factor (either direction) from the score it was ranked at. Below it
 	// the estimates are deemed "close enough" and selection stays put —
 	// the cheap-arithmetic guard that keeps steady state at one Estimate
-	// per execution that moved the overlay, and none for one that did not.
+	// per execution that moved the overlay or met a new epoch's
+	// statistics, and none for one that did neither.
 	feedbackDivergence = 2.0
 	// feedbackHysteresis is the switching margin: a challenger must beat
 	// the incumbent's overlaid score by this factor to take over. It is
@@ -69,18 +70,18 @@ const (
 // candidate plans found by the VBRP search, bound to this query's
 // constants, plus the cost-model selection state. The search runs once
 // per query shape (Prepare's template cache); each concrete query gets
-// its own PreparedQuery and so its own selection. Selection is revisited
-// whenever the Live handle it serves publishes a new statistics version —
-// re-selection is a cheap arithmetic pass over the cached candidates,
-// never a new search.
+// its own PreparedQuery and so its own selection.
 //
-// Selection is closed-loop: every Execute through the handle folds the
-// run's per-op counters (realized per-constraint fetch groups, join
-// fan-outs, output rows) into the serving handle's ObservedStats. When
-// observation diverges from the estimates the current ranking trusted, the
-// cached frontier is re-ranked under the observation overlay — switching
-// plans is a re-pick, never a re-search — with hysteresis and a bounded
-// exploration budget so selection converges instead of thrashing.
+// Selection is closed-loop and revisited by one rule: the incumbent's
+// price, under the serving epoch's statistics and the observation overlay,
+// moving feedbackDivergence-fold from the price it was ranked at. Every
+// Execute through the handle folds the run's per-op counters (realized
+// per-constraint fetch groups, join fan-outs, output rows) into the
+// overlay, and every epoch publishes exact statistics; when either moves,
+// the incumbent is priced again, and only a diverged price re-ranks the
+// cached frontier — a cheap arithmetic pass that is a re-pick, never a
+// re-search — with hysteresis and a bounded exploration budget so
+// selection converges instead of thrashing.
 //
 // Handles are safe for concurrent use; one handle may serve many Execute
 // calls in parallel while deltas churn the Live state.
@@ -107,7 +108,6 @@ type PreparedQuery struct {
 type selState struct {
 	sel    int         // incumbent candidate index
 	cost   plan.Cost   // incumbent's overlaid cost when last ranked
-	ver    uint64      // statistics version the ranking used
 	st     *plan.Stats // statistics of the incumbent's last estimate
 	obs    *plan.ObservedStats
 	execs  int64 // executions attributed to this (handle, query) pair
@@ -345,25 +345,27 @@ func (pq *PreparedQuery) SelectionStats(h Handle) (SelectionStats, bool) {
 
 // selFor returns the handle's selection state, creating or re-ranking it
 // as needed. Callers hold pq.mu.
-func (pq *PreparedQuery) selFor(id uint64, st *plan.Stats, ver uint64, met *obs.Core) *selState {
+func (pq *PreparedQuery) selFor(id uint64, st *plan.Stats, met *obs.Core) *selState {
 	s, ok := pq.sels[id]
 	if !ok {
 		if len(pq.sels) >= maxLiveSelections {
 			pq.evictSelLocked(id)
 		}
-		s = &selState{ver: ver, st: st, obs: plan.NewObservedStats()}
+		s = &selState{st: st, obs: plan.NewObservedStats()}
 		s.sel, s.cost = pq.best(st, s.obs)
 		pq.sels[id] = s
 		return s
 	}
-	if s.ver != ver {
-		// The handle published a new statistics version (churn drift).
-		// Re-rank under the fresh estimates WITH the observation overlay —
-		// the realized widths survive the new version, so a selection that
-		// feedback corrected stays corrected instead of reverting to
-		// whatever the new skew-blind averages say.
-		pq.rerankLocked(s, st, estimate(pq.progs[s.sel], st, s.obs), met)
-		s.ver = ver
+	if s.st != st {
+		// Every epoch publishes new statistics. Price the incumbent under
+		// them with the overlay and re-rank only on feedback's divergence
+		// test, so churn that moves no price moves no selection, and a
+		// correction learned from execution survives the skew-blind
+		// averages.
+		s.st = st
+		if cur := estimate(pq.progs[s.sel], st, s.obs); diverged(cur.Score(), s.cost.Score()) {
+			pq.rerankLocked(s, st, cur, met)
+		}
 	}
 	return s
 }
@@ -417,10 +419,10 @@ func (pq *PreparedQuery) rerankLocked(s *selState, st *plan.Stats, cur plan.Cost
 // or — once per exploreEvery executions — a near-tied runner-up, so a
 // pessimistically estimated candidate gets real observations and can be
 // promoted. Returns the candidate index the run must be attributed to.
-func (pq *PreparedQuery) pickPlan(id uint64, st *plan.Stats, ver uint64, met *obs.Core) (int, bool) {
+func (pq *PreparedQuery) pickPlan(id uint64, st *plan.Stats, met *obs.Core) (int, bool) {
 	pq.mu.Lock()
 	defer pq.mu.Unlock()
-	s := pq.selFor(id, st, ver, met)
+	s := pq.selFor(id, st, met)
 	s.execs++
 	idx := s.sel
 	explore := false
@@ -504,8 +506,8 @@ func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 // selection. Returns the answer rows and the tuples this call fetched from
 // the underlying database, also when it fails.
 func (pq *PreparedQuery) Execute(h Handle) ([][]string, int, error) {
-	st, ver := h.Stats()
-	return pq.serve(h, h.handleID(), st, ver, h.metricsCore())
+	st, _ := h.Stats()
+	return pq.serve(h, h.handleID(), st, h.metricsCore())
 }
 
 // ExecuteOn serves the query against a pinned snapshot: the selected
@@ -513,14 +515,14 @@ func (pq *PreparedQuery) Execute(h Handle) ([][]string, int, error) {
 // snapshot's epoch. Its run feeds the same per-handle selection state as
 // Execute — a snapshot read is a real measurement of its epoch.
 func (pq *PreparedQuery) ExecuteOn(s *Snapshot) ([][]string, int, error) {
-	st, ver := s.Stats()
-	return pq.serve(s, s.hid, st, ver, s.met())
+	st, _ := s.Stats()
+	return pq.serve(s, s.hid, st, s.met())
 }
 
 // serve runs the candidate picked for handle id on r and, when the run
 // succeeds, feeds its slots back into the handle's selection.
-func (pq *PreparedQuery) serve(r runner, id uint64, st *plan.Stats, ver uint64, met *obs.Core) ([][]string, int, error) {
-	idx, explore := pq.pickPlan(id, st, ver, met)
+func (pq *PreparedQuery) serve(r runner, id uint64, st *plan.Stats, met *obs.Core) ([][]string, int, error) {
+	idx, explore := pq.pickPlan(id, st, met)
 	rows, x, err := r.executeObserved(pq.cands[idx].Plan, pq.progs[idx], traceCtx{key: pq.key, candidate: idx, explore: explore})
 	fetched := x.Fetched()
 	if err == nil {

@@ -115,7 +115,7 @@ func TestPrepareSelectsCheapPlanAndCaches(t *testing.T) {
 // TestPreparedReselectsUnderChurnDrift: the selection must flip when the
 // statistics drift. On a small instance the zero-fetch view scan wins;
 // after churn grows the view extent past the fetch-weighted break-even,
-// the refreshed statistics must swing the selection to the selective
+// the grown epoch's statistics must swing the selection to the selective
 // index fetch (observable as fetched > 0), without any new VBRP search.
 func TestPreparedReselectsUnderChurnDrift(t *testing.T) {
 	sys, pp := planPickSystem(t)
@@ -138,24 +138,8 @@ func TestPreparedReselectsUnderChurnDrift(t *testing.T) {
 	searches0, _, _ := sys.PrepareCacheStats()
 
 	// Grow the instance well past the break-even (~fetchWeight rows) in
-	// batches; the drift threshold rebuilds statistics along the way.
-	refreshed := false
-	next := 0
-	for l.Size() < 12_000 {
-		var ins []Op
-		for i := 0; i < 500; i++ {
-			ins = append(ins, Op{Rel: "R", Row: Tuple{fmt.Sprintf("g%d", next), fmt.Sprintf("v%d", next)}})
-			next++
-		}
-		st, err := l.ApplyDelta(ins, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refreshed = refreshed || st.StatsRefreshed
-	}
-	if !refreshed {
-		t.Fatal("churn past the drift threshold must refresh statistics")
-	}
+	// batches; every epoch publishes its statistics.
+	growPlanPick(t, l, 12_000)
 	direct, err := sys.EvalDirect(NewUCQ(pp.Q), db)
 	if err != nil {
 		t.Fatal(err)
@@ -173,6 +157,90 @@ func TestPreparedReselectsUnderChurnDrift(t *testing.T) {
 	if s1, _, _ := sys.PrepareCacheStats(); s1 != searches0 {
 		t.Fatal("re-selection must not re-run the VBRP search")
 	}
+}
+
+// growPlanPick inserts fresh singleton R groups in batches of 500 until
+// the handle holds at least size tuples, and returns the inserted ops.
+func growPlanPick(t *testing.T, l Handle, size int) []Op {
+	t.Helper()
+	var all []Op
+	for l.Size() < size {
+		var ins []Op
+		for i := 0; i < 500; i++ {
+			n := len(all) + i
+			ins = append(ins, Op{Rel: "R", Row: Tuple{fmt.Sprintf("g%d", n), fmt.Sprintf("v%d", n)}})
+		}
+		if _, err := l.ApplyDelta(ins, nil); err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, ins...)
+	}
+	return all
+}
+
+// TestPreparedReselectsAfterChurnShrinks is the reverse of
+// TestPreparedReselectsUnderChurnDrift: grown past the break-even, the
+// handle serves the index fetch; shrunk back, the view scan is cheaper
+// again, but the incumbent's own price (about one fetched row per key)
+// did not move, so no pick re-ranks. The exploration run, at most one
+// in exploreEvery executions, serves the cheaper view scan, and feedback
+// on that run re-ranks and switches back: the lag is bounded by
+// exploreEvery executions, and no execution re-runs the search.
+func TestPreparedReselectsAfterChurnShrinks(t *testing.T) {
+	sys, pp := planPickSystem(t)
+	db := pp.Generate(400, 4, 5)
+	l, err := sys.Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pq, err := sys.Prepare(NewUCQ(pp.Q), LangCQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, fetched, err := pq.Execute(l); err != nil || fetched != 0 {
+		t.Fatalf("small instance must be served from the view: %d fetches, %v", fetched, err)
+	}
+	searches0, _, _ := sys.PrepareCacheStats()
+	grown := growPlanPick(t, l, 12_000)
+	if _, fetched, err := pq.Execute(l); err != nil || fetched == 0 {
+		t.Fatalf("grown instance must swing the selection to the index fetch: %d fetches, %v", fetched, err)
+	}
+	for len(grown) > 0 {
+		n := min(500, len(grown))
+		if _, err := l.ApplyDelta(nil, grown[:n]); err != nil {
+			t.Fatal(err)
+		}
+		grown = grown[n:]
+	}
+	direct, err := sys.EvalDirect(NewUCQ(pp.Q), db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, _ := pq.SelectionStats(l)
+	back := 0
+	for i := 1; i <= exploreEvery && back == 0; i++ {
+		rows, fetched, err := pq.Execute(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cq.RowsEqual(rows, direct) {
+			t.Fatalf("execution %d after the shrink diverges from direct evaluation", i)
+		}
+		if fetched == 0 {
+			back = i
+		}
+	}
+	after, _ := pq.SelectionStats(l)
+	if back == 0 {
+		t.Fatalf("shrunk instance still served by the index fetch after %d executions: %+v", exploreEvery, after)
+	}
+	if after.Explorations != before.Explorations+1 || after.Switches != before.Switches+1 {
+		t.Fatalf("the return to the view scan must come from one exploration and one switch: before %+v, after %+v", before, after)
+	}
+	if s1, _, _ := sys.PrepareCacheStats(); s1 != searches0 {
+		t.Fatal("re-selection must not re-run the VBRP search")
+	}
+	t.Logf("selection back on the view scan %d executions after the shrink (%d executions in all)", back, after.Executions)
 }
 
 // TestPreparedConcurrentChurnMatchesLockedRecompute is the -race stress

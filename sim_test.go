@@ -635,23 +635,14 @@ func (m *sim) open() {
 }
 
 // feed applies the next batch to the mirror alone, deletes first as the
-// engine applies them, and returns what it physically changed and the
-// views' extents between its deletes and its inserts.
-func (m *sim) feed() (ins, del []Op, a *Applied, mid map[string]string) {
+// engine applies them, and returns what it physically changed.
+func (m *sim) feed() (ins, del []Op, a *Applied) {
 	ins, del = m.s.next()
-	a, err := m.mirror.ApplyDelta(nil, del)
+	a, err := m.mirror.ApplyDelta(ins, del)
 	m.must(err)
-	if mid = map[string]string{}; !m.cfg.sweep {
-		for name, rows := range m.extents() {
-			mid[name] = fmt.Sprint(rows)
-		}
-	}
-	added, err := m.mirror.ApplyDelta(ins, nil)
-	m.must(err)
-	a.Inserted = added.Inserted
 	m.seq++
 	m.ops = append(m.ops, len(a.Inserted)+len(a.Deleted))
-	return ins, del, a, mid
+	return ins, del, a
 }
 
 // extents materializes the views over the mirror: each view's distinct
@@ -840,7 +831,7 @@ func (m *sim) run() {
 // mirror, and each durable handle's journal model advances.
 func (m *sim) apply() {
 	prev := m.cur()
-	ins, del, want, mid := m.feed()
+	ins, del, want := m.feed()
 	if !m.cfg.sweep {
 		m.epoch()
 	}
@@ -870,9 +861,9 @@ func (m *sim) apply() {
 			m.failf("%s: its dictionary and P=%d's name different strings", who, m.handles[0].p)
 		}
 		if prev != nil {
-			changed := 0 // views a row left or entered
+			changed := 0 // views whose extents the batch changed
 			for name, ext := range prev.views {
-				if ext != mid[name] || mid[name] != m.cur().views[name] {
+				if ext != m.cur().views[name] {
 					changed++
 				}
 			}
