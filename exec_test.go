@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/access"
 	"repro/internal/cq"
 	"repro/internal/plan"
 	"repro/internal/workload"
@@ -13,17 +14,21 @@ import (
 // serving path: ξ0 on Movies through Handle.Execute, which compiles the
 // caller's plan on every call, and a per-uid point query on a P = 8
 // Sharded handle through PreparedQuery.Execute, which reuses the program
-// compiled for its binding. The plan executor allocates per answer, not
-// per row: intermediate rows live in a pooled arena, so the budgets hold
-// whatever the fetch fan-out. The race detector's instrumentation
-// allocates on its own, so the gate skips under it.
+// compiled for its binding; and, through Handle.Execute at P = 1 and
+// P = 8, a union and a product of two fetch chains, whose two branches
+// run one after the other in the run's arena. The plan executor allocates
+// per answer, not per row: intermediate rows live in the pooled
+// Execution's arena, so the budgets hold whatever the fetch fan-out. The
+// race detector's instrumentation allocates on its own, so the gate skips
+// under it.
 func TestExecAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	const (
-		fig1Budget  = 8
-		pointBudget = 4
+		fig1Budget     = 8
+		pointBudget    = 4
+		branchesBudget = 4
 	)
 	t.Run("fig1", func(t *testing.T) {
 		sys, m := movieSystemN0(t, 50)
@@ -83,6 +88,69 @@ func TestExecAllocBudget(t *testing.T) {
 		t.Logf("point query via PreparedQuery.Execute: %.1f allocs per call, %d rows", allocs, len(rows))
 		if allocs > pointBudget {
 			t.Fatalf("point query allocates %.1f times per call, budget %d", allocs, pointBudget)
+		}
+	})
+	t.Run("branches", func(t *testing.T) {
+		w, sys, db := shardedWorkload(t, 400, 5)
+		// chain returns π(item, amt) of txn fetched by the uid that acct
+		// fetched for the constant uid, every attribute suffixed by sfx,
+		// with the atoms and the head of the CQ it answers.
+		chain := func(uid, sfx string) (plan.Node, []cq.Atom, []cq.Term) {
+			as := func(c *access.Constraint) []string {
+				var names []string
+				for _, a := range c.XY() {
+					names = append(names, a+sfx)
+				}
+				return names
+			}
+			u := "uid" + sfx
+			acct := &plan.Fetch{Child: &plan.Const{Attr: u, Val: uid}, C: w.Acct, Bind: []string{u}, As: as(w.Acct)}
+			txn := &plan.Fetch{Child: &plan.Project{Child: acct, Cols: []string{u}}, C: w.Txn, Bind: []string{u}, As: as(w.Txn)}
+			i, a := cq.Var("i"+sfx), cq.Var("a"+sfx)
+			atoms := []cq.Atom{
+				cq.NewAtom("acct", cq.Cst(uid), cq.Var("r"+sfx)),
+				cq.NewAtom("txn", cq.Cst(uid), i, a),
+			}
+			return &plan.Project{Child: txn, Cols: []string{"item" + sfx, "amt" + sfx}}, atoms, []cq.Term{i, a}
+		}
+		l, la, lh := chain(w.UID(7), "1")
+		r, ra, rh := chain(w.UID(8), "2")
+		plans := []struct {
+			name string
+			p    Plan
+			q    *UCQ
+		}{
+			{"union", &plan.Union{L: l, R: r}, NewUCQ(cq.NewCQ(lh, la), cq.NewCQ(rh, ra))},
+			{"product", &plan.Product{L: l, R: r}, NewUCQ(cq.NewCQ(append(lh, rh...), append(la, ra...)))},
+		}
+		for _, p := range []int{1, 8} {
+			h, err := sys.Open(db.Clone(), WithShards(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer h.Close()
+			for _, c := range plans {
+				want, err := sys.EvalDirect(c.q, db)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows, fetched, err := h.Execute(c.p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !cq.RowsEqual(rows, want) || len(want) == 0 {
+					t.Fatalf("P = %d, %s: %d rows, want %d", p, c.name, len(rows), len(want))
+				}
+				allocs := testing.AllocsPerRun(200, func() {
+					if _, _, err := h.Execute(c.p); err != nil {
+						t.Fatal(err)
+					}
+				})
+				t.Logf("P = %d, %s via Handle.Execute: %.1f allocs per call, %d rows, %d fetched", p, c.name, allocs, len(rows), fetched)
+				if allocs > branchesBudget {
+					t.Fatalf("P = %d, %s allocates %.1f times per call, budget %d", p, c.name, allocs, branchesBudget)
+				}
+			}
 		}
 	})
 }

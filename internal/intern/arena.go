@@ -17,35 +17,19 @@ const (
 	maxSpareLists = 64
 )
 
-var (
-	slabs  = sync.Pool{New: func() any { s := make([]uint32, slabLen); return &s }}
-	arenas = sync.Pool{New: func() any { return new(Arena) }}
-)
+var slabs = sync.Pool{New: func() any { s := make([]uint32, slabLen); return &s }}
 
 // Arena is the scratch memory of one query execution: it carves ID rows
 // out of pooled slabs and hands out row lists, so the rows and lists an
 // execution builds cost no allocation once the pools are warm. Rows and
-// lists must not be used after Release, which gives the slabs back to
-// their pool, clears the lists and returns the arena, lists included, to
-// the arena pool for a later execution. Not safe for concurrent use: each
-// concurrent branch of an execution takes its own arena (Branch).
+// lists must not be used after Reset, which gives the slabs back to their
+// pool and clears the lists, keeping them for a later execution. The zero
+// Arena is empty and ready. Not safe for concurrent use.
 type Arena struct {
 	free  []uint32     // the unused tail of the current slab
 	held  []*[]uint32  // slabs taken from the pool
-	lists [][][]uint32 // lists built since the arena was taken, in the order taken
+	lists [][][]uint32 // lists built since the last Reset, in the order taken
 	spare [][][]uint32 // cleared lists of earlier executions, taken from the end
-	kids  []*Arena     // the arenas of concurrent branches
-}
-
-// TakeArena returns an empty arena from the pool.
-func TakeArena() *Arena { return arenas.Get().(*Arena) }
-
-// Branch returns an arena for a concurrent branch of a's execution; a's
-// Release releases it too.
-func (a *Arena) Branch() *Arena {
-	b := TakeArena()
-	a.kids = append(a.kids, b)
-	return b
 }
 
 // Row returns an n-wide row capped at n, so appending to it never
@@ -76,21 +60,16 @@ func (a *Arena) List(n int) [][]uint32 {
 }
 
 // Keep records a list built from List, to be cleared and reused after
-// Release, and returns it.
+// Reset, and returns it.
 func (a *Arena) Keep(l [][]uint32) [][]uint32 {
 	a.lists = append(a.lists, l)
 	return l
 }
 
-// Release releases the arena and its branches' arenas. The kept lists are
+// Reset empties the arena for the next execution. The kept lists are
 // stacked back in reverse, so an execution of the same shape takes them
 // in the order this one did and finds each already sized.
-func (a *Arena) Release() {
-	for _, b := range a.kids {
-		b.Release()
-	}
-	clear(a.kids)
-	a.kids = a.kids[:0]
+func (a *Arena) Reset() {
 	for i, s := range a.held {
 		slabs.Put(s)
 		a.held[i] = nil
@@ -105,7 +84,6 @@ func (a *Arena) Release() {
 	}
 	clear(a.lists)
 	a.lists = a.lists[:0]
-	arenas.Put(a)
 }
 
 // localID returns the i-th local ID: IDs count down from the top of the ID

@@ -250,7 +250,7 @@ func TestFlatIndexMatchesScan(t *testing.T) {
 func TestRowSetMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{0, 1, 7, 300, 5000} {
-		a := TakeArena()
+		a := new(Arena)
 		rows := make([][]uint32, n)
 		for i := range rows {
 			rows[i] = []uint32{uint32(rng.Intn(20)), uint32(rng.Intn(20)), uint32(rng.Intn(3))}
@@ -286,7 +286,7 @@ func TestRowSetMatchesMap(t *testing.T) {
 		}
 		a.Keep(whole.Rows)
 		a.Keep(proj.Rows)
-		a.Release()
+		a.Reset()
 	}
 }
 

@@ -1,12 +1,12 @@
 // Package par provides a tiny bounded-parallelism harness for the
-// evaluation engines: UCQ disjuncts, view materialization and independent
-// plan subtrees run concurrently on a GOMAXPROCS-sized token pool.
+// evaluation engines: UCQ disjuncts, view materialization and the sharded
+// engine's per-shard builds and batch applies run concurrently on a
+// GOMAXPROCS-sized token pool.
 //
 // The pool is global and admission is try-acquire: when no token is free
 // the work runs inline on the caller's goroutine. That keeps the total
-// number of extra goroutines bounded and makes nesting (a parallel plan
-// subtree inside a parallel view materialization) deadlock-free by
-// construction.
+// number of extra goroutines bounded and makes nesting (a parallel UCQ
+// inside a parallel view materialization) deadlock-free by construction.
 package par
 
 import (
@@ -22,33 +22,33 @@ import (
 // spawning, though a raised value will not grow the pool.
 var tokens = make(chan struct{}, runtime.GOMAXPROCS(0)-1)
 
-// Do runs the functions, in parallel when tokens are free, and returns the
-// first error (by argument order). Every function has completed when Do
+// ForEach runs f(0..n-1), in parallel when tokens are free, and returns
+// the first error (by index order). Every call has completed when ForEach
 // returns.
-func Do(fns ...func() error) error {
-	if len(fns) == 0 {
+func ForEach(n int, f func(i int) error) error {
+	if n == 0 {
 		return nil
 	}
 	spawn := runtime.GOMAXPROCS(0) > 1
-	errs := make([]error, len(fns))
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i, fn := range fns[1:] {
+	for i := 1; i < n; i++ {
 		if !spawn {
-			errs[i+1] = fn()
+			errs[i] = f(i)
 			continue
 		}
 		select {
 		case tokens <- struct{}{}:
 			wg.Add(1)
-			go func(i int, fn func() error) {
+			go func(i int) {
 				defer func() { <-tokens; wg.Done() }()
-				errs[i] = fn()
-			}(i+1, fn)
+				errs[i] = f(i)
+			}(i)
 		default:
-			errs[i+1] = fn()
+			errs[i] = f(i)
 		}
 	}
-	errs[0] = fns[0]()
+	errs[0] = f(0)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -56,15 +56,4 @@ func Do(fns ...func() error) error {
 		}
 	}
 	return nil
-}
-
-// ForEach runs f(0..n-1), in parallel when tokens are free, and returns
-// the first error (by index order).
-func ForEach(n int, f func(i int) error) error {
-	fns := make([]func() error, n)
-	for i := range fns {
-		i := i
-		fns[i] = func() error { return f(i) }
-	}
-	return Do(fns...)
 }

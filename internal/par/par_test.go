@@ -6,32 +6,37 @@ import (
 	"testing"
 )
 
-func TestDoRunsAll(t *testing.T) {
+func TestForEachRunsAll(t *testing.T) {
 	var n atomic.Int64
-	fns := make([]func() error, 50)
-	for i := range fns {
-		fns[i] = func() error { n.Add(1); return nil }
-	}
-	if err := Do(fns...); err != nil {
+	var hit [50]atomic.Bool
+	if err := ForEach(len(hit), func(i int) error { n.Add(1); hit[i].Store(true); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n.Load() != 50 {
 		t.Fatalf("want 50 executions, got %d", n.Load())
 	}
-	if err := Do(); err != nil {
-		t.Fatal("empty Do must succeed")
+	for i := range hit {
+		if !hit[i].Load() {
+			t.Fatalf("index %d never ran", i)
+		}
+	}
+	if err := ForEach(0, func(int) error { t.Error("ForEach(0) called f"); return nil }); err != nil {
+		t.Fatal("empty ForEach must succeed")
 	}
 }
 
-func TestDoFirstErrorByOrder(t *testing.T) {
+func TestForEachFirstErrorByIndex(t *testing.T) {
 	e1, e2 := errors.New("first"), errors.New("second")
-	err := Do(
-		func() error { return nil },
-		func() error { return e1 },
-		func() error { return e2 },
-	)
+	var n atomic.Int64
+	err := ForEach(3, func(i int) error {
+		n.Add(1)
+		return [...]error{nil, e1, e2}[i]
+	})
 	if err != e1 {
-		t.Fatalf("want the first error by argument order, got %v", err)
+		t.Fatalf("want the first error by index order, got %v", err)
+	}
+	if n.Load() != 3 {
+		t.Fatalf("an error must not stop the other calls: %d of 3 ran", n.Load())
 	}
 }
 

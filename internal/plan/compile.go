@@ -39,8 +39,7 @@ const (
 
 type op struct {
 	kind       opKind
-	l, r       int  // input ops, -1 when absent
-	par        bool // l and r run concurrently: neither is a leaf
+	l, r       int // input ops, -1 when absent
 	val        int
 	view       *View
 	c          *access.Constraint
@@ -178,7 +177,7 @@ func (p *Program) pair(kind opKind, ln, rn Node) op {
 	s := len(p.attrs)
 	l := p.node(ln)
 	m := len(p.attrs)
-	o := p.binary(kind, l, p.node(rn))
+	o := op{kind: kind, l: l, r: p.node(rn)}
 	if nl, nr := m-s, len(p.attrs)-m; nl != nr && kind != opProduct {
 		p.fail("plan: %s children have arities %d and %d", [...]string{opUnion: "union", opDiff: "difference"}[kind], nl, nr)
 	}
@@ -186,14 +185,6 @@ func (p *Program) pair(kind opKind, ln, rn Node) op {
 		p.attrs = p.attrs[:m]
 	}
 	return o
-}
-
-// binary returns the binary op over ops l and r, which run concurrently
-// when neither is a leaf: a constant or a view scan costs less to run
-// inline than to hand to another goroutine.
-func (p *Program) binary(kind opKind, l, r int) op {
-	leaf := func(i int) bool { return p.ops[i].kind == opConst || p.ops[i].kind == opView }
-	return op{kind: kind, l: l, r: r, par: !leaf(l) && !leaf(r)}
 }
 
 // join compiles σ_Cond(L × R). When every condition is an equality and one
@@ -205,7 +196,7 @@ func (p *Program) join(sel *Select, prod *Product) int {
 	s := len(p.attrs)
 	l := p.node(prod.L)
 	m := len(p.attrs)
-	o := p.binary(opProduct, l, p.node(prod.R))
+	o := op{kind: opProduct, l: l, r: p.node(prod.R)}
 	attrs, la, ra := p.attrs[s:], p.attrs[s:m], p.attrs[m:]
 	start := len(p.ints)
 	for _, c := range sel.Cond {

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/access"
 	"repro/internal/intern"
-	"repro/internal/par"
 )
 
 // Source is what plan execution reads the underlying database through: the
@@ -25,7 +24,8 @@ import (
 // serving source counts its probes once per call, not once per key.
 // Returned rows must stay valid (and unmutated) for the duration of the
 // plan run. Sources do no fetch accounting: Run counts the tuples every
-// fetch returns.
+// fetch returns. Concurrent runs may share a source, so FetchAll must be
+// safe to call from several goroutines; one run calls it from one only.
 type Source interface {
 	Dict() *intern.Dict
 	FetchAll(c *access.Constraint, keys, out [][]uint32) ([][]uint32, error)
@@ -169,9 +169,8 @@ func PrepareViews(d *intern.Dict, m Materialized) *PreparedViews {
 // serves no views (View nodes error). Run compiles the plan (see Compile)
 // into a pooled Program and runs it (see Exec): rows are ID-encoded
 // against the source's dictionary and decoded only at the boundary, and no
-// value is interned. Independent subtrees (products, unions, differences,
-// the two sides of a hash join) run concurrently on the bounded worker
-// pool, so src must be safe for concurrent fetches.
+// value is interned. The run executes its ops one after another on the
+// caller's goroutine.
 func Run(n Node, src Source, pv *PreparedViews) (rows [][]string, fetched int, err error) {
 	rows, x, err := Exec(n, nil, src, pv)
 	fetched = x.Fetched()
@@ -194,15 +193,16 @@ type Execution struct {
 	src   Source
 	views *PreparedViews
 	ids   []uint32 // the IDs of p's constants in the source's dictionary
-	slots []Slot   // op i's slot is written only by the goroutine running op i
+	slots []Slot
+	arena intern.Arena // the run's rows and lists, reset when the run ends
 }
 
 var executions = sync.Pool{New: func() any { return new(Execution) }}
 
 // Exec runs prog, or plan n compiled for this run when prog is nil, under
 // Run's contract, and returns the answer and the run's Execution, never
-// nil, also when the run fails. Each goroutine of the run builds in its
-// own intern.Arena, released before Exec returns.
+// nil, also when the run fails. Concurrent calls are safe: each takes its
+// own Execution, and reads the program and the source only.
 func Exec(n Node, prog *Program, src Source, pv *PreparedViews) ([][]string, *Execution, error) {
 	x := executions.Get().(*Execution)
 	if prog == nil {
@@ -225,14 +225,14 @@ func (x *Execution) run(src Source, pv *PreparedViews) ([][]string, error) {
 	} else if pv.d != d {
 		return nil, fmt.Errorf("plan: prepared views belong to a different database")
 	}
-	a := intern.TakeArena()
-	defer a.Release()
+	a := &x.arena
+	defer a.Reset()
 	x.src, x.views = src, pv
 	x.ids = slices.Grow(x.ids[:0], len(p.consts))[:len(p.consts)]
 	d.Resolve(p.consts, x.ids)
 	x.slots = slices.Grow(x.slots[:0], len(p.ops))[:len(p.ops)]
 	clear(x.slots)
-	rows, err := x.exec(a, len(p.ops)-1)
+	rows, err := x.exec(len(p.ops) - 1)
 	if err != nil {
 		return nil, err
 	}
@@ -311,17 +311,18 @@ func (p *Program) Joins(slots []Slot) (g Slot) {
 // noInput is the one empty X-value a leaf fetch probes with.
 var noInput = [][]uint32{{}}
 
-// exec runs op i, building in a, records its slot and returns its rows: a
-// bag, as only the root's rows are deduplicated.
-func (x *Execution) exec(a *intern.Arena, i int) ([][]uint32, error) {
-	out, in, err := x.eval(a, &x.p.ops[i])
+// exec runs op i, records its slot and returns its rows: a bag, as only
+// the root's rows are deduplicated.
+func (x *Execution) exec(i int) ([][]uint32, error) {
+	out, in, err := x.eval(&x.p.ops[i])
 	x.slots[i] = Slot{In: in, Out: len(out)}
 	return out, err
 }
 
 // eval computes op o's rows and the rows it read. A failed fetch returns
 // the rows of the keys before the failing one.
-func (x *Execution) eval(a *intern.Arena, o *op) (out [][]uint32, in int, err error) {
+func (x *Execution) eval(o *op) (out [][]uint32, in int, err error) {
+	a := &x.arena
 	var l, r [][]uint32
 	switch o.kind {
 	case opConst:
@@ -332,11 +333,11 @@ func (x *Execution) eval(a *intern.Arena, o *op) (out [][]uint32, in int, err er
 		_, rows, err := x.views.view(o.view)
 		return rows, 0, err
 	case opJoin:
-		return x.join(a, o)
+		return x.join(o)
 	case opFetch:
 		keys := noInput
 		if o.l >= 0 {
-			if l, err = x.exec(a, o.l); err != nil {
+			if l, err = x.exec(o.l); err != nil {
 				return nil, 0, err
 			}
 			set := intern.NewRowSet(a, len(l))
@@ -348,11 +349,11 @@ func (x *Execution) eval(a *intern.Arena, o *op) (out [][]uint32, in int, err er
 		out, err = x.src.FetchAll(o.c, keys, a.List(len(keys)))
 		return a.Keep(out), len(keys), err
 	case opProject, opFilter:
-		if l, err = x.exec(a, o.l); err != nil {
+		if l, err = x.exec(o.l); err != nil {
 			return nil, 0, err
 		}
 	default:
-		if l, r, err = x.both(a, o); err != nil {
+		if l, r, err = x.both(o); err != nil {
 			return nil, 0, err
 		}
 	}
@@ -377,7 +378,7 @@ func (x *Execution) eval(a *intern.Arena, o *op) (out [][]uint32, in int, err er
 		out = a.List(len(l) * len(r))
 		for _, u := range l {
 			for _, v := range r {
-				out = append(out, concat(a, u, v))
+				out = append(out, x.concat(u, v))
 			}
 		}
 	case opUnion:
@@ -398,28 +399,12 @@ func (x *Execution) eval(a *intern.Arena, o *op) (out [][]uint32, in int, err er
 	return a.Keep(out), len(l) + len(r), nil
 }
 
-// both runs o's two inputs, concurrently when the compiler marked them so.
-func (x *Execution) both(a *intern.Arena, o *op) (l, r [][]uint32, err error) {
-	if o.par {
-		return x.parallel(a, o)
-	}
-	if l, err = x.exec(a, o.l); err != nil {
+// both runs o's two inputs, left first.
+func (x *Execution) both(o *op) (l, r [][]uint32, err error) {
+	if l, err = x.exec(o.l); err != nil {
 		return nil, nil, err
 	}
-	r, err = x.exec(a, o.r)
-	return l, r, err
-}
-
-// parallel runs o's two inputs concurrently, the right one building in an
-// arena of its own. It is apart from both because the closures par.Do
-// takes move what they capture to the heap.
-func (x *Execution) parallel(a *intern.Arena, o *op) (l, r [][]uint32, err error) {
-	b := a.Branch()
-	var lerr, rerr error
-	err = par.Do(
-		func() error { l, lerr = x.exec(a, o.l); return lerr },
-		func() error { r, rerr = x.exec(b, o.r); return rerr },
-	)
+	r, err = x.exec(o.r)
 	return l, r, err
 }
 
@@ -448,14 +433,15 @@ func (x *Execution) holds(conds []cond, r []uint32) bool {
 // Without a view side, a per-run index is built over the smaller side. The
 // rows read are the same either way: both inputs in full, the view's
 // extent included.
-func (x *Execution) join(a *intern.Arena, o *op) ([][]uint32, int, error) {
+func (x *Execution) join(o *op) ([][]uint32, int, error) {
+	a := &x.arena
 	var lv, rv *ViewVersion
 	var l, r [][]uint32
 	var err error
 	if o.lkey == "" && o.rkey == "" {
-		l, r, err = x.both(a, o)
-	} else if lv, l, err = x.joinInput(a, o.l, o.lkey); err == nil {
-		rv, r, err = x.joinInput(a, o.r, o.rkey)
+		l, r, err = x.both(o)
+	} else if lv, l, err = x.joinInput(o.l, o.lkey); err == nil {
+		rv, r, err = x.joinInput(o.r, o.rkey)
 	}
 	if err != nil {
 		return nil, 0, err
@@ -486,7 +472,7 @@ func (x *Execution) join(a *intern.Arena, o *op) ([][]uint32, int, error) {
 			if indexLeft {
 				u, v = m, p
 			}
-			if row := concat(a, u, v); x.holds(o.conds, row) {
+			if row := x.concat(u, v); x.holds(o.conds, row) {
 				out = append(out, row)
 			}
 		}
@@ -498,17 +484,17 @@ func (x *Execution) join(a *intern.Arena, o *op) ([][]uint32, int, error) {
 // joinInput evaluates join input op i: a view scan (one with an index
 // key) resolves to its version's rows, and the version its indices live
 // in, without running; any other op runs.
-func (x *Execution) joinInput(a *intern.Arena, i int, key string) (*ViewVersion, [][]uint32, error) {
+func (x *Execution) joinInput(i int, key string) (*ViewVersion, [][]uint32, error) {
 	if key == "" {
-		rows, err := x.exec(a, i)
+		rows, err := x.exec(i)
 		return nil, rows, err
 	}
 	return x.views.view(x.p.ops[i].view)
 }
 
-// concat carves the concatenation of u and v from a.
-func concat(a *intern.Arena, u, v []uint32) []uint32 {
-	row := a.Row(len(u) + len(v))
+// concat carves the concatenation of u and v from the run's arena.
+func (x *Execution) concat(u, v []uint32) []uint32 {
+	row := x.arena.Row(len(u) + len(v))
 	copy(row[copy(row, u):], v)
 	return row
 }

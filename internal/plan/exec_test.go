@@ -19,12 +19,13 @@ func fetchChain(g *viewPlanGen) plan.Node {
 }
 
 // TestRunParallelBranches runs a plan whose products, union and
-// difference all have two fetching inputs, so each runs its right input on
-// a pool worker building in an arena of its own, from 8 goroutines at
-// once over one compiled program and through Run's pooled programs. Every
-// answer must equal the sequential reference interpreter's. Under -race
-// it checks that no two branches build in one arena and that a released
-// arena is not reused while its rows are read.
+// difference all have two fetching inputs, from 8 goroutines at once over
+// one compiled program and through Run's pooled programs: each run takes
+// its own Execution and builds both inputs of every op in that
+// Execution's arena. Every answer must equal the sequential reference
+// interpreter's. Under -race it checks that no two concurrent runs build
+// in one arena and that a reset arena is not reused while its rows are
+// read.
 func TestRunParallelBranches(t *testing.T) {
 	f := newViewIndexFixture(t, 5)
 	g := f.gen
@@ -71,13 +72,13 @@ func TestRunParallelBranches(t *testing.T) {
 	wg.Wait()
 }
 
-// TestRunConcurrentFetchAccounting runs plans whose independent subtrees
-// fetch in parallel — products, unions and differences of fetch chains,
-// plus random plans — through Run from 8 goroutines over one VIndex. Every
-// call's fetched count must equal the sum of its per-constraint group rows
-// and the sequential reference's count: the executor, not the source,
-// counts |Dξ|, and parallel workers must merge that count exactly. Run
-// with -race.
+// TestRunConcurrentFetchAccounting runs plans with two fetching inputs per
+// op — products, unions and differences of fetch chains, plus random
+// plans — through Run from 8 goroutines over one VIndex. Every call's
+// fetched count must equal the sum of its per-constraint group rows and
+// the sequential reference's count: the executor, not the source, counts
+// |Dξ|, in the slots of the run's own Execution, so concurrent runs never
+// mix their counts. Run with -race.
 func TestRunConcurrentFetchAccounting(t *testing.T) {
 	f := newViewIndexFixture(t, 3)
 	g := f.gen

@@ -41,7 +41,7 @@ type Config struct {
 	Shards int
 
 	// Probes, when non-nil, holds one counter per shard bumped on every
-	// fetch-index probe routed to (or scattered over) that shard — the
+	// fetch-index probe routed to (or broadcast to) that shard — the
 	// per-shard load telemetry the serving layer exports. len(Probes)
 	// must equal Shards when set; nil disables the accounting.
 	Probes []*obs.Counter
@@ -81,7 +81,8 @@ type DeltaStats struct {
 //
 // Epoch implements plan.Source (accounting-free): fetches whose
 // constraint binds the partition key probe the one owning shard's index
-// version, everything else scatters over all versions and deduplicates.
+// version, everything else gathers over all versions in turn and
+// deduplicates.
 type Epoch struct {
 	seq        uint64
 	part       *Partition
@@ -135,8 +136,8 @@ func (e *Epoch) Size() int { return e.size }
 func (e *Epoch) ShardSizes() []int { return e.shardSizes }
 
 // FetchIDs answers a fetch against this epoch: a point read on the owning
-// shard when the constraint binds the partition key, a scatter over every
-// shard's pinned index version (deduplicated) otherwise. No accounting
+// shard when the constraint binds the partition key, a gather over every
+// shard's pinned index version in turn (deduplicated) otherwise. No accounting
 // happens here: plan.Run counts the tuples a run fetches.
 func (e *Epoch) FetchIDs(c *access.Constraint, xval []uint32) ([][]uint32, error) {
 	if len(e.vixes) == 1 {
@@ -159,35 +160,34 @@ func (e *Epoch) FetchIDs(c *access.Constraint, xval []uint32) ([][]uint32, error
 	}
 	// Broadcast: gather the distinct XY-projections across all shards.
 	// Deduplication keeps the result — and the fetch accounting layered
-	// above — identical to a single index over all of D.
-	p := len(e.vixes)
-	parts := make([][][]uint32, p)
-	if err := par.ForEach(p, func(i int) error {
+	// above — identical to a single index over all of D. The first
+	// non-empty shard's rows are returned as they are until a second one
+	// answers; from then on the rows gather in a slice of their own, so no
+	// shard's slice is appended into.
+	var out [][]uint32
+	var seen *intern.Set
+	for i, vx := range e.vixes {
 		e.probe(i, 1)
-		rows, err := e.vixes[i].FetchIDs(c, xval)
-		parts[i] = rows
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	nonEmpty, total := 0, 0
-	last := -1
-	for i, rows := range parts {
-		if len(rows) > 0 {
-			nonEmpty++
-			total += len(rows)
-			last = i
+		rows, err := vx.FetchIDs(c, xval)
+		if err != nil {
+			return nil, err
 		}
-	}
-	if nonEmpty == 0 {
-		return nil, nil
-	}
-	if nonEmpty == 1 {
-		return parts[last], nil
-	}
-	seen := intern.NewSet(total)
-	out := make([][]uint32, 0, total)
-	for _, rows := range parts {
+		if len(rows) == 0 {
+			continue
+		}
+		if out == nil {
+			out = rows
+			continue
+		}
+		if seen == nil {
+			first := out
+			seen, out = intern.NewSet(len(first)+len(rows)), make([][]uint32, 0, len(first)+len(rows))
+			for _, r := range first {
+				if seen.Add(r) {
+					out = append(out, r)
+				}
+			}
+		}
 		for _, r := range rows {
 			if seen.Add(r) {
 				out = append(out, r)

@@ -269,6 +269,84 @@ func TestShardedOpenAndPointReads(t *testing.T) {
 	}
 }
 
+// TestBroadcastGather: a fetch whose X misses the partition key and whose
+// XY leaves out the partition attribute reads every shard, and an
+// XY-projection that rows on two shards share comes back once. The gather
+// never writes into a slice a shard's index returned: after each of two
+// gathers, every shard's own result reads the same to its capacity, so an
+// append into its spare room would show.
+func TestBroadcastGather(t *testing.T) {
+	s, _ := fixtureSchema()
+	byUID := access.NewConstraint("txn", []string{"uid"}, []string{"item", "amt"}, 8)
+	byItem := access.NewConstraint("txn", []string{"item"}, []string{"amt"}, 64)
+	a := access.NewSchema(byUID, byItem,
+		access.NewConstraint("txn", []string{"uid", "item"}, []string{"amt"}, 2),
+		access.NewConstraint("txn", []string{"amt", "uid"}, []string{"item"}, 2))
+	// Every uid holds (x, shared) and (x, own-uid). Shard 0 gets two uids,
+	// so its index answers x with three rows in a slice with spare room;
+	// every other shard gets two or more.
+	const p = 4
+	pt := NewPartition(s, a, p)
+	db := instance.NewDatabase(s)
+	var uids [p]int
+	users := 0
+	for i := 0; slices.Min(uids[:]) < 2; i++ {
+		uid := fmt.Sprintf("u%d", i)
+		if si := pt.ShardOfIDs("txn", db.Dict.Encode([]string{uid, "x", "shared"})); si > 0 || uids[0] < 2 {
+			uids[si]++
+			users++
+			db.MustInsert("txn", uid, "x", "shared")
+			db.MustInsert("txn", uid, "x", "own-"+uid)
+		}
+	}
+	_, e, err := Open(db.Dict, db.IDTables(), s, a, map[string]*cq.UCQ{}, Config{Shards: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := e.part.Route(byItem); r == nil || r.XPos != nil {
+		t.Fatal("txn(item->amt) must broadcast: its X misses the partition key uid")
+	}
+	x := []uint32{db.Dict.ID("x")}
+	var own, before [p][][]uint32
+	answering := 0
+	for i, vx := range e.vixes {
+		rows, err := vx.FetchIDs(byItem, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) > 0 {
+			answering++
+		}
+		if i == 0 && (len(rows) != 3 || cap(rows) == len(rows)) {
+			t.Fatalf("shard 0 answers x with %d rows and room for %d; the fixture needs 3 and spare room", len(rows), cap(rows))
+		}
+		own[i] = rows[:cap(rows)]
+		before[i] = slices.Clone(own[i])
+	}
+	if answering < 2 {
+		t.Fatalf("the rows of x sit on %d shard(s); the fixture needs two", answering)
+	}
+	for round := 1; round <= 2; round++ {
+		got, err := e.FetchIDs(byItem, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]int{}
+		for _, r := range got {
+			seen[fmt.Sprint(db.Dict.Decode(r))]++
+		}
+		if len(got) != users+1 || len(seen) != users+1 || seen["[shared x]"] != 1 {
+			t.Fatalf("gather %d: %d rows, %d distinct, the shared projection %d times; want %d distinct rows, the shared one once",
+				round, len(got), len(seen), seen["[shared x]"], users+1)
+		}
+		for i := range own {
+			if !slices.EqualFunc(own[i], before[i], slices.Equal) {
+				t.Fatalf("gather %d wrote into shard %d's fetch result", round, i)
+			}
+		}
+	}
+}
+
 // TestEpochKeepsUnchangedViewVersions: a batch that changes no view
 // publishes an epoch serving every view from the previous epoch's view
 // version, its rows and indices included; a batch that changes one view

@@ -10,7 +10,8 @@ import (
 // malformedPlans are plans that name attributes their inputs lack, or
 // whose operators disagree on arity — shapes no plan generator emits, but
 // a caller can hand to Execute. Several put the fault under a product of
-// two non-leaf sides, where the executor evaluates it on a pool worker.
+// two non-leaf sides, in the right input, which runs after the left one
+// has fetched.
 func malformedPlans(m *workload.Movies) map[string]Plan {
 	fetch := func() Plan {
 		return &plan.Fetch{
@@ -32,7 +33,7 @@ func malformedPlans(m *workload.Movies) map[string]Plan {
 		"select-view": &plan.Select{Child: v1, Cond: []plan.CondItem{{L: "nope", RConst: true, R: "5"}}},
 		"join-local":  join(plan.CondItem{L: "mid", R: "mid2"}, plan.CondItem{L: "nope", R: "mid"}),
 		"join-const":  join(plan.CondItem{L: "mid", R: "mid2"}, plan.CondItem{L: "nope", RConst: true, R: "x"}),
-		"worker-side": &plan.Select{
+		"right-input": &plan.Select{
 			Child: &plan.Product{L: fetch(), R: &plan.Project{Child: fetch(), Cols: []string{"nope"}}},
 			Cond:  []plan.CondItem{{L: "mid", R: "nope"}},
 		},
@@ -43,8 +44,8 @@ func malformedPlans(m *workload.Movies) map[string]Plan {
 }
 
 // TestMalformedPlansErrorNotPanic runs every malformed plan through both
-// engines and a pinned snapshot: each execution must return an error —
-// never panic, which on a pool worker would take the process down.
+// engines and a pinned snapshot: each execution must return an error,
+// never panic.
 func TestMalformedPlansErrorNotPanic(t *testing.T) {
 	sys, m := movieSystem(t)
 	for _, opts := range [][]OpenOption{nil, {WithShards(8)}} {
