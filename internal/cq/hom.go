@@ -273,8 +273,7 @@ func EvalOnRows(q *CQ, target map[string][][]string) ([][]string, bool) {
 			headVar[i] = -2
 		}
 	}
-	seen := intern.NewSet(0)
-	var out [][]uint32
+	var seen intern.RowSet
 	complete := true
 	h.run(func(bind []int64) bool {
 		row := make([]uint32, len(n.Head))
@@ -291,12 +290,10 @@ func EvalOnRows(q *CQ, target map[string][][]string) ([][]string, bool) {
 				return false
 			}
 		}
-		if seen.Add(row) {
-			out = append(out, row)
-		}
+		seen.Add(row)
 		return true
 	})
-	return h.dict.DecodeAll(out), complete
+	return h.dict.DecodeAll(seen.Rows), complete
 }
 
 // AnswerOnRows reports whether row tuple ans is in q's answer over target.

@@ -20,7 +20,7 @@ import (
 // lost their last derivation — no full refresh.
 //
 // Per delta tuple t the engine enumerates only the valuations that use t,
-// through join indexes (intern.DynIndex) on exactly the column sets the
+// through join indexes (joinIndex) on exactly the column sets the
 // compiled residual plans probe — the indexes only the initial full-plan
 // enumeration needs are dropped once it is done. The indexes are
 // themselves maintained incrementally, so per-op cost depends on the data
@@ -64,10 +64,46 @@ type Transition struct {
 // trigger.
 type relState struct {
 	arity   int
-	rows    int                         // stored rows, copies included
-	support *intern.Grouper[int]        // row -> multiplicity
-	indexes map[string]*intern.DynIndex // key: packed position set
-	plans   []*deltaPlan                // plans triggered by this relation
+	rows    int                   // stored rows, copies included
+	support *intern.Grouper[int]  // row -> multiplicity
+	indexes map[string]*joinIndex // key: packed position set
+	plans   []*deltaPlan          // plans triggered by this relation
+}
+
+// joinIndex is a join index: the stored rows of one relation grouped by
+// their projection at the index's key positions. An empty position set is
+// one group of every row, the degenerate case a cross-product step needs.
+// The rows are shared, never mutated.
+type joinIndex = intern.Grouper[[][]uint32]
+
+// addRow indexes row under its key.
+func addRow(ix *joinIndex, row []uint32) {
+	g := ix.At(row)
+	*g = append(*g, row)
+}
+
+// removeRow deletes one row equal to row from its group, swapping the
+// group's last row into its place and dropping the group when it empties,
+// and reports whether the row was indexed.
+func removeRow(ix *joinIndex, row []uint32) bool {
+	g := ix.Get(row)
+	if g == nil {
+		return false
+	}
+	rows := *g
+	for k, r := range rows {
+		if intern.RowsEq(r, row) {
+			last := len(rows) - 1
+			rows[k], rows[last] = rows[last], nil
+			if last == 0 {
+				ix.Remove(row)
+			} else {
+				*g = rows[:last]
+			}
+			return true
+		}
+	}
+	return false
 }
 
 // viewState is one view's counted extent: every row with a positive
@@ -96,12 +132,13 @@ type deltaPlan struct {
 	view    *viewState
 	trigger triggerSpec
 	steps   []joinStep
-	head    []valSrc
-	nslots  int
+	head    []int // the slot of each head value
 
 	// Scratch of enumerate, reused across calls: the engine's single
-	// writer enumerates one plan at a time.
-	slots, key, row []uint32
+	// writer enumerates one plan at a time. slots holds the valuation:
+	// a slot per variable, bound as the steps go, and one per constant of
+	// a step key or the head, holding its ID from compilation on.
+	slots, row []uint32
 }
 
 // triggerSpec matches the delta tuple against the trigger atom.
@@ -122,25 +159,18 @@ type posSlot struct {
 	slot int
 }
 
-// joinStep probes one atom: the key (constants + already-bound slots) is
-// looked up in the atom's DynIndex; surviving rows bind the atom's new
-// variables. exclude implements the delta decomposition: occurrences of
-// the trigger relation that precede the trigger atom must not re-use the
-// delta tuple itself (each gained/lost valuation is counted at its FIRST
-// occurrence of t).
+// joinStep probes one atom: the key (the slots of constants and of
+// already-bound variables) is looked up in the atom's joinIndex; surviving
+// rows bind the atom's new variables. exclude implements the delta
+// decomposition: occurrences of the trigger relation that precede the
+// trigger atom must not re-use the delta tuple itself (each gained/lost
+// valuation is counted at its FIRST occurrence of t).
 type joinStep struct {
-	index   *intern.DynIndex
-	key     []valSrc
+	index   *joinIndex
+	key     []int // slots
 	binds   []posSlot
 	post    [][2]int // argument position pairs (repeated new variable)
 	exclude bool
-}
-
-// valSrc produces one value: a constant ID or a slot read.
-type valSrc struct {
-	isConst bool
-	id      uint32
-	slot    int
 }
 
 // NewDeltaEngine builds an engine over ID-encoded rows interned through
@@ -182,7 +212,7 @@ func NewDeltaEngine(s *schema.Schema, d *intern.Dict, rows map[string][][]uint32
 // would make each delete cost O(|D|). The restore path never builds them,
 // so fresh and restored engines keep the same index set.
 func (e *DeltaEngine) dropUnprobedIndexes() {
-	probed := make(map[*intern.DynIndex]bool)
+	probed := make(map[*joinIndex]bool)
 	for _, rs := range e.rels {
 		for _, p := range rs.plans {
 			for _, st := range p.steps {
@@ -221,7 +251,7 @@ func (e *DeltaEngine) CheckpointExtents() map[string]Extent {
 			Counts: make([]int, v.rows.len()),
 		}
 		for i, r := range ext.Rows {
-			ext.Counts[i] = v.counts.At(r).count
+			ext.Counts[i] = v.counts.Get(r).count
 		}
 		out[name] = ext
 	}
@@ -285,7 +315,7 @@ func newEngine(s *schema.Schema, d *intern.Dict, rows map[string][][]uint32, vie
 		e.rels[name] = &relState{
 			arity:   r.Arity(),
 			support: intern.NewGrouper[int](allPos(r.Arity())),
-			indexes: make(map[string]*intern.DynIndex),
+			indexes: make(map[string]*joinIndex),
 		}
 	}
 	for name := range views {
@@ -294,7 +324,7 @@ func newEngine(s *schema.Schema, d *intern.Dict, rows map[string][][]uint32, vie
 	sort.Strings(e.names)
 
 	// Compile one delta plan per (disjunct, atom occurrence); compilation
-	// registers the DynIndexes the steps probe.
+	// registers the join indexes the steps probe.
 	var inits []*deltaPlan
 	for _, name := range e.names {
 		def := views[name]
@@ -331,7 +361,7 @@ func newEngine(s *schema.Schema, d *intern.Dict, rows map[string][][]uint32, vie
 			*cnt++
 			if *cnt == 1 {
 				for _, ix := range rs.indexes {
-					ix.Add(r)
+					addRow(ix, r)
 				}
 			}
 		}
@@ -357,9 +387,9 @@ func allPos(n int) []int {
 	return pos
 }
 
-// indexOn returns (creating and registering on first use) the DynIndex of
-// rel keyed by the argument positions pos.
-func (e *DeltaEngine) indexOn(rel string, pos []int) (*intern.DynIndex, error) {
+// indexOn returns (creating and registering on first use) the join index
+// of rel keyed by the argument positions pos.
+func (e *DeltaEngine) indexOn(rel string, pos []int) (*joinIndex, error) {
 	rs, err := e.relFor(rel)
 	if err != nil {
 		return nil, err
@@ -368,7 +398,7 @@ func (e *DeltaEngine) indexOn(rel string, pos []int) (*intern.DynIndex, error) {
 	if ix, ok := rs.indexes[key]; ok {
 		return ix, nil
 	}
-	ix := intern.NewDynIndex(append([]int(nil), pos...))
+	ix := intern.NewGrouper[[][]uint32](append([]int(nil), pos...))
 	rs.indexes[key] = ix
 	return ix, nil
 }
@@ -385,10 +415,13 @@ func (e *DeltaEngine) compile(v *viewState, n *cq.CQ, trig int) (*deltaPlan, err
 		return s, ok
 	}
 	newSlot := func(name string) int {
-		s := p.nslots
-		slotOf[name] = s
-		p.nslots++
-		return s
+		slotOf[name] = len(p.slots)
+		p.slots = append(p.slots, 0)
+		return len(p.slots) - 1
+	}
+	constSlot := func(val string) int {
+		p.slots = append(p.slots, e.dict.ID(val))
+		return len(p.slots) - 1
 	}
 
 	trigRel := ""
@@ -459,7 +492,7 @@ func (e *DeltaEngine) compile(v *viewState, n *cq.CQ, trig int) (*deltaPlan, err
 		for i, t := range a.Args {
 			if t.Const {
 				keyPos = append(keyPos, i)
-				st.key = append(st.key, valSrc{isConst: true, id: e.dict.ID(t.Val)})
+				st.key = append(st.key, constSlot(t.Val))
 				continue
 			}
 			// A repeat of a variable FIRST bound by this very atom cannot
@@ -471,7 +504,7 @@ func (e *DeltaEngine) compile(v *viewState, n *cq.CQ, trig int) (*deltaPlan, err
 			}
 			if s, bound := slot(t.Val); bound {
 				keyPos = append(keyPos, i)
-				st.key = append(st.key, valSrc{slot: s})
+				st.key = append(st.key, s)
 				continue
 			}
 			seen[t.Val] = i
@@ -486,24 +519,22 @@ func (e *DeltaEngine) compile(v *viewState, n *cq.CQ, trig int) (*deltaPlan, err
 
 	for _, t := range n.Head {
 		if t.Const {
-			p.head = append(p.head, valSrc{isConst: true, id: e.dict.ID(t.Val)})
+			p.head = append(p.head, constSlot(t.Val))
 			continue
 		}
 		s, ok := slot(t.Val)
 		if !ok {
 			return nil, fmt.Errorf("unsafe query, unbound head variable %s", t.Val)
 		}
-		p.head = append(p.head, valSrc{slot: s})
+		p.head = append(p.head, s)
 	}
+	p.row = make([]uint32, len(p.head))
 	return p, nil
 }
 
 // enumerate walks a plan's steps for delta tuple t (nil for the full
 // plan), applying sign to the view count of every valuation's head row.
 func (e *DeltaEngine) enumerate(p *deltaPlan, t []uint32, sign int) error {
-	if p.slots == nil {
-		p.slots, p.row = make([]uint32, p.nslots), make([]uint32, len(p.head))
-	}
 	if t != nil {
 		for _, c := range p.trigger.consts {
 			if t[c.pos] != c.id {
@@ -526,26 +557,18 @@ func (e *DeltaEngine) enumerate(p *deltaPlan, t []uint32, sign int) error {
 // counts the head row of each complete one.
 func (e *DeltaEngine) extend(p *deltaPlan, t []uint32, sign, i int) error {
 	if i == len(p.steps) {
-		for j, h := range p.head {
-			if h.isConst {
-				p.row[j] = h.id
-			} else {
-				p.row[j] = p.slots[h.slot]
-			}
+		for j, s := range p.head {
+			p.row[j] = p.slots[s]
 		}
 		return e.bump(p.view, p.row, sign, t != nil)
 	}
 	st := &p.steps[i]
-	p.key = p.key[:0]
-	for _, k := range st.key {
-		if k.isConst {
-			p.key = append(p.key, k.id)
-		} else {
-			p.key = append(p.key, p.slots[k.slot])
-		}
+	g := st.index.GetAt(p.slots, st.key)
+	if g == nil {
+		return nil
 	}
 rows:
-	for _, r := range st.index.Get(p.key) {
+	for _, r := range *g {
 		if st.exclude && intern.RowsEq(r, t) {
 			continue
 		}
@@ -586,7 +609,7 @@ func (e *DeltaEngine) bump(v *viewState, row []uint32, sign int, record bool) er
 		// them; the rows (the []uint32 elements) are immutable and stay
 		// shared.
 		if moved := v.rows.swapRemove(st.pos); moved != nil {
-			v.counts.At(moved).pos = st.pos
+			v.counts.Get(moved).pos = st.pos
 		}
 		// Drop the spent entry: a long-running server's memory must track
 		// the live extent, not every row ever derived.
@@ -648,8 +671,8 @@ func (e *DeltaEngine) Apply(a *instance.Applied) ([]Transition, error) {
 		if !ok {
 			continue // relation not stored: no view reads it
 		}
-		cnt := rs.support.At(op.IDs)
-		if *cnt <= 0 {
+		cnt := rs.support.Get(op.IDs)
+		if cnt == nil {
 			return nil, fmt.Errorf("eval: delta engine out of sync: delete of unsupported row in %s", op.Rel)
 		}
 		*cnt--
@@ -666,7 +689,7 @@ func (e *DeltaEngine) Apply(a *instance.Applied) ([]Transition, error) {
 			}
 		}
 		for _, ix := range rs.indexes {
-			if !ix.Remove(op.IDs) {
+			if !removeRow(ix, op.IDs) {
 				// Same class of misuse the support-count check catches:
 				// fail fast rather than serve stale joins.
 				return nil, fmt.Errorf("eval: delta engine out of sync: retracted row missing from a join index of %s", op.Rel)
@@ -692,7 +715,7 @@ func (e *DeltaEngine) Apply(a *instance.Applied) ([]Transition, error) {
 		row := append([]uint32(nil), op.IDs...)
 		e.trans = append(e.trans, Transition{Name: op.Rel, Sign: +1, Row: row})
 		for _, ix := range rs.indexes {
-			ix.Add(row)
+			addRow(ix, row)
 		}
 		for _, p := range rs.plans {
 			if err := e.enumerate(p, row, +1); err != nil {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cq"
 	"repro/internal/instance"
+	"repro/internal/intern"
 	"repro/internal/schema"
 	"repro/internal/workload"
 )
@@ -459,7 +460,57 @@ func TestDeltaTxnChurnAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("txn insert + delete: %.1f allocs", allocs)
-	if allocs > 8 {
-		t.Fatalf("txn insert + delete allocates %.1f times, budget 8", allocs)
+	if allocs > 3 {
+		t.Fatalf("txn insert + delete allocates %.1f times, budget 3", allocs)
+	}
+}
+
+// TestJoinIndex: a join index group keeps its rows in insertion order
+// until removeRow swaps the group's last row into the hole; removing an
+// absent row reports false; removing a group's last row drops the group;
+// and empty key positions make one group of every row, which a
+// cross-product step probes.
+func TestJoinIndex(t *testing.T) {
+	ix := intern.NewGrouper[[][]uint32]([]int{0})
+	for _, r := range [][]uint32{{1, 10}, {1, 11}, {1, 12}, {2, 20}} {
+		addRow(ix, r)
+	}
+	group := func(key uint32) [][]uint32 {
+		if g := ix.GetAt([]uint32{5, key}, []int{1}); g != nil {
+			return *g
+		}
+		return nil
+	}
+	if got := group(1); fmt.Sprint(got) != "[[1 10] [1 11] [1 12]]" {
+		t.Fatalf("group 1 holds %v", got)
+	}
+	if group(3) != nil {
+		t.Fatal("an absent key must have no group")
+	}
+	if !removeRow(ix, []uint32{1, 10}) {
+		t.Fatal("removeRow must find an indexed row by value")
+	}
+	if got := group(1); fmt.Sprint(got) != "[[1 12] [1 11]]" {
+		t.Fatalf("swap-delete: group 1 holds %v, want rows 12 and 11", got)
+	}
+	if removeRow(ix, []uint32{1, 10}) || removeRow(ix, []uint32{3, 30}) {
+		t.Fatal("removing an absent row (in a present group or an absent one) must report false")
+	}
+	groups := 0
+	ix.Each(func([]uint32, *[][]uint32) { groups++ })
+	if !removeRow(ix, []uint32{2, 20}) || group(2) != nil || groups != 2 {
+		t.Fatalf("removing the last row of group 2 must drop it (%d groups before)", groups)
+	}
+	groups = 0
+	ix.Each(func([]uint32, *[][]uint32) { groups++ })
+	if groups != 1 {
+		t.Fatalf("%d groups left, want 1", groups)
+	}
+
+	all := intern.NewGrouper[[][]uint32](nil)
+	addRow(all, []uint32{1})
+	addRow(all, []uint32{2})
+	if g := all.GetAt([]uint32{7}, nil); g == nil || len(*g) != 2 {
+		t.Fatalf("empty key positions: want one group of the 2 rows, got %v", g)
 	}
 }

@@ -180,7 +180,7 @@ func cqIDRows(q *cq.CQ, src *Source) ([][]uint32, error) {
 		// Filter rows by constants and intra-atom repeats, index by join
 		// key. No size hint: constants typically filter most rows away,
 		// and presizing to the unfiltered count would dominate the cost.
-		index := intern.NewDynIndex(joinAtom)
+		var kept [][]uint32
 	rowLoop:
 		for _, r := range rows {
 			if len(r) != len(at.Args) {
@@ -196,12 +196,15 @@ func cqIDRows(q *cq.CQ, src *Source) ([][]uint32, error) {
 					continue rowLoop
 				}
 			}
-			index.Add(r)
+			kept = append(kept, r)
 		}
+		index := intern.NewFlatIndex(kept, joinAtom)
 		// Extend bindings.
 		next := make([][]uint32, 0, len(bindings))
+		var match [][]uint32
 		for _, b := range bindings {
-			for _, r := range index.GetAt(b, joinBind) {
+			match = index.Lookup(b, joinBind, match[:0])
+			for _, r := range match {
 				nb := make([]uint32, len(b), len(b)+len(newUses))
 				copy(nb, b)
 				for _, nu := range newUses {
@@ -235,8 +238,7 @@ func cqIDRows(q *cq.CQ, src *Source) ([][]uint32, error) {
 		}
 		headPos[i] = p
 	}
-	seen := intern.NewSet(len(bindings))
-	var out [][]uint32
+	var seen intern.RowSet
 	for _, b := range bindings {
 		row := make([]uint32, len(n.Head))
 		for i, p := range headPos {
@@ -246,11 +248,9 @@ func cqIDRows(q *cq.CQ, src *Source) ([][]uint32, error) {
 				row[i] = b[p]
 			}
 		}
-		if seen.Add(row) {
-			out = append(out, row)
-		}
+		seen.Add(row)
 	}
-	return out, nil
+	return seen.Rows, nil
 }
 
 // varUse records that an atom argument position uses a named variable.
@@ -306,20 +306,13 @@ func UCQOnDB(u *cq.UCQ, src *Source) ([][]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	total := 0
-	for _, rows := range results {
-		total += len(rows)
-	}
-	seen := intern.NewSet(total)
-	var out [][]uint32
+	var seen intern.RowSet
 	for _, rows := range results {
 		for _, r := range rows {
-			if seen.Add(r) {
-				out = append(out, r)
-			}
+			seen.Add(r)
 		}
 	}
-	return src.Dict().DecodeAll(out), nil
+	return src.Dict().DecodeAll(seen.Rows), nil
 }
 
 // Materialize computes the extents of a set of views (UCQ definitions) over

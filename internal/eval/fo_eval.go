@@ -37,15 +37,11 @@ func FOOnDB(q *fo.Query, src *Source) ([][]string, error) {
 		}
 		pos[i] = p
 	}
-	seen := intern.NewSet(len(rel.rows))
-	var out [][]uint32
+	var seen intern.RowSet
 	for _, r := range rel.rows {
-		row := intern.Project(r, pos)
-		if seen.Add(row) {
-			out = append(out, row)
-		}
+		seen.AddAt(nil, r, pos)
 	}
-	return src.Dict().DecodeAll(out), nil
+	return src.Dict().DecodeAll(seen.Rows), nil
 }
 
 func evalExpr(e fo.Expr, src *Source) (*relation, error) {
@@ -232,9 +228,9 @@ func antiJoin(cur *relation, neg fo.Expr, src *Source) (*relation, error) {
 		}
 		npos[i] = p
 	}
-	bad := intern.NewSet(len(rel.rows))
+	bad := intern.NewRowSet(nil, len(rel.rows))
 	for _, r := range rel.rows {
-		bad.AddProj(r, npos)
+		bad.AddAt(nil, r, npos)
 	}
 	var kept [][]uint32
 	for _, r := range cur.rows {
@@ -300,14 +296,14 @@ func complementRel(e fo.Expr, src *Source) (*relation, error) {
 type modelChecker struct {
 	src  *Source
 	dom  []uint32
-	rels map[string]*intern.Set // relation -> ID-row set
+	rels map[string]*intern.RowSet // relation -> ID-row set
 }
 
 func newModelChecker(src *Source, dom []uint32) *modelChecker {
-	return &modelChecker{src: src, dom: dom, rels: map[string]*intern.Set{}}
+	return &modelChecker{src: src, dom: dom, rels: map[string]*intern.RowSet{}}
 }
 
-func (m *modelChecker) rowSet(rel string) (*intern.Set, error) {
+func (m *modelChecker) rowSet(rel string) (*intern.RowSet, error) {
 	if s, ok := m.rels[rel]; ok {
 		return s, nil
 	}
@@ -315,12 +311,12 @@ func (m *modelChecker) rowSet(rel string) (*intern.Set, error) {
 	if !ok {
 		return nil, fmt.Errorf("eval: unknown relation %s", rel)
 	}
-	s := intern.NewSet(len(rows))
+	s := intern.NewRowSet(nil, len(rows))
 	for _, r := range rows {
 		s.Add(r)
 	}
-	m.rels[rel] = s
-	return s, nil
+	m.rels[rel] = &s
+	return &s, nil
 }
 
 // holds decides e under bind; every free variable of e must be bound.
@@ -505,7 +501,7 @@ func evalAtom(a *fo.Atom, src *Source) (*relation, error) {
 		}
 	}
 	out := &relation{cols: cols}
-	seen := intern.NewSet(0) // constants typically filter most rows away
+	var seen intern.RowSet // constants typically filter most rows away
 rowLoop:
 	for _, r := range rows {
 		if len(r) != len(a.Args) {
@@ -520,11 +516,9 @@ rowLoop:
 				continue rowLoop
 			}
 		}
-		row := intern.Project(r, colPos)
-		if seen.Add(row) {
-			out.rows = append(out.rows, row)
-		}
+		seen.AddAt(nil, r, colPos)
 	}
+	out.rows = seen.Rows
 	return out, nil
 }
 
@@ -545,13 +539,12 @@ func joinRel(l, r *relation) *relation {
 			extraPos = append(extraPos, i)
 		}
 	}
-	index := intern.NewDynIndex(rpos)
-	for _, row := range r.rows {
-		index.Add(row)
-	}
+	index := intern.NewFlatIndex(r.rows, rpos)
 	out := &relation{cols: append(append([]string{}, l.cols...), extraCols...)}
+	var match [][]uint32
 	for _, lrow := range l.rows {
-		for _, rrow := range index.GetAt(lrow, lpos) {
+		match = index.Lookup(lrow, lpos, match[:0])
+		for _, rrow := range match {
 			row := make([]uint32, 0, len(lrow)+len(extraPos))
 			row = append(row, lrow...)
 			for _, p := range extraPos {
@@ -575,20 +568,14 @@ func unionRel(l, r *relation) (*relation, error) {
 	for i, c := range l.cols {
 		pos[i] = indexOfStr(r.cols, c)
 	}
-	seen := intern.NewSet(len(l.rows) + len(r.rows))
-	out := &relation{cols: l.cols}
+	seen := intern.NewRowSet(nil, len(l.rows)+len(r.rows))
 	for _, row := range l.rows {
-		if seen.Add(row) {
-			out.rows = append(out.rows, row)
-		}
+		seen.Add(row)
 	}
 	for _, rr := range r.rows {
-		row := intern.Project(rr, pos)
-		if seen.Add(row) {
-			out.rows = append(out.rows, row)
-		}
+		seen.AddAt(nil, rr, pos)
 	}
-	return out, nil
+	return &relation{cols: l.cols, rows: seen.Rows}, nil
 }
 
 func projectOut(rel *relation, vars []string) *relation {
@@ -604,15 +591,11 @@ func projectOut(rel *relation, vars []string) *relation {
 			pos = append(pos, i)
 		}
 	}
-	out := &relation{cols: cols}
-	seen := intern.NewSet(len(rel.rows))
+	seen := intern.NewRowSet(nil, len(rel.rows))
 	for _, r := range rel.rows {
-		row := intern.Project(r, pos)
-		if seen.Add(row) {
-			out.rows = append(out.rows, row)
-		}
+		seen.AddAt(nil, r, pos)
 	}
-	return out
+	return &relation{cols: cols, rows: seen.Rows}
 }
 
 func conjunctList(e fo.Expr) []fo.Expr {

@@ -156,9 +156,8 @@ func (t *Table) deleteOne(row Tuple) ([]uint32, bool) {
 	if !ok {
 		return nil, false
 	}
-	occ := pos.At(ids)
-	if len(*occ) == 0 {
-		pos.Remove(ids) // don't accumulate empty groups for absent rows
+	occ := pos.Get(ids)
+	if occ == nil {
 		return nil, false
 	}
 	i := (*occ)[len(*occ)-1]
@@ -171,7 +170,7 @@ func (t *Table) deleteOne(row Tuple) ([]uint32, bool) {
 		moved := t.idRows[last]
 		t.Tuples[i] = t.Tuples[last]
 		t.idRows[i] = moved
-		mocc := pos.At(moved)
+		mocc := pos.Get(moved)
 		for k := range *mocc {
 			if (*mocc)[k] == last {
 				(*mocc)[k] = i
@@ -350,10 +349,10 @@ func (db *Database) Satisfies(c *access.Constraint) (bool, error) {
 		return false, err
 	}
 	// Group ID rows by X-value; count distinct Y-projections per group.
-	groups := intern.NewGrouper[intern.Set](xpos)
+	groups := intern.NewGrouper[intern.RowSet](xpos)
 	for _, r := range t.IDRows() {
 		ys := groups.At(r)
-		if _, fresh := ys.AddProj(r, ypos); fresh && ys.Len() > c.N {
+		if ys.AddAt(nil, r, ypos) && len(ys.Rows) > c.N {
 			return false, nil
 		}
 	}

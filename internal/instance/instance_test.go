@@ -1,6 +1,8 @@
 package instance
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -31,6 +33,43 @@ func TestSatisfies(t *testing.T) {
 	db.MustInsert("R", "a", "3", "w")
 	if ok, _ := db.Satisfies(c); ok {
 		t.Fatal("three distinct B-values violate the bound")
+	}
+}
+
+// TestSatisfiesBoundary: an X-group with exactly N distinct
+// Y-projections satisfies the constraint and one more violates it; rows
+// that differ only outside XY count once; and the outcome does not depend
+// on the order the rows went in.
+func TestSatisfiesBoundary(t *testing.T) {
+	s := schema.New(schema.NewRelation("R", "A", "B", "C", "D"))
+	c := access.NewConstraint("R", []string{"A"}, []string{"B", "C"}, 3)
+	// Group a holds N = 3 distinct (B, C) projections over six rows that
+	// differ in D; group b holds two.
+	base := [][]string{
+		{"a", "1", "x", "p"}, {"a", "1", "x", "q"}, {"a", "1", "x", "r"},
+		{"a", "1", "y", "p"}, {"a", "2", "x", "p"}, {"a", "2", "x", "q"},
+		{"b", "1", "x", "p"}, {"b", "3", "z", "p"},
+	}
+	over := []string{"a", "x", "1", "p"} // a fourth projection of group a
+	rng := rand.New(rand.NewSource(1))
+	for trial := range 24 {
+		for _, extra := range [][]string{nil, over} {
+			rows := slices.Clone(base)
+			if extra != nil {
+				rows = append(rows, extra)
+			}
+			if trial > 0 {
+				rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+			}
+			db := NewDatabase(s)
+			for _, r := range rows {
+				db.MustInsert("R", r...)
+			}
+			ok, err := db.Satisfies(c)
+			if err != nil || ok != (extra == nil) {
+				t.Fatalf("trial %d, rows %v: Satisfies = %v, %v; want %v", trial, rows, ok, err, extra == nil)
+			}
+		}
 	}
 }
 

@@ -34,10 +34,11 @@ type Arena struct {
 
 // Row returns an n-wide row capped at n, so appending to it never
 // overwrites the next row. Its contents are unspecified: callers fill it.
-// A row wider than a slab is allocated on its own.
+// A row wider than a slab, or asked of a nil arena, is allocated on its
+// own.
 func (a *Arena) Row(n int) []uint32 {
-	if n > len(a.free) {
-		if n > slabLen {
+	if a == nil || n > len(a.free) {
+		if a == nil || n > slabLen {
 			return make([]uint32, n)
 		}
 		s := slabs.Get().(*[]uint32)
@@ -50,8 +51,12 @@ func (a *Arena) Row(n int) []uint32 {
 }
 
 // List returns an empty row list with room for n rows, reusing a list of
-// an earlier execution when there is one. Hand the built list to Keep.
+// an earlier execution when there is one; a nil arena allocates it. Hand
+// the built list to Keep.
 func (a *Arena) List(n int) [][]uint32 {
+	if a == nil {
+		return make([][]uint32, 0, n)
+	}
 	var l [][]uint32
 	if k := len(a.spare); k > 0 {
 		l, a.spare = a.spare[k-1], a.spare[:k-1]
@@ -95,24 +100,39 @@ func localID(i int) uint32 { return math.MaxUint32 - uint32(i) }
 // RowSet is an open-addressing set of ID rows: a power-of-two table of
 // row numbers, probed linearly from the Fibonacci-mixed Hash of a row, at
 // most half full. The distinct rows are kept in Rows, in first-added order,
-// by reference. Not safe for concurrent use.
+// by reference. The table doubles when an Add would pass half full; the
+// zero RowSet is empty and ready to use. Not safe for concurrent use.
 type RowSet struct {
 	Rows  [][]uint32
 	slots []uint32 // 1 + the row's index in Rows; 0 marks an empty slot
 	shift uint
 }
 
-// NewRowSet returns an empty set for at most n rows, whose table and row
-// list come from a. Hand Rows to a.Keep once the set is built.
+// tableBits returns the log2 of the smallest table more than twice n.
+func tableBits(n int) uint { return uint(bits.Len(uint(2 * n))) }
+
+// NewRowSet returns an empty set presized for n rows, so it never grows
+// while it holds at most n, whose table and row list come from a (the
+// heap when a is nil). Hand Rows to a.Keep once the set is built.
 func NewRowSet(a *Arena, n int) RowSet {
-	nbits := uint(bits.Len(uint(2 * n))) // 2^nbits > 2n
+	nbits := tableBits(n)
 	slots := a.Row(1 << nbits)
 	clear(slots)
 	return RowSet{Rows: a.List(n), slots: slots, shift: 64 - nbits}
 }
 
+// grow rebuilds the table on the heap with room for one more row.
+func (s *RowSet) grow() {
+	nbits := tableBits(len(s.Rows) + 1)
+	s.slots, s.shift = make([]uint32, 1<<nbits), 64-nbits
+	for i, r := range s.Rows {
+		*s.find(r, nil, false) = uint32(i + 1)
+	}
+}
+
 // find returns the slot holding the row equal to the projection of row at
-// pos (all of row unless proj), or the empty slot where it belongs.
+// pos (all of row unless proj), or the empty slot where it belongs. The
+// table must not be empty.
 func (s *RowSet) find(row []uint32, pos []int, proj bool) *uint32 {
 	var h uint64
 	if proj {
@@ -147,6 +167,9 @@ func projEq(r, row []uint32, pos []int) bool {
 
 // Add inserts row by reference, reporting whether it was new.
 func (s *RowSet) Add(row []uint32) bool {
+	if 2*(len(s.Rows)+1) > len(s.slots) {
+		s.grow()
+	}
 	j := s.find(row, nil, false)
 	if *j != 0 {
 		return false
@@ -156,9 +179,12 @@ func (s *RowSet) Add(row []uint32) bool {
 	return true
 }
 
-// AddAt inserts the projection of row at pos, carved from a when it is
-// new, reporting whether it was.
+// AddAt inserts the projection of row at pos, carved from a (the heap
+// when a is nil) when it is new, reporting whether it was.
 func (s *RowSet) AddAt(a *Arena, row []uint32, pos []int) bool {
+	if 2*(len(s.Rows)+1) > len(s.slots) {
+		s.grow()
+	}
 	j := s.find(row, pos, true)
 	if *j != 0 {
 		return false
@@ -173,4 +199,12 @@ func (s *RowSet) AddAt(a *Arena, row []uint32, pos []int) bool {
 }
 
 // Has reports membership of row.
-func (s *RowSet) Has(row []uint32) bool { return *s.find(row, nil, false) != 0 }
+func (s *RowSet) Has(row []uint32) bool {
+	return len(s.slots) > 0 && *s.find(row, nil, false) != 0
+}
+
+// HasAt reports membership of the projection of row at pos, without
+// building it.
+func (s *RowSet) HasAt(row []uint32, pos []int) bool {
+	return len(s.slots) > 0 && *s.find(row, pos, true) != 0
+}

@@ -1,15 +1,17 @@
 // Package intern implements the interned-value execution core: a
-// dictionary mapping domain strings to dense uint32 IDs, plus hash
-// containers (Set, Index, FlatIndex, RowSet) keyed by packed []uint32 rows
-// through a cheap FNV-style 64-bit key with collision verification, and
-// the pooled Arena a query execution builds its rows in.
+// dictionary mapping domain strings to dense uint32 IDs, the containers
+// keyed by packed []uint32 rows through a cheap FNV-style 64-bit key with
+// collision verification (the mutable Grouper, the RowSet and the
+// read-only FlatIndex), and the pooled Arena a query execution builds its
+// rows in.
 //
 // The evaluation engines (internal/eval, internal/plan, internal/cq)
 // operate on ID-encoded rows end-to-end and decode back to strings only at
 // the API boundary, so hash joins, deduplication and homomorphism checks
 // compare machine words instead of joining strings. The dictionary is safe
-// for concurrent use; Set and Index are not (each worker builds its own),
-// and a built FlatIndex is read-only, so any number of readers may share it.
+// for concurrent use; a Grouper or RowSet is not (its owner serializes
+// its use), and a built FlatIndex is read-only, so any number of readers
+// may share it.
 package intern
 
 import (
@@ -199,9 +201,6 @@ func (d *Local) ID(s string) uint32 {
 	return id
 }
 
-// Str returns the string for an interned ID.
-func (d *Local) Str(id uint32) string { return d.strs[id] }
-
 // Encode interns every value of row and returns the ID-encoded row.
 func (d *Local) Encode(row []string) []uint32 {
 	out := make([]uint32, len(row))
@@ -278,98 +277,6 @@ func Project(row []uint32, pos []int) []uint32 {
 	return out
 }
 
-// Set is a set of ID rows keyed by Hash with collision verification.
-// Added rows are retained by reference and must not be mutated afterwards.
-// The zero value is an empty set ready to use. Not safe for concurrent
-// use.
-type Set struct {
-	buckets map[uint64][][]uint32
-	n       int
-}
-
-// NewSet creates a set with a size hint.
-func NewSet(hint int) *Set {
-	return &Set{buckets: make(map[uint64][][]uint32, hint)}
-}
-
-// Add inserts row, reporting whether it was newly added.
-func (s *Set) Add(row []uint32) bool {
-	if s.buckets == nil {
-		s.buckets = make(map[uint64][][]uint32)
-	}
-	h := Hash(row)
-	b := s.buckets[h]
-	for _, r := range b {
-		if RowsEq(r, row) {
-			return false
-		}
-	}
-	s.buckets[h] = append(b, row)
-	s.n++
-	return true
-}
-
-// Has reports membership of row.
-func (s *Set) Has(row []uint32) bool {
-	for _, r := range s.buckets[Hash(row)] {
-		if RowsEq(r, row) {
-			return true
-		}
-	}
-	return false
-}
-
-// HasAt reports membership of the projection of row at positions pos,
-// without allocating the projection.
-func (s *Set) HasAt(row []uint32, pos []int) bool {
-	for _, r := range s.buckets[HashAt(row, pos)] {
-		if len(r) != len(pos) {
-			continue
-		}
-		eq := true
-		for i, p := range pos {
-			if r[i] != row[p] {
-				eq = false
-				break
-			}
-		}
-		if eq {
-			return true
-		}
-	}
-	return false
-}
-
-// AddProj adds the projection of row at positions pos, allocating the
-// projection only when it is new. It returns the stored projection and
-// whether it was newly added.
-func (s *Set) AddProj(row []uint32, pos []int) ([]uint32, bool) {
-	if s.buckets == nil {
-		s.buckets = make(map[uint64][][]uint32)
-	}
-	h := HashAt(row, pos)
-	b := s.buckets[h]
-outer:
-	for _, r := range b {
-		if len(r) != len(pos) {
-			continue
-		}
-		for i, p := range pos {
-			if r[i] != row[p] {
-				continue outer
-			}
-		}
-		return r, false
-	}
-	proj := Project(row, pos)
-	s.buckets[h] = append(b, proj)
-	s.n++
-	return proj, true
-}
-
-// Len returns the number of distinct rows added.
-func (s *Set) Len() int { return s.n }
-
 // FlatIndex is a read-only multimap from the projection of rows at fixed
 // key positions to those rows, laid out flat: a power-of-two bucket table
 // of offsets into one uint32 permutation of the row positions, bucketed by
@@ -443,7 +350,8 @@ next:
 
 // Grouper groups ID rows by their projection at fixed positions, with
 // collision verification: each distinct projection owns one value of type
-// T (zero-initialized on first sight). Not safe for concurrent use.
+// T, zero on first sight, kept inline in its bucket entry. Not safe for
+// concurrent use.
 type Grouper[T any] struct {
 	pos     []int
 	buckets map[uint64][]groupEntry[T]
@@ -451,7 +359,7 @@ type Grouper[T any] struct {
 
 type groupEntry[T any] struct {
 	key []uint32
-	val *T
+	val T
 }
 
 // NewGrouper creates a grouper keyed by the projection at pos.
@@ -459,32 +367,51 @@ func NewGrouper[T any](pos []int) *Grouper[T] {
 	return &Grouper[T]{pos: pos, buckets: make(map[uint64][]groupEntry[T])}
 }
 
-// Get returns the group value for row's projection, or nil when the
-// projection has no group. It never allocates.
-func (g *Grouper[T]) Get(row []uint32) *T {
-	es := g.buckets[HashAt(row, g.pos)]
-outer:
+// find returns the index in bucket es of the group keyed by the
+// projection of probe at probePos, or -1.
+func find[T any](es []groupEntry[T], probe []uint32, probePos []int) int {
+next:
 	for i := range es {
-		for j, p := range g.pos {
-			if es[i].key[j] != row[p] {
-				continue outer
+		for j, p := range probePos {
+			if es[i].key[j] != probe[p] {
+				continue next
 			}
 		}
-		return es[i].val
+		return i
+	}
+	return -1
+}
+
+// Get returns the value of the group of row's projection, or nil when the
+// projection has no group. It never allocates. The pointer is valid until
+// the next At or Remove on g.
+func (g *Grouper[T]) Get(row []uint32) *T { return g.GetAt(row, g.pos) }
+
+// GetAt returns the value of the group whose key equals the projection of
+// probe at probePos (one entry per key position), or nil. It never
+// allocates. The pointer is valid until the next At or Remove on g.
+func (g *Grouper[T]) GetAt(probe []uint32, probePos []int) *T {
+	es := g.buckets[HashAt(probe, probePos)]
+	if i := find(es, probe, probePos); i >= 0 {
+		return &es[i].val
 	}
 	return nil
 }
 
-// At returns the group value for row's projection, allocating a zero T
-// for a projection seen for the first time.
+// At returns the value of the group of row's projection, adding a group
+// with a zero T for a projection seen for the first time. The pointer
+// points into the group's bucket: it is valid until the next At or Remove
+// on g.
 func (g *Grouper[T]) At(row []uint32) *T {
-	if v := g.Get(row); v != nil {
-		return v
-	}
 	h := HashAt(row, g.pos)
-	e := groupEntry[T]{key: Project(row, g.pos), val: new(T)}
-	g.buckets[h] = append(g.buckets[h], e)
-	return e.val
+	es := g.buckets[h]
+	i := find(es, row, g.pos)
+	if i < 0 {
+		i = len(es)
+		es = append(es, groupEntry[T]{key: Project(row, g.pos)})
+		g.buckets[h] = es
+	}
+	return &es[i].val
 }
 
 // Remove deletes the group of row's projection, reporting whether it
@@ -494,29 +421,27 @@ func (g *Grouper[T]) At(row []uint32) *T {
 func (g *Grouper[T]) Remove(row []uint32) bool {
 	h := HashAt(row, g.pos)
 	es := g.buckets[h]
-outer:
-	for i := range es {
-		for j, p := range g.pos {
-			if es[i].key[j] != row[p] {
-				continue outer
-			}
-		}
-		es[i] = es[len(es)-1]
-		es[len(es)-1] = groupEntry[T]{}
-		g.buckets[h] = es[:len(es)-1]
-		if len(g.buckets[h]) == 0 {
-			delete(g.buckets, h)
-		}
-		return true
+	i := find(es, row, g.pos)
+	if i < 0 {
+		return false
 	}
-	return false
+	last := len(es) - 1
+	es[i] = es[last]
+	es[last] = groupEntry[T]{}
+	if last == 0 {
+		delete(g.buckets, h)
+	} else {
+		g.buckets[h] = es[:last]
+	}
+	return true
 }
 
-// Each calls f for every group, in unspecified order.
+// Each calls f for every group, in unspecified order. f must not call At
+// or Remove on g.
 func (g *Grouper[T]) Each(f func(key []uint32, val *T)) {
 	for _, es := range g.buckets {
-		for _, e := range es {
-			f(e.key, e.val)
+		for i := range es {
+			f(es[i].key, &es[i].val)
 		}
 	}
 }

@@ -80,18 +80,92 @@ func TestDictConcurrent(t *testing.T) {
 	}
 }
 
+// collide is a pair of distinct rows with the same Hash, so they share a
+// bucket of every container keyed on both their positions.
+var collide = [2][]uint32{{2216829733, 5}, {316529882, 2499804744}}
+
+// TestGrouper: a group's value starts at zero, lives inline (At and Get
+// agree), is found from a probe at other positions by GetAt, and goes with
+// Remove; two rows whose keys share a hash keep separate groups.
+func TestGrouper(t *testing.T) {
+	if Hash(collide[0]) != Hash(collide[1]) || RowsEq(collide[0], collide[1]) {
+		t.Fatalf("%v and %v are not a colliding pair", collide[0], collide[1])
+	}
+	g := NewGrouper[int]([]int{2, 0})
+	a := []uint32{1, 9, 2}
+	if v := g.At(a); *v != 0 {
+		t.Fatalf("first sight of %v reads %d, want 0", a, *v)
+	}
+	*g.At(a) += 5
+	*g.At([]uint32{1, 7, 2}) += 1 // same key (2, 1)
+	*g.At([]uint32{2, 7, 1}) += 10
+	if v := g.Get(a); v == nil || *v != 6 {
+		t.Fatalf("Get(%v) = %v, want 6", a, v)
+	}
+	if g.Get([]uint32{1, 9, 3}) != nil {
+		t.Fatal("Get of an absent key must yield nil")
+	}
+	// GetAt probes the key (2, 1) laid out at other positions.
+	if v := g.GetAt([]uint32{1, 2, 5}, []int{1, 0}); v == nil || *v != 6 {
+		t.Fatalf("GetAt = %v, want 6", v)
+	}
+	if g.GetAt([]uint32{1, 2, 5}, []int{1, 2}) != nil {
+		t.Fatal("GetAt of an absent key must yield nil")
+	}
+	seen := map[string]int{}
+	g.Each(func(key []uint32, val *int) { seen[fmt.Sprint(key)] = *val })
+	if fmt.Sprint(seen) != "map[[1 2]:10 [2 1]:6]" {
+		t.Fatalf("Each visits %v", seen)
+	}
+	if !g.Remove(a) || g.Get(a) != nil || g.Remove(a) {
+		t.Fatal("Remove must drop the group once")
+	}
+	if v := g.At(a); *v != 0 {
+		t.Fatalf("a removed group comes back at %d, want 0", *v)
+	}
+
+	// The colliding pair, keyed on both positions, shares one bucket.
+	c := NewGrouper[[]int]([]int{0, 1})
+	for i, r := range collide {
+		*c.At(r) = append(*c.At(r), i)
+	}
+	if len(c.buckets) != 1 {
+		t.Fatalf("the colliding pair fills %d buckets, want 1", len(c.buckets))
+	}
+	for i, r := range collide {
+		if v := c.Get(r); v == nil || len(*v) != 1 || (*v)[0] != i {
+			t.Fatalf("row %d reads %v", i, v)
+		}
+	}
+	for i := range collide {
+		if !c.Remove(collide[i]) || c.Get(collide[i]) != nil {
+			t.Fatalf("Remove of colliding row %d failed", i)
+		}
+		if v := c.Get(collide[1-i]); v == nil || (*v)[0] != 1-i {
+			t.Fatalf("removing row %d lost row %d: %v", i, 1-i, v)
+		}
+		*c.At(collide[i]) = []int{i}
+	}
+}
+
+// TestSet: RowSet tells rows apart by order, length and content, through
+// a shared bucket too, tests projections with HasAt and AddAt, and grows
+// from the zero value.
 func TestSet(t *testing.T) {
-	s := NewSet(0)
+	var s RowSet
+	if s.Has([]uint32{1}) || s.HasAt([]uint32{1}, []int{0}) {
+		t.Fatal("the zero set holds nothing")
+	}
 	if !s.Add([]uint32{1, 2}) || s.Add([]uint32{1, 2}) {
 		t.Fatal("Add must report first insertion only")
 	}
 	if !s.Add([]uint32{2, 1}) {
 		t.Fatal("order matters")
 	}
-	if !s.Add([]uint32{1, 2, 3}) {
+	if !s.Add([]uint32{1, 2, 3}) || !s.Add(nil) || s.Add([]uint32{}) {
 		t.Fatal("length matters")
 	}
-	if s.Len() != 3 || !s.Has([]uint32{1, 2}) || s.Has([]uint32{9}) {
+	if len(s.Rows) != 4 || !s.Has([]uint32{1, 2}) || !s.Has(nil) || s.Has([]uint32{9}) {
 		t.Fatal("membership wrong")
 	}
 	if !s.HasAt([]uint32{9, 2, 1, 9}, []int{2, 1}) {
@@ -100,56 +174,39 @@ func TestSet(t *testing.T) {
 	if s.HasAt([]uint32{9, 2, 1, 9}, []int{0, 1}) {
 		t.Fatal("HasAt must miss projections that were never added")
 	}
-	if proj, fresh := s.AddProj([]uint32{9, 2, 1, 9}, []int{2, 1}); fresh || proj[0] != 1 || proj[1] != 2 {
-		t.Fatal("AddProj must find the existing projection")
+	if s.AddAt(nil, []uint32{9, 2, 1, 9}, []int{2, 1}) {
+		t.Fatal("AddAt must find the existing projection")
 	}
-	if _, fresh := s.AddProj([]uint32{9, 2, 1, 9}, []int{0, 1}); !fresh {
-		t.Fatal("AddProj must add new projections")
+	if !s.AddAt(nil, []uint32{9, 2, 1, 9}, []int{0, 1}) || !RowsEq(s.Rows[4], []uint32{9, 2}) {
+		t.Fatalf("AddAt must add new projections, got %v", s.Rows)
 	}
-}
+	for _, r := range collide {
+		if !s.Add(r) {
+			t.Fatalf("colliding row %v not added", r)
+		}
+	}
+	for _, r := range collide {
+		if s.Add(r) || !s.Has(r) || !s.HasAt([]uint32{0, r[0], r[1]}, []int{1, 2}) {
+			t.Fatalf("colliding row %v lost", r)
+		}
+	}
 
-func TestIndex(t *testing.T) {
-	ix := NewDynIndex([]int{0})
-	a, b, c := []uint32{1, 10}, []uint32{1, 11}, []uint32{1, 12}
-	for _, r := range [][]uint32{a, b, c, {2, 20}} {
-		ix.Add(r)
+	var g RowSet
+	for i := range 1000 {
+		if !g.Add([]uint32{uint32(i), 7}) {
+			t.Fatalf("row %d not new", i)
+		}
 	}
-	if got := ix.Get([]uint32{1}); len(got) != 3 {
-		t.Fatalf("want 3 rows under key 1, got %d", len(got))
+	if len(g.Rows) != 1000 || 2*len(g.Rows) > len(g.slots) {
+		t.Fatalf("%d rows in %d slots", len(g.Rows), len(g.slots))
 	}
-	if got := ix.Get([]uint32{3}); got != nil {
-		t.Fatal("missing key must yield nil")
+	for i := range 1000 {
+		if !g.Has([]uint32{uint32(i), 7}) || g.Rows[i][0] != uint32(i) {
+			t.Fatalf("row %d lost after growth", i)
+		}
 	}
-	// GetAt probes the projection of another row at its own positions.
-	if got := ix.GetAt([]uint32{5, 2, 9}, []int{1}); len(got) != 1 || got[0][1] != 20 {
-		t.Fatal("GetAt must probe the projection")
-	}
-	if got := ix.GetAt([]uint32{5, 3, 9}, []int{1}); got != nil {
-		t.Fatal("GetAt of an absent projection must yield nil")
-	}
-	// Removing a row from the middle of a group swaps the last row in.
-	if !ix.Remove([]uint32{1, 10}) {
-		t.Fatal("Remove must find an indexed row by value")
-	}
-	if got := ix.Get([]uint32{1}); len(got) != 2 || got[0][1] != 12 || got[1][1] != 11 {
-		t.Fatalf("swap-delete: want rows 12 and 11 under key 1, got %v", got)
-	}
-	if ix.Remove([]uint32{1, 10}) || ix.Remove([]uint32{3, 30}) {
-		t.Fatal("removing an absent row (in a present group or an absent one) must report false")
-	}
-	// Removing a group's last row drops the group.
-	if !ix.Remove([]uint32{2, 20}) || ix.Get([]uint32{2}) != nil || len(ix.buckets) != 1 {
-		t.Fatalf("removing the last row of group 2 must drop it, %d buckets left", len(ix.buckets))
-	}
-	// Empty key positions (cross products) are a single group.
-	ix2 := NewDynIndex(nil)
-	ix2.Add([]uint32{1})
-	ix2.Add([]uint32{2})
-	if got := ix2.Get(nil); len(got) != 2 {
-		t.Fatalf("empty key group: want 2 rows, got %d", len(got))
-	}
-	if got := ix2.GetAt([]uint32{7}, []int{}); len(got) != 2 {
-		t.Fatalf("GetAt with no positions: want the 2 rows, got %d", len(got))
+	if g.Has([]uint32{1000, 7}) {
+		t.Fatal("Has reports an absent row after growth")
 	}
 }
 

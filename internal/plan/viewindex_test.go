@@ -663,12 +663,10 @@ func BenchmarkViewIndexBuild(b *testing.B) {
 	b.Run("scan_probe", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
-			idx := intern.NewDynIndex([]int{0})
-			for _, r := range fetched {
-				idx.Add(r)
-			}
+			idx := intern.NewFlatIndex(fetched, []int{0})
+			var buf [][]uint32
 			for _, r := range view {
-				idx.GetAt(r, []int{0})
+				buf = idx.Lookup(r, []int{0}, buf[:0])
 			}
 		}
 	})

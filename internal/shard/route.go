@@ -1,7 +1,7 @@
 // Package shard is the serving engine behind the facade's Live handle: an
 // ID-encoded instance is hash-partitioned into P shards, each owning its own
 // versioned fetch indices (instance.VIndex), incremental view-maintenance
-// engine with its join indexes (eval.DeltaEngine over intern.DynIndex) and
+// engine with its join indexes (eval.DeltaEngine over intern.Grouper) and
 // materialized-view partitions; the writer keeps one statistics store,
 // which counts each value once, so the statistics every epoch publishes
 // are exact and the same at any P. Plan execution is scatter-gather — a

@@ -162,10 +162,10 @@ func (e *Epoch) FetchIDs(c *access.Constraint, xval []uint32) ([][]uint32, error
 	// Deduplication keeps the result — and the fetch accounting layered
 	// above — identical to a single index over all of D. The first
 	// non-empty shard's rows are returned as they are until a second one
-	// answers; from then on the rows gather in a slice of their own, so no
-	// shard's slice is appended into.
-	var out [][]uint32
-	var seen *intern.Set
+	// answers; from then on the rows gather in a RowSet of their own, so
+	// no shard's slice is appended into.
+	var first [][]uint32
+	var seen intern.RowSet
 	for i, vx := range e.vixes {
 		e.probe(i, 1)
 		rows, err := vx.FetchIDs(c, xval)
@@ -175,26 +175,24 @@ func (e *Epoch) FetchIDs(c *access.Constraint, xval []uint32) ([][]uint32, error
 		if len(rows) == 0 {
 			continue
 		}
-		if out == nil {
-			out = rows
+		if first == nil {
+			first = rows
 			continue
 		}
-		if seen == nil {
-			first := out
-			seen, out = intern.NewSet(len(first)+len(rows)), make([][]uint32, 0, len(first)+len(rows))
+		if seen.Rows == nil {
+			seen = intern.NewRowSet(nil, len(first)+len(rows))
 			for _, r := range first {
-				if seen.Add(r) {
-					out = append(out, r)
-				}
+				seen.Add(r)
 			}
 		}
 		for _, r := range rows {
-			if seen.Add(r) {
-				out = append(out, r)
-			}
+			seen.Add(r)
 		}
 	}
-	return out, nil
+	if seen.Rows == nil {
+		return first, nil
+	}
+	return seen.Rows, nil
 }
 
 // FetchAll appends to out the rows FetchIDs returns for each of keys, in
